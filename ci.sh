@@ -224,6 +224,31 @@ print(
 )
 PY
 
+echo "== benchmark smoke (perfbench builds and its answers replay-check) =="
+# perfbench/ is a cargo workspace of its own, so nothing above builds
+# it: a core API change could break the benchmark unnoticed. One short
+# run per workload proves it still builds against the current crates and
+# that every answer matches its serialized reference replay (a mismatch
+# exits 1 without printing numbers); the traced serve-roundtrip run also
+# replay-checks every ladder tier and durable serving. The last line of
+# each run is its JSON verdict.
+for spec in learner-drift:0 serve-roundtrip:0 serve-roundtrip:1; do
+    workload=${spec%:*}
+    trace=${spec#*:}
+    cargo run --quiet --offline --release --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seconds 1 --trace "$trace" > /tmp/perfbench_ci.out
+    tail -n 1 /tmp/perfbench_ci.out > /tmp/perfbench_ci.json
+    WORKLOAD="$workload" TRACE="$trace" python3 - <<'PY'
+import json, os
+verdict = json.load(open("/tmp/perfbench_ci.json"))
+run = f"{os.environ['WORKLOAD']} --trace {os.environ['TRACE']}"
+assert verdict["correct"] is True, f"{run}: benchmark answers were not correct"
+assert verdict["failed"] == 0, f"{run}: {verdict['failed']} operations failed"
+print(f"benchmark smoke: {run}: correct, {verdict['attempted']} attempted, 0 failed")
+PY
+done
+rm -f /tmp/perfbench_ci.out /tmp/perfbench_ci.json
+
 echo "== cargo doc (telemetry + builder API docs must be warning-free) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

@@ -197,30 +197,22 @@ fn service_fences_dead_shard_and_fails_traffic_over() {
         assert!(matches!(out.outcome, SubmitOutcome::Answered(_)));
     }
 
-    // Kill shard 0's worker; with a zero restart budget the next restart
-    // attempt exhausts it and the router fences the shard.
+    // Kill shard 0's worker with a probe stranded in its queue: a stall
+    // holds the worker while the panic and then the probe queue up behind
+    // it, so the probe is admitted to the worker that dies. With a zero
+    // restart budget the crash exhausts it, the router fences the shard,
+    // and the stranded probe comes back as a typed retryable
+    // `Shed("fenced")` notice.
+    handle.inject_worker_stall(0, Duration::from_millis(200), false).expect("service running");
     handle.inject_worker_panic(0).expect("service running");
-
-    // Probe until the fence lands: submissions routed at shard 0 before
-    // the fence come back as typed retryable `Shed("fenced")` notices;
-    // afterwards the same key fails over to shard 1 and is answered.
-    let probes = service_batches(8, victim_key, 200);
-    let mut fenced_seen = false;
-    for b in probes {
-        victim.submit_batch(b, true).expect("submission accepted while service lives");
-        let out = victim.recv_output().expect("every submission gets a verdict");
-        match out.outcome {
-            SubmitOutcome::Shed("fenced") => {
-                fenced_seen = true;
-                break;
-            }
-            SubmitOutcome::Answered(_) | SubmitOutcome::Trained => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            other => panic!("unexpected verdict before the fence: {other:?}"),
-        }
-    }
-    assert!(fenced_seen, "restart exhaustion must surface as a typed fenced shed");
+    let probe = service_batches(8, victim_key, 1).remove(0);
+    victim.submit_batch(probe, true).expect("submission accepted while service lives");
+    let out = victim.recv_output().expect("every submission gets a verdict");
+    assert!(
+        matches!(out.outcome, SubmitOutcome::Shed("fenced")),
+        "restart exhaustion must surface as a typed fenced shed, got {:?}",
+        out.outcome
+    );
 
     // Failover: fresh traffic on the victim key lands on the survivor.
     for b in service_batches(9, victim_key, 3) {

@@ -283,29 +283,33 @@ impl ShardedPipeline {
         Ok(recovered)
     }
 
-    /// One non-blocking drain pass over shard `i`: pulls every ready
-    /// output, polls the stall watchdog, fences on exhaustion. Returns
+    /// One non-blocking drain pass over shard `i`: polls the stall
+    /// watchdog, pulls every ready output, fences on exhaustion. Returns
     /// whether the shard is quiescent (a fenced shard is quiescent once
     /// its surviving outputs are drained).
+    ///
+    /// The watchdog goes first because its sweep absorbs worker output
+    /// into the supervisor's pending queue and stops counting it in
+    /// flight; draining after it hands that output over in this pass
+    /// instead of leaving it behind a shard that already looks quiescent.
     fn drain_shard_step(
         &mut self,
         i: usize,
         outputs: &mut Vec<(usize, PipelineOutput)>,
     ) -> Result<bool, FreewayError> {
+        if !self.fenced[i] {
+            match self.shards[i].check_liveness() {
+                Ok(_) => {}
+                Err(FreewayError::RestartsExhausted { .. }) => self.fence_shard(i),
+                Err(e) => return Err(e),
+            }
+        }
         loop {
             match self.shards[i].try_recv() {
                 Ok(Some(out)) => outputs.push((i, out)),
                 Ok(None) => break,
-                Err(FreewayError::RestartsExhausted { .. }) => {
-                    self.fence_shard(i);
-                    break;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if !self.fenced[i] {
-            match self.shards[i].check_liveness() {
-                Ok(_) => {}
+                // Keep draining: what the dead worker produced is still
+                // queued on the fenced shard.
                 Err(FreewayError::RestartsExhausted { .. }) => self.fence_shard(i),
                 Err(e) => return Err(e),
             }
@@ -385,6 +389,27 @@ impl ShardedPipeline {
         }
         outputs.sort_by_key(|(shard, out)| (out.seq, *shard));
         Ok(outputs)
+    }
+
+    /// The smallest stall deadline over all shards (`None` when no shard
+    /// runs a watchdog).
+    pub(crate) fn min_stall_deadline(&mut self) -> Option<Duration> {
+        self.shards.iter_mut().filter_map(|shard| shard.supervisor().stall_deadline()).min()
+    }
+
+    /// Highest batch seq any shard's startup recovery restored from a
+    /// previous process's journal (`None` when nothing was recovered).
+    /// A caller numbering batches for this runtime continues above it.
+    pub(crate) fn recovered_seq(&mut self) -> Option<u64> {
+        self.shards.iter_mut().filter_map(|shard| shard.supervisor().recovered_seq()).max()
+    }
+
+    /// Has every shard's worker, including future respawns, unpark
+    /// `thread` after each output it sends and when it exits.
+    pub(crate) fn install_doorbell(&mut self, thread: &std::thread::Thread) {
+        for shard in &mut self.shards {
+            shard.supervisor().install_doorbell(thread.clone());
+        }
     }
 
     /// Aggregated admission counters across all shards (sums; the

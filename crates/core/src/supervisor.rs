@@ -49,8 +49,8 @@ use std::collections::{BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, OnceLock};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 /// Supervision policy knobs.
@@ -224,11 +224,36 @@ struct Worker {
     fence: Arc<AtomicBool>,
 }
 
+/// Wakes a parked consumer thread (the serving router) when a worker or
+/// client has something for it. Cloning shares one slot; the thread is
+/// installed at most once, and ringing a bell with no thread installed is
+/// a no-op, so layers nobody parks on pay one atomic load per ring.
+#[derive(Clone, Default)]
+pub(crate) struct Doorbell(Arc<OnceLock<Thread>>);
+
+impl Doorbell {
+    /// Makes `thread` the one [`Self::ring`] unparks; later installs are
+    /// ignored.
+    pub(crate) fn install(&self, thread: Thread) {
+        let _ = self.0.set(thread);
+    }
+
+    /// Unparks the installed thread, if any. An unpark that lands before
+    /// the thread parks is kept as its park token, so a ring is never
+    /// lost between the consumer's last poll and its park.
+    pub(crate) fn ring(&self) {
+        if let Some(thread) = self.0.get() {
+            thread.unpark();
+        }
+    }
+}
+
 fn spawn_worker(
     mut learner: Learner,
     queue_depth: usize,
     chaos_delay: Arc<AtomicU64>,
     initial_last_seq: Option<u64>,
+    doorbell: Doorbell,
 ) -> Worker {
     let telemetry = learner.telemetry().clone();
     let (in_tx, in_rx) = bounded::<SupCommand>(queue_depth);
@@ -240,7 +265,8 @@ fn spawn_worker(
     let ledger = heartbeat.clone();
     let fenced = fence.clone();
     let handle = std::thread::spawn(move || {
-        catch_unwind(AssertUnwindSafe(move || {
+        let bell = doorbell.clone();
+        let result = catch_unwind(AssertUnwindSafe(move || {
             // Highest batch seq processed; stamped onto checkpoints as
             // the journal replay floor. Seeded with the replay
             // high-water mark on post-recovery respawns.
@@ -328,10 +354,15 @@ fn spawn_worker(
                     break;
                 }
                 ledger.beat(last_seq);
+                bell.ring();
             }
             learner
         }))
-        .map_err(panic_message)
+        .map_err(panic_message);
+        // The closure's channel ends are gone by now, so the woken
+        // consumer sees the disconnect (a crash, panics included).
+        doorbell.ring();
+        result
     });
     Worker { input: in_tx, output: out_rx, handle, heartbeat, fence }
 }
@@ -462,6 +493,13 @@ pub struct SupervisedPipeline {
     watchdog: Option<WatchdogState>,
     /// Monotonic origin for watchdog ticks (nanoseconds since here).
     watchdog_origin: Instant,
+    /// Rung by every worker this pipeline spawns after each message it
+    /// sends and when it exits; empty until a router installs itself.
+    doorbell: Doorbell,
+    /// Highest batch seq startup recovery restored from a previous
+    /// process's journal: the last replayed record, or the loaded
+    /// checkpoint's floor. `None` without a journal or when it was empty.
+    recovered_seq: Option<u64>,
 }
 
 impl SupervisedPipeline {
@@ -511,6 +549,7 @@ impl SupervisedPipeline {
         // replayed batches were delivered by the previous incarnation, so
         // every one of them is suppressed here.
         let mut startup_seq = None;
+        let mut recovered_seq = None;
         let journal = match config.journal.clone() {
             None => None,
             Some(journal_config) => {
@@ -563,6 +602,9 @@ impl SupervisedPipeline {
                     for record in &records {
                         produced.insert(record.seq);
                     }
+                    // A genesis base has no floor; a loaded checkpoint's
+                    // floor counts when no record lies above it.
+                    recovered_seq = records.iter().map(|r| r.seq).max().max(base.journal_seq);
                     let mut discarded = VecDeque::new();
                     let summary =
                         replay_into(&mut learner, &records, &mut produced, &mut discarded);
@@ -581,8 +623,14 @@ impl SupervisedPipeline {
                 Some(JournalState { journal, base, produced, recovery_seconds })
             }
         };
-        let worker =
-            Some(spawn_worker(learner, config.queue_depth, chaos_train_delay.clone(), startup_seq));
+        let doorbell = Doorbell::default();
+        let worker = Some(spawn_worker(
+            learner,
+            config.queue_depth,
+            chaos_train_delay.clone(),
+            startup_seq,
+            doorbell.clone(),
+        ));
         Ok(Self {
             config,
             worker,
@@ -608,6 +656,8 @@ impl SupervisedPipeline {
             stall_recovery_seconds,
             watchdog: None,
             watchdog_origin: Instant::now(),
+            doorbell,
+            recovered_seq,
         })
     }
 
@@ -782,6 +832,22 @@ impl SupervisedPipeline {
     /// The configured channel bound (capacity of the worker queue).
     pub fn queue_depth(&self) -> usize {
         self.config.queue_depth
+    }
+
+    /// The configured stall deadline (`None` = no watchdog).
+    pub(crate) fn stall_deadline(&self) -> Option<Duration> {
+        self.config.stall_deadline
+    }
+
+    /// See the `recovered_seq` field.
+    pub(crate) fn recovered_seq(&self) -> Option<u64> {
+        self.recovered_seq
+    }
+
+    /// Has this pipeline's workers, the current one and every respawn,
+    /// unpark `thread` after each message they send and when they exit.
+    pub(crate) fn install_doorbell(&self, thread: Thread) {
+        self.doorbell.install(thread);
     }
 
     /// Chaos hook: every subsequent train/infer command sleeps this long
@@ -1134,6 +1200,9 @@ impl SupervisedPipeline {
     /// and respawn. The caller has already reaped or abandoned the old
     /// worker and zeroed `in_flight`.
     fn complete_restart(&mut self, panic: String, lost: u64) -> Result<(), FreewayError> {
+        // Outputs recovery leaves on `pending` (the dead worker's last
+        // messages, journal replay) were never announced by a worker ring.
+        self.doorbell.ring();
         self.watchdog = None;
         if self.stats.restarts >= self.config.max_restarts {
             // Past the budget nothing replays: the loss is real.
@@ -1158,6 +1227,7 @@ impl SupervisedPipeline {
             self.config.queue_depth,
             self.chaos_train_delay.clone(),
             respawn_seq,
+            self.doorbell.clone(),
         ));
         Ok(())
     }

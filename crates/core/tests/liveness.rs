@@ -235,6 +235,31 @@ fn sharded_liveness_sweep_recovers_a_stalled_shard() {
 }
 
 #[test]
+fn barrier_with_a_stall_deadline_returns_exactly_the_fed_batch() {
+    // The barrier's watchdog sweep absorbs worker output into the
+    // supervisor's pending queue; that output must surface in the same
+    // barrier, not one barrier late behind a shard that looks quiescent.
+    let mut pipeline = PipelineBuilder::new(ModelSpec::lr(DIM, 2))
+        .with_config(config())
+        .with_stall_deadline(Duration::from_secs(10))
+        .admission(lossless_admission())
+        .shards(1)
+        .build_sharded()
+        .expect("valid configuration");
+    let mut feed = Feed::new(53);
+    for round in 0..300 {
+        let batch = feed.keyed(0);
+        let seq = batch.batch.seq;
+        pipeline.feed_prequential(batch).expect("healthy");
+        let seqs: Vec<u64> =
+            pipeline.barrier().expect("healthy shard").iter().map(|(_, out)| out.seq).collect();
+        assert_eq!(seqs, vec![seq], "round {round}: the barrier returned {seqs:?}");
+    }
+    let run = pipeline.finish().expect("clean finish");
+    assert_eq!(run.shards[0].run.stats.worker_stalls, 0);
+}
+
+#[test]
 fn barrier_deadline_names_the_wedged_shard_and_loses_nothing() {
     // No watchdog here: the drain itself must stay bounded and report
     // exactly which shard is wedged.

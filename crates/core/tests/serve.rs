@@ -9,12 +9,23 @@
 //!   admitted order serially through an identically built pipeline
 //!   reproduces every per-key transcript exactly. Concurrency changes
 //!   *interleaving*, never *answers*.
+//! * Wake-ups: with no stall deadline the router parks with no timer, so
+//!   every path that hands it work must wake it; a missed wake-up hangs
+//!   and fails the wall-clock budget.
+//! * Restarts: a service restarted over its journal numbers new
+//!   submissions above everything it recovered.
 
 use std::collections::HashMap;
+use std::path::Path;
+use std::sync::mpsc::RecvTimeoutError;
 use std::time::Duration;
 
 use freeway_core::admission::{AdmissionConfig, AdmissionPolicy};
-use freeway_core::{FreewayConfig, PipelineBuilder, ServeError, ServiceConfig, SubmitOutcome};
+use freeway_core::telemetry::{MetricsSnapshot, Telemetry};
+use freeway_core::{
+    shard_for, ClientSession, FreewayConfig, JournalConfig, PipelineBuilder, ServeError,
+    ServiceConfig, SubmitOutcome,
+};
 use freeway_ml::ModelSpec;
 use freeway_streams::concept::{stream_rng, GmmConcept};
 use freeway_streams::{Batch, DriftPhase, KeyedBatch};
@@ -142,6 +153,186 @@ fn submit_timeout_gives_up_busy_after_the_budget() {
     let out = session.recv_output().expect("output delivered");
     assert!(matches!(out.outcome, SubmitOutcome::Answered(_)));
     let _ = service.shutdown().expect("clean shutdown");
+}
+
+/// Runs `scenario` on its own thread and fails unless it finishes within
+/// `budget`: a router that misses a wake-up parks forever, and this turns
+/// that hang into a test failure.
+fn within_budget(budget: Duration, scenario: impl FnOnce() + Send + 'static) {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let runner = std::thread::spawn(move || {
+        scenario();
+        let _ = done_tx.send(());
+    });
+    match done_rx.recv_timeout(budget) {
+        Ok(()) | Err(RecvTimeoutError::Disconnected) => {
+            if let Err(panic) = runner.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("scenario still running after {budget:?}: the router missed a wake-up")
+        }
+    }
+}
+
+/// Polls `telemetry` until `done` holds for its metrics. Nothing but the
+/// router acts on the service meanwhile, so reaching the state proves the
+/// router woke up for it.
+fn await_metrics(telemetry: &Telemetry, done: impl Fn(&MetricsSnapshot) -> bool) {
+    while !done(&telemetry.metrics()) {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// One closed-loop exchange that must come back answered; returns the
+/// global seq and the predictions.
+fn answer(session: &mut ClientSession, batch: Batch) -> (u64, Vec<usize>) {
+    let client_seq = session.submit_batch(batch, true).expect("admitted");
+    let out = session.recv_output().expect("output delivered");
+    assert_eq!(out.client_seq, client_seq, "closed loop: the answer is for this submission");
+    match out.outcome {
+        SubmitOutcome::Answered(report) => (out.global_seq, report.predictions),
+        other => panic!("expected an answer, got {other:?}"),
+    }
+}
+
+#[test]
+fn router_without_a_timer_wakes_on_every_path() {
+    within_budget(Duration::from_secs(30), || {
+        // No stall deadline: the router parks with no timer at all.
+        let (telemetry, _sink) = Telemetry::recording();
+        let service =
+            builder(2).with_telemetry(telemetry.clone()).build_service().expect("valid service");
+        let handle = service.handle();
+        let (key_a, key_b) = (21, 22);
+        let mut a = handle.open_session(key_a).expect("service running");
+        let mut b = handle.open_session(key_b).expect("service running");
+
+        // Submit rings, and every worker output rings.
+        let batches_a = session_batches(6, key_a, 101);
+        let batches_b = session_batches(6, key_b, 100);
+        for (ba, bb) in batches_a.iter().zip(&batches_b) {
+            answer(&mut a, ba.clone());
+            answer(&mut b, bb.clone());
+        }
+
+        // Dropping a session rings with its close notice.
+        drop(b);
+        await_metrics(&telemetry, |m| m.gauges.get("freeway_serve_sessions_active") == Some(&1.0));
+
+        // The injection rings; the crash is noticed only through the
+        // ring the dying worker sends as its thread exits.
+        handle.inject_worker_panic(shard_for(key_a, 2)).expect("service running");
+        await_metrics(&telemetry, |m| m.counters.get("freeway_worker_restarts_total") == Some(&1));
+        // The respawned worker rings too.
+        answer(&mut a, batches_a[100].clone());
+
+        // Shutdown rings.
+        drop(a);
+        let report = service.shutdown().expect("clean shutdown");
+        assert_eq!(report.stats.submitted, 201);
+        assert_eq!(report.stats.answered, 201);
+        let restarts: Vec<usize> =
+            report.run.shards.iter().map(|shard| shard.run.stats.restarts).collect();
+        assert_eq!(restarts.iter().sum::<usize>(), 1, "exactly one restart: {restarts:?}");
+    });
+}
+
+#[test]
+fn router_pumps_the_watchdog_on_its_timed_wake() {
+    within_budget(Duration::from_secs(30), || {
+        // A wedged worker rings nothing: only the router's timed wake can
+        // notice it. The stall outlasts the budget, so the answer below
+        // can only come from forced recovery replaying the journal.
+        let dir = std::env::temp_dir().join(format!("freeway-serve-tick-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let service = builder(1)
+            .journal(JournalConfig::new(dir.join("ingest.wal")))
+            .with_stall_deadline(Duration::from_millis(100))
+            .build_service()
+            .expect("valid service");
+        let handle = service.handle();
+        let mut session = handle.open_session(3).expect("service running");
+        let batches = session_batches(9, 3, 3);
+        answer(&mut session, batches[0].clone());
+        handle.inject_worker_stall(0, Duration::from_secs(60), false).expect("service running");
+        answer(&mut session, batches[1].clone());
+        answer(&mut session, batches[2].clone());
+        drop(session);
+        let report = service.shutdown().expect("clean shutdown");
+        let stats = report.run.shards[0].run.stats;
+        assert_eq!(stats.worker_stalls, 1, "{stats:?}");
+        assert_eq!(stats.lost_in_flight, 0, "{stats:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+}
+
+/// Serves `batches` closed-loop through one session of a 1-shard service
+/// journaling into `dir`, injecting a worker panic just before batch
+/// `panic_before` when set. Returns each answer's global seq and
+/// predictions.
+fn journaled_answers(
+    dir: &Path,
+    batches: &[Batch],
+    panic_before: Option<usize>,
+) -> Vec<(u64, Vec<usize>)> {
+    let service = builder(1)
+        .journal(JournalConfig::new(dir.join("ingest.wal")))
+        .build_service()
+        .expect("valid service");
+    let handle = service.handle();
+    let mut session = handle.open_session(5).expect("service running");
+    let mut answers = Vec::with_capacity(batches.len());
+    for (i, batch) in batches.iter().enumerate() {
+        if panic_before == Some(i) {
+            handle.inject_worker_panic(0).expect("service running");
+        }
+        answers.push(answer(&mut session, batch.clone()));
+    }
+    drop(session);
+    let report = service.shutdown().expect("clean shutdown");
+    let stats = report.run.shards[0].run.stats;
+    assert_eq!(stats.restarts, usize::from(panic_before.is_some()), "{stats:?}");
+    assert_eq!(stats.lost_in_flight, 0, "journal replay recovers the crash: {stats:?}");
+    answers
+}
+
+fn copy_flat_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).expect("twin dir");
+    for entry in std::fs::read_dir(from).expect("journal dir") {
+        let entry = entry.expect("dir entry");
+        std::fs::copy(entry.path(), to.join(entry.file_name())).expect("copy journal file");
+    }
+}
+
+#[test]
+fn restarted_service_numbers_above_its_recovered_journal() {
+    within_budget(Duration::from_secs(30), || {
+        let root =
+            std::env::temp_dir().join(format!("freeway-serve-restart-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let (faulted_dir, twin_dir) = (root.join("faulted"), root.join("twin"));
+        std::fs::create_dir_all(&faulted_dir).expect("temp dir");
+
+        // First incarnation: its journal is what the restarts recover.
+        let first = journaled_answers(&faulted_dir, &session_batches(7, 5, 10), None);
+        let first_max = first.iter().map(|(seq, _)| *seq).max().expect("answers");
+        copy_flat_dir(&faulted_dir, &twin_dir);
+
+        // Second incarnation, twice over identical journals: fault-free,
+        // and with a worker panic mid-stream.
+        let second = session_batches(8, 5, 10);
+        let twin = journaled_answers(&twin_dir, &second, None);
+        for (seq, _) in &twin {
+            assert!(*seq > first_max, "restart restamped seq {seq} at or below {first_max}");
+        }
+        let faulted = journaled_answers(&faulted_dir, &second, Some(6));
+        assert_eq!(faulted, twin, "a crash after the restart replays to the fault-free answers");
+
+        let _ = std::fs::remove_dir_all(&root);
+    });
 }
 
 /// Service-side run: M session threads submit concurrently, each
