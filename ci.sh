@@ -135,7 +135,7 @@ plain, sharded = drill["plain"], drill["sharded"]
 assert plain["lost_in_flight"] == 0, f"plain drill lost batches: {plain}"
 assert plain["transcript_matches_fault_free"], "plain transcript diverged"
 assert plain["replay_exercised"], "crash drill never exercised replay"
-assert plain["replayed_outputs_all_suppressed"], "a replayed output was delivered twice"
+assert plain["delivered_exactly_once"], "an accepted batch was lost or delivered twice"
 assert plain["journal_appended"] == plain["accepted"], "an accepted batch skipped the journal"
 assert sharded["lost_in_flight"] == [0, 0], f"a shard lost batches: {sharded}"
 assert sharded["victim_transcript_matches"], "victim shard transcript diverged"

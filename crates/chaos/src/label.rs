@@ -440,6 +440,7 @@ pub fn run_label_prequential(
             scored,
             events: run.learner.telemetry().events(),
             transcript,
+            delivered: outputs.len(),
             journal: run.journal,
         },
         deferred: scheduler.deferred(),

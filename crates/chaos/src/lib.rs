@@ -356,6 +356,9 @@ pub struct ChaosRunReport {
     /// for identical seqs compare equal here, which is the
     /// effectively-once acceptance check for journaled crash drills.
     pub transcript: BTreeMap<u64, Vec<usize>>,
+    /// Every output the run delivered, a seq delivered twice counted
+    /// twice (the transcript keeps one entry per seq).
+    pub delivered: usize,
     /// Journal counters at finish (`None` when the run was not
     /// journaled).
     pub journal: Option<JournalStats>,
@@ -408,13 +411,18 @@ pub fn paired_accuracy(a: &ChaosRunReport, b: &ChaosRunReport) -> (f64, f64) {
 ///
 /// Labeled batches go through the prequential (test-then-train) path;
 /// unlabeled ones through the inference path. The batch at a panic index
-/// is fed *behind* the panic command, so it is deterministically in
-/// flight when the worker dies: without a journal it is lost (counted in
-/// `lost_in_flight`), with one ([`SupervisorConfig::journal`]) it is
-/// replayed and the run's [`ChaosRunReport::transcript`] comes out
-/// identical to a fault-free run. After feeding it the function waits for
-/// the supervisor to complete the restart so the recovery really is
-/// exercised (not raced past).
+/// is fed right behind the panic command. Whether it is still in flight
+/// when the worker dies depends on scheduling, which the harness cannot
+/// force without a timing assumption: if the worker dies before the
+/// hand-off, the feed notices the crash, restarts, and hands the batch to
+/// the fresh worker; if the batch was already handed off, it dies with
+/// the worker — lost without a journal (counted in `lost_in_flight`),
+/// replayed with one ([`SupervisorConfig::journal`]). Either way a
+/// journaled run delivers every accepted batch exactly once and its
+/// [`ChaosRunReport::transcript`] comes out identical to a fault-free
+/// run. After feeding it the function waits for the supervisor to
+/// complete the restart so the recovery really is exercised (not raced
+/// past).
 ///
 /// # Errors
 /// Propagates supervisor errors — notably
@@ -489,6 +497,7 @@ pub fn run_supervised_prequential(
         scored,
         events: run.learner.telemetry().events(),
         transcript,
+        delivered: outputs.len(),
         journal: run.journal,
     })
 }

@@ -172,8 +172,8 @@ pub fn run_overload_prequential(
     learner.attach_degradation(handle.clone());
     let inner = SupervisedPipeline::with_learner(learner, config.supervisor.clone())?;
     let mut pipe = AdmittedPipeline::new(inner, config.admission.clone(), handle)?;
-    pipe.set_chaos_train_delay(config.train_delay);
-    pipe.set_chaos_persist_delay(config.persist_delay);
+    pipe.supervisor().set_chaos_train_delay(config.train_delay);
+    pipe.supervisor().set_chaos_persist_delay(config.persist_delay);
 
     let mut labels_by_seq: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
     let mut outputs = Vec::new();

@@ -136,6 +136,7 @@ pub fn run_stall_prequential(
         scored,
         events: run.learner.telemetry().events(),
         transcript,
+        delivered: outputs.len(),
         journal: run.journal,
     })
 }

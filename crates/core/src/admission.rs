@@ -24,10 +24,9 @@
 
 use crate::degrade::{DegradationHandle, DegradationLadder, DegradationLevel, LadderConfig};
 use crate::error::FreewayError;
-use crate::guard::Quarantine;
 use crate::learner::Learner;
 use crate::pipeline::PipelineOutput;
-use crate::supervisor::{FinishedRun, SupervisedPipeline, SupervisorStats, TryFeedOutcome};
+use crate::supervisor::{FinishedRun, SupervisedPipeline, TryFeedOutcome};
 use freeway_streams::Batch;
 use freeway_telemetry::{Telemetry, TelemetryEvent, DURATION_SECONDS_BOUNDS};
 use std::collections::VecDeque;
@@ -106,8 +105,9 @@ pub struct ShedBatch {
 }
 
 /// Bounded, counted buffer of shed batches (the overload mirror of the
-/// poison [`Quarantine`]): every shed is counted, only the most recent
-/// `capacity` are kept, so shedding never grows memory without bound.
+/// poison [`crate::guard::Quarantine`]): every shed is counted, only the
+/// most recent `capacity` are kept, so shedding never grows memory
+/// without bound.
 #[derive(Clone, Debug)]
 pub struct ShedBuffer {
     entries: VecDeque<ShedBatch>,
@@ -249,7 +249,7 @@ pub struct AdmissionStats {
     /// Batches shed (all reasons; see the [`ShedBuffer`] for detail).
     pub shed: u64,
     /// Batches quarantined as poison (also counted in
-    /// [`SupervisorStats::quarantined`]).
+    /// [`crate::supervisor::SupervisorStats::quarantined`]).
     pub quarantined: u64,
     /// High-water mark of the caller-side backlog.
     pub backlog_peak: usize,
@@ -536,19 +536,9 @@ impl AdmittedPipeline {
         self.stats
     }
 
-    /// Supervision counters so far (accepted, restarts, checkpoints…).
-    pub fn supervisor_stats(&self) -> SupervisorStats {
-        self.inner.stats()
-    }
-
     /// The shed-batch buffer (counted, bounded).
     pub fn shed(&self) -> &ShedBuffer {
         &self.shed
-    }
-
-    /// The poison quarantine of the wrapped pipeline.
-    pub fn quarantine(&self) -> &Quarantine {
-        self.inner.quarantine()
     }
 
     /// Batches waiting caller-side for queue space.
@@ -614,32 +604,10 @@ impl AdmittedPipeline {
         Ok(recovered)
     }
 
-    /// Chaos hook passthrough: artificially slow the worker's train
-    /// stage; see [`SupervisedPipeline::set_chaos_train_delay`].
-    pub fn set_chaos_train_delay(&self, delay: Duration) {
-        self.inner.set_chaos_train_delay(delay);
-    }
-
-    /// Chaos hook passthrough: artificially slow checkpoint persistence;
-    /// see [`SupervisedPipeline::set_chaos_persist_delay`].
-    pub fn set_chaos_persist_delay(&self, delay: Duration) {
-        self.inner.set_chaos_persist_delay(delay);
-    }
-
-    /// Chaos hook passthrough: artificially slow journal fsyncs; see
-    /// [`SupervisedPipeline::set_chaos_journal_sync_delay`].
-    pub fn set_chaos_journal_sync_delay(&self, delay: Duration) {
-        self.inner.set_chaos_journal_sync_delay(delay);
-    }
-
-    /// Journal counters of the wrapped pipeline (`None` without a
-    /// journal). Shed batches never reach the supervisor, so they are
-    /// never journaled — the log holds exactly the admitted stream.
-    pub fn journal_stats(&self) -> Option<crate::journal::JournalStats> {
-        self.inner.journal_stats()
-    }
-
-    /// Direct access to the wrapped pipeline (tests and harnesses).
+    /// The wrapped supervised pipeline: its counters, quarantine,
+    /// journal stats, and chaos hooks. Shed batches never reach it, so
+    /// they are never journaled — the log holds exactly the admitted
+    /// stream.
     pub fn supervisor(&mut self) -> &mut SupervisedPipeline {
         &mut self.inner
     }
@@ -740,7 +708,7 @@ mod tests {
     #[test]
     fn block_policy_never_sheds() {
         let mut p = build(AdmissionPolicy::Block, 2, 0);
-        p.set_chaos_train_delay(Duration::from_millis(2));
+        p.supervisor().set_chaos_train_delay(Duration::from_millis(2));
         for b in batches(20, 31) {
             let outcome = p.feed_prequential(b).expect("healthy");
             assert_eq!(outcome, AdmissionOutcome::Admitted);
@@ -754,7 +722,7 @@ mod tests {
     #[test]
     fn shedding_newest_bounds_memory_and_counts_sheds() {
         let mut p = build(AdmissionPolicy::SheddingNewest, 1, 2);
-        p.set_chaos_train_delay(Duration::from_millis(25));
+        p.supervisor().set_chaos_train_delay(Duration::from_millis(25));
         let mut shed = 0u64;
         let mut backlogged = 0u64;
         for b in batches(30, 32) {
@@ -768,7 +736,7 @@ mod tests {
         }
         assert!(shed > 0, "a 25ms worker behind a 1-deep queue must shed");
         assert!(backlogged > 0, "the backlog absorbs the first overflow");
-        p.set_chaos_train_delay(Duration::ZERO);
+        p.supervisor().set_chaos_train_delay(Duration::ZERO);
         let run = p.finish().expect("finish");
         assert_eq!(run.admission.shed, shed);
         assert_eq!(run.shed.total(), shed);
@@ -780,7 +748,7 @@ mod tests {
     #[test]
     fn shedding_oldest_keeps_the_newest_work() {
         let mut p = build(AdmissionPolicy::SheddingOldest, 1, 2);
-        p.set_chaos_train_delay(Duration::from_millis(25));
+        p.supervisor().set_chaos_train_delay(Duration::from_millis(25));
         let all = batches(30, 33);
         let last_seq = all.last().map(|b| b.seq).unwrap_or(0);
         for b in all {
@@ -790,7 +758,7 @@ mod tests {
                 "shedding-oldest sheds from the backlog, not the offer"
             );
         }
-        p.set_chaos_train_delay(Duration::ZERO);
+        p.supervisor().set_chaos_train_delay(Duration::ZERO);
         let run = p.finish().expect("finish");
         assert!(run.shed.total() > 0, "overload must shed");
         // The newest offered batch is never the victim under
@@ -804,7 +772,7 @@ mod tests {
     #[test]
     fn deadline_policy_bounds_producer_latency() {
         let mut p = build(AdmissionPolicy::Deadline { budget: Duration::from_millis(5) }, 1, 0);
-        p.set_chaos_train_delay(Duration::from_millis(40));
+        p.supervisor().set_chaos_train_delay(Duration::from_millis(40));
         let mut shed = 0u64;
         let mut worst = Duration::ZERO;
         for b in batches(12, 34) {
@@ -820,7 +788,7 @@ mod tests {
             worst < Duration::from_millis(250),
             "producer latency must stay near the budget, got {worst:?}"
         );
-        p.set_chaos_train_delay(Duration::ZERO);
+        p.supervisor().set_chaos_train_delay(Duration::ZERO);
         let run = p.finish().expect("finish");
         assert_eq!(run.admission.offered, 12);
     }
@@ -848,7 +816,7 @@ mod tests {
             })
             .build_admitted()
             .expect("valid admission build");
-        p.set_chaos_train_delay(Duration::from_millis(25));
+        p.supervisor().set_chaos_train_delay(Duration::from_millis(25));
         let mut degraded_seen = false;
         for b in batches(25, 35) {
             p.feed_prequential(b).expect("healthy");
@@ -861,7 +829,7 @@ mod tests {
         // occupancy actually falls: the ladder must come back up. The loop
         // is condition-driven (with a generous cap) because how fast the
         // queue drains depends on machine load.
-        p.set_chaos_train_delay(Duration::ZERO);
+        p.supervisor().set_chaos_train_delay(Duration::ZERO);
         let mut rng = stream_rng(99);
         let concept = GmmConcept::random(4, 2, 1, 3.0, 0.5, &mut rng);
         for seq in 25..425 {

@@ -37,8 +37,10 @@ use freeway_telemetry::{RecordingSink, Telemetry, TelemetrySink};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Fluent builder producing a [`Learner`], [`Pipeline`], or
-/// [`SupervisedPipeline`] from one description.
+/// Fluent builder producing a [`Learner`] or one of the threaded
+/// runtimes around it — the [`SupervisedPipeline`] worker (also named
+/// [`Pipeline`]), an [`AdmittedPipeline`], a [`ShardedPipeline`], or a
+/// [`Service`] — from one description.
 ///
 /// Every `with_*` method is by-value (chainable); the `build_*` methods
 /// validate the whole description at once and return
@@ -101,9 +103,8 @@ impl PipelineBuilder {
         self
     }
 
-    /// Sets the channel bound for both spawned-pipeline variants
-    /// ([`SupervisorConfig::queue_depth`], and the plain pipeline's
-    /// `queue_depth`).
+    /// Sets the worker's channel bound
+    /// ([`SupervisorConfig::queue_depth`]).
     #[must_use]
     pub fn with_queue_depth(mut self, queue_depth: usize) -> Self {
         self.supervisor.queue_depth = queue_depth;
@@ -151,14 +152,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Enables or disables sequence-number validation at the guard
-    /// ([`SupervisorConfig::check_seq`]).
-    #[must_use]
-    pub fn with_check_seq(mut self, check_seq: bool) -> Self {
-        self.supervisor.check_seq = check_seq;
-        self
-    }
-
     /// Attaches a telemetry sink: metrics, stage timings, and the full
     /// event stream flow into it from the first batch onward.
     #[must_use]
@@ -192,8 +185,10 @@ impl PipelineBuilder {
     /// Puts admission control in front of the supervised pipeline:
     /// overload policy, bounded shed buffer, and (via
     /// [`AdmissionConfig::ladder`]) the graceful-degradation ladder.
-    /// Only [`Self::build_admitted`] consumes this; the other build
-    /// targets ignore it, so admission stays zero-cost when disabled.
+    /// [`Self::build_admitted`], [`Self::build_sharded`] (per shard), and
+    /// [`Self::build_service`] consume this, falling back to
+    /// [`AdmissionConfig::default`] when it is unset; the learner and
+    /// supervised targets ignore it.
     #[must_use]
     pub fn admission(mut self, config: AdmissionConfig) -> Self {
         self.admission = Some(config);
@@ -234,24 +229,24 @@ impl PipelineBuilder {
     /// # Errors
     /// [`FreewayError::InvalidConfig`] naming the offending field.
     pub fn build_learner(self) -> Result<Learner, FreewayError> {
-        Self::check_supervisor(&self.supervisor)?;
+        self.supervisor.check().map_err(FreewayError::InvalidConfig)?;
         Learner::try_new(self.spec, self.config, self.telemetry)
     }
 
-    /// Builds the plain worker-thread pipeline (no supervision).
+    /// Builds the worker pipeline: the same [`SupervisedPipeline`] as
+    /// [`Self::build_supervised`], under its [`Pipeline`] name.
     ///
     /// # Errors
-    /// As [`Self::build_learner`], plus a zero queue depth.
+    /// As [`Self::build_supervised`].
     pub fn build(self) -> Result<Pipeline, FreewayError> {
-        let queue_depth = self.supervisor.queue_depth;
-        let learner = self.build_learner()?;
-        Pipeline::with_learner(learner, queue_depth)
+        self.build_supervised()
     }
 
     /// Builds the fault-tolerant supervised pipeline.
     ///
     /// # Errors
-    /// As [`Self::build_learner`], plus invalid supervision knobs.
+    /// As [`Self::build_learner`], plus a journal left by a previous
+    /// process that cannot be recovered.
     pub fn build_supervised(self) -> Result<SupervisedPipeline, FreewayError> {
         let supervisor = self.supervisor.clone();
         let learner = self.build_learner()?;
@@ -270,7 +265,6 @@ impl PipelineBuilder {
     /// As [`Self::build_supervised`], plus invalid admission knobs.
     pub fn build_admitted(self) -> Result<AdmittedPipeline, FreewayError> {
         let admission = self.admission.clone().unwrap_or_default();
-        admission.check().map_err(FreewayError::InvalidConfig)?;
         let supervisor = self.supervisor.clone();
         let handle = DegradationHandle::new();
         let mut learner = self.build_learner()?;
@@ -305,9 +299,8 @@ impl PipelineBuilder {
         if self.shards == 0 {
             return Err(FreewayError::InvalidConfig("shard count must be positive".to_owned()));
         }
-        Self::check_supervisor(&self.supervisor)?;
+        self.supervisor.check().map_err(FreewayError::InvalidConfig)?;
         let admission = self.admission.clone().unwrap_or_default();
-        admission.check().map_err(FreewayError::InvalidConfig)?;
         let cores = std::thread::available_parallelism().map_or(1, usize::from);
         let requested = std::env::var("FREEWAY_THREADS")
             .ok()
@@ -376,40 +369,6 @@ impl PipelineBuilder {
         let config = self.service.take().unwrap_or_default();
         let pipeline = self.build_sharded()?;
         Service::start(pipeline, config)
-    }
-
-    fn check_supervisor(supervisor: &SupervisorConfig) -> Result<(), FreewayError> {
-        if supervisor.queue_depth == 0 {
-            return Err(FreewayError::InvalidConfig("queue depth must be positive".to_owned()));
-        }
-        if supervisor.checkpoint_every_n_batches == 0 {
-            return Err(FreewayError::InvalidConfig(
-                "checkpoint cadence must be positive".to_owned(),
-            ));
-        }
-        if supervisor.quarantine_capacity == 0 {
-            return Err(FreewayError::InvalidConfig(
-                "quarantine capacity must be positive".to_owned(),
-            ));
-        }
-        if supervisor.stall_deadline.is_some_and(|deadline| deadline.is_zero()) {
-            return Err(FreewayError::InvalidConfig(
-                "stall deadline must be positive when set".to_owned(),
-            ));
-        }
-        if let Some(journal) = supervisor.journal.as_ref() {
-            if journal.segment_max_bytes == 0 {
-                return Err(FreewayError::InvalidConfig(
-                    "journal segment size must be positive".to_owned(),
-                ));
-            }
-            if journal.fsync_every_n_appends == 0 {
-                return Err(FreewayError::InvalidConfig(
-                    "journal fsync cadence must be positive".to_owned(),
-                ));
-            }
-        }
-        Ok(())
     }
 }
 

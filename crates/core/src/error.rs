@@ -2,19 +2,15 @@
 //!
 //! The runtime's value is the state it accumulates across drifts, so a
 //! production deployment must degrade instead of aborting: worker crashes
-//! surface as [`FreewayError::WorkerPanicked`] and trigger a checkpoint
-//! restart, poison input is quarantined (never fed to the learner), and
+//! trigger a checkpoint restart (surfacing as
+//! [`FreewayError::RestartsExhausted`] only once the budget is spent),
+//! poison input is quarantined (never fed to the learner), and
 //! corrupt checkpoints are rejected with a [`CheckpointError`] naming
 //! exactly what disagreed. Every fallible pipeline operation returns
 //! `Result<_, FreewayError>`; the only paths that still panic are
 //! programmer errors (invalid configurations) caught at construction.
 
 use crate::guard::BatchFault;
-
-/// Alias used by the pipeline API, per the supervised-runtime design:
-/// pipeline operations fail with the same taxonomy the rest of the
-/// framework uses.
-pub type PipelineError = FreewayError;
 
 /// Everything that can go wrong in the hardened runtime.
 #[derive(Debug)]
@@ -31,7 +27,8 @@ pub enum FreewayError {
     /// [`Self::WorkerUnavailable`], which means the worker is dead and a
     /// retry can never succeed.
     QueueFull,
-    /// The worker thread panicked; the message is the panic payload.
+    /// A thread outside supervision (the serving router) panicked; the
+    /// message is the panic payload. Worker panics restart instead.
     WorkerPanicked(String),
     /// The worker crashed more times than the supervisor allows.
     RestartsExhausted {

@@ -109,9 +109,6 @@ pub struct GuardPolicy {
     pub expected_features: usize,
     /// Number of classes labels must stay below.
     pub num_classes: usize,
-    /// Reject duplicate / regressing sequence numbers. Disable for
-    /// sources that legitimately re-emit (e.g. cycling file streams).
-    pub check_seq: bool,
 }
 
 /// Stateful batch validator (tracks the newest accepted `seq`).
@@ -172,14 +169,12 @@ impl BatchGuard {
         if let Some(flat) = batch.x.as_slice().iter().position(|v| !v.is_finite()) {
             return Err(BatchFault::NonFiniteFeature { row: flat / cols, col: flat % cols });
         }
-        if self.policy.check_seq {
-            if let Some(newest) = self.newest_seq {
-                if batch.seq == newest {
-                    return Err(BatchFault::DuplicateSeq { seq: batch.seq });
-                }
-                if batch.seq < newest {
-                    return Err(BatchFault::RegressedSeq { seq: batch.seq, newest });
-                }
+        if let Some(newest) = self.newest_seq {
+            if batch.seq == newest {
+                return Err(BatchFault::DuplicateSeq { seq: batch.seq });
+            }
+            if batch.seq < newest {
+                return Err(BatchFault::RegressedSeq { seq: batch.seq, newest });
             }
         }
         Ok(())
@@ -268,7 +263,7 @@ mod tests {
     use freeway_streams::DriftPhase;
 
     fn guard() -> BatchGuard {
-        BatchGuard::new(GuardPolicy { expected_features: 3, num_classes: 2, check_seq: true })
+        BatchGuard::new(GuardPolicy { expected_features: 3, num_classes: 2 })
     }
 
     fn clean(seq: u64) -> Batch {

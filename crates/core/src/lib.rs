@@ -13,15 +13,16 @@
 //!   preservation and distance matching (§IV-D);
 //! * [`selector`] — the strategy selector built on the shift tracker;
 //! * [`learner`] — the public API tying everything together;
-//! * [`pipeline`] — the threaded train/infer pipeline with asynchronous
-//!   long-model updates (§V-A);
+//! * [`pipeline`] — the threaded train/infer pipeline (§V-A): one worker
+//!   thread owning the learner, which every threaded runtime below runs;
 //! * [`rate`] — the rate-aware adjuster (§V-B).
 //!
 //! The fault-tolerance layer lives in three further modules: [`error`]
 //! (the `FreewayError` taxonomy every fallible runtime operation
 //! returns), [`guard`] (ingestion validation and the poison-batch
 //! quarantine), and [`supervisor`] (the checkpointed, auto-restarting
-//! [`supervisor::SupervisedPipeline`]).
+//! [`supervisor::SupervisedPipeline`], which is the pipeline's worker:
+//! [`Pipeline`] names the same type).
 //!
 //! The overload-resilience layer sits on top of it: [`admission`]
 //! (admission policies, counted load shedding, and the
@@ -88,7 +89,7 @@ pub use admission::{
 pub use builder::PipelineBuilder;
 pub use config::{FreewayConfig, OptimizerKind};
 pub use degrade::{DegradationHandle, DegradationLadder, DegradationLevel, LadderConfig};
-pub use error::{CheckpointError, FreewayError, PipelineError};
+pub use error::{CheckpointError, FreewayError};
 pub use guard::{BatchFault, BatchGuard, GuardPolicy, Quarantine};
 pub use journal::{frame_batch, Journal, JournalConfig, JournalRecord, JournalStats};
 pub use knowledge::{SharedEntry, SharedKnowledge, SharedReader};
@@ -110,7 +111,7 @@ pub use supervisor::{
 /// Curated one-line import surface:
 /// `use freeway_core::prelude::*;` pulls in everything a typical
 /// deployment touches — the builder, configuration, the learner types,
-/// both pipelines, the error taxonomy, and the telemetry handles.
+/// every runtime tier, the error taxonomy, and the telemetry handles.
 pub mod prelude {
     pub use crate::admission::{
         AdmissionConfig, AdmissionOutcome, AdmissionPolicy, AdmissionStats, AdmittedPipeline,
@@ -119,7 +120,7 @@ pub mod prelude {
     pub use crate::builder::PipelineBuilder;
     pub use crate::config::{FreewayConfig, OptimizerKind};
     pub use crate::degrade::{DegradationLevel, LadderConfig};
-    pub use crate::error::{CheckpointError, FreewayError, PipelineError};
+    pub use crate::error::{CheckpointError, FreewayError};
     pub use crate::guard::{BatchFault, Quarantine};
     pub use crate::journal::{Journal, JournalConfig, JournalStats};
     pub use crate::knowledge::{SharedEntry, SharedKnowledge};

@@ -8,20 +8,13 @@
 //! parameters, and the labeled/unlabeled split of the paper's single
 //! input stream happens at the worker.
 //!
-//! The worker body runs under `catch_unwind`, so a panic inside the
-//! learner surfaces as [`PipelineError::WorkerPanicked`] from
-//! [`Pipeline::finish`] instead of aborting the process. This type is the
-//! unsupervised primitive: it reports failure but does not recover. For
-//! checkpointed auto-restart and poison-batch quarantine, wrap the same
-//! worker in [`crate::supervisor::SupervisedPipeline`].
+//! That worker is [`crate::supervisor::SupervisedPipeline`], and
+//! [`Pipeline`] is its name here: every threaded runtime runs the same
+//! one. A `Pipeline` therefore validates its input, quarantines poison
+//! batches, and restarts a crashed worker from its last checkpoint; its
+//! `finish` returns a [`crate::supervisor::FinishedRun`].
 
-use crate::error::{panic_message, PipelineError};
-use crate::learner::{InferenceReport, Learner};
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use freeway_telemetry::Stage;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use crate::learner::InferenceReport;
 
 /// Output of the pipeline for one batch.
 #[derive(Clone, Debug)]
@@ -32,492 +25,5 @@ pub struct PipelineOutput {
     pub report: Option<InferenceReport>,
 }
 
-enum Command {
-    Batch(freeway_streams::Batch),
-    /// Prequential batch: infer first, then train on the same data.
-    Prequential(freeway_streams::Batch),
-}
-
-/// Recovers the batch from a command a failed send handed back.
-fn command_batch(cmd: Command) -> freeway_streams::Batch {
-    match cmd {
-        Command::Batch(batch) | Command::Prequential(batch) => batch,
-    }
-}
-
-/// A running pipeline around a [`Learner`].
-pub struct Pipeline {
-    /// `None` once the channel has been closed (by `finish` or `Drop`).
-    input: Option<Sender<Command>>,
-    output: Receiver<PipelineOutput>,
-    handle: Option<JoinHandle<Result<Learner, String>>>,
-}
-
-impl Pipeline {
-    /// Spawns the worker thread. `queue_depth` bounds both channels,
-    /// providing backpressure instead of unbounded memory growth. The
-    /// learner's [`freeway_telemetry::Telemetry`] handle rides along into
-    /// the worker: queue waits are timed as the `ingest` stage and every
-    /// batch bumps the shared sequence cursor.
-    ///
-    /// # Errors
-    /// [`PipelineError::InvalidConfig`] when `queue_depth` is zero.
-    pub fn with_learner(mut learner: Learner, queue_depth: usize) -> Result<Self, PipelineError> {
-        if queue_depth == 0 {
-            return Err(PipelineError::InvalidConfig("queue depth must be positive".to_owned()));
-        }
-        let telemetry = learner.telemetry().clone();
-        let (in_tx, in_rx) = bounded::<Command>(queue_depth);
-        let (out_tx, out_rx) = bounded::<PipelineOutput>(queue_depth);
-        let handle = std::thread::spawn(move || {
-            // A learner panic must not abort the process: catch it and
-            // hand the payload back through `join`. The learner is moved
-            // into the closure, so a caught panic forfeits it — exactly
-            // the semantics the supervisor's checkpoint restart assumes.
-            catch_unwind(AssertUnwindSafe(move || {
-                loop {
-                    // The ingest span covers queue wait: how long the
-                    // worker starved before the next batch arrived.
-                    let cmd = {
-                        let _span = telemetry.time(Stage::Ingest);
-                        match in_rx.recv() {
-                            Ok(cmd) => cmd,
-                            Err(_) => break,
-                        }
-                    };
-                    match cmd {
-                        Command::Batch(batch) => {
-                            telemetry.batch_started(batch.seq);
-                            // The paper's routing: labeled data is the
-                            // training stream, unlabeled the inference
-                            // stream.
-                            let report = match batch.labels.as_deref() {
-                                Some(labels) => {
-                                    learner.train(&batch.x, labels);
-                                    None
-                                }
-                                None => Some(learner.infer(&batch.x)),
-                            };
-                            if out_tx.send(PipelineOutput { seq: batch.seq, report }).is_err() {
-                                break;
-                            }
-                        }
-                        Command::Prequential(batch) => {
-                            let report = learner.process(&batch);
-                            if out_tx
-                                .send(PipelineOutput { seq: batch.seq, report: Some(report) })
-                                .is_err()
-                            {
-                                break;
-                            }
-                        }
-                    }
-                }
-                learner
-            }))
-            .map_err(panic_message)
-        });
-        Ok(Self { input: Some(in_tx), output: out_rx, handle: Some(handle) })
-    }
-
-    fn send(&self, cmd: Command) -> Result<(), PipelineError> {
-        let Some(input) = self.input.as_ref() else {
-            return Err(PipelineError::WorkerUnavailable);
-        };
-        // A send error means the worker dropped its receiver — it either
-        // panicked or exited; `finish` can still recover the payload.
-        input.send(cmd).map_err(|_| PipelineError::WorkerUnavailable)
-    }
-
-    /// Feeds a batch, routed by labeledness (blocks when the queue is
-    /// full — backpressure).
-    ///
-    /// Both channels are bounded by `queue_depth`: every fed batch
-    /// produces one output, so a producer that feeds more than
-    /// `2 * queue_depth` batches without receiving will block until the
-    /// consumer drains. Interleave [`Self::recv`]/[`Self::try_recv`] with
-    /// feeding.
-    ///
-    /// # Errors
-    /// [`PipelineError::WorkerUnavailable`] when the worker has exited
-    /// (e.g. after a panic); call [`Self::finish`] for the panic message.
-    pub fn feed(&self, batch: freeway_streams::Batch) -> Result<(), PipelineError> {
-        self.send(Command::Batch(batch))
-    }
-
-    /// Feeds a prequential batch (infer-then-train on the same data).
-    ///
-    /// # Errors
-    /// [`PipelineError::WorkerUnavailable`] when the worker has exited.
-    pub fn feed_prequential(&self, batch: freeway_streams::Batch) -> Result<(), PipelineError> {
-        self.send(Command::Prequential(batch))
-    }
-
-    /// Non-blocking [`Self::feed`]: never waits on a full queue. On
-    /// failure the batch is handed back so the caller can retry, backlog,
-    /// or shed it.
-    ///
-    /// # Errors
-    /// [`PipelineError::QueueFull`] when the input queue is at capacity —
-    /// transient backpressure, retry later;
-    /// [`PipelineError::WorkerUnavailable`] when the worker has exited —
-    /// permanent, do **not** retry (call [`Self::finish`] for the panic
-    /// message).
-    pub fn try_feed(
-        &self,
-        batch: freeway_streams::Batch,
-    ) -> Result<(), (freeway_streams::Batch, PipelineError)> {
-        self.try_send(Command::Batch(batch))
-    }
-
-    /// Non-blocking [`Self::feed_prequential`]; failure semantics as
-    /// [`Self::try_feed`].
-    ///
-    /// # Errors
-    /// As [`Self::try_feed`].
-    pub fn try_feed_prequential(
-        &self,
-        batch: freeway_streams::Batch,
-    ) -> Result<(), (freeway_streams::Batch, PipelineError)> {
-        self.try_send(Command::Prequential(batch))
-    }
-
-    /// Bounded-latency feed: retries [`Self::try_feed`] until `budget`
-    /// elapses, then hands the batch back with
-    /// [`PipelineError::QueueFull`]. The vendored channel has no native
-    /// timed send, so this polls with a short sleep — adequate for the
-    /// millisecond-scale deadlines admission control uses.
-    ///
-    /// # Errors
-    /// [`PipelineError::QueueFull`] when the deadline expired with the
-    /// queue still full; [`PipelineError::WorkerUnavailable`] when the
-    /// worker has exited (returned immediately, the budget is not spent).
-    pub fn feed_timeout(
-        &self,
-        batch: freeway_streams::Batch,
-        budget: Duration,
-    ) -> Result<(), (freeway_streams::Batch, PipelineError)> {
-        let deadline = Instant::now() + budget;
-        let mut cmd = Command::Batch(batch);
-        loop {
-            match self.try_send_cmd(cmd) {
-                Ok(()) => return Ok(()),
-                Err((returned, PipelineError::QueueFull)) => {
-                    if Instant::now() >= deadline {
-                        return Err((command_batch(returned), PipelineError::QueueFull));
-                    }
-                    cmd = returned;
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-                Err((returned, err)) => return Err((command_batch(returned), err)),
-            }
-        }
-    }
-
-    fn try_send(&self, cmd: Command) -> Result<(), (freeway_streams::Batch, PipelineError)> {
-        self.try_send_cmd(cmd).map_err(|(cmd, err)| (command_batch(cmd), err))
-    }
-
-    // The large Err is deliberate: a rejected command hands its batch
-    // back by value so the caller can retry, backlog, or shed without
-    // re-allocating — boxing it would defeat the zero-alloc feed path.
-    #[allow(clippy::result_large_err)]
-    fn try_send_cmd(&self, cmd: Command) -> Result<(), (Command, PipelineError)> {
-        let Some(input) = self.input.as_ref() else {
-            return Err((cmd, PipelineError::WorkerUnavailable));
-        };
-        match input.try_send(cmd) {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(returned)) => Err((returned, PipelineError::QueueFull)),
-            Err(TrySendError::Disconnected(returned)) => {
-                Err((returned, PipelineError::WorkerUnavailable))
-            }
-        }
-    }
-
-    /// Receives the next output, blocking.
-    ///
-    /// # Errors
-    /// [`PipelineError::WorkerUnavailable`] when the worker has exited
-    /// and all buffered outputs are drained.
-    pub fn recv(&self) -> Result<PipelineOutput, PipelineError> {
-        self.output.recv().map_err(|_| PipelineError::WorkerUnavailable)
-    }
-
-    /// Receives without blocking (`None` both when idle and when the
-    /// worker has exited — use [`Self::recv`] to distinguish).
-    pub fn try_recv(&self) -> Option<PipelineOutput> {
-        self.output.try_recv().ok()
-    }
-
-    /// Stops the worker and returns the learner (draining any unread
-    /// outputs).
-    ///
-    /// # Errors
-    /// [`PipelineError::WorkerPanicked`] with the panic payload when the
-    /// worker died mid-stream; the learner it owned is lost.
-    pub fn finish(mut self) -> Result<Learner, PipelineError> {
-        // Dropping the sender closes the channel without ever blocking
-        // (a plain `send(Finish)` could wait forever on a full queue with
-        // a dead worker); the worker's `recv` loop observes the
-        // disconnect and exits.
-        drop(self.input.take());
-        // Drain until the worker drops its output sender: this unblocks a
-        // worker stuck sending into a full output queue.
-        while self.output.recv().is_ok() {}
-        let Some(handle) = self.handle.take() else {
-            return Err(PipelineError::WorkerUnavailable);
-        };
-        match handle.join() {
-            Ok(Ok(learner)) => Ok(learner),
-            Ok(Err(panic)) => Err(PipelineError::WorkerPanicked(panic)),
-            // The thread itself cannot panic outside catch_unwind, but
-            // map the payload anyway rather than unwrapping.
-            Err(payload) => Err(PipelineError::WorkerPanicked(panic_message(payload))),
-        }
-    }
-}
-
-impl Drop for Pipeline {
-    fn drop(&mut self) {
-        // Same shutdown as `finish`, minus returning the learner: close
-        // the input by dropping the sender (never blocks, even with a
-        // full queue and a dead worker), drain outputs to unblock the
-        // worker, then join.
-        drop(self.input.take());
-        while self.output.recv().is_ok() {}
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::config::FreewayConfig;
-    use freeway_ml::ModelSpec;
-    use freeway_streams::concept::{stream_rng, GmmConcept};
-    use freeway_streams::{Batch, DriftPhase};
-
-    fn learner() -> Learner {
-        Learner::new(
-            ModelSpec::lr(4, 2),
-            FreewayConfig { pca_warmup_rows: 32, mini_batch: 64, ..Default::default() },
-        )
-    }
-
-    #[test]
-    fn routes_labeled_to_training_and_unlabeled_to_inference() {
-        let mut rng = stream_rng(1);
-        let concept = GmmConcept::random(4, 2, 1, 3.0, 0.5, &mut rng);
-        let pipeline = Pipeline::with_learner(learner(), 16).expect("spawn");
-
-        let (x, y) = concept.sample_batch(64, &mut rng);
-        pipeline.feed(Batch::labeled(x, y, 0, DriftPhase::Stable)).expect("worker alive");
-        let out = pipeline.recv().expect("worker alive");
-        assert_eq!(out.seq, 0);
-        assert!(out.report.is_none(), "training batches emit no report");
-
-        let (x, _) = concept.sample_batch(64, &mut rng);
-        pipeline.feed(Batch::unlabeled(x, 1, DriftPhase::Stable)).expect("worker alive");
-        let out = pipeline.recv().expect("worker alive");
-        assert_eq!(out.seq, 1);
-        let report = out.report.expect("inference batches report");
-        assert_eq!(report.predictions.len(), 64);
-
-        let _ = pipeline.finish().expect("clean shutdown");
-    }
-
-    #[test]
-    fn prequential_feed_reports_and_trains() {
-        let mut rng = stream_rng(2);
-        let concept = GmmConcept::random(4, 2, 1, 3.0, 0.5, &mut rng);
-        let pipeline = Pipeline::with_learner(learner(), 16).expect("spawn");
-        for i in 0..10 {
-            let (x, y) = concept.sample_batch(64, &mut rng);
-            pipeline
-                .feed_prequential(Batch::labeled(x, y, i, DriftPhase::Stable))
-                .expect("worker alive");
-        }
-        let mut reports = 0;
-        for _ in 0..10 {
-            if pipeline.recv().expect("worker alive").report.is_some() {
-                reports += 1;
-            }
-        }
-        assert_eq!(reports, 10);
-        let learner = pipeline.finish().expect("clean shutdown");
-        assert!(learner.selector().is_ready(), "training flowed through the worker");
-    }
-
-    #[test]
-    fn finish_returns_learner_with_state() {
-        let pipeline = Pipeline::with_learner(learner(), 4).expect("spawn");
-        let l = pipeline.finish().expect("clean shutdown");
-        assert_eq!(l.config().mini_batch, 64);
-    }
-
-    #[test]
-    fn outputs_preserve_batch_order() {
-        let mut rng = stream_rng(3);
-        let concept = GmmConcept::random(4, 2, 1, 3.0, 0.5, &mut rng);
-        let pipeline = Pipeline::with_learner(learner(), 32).expect("spawn");
-        for i in 0..20 {
-            let (x, y) = concept.sample_batch(32, &mut rng);
-            pipeline
-                .feed_prequential(Batch::labeled(x, y, i, DriftPhase::Stable))
-                .expect("worker alive");
-        }
-        let seqs: Vec<u64> = (0..20).map(|_| pipeline.recv().expect("worker alive").seq).collect();
-        assert_eq!(seqs, (0..20).collect::<Vec<_>>(), "single worker keeps order");
-        let _ = pipeline.finish().expect("clean shutdown");
-    }
-
-    #[test]
-    fn worker_panic_is_caught_and_reported() {
-        let pipeline = Pipeline::with_learner(learner(), 4).expect("spawn");
-        // A ragged batch trips the learner's label-count assert inside
-        // the worker; the panic must be contained, not abort the test.
-        let poison = Batch {
-            x: freeway_linalg::Matrix::zeros(4, 4),
-            labels: Some(vec![0]),
-            seq: 0,
-            phase: DriftPhase::Stable,
-        };
-        pipeline.feed_prequential(poison).expect("queue accepts before the crash");
-        match pipeline.finish().err() {
-            Some(PipelineError::WorkerPanicked(msg)) => {
-                assert!(msg.contains("label count"), "payload survives: {msg}");
-            }
-            other => panic!("expected WorkerPanicked, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn feed_after_worker_death_errors_instead_of_panicking() {
-        let mut rng = stream_rng(4);
-        let concept = GmmConcept::random(4, 2, 1, 3.0, 0.5, &mut rng);
-        let pipeline = Pipeline::with_learner(learner(), 4).expect("spawn");
-        let poison = Batch {
-            x: freeway_linalg::Matrix::zeros(4, 4),
-            labels: Some(vec![0]),
-            seq: 0,
-            phase: DriftPhase::Stable,
-        };
-        pipeline.feed(poison).expect("queue accepts before the crash");
-        // Wait for the worker to die, then feeding must error, not panic
-        // or hang.
-        while pipeline.recv().is_ok() {}
-        let (x, y) = concept.sample_batch(32, &mut rng);
-        let res = pipeline.feed(Batch::labeled(x, y, 1, DriftPhase::Stable));
-        assert!(matches!(res, Err(PipelineError::WorkerUnavailable)));
-    }
-
-    #[test]
-    fn try_feed_full_queue_is_retryable_backpressure() {
-        let mut rng = stream_rng(5);
-        let concept = GmmConcept::random(4, 2, 1, 3.0, 0.5, &mut rng);
-        let pipeline = Pipeline::with_learner(learner(), 1).expect("spawn");
-        // Saturate the tiny queue: the worker may hold one batch while the
-        // channel holds another, so push until the channel itself rejects.
-        let mut fed = 0;
-        let full_err = loop {
-            let (x, y) = concept.sample_batch(64, &mut rng);
-            match pipeline.try_feed(Batch::labeled(x, y, fed, DriftPhase::Stable)) {
-                Ok(()) => fed += 1,
-                Err(e) => break e,
-            }
-            assert!(fed < 64, "a 1-deep queue must fill long before 64 batches");
-        };
-        // Full is a distinct, retryable error carrying the batch back.
-        let (returned, err) = full_err;
-        assert!(matches!(err, PipelineError::QueueFull), "got {err:?}");
-        assert_eq!(returned.seq, fed, "the rejected batch comes back intact");
-        // Draining the consumer side makes the retry succeed — exactly
-        // the contract that distinguishes Full from a dead worker.
-        let _ = pipeline.recv().expect("worker alive");
-        let mut batch = returned;
-        loop {
-            match pipeline.try_feed(batch) {
-                Ok(()) => break,
-                Err((b, PipelineError::QueueFull)) => {
-                    batch = b;
-                    let _ = pipeline.recv().expect("worker alive");
-                }
-                Err((_, e)) => panic!("retry after drain must not fail: {e:?}"),
-            }
-        }
-        let _ = pipeline.finish().expect("clean shutdown");
-    }
-
-    #[test]
-    fn try_feed_dead_worker_is_not_retryable() {
-        let mut rng = stream_rng(6);
-        let concept = GmmConcept::random(4, 2, 1, 3.0, 0.5, &mut rng);
-        let pipeline = Pipeline::with_learner(learner(), 4).expect("spawn");
-        let poison = Batch {
-            x: freeway_linalg::Matrix::zeros(4, 4),
-            labels: Some(vec![0]),
-            seq: 0,
-            phase: DriftPhase::Stable,
-        };
-        pipeline.feed(poison).expect("queue accepts before the crash");
-        while pipeline.recv().is_ok() {}
-        let (x, y) = concept.sample_batch(32, &mut rng);
-        let (_, err) = pipeline
-            .try_feed(Batch::labeled(x, y, 1, DriftPhase::Stable))
-            .expect_err("dead worker rejects");
-        assert!(
-            matches!(err, PipelineError::WorkerUnavailable),
-            "a dead worker must not masquerade as backpressure: {err:?}"
-        );
-    }
-
-    #[test]
-    fn feed_timeout_expires_against_a_full_queue_and_returns_the_batch() {
-        let mut rng = stream_rng(7);
-        let concept = GmmConcept::random(4, 2, 1, 3.0, 0.5, &mut rng);
-        let pipeline = Pipeline::with_learner(learner(), 1).expect("spawn");
-        // With nobody receiving, capacity is exactly 3 batches: one in the
-        // worker's hands (blocked sending its output once the output slot
-        // is taken), one output slot, one input slot. Fill it, then give
-        // the worker time to reach its permanently blocked state.
-        let mut seq = 0;
-        for _ in 0..3 {
-            let (x, y) = concept.sample_batch(64, &mut rng);
-            pipeline.feed(Batch::labeled(x, y, seq, DriftPhase::Stable)).expect("fits");
-            seq += 1;
-        }
-        std::thread::sleep(Duration::from_millis(100));
-        // Queue full and nobody draining: the deadline must expire.
-        let (x, y) = concept.sample_batch(64, &mut rng);
-        let start = std::time::Instant::now();
-        let (returned, err) = pipeline
-            .feed_timeout(Batch::labeled(x, y, seq, DriftPhase::Stable), Duration::from_millis(5))
-            .expect_err("no drain, must time out");
-        assert!(matches!(err, PipelineError::QueueFull), "got {err:?}");
-        assert_eq!(returned.seq, seq);
-        assert!(start.elapsed() >= Duration::from_millis(5), "budget was honoured");
-        let _ = pipeline.finish().expect("clean shutdown");
-    }
-
-    #[test]
-    fn drop_with_full_queue_and_dead_worker_does_not_deadlock() {
-        let pipeline = Pipeline::with_learner(learner(), 1).expect("spawn");
-        let poison = |seq| Batch {
-            x: freeway_linalg::Matrix::zeros(4, 4),
-            labels: Some(vec![0]),
-            seq,
-            phase: DriftPhase::Stable,
-        };
-        // First poison batch kills the worker; keep pushing until the
-        // (tiny) queue rejects, so Drop runs against a full channel and a
-        // dead worker — the exact shape of the old deadlock.
-        let mut seq = 0;
-        while pipeline.feed(poison(seq)).is_ok() && seq < 64 {
-            seq += 1;
-        }
-        drop(pipeline); // must return promptly
-    }
-}
+/// The worker pipeline around a [`crate::Learner`]; see the module docs.
+pub type Pipeline = crate::supervisor::SupervisedPipeline;

@@ -10,12 +10,11 @@
 //!   [`ClientSession`]s; every session's submissions route to the shard
 //!   its key hashes to, so per-session answer order is total;
 //! * [`ClientSession::submit`]/[`ClientSession::submit_labeled`] are
-//!   non-blocking, mirroring [`crate::Pipeline::try_feed`]: a full
-//!   submit queue surfaces as the typed, retryable
+//!   non-blocking: a full submit queue surfaces as the typed, retryable
 //!   [`ServeError::Busy`] (with a pacing hint) instead of a blocking
-//!   send, and [`ClientSession::submit_timeout`] mirrors
-//!   [`crate::Pipeline::feed_timeout`] by spending a bounded latency
-//!   budget first;
+//!   send, and [`ClientSession::submit_timeout`] spends a bounded
+//!   latency budget first, as [`crate::AdmissionPolicy::Deadline`] does
+//!   in front of a full worker queue;
 //! * the router stamps every accepted submission with a globally
 //!   monotone sequence number (the ingest guard's contract) and keeps a
 //!   **per-session ledger** mapping those sequence numbers back to the
@@ -24,7 +23,9 @@
 //!   never another tenant's predictions;
 //! * shutdown ([`Service::shutdown`]) drains the submit queue, runs the
 //!   deterministic [`crate::ShardedPipeline::barrier`], delivers every
-//!   remaining answer, and hands back the finished [`ServiceReport`].
+//!   remaining answer, and hands back the finished [`ServiceReport`];
+//!   when a drain budget runs out, every answer the healthy shards
+//!   computed is still delivered before the timeout is reported.
 //!
 //! Backpressure composes in two layers: the bounded submit queue bounds
 //! how far clients can run ahead of the router, and the admission
@@ -87,7 +88,9 @@ pub struct ServiceConfig {
     /// budget, shutdown uses
     /// [`crate::ShardedPipeline::barrier_deadline`] and surfaces the
     /// typed [`FreewayError::DrainTimeout`] naming the unresponsive
-    /// shards instead of hanging on a wedged worker.
+    /// shards instead of hanging on a wedged worker — after delivering
+    /// every answer and shed verdict the other shards produced.
+    /// Submissions stranded on a wedged shard get none.
     pub drain_budget: Option<Duration>,
     /// When set, the router records the exact order in which submissions
     /// were fed to the shards ([`ServiceReport::admitted_order`]), so a
@@ -513,9 +516,9 @@ impl ClientSession {
         }
     }
 
-    /// Bounded-latency submit, mirroring [`crate::Pipeline::feed_timeout`]:
-    /// retries [`Self::submit_batch`] until `budget` elapses, then hands
-    /// the batch back with [`ServeError::Busy`]. The vendored channel has
+    /// Bounded-latency submit: retries [`Self::submit_batch`] until
+    /// `budget` elapses, then hands the batch back with
+    /// [`ServeError::Busy`]. The vendored channel has
     /// no timed send, so this polls with a short sleep.
     ///
     /// # Errors
@@ -821,7 +824,18 @@ impl Router {
             }
         }
         let outputs = match self.drain_budget {
-            Some(budget) => self.pipeline.barrier_deadline(budget)?,
+            Some(budget) => match self.pipeline.barrier_deadline(budget) {
+                Err(timeout @ FreewayError::DrainTimeout { .. }) => {
+                    // The timed-out drain stashed what the healthy shards
+                    // answered; their sessions get it before the error.
+                    while let Some((shard, out)) = self.pipeline.try_recv()? {
+                        self.deliver(shard, out);
+                    }
+                    self.reconcile_sheds();
+                    return Err(timeout);
+                }
+                outputs => outputs?,
+            },
             None => self.pipeline.barrier()?,
         };
         for (shard, out) in outputs {

@@ -166,6 +166,29 @@ impl ShardedPipeline {
             .emit(TelemetryEvent::ShardFenced { seq: self.telemetry.seq(), shard: shard as u64 });
     }
 
+    /// Absorbs restart exhaustion on `shard` into a fence: `Ok(None)`
+    /// once fenced, the call's own result otherwise. `dropped` is the seq
+    /// of a batch the failing call consumed; it is counted as shed before
+    /// the fence goes up.
+    fn fence_if_exhausted<T>(
+        &mut self,
+        shard: usize,
+        dropped: Option<u64>,
+        result: Result<T, FreewayError>,
+    ) -> Result<Option<T>, FreewayError> {
+        match result {
+            Ok(value) => Ok(Some(value)),
+            Err(FreewayError::RestartsExhausted { .. }) => {
+                if let Some(seq) = dropped {
+                    self.shards[shard].note_fenced_drop(seq);
+                }
+                self.fence_shard(shard);
+                Ok(None)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
     /// The cross-shard knowledge registry.
     pub fn shared(&self) -> &SharedKnowledge {
         &self.shared
@@ -194,17 +217,7 @@ impl ShardedPipeline {
     /// exhaustion (absorbed into a fence);
     /// [`FreewayError::WorkerUnavailable`] when every shard is fenced.
     pub fn feed(&mut self, batch: KeyedBatch) -> Result<(usize, AdmissionOutcome), FreewayError> {
-        let shard = self.route_for_key(batch.key)?;
-        let seq = batch.batch.seq;
-        match self.shards[shard].feed(batch.batch) {
-            Ok(outcome) => Ok((shard, outcome)),
-            Err(FreewayError::RestartsExhausted { .. }) => {
-                self.shards[shard].note_fenced_drop(seq);
-                self.fence_shard(shard);
-                Ok((shard, AdmissionOutcome::Shed(ShedReason::Fenced)))
-            }
-            Err(e) => Err(e),
-        }
+        self.route(batch, false)
     }
 
     /// Routes a prequential batch to its key's serving shard; fencing
@@ -216,17 +229,24 @@ impl ShardedPipeline {
         &mut self,
         batch: KeyedBatch,
     ) -> Result<(usize, AdmissionOutcome), FreewayError> {
+        self.route(batch, true)
+    }
+
+    fn route(
+        &mut self,
+        batch: KeyedBatch,
+        prequential: bool,
+    ) -> Result<(usize, AdmissionOutcome), FreewayError> {
         let shard = self.route_for_key(batch.key)?;
         let seq = batch.batch.seq;
-        match self.shards[shard].feed_prequential(batch.batch) {
-            Ok(outcome) => Ok((shard, outcome)),
-            Err(FreewayError::RestartsExhausted { .. }) => {
-                self.shards[shard].note_fenced_drop(seq);
-                self.fence_shard(shard);
-                Ok((shard, AdmissionOutcome::Shed(ShedReason::Fenced)))
-            }
-            Err(e) => Err(e),
-        }
+        let pipeline = &mut self.shards[shard];
+        let result = if prequential {
+            pipeline.feed_prequential(batch.batch)
+        } else {
+            pipeline.feed(batch.batch)
+        };
+        let outcome = self.fence_if_exhausted(shard, Some(seq), result)?;
+        Ok((shard, outcome.unwrap_or(AdmissionOutcome::Shed(ShedReason::Fenced))))
     }
 
     /// Receives the next ready output from any shard without blocking,
@@ -245,14 +265,10 @@ impl ShardedPipeline {
         let n = self.shards.len();
         for step in 0..n {
             let shard = (self.recv_cursor + step) % n;
-            match self.shards[shard].try_recv() {
-                Ok(Some(out)) => {
-                    self.recv_cursor = (shard + 1) % n;
-                    return Ok(Some((shard, out)));
-                }
-                Ok(None) => {}
-                Err(FreewayError::RestartsExhausted { .. }) => self.fence_shard(shard),
-                Err(e) => return Err(e),
+            let result = self.shards[shard].try_recv();
+            if let Some(out) = self.fence_if_exhausted(shard, None, result)?.flatten() {
+                self.recv_cursor = (shard + 1) % n;
+                return Ok(Some((shard, out)));
             }
         }
         Ok(None)
@@ -273,11 +289,9 @@ impl ShardedPipeline {
             if self.fenced[shard] {
                 continue;
             }
-            match self.shards[shard].check_liveness() {
-                Ok(true) => recovered += 1,
-                Ok(false) => {}
-                Err(FreewayError::RestartsExhausted { .. }) => self.fence_shard(shard),
-                Err(e) => return Err(e),
+            let result = self.shards[shard].check_liveness();
+            if self.fence_if_exhausted(shard, None, result)? == Some(true) {
+                recovered += 1;
             }
         }
         Ok(recovered)
@@ -298,20 +312,17 @@ impl ShardedPipeline {
         outputs: &mut Vec<(usize, PipelineOutput)>,
     ) -> Result<bool, FreewayError> {
         if !self.fenced[i] {
-            match self.shards[i].check_liveness() {
-                Ok(_) => {}
-                Err(FreewayError::RestartsExhausted { .. }) => self.fence_shard(i),
-                Err(e) => return Err(e),
-            }
+            let result = self.shards[i].check_liveness();
+            self.fence_if_exhausted(i, None, result)?;
         }
         loop {
-            match self.shards[i].try_recv() {
-                Ok(Some(out)) => outputs.push((i, out)),
-                Ok(None) => break,
+            let result = self.shards[i].try_recv();
+            match self.fence_if_exhausted(i, None, result)? {
+                Some(Some(out)) => outputs.push((i, out)),
+                Some(None) => break,
                 // Keep draining: what the dead worker produced is still
                 // queued on the fenced shard.
-                Err(FreewayError::RestartsExhausted { .. }) => self.fence_shard(i),
-                Err(e) => return Err(e),
+                None => {}
             }
         }
         Ok(self.fenced[i]
@@ -432,14 +443,9 @@ impl ShardedPipeline {
     /// exhaustion discovered while delivering the injection fences the
     /// shard instead of erroring.
     pub fn inject_worker_panic(&mut self, shard: usize) -> Result<(), FreewayError> {
-        match self.shards[shard].supervisor().inject_worker_panic() {
-            Ok(()) => Ok(()),
-            Err(FreewayError::RestartsExhausted { .. }) => {
-                self.fence_shard(shard);
-                Ok(())
-            }
-            Err(e) => Err(e),
-        }
+        let result = self.shards[shard].supervisor().inject_worker_panic();
+        self.fence_if_exhausted(shard, None, result)?;
+        Ok(())
     }
 
     /// Chaos hook: schedules a stall (sleep or livelock) of `duration` on
@@ -456,14 +462,9 @@ impl ShardedPipeline {
         duration: Duration,
         livelock: bool,
     ) -> Result<(), FreewayError> {
-        match self.shards[shard].supervisor().inject_worker_stall(duration, livelock) {
-            Ok(()) => Ok(()),
-            Err(FreewayError::RestartsExhausted { .. }) => {
-                self.fence_shard(shard);
-                Ok(())
-            }
-            Err(e) => Err(e),
-        }
+        let result = self.shards[shard].supervisor().inject_worker_stall(duration, livelock);
+        self.fence_if_exhausted(shard, None, result)?;
+        Ok(())
     }
 
     /// Finishes every shard and hands back the per-shard runs plus the

@@ -1,7 +1,12 @@
-//! The supervised pipeline: checkpointed auto-restart + poison quarantine.
+//! The supervised pipeline: the runtime's one worker, with checkpointed
+//! auto-restart and poison quarantine.
 //!
-//! [`SupervisedPipeline`] wraps the same worker-thread architecture as
-//! [`crate::pipeline::Pipeline`] in a fault boundary:
+//! [`SupervisedPipeline`] runs the paper's train/infer worker (§V-A): one
+//! thread owns the [`Learner`], fed through a bounded channel, and routes
+//! each batch by labeledness. Every threaded runtime in this crate —
+//! [`crate::Pipeline`] (an alias of this type), admission, shards, and
+//! the serving router — drives exactly this worker, inside a fault
+//! boundary:
 //!
 //! * every batch passes the [`BatchGuard`] **before** touching the
 //!   channel; poison batches land in a bounded, counted [`Quarantine`]
@@ -31,13 +36,15 @@
 //!
 //! The supervisor is single-threaded on the caller side: `feed`,
 //! `try_recv`, and `finish` take `&mut self` so restart bookkeeping
-//! needs no locking.
+//! needs no locking. Dropping it closes the worker's queue without
+//! blocking or joining, so a dead worker behind a full queue can never
+//! hang the caller.
 
 use crate::degrade::{DegradationHandle, DegradationLevel};
 use crate::error::{panic_message, FreewayError};
 use crate::guard::{BatchFault, BatchGuard, GuardPolicy, Quarantine};
 use crate::journal::{frame_batch, Journal, JournalConfig, JournalRecord, JournalStats};
-use crate::learner::Learner;
+use crate::learner::{InferenceReport, Learner};
 use crate::liveness::{HeartbeatLedger, WatchdogState, WorkerStage};
 use crate::persistence::{Checkpoint, CheckpointStore};
 use crate::pipeline::PipelineOutput;
@@ -56,7 +63,7 @@ use std::time::{Duration, Instant};
 /// Supervision policy knobs.
 #[derive(Clone, Debug)]
 pub struct SupervisorConfig {
-    /// Bound on both channels (backpressure), as in the plain pipeline.
+    /// Bound on both worker channels (backpressure).
     pub queue_depth: usize,
     /// A checkpoint is captured after every this-many accepted batches.
     pub checkpoint_every_n_batches: usize,
@@ -70,9 +77,6 @@ pub struct SupervisorConfig {
     /// Worker crashes tolerated before the supervisor gives up with
     /// [`FreewayError::RestartsExhausted`].
     pub max_restarts: usize,
-    /// Reject duplicate / regressing sequence numbers at the guard.
-    /// Disable for sources that legitimately re-emit (cycling files).
-    pub check_seq: bool,
     /// How many on-disk checkpoint generations to retain when
     /// `checkpoint_path` is set (`checkpoint.0.json` newest). Restore
     /// falls back to the newest generation passing CRC and validation.
@@ -105,12 +109,46 @@ impl Default for SupervisorConfig {
             checkpoint_path: None,
             quarantine_capacity: 64,
             max_restarts: 3,
-            check_seq: true,
             checkpoint_generations: 3,
             persist_retry: RetryPolicy::default(),
             journal: None,
             stall_deadline: None,
         }
+    }
+}
+
+impl SupervisorConfig {
+    /// Validates the configuration; [`crate::PipelineBuilder`] and
+    /// [`SupervisedPipeline::with_learner`] both run it.
+    ///
+    /// # Errors
+    /// A message naming the offending field, in the builder's
+    /// `InvalidConfig` style.
+    pub fn check(&self) -> Result<(), String> {
+        if self.queue_depth == 0 {
+            return Err("queue depth must be positive".to_owned());
+        }
+        if self.checkpoint_every_n_batches == 0 {
+            return Err("checkpoint cadence must be positive".to_owned());
+        }
+        if self.quarantine_capacity == 0 {
+            return Err("quarantine capacity must be positive".to_owned());
+        }
+        if self.checkpoint_generations == 0 {
+            return Err("checkpoint generations must be positive".to_owned());
+        }
+        if self.stall_deadline.is_some_and(|deadline| deadline.is_zero()) {
+            return Err("stall deadline must be positive when set".to_owned());
+        }
+        if let Some(journal) = self.journal.as_ref() {
+            if journal.segment_max_bytes == 0 {
+                return Err("journal segment size must be positive".to_owned());
+            }
+            if journal.fsync_every_n_appends == 0 {
+                return Err("journal fsync cadence must be positive".to_owned());
+            }
+        }
+        Ok(())
     }
 }
 
@@ -190,8 +228,8 @@ pub struct FinishedRun {
 }
 
 enum SupCommand {
-    Batch(Batch),
-    Prequential(Batch),
+    /// A batch to run through [`run_batch`].
+    Batch { batch: Batch, prequential: bool },
     /// Capture and send back a checkpoint of the current learner state.
     Checkpoint,
     /// Chaos hook: panic deterministically inside the worker.
@@ -200,10 +238,7 @@ enum SupCommand {
     /// (`u64::MAX` = until fenced), either parked in short sleeps or
     /// livelocked in a spin loop. No heartbeat lands while it runs, so
     /// the watchdog sees exactly what a wedged worker looks like.
-    InjectStall {
-        nanos: u64,
-        livelock: bool,
-    },
+    InjectStall { nanos: u64, livelock: bool },
 }
 
 enum WorkerMsg {
@@ -248,6 +283,24 @@ impl Doorbell {
     }
 }
 
+/// Runs one batch through `learner` the way the paper splits its input
+/// stream: a prequential batch is answered, then trained on; otherwise a
+/// labeled batch trains (no report) and an unlabeled one is answered. The
+/// worker loop and journal replay both dispatch through here.
+fn run_batch(learner: &mut Learner, batch: &Batch, prequential: bool) -> Option<InferenceReport> {
+    if prequential {
+        return Some(learner.process(batch));
+    }
+    learner.telemetry().batch_started(batch.seq);
+    match batch.labels.as_deref() {
+        Some(labels) => {
+            learner.train(&batch.x, labels);
+            None
+        }
+        None => Some(learner.infer(&batch.x)),
+    }
+}
+
 fn spawn_worker(
     mut learner: Learner,
     queue_depth: usize,
@@ -272,7 +325,8 @@ fn spawn_worker(
             // high-water mark on post-recovery respawns.
             let mut last_seq = initial_last_seq;
             loop {
-                // Queue wait is the ingest stage, as in the plain pipeline.
+                // The ingest span covers queue wait: how long the worker
+                // starved before the next command arrived.
                 let cmd = {
                     ledger.set_stage(WorkerStage::Idle);
                     let _span = telemetry.time(freeway_telemetry::Stage::Ingest);
@@ -290,7 +344,7 @@ fn spawn_worker(
                 // delay models the train stage, so it shrinks with the
                 // service level: degraded levels skip (most of) training
                 // and genuinely run faster.
-                if matches!(cmd, SupCommand::Batch(_) | SupCommand::Prequential(_)) {
+                if matches!(cmd, SupCommand::Batch { .. }) {
                     let nanos = chaos_delay.load(Ordering::Relaxed);
                     if nanos > 0 {
                         let scaled = match learner.degradation_level() {
@@ -302,24 +356,11 @@ fn spawn_worker(
                     }
                 }
                 let msg = match cmd {
-                    SupCommand::Batch(batch) => {
+                    SupCommand::Batch { batch, prequential } => {
                         ledger.set_stage(WorkerStage::Train);
-                        telemetry.batch_started(batch.seq);
                         last_seq = Some(batch.seq);
-                        let report = match batch.labels.as_deref() {
-                            Some(labels) => {
-                                learner.train(&batch.x, labels);
-                                None
-                            }
-                            None => Some(learner.infer(&batch.x)),
-                        };
+                        let report = run_batch(&mut learner, &batch, prequential);
                         WorkerMsg::Output(PipelineOutput { seq: batch.seq, report })
-                    }
-                    SupCommand::Prequential(batch) => {
-                        ledger.set_stage(WorkerStage::Train);
-                        last_seq = Some(batch.seq);
-                        let report = learner.process(&batch);
-                        WorkerMsg::Output(PipelineOutput { seq: batch.seq, report: Some(report) })
                     }
                     SupCommand::Checkpoint => {
                         ledger.set_stage(WorkerStage::Checkpoint);
@@ -382,54 +423,6 @@ struct JournalState {
     produced: BTreeSet<u64>,
     /// Wall-clock cost of each restore-then-replay recovery.
     recovery_seconds: freeway_telemetry::Histogram,
-}
-
-/// Outcome of one synchronous replay pass (see [`replay_into`]).
-struct ReplaySummary {
-    replayed: u64,
-    suppressed: u64,
-    /// Outputs delivered now that were lost with the crashed worker.
-    recovered: u64,
-    last_seq: Option<u64>,
-}
-
-/// Re-feeds `records` into `learner` exactly as the worker loop would
-/// have, routing each output through seq-based dedup: already-delivered
-/// seqs are suppressed, the rest land on `pending` in order. The caller
-/// is responsible for muting the learner's telemetry and shared-registry
-/// publishes around this call (replayed work already had its side
-/// effects the first time).
-fn replay_into(
-    learner: &mut Learner,
-    records: &[JournalRecord],
-    produced: &mut BTreeSet<u64>,
-    pending: &mut VecDeque<PipelineOutput>,
-) -> ReplaySummary {
-    let mut summary = ReplaySummary { replayed: 0, suppressed: 0, recovered: 0, last_seq: None };
-    for record in records {
-        let batch = record.to_batch();
-        let report = if record.prequential {
-            Some(learner.process(&batch))
-        } else {
-            match batch.labels.as_deref() {
-                Some(labels) => {
-                    learner.train(&batch.x, labels);
-                    None
-                }
-                None => Some(learner.infer(&batch.x)),
-            }
-        };
-        summary.replayed += 1;
-        summary.last_seq = Some(record.seq);
-        if produced.contains(&record.seq) {
-            summary.suppressed += 1;
-        } else {
-            produced.insert(record.seq);
-            pending.push_back(PipelineOutput { seq: record.seq, report });
-            summary.recovered += 1;
-        }
-    }
-    summary
 }
 
 /// A fault-tolerant pipeline around a [`Learner`].
@@ -510,155 +503,160 @@ impl SupervisedPipeline {
     /// as the learner's own.
     ///
     /// # Errors
-    /// [`FreewayError::InvalidConfig`] when `queue_depth` or
-    /// `checkpoint_every_n_batches` is zero.
+    /// [`FreewayError::InvalidConfig`] when `config` fails
+    /// [`SupervisorConfig::check`]; journal and checkpoint errors when a
+    /// journal left by a previous process cannot be recovered.
     pub fn with_learner(learner: Learner, config: SupervisorConfig) -> Result<Self, FreewayError> {
-        if config.queue_depth == 0 {
-            return Err(FreewayError::InvalidConfig("queue depth must be positive".to_owned()));
-        }
-        if config.checkpoint_every_n_batches == 0 {
-            return Err(FreewayError::InvalidConfig(
-                "checkpoint cadence must be positive".to_owned(),
-            ));
-        }
-        let policy = GuardPolicy {
+        config.check().map_err(FreewayError::InvalidConfig)?;
+        let guard = BatchGuard::new(GuardPolicy {
             expected_features: learner.spec().features(),
             num_classes: learner.spec().classes(),
-            check_seq: config.check_seq,
-        };
-        let guard = BatchGuard::new(policy);
-        let quarantine = Quarantine::new(config.quarantine_capacity);
-        if config.checkpoint_generations == 0 {
-            return Err(FreewayError::InvalidConfig(
-                "checkpoint generations must be positive".to_owned(),
-            ));
-        }
-        let mut learner = learner;
-        let last_checkpoint = Checkpoint::capture(&learner);
+        });
         let telemetry = learner.telemetry().clone();
-        let restarts_counter = telemetry.counter("freeway_worker_restarts_total");
-        let lost_counter = telemetry.counter("freeway_lost_in_flight_total");
-        let stalls_counter = telemetry.counter("freeway_worker_stalls_total");
-        let stall_recovery_seconds =
-            telemetry.histogram("freeway_stall_recovery_seconds", DURATION_SECONDS_BOUNDS);
-        let chaos_train_delay = Arc::new(AtomicU64::new(0));
-        let mut stats = SupervisorStats::default();
-        // With a journal configured, a non-empty log means the previous
-        // process died with work admitted but not durably checkpointed:
-        // recover its exact state before spawning the worker. Outputs of
-        // replayed batches were delivered by the previous incarnation, so
-        // every one of them is suppressed here.
-        let mut startup_seq = None;
-        let mut recovered_seq = None;
-        let journal = match config.journal.clone() {
-            None => None,
-            Some(journal_config) => {
-                if journal_config.segment_max_bytes == 0 {
-                    return Err(FreewayError::InvalidConfig(
-                        "journal segment size must be positive".to_owned(),
-                    ));
-                }
-                if journal_config.fsync_every_n_appends == 0 {
-                    return Err(FreewayError::InvalidConfig(
-                        "journal fsync cadence must be positive".to_owned(),
-                    ));
-                }
-                let (journal, recovered) = Journal::open(journal_config)?;
-                let recovery_seconds = telemetry
-                    .histogram("freeway_journal_recovery_seconds", DURATION_SECONDS_BOUNDS);
-                let mut base = last_checkpoint.clone();
-                let mut produced = BTreeSet::new();
-                if !recovered.is_empty() {
-                    let started = Instant::now();
-                    // Genesis journal (lowest segment index 0): the fresh
-                    // learner plus a full replay IS the crashed process's
-                    // state. A truncated journal needs the disk
-                    // checkpoint that justified the truncation.
-                    let records: Vec<JournalRecord> = if journal.lowest_segment_index() == 0 {
-                        recovered
-                    } else {
-                        let Some(path) = config.checkpoint_path.as_ref() else {
-                            return Err(FreewayError::InvalidConfig(
-                                "journal history is truncated below a checkpoint; \
-                                     recovering it requires checkpoint_path"
-                                    .to_owned(),
-                            ));
-                        };
-                        let store =
-                            CheckpointStore::new(path.clone(), config.checkpoint_generations);
-                        let (loaded, _generation) = store.load_newest()?;
-                        let floor = loaded.journal_seq;
-                        base = loaded;
-                        learner = base.restore()?;
-                        match floor {
-                            Some(floor) => {
-                                recovered.into_iter().filter(|r| r.seq > floor).collect()
-                            }
-                            None => recovered,
-                        }
-                    };
-                    learner.attach_telemetry(Telemetry::disabled());
-                    learner.set_shared_publish_muted(true);
-                    for record in &records {
-                        produced.insert(record.seq);
-                    }
-                    // A genesis base has no floor; a loaded checkpoint's
-                    // floor counts when no record lies above it.
-                    recovered_seq = records.iter().map(|r| r.seq).max().max(base.journal_seq);
-                    let mut discarded = VecDeque::new();
-                    let summary =
-                        replay_into(&mut learner, &records, &mut produced, &mut discarded);
-                    learner.set_shared_publish_muted(false);
-                    learner.attach_telemetry(telemetry.clone());
-                    stats.replayed += summary.replayed;
-                    stats.replay_suppressed += summary.suppressed;
-                    startup_seq = summary.last_seq;
-                    recovery_seconds.record(started.elapsed().as_secs_f64());
-                    telemetry.emit(TelemetryEvent::JournalReplayed {
-                        seq: summary.last_seq.unwrap_or(0),
-                        replayed: summary.replayed,
-                        suppressed: summary.suppressed,
-                    });
-                }
-                Some(JournalState { journal, base, produced, recovery_seconds })
-            }
-        };
-        let doorbell = Doorbell::default();
-        let worker = Some(spawn_worker(
-            learner,
-            config.queue_depth,
-            chaos_train_delay.clone(),
-            startup_seq,
-            doorbell.clone(),
-        ));
-        Ok(Self {
-            config,
-            worker,
+        let mut pipeline = Self {
+            worker: None,
             guard,
-            quarantine,
+            quarantine: Quarantine::new(config.quarantine_capacity),
             pending: VecDeque::new(),
-            last_checkpoint,
-            stats,
+            last_checkpoint: Checkpoint::capture(&learner),
+            stats: SupervisorStats::default(),
             in_flight: 0,
             checkpoints_in_flight: 0,
             accepted_since_checkpoint: 0,
             checkpoint_due: false,
             cadence_backoff: 1,
-            chaos_train_delay,
+            chaos_train_delay: Arc::new(AtomicU64::new(0)),
             chaos_persist_delay: Arc::new(AtomicU64::new(0)),
             degradation: None,
             shared: None,
-            telemetry,
-            journal,
-            restarts_counter,
-            lost_counter,
-            stalls_counter,
-            stall_recovery_seconds,
+            journal: None,
+            restarts_counter: telemetry.counter("freeway_worker_restarts_total"),
+            lost_counter: telemetry.counter("freeway_lost_in_flight_total"),
+            stalls_counter: telemetry.counter("freeway_worker_stalls_total"),
+            stall_recovery_seconds: telemetry
+                .histogram("freeway_stall_recovery_seconds", DURATION_SECONDS_BOUNDS),
             watchdog: None,
             watchdog_origin: Instant::now(),
-            doorbell,
-            recovered_seq,
-        })
+            doorbell: Doorbell::default(),
+            recovered_seq: None,
+            telemetry,
+            config,
+        };
+        let mut learner = learner;
+        let mut startup_seq = None;
+        if let Some(journal_config) = pipeline.config.journal.clone() {
+            let (journal, recovered) = Journal::open(journal_config)?;
+            pipeline.journal = Some(JournalState {
+                journal,
+                base: pipeline.last_checkpoint.clone(),
+                produced: BTreeSet::new(),
+                recovery_seconds: pipeline
+                    .telemetry
+                    .histogram("freeway_journal_recovery_seconds", DURATION_SECONDS_BOUNDS),
+            });
+            if !recovered.is_empty() {
+                startup_seq = pipeline.recover_startup(&mut learner, recovered)?;
+            }
+        }
+        pipeline.worker = Some(spawn_worker(
+            learner,
+            pipeline.config.queue_depth,
+            pipeline.chaos_train_delay.clone(),
+            startup_seq,
+            pipeline.doorbell.clone(),
+        ));
+        Ok(pipeline)
+    }
+
+    /// Startup recovery over a non-empty journal: the previous process
+    /// died with work admitted but not durably checkpointed, so its exact
+    /// state is rebuilt in `learner` before the first worker spawns. A
+    /// genesis journal (lowest segment index 0) replays onto the fresh
+    /// learner; a truncated one needs the disk checkpoint that justified
+    /// the truncation. The previous incarnation delivered every replayed
+    /// output, so all of them are suppressed. Returns the seq the first
+    /// worker stamps its checkpoints from.
+    fn recover_startup(
+        &mut self,
+        learner: &mut Learner,
+        recovered: Vec<JournalRecord>,
+    ) -> Result<Option<u64>, FreewayError> {
+        let started = Instant::now();
+        let Some(state) = self.journal.as_mut() else { return Ok(None) };
+        let records: Vec<JournalRecord> = if state.journal.lowest_segment_index() == 0 {
+            recovered
+        } else {
+            let Some(path) = self.config.checkpoint_path.as_ref() else {
+                return Err(FreewayError::InvalidConfig(
+                    "journal history is truncated below a checkpoint; \
+                     recovering it requires checkpoint_path"
+                        .to_owned(),
+                ));
+            };
+            let store = CheckpointStore::new(path.clone(), self.config.checkpoint_generations);
+            let (loaded, _generation) = store.load_newest()?;
+            *learner = loaded.restore()?;
+            let floor = loaded.journal_seq;
+            state.base = loaded;
+            match floor {
+                Some(floor) => recovered.into_iter().filter(|r| r.seq > floor).collect(),
+                None => recovered,
+            }
+        };
+        state.produced.extend(records.iter().map(|r| r.seq));
+        // A genesis base has no floor; a loaded checkpoint's floor counts
+        // when no record lies above it.
+        self.recovered_seq = records.iter().map(|r| r.seq).max().max(state.base.journal_seq);
+        Ok(self.replay(learner, &records, started).1)
+    }
+
+    /// Re-feeds journaled `records` into `learner` exactly as the worker
+    /// ran them ([`run_batch`]), with telemetry and shared-registry
+    /// publishes muted: replayed work already had those side effects the
+    /// first time. Outputs are deduplicated by seq — already-delivered
+    /// ones are suppressed, the rest land on `pending` in order. Adds to
+    /// the replay counters, records the recovery's wall time since
+    /// `started`, and announces it. Returns how many outputs replay
+    /// recovered and the last replayed seq.
+    fn replay(
+        &mut self,
+        learner: &mut Learner,
+        records: &[JournalRecord],
+        started: Instant,
+    ) -> (u64, Option<u64>) {
+        let mut produced = self
+            .journal
+            .as_mut()
+            .map(|state| std::mem::take(&mut state.produced))
+            .unwrap_or_default();
+        learner.attach_telemetry(Telemetry::disabled());
+        learner.set_shared_publish_muted(true);
+        let (mut recovered, mut suppressed) = (0, 0);
+        for record in records {
+            let report = run_batch(learner, &record.to_batch(), record.prequential);
+            if produced.insert(record.seq) {
+                self.pending.push_back(PipelineOutput { seq: record.seq, report });
+                recovered += 1;
+            } else {
+                suppressed += 1;
+            }
+        }
+        learner.set_shared_publish_muted(false);
+        learner.attach_telemetry(self.telemetry.clone());
+        let replayed = records.len() as u64;
+        self.stats.replayed += replayed;
+        self.stats.replay_suppressed += suppressed;
+        if let Some(state) = self.journal.as_mut() {
+            state.produced = produced;
+            state.recovery_seconds.record(started.elapsed().as_secs_f64());
+        }
+        let last_seq = records.last().map(|r| r.seq);
+        self.telemetry.emit(TelemetryEvent::JournalReplayed {
+            seq: last_seq.unwrap_or(0),
+            replayed,
+            suppressed,
+        });
+        (recovered, last_seq)
     }
 
     /// Feeds a batch, routed by labeledness. Poison batches are
@@ -682,11 +680,7 @@ impl SupervisedPipeline {
 
     fn submit(&mut self, batch: Batch, prequential: bool) -> Result<FeedOutcome, FreewayError> {
         if let Err(fault) = self.guard.admit(&batch) {
-            self.stats.quarantined += 1;
-            self.telemetry
-                .emit(TelemetryEvent::BatchQuarantined { seq: batch.seq, fault: fault.tag() });
-            self.quarantine.push(batch, fault.clone());
-            return Ok(FeedOutcome::Quarantined(fault));
+            return Ok(FeedOutcome::Quarantined(self.quarantine_batch(batch, fault)));
         }
         // Absorb finished work first so checkpoint results (and their
         // disk verdicts) are applied promptly, not only at finish.
@@ -697,9 +691,7 @@ impl SupervisedPipeline {
         // mid-send re-sends the batch, so journaling it early would
         // replay it on top of the re-send).
         let frame = self.journal.as_ref().map(|_| frame_batch(&batch, prequential));
-        let cmd =
-            if prequential { SupCommand::Prequential(batch) } else { SupCommand::Batch(batch) };
-        self.send_with_recovery(cmd)?;
+        self.send_with_recovery(SupCommand::Batch { batch, prequential })?;
         self.note_accepted();
         self.journal_append(seq, frame);
         if self.checkpoint_due {
@@ -708,6 +700,16 @@ impl SupervisedPipeline {
             self.checkpoints_in_flight += 1;
         }
         Ok(FeedOutcome::Accepted)
+    }
+
+    /// Counts, announces, and retains a batch the guard rejected; hands
+    /// the fault back for the caller's outcome.
+    fn quarantine_batch(&mut self, batch: Batch, fault: BatchFault) -> BatchFault {
+        self.stats.quarantined += 1;
+        self.telemetry
+            .emit(TelemetryEvent::BatchQuarantined { seq: batch.seq, fault: fault.tag() });
+        self.quarantine.push(batch, fault.clone());
+        fault
     }
 
     /// Shared bookkeeping after a batch actually reached the worker.
@@ -754,33 +756,25 @@ impl SupervisedPipeline {
         // Inspect without advancing the watermark: a Full outcome must
         // leave the guard willing to see this seq again.
         if let Err(fault) = self.guard.inspect(&batch) {
-            self.stats.quarantined += 1;
-            self.telemetry
-                .emit(TelemetryEvent::BatchQuarantined { seq: batch.seq, fault: fault.tag() });
-            self.quarantine.push(batch, fault.clone());
-            return Ok(TryFeedOutcome::Quarantined(fault));
+            return Ok(TryFeedOutcome::Quarantined(self.quarantine_batch(batch, fault)));
         }
         // Absorb whatever the worker already produced — freeing output
         // slots is what lets a busy worker drain its input queue.
         self.absorb_available()?;
         let seq = batch.seq;
         let frame = self.journal.as_ref().map(|_| frame_batch(&batch, prequential));
-        let mut cmd =
-            if prequential { SupCommand::Prequential(batch) } else { SupCommand::Batch(batch) };
+        let mut cmd = SupCommand::Batch { batch, prequential };
         loop {
             let Some(worker) = self.worker.as_ref() else {
                 return Err(FreewayError::WorkerUnavailable);
             };
             match worker.input.try_send(cmd) {
                 Ok(()) => break,
-                Err(TrySendError::Full(returned)) => {
-                    let batch = match returned {
-                        SupCommand::Batch(b) | SupCommand::Prequential(b) => b,
-                        // Only batch commands enter this loop.
-                        _ => return Err(FreewayError::WorkerUnavailable),
-                    };
+                Err(TrySendError::Full(SupCommand::Batch { batch, .. })) => {
                     return Ok(TryFeedOutcome::Full(batch));
                 }
+                // Only batch commands enter this loop.
+                Err(TrySendError::Full(_)) => return Err(FreewayError::WorkerUnavailable),
                 Err(TrySendError::Disconnected(returned)) => {
                     cmd = returned;
                     self.restart_worker()?;
@@ -865,29 +859,9 @@ impl SupervisedPipeline {
             .store(delay.as_nanos().min(u128::from(u64::MAX)) as u64, Ordering::Relaxed);
     }
 
-    /// Chaos hook: every subsequent journal fsync sleeps this long first,
-    /// simulating a slow disk. The delay counts against the slow-sync
-    /// budget, so a sustained one degrades the fsync cadence instead of
-    /// stalling ingest. No-op without a journal; zero disables.
-    pub fn set_chaos_journal_sync_delay(&self, delay: std::time::Duration) {
-        if let Some(state) = self.journal.as_ref() {
-            state
-                .journal
-                .chaos_sync_delay_handle()
-                .store(delay.as_millis().min(u128::from(u64::MAX)) as u64, Ordering::Relaxed);
-        }
-    }
-
     /// Journal counters so far (`None` without a journal).
     pub fn journal_stats(&self) -> Option<JournalStats> {
         self.journal.as_ref().map(|state| state.journal.stats())
-    }
-
-    /// The journal's current fsync-cadence backoff multiplier (1 =
-    /// healthy disk, doubled per slow/failed sync); `None` without a
-    /// journal.
-    pub fn journal_sync_backoff(&self) -> Option<u64> {
-        self.journal.as_ref().map(|state| state.journal.sync_backoff())
     }
 
     /// Shares the overload degradation level with this supervisor so a
@@ -1106,81 +1080,64 @@ impl SupervisedPipeline {
         self.restore_checkpoint_from(&self.last_checkpoint)
     }
 
-    /// Produces the learner to respawn after a crash. With a journal,
-    /// this is restore-the-base-then-replay: journaled records above the
-    /// base are re-fed synchronously (telemetry and shared-registry
-    /// publishes muted — the crashed worker already had those side
-    /// effects), outputs the crashed worker never delivered land on
-    /// `pending` via seq-based dedup, and the loss shrinks by exactly
-    /// what replay recovered. Without a journal the last checkpoint is
-    /// restored and the in-flight work is genuinely lost.
+    /// Produces the learner a dead worker owned, which had `lost`
+    /// batches in flight. With a journal, this is
+    /// restore-the-base-then-replay ([`Self::replay`]): outputs the dead
+    /// worker never delivered land on `pending`, and only what replay
+    /// could not recover counts as lost. Without one the last checkpoint
+    /// is restored and the in-flight work is genuinely lost.
     ///
     /// Returns `(learner, net_lost, respawn_seq)` where `respawn_seq`
     /// seeds the new worker's checkpoint stamping.
     fn recover_learner(&mut self, lost: u64) -> Result<(Learner, u64, Option<u64>), FreewayError> {
-        let journal_parts = self.journal.as_mut().map(|state| {
+        let started = Instant::now();
+        let journaled = self.journal.as_ref().map(|state| {
             let base = state.base.clone();
             let records = state.journal.records_above(base.journal_seq);
-            let produced = std::mem::take(&mut state.produced);
-            (base, records, produced)
+            (base, records)
         });
-        let Some((base, records, mut produced)) = journal_parts else {
-            let learner = self.restore_checkpoint()?;
-            return Ok((learner, lost, self.last_checkpoint.journal_seq));
-        };
-        let records = match records {
-            Ok(records) => records,
-            Err(e) => {
-                // An unreadable journal degrades to the journal-free
-                // contract: restore the newest checkpoint, count the
-                // loss honestly.
-                eprintln!("freeway-core: journal replay failed ({e}); restoring checkpoint only");
-                if let Some(state) = self.journal.as_mut() {
-                    state.produced = produced;
-                }
-                let learner = self.restore_checkpoint()?;
-                return Ok((learner, lost, self.last_checkpoint.journal_seq));
+        let (learner, recovered, respawn_seq) = match journaled {
+            Some((base, Ok(records))) => {
+                let mut learner = self.restore_checkpoint_from(&base)?;
+                let (recovered, last_seq) = self.replay(&mut learner, &records, started);
+                (learner, recovered, last_seq.or(base.journal_seq))
             }
+            Some((_, Err(e))) => {
+                // An unreadable journal degrades to the journal-free
+                // contract: restore the newest checkpoint, count the loss
+                // honestly.
+                eprintln!("freeway-core: journal replay failed ({e}); restoring checkpoint only");
+                (self.restore_checkpoint()?, 0, self.last_checkpoint.journal_seq)
+            }
+            None => (self.restore_checkpoint()?, 0, self.last_checkpoint.journal_seq),
         };
-        let started = Instant::now();
-        let mut learner = self.restore_checkpoint_from(&base)?;
-        learner.attach_telemetry(Telemetry::disabled());
-        learner.set_shared_publish_muted(true);
-        let summary = replay_into(&mut learner, &records, &mut produced, &mut self.pending);
-        learner.set_shared_publish_muted(false);
-        learner.attach_telemetry(self.telemetry.clone());
-        self.stats.replayed += summary.replayed;
-        self.stats.replay_suppressed += summary.suppressed;
-        let net_lost = lost.saturating_sub(summary.recovered);
-        let respawn_seq = summary.last_seq.or(base.journal_seq);
-        if let Some(state) = self.journal.as_mut() {
-            state.produced = produced;
-            state.recovery_seconds.record(started.elapsed().as_secs_f64());
-        }
-        self.telemetry.emit(TelemetryEvent::JournalReplayed {
-            seq: summary.last_seq.unwrap_or(0),
-            replayed: summary.replayed,
-            suppressed: summary.suppressed,
-        });
+        let net_lost = lost.saturating_sub(recovered);
+        self.stats.lost_in_flight += net_lost;
+        self.lost_counter.add(net_lost);
         Ok((learner, net_lost, respawn_seq))
+    }
+
+    /// Closes a worker's queue, keeps everything it emitted, and joins
+    /// it: its learner after a clean exit, its panic message otherwise.
+    fn reap(&mut self, worker: Worker) -> Result<Learner, String> {
+        let Worker { input, output, handle, .. } = worker;
+        drop(input);
+        while let Ok(msg) = output.recv() {
+            self.handle_msg(msg);
+        }
+        handle.join().unwrap_or_else(|payload| Err(panic_message(payload)))
     }
 
     /// Reaps a dead worker and spawns a replacement from the last
     /// checkpoint. Outputs the dead worker already produced are kept;
     /// batches still in its queue are counted as lost.
     fn restart_worker(&mut self) -> Result<(), FreewayError> {
-        let Some(Worker { input, output, handle, .. }) = self.worker.take() else {
+        let Some(worker) = self.worker.take() else {
             return Err(FreewayError::WorkerUnavailable);
         };
-        drop(input);
-        // Everything the worker managed to emit before dying survives.
-        while let Ok(msg) = output.recv() {
-            self.handle_msg(msg);
-        }
-        let panic = match handle.join() {
-            Ok(Err(panic)) => panic,
-            Err(payload) => panic_message(payload),
-            Ok(Ok(learner)) => {
+        let panic = match self.reap(worker) {
+            Err(panic) => panic,
+            Ok(learner) => {
                 // A clean exit while we hold the sender should be
                 // impossible; salvage the freshest state anyway.
                 self.last_checkpoint = Checkpoint::capture(&learner);
@@ -1188,22 +1145,21 @@ impl SupervisedPipeline {
             }
         };
         self.stats.worker_panics += 1;
-        let lost = self.in_flight as u64;
-        self.in_flight = 0;
-        self.checkpoints_in_flight = 0;
-        self.accepted_since_checkpoint = 0;
-        self.complete_restart(panic, lost)
+        self.complete_restart(panic)
     }
 
-    /// Shared tail of every recovery (crash or forced stall): charge the
-    /// restart budget, recover the learner (journal replay when enabled),
-    /// and respawn. The caller has already reaped or abandoned the old
-    /// worker and zeroed `in_flight`.
-    fn complete_restart(&mut self, panic: String, lost: u64) -> Result<(), FreewayError> {
+    /// Shared tail of every restart (crash or forced stall): write off
+    /// what the old worker still owed, charge the restart budget, recover
+    /// the learner (journal replay when enabled), and respawn. The caller
+    /// has already reaped or abandoned the old worker.
+    fn complete_restart(&mut self, panic: String) -> Result<(), FreewayError> {
         // Outputs recovery leaves on `pending` (the dead worker's last
         // messages, journal replay) were never announced by a worker ring.
         self.doorbell.ring();
         self.watchdog = None;
+        let lost = std::mem::take(&mut self.in_flight) as u64;
+        self.checkpoints_in_flight = 0;
+        self.accepted_since_checkpoint = 0;
         if self.stats.restarts >= self.config.max_restarts {
             // Past the budget nothing replays: the loss is real.
             self.stats.lost_in_flight += lost;
@@ -1216,8 +1172,6 @@ impl SupervisedPipeline {
         self.stats.restarts += 1;
         self.restarts_counter.inc();
         let (learner, net_lost, respawn_seq) = self.recover_learner(lost)?;
-        self.stats.lost_in_flight += net_lost;
-        self.lost_counter.add(net_lost);
         self.telemetry.emit(TelemetryEvent::WorkerRestarted {
             restarts: self.stats.restarts as u64,
             lost_in_flight: net_lost,
@@ -1294,18 +1248,11 @@ impl SupervisedPipeline {
         self.stalls_counter.inc();
         self.telemetry.emit(TelemetryEvent::WorkerStalled { seq: stalled_seq, stage });
         let started = Instant::now();
-        let lost = self.in_flight as u64;
-        self.in_flight = 0;
-        self.checkpoints_in_flight = 0;
-        self.accepted_since_checkpoint = 0;
-        self.complete_restart(
-            format!(
-                "worker stalled in stage `{stage}` (no progress for {}ms, deadline {}ms)",
-                stalled_for / 1_000_000,
-                self.config.stall_deadline.map(|d| d.as_millis()).unwrap_or(0),
-            ),
-            lost,
-        )?;
+        self.complete_restart(format!(
+            "worker stalled in stage `{stage}` (no progress for {}ms, deadline {}ms)",
+            stalled_for / 1_000_000,
+            self.config.stall_deadline.map(|d| d.as_millis()).unwrap_or(0),
+        ))?;
         self.stall_recovery_seconds.record(started.elapsed().as_secs_f64());
         self.telemetry.emit(TelemetryEvent::WorkerRecovered {
             seq: stalled_seq,
@@ -1424,20 +1371,17 @@ impl SupervisedPipeline {
             }
         }
         let learner = match self.worker.take() {
-            Some(Worker { input, output, handle, .. }) => {
-                drop(input);
-                while let Ok(msg) = output.recv() {
-                    self.handle_msg(msg);
+            Some(worker) => match self.reap(worker) {
+                Ok(learner) => learner,
+                // Dead at finish: recover its state without charging the
+                // restart budget; outputs journal replay recovers still
+                // land in the finished run.
+                Err(panic) => {
+                    self.stats.worker_panics += 1;
+                    eprintln!("freeway-core: worker dead at finish ({panic}); recovering");
+                    self.recover_learner(self.in_flight as u64)?.0
                 }
-                match handle.join() {
-                    Ok(Ok(learner)) => learner,
-                    Ok(Err(panic)) => self.finish_recover(panic)?,
-                    Err(payload) => {
-                        let panic = panic_message(payload);
-                        self.finish_recover(panic)?
-                    }
-                }
-            }
+            },
             None => self.restore_checkpoint()?,
         };
         let journal = self.journal.as_mut().map(|state| {
@@ -1453,22 +1397,6 @@ impl SupervisedPipeline {
             quarantine: self.quarantine.clone(),
             journal,
         })
-    }
-
-    /// Dead-worker recovery at finish time: counts the crash, recovers
-    /// the learner (replaying the journal when enabled — recovered
-    /// outputs still land in the finished run), and surfaces the
-    /// residual loss.
-    fn finish_recover(&mut self, panic: String) -> Result<Learner, FreewayError> {
-        self.stats.worker_panics += 1;
-        let lost = self.in_flight as u64;
-        self.in_flight = 0;
-        self.checkpoints_in_flight = 0;
-        eprintln!("freeway-core: worker dead at finish ({panic}); recovering");
-        let (learner, net_lost, _respawn_seq) = self.recover_learner(lost)?;
-        self.stats.lost_in_flight += net_lost;
-        self.lost_counter.add(net_lost);
-        Ok(learner)
     }
 }
 
@@ -1632,10 +1560,58 @@ mod tests {
             sup.feed_prequential(Batch::labeled(x, y, 1, DriftPhase::Stable)),
             Err(FreewayError::WorkerUnavailable)
         ));
+        // A dead worker must not masquerade as backpressure: the
+        // non-blocking feed fails permanently instead of handing the
+        // batch back as `Full`.
+        let (x, y) = concept.sample_batch(64, &mut rng);
+        let outcome = sup.try_feed(Batch::labeled(x, y, 2, DriftPhase::Stable));
+        assert!(matches!(outcome, Err(FreewayError::WorkerUnavailable)), "got {outcome:?}");
         // The run still finishes by recovering state from the checkpoint.
         let run = sup.finish().expect("finish recovers from checkpoint");
         assert_eq!(run.stats.restarts, 1);
         assert_eq!(run.stats.worker_panics, 2);
+    }
+
+    #[test]
+    fn with_learner_rejects_what_the_builder_rejects() {
+        let zero_deadline =
+            SupervisorConfig { stall_deadline: Some(std::time::Duration::ZERO), ..config() };
+        let no_quarantine = SupervisorConfig { quarantine_capacity: 0, ..config() };
+        for (bad, field) in [(zero_deadline, "stall deadline"), (no_quarantine, "quarantine")] {
+            match SupervisedPipeline::with_learner(learner(), bad) {
+                Err(FreewayError::InvalidConfig(msg)) => assert!(msg.contains(field), "{msg}"),
+                Err(other) => panic!("expected InvalidConfig naming {field}, got {other:?}"),
+                Ok(_) => panic!("with_learner accepted an invalid {field}"),
+            }
+        }
+    }
+
+    #[test]
+    fn drop_with_full_queue_and_dead_worker_does_not_deadlock() {
+        let mut rng = stream_rng(31);
+        let concept = GmmConcept::random(4, 2, 1, 3.0, 0.5, &mut rng);
+        let mut sup = SupervisedPipeline::with_learner(
+            learner(),
+            SupervisorConfig { queue_depth: 1, max_restarts: 0, ..config() },
+        )
+        .expect("spawn");
+        sup.inject_worker_panic().expect("panic scheduled");
+        // Keep pushing into the 1-deep queue behind the crash until the
+        // dead worker is noticed: with no restart budget the supervisor
+        // gives up, and the drop below runs against a dead worker.
+        let mut seq = 0;
+        loop {
+            let (x, y) = concept.sample_batch(32, &mut rng);
+            match sup.feed_prequential(Batch::labeled(x, y, seq, DriftPhase::Stable)) {
+                Ok(_) => seq += 1,
+                Err(err) => {
+                    assert!(matches!(err, FreewayError::RestartsExhausted { .. }), "{err:?}");
+                    break;
+                }
+            }
+            assert!(seq < 64, "the crash must surface long before 64 batches");
+        }
+        drop(sup); // must return promptly
     }
 
     #[test]
@@ -1862,7 +1838,7 @@ mod tests {
     }
 
     #[test]
-    fn sequence_faults_are_quarantined_when_enabled() {
+    fn sequence_faults_are_quarantined() {
         let mut rng = stream_rng(26);
         let concept = GmmConcept::random(4, 2, 1, 3.0, 0.5, &mut rng);
         let mut sup = SupervisedPipeline::with_learner(learner(), config()).expect("spawn");

@@ -3,7 +3,7 @@
 //! the same description — the builder is a re-plumbing of construction,
 //! never a behavior change.
 
-use freeway_core::{FreewayConfig, Learner, Pipeline, PipelineBuilder, SupervisorConfig};
+use freeway_core::{FreewayConfig, Learner, PipelineBuilder, SupervisedPipeline, SupervisorConfig};
 use freeway_ml::ModelSpec;
 use freeway_streams::concept::{stream_rng, GmmConcept};
 use freeway_streams::{Batch, DriftPhase};
@@ -59,42 +59,6 @@ fn builder_learner_matches_legacy_learner_exactly() {
 }
 
 #[test]
-fn builder_pipeline_matches_direct_constructor_exactly() {
-    let feed = batches();
-
-    let legacy = Pipeline::with_learner(Learner::new(ModelSpec::lr(6, 2), config()), 16)
-        .expect("valid queue depth");
-    for b in &feed {
-        legacy.feed_prequential(b.clone()).expect("worker alive");
-    }
-    let legacy_out: Vec<_> = (0..feed.len())
-        .map(|_| {
-            let out = legacy.recv().expect("worker alive");
-            (out.seq, out.report.expect("prequential reports").predictions)
-        })
-        .collect();
-    let _ = legacy.finish().expect("clean shutdown");
-
-    let built = PipelineBuilder::new(ModelSpec::lr(6, 2))
-        .with_config(config())
-        .with_queue_depth(16)
-        .build()
-        .expect("valid configuration");
-    for b in &feed {
-        built.feed_prequential(b.clone()).expect("worker alive");
-    }
-    let built_out: Vec<_> = (0..feed.len())
-        .map(|_| {
-            let out = built.recv().expect("worker alive");
-            (out.seq, out.report.expect("prequential reports").predictions)
-        })
-        .collect();
-    let _ = built.finish().expect("clean shutdown");
-
-    assert_eq!(legacy_out, built_out, "builder pipeline must match the direct constructor");
-}
-
-#[test]
 fn builder_supervised_matches_direct_constructor_exactly() {
     let feed = batches();
     let sup_config = || SupervisorConfig {
@@ -117,8 +81,6 @@ fn builder_supervised_matches_direct_constructor_exactly() {
 
     assert_eq!(legacy_out, built_out, "builder supervised must match the direct constructor");
 }
-
-use freeway_core::SupervisedPipeline;
 
 fn drive_supervised(sup: &mut SupervisedPipeline, feed: &[Batch]) -> Vec<(u64, Vec<usize>)> {
     let mut out = Vec::new();

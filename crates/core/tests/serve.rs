@@ -14,6 +14,8 @@
 //!   and fails the wall-clock budget.
 //! * Restarts: a service restarted over its journal numbers new
 //!   submissions above everything it recovered.
+//! * Bounded shutdown: a drain budget that runs out on a wedged shard
+//!   still delivers every answer the healthy shards computed.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -23,8 +25,8 @@ use std::time::Duration;
 use freeway_core::admission::{AdmissionConfig, AdmissionPolicy};
 use freeway_core::telemetry::{MetricsSnapshot, Telemetry};
 use freeway_core::{
-    shard_for, ClientSession, FreewayConfig, JournalConfig, PipelineBuilder, ServeError,
-    ServiceConfig, SubmitOutcome,
+    shard_for, ClientSession, FreewayConfig, FreewayError, JournalConfig, PipelineBuilder,
+    ServeError, ServiceConfig, SubmitOutcome,
 };
 use freeway_ml::ModelSpec;
 use freeway_streams::concept::{stream_rng, GmmConcept};
@@ -266,6 +268,47 @@ fn router_pumps_the_watchdog_on_its_timed_wake() {
         assert_eq!(stats.worker_stalls, 1, "{stats:?}");
         assert_eq!(stats.lost_in_flight, 0, "{stats:?}");
         let _ = std::fs::remove_dir_all(&dir);
+    });
+}
+
+#[test]
+fn drain_timeout_still_delivers_what_healthy_shards_answered() {
+    within_budget(Duration::from_secs(30), || {
+        let key_for = |shard| (0u64..).find(|k| shard_for(*k, 2) == shard).expect("key");
+        let (wedged_key, healthy_key) = (key_for(0), key_for(1));
+        for round in 0..3 {
+            // Shard 0 hangs for 2 s with a batch queued behind the hang,
+            // so the 100 ms drain budget runs out on it; shard 1 takes
+            // eight submissions right before the shutdown notice.
+            let service = builder(2)
+                .service(ServiceConfig {
+                    drain_budget: Some(Duration::from_millis(100)),
+                    ..Default::default()
+                })
+                .build_service()
+                .expect("valid service");
+            let handle = service.handle();
+            let mut wedged = handle.open_session(wedged_key).expect("service running");
+            let mut healthy = handle.open_session(healthy_key).expect("service running");
+            handle.inject_worker_stall(0, Duration::from_secs(2), false).expect("service running");
+            let stranded = session_batches(round, wedged_key, 1).remove(0);
+            wedged.submit_batch(stranded, true).expect("admitted");
+            for batch in session_batches(round, healthy_key, 8) {
+                healthy.submit_batch(batch, true).expect("admitted");
+            }
+            match service.shutdown().err() {
+                Some(FreewayError::DrainTimeout { shards }) => assert_eq!(shards, vec![0]),
+                other => {
+                    panic!("round {round}: expected a drain timeout on shard 0, got {other:?}")
+                }
+            }
+            let mut answered = 0;
+            while let Ok(out) = healthy.recv_output() {
+                assert!(matches!(out.outcome, SubmitOutcome::Answered(_)), "{out:?}");
+                answered += 1;
+            }
+            assert_eq!(answered, 8, "round {round}: shard 1's answers were dropped");
+        }
     });
 }
 

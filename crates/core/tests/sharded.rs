@@ -1,5 +1,5 @@
-//! Sharded-runtime acceptance: 1-shard parity oracle against the plain
-//! pipeline, cross-shard Pattern-C reuse through the shared registry,
+//! Sharded-runtime acceptance: 1-shard parity oracle against the
+//! supervised pipeline, cross-shard Pattern-C reuse through the shared registry,
 //! thousand-key routing, and the shard/kernel thread-budget guard.
 
 use freeway_core::{
@@ -19,7 +19,7 @@ fn config() -> FreewayConfig {
 }
 
 /// Admission that can neither shed nor degrade: parity runs must train on
-/// exactly the batches the plain pipeline trains on.
+/// exactly the batches the supervised pipeline trains on.
 fn lossless_admission() -> AdmissionConfig {
     AdmissionConfig { policy: AdmissionPolicy::Block, ladder: None, ..Default::default() }
 }
@@ -32,11 +32,12 @@ fn key_for_shard(target: usize, n: usize, start: u64) -> u64 {
 }
 
 #[test]
-fn one_shard_run_is_output_identical_to_plain_pipeline() {
+fn one_shard_run_is_output_identical_to_supervised_pipeline() {
     // The same interleaved keyed stream (with a severe mid-stream shift)
     // drives both runtimes; at 1 shard every key routes to shard 0 in
-    // feed order, so the learner behind the sharded router must see —
-    // and answer — byte-identically to the plain pipeline's learner.
+    // feed order, so the learner behind the sharded router and its
+    // admission must see — and answer — byte-identically to the bare
+    // supervised pipeline's learner.
     let make_feed = || {
         let mut gen = InterleavedKeyed::uniform(DIM, 2, 8, 4242);
         let mut feed = Vec::new();
@@ -54,23 +55,23 @@ fn one_shard_run_is_output_identical_to_plain_pipeline() {
         feed
     };
 
-    let plain = PipelineBuilder::new(ModelSpec::lr(DIM, 2))
+    let mut supervised = PipelineBuilder::new(ModelSpec::lr(DIM, 2))
         .with_config(config())
         .with_queue_depth(32)
-        .build()
+        .build_supervised()
         .expect("valid configuration");
     for kb in make_feed() {
-        plain.feed_prequential(kb.batch).expect("worker alive");
+        supervised.feed_prequential(kb.batch).expect("worker alive");
     }
-    let mut plain_out: Vec<_> = (0..24)
+    let mut supervised_out: Vec<_> = (0..24)
         .map(|_| {
-            let o = plain.recv().expect("worker alive");
+            let o = supervised.recv().expect("worker alive");
             let report = o.report.expect("prequential reports");
             (o.seq, report.predictions.clone(), report.strategy(), report.severity().to_bits())
         })
         .collect();
-    plain.finish().expect("clean shutdown");
-    plain_out.sort_by_key(|(seq, ..)| *seq);
+    supervised.finish().expect("clean shutdown");
+    supervised_out.sort_by_key(|(seq, ..)| *seq);
 
     let mut sharded = PipelineBuilder::new(ModelSpec::lr(DIM, 2))
         .with_config(config())
@@ -94,7 +95,10 @@ fn one_shard_run_is_output_identical_to_plain_pipeline() {
         .collect();
     let run = sharded.finish().expect("clean finish");
 
-    assert_eq!(plain_out, sharded_out, "1-shard run must match the plain pipeline exactly");
+    assert_eq!(
+        supervised_out, sharded_out,
+        "1-shard run must match the supervised pipeline exactly"
+    );
     assert_eq!(run.admission().admitted, 24);
     assert_eq!(run.shared_hits(), 0, "a single shard can never hit foreign knowledge");
     assert!(run.shared.is_empty(), "a single shard publishes nothing");

@@ -185,6 +185,11 @@ fn journal_drill() {
     .expect("journaled crashes are survivable");
     let transcript_match = report.transcript == reference.transcript;
     assert!(transcript_match, "journaled crash transcript diverged from fault-free");
+    // Every accepted seq answered (the transcript holds only accepted
+    // seqs), and no output delivered twice.
+    let accepted = report.stats.accepted as usize;
+    let delivered_exactly_once =
+        report.transcript.len() == accepted && report.delivered == accepted;
     assert_eq!(report.stats.lost_in_flight, 0, "replay must recover all in-flight batches");
     let journal = report.journal.expect("journal stats");
     let (acc_faulted, acc_fault_free) = paired_accuracy(&report, &reference);
@@ -267,15 +272,12 @@ fn journal_drill() {
     let _ = writeln!(json, "    \"worker_panics\": {},", report.stats.worker_panics);
     let _ = writeln!(json, "    \"restarts\": {},", report.stats.restarts);
     // Exact replay counts race with dead-worker detection (the batch fed
-    // into a crash is journaled before or after the restart is noticed
-    // depending on scheduling), so the artifact records the invariants;
-    // exact counts are asserted in the deterministic supervisor tests.
+    // into a crash dies in flight or reaches the restarted worker,
+    // depending on scheduling), so the artifact records the invariants
+    // that hold either way; exact counts are asserted in the
+    // deterministic supervisor tests.
     let _ = writeln!(json, "    \"replay_exercised\": {},", report.stats.replayed > 0);
-    let _ = writeln!(
-        json,
-        "    \"replayed_outputs_all_suppressed\": {},",
-        report.stats.replay_suppressed == report.stats.replayed
-    );
+    let _ = writeln!(json, "    \"delivered_exactly_once\": {delivered_exactly_once},");
     let _ = writeln!(json, "    \"lost_in_flight\": {},", report.stats.lost_in_flight);
     let _ = writeln!(json, "    \"journal_appended\": {},", journal.appended);
     let _ = writeln!(json, "    \"journal_recovered_on_open\": {},", journal.recovered_records);

@@ -30,7 +30,8 @@ fn main() {
         ModelSpec::lr(10, 2),
         FreewayConfig { mini_batch: batch_size, ..Default::default() },
     );
-    let pipeline = Pipeline::with_learner(learner, 32).expect("valid queue depth");
+    let config = SupervisorConfig { queue_depth: 32, ..Default::default() };
+    let mut pipeline = Pipeline::with_learner(learner, config).expect("valid queue depth");
 
     println!("tick | rate     | pressure | batches/tick | decay x");
     println!("-----+----------+----------+--------------+--------");
@@ -61,10 +62,10 @@ fn main() {
             }
         }
         // Drain available outputs without blocking the producer loop.
-        while pipeline.try_recv().is_some() {}
+        while pipeline.try_recv().expect("worker alive").is_some() {}
     }
 
-    let learner = pipeline.finish().expect("clean shutdown");
+    let learner = pipeline.finish().expect("clean shutdown").learner;
     println!(
         "\nprocessed ~{seq} batches; dropped {:.0} items at the source; \
          selector ready: {}",

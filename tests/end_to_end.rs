@@ -131,17 +131,18 @@ fn stability_index_is_sane_on_real_runs() {
 #[test]
 fn pipeline_processes_mixed_streams_end_to_end() {
     use freewayml::core::pipeline::Pipeline;
+    use freewayml::core::supervisor::SupervisorConfig;
     let mut stream = datasets::electricity(31);
     let spec = ModelSpec::lr(stream.num_features(), stream.num_classes());
     let learner = Learner::new(
         spec,
         FreewayConfig { mini_batch: 64, pca_warmup_rows: 128, ..Default::default() },
     );
-    // Queue depth 8 with 30 batches: outputs must be drained while
-    // feeding — both channels are bounded, so fire-and-forget feeding
-    // of more than `2 * depth` batches would deadlock by design
-    // (backpressure, not unbounded buffering).
-    let pipeline = Pipeline::with_learner(learner, 8).expect("valid queue depth");
+    // Queue depth 8 with 30 batches: a feed against a full queue waits
+    // for the worker (backpressure), and draining outputs while feeding
+    // keeps them from piling up.
+    let config = SupervisorConfig { queue_depth: 8, ..Default::default() };
+    let mut pipeline = Pipeline::with_learner(learner, config).expect("valid queue depth");
     let mut inference_reports = 0;
     let mut received = 0;
     for i in 0..30 {
@@ -151,7 +152,7 @@ fn pipeline_processes_mixed_streams_end_to_end() {
         } else {
             pipeline.feed(batch).expect("worker alive");
         }
-        while let Some(out) = pipeline.try_recv() {
+        while let Some(out) = pipeline.try_recv().expect("worker alive") {
             received += 1;
             if out.report.is_some() {
                 inference_reports += 1;
@@ -165,8 +166,9 @@ fn pipeline_processes_mixed_streams_end_to_end() {
         received += 1;
     }
     assert_eq!(inference_reports, 10, "every unlabeled batch yields a report");
-    let learner = pipeline.finish().expect("clean shutdown");
-    assert!(learner.selector().is_ready());
+    let run = pipeline.finish().expect("clean shutdown");
+    assert_eq!(run.stats.quarantined, 0, "a clean stream passes the guard");
+    assert!(run.learner.selector().is_ready());
 }
 
 #[test]
