@@ -47,75 +47,6 @@ diff /tmp/overload_drill_ci.json results/OVERLOAD_drill.json
 rm -f /tmp/overload_drill_ci.json
 echo "overload gate: drill green, artifact byte-stable"
 
-echo "== throughput regression gate (single-core kernel floor) =="
-# bench_throughput --quick sweeps StreamingLR at batch 256 over pools
-# [1, 2] and emits one machine-readable JSON line; the gate fails when
-# the serial FreewayML point drops below the checked-in floor. The floor
-# (results/BENCH_floor.json) is set well under the measured steady state
-# so host noise passes but losing the kernel/pool optimisations does not.
-cargo build --release -q -p freeway-eval --features alloc-metrics
-./target/release/bench_throughput --quick | tail -n 1 > /tmp/bench_quick_ci.json
-python3 - <<'PY'
-import json
-floor = json.load(open("results/BENCH_floor.json"))
-bench = json.load(open("/tmp/bench_quick_ci.json"))
-match = [
-    p for p in bench["points"]
-    if p["system"] == "FreewayML"
-    and p["model"] == floor["model"]
-    and p["batch_size"] == floor["batch_size"]
-    and p["threads"] == floor["threads"]
-]
-assert match, f"quick bench emitted no point matching the floor spec {floor}"
-got = match[0]["items_per_sec"]
-need = floor["min_items_per_sec"]
-assert got >= need, f"FreewayML throughput regressed: {got:,.0f} items/s < floor {need:,.0f}"
-assert bench["kernel_microbench"], "quick bench carries no kernel microbench section"
-print(f"throughput gate: FreewayML {got:,.0f} items/s >= floor {need:,.0f}")
-PY
-rm -f /tmp/bench_quick_ci.json
-
-echo "== sharded runtime gate (routing, crash isolation, shard scaling) =="
-# The keyed shard drill asserts a worker panic on one shard restarts
-# only that shard (healthy-shard transcript and registry byte-equal to
-# a fault-free run); the sharded drill example re-writes its
-# deterministic artifact and the diff asserts byte-stability; the quick
-# shard sweep drives 1024 interleaved keyed streams through 1 and 2
-# shards and gates the scaling ratio — only on hosts with >= 2 cores,
-# since shard workers cannot scale past the physical core budget.
-cargo test -q --release -p freeway-chaos --test keyed_shard
-cargo run --release --example sharded_drill > /dev/null
-cp results/SHARDED_drill.json /tmp/sharded_drill_ci.json
-cargo run --release --example sharded_drill > /dev/null
-diff /tmp/sharded_drill_ci.json results/SHARDED_drill.json
-rm -f /tmp/sharded_drill_ci.json
-./target/release/bench_throughput --quick --shards 1,2 --keys 1024 \
-    | tail -n 1 > /tmp/shard_quick_ci.json
-python3 - <<'PY'
-import json, os
-bench = json.load(open("/tmp/shard_quick_ci.json"))
-points = {p["shards"]: p for p in bench["shard_scaling"]}
-assert 1 in points and 2 in points, f"shard sweep missing counts: {sorted(points)}"
-for p in points.values():
-    assert p["keys"] >= 1024, f"sweep ran {p['keys']} keyed streams, need >= 1024"
-    assert p["items_per_sec"] > 0, f"non-positive throughput at {p['shards']} shard(s)"
-ratio = points[2]["items_per_sec"] / points[1]["items_per_sec"]
-cores = os.cpu_count() or 1
-if cores >= 2:
-    assert ratio >= 1.6, (
-        f"2-shard scaling regressed: {ratio:.2f}x over 1 shard "
-        f"(need >= 1.6x on this {cores}-core host)"
-    )
-    print(f"sharded gate: 2 shards = {ratio:.2f}x of 1 shard on {cores} cores")
-else:
-    print(
-        f"sharded gate: scaling ratio {ratio:.2f}x recorded, 1.6x assertion "
-        f"skipped (single-core host cannot scale shard workers)"
-    )
-PY
-rm -f /tmp/shard_quick_ci.json
-echo "sharded gate: crash isolation green, drill artifact byte-stable"
-
 echo "== journal gate (durable ingest + effectively-once replay) =="
 # The torn-write proptest cuts a journal at every byte of its tail frame
 # and asserts recovery is always the framed prefix; the journaled crash
@@ -271,5 +202,74 @@ cargo clippy --workspace --all-targets -- -W clippy::redundant_clone -D warnings
 
 echo "== cargo fmt --check =="
 cargo fmt --all --check
+
+echo "== throughput regression gate (single-core kernel floor) =="
+# bench_throughput --quick sweeps StreamingLR at batch 256 over pools
+# [1, 2] and emits one machine-readable JSON line; the gate fails when
+# the serial FreewayML point drops below the checked-in floor. The floor
+# (results/BENCH_floor.json) is set well under the measured steady state
+# so host noise passes but losing the kernel/pool optimisations does not.
+cargo build --release -q -p freeway-eval --features alloc-metrics
+./target/release/bench_throughput --quick | tail -n 1 > /tmp/bench_quick_ci.json
+python3 - <<'PY'
+import json
+floor = json.load(open("results/BENCH_floor.json"))
+bench = json.load(open("/tmp/bench_quick_ci.json"))
+match = [
+    p for p in bench["points"]
+    if p["system"] == "FreewayML"
+    and p["model"] == floor["model"]
+    and p["batch_size"] == floor["batch_size"]
+    and p["threads"] == floor["threads"]
+]
+assert match, f"quick bench emitted no point matching the floor spec {floor}"
+got = match[0]["items_per_sec"]
+need = floor["min_items_per_sec"]
+assert got >= need, f"FreewayML throughput regressed: {got:,.0f} items/s < floor {need:,.0f}"
+assert bench["kernel_microbench"], "quick bench carries no kernel microbench section"
+print(f"throughput gate: FreewayML {got:,.0f} items/s >= floor {need:,.0f}")
+PY
+rm -f /tmp/bench_quick_ci.json
+
+echo "== sharded runtime gate (routing, crash isolation, shard scaling) =="
+# The keyed shard drill asserts a worker panic on one shard restarts
+# only that shard (healthy-shard transcript and registry byte-equal to
+# a fault-free run); the sharded drill example re-writes its
+# deterministic artifact and the diff asserts byte-stability; the quick
+# shard sweep drives 1024 interleaved keyed streams through 1 and 2
+# shards and gates the scaling ratio — only on hosts with >= 2 cores,
+# since shard workers cannot scale past the physical core budget.
+cargo test -q --release -p freeway-chaos --test keyed_shard
+cargo run --release --example sharded_drill > /dev/null
+cp results/SHARDED_drill.json /tmp/sharded_drill_ci.json
+cargo run --release --example sharded_drill > /dev/null
+diff /tmp/sharded_drill_ci.json results/SHARDED_drill.json
+rm -f /tmp/sharded_drill_ci.json
+./target/release/bench_throughput --quick --shards 1,2 --keys 1024 \
+    | tail -n 1 > /tmp/shard_quick_ci.json
+python3 - <<'PY'
+import json, os
+bench = json.load(open("/tmp/shard_quick_ci.json"))
+points = {p["shards"]: p for p in bench["shard_scaling"]}
+assert 1 in points and 2 in points, f"shard sweep missing counts: {sorted(points)}"
+for p in points.values():
+    assert p["keys"] >= 1024, f"sweep ran {p['keys']} keyed streams, need >= 1024"
+    assert p["items_per_sec"] > 0, f"non-positive throughput at {p['shards']} shard(s)"
+ratio = points[2]["items_per_sec"] / points[1]["items_per_sec"]
+cores = os.cpu_count() or 1
+if cores >= 2:
+    assert ratio >= 1.6, (
+        f"2-shard scaling regressed: {ratio:.2f}x over 1 shard "
+        f"(need >= 1.6x on this {cores}-core host)"
+    )
+    print(f"sharded gate: 2 shards = {ratio:.2f}x of 1 shard on {cores} cores")
+else:
+    print(
+        f"sharded gate: scaling ratio {ratio:.2f}x recorded, 1.6x assertion "
+        f"skipped (single-core host cannot scale shard workers)"
+    )
+PY
+rm -f /tmp/shard_quick_ci.json
+echo "sharded gate: crash isolation green, drill artifact byte-stable"
 
 echo "ci.sh: all green"

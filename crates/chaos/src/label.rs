@@ -92,11 +92,6 @@ impl LabelSchedule {
         Self { delay_batches: k, burst_period: period, ..Self::full() }
     }
 
-    /// Whether this schedule changes nothing (labels flow inline).
-    pub fn is_pass_through(&self) -> bool {
-        self.delay_batches == 0 && self.keep_probability >= 1.0 && self.burst_period <= 1
-    }
-
     /// Validates the schedule, naming the offending field.
     ///
     /// # Errors

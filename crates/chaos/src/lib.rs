@@ -206,11 +206,6 @@ impl<G: StreamGenerator> ChaosStream<G> {
         self.log.iter().filter(|r| r.expect_quarantine && r.emit_index < emitted).count()
     }
 
-    /// Unwraps the inner stream, discarding the fault schedule.
-    pub fn into_inner(self) -> G {
-        self.inner
-    }
-
     fn record(&mut self, emit_index: usize, seq: u64, kind: FaultKind, expect_quarantine: bool) {
         self.log.push(FaultRecord { emit_index, seq, kind, expect_quarantine });
     }

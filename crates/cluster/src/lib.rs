@@ -12,8 +12,6 @@
 
 pub mod cec;
 pub mod kmeans;
-pub mod streaming_kmeans;
 
 pub use cec::{CoherentExperience, ExperienceBuffer};
 pub use kmeans::{KMeans, KMeansResult};
-pub use streaming_kmeans::StreamingKMeans;

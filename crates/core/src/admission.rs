@@ -374,7 +374,15 @@ impl AdmittedPipeline {
                 Err(batch) => batch,
             }
         } else {
-            batch
+            // Judge poison now: once backlogged, the batch meets the
+            // guard in drain_backlog, where no caller hears the verdict.
+            match self.inner.screen(batch) {
+                Ok(batch) => batch,
+                Err(fault) => {
+                    self.stats.quarantined += 1;
+                    return Ok(AdmissionOutcome::Quarantined(fault));
+                }
+            }
         };
         match self.config.policy {
             AdmissionPolicy::Block => {

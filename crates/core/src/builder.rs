@@ -127,14 +127,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Sets the dead-letter buffer size
-    /// ([`SupervisorConfig::quarantine_capacity`]).
-    #[must_use]
-    pub fn with_quarantine_capacity(mut self, capacity: usize) -> Self {
-        self.supervisor.quarantine_capacity = capacity;
-        self
-    }
-
     /// Sets the worker restart budget
     /// ([`SupervisorConfig::max_restarts`]).
     #[must_use]

@@ -106,7 +106,7 @@ pub struct FreewayConfig {
     pub pca_components: usize,
     /// Shift-history length k (Equations 8–9).
     pub shift_history: usize,
-    /// Recency decay of shift-history weights.
+    /// Recency decay of shift-history weights, in `[0, 1]`.
     pub shift_recency_decay: f64,
     /// Remembered historical distributions for `d_h`.
     pub distribution_memory: usize,
@@ -233,20 +233,6 @@ impl Default for FreewayConfig {
     }
 }
 
-/// Generates consuming `with_*` setters, one per configuration field.
-macro_rules! with_setters {
-    ($($(#[$meta:meta])* $setter:ident => $field:ident : $ty:ty),* $(,)?) => {
-        $(
-            $(#[$meta])*
-            #[must_use]
-            pub fn $setter(mut self, value: $ty) -> Self {
-                self.$field = value;
-                self
-            }
-        )*
-    };
-}
-
 impl FreewayConfig {
     /// Validates internal consistency without panicking.
     ///
@@ -268,6 +254,7 @@ impl FreewayConfig {
         ensure(self.alpha > 0.0, "alpha must be positive")?;
         ensure((0.0..=1.0).contains(&self.beta), "beta must be in [0, 1]")?;
         ensure(self.ensemble_sigma > 0.0, "ensemble_sigma must be positive")?;
+        ensure((0.0..=1.0).contains(&self.cec_min_purity), "cec_min_purity must be in [0, 1]")?;
         ensure(self.asw_max_batches >= 1, "asw_max_batches must be at least 1")?;
         ensure(self.asw_max_items > 0, "asw_max_items must be positive")?;
         ensure((0.0..1.0).contains(&self.asw_base_decay), "asw_base_decay must be in [0, 1)")?;
@@ -276,6 +263,10 @@ impl FreewayConfig {
         ensure(self.pca_warmup_rows >= 2, "pca_warmup_rows must be at least 2")?;
         ensure(self.pca_components >= 1, "pca_components must be at least 1")?;
         ensure(self.shift_history >= 2, "shift_history must be at least 2")?;
+        ensure(
+            (0.0..=1.0).contains(&self.shift_recency_decay),
+            "shift_recency_decay must be in [0, 1]",
+        )?;
         ensure(self.precompute_subsets >= 1, "precompute_subsets must be at least 1")?;
         ensure(self.asw_update_epochs >= 1, "asw_update_epochs must be at least 1")?;
         ensure(
@@ -298,79 +289,6 @@ impl FreewayConfig {
     /// The CEC experience capacity in points.
     pub fn experience_points(&self) -> usize {
         (self.exp_buffer * self.mini_batch).min(self.exp_point_cap).max(1)
-    }
-
-    with_setters! {
-        /// Sets [`Self::model_num`].
-        with_model_num => model_num: usize,
-        /// Sets [`Self::mini_batch`].
-        with_mini_batch => mini_batch: usize,
-        /// Sets [`Self::kdg_buffer`].
-        with_kdg_buffer => kdg_buffer: usize,
-        /// Sets [`Self::exp_buffer`].
-        with_exp_buffer => exp_buffer: usize,
-        /// Sets [`Self::exp_point_cap`].
-        with_exp_point_cap => exp_point_cap: usize,
-        /// Sets [`Self::alpha`].
-        with_alpha => alpha: f64,
-        /// Sets [`Self::beta`].
-        with_beta => beta: f64,
-        /// Sets [`Self::ensemble_sigma`].
-        with_ensemble_sigma => ensemble_sigma: f64,
-        /// Sets [`Self::cec_cluster_multiplier`].
-        with_cec_cluster_multiplier => cec_cluster_multiplier: usize,
-        /// Sets [`Self::cec_min_purity`].
-        with_cec_min_purity => cec_min_purity: f64,
-        /// Sets [`Self::kdg_dedup_scale`].
-        with_kdg_dedup_scale => kdg_dedup_scale: f64,
-        /// Sets [`Self::asw_max_batches`].
-        with_asw_max_batches => asw_max_batches: usize,
-        /// Sets [`Self::asw_max_items`].
-        with_asw_max_items => asw_max_items: usize,
-        /// Sets [`Self::asw_base_decay`].
-        with_asw_base_decay => asw_base_decay: f64,
-        /// Sets [`Self::asw_rank_decay`].
-        with_asw_rank_decay => asw_rank_decay: f64,
-        /// Sets [`Self::asw_disorder_boost`].
-        with_asw_disorder_boost => asw_disorder_boost: f64,
-        /// Sets [`Self::asw_min_weight`].
-        with_asw_min_weight => asw_min_weight: f64,
-        /// Sets [`Self::learning_rate`].
-        with_learning_rate => learning_rate: f64,
-        /// Sets [`Self::optimizer`].
-        with_optimizer => optimizer: OptimizerKind,
-        /// Sets [`Self::pca_warmup_rows`].
-        with_pca_warmup_rows => pca_warmup_rows: usize,
-        /// Sets [`Self::pca_components`].
-        with_pca_components => pca_components: usize,
-        /// Sets [`Self::shift_history`].
-        with_shift_history => shift_history: usize,
-        /// Sets [`Self::shift_recency_decay`].
-        with_shift_recency_decay => shift_recency_decay: f64,
-        /// Sets [`Self::distribution_memory`].
-        with_distribution_memory => distribution_memory: usize,
-        /// Sets [`Self::precompute_subsets`].
-        with_precompute_subsets => precompute_subsets: usize,
-        /// Sets [`Self::asw_update_epochs`].
-        with_asw_update_epochs => asw_update_epochs: usize,
-        /// Sets [`Self::seed`].
-        with_seed => seed: u64,
-        /// Sets [`Self::num_threads`].
-        with_num_threads => num_threads: usize,
-        /// Sets [`Self::parallel_inference`].
-        with_parallel_inference => parallel_inference: bool,
-        /// Sets [`Self::parallel_gradient`].
-        with_parallel_gradient => parallel_gradient: bool,
-        /// Sets [`Self::async_long_updates`].
-        with_async_long_updates => async_long_updates: bool,
-        /// Sets [`Self::enable_cec`].
-        with_enable_cec => enable_cec: bool,
-        /// Sets [`Self::enable_knowledge`].
-        with_enable_knowledge => enable_knowledge: bool,
-        /// Sets [`Self::enable_pseudo_labels`].
-        with_enable_pseudo_labels => enable_pseudo_labels: bool,
-        /// Sets [`Self::pseudo_label_min_purity`].
-        with_pseudo_label_min_purity => pseudo_label_min_purity: f64,
     }
 }
 
@@ -398,21 +316,29 @@ mod tests {
     }
 
     #[test]
-    fn with_setters_update_fields_and_check_reports_errors() {
-        let c = FreewayConfig::default()
-            .with_alpha(2.5)
-            .with_mini_batch(256)
-            .with_seed(7)
-            .with_enable_cec(false);
-        assert!((c.alpha - 2.5).abs() < 1e-12);
-        assert_eq!(c.mini_batch, 256);
-        assert_eq!(c.seed, 7);
-        assert!(!c.enable_cec);
+    fn check_reports_errors_naming_the_field() {
+        let c = FreewayConfig {
+            alpha: 2.5,
+            mini_batch: 256,
+            seed: 7,
+            enable_cec: false,
+            ..Default::default()
+        };
         assert!(c.check().is_ok());
 
-        let err = FreewayConfig::default().with_learning_rate(0.0).check();
-        assert!(err.is_err());
-        assert!(err.unwrap_err().contains("learning_rate"));
+        // Each bad value must be rejected here rather than trip an
+        // assertion once a learner is built or fed.
+        for (bad, field) in [
+            (FreewayConfig { learning_rate: 0.0, ..Default::default() }, "learning_rate"),
+            (
+                FreewayConfig { shift_recency_decay: -1.0, ..Default::default() },
+                "shift_recency_decay",
+            ),
+            (FreewayConfig { cec_min_purity: 2.0, ..Default::default() }, "cec_min_purity"),
+        ] {
+            let err = bad.check().expect_err(field);
+            assert!(err.contains(field), "{err}");
+        }
     }
 
     #[test]

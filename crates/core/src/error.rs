@@ -39,7 +39,8 @@ pub enum FreewayError {
     },
     /// A batch failed ingestion validation. The supervised pipeline
     /// quarantines instead of returning this; it surfaces only from
-    /// explicit validation calls.
+    /// explicit validation calls and from startup recovery over a
+    /// journal whose records this pipeline's model cannot take.
     PoisonBatch {
         /// Sequence number of the offending batch.
         seq: u64,

@@ -199,14 +199,6 @@ impl MultiGranularity {
         self.levels[0].trainer.model()
     }
 
-    /// Mutable short model (knowledge restore writes here).
-    pub fn short_model_mut(&mut self) -> &mut dyn Model {
-        // The caller may mutate the model, so the probe cache's
-        // "unchanged since predict" premise no longer holds.
-        self.levels[0].invalidate_probe();
-        self.levels[0].trainer.model_mut()
-    }
-
     /// The slowest (longest-granularity) model, or the short model when
     /// `model_num == 1`.
     pub fn long_model(&self) -> &dyn Model {
@@ -221,12 +213,6 @@ impl MultiGranularity {
     /// is only preserved once.
     pub fn take_completed_disorder(&mut self) -> Option<f64> {
         self.last_completed_disorder.take()
-    }
-
-    /// Current disorder of the largest window (A1/A2 signal), zero when
-    /// no long level exists or the window is empty.
-    pub fn current_disorder(&self) -> f64 {
-        self.levels.last().and_then(|l| l.window.as_ref()).map_or(0.0, |w| w.disorder())
     }
 
     /// Reacts to a detected severe shift (§III Pattern B/C): window

@@ -92,14 +92,6 @@ impl InferenceReport {
         self.distance
     }
 
-    /// True when predictions were produced on a degraded (identity) PCA
-    /// projection. Mirrored on the event stream as
-    /// [`TelemetryEvent::InferenceDegraded`] so harnesses can assert on
-    /// degradation without reaching into report internals.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
-    }
-
     /// Overload service level in force when this batch was answered.
     pub fn degradation(&self) -> DegradationLevel {
         self.degradation
@@ -352,11 +344,6 @@ impl Learner {
     /// the registry, so replay must not repeat them.
     pub fn set_shared_publish_muted(&mut self, muted: bool) {
         self.shared_publish_muted = muted;
-    }
-
-    /// Training batches seen (the shared-registry ordering seq).
-    pub fn batches_trained(&self) -> u64 {
-        self.batches_trained
     }
 
     /// Projects a batch mean into shift-graph coordinates (zeros during

@@ -352,13 +352,6 @@ impl ServiceHandle {
         })
     }
 
-    /// The router-published pressure estimate in `[0, 100]` (worst-shard
-    /// occupancy folded with degradation level). This is the input to
-    /// every session's [`ServeError::Busy`] hint ([`busy_hint`]).
-    pub fn pressure_pct(&self) -> u64 {
-        self.shared.pressure_pct.load(Ordering::Relaxed)
-    }
-
     /// Chaos hook: makes one shard's worker panic on its next command,
     /// exercising the crash-restart (and, past the budget, fencing) path
     /// under live client traffic.

@@ -123,13 +123,6 @@ impl ShardedPipeline {
         self.shards.len()
     }
 
-    /// The shard `key` routes to when every shard is healthy (primary
-    /// placement; fencing-blind). See [`Self::route_for_key`] for the
-    /// fence-aware route.
-    pub fn shard_for_key(&self, key: u64) -> usize {
-        shard_for(key, self.shards.len())
-    }
-
     /// The shard `key` is served by under the current fence set
     /// ([`failover_shard`]).
     ///
@@ -427,11 +420,6 @@ impl ShardedPipeline {
     /// backlog peak is the max over shards — peaks do not add).
     pub fn stats(&self) -> AdmissionStats {
         aggregate_stats(self.shards.iter().map(AdmittedPipeline::stats))
-    }
-
-    /// Per-shard admission counters, indexed by shard.
-    pub fn per_shard_stats(&self) -> Vec<AdmissionStats> {
-        self.shards.iter().map(AdmittedPipeline::stats).collect()
     }
 
     /// Chaos hook: makes one shard's worker panic on its next command,

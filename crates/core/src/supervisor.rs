@@ -505,7 +505,9 @@ impl SupervisedPipeline {
     /// # Errors
     /// [`FreewayError::InvalidConfig`] when `config` fails
     /// [`SupervisorConfig::check`]; journal and checkpoint errors when a
-    /// journal left by a previous process cannot be recovered.
+    /// journal left by a previous process cannot be recovered;
+    /// [`FreewayError::PoisonBatch`] for the first journaled record the
+    /// learner's guard rejects (a journal written for another model).
     pub fn with_learner(learner: Learner, config: SupervisorConfig) -> Result<Self, FreewayError> {
         config.check().map_err(FreewayError::InvalidConfig)?;
         let guard = BatchGuard::new(GuardPolicy {
@@ -603,6 +605,15 @@ impl SupervisedPipeline {
                 None => recovered,
             }
         };
+        // Another process may have written the journal for a different
+        // model: refuse records this pipeline's guard rejects instead of
+        // replaying them into a panic. The guard has accepted nothing
+        // yet, so only content faults can fire on the ascending seqs.
+        for record in &records {
+            if let Err(fault) = self.guard.inspect(&record.to_batch()) {
+                return Err(FreewayError::PoisonBatch { seq: record.seq, fault });
+            }
+        }
         state.produced.extend(records.iter().map(|r| r.seq));
         // A genesis base has no floor; a loaded checkpoint's floor counts
         // when no record lies above it.
@@ -702,6 +713,16 @@ impl SupervisedPipeline {
         Ok(FeedOutcome::Accepted)
     }
 
+    /// Inspects `batch` without queueing it or advancing the seq
+    /// watermark: poison is quarantined and its fault returned, a clean
+    /// batch is handed back.
+    pub(crate) fn screen(&mut self, batch: Batch) -> Result<Batch, BatchFault> {
+        match self.guard.inspect(&batch) {
+            Ok(()) => Ok(batch),
+            Err(fault) => Err(self.quarantine_batch(batch, fault)),
+        }
+    }
+
     /// Counts, announces, and retains a batch the guard rejected; hands
     /// the fault back for the caller's outcome.
     fn quarantine_batch(&mut self, batch: Batch, fault: BatchFault) -> BatchFault {
@@ -755,9 +776,10 @@ impl SupervisedPipeline {
     ) -> Result<TryFeedOutcome, FreewayError> {
         // Inspect without advancing the watermark: a Full outcome must
         // leave the guard willing to see this seq again.
-        if let Err(fault) = self.guard.inspect(&batch) {
-            return Ok(TryFeedOutcome::Quarantined(self.quarantine_batch(batch, fault)));
-        }
+        let batch = match self.screen(batch) {
+            Ok(batch) => batch,
+            Err(fault) => return Ok(TryFeedOutcome::Quarantined(fault)),
+        };
         // Absorb whatever the worker already produced — freeing output
         // slots is what lets a busy worker drain its input queue.
         self.absorb_available()?;
@@ -1335,11 +1357,6 @@ impl SupervisedPipeline {
     /// The dead-letter buffer (counted, bounded).
     pub fn quarantine(&self) -> &Quarantine {
         &self.quarantine
-    }
-
-    /// The most recent checkpoint (the restart point).
-    pub fn last_checkpoint(&self) -> &Checkpoint {
-        &self.last_checkpoint
     }
 
     /// Stops the worker and returns the learner plus every unconsumed

@@ -3,11 +3,15 @@
 //! every possible prefix of its tail frame must recover every fully
 //! framed record, drop the torn tail cleanly, and leave the log
 //! appendable — no prefix may produce an error, a partial record, or a
-//! corrupted reopen.
+//! corrupted reopen. A journal written for a different model must be
+//! refused at startup with a typed error, never replayed into a panic.
 
 use freeway_core::journal::segment_path;
-use freeway_core::{frame_batch, Journal, JournalConfig, JournalRecord};
+use freeway_core::{
+    frame_batch, BatchFault, FreewayError, Journal, JournalConfig, JournalRecord, PipelineBuilder,
+};
 use freeway_linalg::Matrix;
+use freeway_ml::ModelSpec;
 use freeway_streams::{Batch, DriftPhase};
 use proptest::prelude::*;
 
@@ -113,6 +117,37 @@ fn corrupting_a_mid_log_byte_drops_that_frame_and_its_suffix() {
         bytes.len() - offsets[2],
         "the corrupt frame and its suffix are dropped"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn startup_recovery_refuses_a_journal_written_for_another_model() {
+    let dir = temp_dir("foreign-model");
+    let journal = JournalConfig::new(dir.join("ingest.wal"));
+    let build = |spec| PipelineBuilder::new(spec).journal(journal.clone()).build_supervised();
+    let mut first = build(ModelSpec::lr(4, 3)).expect("fresh journal");
+    for seq in 0..6u64 {
+        let data = (0..32).map(|i| (seq * 32 + i) as f64 * 0.01).collect();
+        let labels = (0..8).map(|r| r % 3).collect();
+        let batch = Batch::labeled(Matrix::from_vec(8, 4, data), labels, seq, DriftPhase::Stable);
+        first.feed_prequential(batch).expect("clean batch");
+    }
+    first.finish().expect("finish");
+
+    match build(ModelSpec::lr(8, 3)).err() {
+        Some(FreewayError::PoisonBatch {
+            seq: 0,
+            fault: BatchFault::WidthMismatch { found: 4, expected: 8 },
+        }) => {}
+        other => panic!("wider model: expected a width-mismatch poison error, got {other:?}"),
+    }
+    match build(ModelSpec::lr(4, 2)).err() {
+        Some(FreewayError::PoisonBatch {
+            seq: 0,
+            fault: BatchFault::LabelOutOfRange { row: 2, label: 2, classes: 2 },
+        }) => {}
+        other => panic!("fewer classes: expected a label-range poison error, got {other:?}"),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

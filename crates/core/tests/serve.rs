@@ -16,6 +16,8 @@
 //!   submissions above everything it recovered.
 //! * Bounded shutdown: a drain budget that runs out on a wedged shard
 //!   still delivers every answer the healthy shards computed.
+//! * Poison behind a backlog: a submission the guard rejects gets its
+//!   `Quarantined` verdict even when it arrives behind backlogged work.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -309,6 +311,48 @@ fn drain_timeout_still_delivers_what_healthy_shards_answered() {
             }
             assert_eq!(answered, 8, "round {round}: shard 1's answers were dropped");
         }
+    });
+}
+
+#[test]
+fn poison_behind_a_backlog_still_gets_its_verdict() {
+    within_budget(Duration::from_secs(30), || {
+        // Default admission (shedding-newest with a backlog) over a
+        // one-slot queue: while the worker stalls, the clean submissions
+        // fill the queue and the backlog, so the poison arrives behind
+        // backlogged work. The stall only has to outlast five submits.
+        let service = PipelineBuilder::new(ModelSpec::lr(DIM, CLASSES))
+            .with_config(config())
+            .with_queue_depth(1)
+            .build_service()
+            .expect("valid service");
+        let handle = service.handle();
+        let mut session = handle.open_session(4).expect("service running");
+        handle.inject_worker_stall(0, Duration::from_secs(1), false).expect("service running");
+        for batch in session_batches(12, 4, 4) {
+            session.submit_batch(batch, true).expect("admitted");
+        }
+        let mut poison = session_batches(13, 4, 1).remove(0);
+        poison.x.as_mut_slice()[0] = f64::NAN;
+        let poison_seq = session.submit_batch(poison, true).expect("admitted");
+
+        let report = service.shutdown().expect("clean shutdown");
+        let mut verdicts = HashMap::new();
+        while let Ok(out) = session.recv_output() {
+            let client_seq = out.client_seq;
+            assert!(verdicts.insert(client_seq, out.outcome).is_none(), "seq {client_seq} twice");
+        }
+        assert_eq!(verdicts.len(), 5, "verdicts only for {:?}", verdicts.keys());
+        assert_eq!(session.in_flight(), 0);
+        assert!(
+            matches!(verdicts[&poison_seq], SubmitOutcome::Quarantined("non-finite-feature")),
+            "{:?}",
+            verdicts[&poison_seq]
+        );
+        assert_eq!(report.stats.quarantined, 1, "{:?}", report.stats);
+        let admission = report.run.admission();
+        assert_eq!(admission.quarantined, 1, "{admission:?}");
+        assert!(admission.backlog_peak >= 1, "nothing was backlogged: {admission:?}");
     });
 }
 

@@ -11,28 +11,20 @@
 //!   measurements;
 //! * [`disorder`] — the inversion-count disorder of a distance ranking
 //!   (Equation 11), used by the adaptive streaming window;
-//! * [`adwin`] — the ADWIN drift detector, needed by the River baseline;
-//! * [`ddm`] — DDM/EDDM error-rate detectors (O(1) per sample);
-//! * [`kstest`] — two-sample KS detection on feature marginals, the
-//!   shape-sensitive complement to the mean-based shift graph.
+//! * [`adwin`] — the ADWIN drift detector, needed by the River and
+//!   bagging baselines.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
 pub mod adwin;
-pub mod ddm;
 pub mod disorder;
-pub mod kstest;
-pub mod page_hinkley;
 pub mod pattern;
 pub mod pca;
 pub mod shift;
 
 pub use adwin::Adwin;
-pub use ddm::{Ddm, DriftLevel, Eddm};
 pub use disorder::{inversion_count, normalized_disorder};
-pub use kstest::{ks_statistic, KsDetector};
-pub use page_hinkley::PageHinkley;
 pub use pattern::{classify, classify_and_emit, ShiftPattern};
 pub use pca::PcaReducer;
 pub use shift::{ShiftMeasurement, ShiftTracker, ShiftTrackerConfig};

@@ -139,11 +139,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its row-major buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Borrow of row `r` as a slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f64] {

@@ -5,8 +5,8 @@
 //! (in the appendix) a small Streaming CNN. This crate implements those
 //! models from scratch on top of [`freeway_linalg`], together with the
 //! optimizer family the baselines need (plain SGD, momentum, Adam for the
-//! non-linear models; FOBOS / RDA / FTRL for the Alink baseline) and the
-//! gradient plumbing FreewayML's optimizations rely on:
+//! non-linear models; FTRL for the Alink baseline) and the gradient
+//! plumbing FreewayML's optimizations rely on:
 //!
 //! * [`model::Model`] — the object-safe model trait. Gradients are exposed
 //!   as *flat* parameter-order vectors so that A-GEM projection, the
@@ -32,7 +32,6 @@ pub mod loss;
 pub mod mlp;
 pub mod model;
 pub mod optim;
-pub mod schedule;
 pub mod sharded;
 pub mod snapshot;
 pub mod spec;
@@ -46,8 +45,7 @@ pub use gradient::{
 pub use logistic::SoftmaxRegression;
 pub use mlp::Mlp;
 pub use model::Model;
-pub use optim::{Adam, Fobos, Ftrl, Momentum, Optimizer, Rda, Sgd};
-pub use schedule::{LrSchedule, Scheduled};
+pub use optim::{Adam, Ftrl, Momentum, Optimizer, Sgd};
 pub use sharded::ShardedTrainer;
 pub use snapshot::ModelSnapshot;
 pub use spec::ModelSpec;

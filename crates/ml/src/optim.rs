@@ -7,8 +7,9 @@
 //! gradient before the optimizer sees it, and FreewayML's pre-computing
 //! window feeds an accumulated gradient.
 //!
-//! FOBOS, RDA, and FTRL are included because the Alink baseline in the
-//! paper "integrates FOBOS and RDA with logistic regression".
+//! FTRL is included for the Alink baseline, whose regularised online
+//! updates the paper describes as "integrating FOBOS and RDA with
+//! logistic regression".
 
 /// Maps a gradient to a parameter delta, carrying any optimizer state.
 pub trait Optimizer: Send {
@@ -184,108 +185,6 @@ impl Optimizer for Adam {
     }
 }
 
-fn soft_threshold(x: f64, lambda: f64) -> f64 {
-    if x > lambda {
-        x - lambda
-    } else if x < -lambda {
-        x + lambda
-    } else {
-        0.0
-    }
-}
-
-/// FOBOS (forward-backward splitting) with L1 regularisation: a gradient
-/// step followed by soft-thresholding of the resulting parameters.
-#[derive(Clone, Debug)]
-pub struct Fobos {
-    /// Learning rate.
-    pub lr: f64,
-    /// L1 regularisation strength.
-    pub l1: f64,
-}
-
-impl Fobos {
-    /// Creates a FOBOS optimizer.
-    pub fn new(lr: f64, l1: f64) -> Self {
-        assert!(lr > 0.0 && l1 >= 0.0, "invalid FOBOS hyperparameters");
-        Self { lr, l1 }
-    }
-}
-
-impl Optimizer for Fobos {
-    fn step(&mut self, params: &[f64], grad: &[f64]) -> Vec<f64> {
-        assert_eq!(params.len(), grad.len(), "fobos length mismatch");
-        params
-            .iter()
-            .zip(grad)
-            .map(|(&p, &g)| {
-                let after_grad = p - self.lr * g;
-                soft_threshold(after_grad, self.lr * self.l1) - p
-            })
-            .collect()
-    }
-
-    fn reset(&mut self) {}
-
-    fn clone_optimizer(&self) -> Box<dyn Optimizer> {
-        Box::new(self.clone())
-    }
-}
-
-/// Regularised dual averaging (Xiao 2010) with L1: parameters are set from
-/// the running *average* gradient each step, which yields sparser and more
-/// stable solutions than FOBOS on streams.
-#[derive(Clone, Debug)]
-pub struct Rda {
-    /// Step-size scale (`gamma` in the RDA paper).
-    pub gamma: f64,
-    /// L1 regularisation strength.
-    pub l1: f64,
-    grad_sum: Vec<f64>,
-    t: u64,
-}
-
-impl Rda {
-    /// Creates an RDA optimizer.
-    pub fn new(gamma: f64, l1: f64) -> Self {
-        assert!(gamma > 0.0 && l1 >= 0.0, "invalid RDA hyperparameters");
-        Self { gamma, l1, grad_sum: Vec::new(), t: 0 }
-    }
-}
-
-impl Optimizer for Rda {
-    fn step(&mut self, params: &[f64], grad: &[f64]) -> Vec<f64> {
-        assert_eq!(params.len(), grad.len(), "rda length mismatch");
-        if self.grad_sum.len() != grad.len() {
-            self.grad_sum = vec![0.0; grad.len()];
-            self.t = 0;
-        }
-        self.t += 1;
-        let t = self.t as f64;
-        // l1-RDA closed form (Xiao 2010): w_{t+1,i} = -(sqrt(t)/gamma) *
-        // soft_threshold(avg_grad_i, l1).
-        params
-            .iter()
-            .zip(grad.iter().enumerate())
-            .map(|(&p, (i, &g))| {
-                self.grad_sum[i] += g;
-                let avg = self.grad_sum[i] / t;
-                let w = -(t.sqrt() / self.gamma) * soft_threshold(avg, self.l1);
-                w - p
-            })
-            .collect()
-    }
-
-    fn reset(&mut self) {
-        self.grad_sum.clear();
-        self.t = 0;
-    }
-
-    fn clone_optimizer(&self) -> Box<dyn Optimizer> {
-        Box::new(self.clone())
-    }
-}
-
 /// FTRL-proximal (McMahan et al. 2013), the per-coordinate adaptive
 /// algorithm used in production click-through systems; included as the
 /// "online-learning flavoured" optimizer for the Alink baseline.
@@ -377,26 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn fobos_without_l1_matches_sgd() {
-        let mut f = Fobos::new(0.1, 0.0);
-        let mut s = Sgd::new(0.1);
-        let params = vec![1.0, -2.0];
-        let grad = vec![0.5, 0.25];
-        for (a, b) in f.step(&params, &grad).iter().zip(s.step(&params, &grad)) {
-            assert!((a - b).abs() < 1e-12, "FOBOS with l1=0 must reduce to SGD");
-        }
-    }
-
-    #[test]
-    fn fobos_l1_shrinks_small_weights_to_zero() {
-        let mut f = Fobos::new(0.1, 1.0);
-        let params = vec![0.05];
-        let grad = vec![0.0];
-        let delta = f.step(&params, &grad);
-        assert!((params[0] + delta[0]).abs() < 1e-12, "small weight must be zeroed");
-    }
-
-    #[test]
     fn ftrl_produces_sparse_solutions() {
         let mut f = Ftrl::new(0.5, 1.0, 2.0, 0.0);
         let mut w = vec![0.0, 0.0];
@@ -410,18 +289,6 @@ mod tests {
         }
         assert!(w[0] > 1.0, "strong coordinate should move: {}", w[0]);
         assert_eq!(w[1], 0.0, "weak coordinate should stay at exactly zero");
-    }
-
-    #[test]
-    fn rda_with_zero_l1_tracks_negative_average_gradient() {
-        let mut r = Rda::new(1.0, 0.0);
-        let mut w = vec![0.0];
-        for _ in 0..50 {
-            let grad = vec![-1.0]; // constant pull upward
-            let delta = r.step(&w, &grad);
-            w[0] += delta[0];
-        }
-        assert!(w[0] > 0.0, "RDA must move against the average gradient");
     }
 
     #[test]

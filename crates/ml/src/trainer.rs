@@ -156,11 +156,6 @@ impl Trainer {
     pub fn model_mut(&mut self) -> &mut dyn Model {
         self.model.as_mut()
     }
-
-    /// Resets optimizer state (after a drift-triggered model reset).
-    pub fn reset_optimizer(&mut self) {
-        self.optimizer.reset();
-    }
 }
 
 impl Clone for Trainer {

@@ -81,20 +81,6 @@ impl SimulatedSource {
         Some(self.generator.next_batch(size))
     }
 
-    /// [`Self::try_take_batch`] drawing buffers from `pool`; the batch is
-    /// bit-identical to the allocating path.
-    pub fn try_take_batch_pooled(
-        &mut self,
-        size: usize,
-        pool: &mut crate::pool::BatchPool,
-    ) -> Option<Batch> {
-        if (self.pending as usize) < size {
-            return None;
-        }
-        self.pending -= size as f64;
-        Some(self.generator.next_batch_pooled(size, pool))
-    }
-
     /// Advances exactly enough virtual time to release one batch of
     /// `size`, then takes it. Returns the batch and the simulated seconds
     /// that elapsed.
