@@ -404,20 +404,8 @@ pub fn simulate_overload(
             } else if queue.len() >= config.queue_capacity
                 && !matches!(config.policy, AdmissionPolicy::Block)
             {
-                match config.policy {
-                    AdmissionPolicy::SheddingOldest => {
-                        queue.pop_front();
-                        *report.shed_by_reason.entry(ShedReason::QueueFull.tag()).or_insert(0) += 1;
-                        queue.push_back(batch);
-                        report.admitted += 1;
-                    }
-                    _ => {
-                        // SheddingNewest and Deadline both drop the
-                        // arrival in virtual time (a full queue never
-                        // clears within one instant).
-                        *report.shed_by_reason.entry(ShedReason::QueueFull.tag()).or_insert(0) += 1;
-                    }
-                }
+                // Shedding-newest drops the arrival.
+                *report.shed_by_reason.entry(ShedReason::QueueFull.tag()).or_insert(0) += 1;
             } else {
                 queue.push_back(batch);
                 report.admitted += 1;

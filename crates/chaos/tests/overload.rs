@@ -42,7 +42,6 @@ fn drill_config(schedule: BurstSchedule, train_delay: Duration) -> OverloadConfi
             backlog_capacity: 4,
             shed_capacity: 32,
             ladder: Some(LadderConfig::default()),
-            stage_budget: None,
         },
         supervisor: SupervisorConfig { queue_depth: 4, ..Default::default() },
         schedule,

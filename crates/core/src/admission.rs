@@ -8,15 +8,14 @@
 //! gives it governed options instead:
 //!
 //! * **policy** ([`AdmissionPolicy`]) decides what happens when the
-//!   worker queue is full — block, shed the newest batch, shed the
-//!   oldest backlogged batch, or spend a bounded latency budget first;
+//!   worker queue is full — block, or backlog and then shed the newest
+//!   batch;
 //! * **shed batches** land in a counted, bounded [`ShedBuffer`]
 //!   (mirroring the poison quarantine), each announced as
 //!   [`TelemetryEvent::BatchShed`];
-//! * a [`DegradationLadder`] watches queue pressure (and, optionally,
-//!   measured train-stage cost) and steps the learner's service level
-//!   down before shedding becomes the only option, then back up —
-//!   with hysteresis — once the load clears.
+//! * a [`DegradationLadder`] watches queue pressure and steps the
+//!   learner's service level down before shedding becomes the only
+//!   option, then back up — with hysteresis — once the load clears.
 //!
 //! The controller is a wrapper, not a mode: pipelines built without it
 //! are byte-for-byte the code that ran before, so admission control is
@@ -28,9 +27,8 @@ use crate::learner::Learner;
 use crate::pipeline::PipelineOutput;
 use crate::supervisor::{FinishedRun, SupervisedPipeline, TryFeedOutcome};
 use freeway_streams::Batch;
-use freeway_telemetry::{Telemetry, TelemetryEvent, DURATION_SECONDS_BOUNDS};
+use freeway_telemetry::{Telemetry, TelemetryEvent};
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
 
 /// What to do with a batch when the worker queue is full.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,17 +40,6 @@ pub enum AdmissionPolicy {
     /// Keep a bounded backlog; once it is full, drop the *incoming*
     /// batch. Preserves the oldest waiting work (FIFO fairness).
     SheddingNewest,
-    /// Keep a bounded backlog; once it is full, drop the *oldest*
-    /// backlogged batch to make room for the incoming one. Preserves
-    /// recency — the right trade for drift tracking, where the newest
-    /// data describes the current distribution.
-    SheddingOldest,
-    /// Retry for up to `budget`, then drop the incoming batch. Bounds
-    /// producer latency explicitly.
-    Deadline {
-        /// Maximum time one feed call may spend waiting for queue space.
-        budget: Duration,
-    },
 }
 
 impl AdmissionPolicy {
@@ -61,8 +48,6 @@ impl AdmissionPolicy {
         match self {
             Self::Block => "block",
             Self::SheddingNewest => "shedding-newest",
-            Self::SheddingOldest => "shedding-oldest",
-            Self::Deadline { .. } => "deadline",
         }
     }
 }
@@ -73,8 +58,6 @@ impl AdmissionPolicy {
 pub enum ShedReason {
     /// Worker queue and backlog were both full.
     QueueFull,
-    /// The [`AdmissionPolicy::Deadline`] budget expired.
-    DeadlineExceeded,
     /// The degradation ladder reached [`DegradationLevel::Shed`].
     Degraded,
     /// The shard owning this pipeline exhausted its restart budget and
@@ -88,7 +71,6 @@ impl ShedReason {
     pub fn tag(self) -> &'static str {
         match self {
             Self::QueueFull => "queue-full",
-            Self::DeadlineExceeded => "deadline-exceeded",
             Self::Degraded => "degraded",
             Self::Fenced => "fenced",
         }
@@ -162,7 +144,7 @@ pub struct AdmissionConfig {
     /// What to do when the worker queue is full.
     pub policy: AdmissionPolicy,
     /// Batches held caller-side while the worker queue is full (not used
-    /// by [`AdmissionPolicy::Block`] / [`AdmissionPolicy::Deadline`]).
+    /// by [`AdmissionPolicy::Block`]).
     pub backlog_capacity: usize,
     /// How many shed batches the [`ShedBuffer`] retains (all are counted
     /// regardless).
@@ -170,11 +152,6 @@ pub struct AdmissionConfig {
     /// Degradation ladder; `None` disables graceful degradation (the
     /// policy alone governs overload).
     pub ladder: Option<LadderConfig>,
-    /// When set, measured mean train-stage cost per batch is normalized
-    /// against this budget and folded into the ladder's pressure signal
-    /// (`max` with queue occupancy), so a slow stage degrades service
-    /// even while the queue still has room.
-    pub stage_budget: Option<Duration>,
 }
 
 impl Default for AdmissionConfig {
@@ -184,7 +161,6 @@ impl Default for AdmissionConfig {
             backlog_capacity: 32,
             shed_capacity: 64,
             ladder: Some(LadderConfig::default()),
-            stage_budget: None,
         }
     }
 }
@@ -196,14 +172,7 @@ impl AdmissionConfig {
     /// A message naming the offending field, in the builder's
     /// `InvalidConfig` style.
     pub fn check(&self) -> Result<(), String> {
-        if let AdmissionPolicy::Deadline { budget } = self.policy {
-            if budget.is_zero() {
-                return Err("admission deadline budget must be positive".to_owned());
-            }
-        }
-        if matches!(self.policy, AdmissionPolicy::SheddingNewest | AdmissionPolicy::SheddingOldest)
-            && self.backlog_capacity == 0
-        {
+        if self.policy == AdmissionPolicy::SheddingNewest && self.backlog_capacity == 0 {
             return Err(format!(
                 "admission policy {} needs a positive backlog capacity",
                 self.policy.tag()
@@ -211,11 +180,6 @@ impl AdmissionConfig {
         }
         if self.shed_capacity == 0 {
             return Err("admission shed capacity must be positive".to_owned());
-        }
-        if let Some(stage_budget) = self.stage_budget {
-            if stage_budget.is_zero() {
-                return Err("admission stage budget must be positive".to_owned());
-            }
         }
         if let Some(ladder) = &self.ladder {
             ladder.check()?;
@@ -270,11 +234,6 @@ pub struct AdmittedPipeline {
     handle: DegradationHandle,
     stats: AdmissionStats,
     telemetry: Telemetry,
-    /// Train-stage histogram shared with the worker's `StageSpan`s, plus
-    /// the (sum, count) watermark of the previous pressure reading —
-    /// the delta gives mean seconds per batch over the recent window.
-    train_stage: freeway_telemetry::Histogram,
-    stage_watermark: (f64, u64),
     /// Raised by [`Self::fence`] after the shard's restart budget
     /// exhausted: every subsequent offer is shed with
     /// [`ShedReason::Fenced`] instead of touching the dead worker.
@@ -299,8 +258,6 @@ impl AdmittedPipeline {
         let telemetry = inner.telemetry().clone();
         let ladder =
             config.ladder.map(|lc| DegradationLadder::new(lc, handle.clone(), telemetry.clone()));
-        let train_stage =
-            telemetry.histogram("freeway_stage_train_seconds", DURATION_SECONDS_BOUNDS);
         let shed = ShedBuffer::new(config.shed_capacity);
         Ok(Self {
             inner,
@@ -311,8 +268,6 @@ impl AdmittedPipeline {
             handle,
             stats: AdmissionStats::default(),
             telemetry,
-            train_stage,
-            stage_watermark: (0.0, 0),
             fenced: false,
         })
     }
@@ -365,9 +320,8 @@ impl AdmittedPipeline {
     ) -> Result<AdmissionOutcome, FreewayError> {
         // A non-empty backlog means older batches are still waiting; the
         // incoming one must not jump the queue (the guard would see its
-        // seq regress when the backlog drains). Only the shedding
-        // policies ever backlog, so Block/Deadline always take the direct
-        // path.
+        // seq regress when the backlog drains). Only shedding-newest
+        // ever backlogs, so Block always takes the direct path.
         let full = if self.backlog.is_empty() {
             match self.try_inner(batch, prequential)? {
                 Ok(outcome) => return Ok(outcome),
@@ -412,30 +366,6 @@ impl AdmittedPipeline {
                 } else {
                     self.shed_batch(full, ShedReason::QueueFull);
                     Ok(AdmissionOutcome::Shed(ShedReason::QueueFull))
-                }
-            }
-            AdmissionPolicy::SheddingOldest => {
-                if self.backlog.len() >= self.config.backlog_capacity {
-                    if let Some((oldest, _)) = self.backlog.pop_front() {
-                        self.shed_batch(oldest, ShedReason::QueueFull);
-                    }
-                }
-                self.push_backlog(full, prequential);
-                Ok(AdmissionOutcome::Backlogged)
-            }
-            AdmissionPolicy::Deadline { budget } => {
-                let deadline = Instant::now() + budget;
-                let mut batch = full;
-                loop {
-                    if Instant::now() >= deadline {
-                        self.shed_batch(batch, ShedReason::DeadlineExceeded);
-                        return Ok(AdmissionOutcome::Shed(ShedReason::DeadlineExceeded));
-                    }
-                    std::thread::sleep(Duration::from_micros(100));
-                    match self.try_inner(batch, prequential)? {
-                        Ok(outcome) => return Ok(outcome),
-                        Err(returned) => batch = returned,
-                    }
                 }
             }
         }
@@ -492,29 +422,16 @@ impl AdmittedPipeline {
         self.shed.push(batch, reason);
     }
 
-    /// Feeds the ladder one pressure observation. Pressure is normalized
-    /// occupancy of queue + backlog; when a stage budget is configured,
-    /// the mean train-stage cost per batch since the last observation is
-    /// normalized against it and the *worse* of the two signals drives
-    /// the ladder.
+    /// Feeds the ladder one pressure observation: normalized occupancy of
+    /// queue + backlog.
     fn observe_pressure(&mut self, seq: u64) {
         let Some(ladder) = self.ladder.as_mut() else { return };
         let capacity = self.inner.queue_depth() + self.config.backlog_capacity;
-        let mut pressure = if capacity == 0 {
+        let pressure = if capacity == 0 {
             0.0
         } else {
             (self.inner.in_flight() + self.backlog.len()) as f64 / capacity as f64
         };
-        if let Some(stage_budget) = self.config.stage_budget {
-            let sum = self.train_stage.sum();
-            let count = self.train_stage.count();
-            let (prev_sum, prev_count) = self.stage_watermark;
-            if count > prev_count {
-                let mean = (sum - prev_sum) / (count - prev_count) as f64;
-                pressure = pressure.max(mean / stage_budget.as_secs_f64());
-                self.stage_watermark = (sum, count);
-            }
-        }
         let before = ladder.level();
         let after = ladder.observe(seq, pressure);
         if before != after {
@@ -668,6 +585,7 @@ mod tests {
     use freeway_ml::ModelSpec;
     use freeway_streams::concept::{stream_rng, GmmConcept};
     use freeway_streams::DriftPhase;
+    use std::time::Duration;
 
     fn build(policy: AdmissionPolicy, queue_depth: usize, backlog: usize) -> AdmittedPipeline {
         PipelineBuilder::new(ModelSpec::lr(4, 2))
@@ -682,7 +600,6 @@ mod tests {
                 backlog_capacity: backlog,
                 shed_capacity: 8,
                 ladder: None,
-                stage_budget: None,
             })
             .build_admitted()
             .expect("valid admission build")
@@ -701,11 +618,6 @@ mod tests {
 
     #[test]
     fn config_validation_names_the_field() {
-        let bad = AdmissionConfig {
-            policy: AdmissionPolicy::Deadline { budget: Duration::ZERO },
-            ..Default::default()
-        };
-        assert!(bad.check().unwrap_err().contains("deadline"));
         let bad = AdmissionConfig { backlog_capacity: 0, ..Default::default() };
         assert!(bad.check().unwrap_err().contains("backlog"));
         let bad = AdmissionConfig { shed_capacity: 0, ..Default::default() };
@@ -754,54 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn shedding_oldest_keeps_the_newest_work() {
-        let mut p = build(AdmissionPolicy::SheddingOldest, 1, 2);
-        p.supervisor().set_chaos_train_delay(Duration::from_millis(25));
-        let all = batches(30, 33);
-        let last_seq = all.last().map(|b| b.seq).unwrap_or(0);
-        for b in all {
-            let outcome = p.feed_prequential(b).expect("healthy");
-            assert!(
-                !matches!(outcome, AdmissionOutcome::Shed(_)) || p.shed().total() > 0,
-                "shedding-oldest sheds from the backlog, not the offer"
-            );
-        }
-        p.supervisor().set_chaos_train_delay(Duration::ZERO);
-        let run = p.finish().expect("finish");
-        assert!(run.shed.total() > 0, "overload must shed");
-        // The newest offered batch is never the victim under
-        // SheddingOldest: it always enters the backlog and is flushed at
-        // finish.
-        assert!(run.shed.entries().all(|s| s.batch.seq != last_seq));
-        assert_eq!(run.admission.offered, 30);
-        assert_eq!(run.admission.admitted + run.admission.shed, 30);
-    }
-
-    #[test]
-    fn deadline_policy_bounds_producer_latency() {
-        let mut p = build(AdmissionPolicy::Deadline { budget: Duration::from_millis(5) }, 1, 0);
-        p.supervisor().set_chaos_train_delay(Duration::from_millis(40));
-        let mut shed = 0u64;
-        let mut worst = Duration::ZERO;
-        for b in batches(12, 34) {
-            let start = Instant::now();
-            if let AdmissionOutcome::Shed(reason) = p.feed_prequential(b).expect("healthy") {
-                assert_eq!(reason, ShedReason::DeadlineExceeded);
-                shed += 1;
-            }
-            worst = worst.max(start.elapsed());
-        }
-        assert!(shed > 0, "a 40ms worker must blow a 5ms budget");
-        assert!(
-            worst < Duration::from_millis(250),
-            "producer latency must stay near the budget, got {worst:?}"
-        );
-        p.supervisor().set_chaos_train_delay(Duration::ZERO);
-        let run = p.finish().expect("finish");
-        assert_eq!(run.admission.offered, 12);
-    }
-
-    #[test]
     fn ladder_degrades_under_load_and_recovers() {
         let mut p = PipelineBuilder::new(ModelSpec::lr(4, 2))
             .with_config(FreewayConfig {
@@ -820,7 +684,6 @@ mod tests {
                     dwell_down: 2,
                     dwell_up: 3,
                 }),
-                stage_budget: None,
             })
             .build_admitted()
             .expect("valid admission build");

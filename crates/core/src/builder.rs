@@ -198,8 +198,8 @@ impl PipelineBuilder {
     }
 
     /// Configures the multi-client serving facade for
-    /// [`Self::build_service`] (submit queue depth, retry pacing hint,
-    /// feed-order recording). The other build targets ignore this;
+    /// [`Self::build_service`] (shutdown drain budget, feed-order
+    /// recording). The other build targets ignore this;
     /// `build_service` without it uses [`ServiceConfig::default`].
     #[must_use]
     pub fn service(mut self, config: ServiceConfig) -> Self {

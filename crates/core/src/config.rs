@@ -121,10 +121,10 @@ pub struct FreewayConfig {
     /// Base RNG seed for model initialisation.
     pub seed: u64,
     /// Worker threads for the process-wide pool backing parallel
-    /// kernels, ensemble inference, sharded gradients, and async long
-    /// updates. `1` (the default) keeps everything serial; `0` means
-    /// "all available cores". The `FREEWAY_THREADS` environment
-    /// variable, when set, overrides this field.
+    /// kernels, ensemble inference, and sharded gradients. `1` (the
+    /// default) keeps everything serial; `0` means "all available
+    /// cores". The `FREEWAY_THREADS` environment variable, when set,
+    /// overrides this field.
     ///
     /// **Shard/thread budget policy.** The kernel pool is one per
     /// process, shared by every shard of a
@@ -148,22 +148,11 @@ pub struct FreewayConfig {
     /// override is resolved *before* the budget check, so an environment
     /// variable cannot sneak an oversubscribed split past the builder.
     pub num_threads: usize,
-    /// Evaluate ensemble voters concurrently on the worker pool when the
-    /// forward passes are large enough to amortise the dispatch. Results
-    /// are bit-identical to serial inference (per-voter arithmetic is
-    /// unchanged; blending runs in level order on the caller).
-    pub parallel_inference: bool,
     /// Compute mini-batch gradients data-parallel in fixed 256-row
     /// shards merged in shard order. Off by default: sharding changes
     /// numerics for batches above one shard (identically for every
     /// thread count).
     pub parallel_gradient: bool,
-    /// Run ASW window-completion long-model updates as background pool
-    /// jobs: the update trains a snapshot of the level while inference
-    /// and short-model training continue on the live model; the result
-    /// is swapped in at a later `train` call. Off by default — it makes
-    /// *when* a long update lands timing-dependent.
-    pub async_long_updates: bool,
     /// Mechanism toggle: coherent experience clustering on Pattern B.
     /// Disabling falls back to the ensemble (per-mechanism studies and
     /// ablations flip this).
@@ -222,9 +211,7 @@ impl Default for FreewayConfig {
             asw_update_epochs: 2,
             seed: 42,
             num_threads: 1,
-            parallel_inference: true,
             parallel_gradient: false,
-            async_long_updates: false,
             enable_cec: true,
             enable_knowledge: true,
             enable_pseudo_labels: false,

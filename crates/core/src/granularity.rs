@@ -19,20 +19,6 @@ use freeway_ml::{Model, ModelSpec, PrecomputeAccumulator, Trainer, Workspace};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// A long-model update running as a background pool job. The job trains
-/// a snapshot (clone) of the level's trainer and deposits it here; the
-/// level swaps the result in at a later `train` call, so inference never
-/// waits on the update.
-struct PendingUpdate {
-    /// `None` while the job runs; `Ok(trained)` on success, `Err` when
-    /// the update panicked (the level then keeps its current model).
-    slot: Arc<Mutex<Option<Result<Trainer, String>>>>,
-    /// Fingerprint of the window the job trained on, installed with it.
-    window_mean: Option<Vec<f64>>,
-    /// Disorder of that window, surfaced on installation.
-    disorder: f64,
-}
-
 /// Rows scored by the per-level prequential probe in [`MultiGranularity::train`].
 const PROBE_ROWS: usize = 64;
 
@@ -65,9 +51,6 @@ struct ProbeCache {
 /// One granularity level.
 struct Level {
     trainer: Trainer,
-    /// In-flight async window updates, oldest first. Results are
-    /// installed in submission order; a severe shift discards them.
-    pending: Vec<PendingUpdate>,
     /// `None` for the short level (trains every batch), the window
     /// otherwise.
     window: Option<AdaptiveStreamingWindow>,
@@ -113,8 +96,6 @@ pub struct MultiGranularity {
     sigma: f64,
     precompute_subsets: usize,
     update_epochs: usize,
-    parallel_inference: bool,
-    async_long_updates: bool,
     /// Projection of the short model's most recent training batch
     /// (`ȳ_{n−1}` in Equation 12).
     last_trained_projection: Option<Vec<f64>>,
@@ -150,7 +131,6 @@ impl MultiGranularity {
                 trainer.set_parallel_gradient(config.parallel_gradient);
                 Level {
                     trainer,
-                    pending: Vec::new(),
                     window,
                     updates: 0,
                     trained_projection: None,
@@ -167,8 +147,6 @@ impl MultiGranularity {
             sigma: config.ensemble_sigma,
             precompute_subsets: config.precompute_subsets.max(1),
             update_epochs: config.asw_update_epochs.max(1),
-            parallel_inference: config.parallel_inference,
-            async_long_updates: config.async_long_updates,
             last_trained_projection: None,
             last_completed_disorder: None,
         }
@@ -224,55 +202,8 @@ impl MultiGranularity {
             if let Some(window) = level.window.as_mut() {
                 window.clear();
                 level.trusted = false;
-                // In-flight async updates trained on the invalidated
-                // window contents; their results must not land.
-                level.pending.clear();
             }
         }
-    }
-
-    /// Installs finished async window updates, oldest first, stopping at
-    /// the first still-running job so results land in submission order.
-    /// Called at the top of every [`Self::train`]; cheap when nothing is
-    /// pending.
-    /// Installs every *completed* asynchronous window update, in
-    /// submission order per level; in-flight updates stay pending.
-    /// Called automatically at the start of each [`train`](Self::train);
-    /// public so serving processes that have stopped training (and
-    /// tests) can still land finished updates without feeding a batch.
-    pub fn harvest_async_updates(&mut self) {
-        let mut completed_disorder = None;
-        for level in &mut self.levels {
-            while let Some(front) = level.pending.first() {
-                let Some(outcome) = front.slot.lock().take() else {
-                    break;
-                };
-                let finished = level.pending.remove(0);
-                match outcome {
-                    Ok(trainer) => {
-                        level.trainer = trainer;
-                        level.invalidate_probe();
-                        level.updates += 1;
-                        level.trained_projection = finished.window_mean;
-                        level.trusted = true;
-                        completed_disorder = Some(finished.disorder);
-                    }
-                    Err(message) => {
-                        // The level keeps its current model; the next
-                        // window completion retrains it.
-                        eprintln!("freeway-core: async long update dropped: {message}");
-                    }
-                }
-            }
-        }
-        if completed_disorder.is_some() {
-            self.last_completed_disorder = completed_disorder;
-        }
-    }
-
-    /// Number of async window updates still in flight across all levels.
-    pub fn pending_async_updates(&self) -> usize {
-        self.levels.iter().map(|l| l.pending.len()).sum()
     }
 
     /// Rate-aware adjuster hook: boost window decay under pressure.
@@ -288,7 +219,6 @@ impl MultiGranularity {
     /// window completion). `projected` is the batch's shift-graph
     /// projection, used for window decay and ensemble distances.
     pub fn train(&mut self, x: &Matrix, labels: &[usize], projected: &[f64]) {
-        self.harvest_async_updates();
         // Captured once: long levels warm-start from the short model's
         // parameters at their window completions.
         let mut short_params: Option<Vec<f64>> = None;
@@ -352,61 +282,22 @@ impl MultiGranularity {
                             // *stable* granularity — at a fraction of the
                             // cost of training the long model from its own
                             // stale parameters.
-                            //
-                            // The passes run on a snapshot (clone) of the
-                            // trainer so the level's live model keeps
-                            // serving inference; with async updates on,
-                            // they run as a background pool job and the
-                            // snapshot is swapped in at a later train.
-                            let mut snapshot = level.trainer.clone();
                             if let Some(short_params) = short_params.as_ref() {
-                                snapshot.model_mut().set_parameters(short_params);
+                                level.trainer.model_mut().set_parameters(short_params);
                             }
-                            let epochs = self.update_epochs;
-                            let subsets = self.precompute_subsets;
-                            let pool = self
-                                .async_long_updates
-                                .then(pool::global)
-                                .filter(|p| p.is_parallel());
-                            if let Some(pool) = pool {
-                                let slot = Arc::new(Mutex::new(None));
-                                let job_slot = Arc::clone(&slot);
-                                let spawned = pool.spawn_detached(move || {
-                                    let result = std::panic::catch_unwind(
-                                        std::panic::AssertUnwindSafe(move || {
-                                            train_weighted_precomputed(
-                                                &mut snapshot,
-                                                &wx,
-                                                &wy,
-                                                &ww,
-                                                subsets,
-                                                epochs,
-                                            );
-                                            snapshot
-                                        }),
-                                    );
-                                    *job_slot.lock() = Some(result.map_err(|_| {
-                                        "long-model window update panicked".to_string()
-                                    }));
-                                });
-                                debug_assert!(spawned, "pool checked parallel above");
-                                level.pending.push(PendingUpdate { slot, window_mean, disorder });
-                            } else {
-                                train_weighted_precomputed(
-                                    &mut snapshot,
-                                    &wx,
-                                    &wy,
-                                    &ww,
-                                    subsets,
-                                    epochs,
-                                );
-                                level.trainer = snapshot;
-                                level.invalidate_probe();
-                                level.updates += 1;
-                                level.trained_projection = window_mean;
-                                level.trusted = true;
-                                self.last_completed_disorder = Some(disorder);
-                            }
+                            train_weighted_precomputed(
+                                &mut level.trainer,
+                                &wx,
+                                &wy,
+                                &ww,
+                                self.precompute_subsets,
+                                self.update_epochs,
+                            );
+                            level.invalidate_probe();
+                            level.updates += 1;
+                            level.trained_projection = window_mean;
+                            level.trusted = true;
+                            self.last_completed_disorder = Some(disorder);
                         }
                     }
                 }
@@ -421,10 +312,8 @@ impl MultiGranularity {
     /// cheapest update that still tracks the stream — the paper's
     /// short-granularity model is precisely the "reacts to the newest
     /// data" end of the spectrum, so under overload it is the one worth
-    /// paying for. Async results that were already in flight are still
-    /// harvested (they were paid for before the overload).
+    /// paying for.
     pub fn train_short_only(&mut self, x: &Matrix, labels: &[usize], projected: &[f64]) {
-        self.harvest_async_updates();
         for level in &mut self.levels {
             if level.window.is_none() {
                 level.trainer.train_step(x, labels);
@@ -511,11 +400,7 @@ impl MultiGranularity {
             .map(|(i, &w)| (i, w))
             .collect();
         let voting_total: f64 = voters.iter().map(|(_, w)| w).sum();
-        if self.parallel_inference
-            && voters.len() > 1
-            && work > 64 * 1024
-            && pool::configured_threads() > 1
-        {
+        if voters.len() > 1 && work > 64 * 1024 && pool::configured_threads() > 1 {
             let tasks: Vec<pool::Task<'_>> = voters
                 .iter()
                 .map(|&(i, _)| {
@@ -582,8 +467,6 @@ impl MultiGranularity {
             level.invalidate_probe();
             level.updates = level.updates.max(1);
             level.trusted = true;
-            // Async results trained before the restore are stale now.
-            level.pending.clear();
         }
         Ok(())
     }

@@ -46,7 +46,7 @@
 //! and resets on a fast success — a persistently slow disk degrades
 //! durability granularity instead of stalling ingest, mirroring the
 //! checkpoint-cadence backoff in the supervisor. The write itself runs
-//! under the configured [`RetryPolicy`].
+//! under the default [`RetryPolicy`].
 
 use crate::error::FreewayError;
 use crate::persistence::crc32;
@@ -85,8 +85,6 @@ pub struct JournalConfig {
     pub fsync_every_n_appends: u64,
     /// A sync slower than this doubles the cadence backoff.
     pub slow_sync_budget: Duration,
-    /// Retry schedule for the append write itself.
-    pub append_retry: RetryPolicy,
 }
 
 impl JournalConfig {
@@ -97,7 +95,6 @@ impl JournalConfig {
             segment_max_bytes: 4 << 20,
             fsync_every_n_appends: 8,
             slow_sync_budget: Duration::from_millis(50),
-            append_retry: RetryPolicy::default(),
         }
     }
 }
@@ -333,7 +330,7 @@ impl Journal {
     }
 
     /// Appends one pre-framed record (see [`frame_batch`]) under the
-    /// configured retry policy, rotating segments and syncing on cadence.
+    /// default [`RetryPolicy`], rotating segments and syncing on cadence.
     /// Returns whether this append flushed the segment to disk.
     ///
     /// # Errors
@@ -346,9 +343,7 @@ impl Journal {
         {
             self.rotate()?;
         }
-        let retry = self.config.append_retry;
-        let (file, bytes) = (&mut self.active, frame);
-        retry.run(|| file.write_all(bytes))?;
+        RetryPolicy::default().run(|| self.active.write_all(frame))?;
         self.active_bytes += frame.len() as u64;
         self.active_last_seq = Some(seq);
         self.stats.appended += 1;

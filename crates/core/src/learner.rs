@@ -963,6 +963,32 @@ mod tests {
             assert!(learner.knowledge().space_bytes() > 0);
         }
     }
+
+    #[test]
+    fn decay_multiplier_changes_the_long_model_update() {
+        // Two learners see identical batches; one decays its windows three
+        // times faster, so its first window completion trains the long
+        // model on differently weighted data.
+        let mut rng = stream_rng(16);
+        let concept = GmmConcept::random(4, 2, 2, 3.0, 0.5, &mut rng);
+        let mut plain = Learner::new(ModelSpec::lr(4, 2), config());
+        let mut boosted = Learner::new(ModelSpec::lr(4, 2), config());
+        boosted.set_decay_multiplier(3.0);
+        let init = plain.granularity().long_model().parameters();
+        let long = |learner: &Learner| learner.granularity().long_model().parameters();
+        for i in 0..20 {
+            if long(&plain) != init && long(&boosted) != init {
+                break;
+            }
+            let (x, y) = concept.sample_batch(128, &mut rng);
+            let batch = Batch::labeled(x, y, i, DriftPhase::Stable);
+            plain.process(&batch);
+            boosted.process(&batch);
+        }
+        assert_ne!(long(&plain), init, "the plain window never completed");
+        assert_ne!(long(&boosted), init, "the boosted window never completed");
+        assert_ne!(long(&plain), long(&boosted), "the multiplier never reached the window");
+    }
 }
 
 #[cfg(test)]

@@ -533,6 +533,36 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_with_retired_config_fields_still_restores() {
+        // Version-1 checkpoints written before `parallel_inference` and
+        // `async_long_updates` left `FreewayConfig` still carry both.
+        let (learner, concept, mut rng) = trained_learner();
+        let json = Checkpoint::capture(&learner).to_json();
+        let legacy = json.replacen(
+            "\"config\":{",
+            "\"config\":{\"parallel_inference\":true,\"async_long_updates\":false,",
+            1,
+        );
+        assert_ne!(json, legacy, "fixture must carry the retired fields");
+        let restored = Checkpoint::from_json(&legacy)
+            .and_then(|checkpoint| checkpoint.restore())
+            .expect("unknown config fields are ignored");
+        assert_eq!(
+            restored.granularity().level_parameters(),
+            learner.granularity().level_parameters()
+        );
+        let (x, _) = concept.sample_batch(128, &mut rng);
+        assert_eq!(
+            restored.granularity().short_model().predict(&x),
+            learner.granularity().short_model().predict(&x)
+        );
+        assert_eq!(
+            restored.granularity().long_model().predict(&x),
+            learner.granularity().long_model().predict(&x)
+        );
+    }
+
+    #[test]
     fn legacy_bare_checkpoint_still_loads() {
         let (learner, _, _) = trained_learner();
         let checkpoint = Checkpoint::capture(&learner);

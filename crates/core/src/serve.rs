@@ -12,15 +12,15 @@
 //! * [`ClientSession::submit`]/[`ClientSession::submit_labeled`] are
 //!   non-blocking: a full submit queue surfaces as the typed, retryable
 //!   [`ServeError::Busy`] (with a pacing hint) instead of a blocking
-//!   send, and [`ClientSession::submit_timeout`] spends a bounded
-//!   latency budget first, as [`crate::AdmissionPolicy::Deadline`] does
-//!   in front of a full worker queue;
+//!   send;
 //! * the router stamps every accepted submission with a globally
 //!   monotone sequence number (the ingest guard's contract) and keeps a
 //!   **per-session ledger** mapping those sequence numbers back to the
 //!   owning session, so each client receives exactly its own
 //!   [`SessionOutput`]s — including shed and quarantine verdicts — and
-//!   never another tenant's predictions;
+//!   never another tenant's predictions. When a shard is fenced, every
+//!   submission stranded on it comes back as a `fenced` shed verdict, in
+//!   submission order;
 //! * shutdown ([`Service::shutdown`]) drains the submit queue, runs the
 //!   deterministic [`crate::ShardedPipeline::barrier`], delivers every
 //!   remaining answer, and hands back the finished [`ServiceReport`];
@@ -30,10 +30,10 @@
 //! Backpressure composes in two layers: the bounded submit queue bounds
 //! how far clients can run ahead of the router, and the admission
 //! controller configured on the builder governs what the router does
-//! when a shard's worker queue is full (block, shed, deadline — see
+//! when a shard's worker queue is full (block or shed — see
 //! [`crate::AdmissionPolicy`]). With the blocking policy nothing is ever
 //! dropped and client-side `Busy` is the only overload signal; with
-//! shedding policies dropped batches come back to their session as
+//! shedding-newest dropped batches come back to their session as
 //! [`SubmitOutcome::Shed`].
 //!
 //! The router never sleep-polls. Once its submit queue and every shard's
@@ -70,19 +70,21 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Capacity of the shared client→router submit queue. Bounds how far
+/// clients can run ahead of the router; a full queue surfaces as
+/// [`ServeError::Busy`].
+const SUBMIT_QUEUE_DEPTH: usize = 64;
+
+/// *Base* pacing hint handed back inside [`ServeError::Busy`]: the wait
+/// suggested when the runtime is unloaded. The actual hint scales with
+/// measured pressure — queue/backlog occupancy and the degradation
+/// ladder — up to 4× this base (see [`busy_hint`]). Advisory, not
+/// enforced.
+const RETRY_AFTER_HINT: Duration = Duration::from_micros(200);
+
 /// Serving-facade knobs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ServiceConfig {
-    /// Capacity of the shared client→router submit queue. Bounds how far
-    /// clients can run ahead of the router; a full queue surfaces as
-    /// [`ServeError::Busy`].
-    pub submit_queue_depth: usize,
-    /// *Base* pacing hint handed back inside [`ServeError::Busy`]: the
-    /// wait suggested when the runtime is unloaded. The actual hint
-    /// scales with measured pressure — queue/backlog occupancy and the
-    /// degradation ladder — up to 4× this base (see [`busy_hint`]).
-    /// Advisory, not enforced.
-    pub retry_after_hint: Duration,
     /// Wall-clock budget for the shutdown drain. `None` (the default)
     /// drains unboundedly via [`crate::ShardedPipeline::barrier`]; with a
     /// budget, shutdown uses
@@ -98,17 +100,6 @@ pub struct ServiceConfig {
     pub record_admitted: bool,
 }
 
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        Self {
-            submit_queue_depth: 64,
-            retry_after_hint: Duration::from_micros(200),
-            drain_budget: None,
-            record_admitted: false,
-        }
-    }
-}
-
 impl ServiceConfig {
     /// Validates the configuration.
     ///
@@ -116,12 +107,6 @@ impl ServiceConfig {
     /// A message naming the offending field, in the builder's
     /// `InvalidConfig` style.
     pub fn check(&self) -> Result<(), String> {
-        if self.submit_queue_depth == 0 {
-            return Err("service submit queue depth must be positive".to_owned());
-        }
-        if self.retry_after_hint.is_zero() {
-            return Err("service retry-after hint must be positive".to_owned());
-        }
         if self.drain_budget.is_some_and(|budget| budget.is_zero()) {
             return Err("service drain budget must be positive when set".to_owned());
         }
@@ -184,9 +169,7 @@ impl From<FreewayError> for ServeError {
     /// else wraps as [`ServeError::Runtime`].
     fn from(e: FreewayError) -> Self {
         match e {
-            FreewayError::QueueFull => {
-                Self::Busy { retry_after_hint: ServiceConfig::default().retry_after_hint }
-            }
+            FreewayError::QueueFull => Self::Busy { retry_after_hint: RETRY_AFTER_HINT },
             FreewayError::WorkerUnavailable => Self::Disconnected,
             other => Self::Runtime(other),
         }
@@ -285,8 +268,8 @@ pub struct ServiceReport {
     /// replaying these records serially through an identically built
     /// pipeline reproduces every shard's input sequence, which (with
     /// cross-shard knowledge disabled) reproduces every answer.
-    /// Batches later shed from a backlog are removed, so the record is
-    /// exactly what the workers processed.
+    /// Batches a fence stranded are removed, so the record is exactly
+    /// what the workers answered.
     pub admitted_order: Option<Vec<AdmittedRecord>>,
 }
 
@@ -301,7 +284,6 @@ enum Request {
 
 struct ServiceShared {
     next_session: AtomicU64,
-    retry_after_hint: Duration,
     /// Wakes the parked router; rung after every enqueued request.
     doorbell: Doorbell,
     /// Measured runtime pressure in `[0, 100]`, published by the router
@@ -311,8 +293,8 @@ struct ServiceShared {
     pressure_pct: AtomicU64,
 }
 
-/// Derives the [`ServeError::Busy`] pacing hint from the configured base
-/// and the router-published pressure percentage: `base` at zero pressure,
+/// Derives the [`ServeError::Busy`] pacing hint from a base and the
+/// router-published pressure percentage: `base` at zero pressure,
 /// scaling linearly to `4 × base` at 100%. Monotone in pressure — a more
 /// loaded service never suggests a *shorter* wait — so clients back off
 /// harder exactly when the runtime is drowning.
@@ -498,45 +480,13 @@ impl ClientSession {
                 request_batch(req),
                 ServeError::Busy {
                     retry_after_hint: busy_hint(
-                        self.shared.retry_after_hint,
+                        RETRY_AFTER_HINT,
                         self.shared.pressure_pct.load(Ordering::Relaxed),
                     ),
                 },
             )),
             Err(TrySendError::Disconnected(req)) => {
                 Err((request_batch(req), ServeError::Disconnected))
-            }
-        }
-    }
-
-    /// Bounded-latency submit: retries [`Self::submit_batch`] until
-    /// `budget` elapses, then hands the batch back with
-    /// [`ServeError::Busy`]. The vendored channel has
-    /// no timed send, so this polls with a short sleep.
-    ///
-    /// # Errors
-    /// [`ServeError::Busy`] when the deadline expired with the queue
-    /// still full; [`ServeError::Disconnected`] when the service is gone
-    /// (returned immediately, the budget is not spent).
-    pub fn submit_timeout(
-        &mut self,
-        batch: Batch,
-        prequential: bool,
-        budget: Duration,
-    ) -> Result<u64, (Batch, ServeError)> {
-        let deadline = Instant::now() + budget;
-        let mut batch = batch;
-        loop {
-            match self.submit_batch(batch, prequential) {
-                Ok(seq) => return Ok(seq),
-                Err((returned, ServeError::Busy { retry_after_hint })) => {
-                    if Instant::now() >= deadline {
-                        return Err((returned, ServeError::Busy { retry_after_hint }));
-                    }
-                    batch = returned;
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-                Err(other) => return Err(other),
             }
         }
     }
@@ -604,10 +554,9 @@ impl Service {
     /// [`ServiceConfig::check`].
     pub fn start(pipeline: ShardedPipeline, config: ServiceConfig) -> Result<Self, FreewayError> {
         config.check().map_err(FreewayError::InvalidConfig)?;
-        let (tx, rx) = bounded::<Request>(config.submit_queue_depth);
+        let (tx, rx) = bounded::<Request>(SUBMIT_QUEUE_DEPTH);
         let shared = Arc::new(ServiceShared {
             next_session: AtomicU64::new(0),
-            retry_after_hint: config.retry_after_hint,
             doorbell: Doorbell::default(),
             pressure_pct: AtomicU64::new(0),
         });
@@ -681,9 +630,6 @@ struct Router {
     next_seq: u64,
     stats: ServiceStats,
     admitted_order: Option<Vec<AdmittedRecord>>,
-    /// Per-shard shed-buffer totals already reconciled against the
-    /// ledger; growth beyond the watermark triggers a scan.
-    shed_watermarks: Vec<u64>,
     /// Fenced-shard count already reconciled against the ledger; growth
     /// triggers a stranded-entry sweep ([`Self::reconcile_fences`]).
     fenced_seen: usize,
@@ -714,7 +660,6 @@ impl Router {
     ) -> Self {
         pipeline.install_doorbell(&std::thread::current());
         let telemetry = pipeline.telemetry().clone();
-        let shed_watermarks = vec![0; pipeline.num_shards()];
         // A service restarted over a journal continues the global
         // sequence above everything recovered, so new records never land
         // below old ones and checkpoint replay floors only move forward.
@@ -729,7 +674,6 @@ impl Router {
             next_seq,
             stats: ServiceStats::default(),
             admitted_order: record_admitted.then(Vec::new),
-            shed_watermarks,
             fenced_seen: 0,
             liveness_tick,
             shared,
@@ -824,7 +768,7 @@ impl Router {
                     while let Some((shard, out)) = self.pipeline.try_recv()? {
                         self.deliver(shard, out);
                     }
-                    self.reconcile_sheds();
+                    self.reconcile_fences()?;
                     return Err(timeout);
                 }
                 outputs => outputs?,
@@ -834,7 +778,6 @@ impl Router {
         for (shard, out) in outputs {
             self.deliver(shard, out);
         }
-        self.reconcile_sheds();
         self.reconcile_fences()?;
         let Router { pipeline, stats, admitted_order, sessions_gauge, .. } = self;
         sessions_gauge.set(0.0);
@@ -881,7 +824,7 @@ impl Router {
                 } else {
                     self.pipeline.feed(keyed)?
                 };
-                match outcome {
+                let verdict = match outcome {
                     AdmissionOutcome::Admitted | AdmissionOutcome::Backlogged => {
                         self.ledger.insert(global_seq, PendingEntry { session, client_seq, shard });
                         if let Some(order) = self.admitted_order.as_mut() {
@@ -895,39 +838,25 @@ impl Router {
                                 labeled,
                             });
                         }
+                        None
                     }
                     AdmissionOutcome::Quarantined(fault) => {
                         self.stats.quarantined += 1;
-                        self.send_to(
-                            session,
-                            SessionOutput {
-                                client_seq,
-                                global_seq,
-                                shard,
-                                outcome: SubmitOutcome::Quarantined(fault.tag()),
-                            },
-                        );
+                        Some(SubmitOutcome::Quarantined(fault.tag()))
                     }
                     AdmissionOutcome::Shed(reason) => {
                         self.stats.shed += 1;
-                        self.send_to(
-                            session,
-                            SessionOutput {
-                                client_seq,
-                                global_seq,
-                                shard,
-                                outcome: SubmitOutcome::Shed(reason.tag()),
-                            },
-                        );
+                        Some(SubmitOutcome::Shed(reason.tag()))
                     }
-                }
-                // A backlogged batch can be the shed victim of a *later*
-                // feed (shedding-oldest); reconcile after every feed so
-                // its session still hears the verdict. A feed can also
-                // fence its shard (restart budget exhausted), stranding
-                // ledger entries the dead worker will never answer.
-                self.reconcile_sheds();
+                };
+                // A feed can fence its shard (restart budget exhausted),
+                // stranding older ledger entries the dead worker will
+                // never answer; their verdicts go out before this one so
+                // the session hears them in submission order.
                 self.reconcile_fences()?;
+                if let Some(outcome) = verdict {
+                    self.send_to(session, SessionOutput { client_seq, global_seq, shard, outcome });
+                }
             }
             Request::InjectPanic { shard } => {
                 self.pipeline.inject_worker_panic(shard)?;
@@ -966,49 +895,14 @@ impl Router {
         );
     }
 
-    /// Scans shed buffers whose totals grew past the reconciled
-    /// watermark and reports newly shed ledger entries back to their
-    /// sessions.
-    fn reconcile_sheds(&mut self) {
-        for shard in 0..self.pipeline.num_shards() {
-            let total = self.pipeline.shard(shard).shed().total();
-            if total == self.shed_watermarks[shard] {
-                continue;
-            }
-            self.shed_watermarks[shard] = total;
-            let mut dropped = Vec::new();
-            for entry in self.pipeline.shard(shard).shed().entries() {
-                if self.ledger.contains_key(&entry.batch.seq) {
-                    dropped.push((entry.batch.seq, entry.reason.tag()));
-                }
-            }
-            for (seq, reason) in dropped {
-                if let Some(entry) = self.ledger.remove(&seq) {
-                    self.stats.shed += 1;
-                    if let Some(order) = self.admitted_order.as_mut() {
-                        order.retain(|rec| rec.global_seq != seq);
-                    }
-                    self.send_to(
-                        entry.session,
-                        SessionOutput {
-                            client_seq: entry.client_seq,
-                            global_seq: seq,
-                            shard,
-                            outcome: SubmitOutcome::Shed(reason),
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    /// Sweeps the ledger after a fence: batches admitted to a shard that
-    /// later exhausted its restart budget can be lost in flight (handed
-    /// to the worker that died) — no output and no shed-buffer entry will
-    /// ever surface for them. Their sessions receive a typed, retryable
-    /// [`SubmitOutcome::Shed`]`("fenced")` verdict instead of waiting
-    /// forever. Answers the worker produced *before* dying are delivered
-    /// first, so nothing answerable is misreported as lost.
+    /// Sweeps the ledger after a fence: batches on a shard that exhausted
+    /// its restart budget were either lost in flight (handed to the
+    /// worker that died) or shed from its backlog by the fence, and no
+    /// output will ever surface for them. Their sessions receive a typed,
+    /// retryable [`SubmitOutcome::Shed`]`("fenced")` verdict instead of
+    /// waiting forever, in ascending sequence order. Answers the worker
+    /// produced *before* dying are delivered first, so nothing answerable
+    /// is misreported as lost.
     fn reconcile_fences(&mut self) -> Result<(), FreewayError> {
         if self.pipeline.fenced_shards().len() == self.fenced_seen {
             return Ok(());
@@ -1017,7 +911,6 @@ impl Router {
         while let Some((shard, out)) = self.pipeline.try_recv()? {
             self.deliver(shard, out);
         }
-        self.reconcile_sheds();
         let mut stranded: Vec<u64> = self
             .ledger
             .iter()
@@ -1062,10 +955,8 @@ mod tests {
 
     #[test]
     fn config_validation_names_the_field() {
-        let bad = ServiceConfig { submit_queue_depth: 0, ..Default::default() };
-        assert!(bad.check().unwrap_err().contains("queue depth"));
-        let bad = ServiceConfig { retry_after_hint: Duration::ZERO, ..Default::default() };
-        assert!(bad.check().unwrap_err().contains("retry-after"));
+        let bad = ServiceConfig { drain_budget: Some(Duration::ZERO), ..Default::default() };
+        assert!(bad.check().unwrap_err().contains("drain budget"));
         assert!(ServiceConfig::default().check().is_ok());
     }
 

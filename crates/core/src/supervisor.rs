@@ -81,11 +81,6 @@ pub struct SupervisorConfig {
     /// `checkpoint_path` is set (`checkpoint.0.json` newest). Restore
     /// falls back to the newest generation passing CRC and validation.
     pub checkpoint_generations: usize,
-    /// Retry schedule wrapped around each checkpoint persistence attempt
-    /// (exponential backoff with deterministic jitter). Transient disk
-    /// stalls retry in place; a persistently failing disk degrades the
-    /// checkpoint *cadence* instead of killing the worker.
-    pub persist_retry: RetryPolicy,
     /// When set, every accepted batch is journaled and crash recovery
     /// replays instead of dropping in-flight work (see the module docs
     /// for the effectively-once contract). `None` (the default) keeps
@@ -110,7 +105,6 @@ impl Default for SupervisorConfig {
             quarantine_capacity: 64,
             max_restarts: 3,
             checkpoint_generations: 3,
-            persist_retry: RetryPolicy::default(),
             journal: None,
             stall_deadline: None,
         }
@@ -1035,7 +1029,10 @@ impl SupervisedPipeline {
                 std::thread::sleep(std::time::Duration::from_nanos(delay));
             }
             let store = CheckpointStore::new(path.clone(), self.config.checkpoint_generations);
-            match self.config.persist_retry.run(|| store.save(&checkpoint)) {
+            // Transient disk stalls retry in place; a persistently
+            // failing disk degrades the checkpoint cadence instead of
+            // killing the worker.
+            match RetryPolicy::default().run(|| store.save(&checkpoint)) {
                 Ok(()) => {
                     self.stats.checkpoints_persisted += 1;
                     self.cadence_backoff = 1;
@@ -1733,12 +1730,6 @@ mod tests {
             SupervisorConfig {
                 checkpoint_every_n_batches: 2,
                 checkpoint_path: Some(path),
-                persist_retry: RetryPolicy {
-                    max_attempts: 2,
-                    base_delay: std::time::Duration::from_micros(50),
-                    max_delay: std::time::Duration::from_micros(100),
-                    seed: 7,
-                },
                 ..Default::default()
             },
         )

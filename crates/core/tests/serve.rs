@@ -18,6 +18,9 @@
 //!   still delivers every answer the healthy shards computed.
 //! * Poison behind a backlog: a submission the guard rejects gets its
 //!   `Quarantined` verdict even when it arrives behind backlogged work.
+//! * Fences: when a shard is fenced, the submissions it strands — lost in
+//!   flight or shed from its backlog — reach their session in submission
+//!   order.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -142,21 +145,6 @@ fn submitting_after_shutdown_is_disconnected_and_returns_the_batch() {
         Err(err) => panic!("expected Disconnected, got {err:?}"),
         Ok(_) => panic!("the service is gone; opening a session must fail"),
     }
-}
-
-#[test]
-fn submit_timeout_gives_up_busy_after_the_budget() {
-    // A zero budget degrades to try-once; on an idle service that must
-    // still admit immediately (the budget bounds waiting, not success).
-    let service = builder(1).build_service().expect("valid service");
-    let mut session = service.handle().open_session(2).expect("service running");
-    let batch = session_batches(5, 2, 1).pop().expect("one batch");
-    session
-        .submit_timeout(batch, true, Duration::from_millis(50))
-        .expect("idle service admits within the budget");
-    let out = session.recv_output().expect("output delivered");
-    assert!(matches!(out.outcome, SubmitOutcome::Answered(_)));
-    let _ = service.shutdown().expect("clean shutdown");
 }
 
 /// Runs `scenario` on its own thread and fails unless it finishes within
@@ -353,6 +341,42 @@ fn poison_behind_a_backlog_still_gets_its_verdict() {
         let admission = report.run.admission();
         assert_eq!(admission.quarantined, 1, "{admission:?}");
         assert!(admission.backlog_peak >= 1, "nothing was backlogged: {admission:?}");
+    });
+}
+
+#[test]
+fn fence_verdicts_reach_the_session_in_submission_order() {
+    within_budget(Duration::from_secs(30), || {
+        // Default admission over a three-slot queue with no restart
+        // budget. The stall holds the worker while the panic command and
+        // two submissions fill its queue and two more wait in the
+        // backlog; the panic then fences the shard, stranding two
+        // batches in flight and shedding the two backlogged ones. The
+        // stall only has to outlast four submits.
+        let service = PipelineBuilder::new(ModelSpec::lr(DIM, CLASSES))
+            .with_config(config())
+            .with_queue_depth(3)
+            .with_max_restarts(0)
+            .build_service()
+            .expect("valid service");
+        let handle = service.handle();
+        let mut session = handle.open_session(8).expect("service running");
+        handle.inject_worker_stall(0, Duration::from_secs(1), false).expect("service running");
+        // Let the worker take the stall off its queue first.
+        std::thread::sleep(Duration::from_millis(50));
+        handle.inject_worker_panic(0).expect("service running");
+        for batch in session_batches(14, 8, 4) {
+            session.submit_batch(batch, true).expect("admitted");
+        }
+        let mut order = Vec::new();
+        for _ in 0..4 {
+            let out = session.recv_output().expect("verdict delivered");
+            assert!(matches!(out.outcome, SubmitOutcome::Shed("fenced")), "{out:?}");
+            order.push(out.client_seq);
+        }
+        assert_eq!(order, [0, 1, 2, 3], "fence verdicts must arrive in submission order");
+        drop(session);
+        let _ = service.shutdown();
     });
 }
 

@@ -82,7 +82,11 @@ pub fn run_shard_scaling(shard_counts: &[usize], sweep: &ShardSweep) -> Vec<Shar
 }
 
 fn measure(shards: usize, sweep: &ShardSweep) -> ShardScalingPoint {
+    // Built before the clock starts: one keyed batch costs about as much
+    // to generate as a worker's LR step, so generating inside the timed
+    // loop saturates the producer before a second shard can help.
     let mut gen = InterleavedKeyed::uniform(DIM, CLASSES, sweep.keys, sweep.seed);
+    let batches: Vec<_> = (0..sweep.batches).map(|_| gen.next_keyed(sweep.batch_size)).collect();
     let mut pipeline = PipelineBuilder::new(ModelSpec::lr(DIM, CLASSES))
         .with_config(FreewayConfig {
             pca_warmup_rows: 256,
@@ -102,8 +106,8 @@ fn measure(shards: usize, sweep: &ShardSweep) -> ShardScalingPoint {
 
     let start = std::time::Instant::now();
     let mut received = 0usize;
-    for _ in 0..sweep.batches {
-        pipeline.feed_prequential(gen.next_keyed(sweep.batch_size)).expect("shards alive");
+    for batch in batches {
+        pipeline.feed_prequential(batch).expect("shards alive");
         while let Some(_out) = pipeline.try_recv().expect("shards alive") {
             received += 1;
         }

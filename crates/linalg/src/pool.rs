@@ -121,17 +121,6 @@ impl WorkerPool {
         }
         latch.wait_and_propagate();
     }
-
-    /// Submits a fire-and-forget job, returning `false` on a serial
-    /// pool (callers fall back to doing the work synchronously). The
-    /// job must handle its own panics; see `new` for why the worker
-    /// survives if it does not.
-    pub fn spawn_detached(&self, job: impl FnOnce() + Send + 'static) -> bool {
-        if !self.is_parallel() {
-            return false;
-        }
-        self.sender.send(Box::new(job)).is_ok()
-    }
 }
 
 struct Latch {
@@ -302,23 +291,6 @@ mod tests {
             })]);
         })]);
         assert_eq!(hits.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn spawn_detached_refuses_on_serial_pool() {
-        let pool = WorkerPool::new(1);
-        assert!(!pool.spawn_detached(|| {}));
-        let pool = WorkerPool::new(2);
-        let flag = Arc::new(AtomicU64::new(0));
-        let flag_job = Arc::clone(&flag);
-        assert!(pool.spawn_detached(move || {
-            flag_job.store(1, Ordering::SeqCst);
-        }));
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while flag.load(Ordering::SeqCst) == 0 {
-            assert!(std::time::Instant::now() < deadline, "detached job never ran");
-            std::thread::yield_now();
-        }
     }
 
     #[test]

@@ -111,8 +111,8 @@ pub enum TelemetryEvent {
     BatchShed {
         /// Sequence number of the dropped batch.
         seq: u64,
-        /// Why it was dropped (e.g. `"queue-full"`,
-        /// `"deadline-exceeded"`, `"degraded"`).
+        /// Why it was dropped (`"queue-full"`, `"degraded"` or
+        /// `"fenced"`).
         reason: &'static str,
     },
     /// A shard reused a model snapshot preserved by a *different* shard

@@ -1,15 +1,17 @@
 //! The rate-aware adjuster under a simulated traffic spike (§V-B).
 //!
-//! A rate-simulated source feeds the threaded pipeline. When the flow
-//! rate spikes past the threshold, the adjuster raises the ASW decay
-//! multiplier (cheapening long-model updates) and scales how many
-//! batches are consumed per scheduling tick with queue pressure.
+//! A rate-simulated source feeds a [`Learner`] directly. On every
+//! scheduling tick the adjuster reads the flow rate and the source's
+//! buffer pressure, and the loop applies both of its outputs: how many
+//! batches the learner consumes this tick, and the ASW decay multiplier
+//! (`Learner::set_decay_multiplier`). Past the rate threshold the
+//! multiplier rises, so window contents decay faster and long-model
+//! updates fire less often.
 //!
 //! ```sh
 //! cargo run --release --example rate_adaptive
 //! ```
 
-use freewayml::core::pipeline::Pipeline;
 use freewayml::core::rate::{RateAdjusterParams, RateAwareAdjuster};
 use freewayml::prelude::*;
 use freewayml::streams::source::SimulatedSource;
@@ -25,17 +27,14 @@ fn main() {
         rate_threshold: 40_000.0,
         ..Default::default()
     });
-
-    let learner = Learner::new(
+    let mut learner = Learner::new(
         ModelSpec::lr(10, 2),
         FreewayConfig { mini_batch: batch_size, ..Default::default() },
     );
-    let config = SupervisorConfig { queue_depth: 32, ..Default::default() };
-    let mut pipeline = Pipeline::with_learner(learner, config).expect("valid queue depth");
 
     println!("tick | rate     | pressure | batches/tick | decay x");
     println!("-----+----------+----------+--------------+--------");
-    let mut seq = 0u64;
+    let mut processed = 0u64;
     for tick in 0..30 {
         // Simulated traffic spike between ticks 10 and 20.
         if tick == 10 {
@@ -47,6 +46,7 @@ fn main() {
         source.advance(0.05);
 
         let adj = adjuster.adjust(source.pressure(), source.rate());
+        learner.set_decay_multiplier(adj.decay_multiplier);
         println!(
             "{tick:>4} | {:>8.0} | {:>8.2} | {:>12} | {:>6.2}",
             source.rate(),
@@ -57,17 +57,14 @@ fn main() {
 
         for _ in 0..adj.inference_batches {
             if let Some(batch) = source.try_take_batch(batch_size) {
-                pipeline.feed_prequential(batch.clone()).expect("worker alive");
-                seq += 1;
+                learner.process(&batch);
+                processed += 1;
             }
         }
-        // Drain available outputs without blocking the producer loop.
-        while pipeline.try_recv().expect("worker alive").is_some() {}
     }
 
-    let learner = pipeline.finish().expect("clean shutdown").learner;
     println!(
-        "\nprocessed ~{seq} batches; dropped {:.0} items at the source; \
+        "\nprocessed {processed} batches; dropped {:.0} items at the source; \
          selector ready: {}",
         source.dropped_items(),
         learner.selector().is_ready()
