@@ -9,6 +9,13 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== kernel bit-identity suites, optimized =="
+# The register kernels only vectorize with optimizations on, and the
+# paper tables come from release builds: re-run the linalg, k-means and
+# model suites (tile-boundary and transpose bit-identity proptests
+# included) in the profile that produces the numbers.
+cargo test -q --release -p freeway-linalg -p freeway-cluster -p freeway-ml
+
 echo "== alloc regression gate (zero-allocation hot path) =="
 cargo test -q -p freeway-eval --features alloc-metrics --test alloc_regression
 
@@ -228,6 +235,21 @@ need = floor["min_items_per_sec"]
 assert got >= need, f"FreewayML throughput regressed: {got:,.0f} items/s < floor {need:,.0f}"
 assert bench["kernel_microbench"], "quick bench carries no kernel microbench section"
 print(f"throughput gate: FreewayML {got:,.0f} items/s >= floor {need:,.0f}")
+# Kernel cliff gate, a ratio within one run so host speed cancels: the
+# learner-drift head's weight gradient (transa at 256x32x5, a 5-wide
+# column remainder) must run at >= 1/3 the GFLOP/s of its hidden
+# layer's (transa at 256x20x32, full register tiles).
+rates = {
+    p["shape"]: p["gflops"]
+    for p in bench["kernel_microbench"]
+    if p["kernel"] == "matmul_transa"
+}
+head, hidden = rates["256x32x5"], rates["256x20x32"]
+assert head >= hidden / 3, (
+    f"matmul_transa fell off its register tiles: {head:.2f} GFLOP/s at 256x32x5 "
+    f"< 1/3 of {hidden:.2f} at 256x20x32"
+)
+print(f"kernel cliff gate: transa 256x32x5 at {head / hidden:.2f}x of 256x20x32")
 PY
 rm -f /tmp/bench_quick_ci.json
 

@@ -22,29 +22,23 @@ use std::sync::Arc;
 /// Rows scored by the per-level prequential probe in [`MultiGranularity::train`].
 const PROBE_ROWS: usize = 64;
 
-/// Cached hard predictions for the probe slice of the batch this level
-/// last scored during `predict_proba`, tagged with a bitwise copy of that
-/// slice. Under the prequential test-then-train contract the training
-/// batch is the batch just inferred, so `train`'s EWMA probe can reuse
-/// these instead of paying another forward pass. The cache is *purely*
-/// an optimisation: a hit requires the level's model to be unchanged
-/// since the predictions were written **and** the incoming probe slice
-/// to be bitwise identical to the tagged one — under those conditions
-/// recomputing would reproduce the exact same predictions, so results
-/// are bit-identical whether the cache hits or misses.
-#[derive(Default)]
-struct ProbeCache {
-    /// Bitwise copy of the probe slice (`preds.len() * cols` values,
-    /// row-major) the predictions were computed on.
-    head: Vec<f64>,
-    /// Column count of the tagged batch.
-    cols: usize,
-    /// Full row count of the tagged batch (the probe spans the whole
-    /// batch when it has ≤ [`PROBE_ROWS`] rows, so shape must match).
-    batch_rows: usize,
-    /// Argmax predictions for the probe rows.
-    preds: Vec<usize>,
-    /// Cleared whenever this level's model changes.
+/// A level's inference scratch, kept as its forward cache.
+///
+/// `ws` holds every activation of the level's most recent
+/// `predict_proba` forward pass and `probs` its output; `valid` says that
+/// pass ran on the bank's tagged batch (see
+/// [`MultiGranularity::forward_tag`]) at the level's current parameters.
+/// Every mutation of the level's model clears it. Under the prequential
+/// test-then-train contract the training batch is the batch just
+/// inferred, so `train` takes the probe's predictions from `probs` and
+/// back-propagates the short level from `ws` instead of running the same
+/// forward pass again. A hit needs `valid` and a tag bitwise equal to
+/// the training batch; a forward pass is a deterministic function of
+/// parameters and batch, so results are bit-identical whether the cache
+/// hits or misses.
+struct ForwardCache {
+    ws: Workspace,
+    probs: Matrix,
     valid: bool,
 }
 
@@ -70,22 +64,29 @@ struct Level {
     /// accuracy on incoming labeled batches (prequential quality). Breaks
     /// distance ties in the ensemble toward the stronger model.
     ewma_acc: f64,
-    /// Reusable inference scratch (model workspace + probability buffer),
-    /// shared across `predict_proba` calls so the warm ensemble forward
-    /// pass allocates nothing. Behind a mutex because prediction takes
+    /// Reusable inference scratch, shared across `predict_proba` calls so
+    /// the warm ensemble forward pass allocates nothing, and kept as the
+    /// level's [`ForwardCache`]. Behind a mutex because prediction takes
     /// `&self` and the parallel path evaluates levels on pool threads.
-    scratch: Mutex<(Workspace, Matrix)>,
-    /// Probe predictions left behind by the most recent `predict_proba`
-    /// this level voted in (see [`ProbeCache`]). Behind a mutex for the
-    /// same reason as `scratch`.
-    probe: Mutex<ProbeCache>,
+    forward: Mutex<ForwardCache>,
 }
 
 impl Level {
-    /// Drops the cached probe predictions; must be called after every
-    /// mutation of this level's model (the cache's validity contract).
-    fn invalidate_probe(&mut self) {
-        self.probe.get_mut().valid = false;
+    /// Drops the cached forward pass; must be called after every mutation
+    /// of this level's model (the cache's validity contract).
+    fn invalidate_forward(&mut self) {
+        self.forward.get_mut().valid = false;
+    }
+
+    /// One unweighted step on `x`, back-propagating from the cached
+    /// forward pass when `cached` says the level's [`ForwardCache`] holds
+    /// `x` at the current parameters, and recomputing it otherwise.
+    fn train_step(&mut self, x: &Matrix, labels: &[usize], cached: bool) {
+        let forward = self.forward.get_mut();
+        if !(cached && self.trainer.train_step_from(x, labels, &mut forward.ws)) {
+            self.trainer.train_step(x, labels);
+        }
+        self.invalidate_forward();
     }
 }
 
@@ -102,6 +103,10 @@ pub struct MultiGranularity {
     /// Disorder of the most recently completed window (knowledge
     /// preservation reads this).
     last_completed_disorder: Option<f64>,
+    /// Bitwise copy of the batch the most recent `predict_proba` ran its
+    /// forward passes on — the one tag every level's [`ForwardCache`]
+    /// refers to.
+    forward_tag: Mutex<Matrix>,
 }
 
 impl MultiGranularity {
@@ -136,8 +141,11 @@ impl MultiGranularity {
                     trained_projection: None,
                     trusted: true,
                     ewma_acc: 0.5,
-                    scratch: Mutex::new((Workspace::new(), Matrix::zeros(0, 0))),
-                    probe: Mutex::new(ProbeCache::default()),
+                    forward: Mutex::new(ForwardCache {
+                        ws: Workspace::new(),
+                        probs: Matrix::zeros(0, 0),
+                        valid: false,
+                    }),
                 }
             })
             .collect();
@@ -149,6 +157,7 @@ impl MultiGranularity {
             update_epochs: config.asw_update_epochs.max(1),
             last_trained_projection: None,
             last_completed_disorder: None,
+            forward_tag: Mutex::new(Matrix::zeros(0, 0)),
         }
     }
 
@@ -219,6 +228,7 @@ impl MultiGranularity {
     /// window completion). `projected` is the batch's shift-graph
     /// projection, used for window decay and ensemble distances.
     pub fn train(&mut self, x: &Matrix, labels: &[usize], projected: &[f64]) {
+        let tagged = same_bits(self.forward_tag.get_mut(), x);
         // Captured once: long levels warm-start from the short model's
         // parameters at their window completions.
         let mut short_params: Option<Vec<f64>> = None;
@@ -226,29 +236,29 @@ impl MultiGranularity {
         // instead of deep-cloning it once per window.
         let mut shared_batch: Option<(Arc<Matrix>, Arc<[usize]>)> = None;
         for level in &mut self.levels {
+            // The level's forward cache holds this batch at its current
+            // parameters: it voted on this same batch (the prequential
+            // test-then-train contract) and has not changed since.
+            let cached = tagged && level.forward.get_mut().valid;
             // Prequential quality: score the level on (a deterministic
             // slice of) this batch before any update touches it. 64 rows
             // estimate batch accuracy to within a few points, which the
             // EWMA smooths — paying a full CNN forward here would double
-            // training cost for no extra signal. When the level just
-            // voted on this same batch (the prequential test-then-train
-            // contract), the probe reuses the predictions that forward
-            // pass left in the level's [`ProbeCache`] — a cache hit is
-            // proven bit-identical by the bitwise slice tag, so this only
-            // removes the redundant forward, never changes the EWMA.
+            // training cost for no extra signal. A cached forward pass
+            // already holds these rows' probabilities; forward passes are
+            // row-independent (every model here processes each sample
+            // row identically regardless of its neighbours), so their
+            // argmax is bitwise what `accuracy` on the slice recomputes.
             if level.updates > 0 {
                 let n = PROBE_ROWS.min(x.rows());
                 let probe_labels = &labels[..n];
-                let cache = level.probe.get_mut();
-                let head = &x.as_slice()[..n * x.cols()];
-                let acc = if n > 0
-                    && cache.valid
-                    && cache.batch_rows == x.rows()
-                    && cache.cols == x.cols()
-                    && cache.preds.len() == n
-                    && cache.head == head
-                {
-                    let hit = cache.preds.iter().zip(probe_labels).filter(|(p, t)| p == t).count();
+                let acc = if n > 0 && cached {
+                    let probs = &level.forward.get_mut().probs;
+                    let hit = probs
+                        .row_iter()
+                        .zip(probe_labels)
+                        .filter(|&(row, &t)| vector::argmax(row).unwrap_or(0) == t)
+                        .count();
                     hit as f64 / n as f64
                 } else if x.rows() > PROBE_ROWS {
                     let sub = x.slice_rows(0, PROBE_ROWS);
@@ -260,8 +270,7 @@ impl MultiGranularity {
             }
             match level.window.as_mut() {
                 None => {
-                    level.trainer.train_step(x, labels);
-                    level.invalidate_probe();
+                    level.train_step(x, labels, cached);
                     level.updates += 1;
                     level.trained_projection = Some(projected.to_vec());
                     short_params = Some(level.trainer.model().parameters());
@@ -293,7 +302,7 @@ impl MultiGranularity {
                                 self.precompute_subsets,
                                 self.update_epochs,
                             );
-                            level.invalidate_probe();
+                            level.invalidate_forward();
                             level.updates += 1;
                             level.trained_projection = window_mean;
                             level.trusted = true;
@@ -314,10 +323,11 @@ impl MultiGranularity {
     /// data" end of the spectrum, so under overload it is the one worth
     /// paying for.
     pub fn train_short_only(&mut self, x: &Matrix, labels: &[usize], projected: &[f64]) {
+        let tagged = same_bits(self.forward_tag.get_mut(), x);
         for level in &mut self.levels {
             if level.window.is_none() {
-                level.trainer.train_step(x, labels);
-                level.invalidate_probe();
+                let cached = tagged && level.forward.get_mut().valid;
+                level.train_step(x, labels, cached);
                 level.updates += 1;
                 level.trained_projection = Some(projected.to_vec());
             }
@@ -400,33 +410,40 @@ impl MultiGranularity {
             .map(|(i, &w)| (i, w))
             .collect();
         let voting_total: f64 = voters.iter().map(|(_, w)| w).sum();
+        // Every voter's forward pass now runs on `x`: tag it, and drop the
+        // caches of levels that sit this batch out.
+        self.forward_tag.lock().copy_from(x);
+        for (i, level) in self.levels.iter().enumerate() {
+            if !voters.iter().any(|&(v, _)| v == i) {
+                level.forward.lock().valid = false;
+            }
+        }
         if voters.len() > 1 && work > 64 * 1024 && pool::configured_threads() > 1 {
             let tasks: Vec<pool::Task<'_>> = voters
                 .iter()
                 .map(|&(i, _)| {
                     let model = self.levels[i].trainer.model();
-                    let scratch = &self.levels[i].scratch;
+                    let forward = &self.levels[i].forward;
                     Box::new(move || {
-                        let mut guard = scratch.lock();
-                        let (ws, probs) = &mut *guard;
-                        model.predict_proba_into(x, ws, probs);
+                        let mut guard = forward.lock();
+                        let cache = &mut *guard;
+                        model.predict_proba_into(x, &mut cache.ws, &mut cache.probs);
+                        cache.valid = true;
                     }) as pool::Task<'_>
                 })
                 .collect();
             pool::global().run(tasks);
             for &(i, w) in &voters {
-                let guard = self.levels[i].scratch.lock();
-                record_probe(&self.levels[i], x, &guard.1);
-                blended.axpy(w / voting_total, &guard.1);
+                blended.axpy(w / voting_total, &self.levels[i].forward.lock().probs);
             }
         } else {
             for &(i, w) in &voters {
                 let level = &self.levels[i];
-                let mut guard = level.scratch.lock();
-                let (ws, probs) = &mut *guard;
-                level.trainer.model().predict_proba_into(x, ws, probs);
-                record_probe(level, x, probs);
-                blended.axpy(w / voting_total, probs);
+                let mut guard = level.forward.lock();
+                let cache = &mut *guard;
+                level.trainer.model().predict_proba_into(x, &mut cache.ws, &mut cache.probs);
+                cache.valid = true;
+                blended.axpy(w / voting_total, &cache.probs);
             }
         }
         blended
@@ -464,7 +481,7 @@ impl MultiGranularity {
         }
         for (level, p) in self.levels.iter_mut().zip(params) {
             level.trainer.model_mut().set_parameters(p);
-            level.invalidate_probe();
+            level.invalidate_forward();
             level.updates = level.updates.max(1);
             level.trusted = true;
         }
@@ -511,22 +528,12 @@ impl MultiGranularity {
     }
 }
 
-/// Tags `level`'s [`ProbeCache`] with the probe slice of `x` and the
-/// argmax predictions its forward pass just produced for those rows.
-/// Forward passes are row-independent (every model here processes each
-/// sample row identically regardless of its neighbours), so these
-/// predictions are bitwise what `accuracy` on the probe slice would
-/// recompute — the cache-hit proof in [`MultiGranularity::train`].
-fn record_probe(level: &Level, x: &Matrix, probs: &Matrix) {
-    let n = PROBE_ROWS.min(x.rows());
-    let mut cache = level.probe.lock();
-    cache.cols = x.cols();
-    cache.batch_rows = x.rows();
-    cache.head.clear();
-    cache.head.extend_from_slice(&x.as_slice()[..n * x.cols()]);
-    cache.preds.clear();
-    cache.preds.extend(probs.row_iter().take(n).map(|row| vector::argmax(row).unwrap_or(0)));
-    cache.valid = true;
+/// Whether `a` and `b` have the same shape and bitwise-equal entries (a
+/// stricter test than `==`, which equates `0.0` with `-0.0` and never
+/// matches NaN).
+fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+    a.shape() == b.shape()
+        && a.as_slice().iter().zip(b.as_slice()).all(|(p, q)| p.to_bits() == q.to_bits())
 }
 
 /// Gaussian kernel `K(D, σ) = exp(−D² / 2σ²)` (Equation 14).
@@ -707,6 +714,157 @@ mod tests {
         for (x, y) in pa.iter().zip(&pb) {
             assert!((x - y).abs() < 1e-10, "precompute must not change the update");
         }
+    }
+}
+
+#[cfg(test)]
+mod forward_cache_tests {
+    use super::*;
+
+    fn config() -> FreewayConfig {
+        FreewayConfig {
+            model_num: 3,
+            asw_max_batches: 3,
+            asw_max_items: 10_000,
+            learning_rate: 0.5,
+            ..Default::default()
+        }
+    }
+
+    /// Every batch's projection: with all levels' fingerprints on it,
+    /// each level sits at distance 0 and votes.
+    const P: [f64; 2] = [0.0, 0.0];
+
+    /// 96 rows (past the 64-row probe slice), two noisy classes, shifted
+    /// by `offset`.
+    fn batch(offset: f64) -> (Matrix, Vec<usize>) {
+        let rows: Vec<Vec<f64>> = (0..96)
+            .map(|i| {
+                let side = if i % 2 == 0 { 1.0 } else { -1.0 };
+                let jitter = (i as f64 * 0.7).sin() * 0.8;
+                vec![side + offset + jitter, side * 0.5 - jitter]
+            })
+            .collect();
+        (Matrix::from_rows(&rows), (0..96).map(|i| i % 2).collect())
+    }
+
+    /// A three-level MLP bank whose levels have all trained (the long
+    /// windows complete at 3 and 6 batches).
+    fn warm_bank() -> MultiGranularity {
+        let mut mg = MultiGranularity::new(ModelSpec::mlp(2, vec![8], 2), &config());
+        for i in 0..6 {
+            let (x, y) = batch(i as f64 * 0.1);
+            mg.train(&x, &y, &P);
+        }
+        mg
+    }
+
+    /// Whether `level`'s forward cache holds `x` at its parameters.
+    fn cached(mg: &mut MultiGranularity, level: usize, x: &Matrix) -> bool {
+        same_bits(mg.forward_tag.get_mut(), x) && mg.levels[level].forward.get_mut().valid
+    }
+
+    /// Bits of every level's parameters, then of the ensemble's
+    /// probabilities at an off-centre projection, where the kernel
+    /// weights scale with each level's EWMA probe accuracy. Runs a
+    /// forward pass, so it is read last.
+    fn fingerprint(mg: &MultiGranularity, x: &Matrix) -> Vec<u64> {
+        let mut bits: Vec<u64> =
+            mg.level_parameters().iter().flatten().map(|v| v.to_bits()).collect();
+        bits.extend(mg.predict_proba(x, &[0.37, -0.2]).as_slice().iter().map(|v| v.to_bits()));
+        bits
+    }
+
+    #[test]
+    fn hit_is_bit_identical_to_a_cold_cache() {
+        let (x, y) = batch(0.7);
+        let (other, _) = batch(-0.4);
+        let mut hit = warm_bank();
+        hit.predict(&x, &P);
+        assert!((0..3).all(|level| cached(&mut hit, level, &x)), "every level voted on x");
+        hit.train(&x, &y, &P);
+        assert!(!cached(&mut hit, 0, &x), "the short level's step invalidates its cache");
+        assert!(!cached(&mut hit, 1, &x), "level 1's window completed on x");
+        assert!(cached(&mut hit, 2, &x), "level 2's window did not complete: it keeps its cache");
+
+        let mut cold = warm_bank();
+        cold.predict(&x, &P);
+        cold.predict(&other, &P);
+        assert!(!cached(&mut cold, 0, &x), "the tag follows the last voted batch");
+        cold.train(&x, &y, &P);
+
+        let mut unvoted = warm_bank();
+        unvoted.train(&x, &y, &P);
+        let expected = fingerprint(&unvoted, &x);
+        assert_eq!(fingerprint(&hit, &x), expected);
+        assert_eq!(fingerprint(&cold, &x), expected);
+    }
+
+    #[test]
+    fn a_batch_differing_in_its_last_row_misses() {
+        let (x, y) = batch(0.7);
+        let mut changed = x.clone();
+        changed.row_mut(95)[1] += 0.5;
+        let mut voted = warm_bank();
+        voted.predict(&x, &P);
+        assert!(!cached(&mut voted, 0, &changed));
+        voted.train(&changed, &y, &P);
+        let mut unvoted = warm_bank();
+        unvoted.train(&changed, &y, &P);
+        assert_eq!(fingerprint(&voted, &x), fingerprint(&unvoted, &x));
+    }
+
+    #[test]
+    fn a_level_that_sits_a_batch_out_misses() {
+        // After one batch at `far`, the short level's fingerprint sits on
+        // `far` and level 2's still on `P`: a query at either projection
+        // is answered by that level alone.
+        let far = [1.0, 0.0];
+        let (x, y) = batch(0.7);
+        let (other, other_y) = batch(-0.4);
+        let mut voted = warm_bank();
+        voted.train(&x, &y, &far);
+        voted.predict(&x, &P);
+        assert!(cached(&mut voted, 2, &x) && !cached(&mut voted, 0, &x));
+        voted.predict(&other, &far);
+        assert!(cached(&mut voted, 0, &other));
+        assert!(!cached(&mut voted, 2, &other), "level 2 holds x's forward pass, not other's");
+        voted.train(&other, &other_y, &far);
+        let mut unvoted = warm_bank();
+        unvoted.train(&x, &y, &far);
+        unvoted.train(&other, &other_y, &far);
+        assert_eq!(fingerprint(&voted, &x), fingerprint(&unvoted, &x));
+    }
+
+    #[test]
+    fn mutations_between_predict_and_train_miss() {
+        let (x, y) = batch(0.7);
+        let restored: Vec<Vec<f64>> = warm_bank()
+            .level_parameters()
+            .into_iter()
+            .map(|level| level.iter().map(|v| v * 0.5 + 0.01).collect())
+            .collect();
+        let mut voted = warm_bank();
+        voted.predict(&x, &P);
+        voted.set_level_parameters(&restored).expect("same architecture");
+        assert!((0..3).all(|level| !cached(&mut voted, level, &x)));
+        voted.train(&x, &y, &P);
+        let mut unvoted = warm_bank();
+        unvoted.set_level_parameters(&restored).expect("same architecture");
+        unvoted.train(&x, &y, &P);
+        assert_eq!(fingerprint(&voted, &x), fingerprint(&unvoted, &x));
+
+        // `train_short_only` itself reuses the cache, then invalidates it
+        // for the `train` that follows.
+        let mut voted = warm_bank();
+        voted.predict(&x, &P);
+        voted.train_short_only(&x, &y, &P);
+        assert!(!cached(&mut voted, 0, &x));
+        voted.train(&x, &y, &P);
+        let mut unvoted = warm_bank();
+        unvoted.train_short_only(&x, &y, &P);
+        unvoted.train(&x, &y, &P);
+        assert_eq!(fingerprint(&voted, &x), fingerprint(&unvoted, &x));
     }
 }
 

@@ -3,9 +3,17 @@
 //! Each point times one kernel at one shape and reports achieved GFLOP/s
 //! — the machine-readable companion to the end-to-end throughput sweep,
 //! so a kernel regression is attributable without re-deriving it from
-//! items/second. Shapes mirror the shipped configurations: the LR head
-//! (`256x10x2`), the MLP hidden/head layers, and cache-straddling square
-//! blocks for the tiled paths.
+//! items/second. Every `m x k x n` shape runs three products: `matmul`
+//! (`m x k` by `k x n`), `matmul_transa` (`(m x k)^T` by `m x n`, a
+//! weight gradient over `m` rows) and `matmul_transb` (`m x k` by
+//! `(n x k)^T`, a backprop `delta · W^T`). The shapes: StreamingLR's
+//! 2-class head over 10 features (`256x10x2`); a wide and a deep layer
+//! (`256x10x64`, `256x64x2`); the learner-drift MLP-32 on NSL-KDD's 20
+//! features and 5 classes — hidden layer `256x20x32`, head `256x32x5`,
+//! and `256x5x32`, whose transb is the head's backprop; and a square
+//! block past the cache tiles (`128x128x128`). Narrow heads sit beside
+//! wide layers on purpose: a kernel that falls off its register tiles at
+//! some width shows as a GFLOP/s cliff between neighbouring shapes.
 
 use freeway_linalg::{vector, Matrix};
 use serde::Serialize;
@@ -94,10 +102,18 @@ pub fn run() -> Vec<KernelBenchPoint> {
         fill(&mut a, 1);
     }
 
-    // Matmul shapes: LR head, MLP hidden + head, and a square block that
-    // exercises the cache tiling.
-    let matmul_shapes: [(usize, usize, usize); 4] =
-        [(256, 10, 2), (256, 10, 64), (256, 64, 2), (128, 128, 128)];
+    // Matmul shapes (see the module doc): LR head, wide and deep layers,
+    // the learner-drift MLP's layers, and a square block that exercises
+    // the cache tiling.
+    let matmul_shapes: [(usize, usize, usize); 7] = [
+        (256, 10, 2),
+        (256, 10, 64),
+        (256, 64, 2),
+        (256, 20, 32),
+        (256, 32, 5),
+        (256, 5, 32),
+        (128, 128, 128),
+    ];
     for &(m, k, n) in &matmul_shapes {
         let mut a = Matrix::zeros(m, k);
         let mut b = Matrix::zeros(k, n);

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use freeway_core::telemetry::{NoopSink, Stage, Telemetry, TelemetryEvent};
 use freeway_eval::alloc_metrics;
 use freeway_linalg::Matrix;
-use freeway_ml::{ModelSpec, Sgd, Trainer};
+use freeway_ml::{ModelSpec, Sgd, Trainer, Workspace};
 use freeway_streams::{BatchPool, Hyperplane, StreamGenerator};
 
 const BATCH: usize = 1024;
@@ -94,6 +94,62 @@ fn warm_lr_loop_allocates_nothing() {
     assert_eq!(
         delta.allocs, 0,
         "warm LR hot path allocated {} times ({} bytes) over {MEASURED_ITERS} iterations",
+        delta.allocs, delta.bytes
+    );
+    assert_eq!(delta.bytes, 0);
+}
+
+/// The learner-drift model — NSL-KDD's 20 features and 5 classes on an
+/// MLP-32 at 256 rows — whose 5-wide head runs `matmul_transa`'s column
+/// remainder and `matmul_transb`'s short shared dimension. Three warm
+/// steps must not touch the heap: a plain `train_step`; the learner's
+/// cached step (an inference forward pass on a separate workspace, then
+/// `train_step_from` back-propagating from it); and a weighted 4-subset
+/// window step (`gradient_into` per subset, merged into a caller-owned
+/// buffer, then `apply_gradient`).
+#[test]
+fn warm_learner_drift_mlp_steps_allocate_nothing() {
+    freeway_linalg::pool::configure(1);
+    let mut generator = freeway_streams::datasets::nslkdd(7);
+    let batch = generator.next_batch(256);
+    let (x, y) = (&batch.x, batch.labels());
+    let weights: Vec<f64> = (0..x.rows()).map(|i| 0.5 + (i % 7) as f64 / 7.0).collect();
+    let mut trainer =
+        Trainer::new(ModelSpec::mlp(20, vec![32], 5).build(0), Box::new(Sgd::new(0.05)));
+    let mut forward = Workspace::new();
+    let (mut probs, mut sub_x) = (Matrix::zeros(0, 0), Matrix::zeros(0, 0));
+    let (mut grad, mut merged) = (Vec::new(), vec![0.0; trainer.model().num_parameters()]);
+
+    let mut step = |trainer: &mut Trainer| {
+        trainer.train_step(x, y);
+        trainer.model().predict_proba_into(x, &mut forward, &mut probs);
+        assert!(trainer.train_step_from(x, y, &mut forward), "the MLP keeps its forward trace");
+        merged.fill(0.0);
+        let chunk = x.rows() / 4;
+        for start in (0..x.rows()).step_by(chunk) {
+            let end = start + chunk;
+            x.copy_row_range_into(start, end, &mut sub_x);
+            trainer.gradient_into(&sub_x, &y[start..end], Some(&weights[start..end]), &mut grad);
+            let share: f64 = weights[start..end].iter().sum();
+            for (m, g) in merged.iter_mut().zip(&grad) {
+                *m += share * g;
+            }
+        }
+        trainer.apply_gradient(&merged);
+    };
+
+    for _ in 0..WARM_ITERS {
+        step(&mut trainer);
+    }
+    alloc_metrics::reset();
+    let before = alloc_metrics::snapshot().expect("alloc-metrics feature is on");
+    for _ in 0..MEASURED_ITERS {
+        step(&mut trainer);
+    }
+    let delta = alloc_metrics::since(&before).expect("alloc-metrics feature is on");
+    assert_eq!(
+        delta.allocs, 0,
+        "warm learner-drift MLP steps allocated {} times ({} bytes) over {MEASURED_ITERS} iterations",
         delta.allocs, delta.bytes
     );
     assert_eq!(delta.bytes, 0);

@@ -58,6 +58,23 @@ pub const TILE_ROWS: usize = 64;
 /// MLP/CNN shapes this workspace trains (`k` up to a few hundred).
 pub const TILE_COLS: usize = 256;
 
+/// Shared-dimension depth of the stack panel [`Matrix::matmul_transb`]
+/// packs its right-hand side into: a `TRANSB_PANEL_K x MICRO_COLS` tile
+/// (4 KiB), which holds the whole shared dimension of every backprop
+/// `delta · W^T` this workspace runs (the layer's output width).
+const TRANSB_PANEL_K: usize = 64;
+
+/// Rows `j..j + width` of the right-hand side of a
+/// [`Matrix::matmul_transb`], shared indices `p0..`, transposed into a
+/// `depth x MICRO_COLS` panel: `data[q * MICRO_COLS + s]` holds
+/// `rhs[j + s][p0 + q]`.
+struct TransbPanel<'a> {
+    data: &'a [f64],
+    j: usize,
+    width: usize,
+    p0: usize,
+}
+
 impl Matrix {
     /// Creates a `rows x cols` matrix filled with zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
@@ -481,24 +498,13 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         out.resize(self.cols, rhs.cols);
-        out.data.fill(0.0);
-        if rhs.cols == 0 || self.cols == 0 {
-            return;
-        }
+        // No zero-fill: the band kernel produces every output element in
+        // one register accumulation over all shared rows, for every width
+        // (backprop's `input^T · delta` with 2–7 classes included) and
+        // every row remainder (e.g. 10 features).
         let flops = self.rows * self.cols * rhs.cols;
         if self.cols < 2 || flops < PAR_MATMUL_MIN_FLOPS || crate::pool::configured_threads() == 1 {
-            // Shared-row-outer order streams both operands contiguously;
-            // each output element still sees plain ascending-k
-            // accumulation, matching the pooled path below element-wise.
-            // Narrow right-hand sides (backprop's `input^T · delta` with
-            // few classes) take a register-held copy of the shared row.
-            match rhs.cols {
-                1 => self.matmul_transa_serial::<1>(rhs, out),
-                2 => self.matmul_transa_serial::<2>(rhs, out),
-                3 => self.matmul_transa_serial::<3>(rhs, out),
-                4 => self.matmul_transa_serial::<4>(rhs, out),
-                _ => self.matmul_transa_band_into(rhs, 0, self.cols, &mut out.data),
-            }
+            self.matmul_transa_band_into(rhs, 0, self.cols, &mut out.data);
             return;
         }
         self.matmul_transa_pooled_into(rhs, out, &crate::pool::global());
@@ -506,41 +512,66 @@ impl Matrix {
 
     /// Register-blocked `self^T * rhs` over output rows `[c0, c1)`
     /// (columns of `self`); `out_band` is the corresponding slice of the
-    /// output buffer, which must be zeroed (elements accumulate in
-    /// place). Works in `MICRO_ROWS x MICRO_COLS` register tiles over the
-    /// ascending shared-row sweep; each output element accumulates in
-    /// ascending shared-row order exactly like the naive loop, for any
-    /// band geometry, so results are bit-identical to
+    /// output buffer (prior contents ignored: every element is
+    /// overwritten). Output rows go in strips of [`MICRO_ROWS`] (the last
+    /// strip of a band 1–3 rows tall), each strip in [`MICRO_COLS`]-wide
+    /// register tiles plus one 1–7-wide remainder tile. Each output
+    /// element accumulates in ascending shared-row order exactly like the
+    /// naive loop, for any band geometry, so results are bit-identical to
     /// `self.transpose().matmul(rhs)`.
     fn matmul_transa_band_into(&self, rhs: &Matrix, c0: usize, c1: usize, out_band: &mut [f64]) {
-        let n = rhs.cols;
-        if n == 0 || c1 <= c0 {
+        if rhs.cols == 0 || c1 <= c0 {
             return;
         }
-        debug_assert_eq!(out_band.len(), (c1 - c0) * n);
+        debug_assert_eq!(out_band.len(), (c1 - c0) * rhs.cols);
         let mut c = c0;
-        while c + MICRO_ROWS <= c1 {
-            let mut j = 0;
-            while j + MICRO_COLS <= n {
-                self.matmul_transa_micro(rhs, c, j, c0, out_band);
-                j += MICRO_COLS;
+        while c < c1 {
+            let rows = (c1 - c).min(MICRO_ROWS);
+            match rows {
+                MICRO_ROWS => self.matmul_transa_strip::<{ MICRO_ROWS }>(rhs, c, c0, out_band),
+                3 => self.matmul_transa_strip::<3>(rhs, c, c0, out_band),
+                2 => self.matmul_transa_strip::<2>(rhs, c, c0, out_band),
+                _ => self.matmul_transa_strip::<1>(rhs, c, c0, out_band),
             }
-            if j < n {
-                self.matmul_transa_scalar(rhs, c, c + MICRO_ROWS, j, n, c0, out_band);
-            }
-            c += MICRO_ROWS;
-        }
-        if c < c1 {
-            self.matmul_transa_scalar(rhs, c, c1, 0, n, c0, out_band);
+            c += rows;
         }
     }
 
-    /// `MICRO_ROWS x MICRO_COLS` register tile of `self^T * rhs`: output
-    /// rows `c..c + MICRO_ROWS`, columns `j..j + MICRO_COLS`, accumulated
-    /// over all shared rows in ascending order with register-resident
-    /// partial sums.
+    /// Output rows `c..c + R` of `self^T * rhs`, all columns: full-width
+    /// tiles, then the narrow column remainder — which for a skinny
+    /// right-hand side (the LR/MLP head's 2–7 classes) is the *entire*
+    /// product — in one const-width tile.
     #[inline]
-    fn matmul_transa_micro(
+    fn matmul_transa_strip<const R: usize>(
+        &self,
+        rhs: &Matrix,
+        c: usize,
+        c0: usize,
+        out_band: &mut [f64],
+    ) {
+        let n = rhs.cols;
+        let mut j = 0;
+        while j + MICRO_COLS <= n {
+            self.matmul_transa_micro::<R, { MICRO_COLS }>(rhs, c, j, c0, out_band);
+            j += MICRO_COLS;
+        }
+        match n - j {
+            0 => {}
+            1 => self.matmul_transa_micro::<R, 1>(rhs, c, j, c0, out_band),
+            2 => self.matmul_transa_micro::<R, 2>(rhs, c, j, c0, out_band),
+            3 => self.matmul_transa_micro::<R, 3>(rhs, c, j, c0, out_band),
+            4 => self.matmul_transa_micro::<R, 4>(rhs, c, j, c0, out_band),
+            5 => self.matmul_transa_micro::<R, 5>(rhs, c, j, c0, out_band),
+            6 => self.matmul_transa_micro::<R, 6>(rhs, c, j, c0, out_band),
+            _ => self.matmul_transa_micro::<R, 7>(rhs, c, j, c0, out_band),
+        }
+    }
+
+    /// `R x N` register tile of `self^T * rhs`: output rows `c..c + R`,
+    /// columns `j..j + N`, accumulated over all shared rows in ascending
+    /// order with register-resident partial sums, then written once.
+    #[inline]
+    fn matmul_transa_micro<const R: usize, const N: usize>(
         &self,
         rhs: &Matrix,
         c: usize,
@@ -550,20 +581,20 @@ impl Matrix {
     ) {
         let n = rhs.cols;
         let k = self.cols;
-        assert!(c + MICRO_ROWS <= k && j + MICRO_COLS <= n && rhs.rows == self.rows);
+        assert!(c + R <= k && j + N <= n && rhs.rows == self.rows);
         let a = &self.data;
         let b = &rhs.data;
-        let mut acc = [[0.0f64; MICRO_COLS]; MICRO_ROWS];
+        let mut acc = [[0.0f64; N]; R];
         for r in 0..self.rows {
-            // SAFETY: `r < self.rows = rhs.rows`, `c + MICRO_ROWS <= k`,
-            // and `j + MICRO_COLS <= n` (asserted above) bound every
-            // index below the respective buffer lengths; unchecked access
-            // hoists the per-row bounds checks out of the FMA loop.
+            // SAFETY: `r < self.rows = rhs.rows`, `c + R <= k`, and
+            // `j + N <= n` (asserted above) bound every index below the
+            // respective buffer lengths; unchecked access hoists the
+            // per-row bounds checks out of the FMA loop.
             unsafe {
-                let a_row = a.get_unchecked(r * k + c..r * k + c + MICRO_ROWS);
-                let b_row = b.get_unchecked(r * n + j..r * n + j + MICRO_COLS);
+                let a_row = a.get_unchecked(r * k + c..r * k + c + R);
+                let b_row = b.get_unchecked(r * n + j..r * n + j + N);
                 for (acc_c, &a_rc) in acc.iter_mut().zip(a_row) {
-                    for l in 0..MICRO_COLS {
+                    for l in 0..N {
                         acc_c[l] += a_rc * b_row[l];
                     }
                 }
@@ -571,51 +602,7 @@ impl Matrix {
         }
         for (row_idx, acc_c) in acc.iter().enumerate() {
             let base = (c + row_idx - c0) * n + j;
-            for (o, &v) in out_band[base..base + MICRO_COLS].iter_mut().zip(acc_c) {
-                *o += v;
-            }
-        }
-    }
-
-    /// Scalar remainder of the blocked `self^T * rhs`: output rows
-    /// `[ca, cb)`, columns `[ja, jb)`, ascending shared-row accumulation
-    /// directly into the (zero-initialised) output band.
-    #[allow(clippy::too_many_arguments)] // tile coordinates: two index ranges + band offset
-    fn matmul_transa_scalar(
-        &self,
-        rhs: &Matrix,
-        ca: usize,
-        cb: usize,
-        ja: usize,
-        jb: usize,
-        c0: usize,
-        out_band: &mut [f64],
-    ) {
-        let n = rhs.cols;
-        for (a_row, b_row) in self.row_iter().zip(rhs.row_iter()) {
-            for (c, &a_rc) in a_row.iter().enumerate().take(cb).skip(ca) {
-                let base = (c - c0) * n;
-                for (o, &b) in out_band[base + ja..base + jb].iter_mut().zip(&b_row[ja..jb]) {
-                    *o += a_rc * b;
-                }
-            }
-        }
-    }
-
-    /// Serial `self^T * rhs` body for a constant narrow `rhs` width:
-    /// identical shared-row-outer traversal and per-element ascending-k
-    /// accumulation as the generic loop, with the `N` right-hand values
-    /// of each shared row held in registers.
-    #[inline]
-    fn matmul_transa_serial<const N: usize>(&self, rhs: &Matrix, out: &mut Matrix) {
-        for (a_row, b_row) in self.row_iter().zip(rhs.row_iter()) {
-            let mut b = [0.0f64; N];
-            b.copy_from_slice(&b_row[..N]);
-            for (out_row, &a_kc) in out.data.chunks_exact_mut(N).zip(a_row) {
-                for j in 0..N {
-                    out_row[j] += a_kc * b[j];
-                }
-            }
+            out_band[base..base + N].copy_from_slice(acc_c);
         }
     }
 
@@ -635,12 +622,12 @@ impl Matrix {
         out
     }
 
-    /// Pooled `self^T * rhs` body; `out` must already be zeroed with shape
-    /// `self.cols x rhs.cols`. Output rows (columns of `self`) are
-    /// partitioned into micro-tile-aligned bands running the blocked
-    /// kernel; each output element is produced wholly within one task by
-    /// ascending shared-row accumulation, so there are no split
-    /// reductions and the result is thread-count invariant.
+    /// Pooled `self^T * rhs` body; `out` must have shape
+    /// `self.cols x rhs.cols` (every element is overwritten). Output rows
+    /// (columns of `self`) are partitioned into micro-tile-aligned bands
+    /// running the blocked kernel; each output element is produced wholly
+    /// within one task by ascending shared-row accumulation, so there are
+    /// no split reductions and the result is thread-count invariant.
     fn matmul_transa_pooled_into(
         &self,
         rhs: &Matrix,
@@ -705,85 +692,124 @@ impl Matrix {
 
     /// Register-blocked `self * rhs^T` over output rows `[i0, i1)`;
     /// `out_band` is the corresponding slice of the output buffer (prior
-    /// contents ignored). Both operands stream contiguously along the
-    /// shared dimension, so the blocking is pure register tiling:
-    /// `MICRO_ROWS x MICRO_ROWS` output tiles, each element a plain
-    /// ascending-`k` dot — bit-identical to `matmul` against a
-    /// materialized transpose for any band geometry or thread count.
+    /// contents ignored: every element is overwritten). For each
+    /// [`MICRO_COLS`]-wide group of output columns, the matching `rhs`
+    /// rows are transposed into a stack panel, so the sweep over output
+    /// rows runs `R x N` register tiles with one contiguous panel load per
+    /// shared index — the matmul micro-kernel's shape — instead of a
+    /// strided gather. A shared dimension longer than [`TRANSB_PANEL_K`]
+    /// takes several panels, each resuming the partial sums the previous
+    /// one wrote (a store and reload is exact). Every element is one
+    /// ascending-`k` dot, so the result is bit-identical to `matmul`
+    /// against a materialized transpose for any band geometry or thread
+    /// count.
     fn matmul_transb_band_into(&self, rhs: &Matrix, i0: usize, i1: usize, out_band: &mut [f64]) {
         let n = rhs.rows;
+        let k = self.cols;
         if n == 0 || i1 <= i0 {
             return;
         }
         debug_assert_eq!(out_band.len(), (i1 - i0) * n);
-        // Narrow shared dimensions keep the register-held-row kernels.
-        if self.cols <= MICRO_ROWS {
-            for i in i0..i1 {
-                let base = (i - i0) * n;
-                self.matmul_transb_row_range_into(rhs, i, 0, &mut out_band[base..base + n]);
-            }
+        if k == 0 {
+            out_band.fill(0.0);
             return;
         }
-        let mut i = i0;
-        while i + MICRO_ROWS <= i1 {
-            let mut j = 0;
-            while j + MICRO_ROWS <= n {
-                self.matmul_transb_micro(rhs, i, j, i0, out_band);
-                j += MICRO_ROWS;
-            }
-            if j < n {
-                for r in i..i + MICRO_ROWS {
-                    let base = (r - i0) * n;
-                    self.matmul_transb_row_range_into(rhs, r, j, &mut out_band[base + j..base + n]);
+        let mut tile = [0.0f64; TRANSB_PANEL_K * MICRO_COLS];
+        for j in (0..n).step_by(MICRO_COLS) {
+            let width = (n - j).min(MICRO_COLS);
+            for p0 in (0..k).step_by(TRANSB_PANEL_K) {
+                let depth = (k - p0).min(TRANSB_PANEL_K);
+                for (s, b_row) in rhs.data[j * k..(j + width) * k].chunks_exact(k).enumerate() {
+                    for (q, &v) in b_row[p0..p0 + depth].iter().enumerate() {
+                        tile[q * MICRO_COLS + s] = v;
+                    }
+                }
+                let panel = TransbPanel { data: &tile[..depth * MICRO_COLS], j, width, p0 };
+                let mut i = i0;
+                while i < i1 {
+                    let rows = (i1 - i).min(MICRO_ROWS);
+                    match rows {
+                        MICRO_ROWS => {
+                            self.matmul_transb_strip::<{ MICRO_ROWS }>(&panel, i, i0, n, out_band)
+                        }
+                        3 => self.matmul_transb_strip::<3>(&panel, i, i0, n, out_band),
+                        2 => self.matmul_transb_strip::<2>(&panel, i, i0, n, out_band),
+                        _ => self.matmul_transb_strip::<1>(&panel, i, i0, n, out_band),
+                    }
+                    i += rows;
                 }
             }
-            i += MICRO_ROWS;
-        }
-        for r in i..i1 {
-            let base = (r - i0) * n;
-            self.matmul_transb_row_range_into(rhs, r, 0, &mut out_band[base..base + n]);
         }
     }
 
-    /// `MICRO_ROWS x MICRO_ROWS` register tile of `self * rhs^T`: output
-    /// rows `i..i + MICRO_ROWS`, columns `j..j + MICRO_ROWS`, each
-    /// element a plain ascending-`k` sum held in a register.
+    /// Output rows `i..i + R` of `self * rhs^T` against one packed panel,
+    /// as one register tile of the panel's width (1–[`MICRO_COLS`]).
     #[inline]
-    fn matmul_transb_micro(
+    fn matmul_transb_strip<const R: usize>(
         &self,
-        rhs: &Matrix,
+        panel: &TransbPanel<'_>,
         i: usize,
-        j: usize,
         i0: usize,
+        n: usize,
+        out_band: &mut [f64],
+    ) {
+        match panel.width {
+            MICRO_COLS => self.matmul_transb_micro::<R, { MICRO_COLS }>(panel, i, i0, n, out_band),
+            1 => self.matmul_transb_micro::<R, 1>(panel, i, i0, n, out_band),
+            2 => self.matmul_transb_micro::<R, 2>(panel, i, i0, n, out_band),
+            3 => self.matmul_transb_micro::<R, 3>(panel, i, i0, n, out_band),
+            4 => self.matmul_transb_micro::<R, 4>(panel, i, i0, n, out_band),
+            5 => self.matmul_transb_micro::<R, 5>(panel, i, i0, n, out_band),
+            6 => self.matmul_transb_micro::<R, 6>(panel, i, i0, n, out_band),
+            _ => self.matmul_transb_micro::<R, 7>(panel, i, i0, n, out_band),
+        }
+    }
+
+    /// `R x N` register tile of `self * rhs^T`: output rows `i..i + R`,
+    /// columns `panel.j..panel.j + N` of an output `n` columns wide, over
+    /// the panel's shared indices. The accumulators start at zero on the
+    /// first panel and resume the stored partial sums on later ones, so
+    /// each element's terms are added in plain ascending-`k` order.
+    #[inline]
+    fn matmul_transb_micro<const R: usize, const N: usize>(
+        &self,
+        panel: &TransbPanel<'_>,
+        i: usize,
+        i0: usize,
+        n: usize,
         out_band: &mut [f64],
     ) {
         let k = self.cols;
-        let n = rhs.rows;
-        assert!(i + MICRO_ROWS <= self.rows && j + MICRO_ROWS <= n && rhs.cols == k);
+        let depth = panel.data.len() / MICRO_COLS;
+        assert!(i + R <= self.rows && panel.p0 + depth <= k && N <= MICRO_COLS && panel.j + N <= n);
+        let mut acc = [[0.0f64; N]; R];
+        if panel.p0 > 0 {
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let base = (i + r - i0) * n + panel.j;
+                acc_r.copy_from_slice(&out_band[base..base + N]);
+            }
+        }
         let a = &self.data;
-        let b = &rhs.data;
-        let mut acc = [[0.0f64; MICRO_ROWS]; MICRO_ROWS];
-        for p in 0..k {
-            // SAFETY: `p < k`, `i + MICRO_ROWS <= self.rows`, and
-            // `j + MICRO_ROWS <= n = rhs.rows` (asserted above) bound all
-            // indices; unchecked access hoists per-`k` bounds checks out
-            // of the accumulation loop.
+        for q in 0..depth {
+            // SAFETY: `q < depth` and `N <= MICRO_COLS` keep
+            // `q * MICRO_COLS + N <= panel.data.len()`; `i + R <= self.rows`
+            // and `panel.p0 + q < k` keep every `a` index below
+            // `self.data.len()`. Both are established by the assert above;
+            // unchecked access hoists the per-step bounds checks out of
+            // the accumulation loop.
             unsafe {
-                let mut b_v = [0.0f64; MICRO_ROWS];
-                for (s, slot) in b_v.iter_mut().enumerate() {
-                    *slot = *b.get_unchecked((j + s) * k + p);
-                }
+                let b_row = panel.data.get_unchecked(q * MICRO_COLS..q * MICRO_COLS + N);
                 for (r, acc_r) in acc.iter_mut().enumerate() {
-                    let a_v = *a.get_unchecked((i + r) * k + p);
-                    for s in 0..MICRO_ROWS {
-                        acc_r[s] += a_v * b_v[s];
+                    let a_v = *a.get_unchecked((i + r) * k + panel.p0 + q);
+                    for l in 0..N {
+                        acc_r[l] += a_v * b_row[l];
                     }
                 }
             }
         }
         for (r, acc_r) in acc.iter().enumerate() {
-            let base = (i + r - i0) * n + j;
-            out_band[base..base + MICRO_ROWS].copy_from_slice(acc_r);
+            let base = (i + r - i0) * n + panel.j;
+            out_band[base..base + N].copy_from_slice(acc_r);
         }
     }
 
@@ -831,59 +857,6 @@ impl Matrix {
             })
             .collect();
         pool.run(tasks);
-    }
-
-    /// Columns `j0..j0 + out_row.len()` of one output row of
-    /// `self * rhs^T`.
-    ///
-    /// Uses a plain ascending-k scalar sum — deliberately *not* the
-    /// unrolled [`crate::vector::dot`], whose 4-lane association order
-    /// differs — so each element matches `matmul` against a materialized
-    /// transpose bit for bit.
-    #[inline]
-    fn matmul_transb_row_range_into(&self, rhs: &Matrix, i: usize, j0: usize, out_row: &mut [f64]) {
-        let a_row = self.row(i);
-        let b_rows = &rhs.data[j0 * rhs.cols..(j0 + out_row.len()) * rhs.cols];
-        // Narrow shared dimensions (backprop's `delta · W^T` with few
-        // classes) keep the row in registers; the ascending-k sum below
-        // is the same either way.
-        match a_row.len() {
-            0 => out_row.fill(0.0),
-            1 => Self::matmul_transb_row_narrow::<1>(a_row, b_rows, out_row),
-            2 => Self::matmul_transb_row_narrow::<2>(a_row, b_rows, out_row),
-            3 => Self::matmul_transb_row_narrow::<3>(a_row, b_rows, out_row),
-            4 => Self::matmul_transb_row_narrow::<4>(a_row, b_rows, out_row),
-            cols => {
-                for (o, b_row) in out_row.iter_mut().zip(b_rows.chunks_exact(cols)) {
-                    let mut s = 0.0;
-                    for (&a, &b) in a_row.iter().zip(b_row) {
-                        s += a * b;
-                    }
-                    *o = s;
-                }
-            }
-        }
-    }
-
-    /// A span of one output row of `self * rhs^T` for a constant narrow
-    /// shared dimension `N`: per-element ascending-k scalar sums exactly
-    /// like the generic loop, with `a_row` held in registers. `b_rows` is
-    /// the contiguous slice of `rhs` rows matching `out_row`.
-    #[inline]
-    fn matmul_transb_row_narrow<const N: usize>(
-        a_row: &[f64],
-        b_rows: &[f64],
-        out_row: &mut [f64],
-    ) {
-        let mut a = [0.0f64; N];
-        a.copy_from_slice(&a_row[..N]);
-        for (o, b_row) in out_row.iter_mut().zip(b_rows.chunks_exact(N)) {
-            let mut s = 0.0;
-            for j in 0..N {
-                s += a[j] * b_row[j];
-            }
-            *o = s;
-        }
     }
 
     /// Matrix-vector product `self * v`.

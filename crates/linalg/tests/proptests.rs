@@ -298,7 +298,8 @@ fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
 
 /// Tile-size invariance, phrased against the fixed tile constants: shapes
 /// on, below, and across every micro/tile boundary (4-row micro, 8-col
-/// micro, 64-row L1 tile, 256-col tile) must all reproduce the naive
+/// micro, 64-row L1 tile, 256-col tile, 64-deep transb panel) and at the
+/// layer shapes the paper's MLPs train must all reproduce the naive
 /// reference exactly, serial and pooled. If a tile edge ever changed an
 /// element's accumulation order, one of these shapes would catch it.
 #[test]
@@ -313,6 +314,23 @@ fn blocked_kernels_bit_identical_to_naive_across_tile_boundaries() {
         (65, 3, 257),
         (70, 33, 300),
         (130, 17, 40),
+        // A shared dimension past the transb panel depth (64): the
+        // partial sums resume across three panels.
+        (37, 129, 19),
+        // The NSL-KDD (20 features, 5 classes) and Covertype (10
+        // features, 7 classes) MLP-32 layers at 256 rows, forward and
+        // backward: the weight gradients `input^T · delta` (32x256^T ·
+        // 256x5, 20x256^T · 256x32, 10x256^T · 256x32 — transa's 5–7-wide
+        // column and 1–3-row remainders), the forward products, and
+        // `delta · W^T` (256x5 · (32x5)^T — transb's short shared
+        // dimension).
+        (32, 256, 5),
+        (32, 256, 7),
+        (20, 256, 32),
+        (10, 256, 32),
+        (256, 32, 5),
+        (256, 5, 32),
+        (256, 7, 32),
     ];
     for &(m, k, n) in &shapes {
         let fill = |i: usize| ((i as f64) * 0.37).sin() * 5.0;

@@ -136,6 +136,24 @@ impl Cnn1d {
         }
     }
 
+    /// Forward pass with traces: conv activations in `ws.conv`, argmax
+    /// indices in `ws.argmax`, pooled features in `ws.acts[0]`, class
+    /// probabilities in `ws.acts[1]`.
+    fn forward_into(&self, x: &Matrix, ws: &mut Workspace) {
+        assert_eq!(x.cols(), self.features, "feature dimension mismatch");
+        ws.ensure_acts(2);
+        self.trace_batch_into(x, ws);
+        let (head, tail) = ws.acts.split_at_mut(1);
+        let (pooled, logits) = (&head[0], &mut tail[0]);
+        pooled.matmul_into(&self.dense, logits);
+        for r in 0..x.rows() {
+            for (v, &b) in logits.row_mut(r).iter_mut().zip(&self.dense_bias) {
+                *v += b;
+            }
+        }
+        loss::softmax_rows(logits);
+    }
+
     fn pooled_batch(&self, x: &Matrix) -> Matrix {
         let pl = self.pooled_len();
         let k = self.num_filters();
@@ -175,15 +193,9 @@ impl Model for Cnn1d {
     }
 
     fn predict_proba_into(&self, x: &Matrix, ws: &mut Workspace, out: &mut Matrix) {
-        assert_eq!(x.cols(), self.features, "feature dimension mismatch");
-        self.trace_batch_into(x, ws);
-        ws.acts[0].matmul_into(&self.dense, out);
-        for r in 0..out.rows() {
-            for (v, &b) in out.row_mut(r).iter_mut().zip(&self.dense_bias) {
-                *v += b;
-            }
-        }
-        loss::softmax_rows(out);
+        // The whole forward trace stays in `ws` for `backward_into`.
+        self.forward_into(x, ws);
+        out.copy_from(&ws.acts[1]);
     }
 
     fn gradient(&self, x: &Matrix, y: &[usize], weights: Option<&[f64]>) -> Vec<f64> {
@@ -201,26 +213,22 @@ impl Model for Cnn1d {
         ws: &mut Workspace,
         out: &mut Vec<f64>,
     ) {
-        assert_eq!(x.cols(), self.features, "feature dimension mismatch");
+        self.forward_into(x, ws);
+        self.backward_into(x, y, weights, ws, out);
+    }
+
+    fn backward_into(
+        &self,
+        x: &Matrix,
+        y: &[usize],
+        weights: Option<&[f64]>,
+        ws: &mut Workspace,
+        out: &mut Vec<f64>,
+    ) -> bool {
         let n = x.rows();
         let k = self.num_filters();
         let cl = self.conv_len();
         let pl = self.pooled_len();
-
-        // Forward with traces: pooled in acts[0], logits/probs in acts[1].
-        ws.ensure_acts(2);
-        self.trace_batch_into(x, ws);
-        {
-            let (head, tail) = ws.acts.split_at_mut(1);
-            let (pooled, logits) = (&head[0], &mut tail[0]);
-            pooled.matmul_into(&self.dense, logits);
-            for r in 0..n {
-                for (v, &b) in logits.row_mut(r).iter_mut().zip(&self.dense_bias) {
-                    *v += b;
-                }
-            }
-            loss::softmax_rows(logits);
-        }
         loss::softmax_grad_into(&ws.acts[1], y, weights, &mut ws.delta_a); // n x classes
 
         let nf = k * self.kernel;
@@ -263,6 +271,7 @@ impl Model for Cnn1d {
                 }
             }
         }
+        true
     }
 
     fn gradient_loss_into(

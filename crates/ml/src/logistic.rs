@@ -36,6 +36,13 @@ impl SoftmaxRegression {
         }
     }
 
+    /// Forward pass: class probabilities in `ws.acts[0]`.
+    fn forward_into(&self, x: &Matrix, ws: &mut Workspace) {
+        ws.ensure_acts(1);
+        self.logits_into(x, &mut ws.acts[0]);
+        loss::softmax_rows(&mut ws.acts[0]);
+    }
+
     fn logits_into(&self, x: &Matrix, out: &mut Matrix) {
         x.matmul_into(&self.weights, out);
         let cols = self.bias.len();
@@ -63,9 +70,11 @@ impl Model for SoftmaxRegression {
         logits
     }
 
-    fn predict_proba_into(&self, x: &Matrix, _ws: &mut Workspace, out: &mut Matrix) {
-        self.logits_into(x, out);
-        loss::softmax_rows(out);
+    fn predict_proba_into(&self, x: &Matrix, ws: &mut Workspace, out: &mut Matrix) {
+        // The probabilities stay in `ws.acts[0]` too: they are all the
+        // backward pass reads besides `x`.
+        self.forward_into(x, ws);
+        out.copy_from(&ws.acts[0]);
     }
 
     fn gradient(&self, x: &Matrix, y: &[usize], weights: Option<&[f64]>) -> Vec<f64> {
@@ -83,17 +92,28 @@ impl Model for SoftmaxRegression {
         ws: &mut Workspace,
         out: &mut Vec<f64>,
     ) {
-        ws.ensure_acts(1);
-        self.logits_into(x, &mut ws.acts[0]);
-        loss::softmax_rows(&mut ws.acts[0]);
-        loss::softmax_grad_into(&ws.acts[0], y, weights, &mut ws.delta_a); // n x classes
-                                                                           // grad_W = x^T delta ; grad_b = column sums of delta.
+        self.forward_into(x, ws);
+        self.backward_into(x, y, weights, ws, out);
+    }
+
+    fn backward_into(
+        &self,
+        x: &Matrix,
+        y: &[usize],
+        weights: Option<&[f64]>,
+        ws: &mut Workspace,
+        out: &mut Vec<f64>,
+    ) -> bool {
+        // delta = d(CE)/d(logits), n x classes, from the probabilities in
+        // `ws.acts[0]`; grad_W = x^T delta ; grad_b = column sums of delta.
+        loss::softmax_grad_into(&ws.acts[0], y, weights, &mut ws.delta_a);
         x.matmul_transa_into(&ws.delta_a, &mut ws.grad_w);
         let nw = self.weights.rows() * self.weights.cols();
         out.clear();
         out.resize(nw + self.bias.len(), 0.0);
         out[..nw].copy_from_slice(ws.grad_w.as_slice());
         ws.delta_a.column_sums_into(&mut out[nw..]);
+        true
     }
 
     fn gradient_loss_into(

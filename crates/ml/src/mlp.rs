@@ -131,9 +131,22 @@ impl Model for Mlp {
     ) {
         ws.ensure_acts(self.layers.len());
         self.forward_layers_into(x, &mut ws.acts);
-        // delta starts as the (weighted-average) softmax+CE gradient and is
-        // back-propagated layer by layer, ping-ponging between the two
-        // workspace delta buffers.
+        self.backward_into(x, y, weights, ws, out);
+    }
+
+    fn backward_into(
+        &self,
+        x: &Matrix,
+        y: &[usize],
+        weights: Option<&[f64]>,
+        ws: &mut Workspace,
+        out: &mut Vec<f64>,
+    ) -> bool {
+        // `ws.acts` holds every layer's post-activation output (the
+        // inference path keeps them all). delta starts as the
+        // (weighted-average) softmax+CE gradient and is back-propagated
+        // layer by layer, ping-ponging between the two workspace delta
+        // buffers.
         loss::softmax_grad_into(&ws.acts[self.layers.len() - 1], y, weights, &mut ws.delta_a);
 
         let total = self.num_parameters();
@@ -162,6 +175,7 @@ impl Model for Mlp {
                 std::mem::swap(&mut ws.delta_a, &mut ws.delta_b);
             }
         }
+        true
     }
 
     fn gradient_loss_into(

@@ -66,6 +66,29 @@ pub trait Model: Send + Sync {
         out.extend_from_slice(&grad);
     }
 
+    /// The backward half of [`Model::gradient_into`]: writes the flat
+    /// gradient of a labeled batch into `out` from the forward pass of
+    /// `x` that `ws` already holds — left there by
+    /// [`Model::predict_proba_into`] or `gradient_into` on `x` at this
+    /// model's current parameters, which the caller guarantees. Under
+    /// that precondition the result is bit-identical to `gradient_into`:
+    /// same activations, same backward arithmetic. Returns `false`,
+    /// leaving `ws` and `out` untouched, when this model's inference path
+    /// does not keep what its backward pass reads; the caller then runs
+    /// `gradient_into`. The default returns `false`; the built-in models
+    /// implement `gradient_into` as their forward pass plus this.
+    fn backward_into(
+        &self,
+        x: &Matrix,
+        y: &[usize],
+        weights: Option<&[f64]>,
+        ws: &mut Workspace,
+        out: &mut Vec<f64>,
+    ) -> bool {
+        let _ = (x, y, weights, ws, out);
+        false
+    }
+
     /// [`Model::gradient_into`] that also returns the pre-update mean
     /// cross-entropy, computed from the *same* forward pass the gradient
     /// already performs — the probabilities are identical floats either

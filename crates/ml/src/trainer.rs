@@ -118,6 +118,35 @@ impl Trainer {
         self.model.apply_update(&self.delta);
     }
 
+    /// [`Self::train_step`] back-propagating from the forward pass of `x`
+    /// that `forward` already holds — left there by
+    /// `self.model().predict_proba_into(x, forward, _)` at the model's
+    /// current parameters, which the caller guarantees — instead of
+    /// running it again. Under that precondition the update is
+    /// bit-identical to `train_step`: same activations, same backward
+    /// pass, same optimizer step. The backward runs on this trainer's
+    /// own scratch (the forward trace is borrowed by buffer swap, not
+    /// copied), so a warm call allocates nothing.
+    ///
+    /// Returns `false`, touching nothing, when the pass cannot be reused:
+    /// the data-parallel gradient recomputes by design, and a model may
+    /// not keep what its backward reads (see [`Model::backward_into`]).
+    /// The caller then runs `train_step`.
+    pub fn train_step_from(&mut self, x: &Matrix, y: &[usize], forward: &mut Workspace) -> bool {
+        if self.parallel_gradient {
+            return false;
+        }
+        self.ws.swap_forward(forward);
+        let done = self.model.backward_into(x, y, None, &mut self.ws, &mut self.grad);
+        self.ws.swap_forward(forward);
+        if done {
+            let grad = std::mem::take(&mut self.grad);
+            self.apply_gradient(&grad);
+            self.grad = grad;
+        }
+        done
+    }
+
     /// Writes the model's (optionally weighted) average batch gradient
     /// into `out` using this trainer's reusable workspace — the
     /// allocation-free building block of the pre-computing window.
@@ -213,6 +242,35 @@ mod tests {
         let _ = a.train_weighted(&x, &y, Some(&w));
         b.train_weighted_step(&x, &y, Some(&w));
         assert_eq!(a.model().parameters(), b.model().parameters());
+    }
+
+    #[test]
+    fn train_step_from_is_bit_identical_to_train_step() {
+        // 8 features so the CNN's kernel fits; 3 classes for a remainder
+        // tile. Each step's forward pass runs on a separate workspace, the
+        // way the ensemble's inference scratch does.
+        let rows: Vec<Vec<f64>> =
+            (0..37).map(|i| (0..8).map(|j| ((i * 8 + j) as f64 * 0.37).sin()).collect()).collect();
+        let x = Matrix::from_rows(&rows);
+        let y: Vec<usize> = (0..37).map(|i| i % 3).collect();
+        for spec in
+            [ModelSpec::lr(8, 3), ModelSpec::mlp(8, vec![6, 5], 3), ModelSpec::cnn(8, 4, 3, 3)]
+        {
+            let mut cached = Trainer::new(spec.build(5), Box::new(Sgd::new(0.3)));
+            let mut plain = cached.clone();
+            let (mut forward, mut probs) = (Workspace::new(), Matrix::zeros(0, 0));
+            for _ in 0..4 {
+                cached.model().predict_proba_into(&x, &mut forward, &mut probs);
+                assert!(cached.train_step_from(&x, &y, &mut forward), "{spec:?}");
+                plain.train_step(&x, &y);
+                let bits = |t: &Trainer| -> Vec<u64> {
+                    t.model().parameters().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(bits(&cached), bits(&plain), "{spec:?}");
+            }
+            cached.set_parallel_gradient(true);
+            assert!(!cached.train_step_from(&x, &y, &mut forward), "data-parallel recomputes");
+        }
     }
 
     #[test]

@@ -54,6 +54,17 @@ impl Workspace {
         }
     }
 
+    /// Exchanges the forward-pass trace — activations, and the CNN's
+    /// convolution and argmax traces — with `other`, leaving each
+    /// workspace's backward scratch (deltas, weight-gradient staging) in
+    /// place. Swaps buffers, not contents, so it neither copies nor
+    /// allocates.
+    pub(crate) fn swap_forward(&mut self, other: &mut Workspace) {
+        std::mem::swap(&mut self.acts, &mut other.acts);
+        std::mem::swap(&mut self.conv, &mut other.conv);
+        std::mem::swap(&mut self.argmax, &mut other.argmax);
+    }
+
     /// Ensures at least `n` activation slots exist (never shrinks, so a
     /// workspace shared across models keeps every slot's allocation).
     pub(crate) fn ensure_acts(&mut self, n: usize) {
