@@ -167,10 +167,11 @@ echo "== benchmark smoke (perfbench builds and its answers replay-check) =="
 # it: a core API change could break the benchmark unnoticed. One short
 # run per workload proves it still builds against the current crates and
 # that every answer matches its serialized reference replay (a mismatch
-# exits 1 without printing numbers); the traced serve-roundtrip run also
-# replay-checks every ladder tier and durable serving. The last line of
-# each run is its JSON verdict.
-for spec in learner-drift:0 serve-roundtrip:0 serve-roundtrip:1; do
+# exits 1 without printing numbers); the traced serve-roundtrip runs also
+# replay-check every ladder tier and durable serving, and feed the
+# serving-hop gate below. The last line of each run is its JSON verdict.
+rm -f /tmp/perfbench_ci_hop.txt
+for spec in learner-drift:0 serve-roundtrip:0 serve-roundtrip:1 serve-roundtrip:1 serve-roundtrip:1; do
     workload=${spec%:*}
     trace=${spec#*:}
     cargo run --quiet --offline --release --manifest-path perfbench/Cargo.toml -- \
@@ -183,9 +184,30 @@ run = f"{os.environ['WORKLOAD']} --trace {os.environ['TRACE']}"
 assert verdict["correct"] is True, f"{run}: benchmark answers were not correct"
 assert verdict["failed"] == 0, f"{run}: {verdict['failed']} operations failed"
 print(f"benchmark smoke: {run}: correct, {verdict['attempted']} attempted, 0 failed")
+if run == "serve-roundtrip --trace 1":
+    metrics = verdict["metrics"]
+    serve = metrics["tier.serve.rt_p50_us"]["value"]
+    supervisor = metrics["tier.supervisor.rt_p50_us"]["value"]
+    with open("/tmp/perfbench_ci_hop.txt", "a") as ratios:
+        ratios.write(f"{serve / supervisor}\n")
 PY
 done
-rm -f /tmp/perfbench_ci.out /tmp/perfbench_ci.json
+# Serving-hop gate, a ratio within each run so host speed cancels: a
+# Service round trip may cost at most 1.2x the supervised pipeline's,
+# which already makes the two worker wake-ups a serving trip needs. The
+# median of the three traced runs rides out one noisy run.
+python3 - <<'PY'
+import statistics
+ratios = [float(line) for line in open("/tmp/perfbench_ci_hop.txt")]
+assert len(ratios) == 3, f"expected three traced serve-roundtrip runs, got {ratios}"
+median = statistics.median(ratios)
+runs = ", ".join(f"{r:.2f}" for r in ratios)
+assert median <= 1.2, (
+    f"serving hop regressed: median tier.serve/tier.supervisor rt_p50 {median:.2f} > 1.2 ({runs})"
+)
+print(f"serving-hop gate: median serve/supervisor round trip {median:.2f} <= 1.2 ({runs})")
+PY
+rm -f /tmp/perfbench_ci.out /tmp/perfbench_ci.json /tmp/perfbench_ci_hop.txt
 
 echo "== cargo doc (telemetry + builder API docs must be warning-free) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

@@ -200,7 +200,7 @@ fn service_fences_dead_shard_and_fails_traffic_over() {
     // Kill shard 0's worker with a probe stranded in its queue: a stall
     // holds the worker while the panic and then the probe queue up behind
     // it, so the probe is admitted to the worker that dies. With a zero
-    // restart budget the crash exhausts it, the router fences the shard,
+    // restart budget the crash exhausts it, the service fences the shard,
     // and the stranded probe comes back as a typed retryable
     // `Shed("fenced")` notice.
     handle.inject_worker_stall(0, Duration::from_millis(200), false).expect("service running");

@@ -240,6 +240,13 @@ pub struct AdmittedPipeline {
     fenced: bool,
 }
 
+/// The outcome of an offer that waited: no policy hands such a batch back.
+pub(crate) fn waited(
+    outcome: Result<AdmissionOutcome, Batch>,
+) -> Result<AdmissionOutcome, FreewayError> {
+    outcome.map_err(|_| FreewayError::QueueFull)
+}
+
 impl AdmittedPipeline {
     /// Wraps a supervised pipeline in admission control. The learner
     /// driving `inner` must already share `handle` (the builder attaches
@@ -278,7 +285,7 @@ impl AdmittedPipeline {
     /// As [`SupervisedPipeline::feed`] — supervision errors, never
     /// backpressure (that is what the policy absorbs).
     pub fn feed(&mut self, batch: Batch) -> Result<AdmissionOutcome, FreewayError> {
-        self.offer(batch, false)
+        waited(self.offer(batch, false, true)?)
     }
 
     /// Offers a prequential batch; see [`Self::feed`].
@@ -286,17 +293,29 @@ impl AdmittedPipeline {
     /// # Errors
     /// As [`Self::feed`].
     pub fn feed_prequential(&mut self, batch: Batch) -> Result<AdmissionOutcome, FreewayError> {
-        self.offer(batch, true)
+        waited(self.offer(batch, true, true)?)
     }
 
-    fn offer(&mut self, batch: Batch, prequential: bool) -> Result<AdmissionOutcome, FreewayError> {
+    /// Offers one batch. With `wait` unset, a batch that
+    /// [`AdmissionPolicy::Block`] would wait on comes straight back as
+    /// `Err`, untouched and not counted as offered, so its retry counts
+    /// once; every other outcome is the same as a waiting offer's.
+    ///
+    /// # Errors
+    /// As [`Self::feed`].
+    pub(crate) fn offer(
+        &mut self,
+        batch: Batch,
+        prequential: bool,
+        wait: bool,
+    ) -> Result<Result<AdmissionOutcome, Batch>, FreewayError> {
         self.stats.offered += 1;
         if self.fenced {
             // Defensive: the sharded router stops sending here once the
             // fence is up, but a direct caller still gets a counted,
             // typed verdict instead of a dead-worker error.
             self.shed_batch(batch, ShedReason::Fenced);
-            return Ok(AdmissionOutcome::Shed(ShedReason::Fenced));
+            return Ok(Ok(AdmissionOutcome::Shed(ShedReason::Fenced)));
         }
         let seq = batch.seq;
         self.drain_backlog()?;
@@ -307,24 +326,31 @@ impl AdmittedPipeline {
             self.shed_batch(batch, ShedReason::Degraded);
             AdmissionOutcome::Shed(ShedReason::Degraded)
         } else {
-            self.offer_with_policy(batch, prequential)?
+            match self.offer_with_policy(batch, prequential, wait)? {
+                Ok(outcome) => outcome,
+                Err(batch) => {
+                    self.stats.offered -= 1;
+                    return Ok(Err(batch));
+                }
+            }
         };
         self.observe_pressure(seq);
-        Ok(outcome)
+        Ok(Ok(outcome))
     }
 
     fn offer_with_policy(
         &mut self,
         batch: Batch,
         prequential: bool,
-    ) -> Result<AdmissionOutcome, FreewayError> {
+        wait: bool,
+    ) -> Result<Result<AdmissionOutcome, Batch>, FreewayError> {
         // A non-empty backlog means older batches are still waiting; the
         // incoming one must not jump the queue (the guard would see its
         // seq regress when the backlog drains). Only shedding-newest
         // ever backlogs, so Block always takes the direct path.
         let full = if self.backlog.is_empty() {
             match self.try_inner(batch, prequential)? {
-                Ok(outcome) => return Ok(outcome),
+                Ok(outcome) => return Ok(Ok(outcome)),
                 Err(batch) => batch,
             }
         } else {
@@ -334,11 +360,12 @@ impl AdmittedPipeline {
                 Ok(batch) => batch,
                 Err(fault) => {
                     self.stats.quarantined += 1;
-                    return Ok(AdmissionOutcome::Quarantined(fault));
+                    return Ok(Ok(AdmissionOutcome::Quarantined(fault)));
                 }
             }
         };
-        match self.config.policy {
+        Ok(match self.config.policy {
+            AdmissionPolicy::Block if !wait => Err(full),
             AdmissionPolicy::Block => {
                 // Backpressure by waiting: hand the batch to the blocking
                 // path, which pumps worker output until space frees up.
@@ -368,7 +395,7 @@ impl AdmittedPipeline {
                     Ok(AdmissionOutcome::Shed(ShedReason::QueueFull))
                 }
             }
-        }
+        })
     }
 
     /// One non-blocking offer to the inner pipeline. `Ok(Ok(..))` means

@@ -349,9 +349,9 @@ impl PipelineBuilder {
         Ok(ShardedPipeline::new(shards, shared, self.telemetry))
     }
 
-    /// Builds the serving facade: a [`Self::build_sharded`] runtime owned
-    /// by a router thread, fronted by cloneable [`crate::ServiceHandle`]s
-    /// whose keyed [`crate::ClientSession`]s submit concurrently (see
+    /// Builds the serving facade: a [`Self::build_sharded`] runtime behind
+    /// cloneable [`crate::ServiceHandle`]s whose keyed
+    /// [`crate::ClientSession`]s submit concurrently (see
     /// [`crate::serve`]). Configure with [`Self::service`]; a single
     /// shard is a valid (unsharded) service.
     ///

@@ -27,8 +27,9 @@ pub enum FreewayError {
     /// [`Self::WorkerUnavailable`], which means the worker is dead and a
     /// retry can never succeed.
     QueueFull,
-    /// A thread outside supervision (the serving router) panicked; the
-    /// message is the panic payload. Worker panics restart instead.
+    /// Code outside supervision panicked (a serving call holding the
+    /// service lock); the message says what. Worker panics restart
+    /// instead.
     WorkerPanicked(String),
     /// The worker crashed more times than the supervisor allows.
     RestartsExhausted {

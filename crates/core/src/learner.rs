@@ -171,6 +171,23 @@ pub struct Learner {
     shared_publish_muted: bool,
 }
 
+/// One severe batch's guidance slice: the freshest labeled points, which
+/// already carry the post-shift distribution (continuity hypothesis), and
+/// the live ensemble's accuracy on them. Every evidence gate on the batch
+/// (local reuse, shared reuse, CEC arbitration) scores against this
+/// slice, and none of them changes the experience buffer or the ensemble,
+/// so the slice is copied, and the ensemble scored, at most once per batch.
+struct Guidance {
+    x: Matrix,
+    y: Vec<usize>,
+    ensemble_score: Option<f64>,
+}
+
+/// Fraction of `predictions` equal to `labels` (non-empty).
+fn hit_rate(predictions: &[usize], labels: &[usize]) -> f64 {
+    predictions.iter().zip(labels).filter(|(p, t)| p == t).count() as f64 / labels.len() as f64
+}
+
 impl Learner {
     /// Creates a learner for the given model architecture.
     ///
@@ -417,7 +434,7 @@ impl Learner {
                     }
                     ShiftPattern::Sudden => {
                         self.granularity.handle_severe_shift();
-                        self.infer_sudden(x, &measurement.projected)
+                        self.infer_sudden(x, &measurement.projected, &mut None)
                     }
                     ShiftPattern::Reoccurring => {
                         self.granularity.handle_severe_shift();
@@ -465,6 +482,7 @@ impl Learner {
         &mut self,
         x: &Matrix,
         projected: &[f64],
+        guidance: &mut Option<Guidance>,
     ) -> Option<(Vec<usize>, Strategy)> {
         if self.shared.is_none() || !self.config.enable_knowledge {
             return None;
@@ -473,19 +491,13 @@ impl Learner {
         // incomparable), so the lookup key is the raw batch mean.
         let fingerprint = x.column_means();
         let (entry, distance) = self.shared.as_mut()?.nearest_foreign(&fingerprint)?;
-        let probe = self.cec.max_experience;
-        let (gx, gy) = self.experience.snapshot_recent(probe);
-        if gy.is_empty() {
+        let g = self.guidance(guidance);
+        if g.y.is_empty() {
             return None;
         }
         let restored = entry.snapshot.restore();
-        let restored_preds = restored.predict(&gx);
-        let restored_score =
-            restored_preds.iter().zip(&gy).filter(|(p, t)| p == t).count() as f64 / gy.len() as f64;
-        let ens = self.granularity.predict(&gx, projected);
-        let ensemble_score =
-            ens.iter().zip(&gy).filter(|(p, t)| p == t).count() as f64 / gy.len() as f64;
-        if restored_score < ensemble_score {
+        let restored_score = hit_rate(&restored.predict(&g.x), &g.y);
+        if restored_score < self.ensemble_guidance_score(g, projected) {
             return None;
         }
         self.shared_hits += 1;
@@ -502,8 +514,15 @@ impl Learner {
         Some((preds, Strategy::KnowledgeReuse))
     }
 
-    fn infer_sudden(&mut self, x: &Matrix, projected: &[f64]) -> (Vec<usize>, Strategy) {
-        if let Some(reused) = self.try_shared_reuse(x, projected) {
+    /// Pattern B. `guidance` carries the slice (and the ensemble's score
+    /// on it) a failed reuse gate already built for this batch.
+    fn infer_sudden(
+        &mut self,
+        x: &Matrix,
+        projected: &[f64],
+        guidance: &mut Option<Guidance>,
+    ) -> (Vec<usize>, Strategy) {
+        if let Some(reused) = self.try_shared_reuse(x, projected, guidance) {
             return reused;
         }
         if !self.config.enable_cec {
@@ -517,14 +536,9 @@ impl Learner {
                 // guidance slice (guidance points inherit their cluster's
                 // majority label), so scoring the ensemble on the same
                 // slice makes the comparison apples-to-apples.
-                let probe = self.cec.max_experience;
-                let (gx, gy) = self.experience.snapshot_recent(probe);
-                let ensemble_score = if gy.is_empty() {
-                    0.0
-                } else {
-                    let ens = self.granularity.predict(&gx, projected);
-                    ens.iter().zip(&gy).filter(|(p, t)| p == t).count() as f64 / gy.len() as f64
-                };
+                let g = self.guidance(guidance);
+                let ensemble_score =
+                    if g.y.is_empty() { 0.0 } else { self.ensemble_guidance_score(g, projected) };
                 if purity > ensemble_score {
                     (preds, Strategy::Clustering)
                 } else {
@@ -542,8 +556,9 @@ impl Learner {
         projected: &[f64],
         distance: f64,
     ) -> (Vec<usize>, Strategy) {
+        let mut guidance = None;
         if !self.config.enable_knowledge {
-            return self.infer_sudden(x, projected);
+            return self.infer_sudden(x, projected, &mut guidance);
         }
         // Knowledge must also beat the nearest *live* model's fingerprint:
         // if a current model is as close to this data as the snapshot is,
@@ -562,18 +577,11 @@ impl Learner {
             // distribution the snapshot was trained on, so the snapshot
             // must score well on them. A projection-collision false match
             // fails here and falls through to the Pattern-B path.
-            let probe = self.cec.max_experience;
-            let (gx, gy) = self.experience.snapshot_recent(probe);
-            if !gy.is_empty() {
-                let restored_preds = restored.predict(&gx);
-                let restored_score = restored_preds.iter().zip(&gy).filter(|(p, t)| p == t).count()
-                    as f64
-                    / gy.len() as f64;
-                let ens = self.granularity.predict(&gx, projected);
-                let ensemble_score =
-                    ens.iter().zip(&gy).filter(|(p, t)| p == t).count() as f64 / gy.len() as f64;
-                if restored_score < ensemble_score {
-                    return self.infer_sudden(x, projected);
+            let g = self.guidance(&mut guidance);
+            if !g.y.is_empty() {
+                let restored_score = hit_rate(&restored.predict(&g.x), &g.y);
+                if restored_score < self.ensemble_guidance_score(g, projected) {
+                    return self.infer_sudden(x, projected, &mut guidance);
                 }
             }
             let probs = restored.predict_proba(x);
@@ -581,8 +589,28 @@ impl Learner {
             (preds, Strategy::KnowledgeReuse)
         } else {
             // No matching knowledge: Pattern C degenerates to Pattern B.
-            self.infer_sudden(x, projected)
+            self.infer_sudden(x, projected, &mut guidance)
         }
+    }
+
+    /// The batch's guidance slice, copied out of the experience buffer on
+    /// first use.
+    fn guidance<'g>(&self, cache: &'g mut Option<Guidance>) -> &'g mut Guidance {
+        cache.get_or_insert_with(|| {
+            let (x, y) = self.experience.snapshot_recent(self.cec.max_experience);
+            Guidance { x, y, ensemble_score: None }
+        })
+    }
+
+    /// The live ensemble's accuracy on a non-empty guidance slice, scored
+    /// on first use.
+    fn ensemble_guidance_score(&self, g: &mut Guidance, projected: &[f64]) -> f64 {
+        if let Some(score) = g.ensemble_score {
+            return score;
+        }
+        let score = hit_rate(&self.granularity.predict(&g.x, projected), &g.y);
+        g.ensemble_score = Some(score);
+        score
     }
 
     /// Handles one **training** batch: always updates the

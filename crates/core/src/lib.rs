@@ -43,10 +43,10 @@
 //! keys deterministically rerouted ([`shard::failover_shard`]) instead of
 //! erroring the whole runtime.
 //!
-//! The serving layer is [`serve`]: a router thread owning the sharded
-//! runtime behind cloneable [`serve::ServiceHandle`]s, so many
-//! concurrent clients submit through keyed [`serve::ClientSession`]s
-//! with typed backpressure ([`serve::ServeError::Busy`]) and receive
+//! The serving layer is [`serve`]: the sharded runtime behind one lock
+//! and cloneable [`serve::ServiceHandle`]s, so many concurrent clients
+//! submit through keyed [`serve::ClientSession`]s on their own threads,
+//! with typed backpressure ([`serve::ServeError::Busy`]), and receive
 //! exactly their own answers.
 //!
 //! Construction goes through [`builder::PipelineBuilder`] — one fluent

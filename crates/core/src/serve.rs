@@ -1,56 +1,63 @@
 //! Multi-client serving facade over the sharded runtime.
 //!
 //! The sharded pipeline ([`crate::ShardedPipeline`]) is a single-producer
-//! API: one thread routes keyed batches and drains outputs. Production
+//! API: one caller routes keyed batches and drains outputs. Production
 //! serving is many concurrent clients, each with its own stream identity
-//! and its own view of "my answers". [`Service`] closes that gap with a
-//! dedicated **router thread** that owns the sharded pipeline:
+//! and its own view of "my answers". [`Service`] closes that gap by
+//! putting the sharded pipeline behind one lock that every client call
+//! takes on its own thread:
 //!
 //! * clients clone a [`ServiceHandle`] and open keyed
 //!   [`ClientSession`]s; every session's submissions route to the shard
 //!   its key hashes to, so per-session answer order is total;
-//! * [`ClientSession::submit`]/[`ClientSession::submit_labeled`] are
-//!   non-blocking: a full submit queue surfaces as the typed, retryable
-//!   [`ServeError::Busy`] (with a pacing hint) instead of a blocking
-//!   send;
-//! * the router stamps every accepted submission with a globally
-//!   monotone sequence number (the ingest guard's contract) and keeps a
-//!   **per-session ledger** mapping those sequence numbers back to the
-//!   owning session, so each client receives exactly its own
-//!   [`SessionOutput`]s — including shed and quarantine verdicts — and
-//!   never another tenant's predictions. When a shard is fenced, every
-//!   submission stranded on it comes back as a `fenced` shed verdict, in
-//!   submission order;
-//! * shutdown ([`Service::shutdown`]) drains the submit queue, runs the
-//!   deterministic [`crate::ShardedPipeline::barrier`], delivers every
-//!   remaining answer, and hands back the finished [`ServiceReport`];
-//!   when a drain budget runs out, every answer the healthy shards
-//!   computed is still delivered before the timeout is reported.
+//! * [`ClientSession::submit`]/[`ClientSession::submit_labeled`] run
+//!   admission on the caller's thread and never wait for queue space: a
+//!   batch its shard cannot take right now comes straight back as the
+//!   typed, retryable [`ServeError::Busy`] (with a pacing hint);
+//! * every accepted submission is stamped with a globally monotone
+//!   sequence number (the ingest guard's contract), and a **per-session
+//!   ledger** maps those sequence numbers back to the owning session, so
+//!   each client receives exactly its own [`SessionOutput`]s — including
+//!   shed and quarantine verdicts — and never another tenant's
+//!   predictions. When a shard is fenced, every submission stranded on it
+//!   comes back as a `fenced` shed verdict, in submission order;
+//! * [`ClientSession::recv_output`] parks until a ring from its shard's
+//!   worker wakes it, then drains the finished outputs on the caller's
+//!   thread: its own answer is returned, another session's is queued for
+//!   that session and its parked thread woken;
+//! * shutdown ([`Service::shutdown`]) runs the deterministic
+//!   [`crate::ShardedPipeline::barrier`], delivers every remaining answer,
+//!   and hands back the finished [`ServiceReport`]; when a drain budget
+//!   runs out, every answer the healthy shards computed is still
+//!   delivered before the timeout is reported.
 //!
-//! Backpressure composes in two layers: the bounded submit queue bounds
-//! how far clients can run ahead of the router, and the admission
-//! controller configured on the builder governs what the router does
-//! when a shard's worker queue is full (block or shed — see
-//! [`crate::AdmissionPolicy`]). With the blocking policy nothing is ever
-//! dropped and client-side `Busy` is the only overload signal; with
-//! shedding-newest dropped batches come back to their session as
+//! Backpressure is the admission controller configured on the builder
+//! (see [`crate::AdmissionPolicy`]). With the blocking policy nothing is
+//! ever dropped: a full shard queue hands the batch back as `Busy`, the
+//! only overload signal. With shedding-newest a full queue backlogs and
+//! then drops, and dropped batches come back to their session as
 //! [`SubmitOutcome::Shed`].
 //!
-//! The router never sleep-polls. Once its submit queue and every shard's
-//! output are drained it parks, and whatever hands it work rings a
-//! doorbell that unparks it: sessions and handles after each request they
-//! enqueue (open, submit, close, chaos injections), [`Service::shutdown`]
-//! and `Drop` after the shutdown notice, and every shard worker after each
-//! message it sends and once as its thread exits, panics included, so a
-//! crash is noticed without a timer. A ring that lands before the router
-//! parks is kept as its park token, so none is lost. With no stall
-//! deadline the router has no timer at all; with one it parks for at most
-//! a sixteenth of the smallest shard deadline and pumps the watchdog on
-//! that tick, busy or idle. On a 2-vCPU host this cut a closed-loop
-//! 1-shard round trip from ~216 µs (two waits on the former 50 µs sleep,
-//! which timer slack stretched to ~105 µs each) to ~50 µs, against ~30 µs
-//! for the same batches through a bare [`crate::ShardedPipeline`]; the
-//! rest is the router hop's two futex wake-ups.
+//! Every call waits for the service lock and for nothing else the shards
+//! do, except that whoever holds the lock runs what the runtime needs
+//! next: a crash recovery (checkpoint restore plus journal replay) when
+//! it finds a worker dead, or the drain of [`Service::shutdown`]. A
+//! panic under the lock ends the service like any runtime failure.
+//!
+//! Nothing sleep-polls. Each output a shard worker sends wakes one thread
+//! waiting in `recv_output` on that shard: the one waiting for that
+//! output if it is queued, else the longest-queued one, which hands the
+//! answer over. So a healthy closed-loop round trip whose session is
+//! waiting when its answer comes wakes two threads: the submit wakes the
+//! worker, and the worker's ring wakes the session. A ring that lands
+//! before the session parks is kept as its park token, so none is lost.
+//! One maintenance thread
+//! (`freeway-serve`) stays off that path. It parks until a shard worker
+//! exits (a crash, panics included) or, when a stall deadline is set,
+//! until a watchdog tick falls due (a sixteenth of the smallest shard
+//! deadline); it then restarts, polls the watchdog, reconciles fences and
+//! publishes pressure under the same lock. With no stall deadline and no
+//! crash it never wakes.
 //!
 //! Construct via [`crate::PipelineBuilder::service`] +
 //! [`crate::PipelineBuilder::build_service`].
@@ -60,20 +67,15 @@ use crate::degrade::DegradationLevel;
 use crate::error::{panic_message, FreewayError};
 use crate::learner::InferenceReport;
 use crate::shard::{ShardedPipeline, ShardedRun};
-use crate::supervisor::Doorbell;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TryRecvError, TrySendError};
+use crate::supervisor::{Doorbell, Injection};
 use freeway_streams::keyed::KeyedBatch;
 use freeway_streams::Batch;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use freeway_telemetry::{Counter, Gauge};
+use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
-
-/// Capacity of the shared client→router submit queue. Bounds how far
-/// clients can run ahead of the router; a full queue surfaces as
-/// [`ServeError::Busy`].
-const SUBMIT_QUEUE_DEPTH: usize = 64;
 
 /// *Base* pacing hint handed back inside [`ServeError::Busy`]: the wait
 /// suggested when the runtime is unloaded. The actual hint scales with
@@ -94,9 +96,10 @@ pub struct ServiceConfig {
     /// every answer and shed verdict the other shards produced.
     /// Submissions stranded on a wedged shard get none.
     pub drain_budget: Option<Duration>,
-    /// When set, the router records the exact order in which submissions
-    /// were fed to the shards ([`ServiceReport::admitted_order`]), so a
-    /// serialized oracle can replay the run deterministically.
+    /// When set, the service records the exact order in which
+    /// submissions were fed to the shards
+    /// ([`ServiceReport::admitted_order`]), so a serialized oracle can
+    /// replay the run deterministically.
     pub record_admitted: bool,
 }
 
@@ -118,20 +121,22 @@ impl ServiceConfig {
 ///
 /// The two backpressure-adjacent failure modes stay distinguishable
 /// through every conversion: [`Self::Busy`] is transient (retry after
-/// the hint), [`Self::Disconnected`] is permanent (the router or its
-/// workers are gone). [`From`] impls in both directions round-trip
+/// the hint), [`Self::Disconnected`] is permanent (the service has shut
+/// down or failed). [`From`] impls in both directions round-trip
 /// [`FreewayError::QueueFull`] and [`FreewayError::WorkerUnavailable`]
 /// losslessly onto them.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum ServeError {
-    /// The submit queue is at capacity: transient backpressure. Retry
-    /// after roughly `retry_after_hint`; the batch is handed back.
+    /// The session's shard cannot take the batch (or chaos injection)
+    /// right now: blocking admission with a full worker queue. Transient
+    /// backpressure: retry after roughly `retry_after_hint`; a batch is
+    /// handed back.
     Busy {
         /// Suggested client-side pause before the next attempt.
         retry_after_hint: Duration,
     },
-    /// The service's router thread is gone (shutdown or crash). A retry
+    /// The service has shut down, or a runtime failure ended it. A retry
     /// can never succeed.
     Disconnected,
     /// The runtime beneath the facade failed; never wraps
@@ -214,7 +219,7 @@ pub struct SessionOutput {
     /// The session-local sequence number [`ClientSession::submit`]
     /// returned for this batch.
     pub client_seq: u64,
-    /// The globally monotone sequence number the router stamped.
+    /// The globally monotone sequence number the service stamped.
     pub global_seq: u64,
     /// Shard that served (or dropped) the batch.
     pub shard: usize,
@@ -227,7 +232,8 @@ pub struct SessionOutput {
 pub struct ServiceStats {
     /// Sessions opened over the service's lifetime.
     pub sessions_opened: u64,
-    /// Submissions the router accepted off the submit queue.
+    /// Submissions accepted, each counted once (a batch handed back as
+    /// [`ServeError::Busy`] is not a submission).
     pub submitted: u64,
     /// Submissions answered with an [`InferenceReport`].
     pub answered: u64,
@@ -248,7 +254,7 @@ pub struct AdmittedRecord {
     pub key: u64,
     /// Session-local sequence number.
     pub client_seq: u64,
-    /// Global sequence number the router stamped.
+    /// Global sequence number the service stamped.
     pub global_seq: u64,
     /// Shard the batch routed to.
     pub shard: usize,
@@ -273,43 +279,101 @@ pub struct ServiceReport {
     pub admitted_order: Option<Vec<AdmittedRecord>>,
 }
 
-enum Request {
-    Open { session: u64, reply: Sender<SessionOutput> },
-    Submit { session: u64, key: u64, client_seq: u64, batch: Batch, prequential: bool },
-    Close { session: u64 },
-    InjectPanic { shard: usize },
-    InjectStall { shard: usize, duration: Duration, livelock: bool },
-    Shutdown,
-}
-
-struct ServiceShared {
-    next_session: AtomicU64,
-    /// Wakes the parked router; rung after every enqueued request.
-    doorbell: Doorbell,
-    /// Measured runtime pressure in `[0, 100]`, published by the router
-    /// every loop: the worst shard's queue/backlog occupancy folded with
-    /// its degradation-ladder level. Read lock-free by every session to
-    /// derive the [`ServeError::Busy`] pacing hint.
-    pressure_pct: AtomicU64,
-}
-
 /// Derives the [`ServeError::Busy`] pacing hint from a base and the
-/// router-published pressure percentage: `base` at zero pressure,
-/// scaling linearly to `4 × base` at 100%. Monotone in pressure — a more
-/// loaded service never suggests a *shorter* wait — so clients back off
-/// harder exactly when the runtime is drowning.
+/// published pressure percentage: `base` at zero pressure, scaling
+/// linearly to `4 × base` at 100%. Monotone in pressure — a more loaded
+/// service never suggests a *shorter* wait — so clients back off harder
+/// exactly when the runtime is drowning.
 pub fn busy_hint(base: Duration, pressure_pct: u64) -> Duration {
     let pct = u32::try_from(pressure_pct.min(100)).unwrap_or(100);
     base.saturating_add(base.saturating_mul(3).saturating_mul(pct) / 100)
 }
 
+/// The service state behind the one lock every client call takes.
+struct State {
+    /// The running runtime; `None` once the service has shut down or a
+    /// runtime failure ended it.
+    serving: Option<Serving>,
+    sessions: Sessions,
+    next_session: u64,
+    /// The runtime failure that ended the service, for
+    /// [`Service::shutdown`] to return.
+    failure: Option<FreewayError>,
+}
+
+/// Locks the service state. A panic under the lock leaves it unusable,
+/// which clients see as the service being gone.
+fn lock(shared: &Mutex<State>) -> Result<MutexGuard<'_, State>, ServeError> {
+    shared.lock().map_err(|_| ServeError::Disconnected)
+}
+
+/// Runs `op`, turning a panic inside it into
+/// [`FreewayError::WorkerPanicked`] with the panic's message.
+fn unwound<T>(op: impl FnOnce() -> Result<T, FreewayError>) -> Result<T, FreewayError> {
+    catch_unwind(AssertUnwindSafe(op))
+        .unwrap_or_else(|payload| Err(FreewayError::WorkerPanicked(panic_message(payload))))
+}
+
+impl State {
+    /// Runs `op` on the live runtime. A runtime failure ends the service
+    /// as a crashed server would: the pipeline is dropped (its workers
+    /// see their queues close), the first failure is kept for
+    /// [`Service::shutdown`], and every parked session wakes to find the
+    /// service gone. A panic in `op` (a journal replay that crashes the
+    /// recovering learner again, say) is such a failure: it never unwinds
+    /// through the caller or poisons the lock.
+    fn serve<T>(
+        &mut self,
+        op: impl FnOnce(&mut Serving, &mut Sessions) -> Result<T, FreewayError>,
+    ) -> Result<T, ServeError> {
+        let serving = self.serving.as_mut().ok_or(ServeError::Disconnected)?;
+        let sessions = &mut self.sessions;
+        unwound(|| op(serving, sessions)).map_err(|failure| {
+            self.serving = None;
+            self.failure.get_or_insert(failure);
+            self.sessions.wake_all();
+            ServeError::Disconnected
+        })
+    }
+
+    /// `session`'s next output: one already routed to it, or else one of
+    /// the outputs the shards have finished since.
+    fn next_output(&mut self, session: u64) -> Option<SessionOutput> {
+        if let Some(out) = self.sessions.take(session) {
+            return Some(out);
+        }
+        let _ = self.serve(Serving::settle);
+        self.sessions.take(session)
+    }
+
+    /// Takes the runtime out, runs the shutdown drain, and wakes every
+    /// parked session to find the service gone. A panic in the drain
+    /// comes back as [`FreewayError::WorkerPanicked`].
+    fn close(&mut self, budget: Option<Duration>) -> Result<Serving, FreewayError> {
+        let Some(mut serving) = self.serving.take() else {
+            return Err(self.failure.take().unwrap_or(FreewayError::WorkerUnavailable));
+        };
+        let drained = unwound(|| serving.barrier(&mut self.sessions, budget));
+        self.sessions.wake_all();
+        drained.map(|()| serving)
+    }
+
+    /// Takes `me` off `bell` as it leaves [`ClientSession::recv_output`].
+    /// A ring that took it off first asked it to drain, so it drains now:
+    /// the output that rang may be another session's.
+    fn leave(&mut self, bell: Option<&Doorbell>, me: &Thread) {
+        if bell.is_some_and(|bell| !bell.dequeue(me)) {
+            let _ = self.serve(Serving::settle);
+        }
+    }
+}
+
 /// Cloneable entry point: one per client thread. Open sessions with
-/// [`Self::open_session`]; dropping every handle (and session) without
-/// calling [`Service::shutdown`] also shuts the router down cleanly.
+/// [`Self::open_session`]; dropping the [`Service`] without calling
+/// [`Service::shutdown`] shuts it down the same way.
 #[derive(Clone)]
 pub struct ServiceHandle {
-    tx: Sender<Request>,
-    shared: Arc<ServiceShared>,
+    shared: Arc<Mutex<State>>,
 }
 
 impl ServiceHandle {
@@ -320,17 +384,31 @@ impl ServiceHandle {
     /// # Errors
     /// [`ServeError::Disconnected`] when the service has shut down.
     pub fn open_session(&self, key: u64) -> Result<ClientSession, ServeError> {
-        let session = self.shared.next_session.fetch_add(1, Ordering::Relaxed);
-        let (reply_tx, reply_rx) = unbounded();
-        self.send(Request::Open { session, reply: reply_tx })?;
+        let mut state = lock(&self.shared)?;
+        let session = state.next_session;
+        state.serve(|serving, sessions| {
+            let in_flight_gauge = serving
+                .pipeline
+                .telemetry()
+                .gauge(&format!("freeway_serve_session_{session}_in_flight"));
+            let fresh = SessionState {
+                outputs: VecDeque::new(),
+                parked: None,
+                in_flight_gauge,
+                awaiting: VecDeque::new(),
+            };
+            sessions.0.insert(session, fresh);
+            serving.stats.sessions_opened += 1;
+            serving.sessions_gauge.set(sessions.0.len() as f64);
+            Ok(())
+        })?;
+        state.next_session += 1;
         Ok(ClientSession {
-            tx: self.tx.clone(),
             shared: Arc::clone(&self.shared),
             session,
             key,
             next_client_seq: 0,
             in_flight: 0,
-            reply: reply_rx,
         })
     }
 
@@ -339,9 +417,12 @@ impl ServiceHandle {
     /// under live client traffic.
     ///
     /// # Errors
-    /// [`ServeError::Disconnected`] when the service has shut down.
+    /// [`ServeError::Busy`] when the shard's queue is full (retry after
+    /// the hint); [`ServeError::Disconnected`] when the service has shut
+    /// down, or when delivering the injection hit a runtime failure,
+    /// which ends it.
     pub fn inject_worker_panic(&self, shard: usize) -> Result<(), ServeError> {
-        self.send(Request::InjectPanic { shard })
+        self.inject(shard, Injection::Panic)
     }
 
     /// Chaos hook: schedules a stall (sleep or livelock) of `duration` on
@@ -349,22 +430,27 @@ impl ServiceHandle {
     /// path under live client traffic.
     ///
     /// # Errors
-    /// [`ServeError::Disconnected`] when the service has shut down.
+    /// As [`Self::inject_worker_panic`].
     pub fn inject_worker_stall(
         &self,
         shard: usize,
         duration: Duration,
         livelock: bool,
     ) -> Result<(), ServeError> {
-        self.send(Request::InjectStall { shard, duration, livelock })
+        self.inject(shard, Injection::Stall { duration, livelock })
     }
 
-    /// Enqueues a control request (blocking while the queue is full) and
-    /// wakes the router.
-    fn send(&self, req: Request) -> Result<(), ServeError> {
-        self.tx.send(req).map_err(|_| ServeError::Disconnected)?;
-        self.shared.doorbell.ring();
-        Ok(())
+    /// Queues a chaos injection on the caller's thread without waiting
+    /// for queue space, then routes what it surfaced (a fence it raised).
+    fn inject(&self, shard: usize, injection: Injection) -> Result<(), ServeError> {
+        lock(&self.shared)?.serve(|serving, sessions| {
+            let queued = match serving.pipeline.inject(shard, injection, false) {
+                Err(FreewayError::QueueFull) => false,
+                injected => injected.map(|()| true)?,
+            };
+            serving.settle(sessions)?;
+            Ok(if queued { Ok(()) } else { Err(serving.busy()) })
+        })?
     }
 }
 
@@ -372,13 +458,11 @@ impl ServiceHandle {
 /// is the unit of answer routing, so each concurrent submitter opens its
 /// own.
 pub struct ClientSession {
-    tx: Sender<Request>,
-    shared: Arc<ServiceShared>,
+    shared: Arc<Mutex<State>>,
     session: u64,
     key: u64,
     next_client_seq: u64,
     in_flight: u64,
-    reply: Receiver<SessionOutput>,
 }
 
 impl ClientSession {
@@ -392,18 +476,20 @@ impl ClientSession {
         self.key
     }
 
-    /// Submissions enqueued but not yet resolved by a received output.
+    /// Submissions accepted but not yet resolved by a received output.
     pub fn in_flight(&self) -> u64 {
         self.in_flight
     }
 
-    /// Submits an unlabeled batch for inference. Non-blocking: a full
-    /// submit queue hands the batch back with [`ServeError::Busy`].
-    /// Returns the session-local sequence number the answer will carry.
+    /// Submits an unlabeled batch for inference. Never waits for queue
+    /// space: a batch the session's shard cannot take right now is handed
+    /// back with [`ServeError::Busy`]. It does wait for the service lock
+    /// (see [`crate::serve`]). Returns the session-local sequence
+    /// number the answer will carry.
     ///
     /// # Errors
-    /// [`ServeError::Busy`] on a full queue (retry after the hint);
-    /// [`ServeError::Disconnected`] when the service is gone.
+    /// [`ServeError::Busy`] when the shard's queue is full (retry after
+    /// the hint); [`ServeError::Disconnected`] when the service is gone.
     pub fn submit(&mut self, x: freeway_linalg::Matrix) -> Result<u64, (Batch, ServeError)> {
         let batch = Batch::unlabeled(x, self.next_client_seq, freeway_streams::DriftPhase::Stable);
         self.submit_batch(batch, false)
@@ -450,8 +536,13 @@ impl ClientSession {
 
     /// Lowest-level submit: takes a prepared batch (e.g. one handed back
     /// by a failed submit) and the prequential flag. The batch's `seq` is
-    /// restamped with this session's next local sequence number; the
-    /// router restamps it again with the global one.
+    /// restamped with this session's next local sequence number, and with
+    /// the global one once its shard takes it; a batch handed back
+    /// consumes neither. Admission runs on the caller's thread.
+    ///
+    /// A runtime failure while feeding the batch ends the service: the
+    /// submission counts as accepted, and [`Self::recv_output`] reports
+    /// [`ServeError::Disconnected`] instead of its verdict.
     ///
     /// # Errors
     /// As [`Self::submit`].
@@ -462,114 +553,143 @@ impl ClientSession {
     ) -> Result<u64, (Batch, ServeError)> {
         let client_seq = self.next_client_seq;
         batch.seq = client_seq;
-        let req = Request::Submit {
-            session: self.session,
-            key: self.key,
-            client_seq,
-            batch,
-            prequential,
+        let mut state = match lock(&self.shared) {
+            Ok(state) if state.serving.is_some() => state,
+            Ok(_) => return Err((batch, ServeError::Disconnected)),
+            Err(e) => return Err((batch, e)),
         };
-        match self.tx.try_send(req) {
-            Ok(()) => {
-                self.shared.doorbell.ring();
-                self.next_client_seq += 1;
-                self.in_flight += 1;
-                Ok(client_seq)
-            }
-            Err(TrySendError::Full(req)) => Err((
-                request_batch(req),
-                ServeError::Busy {
-                    retry_after_hint: busy_hint(
-                        RETRY_AFTER_HINT,
-                        self.shared.pressure_pct.load(Ordering::Relaxed),
-                    ),
-                },
-            )),
-            Err(TrySendError::Disconnected(req)) => {
-                Err((request_batch(req), ServeError::Disconnected))
-            }
+        let (session, key) = (self.session, self.key);
+        let submitted = state
+            .serve(|serving, sessions| serving.submit(sessions, session, key, batch, prequential));
+        if let Ok(Err(busy)) = submitted {
+            return Err(busy);
         }
+        self.next_client_seq += 1;
+        self.in_flight += 1;
+        Ok(client_seq)
     }
 
-    /// Receives this session's next output without blocking (`None` both
-    /// when nothing is ready and when the service has shut down — use
-    /// [`Self::recv_output`] to distinguish).
+    /// Receives this session's next output without waiting: `None` when
+    /// nothing is ready, when another call holds the service lock, and
+    /// when the service has shut down — use [`Self::recv_output`] to
+    /// distinguish.
     pub fn try_output(&mut self) -> Option<SessionOutput> {
-        match self.reply.try_recv() {
-            Ok(out) => {
-                self.in_flight = self.in_flight.saturating_sub(1);
-                Some(out)
-            }
-            Err(_) => None,
-        }
+        let out = self.shared.try_lock().ok()?.next_output(self.session)?;
+        self.in_flight = self.in_flight.saturating_sub(1);
+        Some(out)
     }
 
-    /// Receives this session's next output, blocking until one arrives.
+    /// Receives this session's next output, blocking until one arrives:
+    /// parks until a ring from the session's shard worker wakes it (or
+    /// another session hands its answer over), then drains the finished
+    /// outputs on this thread and routes each to its session.
     ///
     /// # Errors
     /// [`ServeError::Disconnected`] when the service has shut down and
     /// every buffered output has been drained.
     pub fn recv_output(&mut self) -> Result<SessionOutput, ServeError> {
-        match self.reply.recv() {
-            Ok(out) => {
-                self.in_flight = self.in_flight.saturating_sub(1);
-                Ok(out)
+        let me = std::thread::current();
+        let mut bell: Option<Doorbell> = None;
+        loop {
+            let mut state = lock(&self.shared)?;
+            // Queued before `next_output` takes its last look at the
+            // shard, so the shard's next ring cannot be lost. A ring that
+            // took this thread off the queue since asked it to drain.
+            let awaits = state.sessions.awaits(self.session);
+            let rung = match &bell {
+                Some(bell) => bell.enqueue(&me, awaits),
+                None => {
+                    bell =
+                        state.serving.as_mut().and_then(|serving| serving.doorbell_for(self.key));
+                    if let Some(bell) = &bell {
+                        bell.enqueue(&me, awaits);
+                    }
+                    false
+                }
+            };
+            if rung {
+                let _ = state.serve(Serving::settle);
             }
-            Err(_) => Err(ServeError::Disconnected),
+            let received = match state.next_output(self.session) {
+                Some(out) => Ok(out),
+                None if state.serving.is_none() => Err(ServeError::Disconnected),
+                None => {
+                    state.sessions.park(self.session, me.clone());
+                    drop(state);
+                    std::thread::park();
+                    continue;
+                }
+            };
+            state.leave(bell.as_ref(), &me);
+            if received.is_ok() {
+                self.in_flight = self.in_flight.saturating_sub(1);
+            }
+            return received;
         }
     }
 }
 
 impl Drop for ClientSession {
     fn drop(&mut self) {
-        // Best-effort: a full queue or a dead router both mean the close
-        // notice does not matter (the router drops unroutable outputs).
-        if self.tx.try_send(Request::Close { session: self.session }).is_ok() {
-            self.shared.doorbell.ring();
+        // Outputs still owed to this session are dropped on arrival.
+        let Ok(mut state) = lock(&self.shared) else { return };
+        state.sessions.0.remove(&self.session);
+        let open = state.sessions.0.len() as f64;
+        if let Some(serving) = state.serving.as_ref() {
+            serving.sessions_gauge.set(open);
         }
     }
 }
 
-fn request_batch(req: Request) -> Batch {
-    match req {
-        Request::Submit { batch, .. } => batch,
-        // submit_batch only ever hands back the request it constructed.
-        _ => unreachable!("only Submit requests carry a batch"),
-    }
-}
-
-/// A running serving facade; owns the router thread. Construct via
+/// A running serving facade; owns the maintenance thread. Construct via
 /// [`crate::PipelineBuilder::build_service`], hand out
 /// [`ServiceHandle`]s, then call [`Self::shutdown`].
 pub struct Service {
     handle: ServiceHandle,
-    router: Option<JoinHandle<Result<ServiceReport, FreewayError>>>,
+    drain_budget: Option<Duration>,
+    maintenance: Option<JoinHandle<()>>,
 }
 
 impl Service {
-    /// Spawns the router thread around a built sharded pipeline.
+    /// Puts a built sharded pipeline behind the service lock and spawns
+    /// the maintenance thread.
     ///
     /// # Errors
     /// [`FreewayError::InvalidConfig`] when `config` fails
-    /// [`ServiceConfig::check`].
-    pub fn start(pipeline: ShardedPipeline, config: ServiceConfig) -> Result<Self, FreewayError> {
+    /// [`ServiceConfig::check`]; [`FreewayError::Io`] when the
+    /// maintenance thread cannot be spawned.
+    pub fn start(
+        mut pipeline: ShardedPipeline,
+        config: ServiceConfig,
+    ) -> Result<Self, FreewayError> {
         config.check().map_err(FreewayError::InvalidConfig)?;
-        let (tx, rx) = bounded::<Request>(SUBMIT_QUEUE_DEPTH);
-        let shared = Arc::new(ServiceShared {
-            next_session: AtomicU64::new(0),
-            doorbell: Doorbell::default(),
-            pressure_pct: AtomicU64::new(0),
-        });
-        let record = config.record_admitted;
-        let drain_budget = config.drain_budget;
-        let router_shared = Arc::clone(&shared);
-        let router = std::thread::spawn(move || {
-            Router::new(pipeline, rx, record, router_shared, drain_budget).run()
-        });
-        // Installed before any handle exists, so no request can ring an
-        // empty bell.
-        shared.doorbell.install(router.thread().clone());
-        Ok(Self { handle: ServiceHandle { tx, shared }, router: Some(router) })
+        let liveness_tick =
+            pipeline.min_stall_deadline().map(|deadline| deadline / LIVENESS_TICKS_PER_DEADLINE);
+        let shared = Arc::new(Mutex::new(State {
+            serving: Some(Serving::new(pipeline, config.record_admitted)),
+            sessions: Sessions::default(),
+            next_session: 0,
+            failure: None,
+        }));
+        let maintenance = {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("freeway-serve".to_owned())
+                .spawn(move || maintain(&shared, liveness_tick))?
+        };
+        // Installed before any handle exists, so no crash goes unrung.
+        if let Ok(mut state) = shared.lock() {
+            if let Some(serving) = state.serving.as_mut() {
+                for shard in 0..serving.pipeline.num_shards() {
+                    serving.pipeline.doorbell(shard).install_exit(maintenance.thread().clone());
+                }
+            }
+        }
+        Ok(Self {
+            handle: ServiceHandle { shared },
+            drain_budget: config.drain_budget,
+            maintenance: Some(maintenance),
+        })
     }
 
     /// A cloneable client entry point.
@@ -577,39 +697,139 @@ impl Service {
         self.handle.clone()
     }
 
-    /// Stops accepting new work, drains every queued submission, runs
-    /// the shard barrier so every in-flight batch is answered, delivers
-    /// the remaining outputs, and returns the finished report.
+    /// Stops accepting new work, runs the shard barrier so every
+    /// in-flight batch is answered, delivers the remaining outputs, and
+    /// returns the finished report.
     ///
     /// # Errors
-    /// Any runtime error the router hit while serving (the first one
-    /// aborts the run), or [`FreewayError::WorkerPanicked`] if the
-    /// router thread itself died.
+    /// The runtime failure that ended the service early, if one did;
+    /// [`FreewayError::DrainTimeout`] when the drain budget ran out;
+    /// [`FreewayError::WorkerPanicked`] if a serving call panicked while
+    /// holding the service lock.
     pub fn shutdown(mut self) -> Result<ServiceReport, FreewayError> {
-        let _ = self.handle.send(Request::Shutdown);
-        let Some(router) = self.router.take() else {
-            return Err(FreewayError::WorkerUnavailable);
+        self.stop()
+    }
+
+    /// Drains on the caller's thread, then stops the maintenance thread:
+    /// the state is gone, so it returns as soon as it wakes.
+    fn stop(&mut self) -> Result<ServiceReport, FreewayError> {
+        let closed = match self.handle.shared.lock() {
+            Ok(mut state) => state.close(self.drain_budget),
+            Err(_) => Err(FreewayError::WorkerPanicked(
+                "a serving call panicked while holding the service lock".to_owned(),
+            )),
         };
-        match router.join() {
-            Ok(report) => report,
-            Err(payload) => Err(FreewayError::WorkerPanicked(panic_message(payload))),
+        if let Some(maintenance) = self.maintenance.take() {
+            maintenance.thread().unpark();
+            maintenance
+                .join()
+                .map_err(|payload| FreewayError::WorkerPanicked(panic_message(payload)))?;
         }
+        let Serving { pipeline, stats, admitted_order, sessions_gauge, .. } = closed?;
+        sessions_gauge.set(0.0);
+        Ok(ServiceReport { run: pipeline.finish()?, stats, admitted_order })
     }
 }
 
 impl Drop for Service {
     fn drop(&mut self) {
-        let _ = self.handle.send(Request::Shutdown);
-        if let Some(router) = self.router.take() {
-            let _ = router.join();
+        if self.maintenance.is_some() {
+            let _ = self.stop();
         }
     }
 }
 
+/// Maintenance-thread wake-ups per smallest shard stall deadline: the
+/// watchdog detects a wedged worker within its deadline plus one tick.
+const LIVENESS_TICKS_PER_DEADLINE: u32 = 16;
+
+/// The maintenance thread, off the serving path. It parks until a shard
+/// worker exits (its exit ring) or the next watchdog tick falls due, then,
+/// under the lock, polls the watchdog if the tick is due and settles —
+/// the drain restarts a crashed worker. With no stall deadline it has no
+/// timer at all. Returns once the service is gone.
+fn maintain(shared: &Mutex<State>, liveness_tick: Option<Duration>) {
+    let mut next_liveness = Instant::now();
+    loop {
+        match liveness_tick {
+            None => std::thread::park(),
+            Some(_) => {
+                std::thread::park_timeout(next_liveness.saturating_duration_since(Instant::now()))
+            }
+        }
+        let Ok(mut state) = lock(shared) else { return };
+        // A wedged worker rings nothing: the timed wake pumps the watchdog.
+        let due = liveness_tick.filter(|_| Instant::now() >= next_liveness);
+        let maintained = state.serve(|serving, sessions| {
+            if due.is_some() {
+                serving.pipeline.check_liveness()?;
+            }
+            serving.settle(sessions)
+        });
+        if let Some(tick) = due {
+            next_liveness = Instant::now() + tick;
+        }
+        if maintained.is_err() {
+            return;
+        }
+    }
+}
+
+/// Every open session's delivery state, by session id.
+#[derive(Default)]
+struct Sessions(HashMap<u64, SessionState>);
+
 struct SessionState {
-    reply: Sender<SessionOutput>,
-    in_flight_gauge: freeway_telemetry::Gauge,
-    in_flight: u64,
+    /// Outputs routed to the session but not yet received, oldest first.
+    outputs: VecDeque<SessionOutput>,
+    /// The session's thread while it is parked in
+    /// [`ClientSession::recv_output`]; a delivery unparks it.
+    parked: Option<Thread>,
+    in_flight_gauge: Gauge,
+    /// Global seqs of the submissions a shard holds, oldest first: the
+    /// outputs the session is waiting for.
+    awaiting: VecDeque<u64>,
+}
+
+impl Sessions {
+    /// Queues `output` for `session` and wakes its thread if parked. A
+    /// session that has closed no longer wants the answer; that is not an
+    /// error.
+    fn deliver(&mut self, session: u64, output: SessionOutput) {
+        let Some(state) = self.0.get_mut(&session) else { return };
+        state.awaiting.retain(|&seq| seq != output.global_seq);
+        state.in_flight_gauge.set(state.awaiting.len() as f64);
+        state.outputs.push_back(output);
+        if let Some(thread) = state.parked.take() {
+            thread.unpark();
+        }
+    }
+
+    /// The global seq of the oldest output `session` waits for.
+    fn awaits(&self, session: u64) -> Option<u64> {
+        self.0.get(&session)?.awaiting.front().copied()
+    }
+
+    /// The session's oldest undelivered output; its thread is awake.
+    fn take(&mut self, session: u64) -> Option<SessionOutput> {
+        let state = self.0.get_mut(&session)?;
+        state.parked = None;
+        state.outputs.pop_front()
+    }
+
+    /// Records that `thread` is about to park for `session`'s next output.
+    fn park(&mut self, session: u64, thread: Thread) {
+        if let Some(state) = self.0.get_mut(&session) {
+            state.parked = Some(thread);
+        }
+    }
+
+    /// Wakes every parked session.
+    fn wake_all(&mut self) {
+        for thread in self.0.values_mut().filter_map(|state| state.parked.take()) {
+            thread.unpark();
+        }
+    }
 }
 
 struct PendingEntry {
@@ -618,12 +838,11 @@ struct PendingEntry {
     shard: usize,
 }
 
-/// The router: owns the sharded pipeline, serializes all feeds, stamps
-/// global sequence numbers, and fans outputs back out by session.
-struct Router {
+/// The serving runtime: owns the sharded pipeline, stamps global
+/// sequence numbers, and routes outputs back by session. Whichever thread
+/// holds the service lock drives it.
+struct Serving {
     pipeline: ShardedPipeline,
-    rx: Receiver<Request>,
-    sessions: HashMap<u64, SessionState>,
     /// global_seq → owning submission, for every batch handed to a shard
     /// whose verdict has not yet come back.
     ledger: HashMap<u64, PendingEntry>,
@@ -633,60 +852,50 @@ struct Router {
     /// Fenced-shard count already reconciled against the ledger; growth
     /// triggers a stranded-entry sweep ([`Self::reconcile_fences`]).
     fenced_seen: usize,
-    /// Watchdog cadence: the router's park timeout, a fixed fraction of
-    /// the smallest shard stall deadline. `None` (no deadline) means the
-    /// router parks with no timer and wakes only on doorbell rings.
-    liveness_tick: Option<Duration>,
-    shared: Arc<ServiceShared>,
-    drain_budget: Option<Duration>,
-    sessions_gauge: freeway_telemetry::Gauge,
-    submitted_counter: freeway_telemetry::Counter,
-    pressure_gauge: freeway_telemetry::Gauge,
+    /// Measured runtime pressure in `[0, 100]` behind the `Busy` hint.
+    pressure_pct: u64,
+    sessions_gauge: Gauge,
+    submitted_counter: Counter,
+    pressure_gauge: Gauge,
 }
 
-/// Router wake-ups per smallest shard stall deadline: the watchdog
-/// detects a wedged worker within its deadline plus one such tick.
-const LIVENESS_TICKS_PER_DEADLINE: u32 = 16;
-
-impl Router {
-    /// Runs on the router thread: installs that thread as every shard
-    /// worker's doorbell target.
-    fn new(
-        mut pipeline: ShardedPipeline,
-        rx: Receiver<Request>,
-        record_admitted: bool,
-        shared: Arc<ServiceShared>,
-        drain_budget: Option<Duration>,
-    ) -> Self {
-        pipeline.install_doorbell(&std::thread::current());
+impl Serving {
+    fn new(mut pipeline: ShardedPipeline, record_admitted: bool) -> Self {
         let telemetry = pipeline.telemetry().clone();
         // A service restarted over a journal continues the global
         // sequence above everything recovered, so new records never land
         // below old ones and checkpoint replay floors only move forward.
         let next_seq = pipeline.recovered_seq().map_or(0, |seq| seq + 1);
-        let liveness_tick =
-            pipeline.min_stall_deadline().map(|deadline| deadline / LIVENESS_TICKS_PER_DEADLINE);
         Self {
             pipeline,
-            rx,
-            sessions: HashMap::new(),
             ledger: HashMap::new(),
             next_seq,
             stats: ServiceStats::default(),
             admitted_order: record_admitted.then(Vec::new),
             fenced_seen: 0,
-            liveness_tick,
-            shared,
-            drain_budget,
+            pressure_pct: 0,
             sessions_gauge: telemetry.gauge("freeway_serve_sessions_active"),
             submitted_counter: telemetry.counter("freeway_serve_submitted_total"),
             pressure_gauge: telemetry.gauge("freeway_serve_pressure_pct"),
         }
     }
 
-    /// Publishes the pressure estimate clients read for their `Busy`
-    /// hints: the worst unfenced shard's queue/backlog occupancy, folded
-    /// with its degradation-ladder level (each rung pinning a floor of
+    /// The pressure-scaled [`ServeError::Busy`] a call the shards cannot
+    /// take right now hands back.
+    fn busy(&self) -> ServeError {
+        ServeError::Busy { retry_after_hint: busy_hint(RETRY_AFTER_HINT, self.pressure_pct) }
+    }
+
+    /// The bell of the shard `key` routes to (`None` when every shard is
+    /// fenced).
+    fn doorbell_for(&mut self, key: u64) -> Option<Doorbell> {
+        let shard = self.pipeline.route_for_key(key).ok()?;
+        Some(self.pipeline.doorbell(shard).clone())
+    }
+
+    /// Publishes the pressure estimate behind the `Busy` hints: the worst
+    /// unfenced shard's queue/backlog occupancy, folded with its
+    /// degradation-ladder level (each rung pinning a floor of
     /// 25/50/75%), clamped to `[0, 100]`.
     fn publish_pressure(&mut self) {
         let mut pct = 0u64;
@@ -704,71 +913,116 @@ impl Router {
             };
             pct = pct.max(occupancy as u64).max(floor);
         }
-        let pct = pct.min(100);
-        self.shared.pressure_pct.store(pct, Ordering::Relaxed);
-        self.pressure_gauge.set(pct as f64);
+        self.pressure_pct = pct.min(100);
+        self.pressure_gauge.set(self.pressure_pct as f64);
     }
 
-    fn run(mut self) -> Result<ServiceReport, FreewayError> {
-        let mut next_liveness = Instant::now();
-        'serve: loop {
-            let mut worked = false;
-            loop {
-                match self.rx.try_recv() {
-                    Ok(Request::Shutdown) => break 'serve,
-                    Ok(req) => {
-                        worked = true;
-                        self.handle_request(req)?;
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => break 'serve,
+    /// Offers one submission to its shard. A batch the shard cannot take
+    /// right now (blocking admission over a full worker queue) comes back
+    /// as `Ok(Err(..))`, restamped with its client seq, with the
+    /// pressure-scaled [`ServeError::Busy`]; it consumes no sequence
+    /// number.
+    fn submit(
+        &mut self,
+        sessions: &mut Sessions,
+        session: u64,
+        key: u64,
+        mut batch: Batch,
+        prequential: bool,
+    ) -> Result<Result<(), (Batch, ServeError)>, FreewayError> {
+        // Route what the workers already finished: it frees queue and
+        // output space ahead of the offer.
+        self.drain_outputs(sessions)?;
+        let client_seq = batch.seq;
+        let global_seq = self.next_seq;
+        batch.seq = global_seq;
+        let labeled = batch.labels.is_some();
+        let (shard, outcome) =
+            match self.pipeline.route(KeyedBatch { key, batch }, prequential, false)? {
+                (shard, Ok(outcome)) => (shard, outcome),
+                (_, Err(mut batch)) => {
+                    batch.seq = client_seq;
+                    self.publish_pressure();
+                    return Ok(Err((batch, self.busy())));
                 }
-            }
-            while let Some((shard, out)) = self.pipeline.try_recv()? {
-                worked = true;
-                self.deliver(shard, out);
-            }
-            // The drain fences a shard whose crash exhausted its budget.
-            self.reconcile_fences()?;
-            self.publish_pressure();
-            let Some(tick) = self.liveness_tick else {
-                if !worked {
-                    std::thread::park();
-                }
-                continue;
             };
-            // A wedged worker rings nothing: pump the watchdog on the
-            // timed wake, busy or idle, then reconcile any fence it raised.
-            let now = Instant::now();
-            if now >= next_liveness {
-                if self.pipeline.check_liveness()? > 0 {
-                    worked = true;
+        self.next_seq += 1;
+        self.stats.submitted += 1;
+        self.submitted_counter.inc();
+        let verdict = match outcome {
+            AdmissionOutcome::Admitted | AdmissionOutcome::Backlogged => {
+                self.ledger.insert(global_seq, PendingEntry { session, client_seq, shard });
+                if let Some(state) = sessions.0.get_mut(&session) {
+                    state.awaiting.push_back(global_seq);
+                    state.in_flight_gauge.set(state.awaiting.len() as f64);
                 }
-                self.reconcile_fences()?;
-                next_liveness = now + tick;
+                if let Some(order) = self.admitted_order.as_mut() {
+                    order.push(AdmittedRecord {
+                        session,
+                        key,
+                        client_seq,
+                        global_seq,
+                        shard,
+                        prequential,
+                        labeled,
+                    });
+                }
+                None
             }
-            if !worked {
-                std::thread::park_timeout(next_liveness.saturating_duration_since(now));
+            AdmissionOutcome::Quarantined(fault) => {
+                self.stats.quarantined += 1;
+                Some(SubmitOutcome::Quarantined(fault.tag()))
             }
+            AdmissionOutcome::Shed(reason) => {
+                self.stats.shed += 1;
+                Some(SubmitOutcome::Shed(reason.tag()))
+            }
+        };
+        // A feed can fence its shard (restart budget exhausted),
+        // stranding older ledger entries the dead worker will never
+        // answer; their verdicts go out before this one so the session
+        // hears them in submission order.
+        self.reconcile_fences(sessions)?;
+        if let Some(outcome) = verdict {
+            sessions.deliver(session, SessionOutput { client_seq, global_seq, shard, outcome });
         }
-        // Submissions enqueued before the shutdown notice were accepted
-        // for service: drain and process them before the barrier.
-        loop {
-            match self.rx.try_recv() {
-                Ok(Request::Shutdown) => {}
-                Ok(req) => self.handle_request(req)?,
-                Err(_) => break,
-            }
+        self.publish_pressure();
+        Ok(Ok(()))
+    }
+
+    /// Routes every output the shards have ready.
+    fn drain_outputs(&mut self, sessions: &mut Sessions) -> Result<(), FreewayError> {
+        while let Some((shard, out)) = self.pipeline.try_recv()? {
+            self.deliver(sessions, shard, out);
         }
-        let outputs = match self.drain_budget {
+        Ok(())
+    }
+
+    /// What every wake-up runs: routes the ready outputs, reconciles the
+    /// fences the drain raised (it fences a shard whose crash exhausted
+    /// its budget), and publishes pressure.
+    fn settle(&mut self, sessions: &mut Sessions) -> Result<(), FreewayError> {
+        self.drain_outputs(sessions)?;
+        self.reconcile_fences(sessions)?;
+        self.publish_pressure();
+        Ok(())
+    }
+
+    /// The shutdown drain: the shard barrier (bounded by `budget` when
+    /// set), with every answer routed to its session. A timed-out drain
+    /// still routes what the healthy shards answered before reporting.
+    fn barrier(
+        &mut self,
+        sessions: &mut Sessions,
+        budget: Option<Duration>,
+    ) -> Result<(), FreewayError> {
+        let outputs = match budget {
             Some(budget) => match self.pipeline.barrier_deadline(budget) {
                 Err(timeout @ FreewayError::DrainTimeout { .. }) => {
                     // The timed-out drain stashed what the healthy shards
                     // answered; their sessions get it before the error.
-                    while let Some((shard, out)) = self.pipeline.try_recv()? {
-                        self.deliver(shard, out);
-                    }
-                    self.reconcile_fences()?;
+                    self.drain_outputs(sessions)?;
+                    self.reconcile_fences(sessions)?;
                     return Err(timeout);
                 }
                 outputs => outputs?,
@@ -776,103 +1030,18 @@ impl Router {
             None => self.pipeline.barrier()?,
         };
         for (shard, out) in outputs {
-            self.deliver(shard, out);
+            self.deliver(sessions, shard, out);
         }
-        self.reconcile_fences()?;
-        let Router { pipeline, stats, admitted_order, sessions_gauge, .. } = self;
-        sessions_gauge.set(0.0);
-        let run = pipeline.finish()?;
-        Ok(ServiceReport { run, stats, admitted_order })
-    }
-
-    fn handle_request(&mut self, req: Request) -> Result<(), FreewayError> {
-        match req {
-            Request::Open { session, reply } => {
-                let gauge = self
-                    .pipeline
-                    .telemetry()
-                    .gauge(&format!("freeway_serve_session_{session}_in_flight"));
-                self.sessions
-                    .insert(session, SessionState { reply, in_flight_gauge: gauge, in_flight: 0 });
-                self.stats.sessions_opened += 1;
-                self.sessions_gauge.set(self.sessions.len() as f64);
-            }
-            Request::Close { session } => {
-                self.sessions.remove(&session);
-                self.sessions_gauge.set(self.sessions.len() as f64);
-            }
-            Request::Submit { session, key, client_seq, mut batch, prequential } => {
-                self.stats.submitted += 1;
-                self.submitted_counter.inc();
-                if let Some(state) = self.sessions.get_mut(&session) {
-                    state.in_flight += 1;
-                    state.in_flight_gauge.set(state.in_flight as f64);
-                }
-                // Keep output space ahead of a potentially blocking feed:
-                // with everything pumped, a Block-policy feed can wait on
-                // at most one worker step before a queue slot frees.
-                while let Some((shard, out)) = self.pipeline.try_recv()? {
-                    self.deliver(shard, out);
-                }
-                let global_seq = self.next_seq;
-                self.next_seq += 1;
-                batch.seq = global_seq;
-                let labeled = batch.labels.is_some();
-                let keyed = KeyedBatch { key, batch };
-                let (shard, outcome) = if prequential {
-                    self.pipeline.feed_prequential(keyed)?
-                } else {
-                    self.pipeline.feed(keyed)?
-                };
-                let verdict = match outcome {
-                    AdmissionOutcome::Admitted | AdmissionOutcome::Backlogged => {
-                        self.ledger.insert(global_seq, PendingEntry { session, client_seq, shard });
-                        if let Some(order) = self.admitted_order.as_mut() {
-                            order.push(AdmittedRecord {
-                                session,
-                                key,
-                                client_seq,
-                                global_seq,
-                                shard,
-                                prequential,
-                                labeled,
-                            });
-                        }
-                        None
-                    }
-                    AdmissionOutcome::Quarantined(fault) => {
-                        self.stats.quarantined += 1;
-                        Some(SubmitOutcome::Quarantined(fault.tag()))
-                    }
-                    AdmissionOutcome::Shed(reason) => {
-                        self.stats.shed += 1;
-                        Some(SubmitOutcome::Shed(reason.tag()))
-                    }
-                };
-                // A feed can fence its shard (restart budget exhausted),
-                // stranding older ledger entries the dead worker will
-                // never answer; their verdicts go out before this one so
-                // the session hears them in submission order.
-                self.reconcile_fences()?;
-                if let Some(outcome) = verdict {
-                    self.send_to(session, SessionOutput { client_seq, global_seq, shard, outcome });
-                }
-            }
-            Request::InjectPanic { shard } => {
-                self.pipeline.inject_worker_panic(shard)?;
-                self.reconcile_fences()?;
-            }
-            Request::InjectStall { shard, duration, livelock } => {
-                self.pipeline.inject_worker_stall(shard, duration, livelock)?;
-                self.reconcile_fences()?;
-            }
-            Request::Shutdown => {}
-        }
-        Ok(())
+        self.reconcile_fences(sessions)
     }
 
     /// Routes one pipeline output back to the session that owns it.
-    fn deliver(&mut self, shard: usize, out: crate::pipeline::PipelineOutput) {
+    fn deliver(
+        &mut self,
+        sessions: &mut Sessions,
+        shard: usize,
+        out: crate::pipeline::PipelineOutput,
+    ) {
         let Some(entry) = self.ledger.remove(&out.seq) else {
             // Only reachable if a future pipeline emits outputs for
             // batches it was never fed; dropping is the safe response.
@@ -889,7 +1058,7 @@ impl Router {
                 SubmitOutcome::Trained
             }
         };
-        self.send_to(
+        sessions.deliver(
             entry.session,
             SessionOutput { client_seq: entry.client_seq, global_seq: out.seq, shard, outcome },
         );
@@ -903,14 +1072,12 @@ impl Router {
     /// waiting forever, in ascending sequence order. Answers the worker
     /// produced *before* dying are delivered first, so nothing answerable
     /// is misreported as lost.
-    fn reconcile_fences(&mut self) -> Result<(), FreewayError> {
+    fn reconcile_fences(&mut self, sessions: &mut Sessions) -> Result<(), FreewayError> {
         if self.pipeline.fenced_shards().len() == self.fenced_seen {
             return Ok(());
         }
         self.fenced_seen = self.pipeline.fenced_shards().len();
-        while let Some((shard, out)) = self.pipeline.try_recv()? {
-            self.deliver(shard, out);
-        }
+        self.drain_outputs(sessions)?;
         let mut stranded: Vec<u64> = self
             .ledger
             .iter()
@@ -924,7 +1091,7 @@ impl Router {
                 if let Some(order) = self.admitted_order.as_mut() {
                     order.retain(|rec| rec.global_seq != seq);
                 }
-                self.send_to(
+                sessions.deliver(
                     entry.session,
                     SessionOutput {
                         client_seq: entry.client_seq,
@@ -937,16 +1104,6 @@ impl Router {
         }
         Ok(())
     }
-
-    fn send_to(&mut self, session: u64, output: SessionOutput) {
-        if let Some(state) = self.sessions.get_mut(&session) {
-            state.in_flight = state.in_flight.saturating_sub(1);
-            state.in_flight_gauge.set(state.in_flight as f64);
-            // A session that dropped its receiver no longer wants the
-            // answer; that is not an error.
-            let _ = state.reply.send(output);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -958,6 +1115,34 @@ mod tests {
         let bad = ServiceConfig { drain_budget: Some(Duration::ZERO), ..Default::default() };
         assert!(bad.check().unwrap_err().contains("drain budget"));
         assert!(ServiceConfig::default().check().is_ok());
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_ends_the_service_with_its_message() {
+        let service = crate::PipelineBuilder::new(freeway_ml::ModelSpec::lr(4, 2))
+            .build_service()
+            .expect("valid service");
+        let handle = service.handle();
+        let mut session = handle.open_session(1).expect("service running");
+        let served = lock(&handle.shared)
+            .expect("unpoisoned")
+            .serve(|_, _| -> Result<(), FreewayError> { panic!("replay crashed again") });
+        assert!(matches!(served, Err(ServeError::Disconnected)), "{served:?}");
+        // The lock is not poisoned: every call returns at once.
+        assert!(matches!(session.recv_output(), Err(ServeError::Disconnected)));
+        let batch = Batch::unlabeled(
+            freeway_linalg::Matrix::zeros(2, 4),
+            0,
+            freeway_streams::DriftPhase::Stable,
+        );
+        assert!(matches!(session.submit_batch(batch, false), Err((_, ServeError::Disconnected))));
+        drop(session);
+        match service.shutdown() {
+            Err(FreewayError::WorkerPanicked(message)) => {
+                assert!(message.contains("replay crashed again"), "{message}");
+            }
+            other => panic!("shutdown must report the panic, got {:?}", other.err()),
+        }
     }
 
     #[test]
@@ -977,7 +1162,7 @@ mod tests {
 
     #[test]
     fn busy_hint_scales_with_backlog_occupancy() {
-        // The router derives pressure from occupancy; a fuller backlog
+        // The service derives pressure from occupancy; a fuller backlog
         // must never yield a shorter suggested wait.
         let base = Duration::from_millis(1);
         for capacity in [1usize, 7, 64] {

@@ -25,12 +25,14 @@
 //! [`crate::FreewayConfig::num_threads`] for the policy.
 
 use crate::admission::{
-    AdmissionOutcome, AdmissionStats, AdmittedPipeline, AdmittedRun, ShedReason,
+    waited, AdmissionOutcome, AdmissionStats, AdmittedPipeline, AdmittedRun, ShedReason,
 };
 use crate::error::FreewayError;
 use crate::knowledge::SharedKnowledge;
 use crate::pipeline::PipelineOutput;
+use crate::supervisor::{Doorbell, Injection};
 use freeway_streams::keyed::{mix64, KeyedBatch};
+use freeway_streams::Batch;
 use freeway_telemetry::{Counter, Telemetry, TelemetryEvent};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -210,7 +212,8 @@ impl ShardedPipeline {
     /// exhaustion (absorbed into a fence);
     /// [`FreewayError::WorkerUnavailable`] when every shard is fenced.
     pub fn feed(&mut self, batch: KeyedBatch) -> Result<(usize, AdmissionOutcome), FreewayError> {
-        self.route(batch, false)
+        let (shard, outcome) = self.route(batch, false, true)?;
+        Ok((shard, waited(outcome)?))
     }
 
     /// Routes a prequential batch to its key's serving shard; fencing
@@ -222,24 +225,28 @@ impl ShardedPipeline {
         &mut self,
         batch: KeyedBatch,
     ) -> Result<(usize, AdmissionOutcome), FreewayError> {
-        self.route(batch, true)
+        let (shard, outcome) = self.route(batch, true, true)?;
+        Ok((shard, waited(outcome)?))
     }
 
-    fn route(
+    /// Routes a batch to its key's serving shard; fencing semantics as
+    /// [`Self::feed`]. With `wait` unset, a batch that
+    /// [`crate::AdmissionPolicy::Block`] would wait on comes straight back
+    /// as `Err` (see [`AdmittedPipeline::offer`]).
+    ///
+    /// # Errors
+    /// As [`Self::feed`].
+    pub(crate) fn route(
         &mut self,
         batch: KeyedBatch,
         prequential: bool,
-    ) -> Result<(usize, AdmissionOutcome), FreewayError> {
+        wait: bool,
+    ) -> Result<(usize, Result<AdmissionOutcome, Batch>), FreewayError> {
         let shard = self.route_for_key(batch.key)?;
         let seq = batch.batch.seq;
-        let pipeline = &mut self.shards[shard];
-        let result = if prequential {
-            pipeline.feed_prequential(batch.batch)
-        } else {
-            pipeline.feed(batch.batch)
-        };
+        let result = self.shards[shard].offer(batch.batch, prequential, wait);
         let outcome = self.fence_if_exhausted(shard, Some(seq), result)?;
-        Ok((shard, outcome.unwrap_or(AdmissionOutcome::Shed(ShedReason::Fenced))))
+        Ok((shard, outcome.unwrap_or(Ok(AdmissionOutcome::Shed(ShedReason::Fenced)))))
     }
 
     /// Receives the next ready output from any shard without blocking,
@@ -408,12 +415,10 @@ impl ShardedPipeline {
         self.shards.iter_mut().filter_map(|shard| shard.supervisor().recovered_seq()).max()
     }
 
-    /// Has every shard's worker, including future respawns, unpark
-    /// `thread` after each output it sends and when it exits.
-    pub(crate) fn install_doorbell(&mut self, thread: &std::thread::Thread) {
-        for shard in &mut self.shards {
-            shard.supervisor().install_doorbell(thread.clone());
-        }
+    /// The bell `shard`'s workers, including future respawns, ring after
+    /// each output they send and when they exit.
+    pub(crate) fn doorbell(&mut self, shard: usize) -> &Doorbell {
+        self.shards[shard].supervisor().doorbell()
     }
 
     /// Aggregated admission counters across all shards (sums; the
@@ -431,9 +436,7 @@ impl ShardedPipeline {
     /// exhaustion discovered while delivering the injection fences the
     /// shard instead of erroring.
     pub fn inject_worker_panic(&mut self, shard: usize) -> Result<(), FreewayError> {
-        let result = self.shards[shard].supervisor().inject_worker_panic();
-        self.fence_if_exhausted(shard, None, result)?;
-        Ok(())
+        self.inject(shard, Injection::Panic, true)
     }
 
     /// Chaos hook: schedules a stall (sleep or livelock) of `duration` on
@@ -450,7 +453,19 @@ impl ShardedPipeline {
         duration: Duration,
         livelock: bool,
     ) -> Result<(), FreewayError> {
-        let result = self.shards[shard].supervisor().inject_worker_stall(duration, livelock);
+        self.inject(shard, Injection::Stall { duration, livelock }, true)
+    }
+
+    /// Delivers a chaos injection to one shard's worker; `wait` as
+    /// [`crate::SupervisedPipeline`]'s own (unset, a full queue is
+    /// [`FreewayError::QueueFull`]).
+    pub(crate) fn inject(
+        &mut self,
+        shard: usize,
+        injection: Injection,
+        wait: bool,
+    ) -> Result<(), FreewayError> {
+        let result = self.shards[shard].supervisor().inject(injection, wait);
         self.fence_if_exhausted(shard, None, result)?;
         Ok(())
     }

@@ -5,7 +5,7 @@
 //! thread owns the [`Learner`], fed through a bounded channel, and routes
 //! each batch by labeledness. Every threaded runtime in this crate —
 //! [`crate::Pipeline`] (an alias of this type), admission, shards, and
-//! the serving router — drives exactly this worker, inside a fault
+//! the serving facade — drives exactly this worker, inside a fault
 //! boundary:
 //!
 //! * every batch passes the [`BatchGuard`] **before** touching the
@@ -55,7 +55,7 @@ use freeway_telemetry::{Counter, Telemetry, TelemetryEvent, DURATION_SECONDS_BOU
 use std::collections::{BTreeSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
@@ -235,6 +235,14 @@ enum SupCommand {
     InjectStall { nanos: u64, livelock: bool },
 }
 
+/// A chaos injection, as [`SupervisedPipeline::inject_worker_panic`] and
+/// [`SupervisedPipeline::inject_worker_stall`] deliver it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Injection {
+    Panic,
+    Stall { duration: Duration, livelock: bool },
+}
+
 enum WorkerMsg {
     Output(PipelineOutput),
     Checkpoint(Box<Checkpoint>),
@@ -253,25 +261,75 @@ struct Worker {
     fence: Arc<AtomicBool>,
 }
 
-/// Wakes a parked consumer thread (the serving router) when a worker or
-/// client has something for it. Cloning shares one slot; the thread is
-/// installed at most once, and ringing a bell with no thread installed is
-/// a no-op, so layers nobody parks on pay one atomic load per ring.
+/// Wakes the threads that wait on one pipeline's workers. Client threads
+/// queue on the bell for outputs: each output a worker sends takes one
+/// thread off the queue and unparks it, the one waiting for that output
+/// if it is queued, else the longest-queued, and that thread drains the
+/// outputs for whichever session they belong to. A worker thread's exit,
+/// panics included, unparks the one installed maintenance thread.
+/// Cloning shares the bell. A ring with nobody queued costs one atomic
+/// load.
 #[derive(Clone, Default)]
-pub(crate) struct Doorbell(Arc<OnceLock<Thread>>);
+pub(crate) struct Doorbell(Arc<Bell>);
+
+#[derive(Default)]
+struct Bell {
+    /// `waiters.len()`, readable without the lock.
+    queued: AtomicUsize,
+    /// Queued threads, longest-queued first, each with the output seq it
+    /// waits for (`None` when its session has nothing in flight).
+    waiters: parking_lot::Mutex<VecDeque<(Thread, Option<u64>)>>,
+    exit: OnceLock<Thread>,
+}
 
 impl Doorbell {
-    /// Makes `thread` the one [`Self::ring`] unparks; later installs are
+    /// Makes `thread` the one a worker's exit unparks; later installs are
     /// ignored.
-    pub(crate) fn install(&self, thread: Thread) {
-        let _ = self.0.set(thread);
+    pub(crate) fn install_exit(&self, thread: Thread) {
+        let _ = self.0.exit.set(thread);
     }
 
-    /// Unparks the installed thread, if any. An unpark that lands before
-    /// the thread parks is kept as its park token, so a ring is never
-    /// lost between the consumer's last poll and its park.
-    pub(crate) fn ring(&self) {
-        if let Some(thread) = self.0.get() {
+    /// Queues `thread`, waiting for output `awaits`, unless it is queued
+    /// already. Returns `true` when it had to be queued: after a ring has
+    /// taken it off, that obliges it to drain the pipeline's outputs, so
+    /// the ring is never lost. Queue *before* the last check for output:
+    /// a ring that lands between that check and the park is then kept as
+    /// the thread's park token.
+    pub(crate) fn enqueue(&self, thread: &Thread, awaits: Option<u64>) -> bool {
+        let mut waiters = self.0.waiters.lock();
+        if waiters.iter().any(|(waiter, _)| waiter.id() == thread.id()) {
+            return false;
+        }
+        waiters.push_back((thread.clone(), awaits));
+        self.0.queued.store(waiters.len(), Ordering::SeqCst);
+        true
+    }
+
+    /// Takes `thread` off the queue. Returns `false` when a ring already
+    /// took it, which obliges it to drain the pipeline's outputs.
+    pub(crate) fn dequeue(&self, thread: &Thread) -> bool {
+        let mut waiters = self.0.waiters.lock();
+        let Some(at) = waiters.iter().position(|(waiter, _)| waiter.id() == thread.id()) else {
+            return false;
+        };
+        waiters.remove(at);
+        self.0.queued.store(waiters.len(), Ordering::SeqCst);
+        true
+    }
+
+    /// Takes the thread waiting for output `seq` (when given and queued),
+    /// or else the longest-queued one, off the queue and unparks it.
+    pub(crate) fn ring(&self, seq: Option<u64>) {
+        if self.0.queued.load(Ordering::SeqCst) == 0 {
+            return;
+        }
+        let mut waiters = self.0.waiters.lock();
+        let owner = seq.and_then(|seq| waiters.iter().position(|(_, awaits)| *awaits == Some(seq)));
+        let at = owner.unwrap_or(0);
+        let woken = waiters.remove(at);
+        self.0.queued.store(waiters.len(), Ordering::SeqCst);
+        drop(waiters);
+        if let Some((thread, _)) = woken {
             thread.unpark();
         }
     }
@@ -385,18 +443,29 @@ fn spawn_worker(
                         continue;
                     }
                 };
+                let output = match &msg {
+                    WorkerMsg::Output(out) => Some(out.seq),
+                    WorkerMsg::Checkpoint(_) => None,
+                };
                 if out_tx.send(msg).is_err() {
                     break;
                 }
                 ledger.beat(last_seq);
-                bell.ring();
+                // Only outputs are waited for; a checkpoint reply is
+                // absorbed by the next call that touches the pipeline.
+                if output.is_some() {
+                    bell.ring(output);
+                }
             }
             learner
         }))
         .map_err(panic_message);
         // The closure's channel ends are gone by now, so the woken
-        // consumer sees the disconnect (a crash, panics included).
-        doorbell.ring();
+        // maintenance thread sees the disconnect (a crash, panics
+        // included).
+        if let Some(thread) = doorbell.0.exit.get() {
+            thread.unpark();
+        }
         result
     });
     Worker { input: in_tx, output: out_rx, handle, heartbeat, fence }
@@ -480,8 +549,8 @@ pub struct SupervisedPipeline {
     watchdog: Option<WatchdogState>,
     /// Monotonic origin for watchdog ticks (nanoseconds since here).
     watchdog_origin: Instant,
-    /// Rung by every worker this pipeline spawns after each message it
-    /// sends and when it exits; empty until a router installs itself.
+    /// Rung by every worker this pipeline spawns after each output it
+    /// sends and when it exits; nobody waits on it below the service.
     doorbell: Doorbell,
     /// Highest batch seq startup recovery restored from a previous
     /// process's journal: the last replayed record, or the loaded
@@ -696,12 +765,12 @@ impl SupervisedPipeline {
         // mid-send re-sends the batch, so journaling it early would
         // replay it on top of the re-send).
         let frame = self.journal.as_ref().map(|_| frame_batch(&batch, prequential));
-        self.send_with_recovery(SupCommand::Batch { batch, prequential })?;
+        self.send_with_recovery(SupCommand::Batch { batch, prequential }, true)?;
         self.note_accepted();
         self.journal_append(seq, frame);
         if self.checkpoint_due {
             self.checkpoint_due = false;
-            self.send_with_recovery(SupCommand::Checkpoint)?;
+            self.send_with_recovery(SupCommand::Checkpoint, true)?;
             self.checkpoints_in_flight += 1;
         }
         Ok(FeedOutcome::Accepted)
@@ -854,10 +923,10 @@ impl SupervisedPipeline {
         self.recovered_seq
     }
 
-    /// Has this pipeline's workers, the current one and every respawn,
-    /// unpark `thread` after each message they send and when they exit.
-    pub(crate) fn install_doorbell(&self, thread: Thread) {
-        self.doorbell.install(thread);
+    /// The bell this pipeline's workers, the current one and every
+    /// respawn, ring after each output they send and when they exit.
+    pub(crate) fn doorbell(&self) -> &Doorbell {
+        &self.doorbell
     }
 
     /// Chaos hook: every subsequent train/infer command sleeps this long
@@ -918,19 +987,35 @@ impl SupervisedPipeline {
     /// # Errors
     /// As [`Self::feed`].
     pub fn inject_worker_panic(&mut self) -> Result<(), FreewayError> {
-        self.send_with_recovery(SupCommand::InjectPanic)
+        self.inject(Injection::Panic, true)
+    }
+
+    /// Delivers a chaos injection. With `wait` unset, a full queue fails
+    /// it at once with [`FreewayError::QueueFull`] instead of waiting for
+    /// the worker to free a slot.
+    pub(crate) fn inject(&mut self, injection: Injection, wait: bool) -> Result<(), FreewayError> {
+        let cmd = match injection {
+            Injection::Panic => SupCommand::InjectPanic,
+            Injection::Stall { duration, livelock } => {
+                let nanos = duration.as_nanos().min(u128::from(u64::MAX)) as u64;
+                SupCommand::InjectStall { nanos, livelock }
+            }
+        };
+        self.send_with_recovery(cmd, wait)
     }
 
     /// Delivers a command, recovering along the way: a full queue blocks
-    /// on draining one worker message (backpressure), a disconnected
-    /// queue means the worker died — restart it and retry.
-    fn send_with_recovery(&mut self, mut cmd: SupCommand) -> Result<(), FreewayError> {
+    /// on draining one worker message (backpressure) when `wait` is set
+    /// and is [`FreewayError::QueueFull`] otherwise; a disconnected queue
+    /// means the worker died — restart it and retry.
+    fn send_with_recovery(&mut self, mut cmd: SupCommand, wait: bool) -> Result<(), FreewayError> {
         loop {
             let Some(worker) = self.worker.as_ref() else {
                 return Err(FreewayError::WorkerUnavailable);
             };
             match worker.input.try_send(cmd) {
                 Ok(()) => return Ok(()),
+                Err(TrySendError::Full(_)) if !wait => return Err(FreewayError::QueueFull),
                 Err(TrySendError::Full(returned)) => {
                     cmd = returned;
                     self.pump_one_blocking()?;
@@ -1173,8 +1258,9 @@ impl SupervisedPipeline {
     /// has already reaped or abandoned the old worker.
     fn complete_restart(&mut self, panic: String) -> Result<(), FreewayError> {
         // Outputs recovery leaves on `pending` (the dead worker's last
-        // messages, journal replay) were never announced by a worker ring.
-        self.doorbell.ring();
+        // messages, journal replay) were never announced by a worker ring:
+        // whoever this wakes drains them.
+        self.doorbell.ring(None);
         self.watchdog = None;
         let lost = std::mem::take(&mut self.in_flight) as u64;
         self.checkpoints_in_flight = 0;
@@ -1293,8 +1379,7 @@ impl SupervisedPipeline {
         duration: Duration,
         livelock: bool,
     ) -> Result<(), FreewayError> {
-        let nanos = duration.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.send_with_recovery(SupCommand::InjectStall { nanos, livelock })
+        self.inject(Injection::Stall { duration, livelock }, true)
     }
 
     /// The live worker's heartbeat ledger, when a worker is running.
@@ -1438,6 +1523,29 @@ mod tests {
         while let Ok(Some(out)) = p.try_recv() {
             into.push(out);
         }
+    }
+
+    #[test]
+    fn a_ring_takes_one_thread_off_the_bell_and_prefers_the_outputs_owner() {
+        let exited = || {
+            let handle = std::thread::spawn(|| {});
+            let thread = handle.thread().clone();
+            handle.join().expect("empty thread");
+            thread
+        };
+        let (idle, first, second) = (exited(), exited(), exited());
+        let bell = Doorbell::default();
+        assert!(bell.enqueue(&idle, None));
+        assert!(bell.enqueue(&first, Some(7)));
+        assert!(bell.enqueue(&second, Some(8)));
+        assert!(!bell.enqueue(&idle, None), "a queued thread is queued once");
+        bell.ring(Some(8));
+        assert!(!bell.dequeue(&second), "the ring takes the output's owner");
+        bell.ring(Some(9));
+        assert!(!bell.dequeue(&idle), "with no owner queued it takes the longest-queued");
+        assert!(bell.dequeue(&first), "each ring takes one thread");
+        bell.ring(None);
+        assert!(bell.enqueue(&idle, None), "a thread a ring took queues afresh");
     }
 
     #[test]

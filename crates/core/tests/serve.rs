@@ -9,9 +9,11 @@
 //!   admitted order serially through an identically built pipeline
 //!   reproduces every per-key transcript exactly. Concurrency changes
 //!   *interleaving*, never *answers*.
-//! * Wake-ups: with no stall deadline the router parks with no timer, so
-//!   every path that hands it work must wake it; a missed wake-up hangs
-//!   and fails the wall-clock budget.
+//! * Wake-ups: with no stall deadline nothing in the service has a
+//!   timer, so every path that produces work must wake whoever waits
+//!   for it; a missed wake-up hangs and fails the wall-clock budget.
+//! * Blocking admission never blocks a submit: a batch the shard cannot
+//!   take comes back as `Busy` at once, consuming no sequence number.
 //! * Restarts: a service restarted over its journal numbers new
 //!   submissions above everything it recovered.
 //! * Bounded shutdown: a drain budget that runs out on a wedged shard
@@ -21,11 +23,14 @@
 //! * Fences: when a shard is fenced, the submissions it strands — lost in
 //!   flight or shed from its backlog — reach their session in submission
 //!   order.
+//! * Shared shards: many closed-loop sessions on one shard's bell all get
+//!   their answers, and a chaos injection into a full queue comes back as
+//!   `Busy` instead of waiting under the service lock.
 
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::mpsc::RecvTimeoutError;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use freeway_core::admission::{AdmissionConfig, AdmissionPolicy};
 use freeway_core::telemetry::{MetricsSnapshot, Telemetry};
@@ -148,7 +153,7 @@ fn submitting_after_shutdown_is_disconnected_and_returns_the_batch() {
 }
 
 /// Runs `scenario` on its own thread and fails unless it finishes within
-/// `budget`: a router that misses a wake-up parks forever, and this turns
+/// `budget`: a thread that misses a wake-up parks forever, and this turns
 /// that hang into a test failure.
 fn within_budget(budget: Duration, scenario: impl FnOnce() + Send + 'static) {
     let (done_tx, done_rx) = std::sync::mpsc::channel();
@@ -163,14 +168,14 @@ fn within_budget(budget: Duration, scenario: impl FnOnce() + Send + 'static) {
             }
         }
         Err(RecvTimeoutError::Timeout) => {
-            panic!("scenario still running after {budget:?}: the router missed a wake-up")
+            panic!("scenario still running after {budget:?}: a wake-up was missed")
         }
     }
 }
 
 /// Polls `telemetry` until `done` holds for its metrics. Nothing but the
-/// router acts on the service meanwhile, so reaching the state proves the
-/// router woke up for it.
+/// service's own threads acts on it meanwhile, so reaching the state
+/// proves one of them woke up for it.
 fn await_metrics(telemetry: &Telemetry, done: impl Fn(&MetricsSnapshot) -> bool) {
     while !done(&telemetry.metrics()) {
         std::thread::sleep(Duration::from_millis(1));
@@ -190,9 +195,9 @@ fn answer(session: &mut ClientSession, batch: Batch) -> (u64, Vec<usize>) {
 }
 
 #[test]
-fn router_without_a_timer_wakes_on_every_path() {
+fn service_without_a_timer_wakes_on_every_path() {
     within_budget(Duration::from_secs(30), || {
-        // No stall deadline: the router parks with no timer at all.
+        // No stall deadline: no thread of the service has a timer.
         let (telemetry, _sink) = Telemetry::recording();
         let service =
             builder(2).with_telemetry(telemetry.clone()).build_service().expect("valid service");
@@ -201,7 +206,7 @@ fn router_without_a_timer_wakes_on_every_path() {
         let mut a = handle.open_session(key_a).expect("service running");
         let mut b = handle.open_session(key_b).expect("service running");
 
-        // Submit rings, and every worker output rings.
+        // Every worker output rings the session parked for it.
         let batches_a = session_batches(6, key_a, 101);
         let batches_b = session_batches(6, key_b, 100);
         for (ba, bb) in batches_a.iter().zip(&batches_b) {
@@ -209,18 +214,17 @@ fn router_without_a_timer_wakes_on_every_path() {
             answer(&mut b, bb.clone());
         }
 
-        // Dropping a session rings with its close notice.
+        // Dropping a session closes it.
         drop(b);
         await_metrics(&telemetry, |m| m.gauges.get("freeway_serve_sessions_active") == Some(&1.0));
 
-        // The injection rings; the crash is noticed only through the
-        // ring the dying worker sends as its thread exits.
+        // The crash is noticed only through the ring the dying worker
+        // sends the maintenance thread as its thread exits.
         handle.inject_worker_panic(shard_for(key_a, 2)).expect("service running");
         await_metrics(&telemetry, |m| m.counters.get("freeway_worker_restarts_total") == Some(&1));
         // The respawned worker rings too.
         answer(&mut a, batches_a[100].clone());
 
-        // Shutdown rings.
         drop(a);
         let report = service.shutdown().expect("clean shutdown");
         assert_eq!(report.stats.submitted, 201);
@@ -232,10 +236,10 @@ fn router_without_a_timer_wakes_on_every_path() {
 }
 
 #[test]
-fn router_pumps_the_watchdog_on_its_timed_wake() {
+fn maintenance_pumps_the_watchdog_on_its_timed_wake() {
     within_budget(Duration::from_secs(30), || {
-        // A wedged worker rings nothing: only the router's timed wake can
-        // notice it. The stall outlasts the budget, so the answer below
+        // A wedged worker rings nothing: only the maintenance thread's
+        // timed wake can notice it. The stall outlasts the budget, so the answer below
         // can only come from forced recovery replaying the journal.
         let dir = std::env::temp_dir().join(format!("freeway-serve-tick-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -345,6 +349,75 @@ fn poison_behind_a_backlog_still_gets_its_verdict() {
 }
 
 #[test]
+fn blocking_admission_hands_back_busy_instead_of_blocking() {
+    within_budget(Duration::from_secs(30), || {
+        // Blocking admission over a one-slot queue: while the worker
+        // stalls, the first submission fills the queue and every later
+        // one must come straight back, long before the stall ends.
+        let service = PipelineBuilder::new(ModelSpec::lr(DIM, CLASSES))
+            .with_config(config())
+            .with_queue_depth(1)
+            .admission(AdmissionConfig { policy: AdmissionPolicy::Block, ..Default::default() })
+            .build_service()
+            .expect("valid service");
+        let handle = service.handle();
+        let mut session = handle.open_session(6).expect("service running");
+        let stall = Duration::from_secs(1);
+        handle.inject_worker_stall(0, stall, false).expect("service running");
+        let stalled = Instant::now();
+        let batches = session_batches(15, 6, 4);
+        // The stall command holds the slot until the worker takes it.
+        let mut first = batches[0].clone();
+        let first_seq = loop {
+            match session.submit_batch(first, true) {
+                Ok(seq) => break seq,
+                Err((back, ServeError::Busy { .. })) => first = back,
+                Err((_, err)) => panic!("unexpected submit failure: {err:?}"),
+            }
+        };
+        assert_eq!(first_seq, 0);
+        for batch in &batches[1..] {
+            match session.submit_batch(batch.clone(), true) {
+                Err((back, ServeError::Busy { retry_after_hint })) => {
+                    assert!(retry_after_hint > Duration::ZERO);
+                    assert_eq!(back.x.as_slice(), batch.x.as_slice(), "the batch comes back");
+                }
+                other => panic!("a full queue must hand the batch back, got {:?}", other.err()),
+            }
+        }
+        assert!(stalled.elapsed() < stall / 2, "Busy took {:?}", stalled.elapsed());
+        assert_eq!(session.in_flight(), 1, "a handed-back batch is not in flight");
+
+        // Once the stall ends, retrying answers every batch, in order.
+        for (client_seq, batch) in batches.iter().enumerate().skip(1) {
+            let mut pending = batch.clone();
+            let seq = loop {
+                match session.submit_batch(pending, true) {
+                    Ok(seq) => break seq,
+                    Err((back, ServeError::Busy { retry_after_hint })) => {
+                        std::thread::sleep(retry_after_hint);
+                        pending = back;
+                    }
+                    Err((_, err)) => panic!("unexpected submit failure: {err:?}"),
+                }
+            };
+            assert_eq!(seq, client_seq as u64, "Busy consumed no client seq");
+        }
+        let outputs: Vec<_> =
+            (0..4).map(|_| session.recv_output().expect("output delivered")).collect();
+        for (i, out) in outputs.iter().enumerate() {
+            assert_eq!(out.client_seq, i as u64, "answers arrive in submission order");
+            assert_eq!(out.global_seq, outputs[0].global_seq + i as u64, "global seqs contiguous");
+            assert!(matches!(out.outcome, SubmitOutcome::Answered(_)), "{out:?}");
+        }
+        drop(session);
+        let report = service.shutdown().expect("clean shutdown");
+        assert_eq!(report.stats.submitted, 4, "each batch counted once: {:?}", report.stats);
+        assert_eq!(report.stats.answered, 4);
+    });
+}
+
+#[test]
 fn fence_verdicts_reach_the_session_in_submission_order() {
     within_budget(Duration::from_secs(30), || {
         // Default admission over a three-slot queue with no restart
@@ -377,6 +450,78 @@ fn fence_verdicts_reach_the_session_in_submission_order() {
         assert_eq!(order, [0, 1, 2, 3], "fence verdicts must arrive in submission order");
         drop(session);
         let _ = service.shutdown();
+    });
+}
+
+#[test]
+fn many_closed_loop_sessions_share_one_shard_without_a_lost_ring() {
+    within_budget(Duration::from_secs(60), || {
+        // Eight closed-loop sessions and one idle one queue on a single
+        // shard's bell. Each output wakes one queued thread, its owner's
+        // or else the longest-queued one, which hands what it drains to
+        // the owning sessions; a ring lost on the way hangs a session.
+        let service = builder(1).build_service().expect("valid service");
+        let handle = service.handle();
+        let idle = {
+            let handle = handle.clone();
+            std::thread::spawn(move || {
+                let mut session = handle.open_session(100).expect("service running");
+                session.recv_output().err()
+            })
+        };
+        let busy: Vec<_> = (0..8u64)
+            .map(|key| {
+                let handle = handle.clone();
+                let batches = session_batches(16, key, 40);
+                std::thread::spawn(move || {
+                    let mut session = handle.open_session(key).expect("service running");
+                    batches.into_iter().for_each(|batch| drop(answer(&mut session, batch)));
+                })
+            })
+            .collect();
+        for session in busy {
+            session.join().expect("every exchange answered");
+        }
+        let report = service.shutdown().expect("clean shutdown");
+        assert_eq!(report.stats.answered, 320);
+        let idle = idle.join().expect("idle session returned");
+        assert!(matches!(idle, Some(ServeError::Disconnected)), "{idle:?}");
+    });
+}
+
+#[test]
+fn injecting_into_a_full_queue_hands_back_busy() {
+    within_budget(Duration::from_secs(30), || {
+        // A one-slot queue behind a stalled worker: the injection must
+        // not wait under the service lock for the stall to end.
+        let service = PipelineBuilder::new(ModelSpec::lr(DIM, CLASSES))
+            .with_config(config())
+            .with_queue_depth(1)
+            .admission(AdmissionConfig { policy: AdmissionPolicy::Block, ..Default::default() })
+            .build_service()
+            .expect("valid service");
+        let handle = service.handle();
+        let mut session = handle.open_session(7).expect("service running");
+        let stall = Duration::from_secs(1);
+        handle.inject_worker_stall(0, stall, false).expect("service running");
+        let stalled = Instant::now();
+        // The stall command holds the slot until the worker takes it.
+        let mut pending = session_batches(17, 7, 1).remove(0);
+        while let Err((back, err)) = session.submit_batch(pending, true) {
+            assert!(matches!(err, ServeError::Busy { .. }), "{err:?}");
+            pending = back;
+            std::thread::yield_now();
+        }
+        let injected = handle.inject_worker_panic(0);
+        assert!(matches!(injected, Err(ServeError::Busy { .. })), "{injected:?}");
+        assert!(stalled.elapsed() < stall / 2, "the injection waited for the stall");
+        assert!(matches!(
+            session.recv_output().expect("answered").outcome,
+            SubmitOutcome::Answered(_)
+        ));
+        drop(session);
+        let report = service.shutdown().expect("clean shutdown");
+        assert_eq!(report.run.shards[0].run.stats.restarts, 0, "the busy injection never ran");
     });
 }
 
@@ -544,7 +689,7 @@ fn oracle_transcripts(
 }
 
 proptest! {
-    // Each case spins up a service (2 shards + router) plus an oracle
+    // Each case spins up a service (2 shards + maintenance) plus an oracle
     // pipeline; a handful of cases is plenty, and keeps the suite fast.
     #![proptest_config(ProptestConfig::with_cases(6))]
 

@@ -25,7 +25,7 @@ const CLASSES: usize = 2;
 pub struct ServingPoint {
     /// Concurrent closed-loop client sessions.
     pub clients: usize,
-    /// Shards behind the service router.
+    /// Shards behind the service.
     pub shards: usize,
     /// Rows per submitted batch.
     pub batch_size: usize,
