@@ -269,53 +269,22 @@ impl PipelineBuilder {
     /// pipelines behind a hash router, sharing one telemetry stream and
     /// one cross-shard [`SharedKnowledge`] registry (capacity
     /// [`FreewayConfig::kdg_buffer`], like each shard's local store).
-    ///
-    /// Thread budget (see [`FreewayConfig::num_threads`] for the full
-    /// policy): the kernel worker pool is process-wide and shared by all
-    /// shards, so with `n` shards the compute threads are the `n` shard
-    /// workers plus the pool. The resolved kernel thread count is
-    /// `FREEWAY_THREADS` when set, else `num_threads` (`0` meaning
-    /// "cores / shards", i.e. hand the whole budget to the shards).
-    /// Multi-shard with a parallel kernel pool must fit the host:
-    /// `shards + kernel_threads > cores` is rejected. Serial kernels
-    /// (the default) permit any shard count — workers beyond the core
-    /// count time-slice, they do not oversubscribe kernel compute.
+    /// Each shard's learner runs on that shard's one worker thread, so
+    /// `n` shards compute on `n` threads; shards beyond the host's core
+    /// count time-slice.
     ///
     /// Per-shard checkpoint paths get a `.shard<i>` suffix so shards
     /// never clobber each other's persisted generations.
     ///
     /// # Errors
-    /// As [`Self::build_admitted`], plus a zero shard count or an
-    /// oversubscribing shard/kernel-thread split.
+    /// As [`Self::build_admitted`], plus a zero shard count.
     pub fn build_sharded(self) -> Result<ShardedPipeline, FreewayError> {
         if self.shards == 0 {
             return Err(FreewayError::InvalidConfig("shard count must be positive".to_owned()));
         }
         self.supervisor.check().map_err(FreewayError::InvalidConfig)?;
         let admission = self.admission.clone().unwrap_or_default();
-        let cores = std::thread::available_parallelism().map_or(1, usize::from);
-        let requested = std::env::var("FREEWAY_THREADS")
-            .ok()
-            .and_then(|raw| raw.trim().parse::<usize>().ok())
-            .unwrap_or(self.config.num_threads);
-        let kernel_threads = if requested == 0 {
-            // Auto: the shard workers are the parallelism; give the
-            // kernel pool whatever cores the workers leave over.
-            (cores / self.shards).max(1)
-        } else {
-            requested
-        };
-        if self.shards > 1 && kernel_threads > 1 && self.shards + kernel_threads > cores {
-            return Err(FreewayError::InvalidConfig(format!(
-                "{} shards + {kernel_threads} kernel threads oversubscribe {cores} cores; \
-                 use serial kernels (num_threads = 1) or fewer shards \
-                 (see FreewayConfig::num_threads)",
-                self.shards
-            )));
-        }
-        let mut config = self.config;
-        config.num_threads = kernel_threads;
-        let shared = SharedKnowledge::new(config.kdg_buffer);
+        let shared = SharedKnowledge::new(self.config.kdg_buffer);
         let mut shards = Vec::with_capacity(self.shards);
         for shard in 0..self.shards {
             let mut supervisor = self.supervisor.clone();
@@ -330,7 +299,7 @@ impl PipelineBuilder {
             }
             let handle = DegradationHandle::new();
             let mut learner =
-                Learner::try_new(self.spec.clone(), config.clone(), self.telemetry.clone())?;
+                Learner::try_new(self.spec.clone(), self.config.clone(), self.telemetry.clone())?;
             learner.attach_degradation(handle.clone());
             if self.shards > 1 {
                 // A single shard gets no registry handle: lookups could

@@ -120,39 +120,6 @@ pub struct FreewayConfig {
     pub asw_update_epochs: usize,
     /// Base RNG seed for model initialisation.
     pub seed: u64,
-    /// Worker threads for the process-wide pool backing parallel
-    /// kernels, ensemble inference, and sharded gradients. `1` (the
-    /// default) keeps everything serial; `0` means "all available
-    /// cores". The `FREEWAY_THREADS` environment variable, when set,
-    /// overrides this field.
-    ///
-    /// **Shard/thread budget policy.** The kernel pool is one per
-    /// process, shared by every shard of a
-    /// [`crate::shard::ShardedPipeline`], so shard workers and pool
-    /// threads draw on a single core budget:
-    ///
-    /// * With serial kernels (this field at its default `1`), the shard
-    ///   workers *are* the parallelism — one core of compute per shard,
-    ///   any shard count allowed (workers beyond the core count
-    ///   time-slice; they never multiply kernel threads).
-    /// * `0` under [`crate::PipelineBuilder::build_sharded`] resolves to
-    ///   `cores / shards` (the budget left after one core per shard),
-    ///   not "all cores".
-    /// * An explicit pooled size (`> 1`) combined with more than one
-    ///   shard must satisfy `shards + num_threads <= cores`;
-    ///   `build_sharded` rejects oversubscribing splits, because a pool
-    ///   contended by N shard workers destroys the near-linear scaling
-    ///   the sharded runtime exists for.
-    ///
-    /// `FREEWAY_THREADS` participates in the same validation — the
-    /// override is resolved *before* the budget check, so an environment
-    /// variable cannot sneak an oversubscribed split past the builder.
-    pub num_threads: usize,
-    /// Compute mini-batch gradients data-parallel in fixed 256-row
-    /// shards merged in shard order. Off by default: sharding changes
-    /// numerics for batches above one shard (identically for every
-    /// thread count).
-    pub parallel_gradient: bool,
     /// Mechanism toggle: coherent experience clustering on Pattern B.
     /// Disabling falls back to the ensemble (per-mechanism studies and
     /// ablations flip this).
@@ -210,8 +177,6 @@ impl Default for FreewayConfig {
             precompute_subsets: 4,
             asw_update_epochs: 2,
             seed: 42,
-            num_threads: 1,
-            parallel_gradient: false,
             enable_cec: true,
             enable_knowledge: true,
             enable_pseudo_labels: false,

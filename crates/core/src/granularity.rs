@@ -14,7 +14,7 @@
 use crate::asw::{AdaptiveStreamingWindow, AswParams};
 use crate::config::FreewayConfig;
 use crate::error::CheckpointError;
-use freeway_linalg::{pool, vector, Matrix};
+use freeway_linalg::{vector, Matrix};
 use freeway_ml::{Model, ModelSpec, PrecomputeAccumulator, Trainer, Workspace};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -67,7 +67,7 @@ struct Level {
     /// Reusable inference scratch, shared across `predict_proba` calls so
     /// the warm ensemble forward pass allocates nothing, and kept as the
     /// level's [`ForwardCache`]. Behind a mutex because prediction takes
-    /// `&self` and the parallel path evaluates levels on pool threads.
+    /// `&self`.
     forward: Mutex<ForwardCache>,
 }
 
@@ -132,8 +132,6 @@ impl MultiGranularity {
                         min_weight: config.asw_min_weight,
                     })
                 });
-                let mut trainer = trainer;
-                trainer.set_parallel_gradient(config.parallel_gradient);
                 Level {
                     trainer,
                     window,
@@ -392,13 +390,6 @@ impl MultiGranularity {
         let total: f64 = weights.iter().sum();
 
         let mut blended = Matrix::zeros(x.rows(), self.spec.classes());
-        // The paper's multi-process deployment evaluates the granularity
-        // models concurrently, which is why its ensemble adds almost no
-        // inference latency; reproduce that with jobs on the persistent
-        // worker pool when the forward passes are expensive enough to
-        // amortise the dispatch. Blending stays on this thread in level
-        // order, so the result is bit-identical to serial inference.
-        let work = x.rows() * self.spec.num_parameters();
         // A level whose kernel weight is negligible cannot change the
         // argmax; skipping it saves a full forward pass, which is the
         // common case on directional streams where the long model's
@@ -418,33 +409,16 @@ impl MultiGranularity {
                 level.forward.lock().valid = false;
             }
         }
-        if voters.len() > 1 && work > 64 * 1024 && pool::configured_threads() > 1 {
-            let tasks: Vec<pool::Task<'_>> = voters
-                .iter()
-                .map(|&(i, _)| {
-                    let model = self.levels[i].trainer.model();
-                    let forward = &self.levels[i].forward;
-                    Box::new(move || {
-                        let mut guard = forward.lock();
-                        let cache = &mut *guard;
-                        model.predict_proba_into(x, &mut cache.ws, &mut cache.probs);
-                        cache.valid = true;
-                    }) as pool::Task<'_>
-                })
-                .collect();
-            pool::global().run(tasks);
-            for &(i, w) in &voters {
-                blended.axpy(w / voting_total, &self.levels[i].forward.lock().probs);
-            }
-        } else {
-            for &(i, w) in &voters {
-                let level = &self.levels[i];
-                let mut guard = level.forward.lock();
-                let cache = &mut *guard;
-                level.trainer.model().predict_proba_into(x, &mut cache.ws, &mut cache.probs);
-                cache.valid = true;
-                blended.axpy(w / voting_total, &cache.probs);
-            }
+        // The paper deploys the granularity models as separate processes
+        // that infer concurrently; here the voters run one after the
+        // other on the caller's thread, blended in level order.
+        for &(i, w) in &voters {
+            let level = &self.levels[i];
+            let mut guard = level.forward.lock();
+            let cache = &mut *guard;
+            level.trainer.model().predict_proba_into(x, &mut cache.ws, &mut cache.probs);
+            cache.valid = true;
+            blended.axpy(w / voting_total, &cache.probs);
         }
         blended
     }

@@ -215,8 +215,6 @@ impl Learner {
         telemetry: Telemetry,
     ) -> Result<Self, FreewayError> {
         config.check().map_err(FreewayError::InvalidConfig)?;
-        // Size the process-wide worker pool (FREEWAY_THREADS still wins).
-        freeway_linalg::pool::configure(config.num_threads);
         let selector = StrategySelector::with_telemetry(&config, telemetry.clone());
         let mut granularity = MultiGranularity::new(spec.clone(), &config);
         granularity.attach_telemetry(&telemetry);

@@ -534,13 +534,15 @@ mod tests {
 
     #[test]
     fn checkpoint_with_retired_config_fields_still_restores() {
-        // Version-1 checkpoints written before `parallel_inference` and
-        // `async_long_updates` left `FreewayConfig` still carry both.
+        // Version-1 checkpoints written before `parallel_inference`,
+        // `async_long_updates`, `num_threads` and `parallel_gradient` left
+        // `FreewayConfig` still carry them.
         let (learner, concept, mut rng) = trained_learner();
         let json = Checkpoint::capture(&learner).to_json();
         let legacy = json.replacen(
             "\"config\":{",
-            "\"config\":{\"parallel_inference\":true,\"async_long_updates\":false,",
+            "\"config\":{\"parallel_inference\":true,\"async_long_updates\":false,\
+             \"num_threads\":4,\"parallel_gradient\":true,",
             1,
         );
         assert_ne!(json, legacy, "fixture must carry the retired fields");

@@ -18,11 +18,8 @@
 //! stable across Rust releases and platforms — per-tenant placement is
 //! part of the reproducibility surface.
 //!
-//! Thread budget: the kernel worker pool is process-wide and shared by
-//! all shards, so shard workers and pool threads draw on one core
-//! budget. [`crate::PipelineBuilder::build_sharded`] validates the split
-//! (serial kernels per shard by default); see
-//! [`crate::FreewayConfig::num_threads`] for the policy.
+//! Each shard's learner runs on its own worker thread, and that one
+//! thread is all the compute a shard has: N shards use N cores.
 
 use crate::admission::{
     waited, AdmissionOutcome, AdmissionStats, AdmittedPipeline, AdmittedRun, ShedReason,

@@ -1,15 +1,14 @@
-//! Serial-vs-pooled throughput comparison over the Figure-10 workload.
+//! Throughput over the Figure-10 workload.
 //!
-//! Writes `results/BENCH_throughput.json`: items/second per framework,
-//! batch size, and worker-pool size (1 = serial, plus the host's core
-//! count unless `FREEWAY_THREADS_SWEEP` overrides the pooled size), with
-//! a per-kernel GFLOP/s microbench section.
+//! Writes `results/BENCH_throughput.json`: items/second and per-item
+//! allocations per framework and batch size, with a per-kernel GFLOP/s
+//! microbench section.
 //!
 //! Flags:
 //! - `--models lr,mlp[,cnn]` restricts the model families swept
 //!   (default: `lr,mlp`).
 //! - `--quick` shrinks the sweep to a CI-sized regression probe: LR
-//!   only, batch 256, pools `[1, 2]`, 20 batches (still overridable
+//!   only, batch 256, 20 batches (still overridable
 //!   through `FREEWAY_BATCHES`), results not written to `results/`.
 //! - `--shards 1,2[,4]` sweeps the sharded runtime at those shard
 //!   counts over `--keys` interleaved keyed streams (full runs default
@@ -165,21 +164,12 @@ fn main() {
     if std::env::var("FREEWAY_BATCHES").is_err() {
         scale.batches = if quick { 20 } else { 30 };
     }
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let pooled = std::env::var("FREEWAY_THREADS_SWEEP")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(if quick { 2 } else { cores })
-        .max(2);
     let batch_sizes: &[usize] = if quick { &[256] } else { &[256, 1024, 2048] };
     if quick {
         families = vec![ModelFamily::Lr];
     }
-    eprintln!(
-        "Throughput comparison at {scale:?}, pool sizes [1, {pooled}] on {cores} cores{}",
-        if quick { " (quick)" } else { "" }
-    );
-    let mut result = fig10::run_thread_comparison(&scale, &families, batch_sizes, &[1, pooled]);
+    eprintln!("Throughput at {scale:?}{}", if quick { " (quick)" } else { "" });
+    let mut result = fig10::run_bench(&scale, &families, batch_sizes);
     result.kernel_microbench = kernel_bench::run();
     // Shard-scaling sweep: on by default for full runs, opt-in (via
     // --shards) for quick CI probes.

@@ -130,30 +130,9 @@ pub fn build_system(
     classes: usize,
     scale: &Scale,
 ) -> Box<dyn StreamingLearner> {
-    build_system_threaded(name, family, features, classes, scale, 1)
-}
-
-/// [`build_system`] with an explicit worker-pool size. For FreewayML the
-/// size goes into `FreewayConfig` (which also enables data-parallel
-/// gradients when `threads > 1`); baselines pick the pool up implicitly
-/// through the shared linalg kernels, so callers comparing thread counts
-/// must also `freeway_linalg::pool::configure(threads)`.
-pub fn build_system_threaded(
-    name: &str,
-    family: ModelFamily,
-    features: usize,
-    classes: usize,
-    scale: &Scale,
-    threads: usize,
-) -> Box<dyn StreamingLearner> {
     let spec = family.spec(features, classes);
     if name.eq_ignore_ascii_case("freewayml") {
-        let config = FreewayConfig {
-            num_threads: threads,
-            parallel_gradient: threads > 1,
-            ..freeway_config(scale)
-        };
-        Box::new(FreewaySystem::with_config(spec, config))
+        Box::new(FreewaySystem::with_config(spec, freeway_config(scale)))
     } else {
         freeway_baselines::by_name(name, spec, scale.seed)
     }

@@ -4,7 +4,7 @@
 //! sizes 256–2048; throughput is total items divided by total processing
 //! time (the figure's y-axis).
 
-use crate::experiments::common::{build_system, build_system_threaded, ModelFamily, Scale};
+use crate::experiments::common::{build_system, ModelFamily, Scale};
 use crate::prequential::run_prequential;
 use freeway_streams::Hyperplane;
 use serde::Serialize;
@@ -40,45 +40,18 @@ pub fn run(scale: &Scale) -> Fig10 {
 
 /// Parameterised sweep used by tests and the CNN appendix.
 pub fn run_families(scale: &Scale, families: &[ModelFamily], batch_sizes: &[usize]) -> Fig10 {
-    let mut points = Vec::new();
-    for &family in families {
-        let mut systems: Vec<&str> = family.paper_baselines().to_vec();
-        systems.push("freewayml");
-        for &bs in batch_sizes {
-            for sys in &systems {
-                let mut generator = Hyperplane::new(10, 0.02, 0.05, scale.seed);
-                let point_scale = Scale { batch_size: bs, ..*scale };
-                let mut learner = build_system(sys, family, 10, 2, &point_scale);
-                let result = run_prequential(
-                    learner.as_mut(),
-                    &mut generator,
-                    scale.batches,
-                    bs,
-                    scale.warmup,
-                );
-                points.push(Point {
-                    model: format!("Streaming{}", family.tag()),
-                    system: result.system.clone(),
-                    batch_size: bs,
-                    items_per_sec: result.throughput_items_per_sec(),
-                });
-            }
-        }
-    }
-    Fig10 { points }
+    Fig10 { points: sweep(scale, families, batch_sizes).iter().map(BenchPoint::point).collect() }
 }
 
-/// One throughput point at an explicit worker-pool size.
+/// One throughput point with the caller thread's allocation counts.
 #[derive(Clone, Debug, Serialize)]
-pub struct ThreadedPoint {
+pub struct BenchPoint {
     /// Model family tag.
     pub model: String,
     /// System name.
     pub system: String,
     /// Batch size.
     pub batch_size: usize,
-    /// Worker-pool size the point was measured at (1 = serial).
-    pub threads: usize,
     /// Measured throughput (items/second).
     pub items_per_sec: f64,
     /// Heap allocations per stream item on the caller thread during the
@@ -90,14 +63,25 @@ pub struct ThreadedPoint {
     pub bytes_per_item: f64,
 }
 
-/// Serial-vs-pooled throughput comparison (the machine-readable
-/// `results/BENCH_throughput.json` artifact).
+impl BenchPoint {
+    /// The Figure-10 fields of this point.
+    fn point(&self) -> Point {
+        Point {
+            model: self.model.clone(),
+            system: self.system.clone(),
+            batch_size: self.batch_size,
+            items_per_sec: self.items_per_sec,
+        }
+    }
+}
+
+/// The machine-readable `results/BENCH_throughput.json` artifact.
 #[derive(Clone, Debug, Serialize)]
 pub struct BenchThroughput {
     /// Cores available on the measuring host (context for the numbers).
     pub host_cores: usize,
     /// All measured points.
-    pub points: Vec<ThreadedPoint>,
+    pub points: Vec<BenchPoint>,
     /// Per-kernel GFLOP/s at the shipped shapes, so a kernel regression
     /// is attributable without re-deriving it from items/second. Empty
     /// when the caller skipped the micro sweep.
@@ -112,119 +96,76 @@ pub struct BenchThroughput {
     pub serving: Vec<crate::serving_bench::ServingPoint>,
 }
 
-/// Runs the Figure-10 sweep once per entry of `thread_counts`, with the
-/// process-wide worker pool configured to that size for the whole pass.
-/// Every framework is measured at every size: the baselines share the
-/// parallel linalg kernels, and FreewayML additionally turns on
-/// data-parallel gradients when the pool is parallel.
-pub fn run_thread_comparison(
+/// Runs the Figure-10 sweep once with allocation counts; the other
+/// sections start empty for the caller to fill.
+pub fn run_bench(
     scale: &Scale,
     families: &[ModelFamily],
     batch_sizes: &[usize],
-    thread_counts: &[usize],
 ) -> BenchThroughput {
-    let mut points = Vec::new();
-    for &threads in thread_counts {
-        freeway_linalg::pool::configure(threads);
-        for &family in families {
-            let mut systems: Vec<&str> = family.paper_baselines().to_vec();
-            systems.push("freewayml");
-            for &bs in batch_sizes {
-                for sys in &systems {
-                    let mut generator = Hyperplane::new(10, 0.02, 0.05, scale.seed);
-                    let point_scale = Scale { batch_size: bs, ..*scale };
-                    let mut learner =
-                        build_system_threaded(sys, family, 10, 2, &point_scale, threads);
-                    let before = crate::alloc_metrics::snapshot();
-                    let result = run_prequential(
-                        learner.as_mut(),
-                        &mut generator,
-                        scale.batches,
-                        bs,
-                        scale.warmup,
-                    );
-                    // Caller-thread allocations per measured item; -1 when
-                    // the alloc-metrics feature is off. Includes the stream
-                    // generator and warmup, so warm zero-alloc hot paths
-                    // show up as a small constant, not exactly zero.
-                    let items = (scale.batches * bs) as f64;
-                    let (allocs_per_item, bytes_per_item) = before
-                        .and_then(|b| crate::alloc_metrics::since(&b))
-                        .map_or((-1.0, -1.0), |d| {
-                            (d.allocs as f64 / items, d.bytes as f64 / items)
-                        });
-                    points.push(ThreadedPoint {
-                        model: format!("Streaming{}", family.tag()),
-                        system: result.system.clone(),
-                        batch_size: bs,
-                        threads,
-                        items_per_sec: result.throughput_items_per_sec(),
-                        allocs_per_item,
-                        bytes_per_item,
-                    });
-                }
-            }
-        }
-    }
-    // Leave the pool the way library defaults expect it.
-    freeway_linalg::pool::configure(1);
     BenchThroughput {
         host_cores: std::thread::available_parallelism().map_or(1, usize::from),
-        points,
+        points: sweep(scale, families, batch_sizes),
         kernel_microbench: Vec::new(),
         shard_scaling: Vec::new(),
         serving: Vec::new(),
     }
 }
 
-impl BenchThroughput {
-    /// Renders one block per (family, thread count): rows = system,
-    /// columns = batch size, cells = items/s.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let mut keys: Vec<(String, usize)> =
-            self.points.iter().map(|p| (p.model.clone(), p.threads)).collect();
-        keys.dedup();
-        for (model, threads) in keys {
-            out.push_str(&format!(
-                "== Throughput (items/s), {model}, {threads} thread(s) of {} ==\n",
-                self.host_cores
-            ));
-            let in_block: Vec<&ThreadedPoint> =
-                self.points.iter().filter(|p| p.model == model && p.threads == threads).collect();
-            let mut sizes: Vec<usize> = in_block.iter().map(|p| p.batch_size).collect();
-            sizes.sort_unstable();
-            sizes.dedup();
-            let mut systems = Vec::new();
-            for p in &in_block {
-                if !systems.contains(&p.system) {
-                    systems.push(p.system.clone());
-                }
+/// Every framework of each family, infer-then-train at every batch size.
+fn sweep(scale: &Scale, families: &[ModelFamily], batch_sizes: &[usize]) -> Vec<BenchPoint> {
+    let mut points = Vec::new();
+    for &family in families {
+        let mut systems: Vec<&str> = family.paper_baselines().to_vec();
+        systems.push("freewayml");
+        for &bs in batch_sizes {
+            for sys in &systems {
+                let mut generator = Hyperplane::new(10, 0.02, 0.05, scale.seed);
+                let point_scale = Scale { batch_size: bs, ..*scale };
+                let mut learner = build_system(sys, family, 10, 2, &point_scale);
+                let before = crate::alloc_metrics::snapshot();
+                let result = run_prequential(
+                    learner.as_mut(),
+                    &mut generator,
+                    scale.batches,
+                    bs,
+                    scale.warmup,
+                );
+                // Caller-thread allocations per measured item; -1 when
+                // the alloc-metrics feature is off. Includes the stream
+                // generator and warmup, so warm zero-alloc hot paths
+                // show up as a small constant, not exactly zero.
+                let items = (scale.batches * bs) as f64;
+                let (allocs_per_item, bytes_per_item) = before
+                    .and_then(|b| crate::alloc_metrics::since(&b))
+                    .map_or((-1.0, -1.0), |d| (d.allocs as f64 / items, d.bytes as f64 / items));
+                points.push(BenchPoint {
+                    model: format!("Streaming{}", family.tag()),
+                    system: result.system.clone(),
+                    batch_size: bs,
+                    items_per_sec: result.throughput_items_per_sec(),
+                    allocs_per_item,
+                    bytes_per_item,
+                });
             }
-            let mut header = vec!["System".to_string()];
-            header.extend(sizes.iter().map(|s| s.to_string()));
-            let rows: Vec<Vec<String>> = systems
-                .iter()
-                .map(|sys| {
-                    let mut row = vec![sys.clone()];
-                    for &s in &sizes {
-                        let p = in_block.iter().find(|p| &p.system == sys && p.batch_size == s);
-                        row.push(p.map_or("-".into(), |p| format!("{:.0}", p.items_per_sec)));
-                    }
-                    row
-                })
-                .collect();
-            out.push_str(&crate::metrics::render_table(&header, &rows));
         }
+    }
+    points
+}
+
+impl BenchThroughput {
+    /// Renders the Figure-10 blocks (one per family: rows = system,
+    /// columns = batch size, cells = items/s), then each non-empty
+    /// section.
+    pub fn render(&self) -> String {
+        let mut out = format!("Host: {} core(s)\n", self.host_cores);
+        out.push_str(
+            &Fig10 { points: self.points.iter().map(BenchPoint::point).collect() }.render(),
+        );
         if !self.shard_scaling.is_empty() {
             out.push_str("== Shard scaling (interleaved keyed streams) ==\n");
-            let header = vec![
-                "Shards".to_string(),
-                "Keys".into(),
-                "Kernel thr".into(),
-                "items/s".into(),
-                "vs 1 shard".into(),
-            ];
+            let header =
+                vec!["Shards".to_string(), "Keys".into(), "items/s".into(), "vs 1 shard".into()];
             let rows: Vec<Vec<String>> = self
                 .shard_scaling
                 .iter()
@@ -232,7 +173,6 @@ impl BenchThroughput {
                     vec![
                         p.shards.to_string(),
                         p.keys.to_string(),
-                        p.kernel_threads.to_string(),
                         format!("{:.0}", p.items_per_sec),
                         format!("{:.2}x", p.speedup_vs_one_shard),
                     ]
@@ -338,13 +278,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn thread_comparison_covers_every_pool_size() {
+    fn bench_sweep_covers_every_system_with_alloc_counts() {
         let scale = Scale { batches: 4, ..Scale::tiny() };
-        let b = run_thread_comparison(&scale, &[ModelFamily::Lr], &[64], &[1, 2]);
-        assert_eq!(b.points.len(), 4 * 2, "4 systems x 2 pool sizes");
+        let b = run_bench(&scale, &[ModelFamily::Lr], &[64]);
+        assert_eq!(b.points.len(), 4, "4 systems x 1 batch size");
         for p in &b.points {
             assert!(p.items_per_sec > 0.0, "{p:?}");
-            assert!(p.threads == 1 || p.threads == 2);
             if cfg!(feature = "alloc-metrics") {
                 assert!(p.allocs_per_item >= 0.0 && p.bytes_per_item >= 0.0, "{p:?}");
             } else {
@@ -352,7 +291,7 @@ mod tests {
                 assert_eq!(p.bytes_per_item, -1.0, "{p:?}");
             }
         }
-        assert!(b.render().contains("thread(s)"));
+        assert!(b.render().contains("StreamingLR"));
     }
 
     #[test]

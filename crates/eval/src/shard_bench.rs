@@ -3,9 +3,9 @@
 //! Drives thousands of interleaved keyed streams through
 //! [`freeway_core::ShardedPipeline`] at each requested shard count and
 //! reports items/second plus the speedup over the 1-shard baseline.
-//! With the default thread budget each shard's kernels run serially, so
-//! the sweep measures pure shard-worker scaling: near-linear per core up
-//! to the host's core count, flat beyond it.
+//! Each shard computes on its one worker thread, so the sweep measures
+//! shard-worker scaling: near-linear per core up to the host's core
+//! count, flat beyond it.
 
 use freeway_core::{AdmissionConfig, AdmissionPolicy, FreewayConfig, PipelineBuilder};
 use freeway_ml::ModelSpec;
@@ -26,9 +26,6 @@ pub struct ShardScalingPoint {
     pub batch_size: usize,
     /// Keyed batches fed (across all keys).
     pub batches: usize,
-    /// Kernel-pool width each shard's learner ran with (the budget
-    /// resolver's split; 1 = serial kernels).
-    pub kernel_threads: usize,
     /// Measured throughput (items/second).
     pub items_per_sec: f64,
     /// Throughput relative to the 1-shard point of the same sweep
@@ -64,10 +61,7 @@ pub fn run_shard_scaling(shard_counts: &[usize], sweep: &ShardSweep) -> Vec<Shar
     let mut points: Vec<ShardScalingPoint> = Vec::new();
     for &shards in &counts {
         let point = measure(shards, sweep);
-        eprintln!(
-            "  shards={} -> {:.0} items/s ({} kernel thread(s) per pool)",
-            point.shards, point.items_per_sec, point.kernel_threads
-        );
+        eprintln!("  shards={} -> {:.0} items/s", point.shards, point.items_per_sec);
         points.push(point);
     }
     let baseline = points.iter().find(|p| p.shards == 1).map_or(0.0, |p| p.items_per_sec);
@@ -76,8 +70,6 @@ pub fn run_shard_scaling(shard_counts: &[usize], sweep: &ShardSweep) -> Vec<Shar
             p.speedup_vs_one_shard = p.items_per_sec / baseline;
         }
     }
-    // Leave the pool the way library defaults expect it.
-    freeway_linalg::pool::configure(1);
     points
 }
 
@@ -102,7 +94,6 @@ fn measure(shards: usize, sweep: &ShardSweep) -> ShardScalingPoint {
         .shards(shards)
         .build_sharded()
         .expect("valid sweep configuration");
-    let kernel_threads = freeway_linalg::pool::configured_threads();
 
     let start = std::time::Instant::now();
     let mut received = 0usize;
@@ -122,7 +113,6 @@ fn measure(shards: usize, sweep: &ShardSweep) -> ShardScalingPoint {
         keys: sweep.keys,
         batch_size: sweep.batch_size,
         batches: sweep.batches,
-        kernel_threads,
         items_per_sec: (sweep.batches * sweep.batch_size) as f64 / elapsed,
         speedup_vs_one_shard: 1.0,
     }

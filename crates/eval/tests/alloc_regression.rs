@@ -73,7 +73,6 @@ fn warm_and_measure_with(
 /// touch the heap once its workspaces are warm.
 #[test]
 fn warm_mlp_loop_allocates_nothing() {
-    freeway_linalg::pool::configure(1);
     let trainer = Trainer::new(ModelSpec::mlp(10, vec![32], 2).build(0), Box::new(Sgd::new(0.05)));
     let delta = warm_and_measure(trainer);
     assert_eq!(
@@ -88,7 +87,6 @@ fn warm_mlp_loop_allocates_nothing() {
 /// workspace machinery through the default trait plumbing.
 #[test]
 fn warm_lr_loop_allocates_nothing() {
-    freeway_linalg::pool::configure(1);
     let trainer = Trainer::new(ModelSpec::lr(10, 2).build(0), Box::new(Sgd::new(0.05)));
     let delta = warm_and_measure(trainer);
     assert_eq!(
@@ -109,7 +107,6 @@ fn warm_lr_loop_allocates_nothing() {
 /// buffer, then `apply_gradient`).
 #[test]
 fn warm_learner_drift_mlp_steps_allocate_nothing() {
-    freeway_linalg::pool::configure(1);
     let mut generator = freeway_streams::datasets::nslkdd(7);
     let batch = generator.next_batch(256);
     let (x, y) = (&batch.x, batch.labels());
@@ -155,12 +152,37 @@ fn warm_learner_drift_mlp_steps_allocate_nothing() {
     assert_eq!(delta.bytes, 0);
 }
 
+/// `t_matvec_into` makes one ascending pass over the rows into the
+/// caller's buffer, so even a tall matrix must not touch the heap once
+/// the output has held its columns.
+#[test]
+fn warm_tall_t_matvec_into_allocates_nothing() {
+    let (rows, cols) = (300, 6);
+    let m =
+        Matrix::from_vec(rows, cols, (0..rows * cols).map(|i| (i as f64 * 0.37).sin()).collect());
+    let v: Vec<f64> = (0..rows).map(|i| (i as f64 * 0.11).cos()).collect();
+    let mut out = Vec::new();
+    m.t_matvec_into(&v, &mut out);
+
+    alloc_metrics::reset();
+    let before = alloc_metrics::snapshot().expect("alloc-metrics feature is on");
+    for _ in 0..MEASURED_ITERS {
+        m.t_matvec_into(&v, &mut out);
+    }
+    let delta = alloc_metrics::since(&before).expect("alloc-metrics feature is on");
+    assert_eq!(
+        delta.allocs, 0,
+        "warm {rows}-row t_matvec_into allocated {} times ({} bytes)",
+        delta.allocs, delta.bytes
+    );
+    assert_eq!(out, m.t_matvec(&v));
+}
+
 /// A disabled telemetry handle is the documented zero-cost path: the
 /// fully instrumented warm loop (spans, events, gauges) must still make
 /// zero heap allocations.
 #[test]
 fn warm_loop_with_disabled_telemetry_allocates_nothing() {
-    freeway_linalg::pool::configure(1);
     let trainer = Trainer::new(ModelSpec::mlp(10, vec![32], 2).build(0), Box::new(Sgd::new(0.05)));
     let delta = warm_and_measure_with(trainer, &Telemetry::disabled());
     assert_eq!(
@@ -176,7 +198,6 @@ fn warm_loop_with_disabled_telemetry_allocates_nothing() {
 /// and the no-op sink retains nothing.
 #[test]
 fn warm_loop_with_live_noop_sink_allocates_nothing() {
-    freeway_linalg::pool::configure(1);
     let trainer = Trainer::new(ModelSpec::mlp(10, vec![32], 2).build(0), Box::new(Sgd::new(0.05)));
     let telemetry = Telemetry::attached(Arc::new(NoopSink));
     let delta = warm_and_measure_with(trainer, &telemetry);
@@ -238,7 +259,6 @@ fn warm_batch_pool_cycle_allocates_nothing() {
 /// for; regressing it shows up here before it shows up in the bench.
 #[test]
 fn warm_pooled_ingest_train_loop_allocates_nothing() {
-    freeway_linalg::pool::configure(1);
     let mut generator = Hyperplane::new(10, 0.02, 0.05, 42);
     let mut pool = BatchPool::new();
     let mut trainer = Trainer::new(ModelSpec::lr(10, 2).build(0), Box::new(Sgd::new(0.05)));

@@ -12,19 +12,16 @@
 //! * [`stats`] — batch mean, covariance, and distance helpers used by the
 //!   shift graph (Equations 2–7 of the paper).
 //! * [`vector`] — free functions over `&[f64]` slices.
-//! * [`pool`] — persistent worker pool backing the parallel kernels;
-//!   serial by default, sized via `FreewayConfig` or `FREEWAY_THREADS`.
 //!
-//! All random initialisation is seeded; no global RNG state is used, and
-//! every parallel kernel is bit-identical to its serial form for any
-//! thread count (reductions run in a fixed order on the calling thread).
+//! Every kernel runs on the calling thread. All random initialisation is
+//! seeded and no global RNG state is used, so results are a pure
+//! function of the inputs.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
 pub mod eigen;
 pub mod matrix;
-pub mod pool;
 pub mod stats;
 pub mod vector;
 

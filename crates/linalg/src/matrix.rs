@@ -24,18 +24,6 @@ pub struct Matrix {
     data: Vec<f64>,
 }
 
-/// Minimum `rows * cols * rhs.cols` before [`Matrix::matmul`] goes
-/// parallel; below this the channel round-trip costs more than the math.
-pub const PAR_MATMUL_MIN_FLOPS: usize = 64 * 1024;
-
-/// Minimum `rows * cols` before [`Matrix::matvec`] goes parallel.
-pub const PAR_MATVEC_MIN_ELEMS: usize = 64 * 1024;
-
-/// Fixed accumulation chunk for [`Matrix::t_matvec`]. Partial sums are
-/// produced per chunk and combined in chunk order, so results depend on
-/// this constant and the row count — never on the thread count.
-pub const T_MATVEC_CHUNK_ROWS: usize = 256;
-
 /// Rows per register block in the tiled matmul micro-kernels.
 ///
 /// Together with [`MICRO_COLS`] this sizes the accumulator footprint:
@@ -227,9 +215,6 @@ impl Matrix {
     ///
     /// Uses the i-k-j loop order so the inner loop walks both operands
     /// contiguously, which matters for the hot MLP forward/backward passes.
-    /// Large products are split across the global worker pool by output
-    /// row; each row's arithmetic is unchanged, so the result is
-    /// bit-identical to the serial computation for any thread count.
     ///
     /// # Panics
     /// Panics if `self.cols() != rhs.rows()`.
@@ -255,57 +240,7 @@ impl Matrix {
         // No zero-fill: every output element is fully overwritten by the
         // band kernel below (each is produced in one register
         // accumulation over the whole shared dimension).
-        let flops = self.rows * self.cols * rhs.cols;
-        if self.rows < 2 || flops < PAR_MATMUL_MIN_FLOPS || crate::pool::configured_threads() == 1 {
-            self.matmul_band_into(rhs, 0, self.rows, &mut out.data);
-            return;
-        }
-        self.matmul_pooled_into(rhs, out, &crate::pool::global());
-    }
-
-    /// [`Self::matmul`] on an explicit pool, bypassing the size gate.
-    /// Exposed so tests can compare pool sizes side by side.
-    ///
-    /// # Panics
-    /// Panics if `self.cols() != rhs.rows()`.
-    pub fn matmul_with(&self, rhs: &Matrix, pool: &crate::pool::WorkerPool) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul dimension mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        self.matmul_pooled_into(rhs, &mut out, pool);
-        out
-    }
-
-    /// Pooled matmul body; `out` must have shape `self.rows x rhs.cols`
-    /// (every element is overwritten). Output rows are partitioned into
-    /// bands aligned to the [`MICRO_ROWS`] register tiling, and each band
-    /// runs the same cache-blocked kernel as the serial path; each output
-    /// element still accumulates in plain ascending-`k` order, so the
-    /// result is bit-identical for any thread count.
-    fn matmul_pooled_into(&self, rhs: &Matrix, out: &mut Matrix, pool: &crate::pool::WorkerPool) {
-        if self.rows == 0 {
-            return;
-        }
-        let out_cols = rhs.cols.max(1);
-        // Band boundaries land on micro-tile edges so no task splits a
-        // register block.
-        let chunk_rows = self.rows.div_ceil(pool.threads()).next_multiple_of(MICRO_ROWS);
-        let tasks: Vec<crate::pool::Task<'_>> = out
-            .data
-            .chunks_mut((chunk_rows * out_cols).max(1))
-            .enumerate()
-            .map(|(chunk, out_chunk)| {
-                let row0 = chunk * chunk_rows;
-                let rows_here = out_chunk.len() / out_cols;
-                Box::new(move || {
-                    self.matmul_band_into(rhs, row0, row0 + rows_here, out_chunk);
-                }) as crate::pool::Task<'_>
-            })
-            .collect();
-        pool.run(tasks);
+        self.matmul_band_into(rhs, 0, self.rows, &mut out.data);
     }
 
     /// Cache-blocked `self * rhs` over the output row band `[i0, i1)`;
@@ -321,7 +256,7 @@ impl Matrix {
     /// blocking only changes *where* partial sums live and *when* output
     /// elements are produced, never the order or association of any
     /// element's additions — so the result is bit-identical to the naive
-    /// k-outer loop, for any tile sizes and any thread count.
+    /// k-outer loop, for any tile sizes.
     fn matmul_band_into(&self, rhs: &Matrix, i0: usize, i1: usize, out_band: &mut [f64]) {
         let n = rhs.cols;
         if n == 0 || i1 <= i0 {
@@ -476,7 +411,7 @@ impl Matrix {
     ///
     /// Every output element accumulates its terms in ascending shared-row
     /// order, exactly like `self.transpose().matmul(rhs)`, so the result
-    /// is bit-identical to the two-step form (and across thread counts).
+    /// is bit-identical to the two-step form.
     ///
     /// # Panics
     /// Panics if `self.rows() != rhs.rows()`.
@@ -502,12 +437,7 @@ impl Matrix {
         // one register accumulation over all shared rows, for every width
         // (backprop's `input^T · delta` with 2–7 classes included) and
         // every row remainder (e.g. 10 features).
-        let flops = self.rows * self.cols * rhs.cols;
-        if self.cols < 2 || flops < PAR_MATMUL_MIN_FLOPS || crate::pool::configured_threads() == 1 {
-            self.matmul_transa_band_into(rhs, 0, self.cols, &mut out.data);
-            return;
-        }
-        self.matmul_transa_pooled_into(rhs, out, &crate::pool::global());
+        self.matmul_transa_band_into(rhs, 0, self.cols, &mut out.data);
     }
 
     /// Register-blocked `self^T * rhs` over output rows `[c0, c1)`
@@ -606,61 +536,12 @@ impl Matrix {
         }
     }
 
-    /// [`Self::matmul_transa`] on an explicit pool, bypassing the size
-    /// gate. Exposed so tests can compare pool sizes side by side.
-    ///
-    /// # Panics
-    /// Panics if `self.rows() != rhs.rows()`.
-    pub fn matmul_transa_with(&self, rhs: &Matrix, pool: &crate::pool::WorkerPool) -> Matrix {
-        assert_eq!(
-            self.rows, rhs.rows,
-            "matmul_transa dimension mismatch: ({}x{})^T * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let mut out = Matrix::zeros(self.cols, rhs.cols);
-        self.matmul_transa_pooled_into(rhs, &mut out, pool);
-        out
-    }
-
-    /// Pooled `self^T * rhs` body; `out` must have shape
-    /// `self.cols x rhs.cols` (every element is overwritten). Output rows
-    /// (columns of `self`) are partitioned into micro-tile-aligned bands
-    /// running the blocked kernel; each output element is produced wholly
-    /// within one task by ascending shared-row accumulation, so there are
-    /// no split reductions and the result is thread-count invariant.
-    fn matmul_transa_pooled_into(
-        &self,
-        rhs: &Matrix,
-        out: &mut Matrix,
-        pool: &crate::pool::WorkerPool,
-    ) {
-        if self.cols == 0 {
-            return;
-        }
-        let out_cols = rhs.cols.max(1);
-        let chunk_rows = self.cols.div_ceil(pool.threads()).next_multiple_of(MICRO_ROWS);
-        let tasks: Vec<crate::pool::Task<'_>> = out
-            .data
-            .chunks_mut((chunk_rows * out_cols).max(1))
-            .enumerate()
-            .map(|(chunk, out_chunk)| {
-                let c0 = chunk * chunk_rows;
-                let rows_here = out_chunk.len() / out_cols;
-                Box::new(move || {
-                    self.matmul_transa_band_into(rhs, c0, c0 + rows_here, out_chunk);
-                }) as crate::pool::Task<'_>
-            })
-            .collect();
-        pool.run(tasks);
-    }
-
     /// Fused transposed product `self * rhs^T` without materializing the
     /// transpose.
     ///
     /// Every output element is a plain ascending-k dot of two rows,
     /// exactly the accumulation order of `self.matmul(&rhs.transpose())`,
-    /// so the result is bit-identical to the two-step form (and across
-    /// thread counts).
+    /// so the result is bit-identical to the two-step form.
     ///
     /// # Panics
     /// Panics if `self.cols() != rhs.cols()`.
@@ -682,12 +563,7 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         out.resize(self.rows, rhs.rows);
-        let flops = self.rows * self.cols * rhs.rows;
-        if self.rows < 2 || flops < PAR_MATMUL_MIN_FLOPS || crate::pool::configured_threads() == 1 {
-            self.matmul_transb_band_into(rhs, 0, self.rows, &mut out.data);
-            return;
-        }
-        self.matmul_transb_pooled_into(rhs, out, &crate::pool::global());
+        self.matmul_transb_band_into(rhs, 0, self.rows, &mut out.data);
     }
 
     /// Register-blocked `self * rhs^T` over output rows `[i0, i1)`;
@@ -701,8 +577,7 @@ impl Matrix {
     /// takes several panels, each resuming the partial sums the previous
     /// one wrote (a store and reload is exact). Every element is one
     /// ascending-`k` dot, so the result is bit-identical to `matmul`
-    /// against a materialized transpose for any band geometry or thread
-    /// count.
+    /// against a materialized transpose for any band geometry.
     fn matmul_transb_band_into(&self, rhs: &Matrix, i0: usize, i1: usize, out_band: &mut [f64]) {
         let n = rhs.rows;
         let k = self.cols;
@@ -813,56 +688,7 @@ impl Matrix {
         }
     }
 
-    /// [`Self::matmul_transb`] on an explicit pool, bypassing the size
-    /// gate. Exposed so tests can compare pool sizes side by side.
-    ///
-    /// # Panics
-    /// Panics if `self.cols() != rhs.cols()`.
-    pub fn matmul_transb_with(&self, rhs: &Matrix, pool: &crate::pool::WorkerPool) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.cols,
-            "matmul_transb dimension mismatch: {}x{} * ({}x{})^T",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        self.matmul_transb_pooled_into(rhs, &mut out, pool);
-        out
-    }
-
-    /// Pooled `self * rhs^T` body; `out` must have shape
-    /// `self.rows x rhs.rows` (every element is overwritten). Output rows
-    /// are partitioned into micro-tile-aligned bands running the blocked
-    /// kernel, with unchanged per-element arithmetic.
-    fn matmul_transb_pooled_into(
-        &self,
-        rhs: &Matrix,
-        out: &mut Matrix,
-        pool: &crate::pool::WorkerPool,
-    ) {
-        if self.rows == 0 {
-            return;
-        }
-        let out_cols = rhs.rows.max(1);
-        let chunk_rows = self.rows.div_ceil(pool.threads()).next_multiple_of(MICRO_ROWS);
-        let tasks: Vec<crate::pool::Task<'_>> = out
-            .data
-            .chunks_mut((chunk_rows * out_cols).max(1))
-            .enumerate()
-            .map(|(chunk, out_chunk)| {
-                let row0 = chunk * chunk_rows;
-                let rows_here = out_chunk.len() / out_cols;
-                Box::new(move || {
-                    self.matmul_transb_band_into(rhs, row0, row0 + rows_here, out_chunk);
-                }) as crate::pool::Task<'_>
-            })
-            .collect();
-        pool.run(tasks);
-    }
-
     /// Matrix-vector product `self * v`.
-    ///
-    /// Large products are split across the global worker pool by output
-    /// row; bit-identical to serial for any thread count.
     ///
     /// # Panics
     /// Panics if `v.len() != self.cols()`.
@@ -880,153 +706,37 @@ impl Matrix {
     pub fn matvec_into(&self, v: &[f64], out: &mut Vec<f64>) {
         assert_eq!(v.len(), self.cols, "matvec dimension mismatch");
         out.clear();
-        if self.rows < 2
-            || self.rows * self.cols < PAR_MATVEC_MIN_ELEMS
-            || crate::pool::configured_threads() == 1
-        {
-            out.extend(self.row_iter().map(|row| crate::vector::dot(row, v)));
-            return;
-        }
-        out.resize(self.rows, 0.0);
-        self.matvec_pooled_into(v, out, &crate::pool::global());
+        out.extend(self.row_iter().map(|row| crate::vector::dot(row, v)));
     }
 
-    /// [`Self::matvec`] on an explicit pool, bypassing the size gate.
-    /// Exposed so tests can compare pool sizes side by side.
-    ///
-    /// # Panics
-    /// Panics if `v.len() != self.cols()`.
-    pub fn matvec_with(&self, v: &[f64], pool: &crate::pool::WorkerPool) -> Vec<f64> {
-        assert_eq!(v.len(), self.cols, "matvec dimension mismatch");
-        let mut out = vec![0.0; self.rows];
-        self.matvec_pooled_into(v, &mut out, pool);
-        out
-    }
-
-    /// Pooled matvec body; `out` must have length `self.rows` (every
-    /// element is overwritten).
-    fn matvec_pooled_into(&self, v: &[f64], out: &mut [f64], pool: &crate::pool::WorkerPool) {
-        if self.rows == 0 {
-            return;
-        }
-        if self.cols == 0 {
-            out.fill(0.0);
-            return;
-        }
-        let chunk_rows = self.rows.div_ceil(pool.threads());
-        let tasks: Vec<crate::pool::Task<'_>> = out
-            .chunks_mut(chunk_rows)
-            .enumerate()
-            .map(|(chunk, out_chunk)| {
-                let row0 = chunk * chunk_rows;
-                // Walk the band with `chunks_exact` instead of re-indexing
-                // `self.row(row0 + offset)` per row: one bounds check for
-                // the whole band, and the row stride is a loop-carried add.
-                let band = &self.data[row0 * self.cols..(row0 + out_chunk.len()) * self.cols];
-                Box::new(move || {
-                    for (slot, row) in out_chunk.iter_mut().zip(band.chunks_exact(self.cols)) {
-                        *slot = crate::vector::dot(row, v);
-                    }
-                }) as crate::pool::Task<'_>
-            })
-            .collect();
-        pool.run(tasks);
-    }
-
-    /// Transposed matrix-vector product `self^T * v`.
-    ///
-    /// Rows are accumulated in fixed chunks of [`T_MATVEC_CHUNK_ROWS`]
-    /// whose partial sums are combined in chunk order on the calling
-    /// thread. The chunking depends only on `self.rows()`, so the result
-    /// is bit-identical for any thread count (including fully serial).
+    /// Transposed matrix-vector product `self^T * v`: one pass over the
+    /// rows in ascending order, each adding `v[r] * row(r)` into the
+    /// output.
     ///
     /// # Panics
     /// Panics if `v.len() != self.rows()`.
     pub fn t_matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.rows, "t_matvec dimension mismatch");
-        if self.rows <= T_MATVEC_CHUNK_ROWS || crate::pool::configured_threads() == 1 {
-            // A single chunk — or chunks run inline in order — reduces
-            // exactly like the pooled path, so this stays bit-identical.
-            return self.t_matvec_with(v, &crate::pool::WorkerPool::new(1));
-        }
-        self.t_matvec_with(v, &crate::pool::global())
+        let mut out = Vec::with_capacity(self.cols);
+        self.t_matvec_into(v, &mut out);
+        out
     }
 
     /// [`Self::t_matvec`] writing into `out`, reusing its allocation.
-    /// Bit-identical to the allocating path; allocation-free when the
-    /// matrix fits a single accumulation chunk
-    /// (`rows <= T_MATVEC_CHUNK_ROWS`, which covers every per-row hot
-    /// caller in this workspace).
-    ///
-    /// # Panics
-    /// Panics if `v.len() != self.rows()`.
-    pub fn t_matvec_into(&self, v: &[f64], out: &mut Vec<f64>) {
-        assert_eq!(v.len(), self.rows, "t_matvec dimension mismatch");
-        if self.rows <= T_MATVEC_CHUNK_ROWS {
-            out.clear();
-            out.resize(self.cols, 0.0);
-            self.t_matvec_range_into(v, 0, self.rows, out);
-            return;
-        }
-        // Multi-chunk: reuse the fixed chunked reduction wholesale so the
-        // chunk-order combine stays byte-for-byte the same. The partials
-        // allocate, but only for matrices past the chunk threshold.
-        let result = self.t_matvec(v);
-        out.clear();
-        out.extend_from_slice(&result);
-    }
-
-    /// [`Self::t_matvec`] on an explicit pool, bypassing the size gate.
-    /// Exposed so tests can compare pool sizes side by side.
-    ///
-    /// # Panics
-    /// Panics if `v.len() != self.rows()`.
-    pub fn t_matvec_with(&self, v: &[f64], pool: &crate::pool::WorkerPool) -> Vec<f64> {
-        assert_eq!(v.len(), self.rows, "t_matvec dimension mismatch");
-        let chunks = self.rows.div_ceil(T_MATVEC_CHUNK_ROWS);
-        if chunks <= 1 {
-            return self.t_matvec_range(v, 0, self.rows);
-        }
-        let mut partials: Vec<Vec<f64>> = vec![Vec::new(); chunks];
-        let tasks: Vec<crate::pool::Task<'_>> = partials
-            .iter_mut()
-            .enumerate()
-            .map(|(chunk, slot)| {
-                Box::new(move || {
-                    let start = chunk * T_MATVEC_CHUNK_ROWS;
-                    let end = (start + T_MATVEC_CHUNK_ROWS).min(self.rows);
-                    *slot = self.t_matvec_range(v, start, end);
-                }) as crate::pool::Task<'_>
-            })
-            .collect();
-        pool.run(tasks);
-        let mut iter = partials.into_iter();
-        // Audited: `partials` has one slot per chunk and rows > 0 here.
-        #[allow(clippy::expect_used)]
-        let mut out = iter.next().expect("at least one chunk");
-        for partial in iter {
-            for (o, x) in out.iter_mut().zip(partial) {
-                *o += x;
-            }
-        }
-        out
-    }
-
-    /// Sequential `self[start..end]^T * v[start..end]` partial sum.
-    fn t_matvec_range(&self, v: &[f64], start: usize, end: usize) -> Vec<f64> {
-        let mut out = vec![0.0; self.cols];
-        self.t_matvec_range_into(v, start, end, &mut out);
-        out
-    }
-
-    /// [`Self::t_matvec_range`] accumulating into a pre-zeroed slice.
+    /// Bit-identical to the allocating path and allocation-free once
+    /// `out` has held `self.cols()` elements.
     ///
     /// Each row contributes through the wide-lane [`crate::vector::axpy`]
     /// core; axpy is element-wise, so the unroll width never changes any
     /// element's accumulation order and the result stays bit-identical to
     /// the scalar loop.
-    fn t_matvec_range_into(&self, v: &[f64], start: usize, end: usize, out: &mut [f64]) {
-        for (r, &vr) in v.iter().enumerate().take(end).skip(start) {
+    ///
+    /// # Panics
+    /// Panics if `v.len() != self.rows()`.
+    pub fn t_matvec_into(&self, v: &[f64], out: &mut Vec<f64>) {
+        assert_eq!(v.len(), self.rows, "t_matvec dimension mismatch");
+        out.clear();
+        out.resize(self.cols, 0.0);
+        for (r, &vr) in v.iter().enumerate() {
             crate::vector::axpy(out, vr, self.row(r));
         }
     }

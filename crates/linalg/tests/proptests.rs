@@ -1,6 +1,5 @@
 //! Property-based tests for the linear-algebra substrate.
 
-use freeway_linalg::pool::WorkerPool;
 use freeway_linalg::{jacobi_eigen, Matrix};
 use freeway_linalg::{stats, vector};
 use proptest::prelude::*;
@@ -112,13 +111,12 @@ proptest! {
         }
     }
 
-    // Determinism contract of the worker pool (see `pool` module docs):
-    // every parallel kernel must be BIT-identical — `==`, not approximate
-    // — for any pool size, because chunk boundaries and reduction order
-    // are fixed by the input shape, never by the thread count.
+    // Every kernel must be BIT-identical — `==`, not approximate — to its
+    // naive reference: blocking and unrolling may move where partial sums
+    // live, never the order or association of any element's additions.
 
     #[test]
-    fn parallel_matmul_is_bit_identical_across_pool_sizes(
+    fn matmul_is_bit_identical_to_naive(
         rows in 1usize..24,
         inner in 1usize..12,
         cols in 1usize..12,
@@ -127,33 +125,24 @@ proptest! {
         let a = Matrix::from_vec(rows, inner, data[..rows * inner].to_vec());
         let b_off = 24 * 12;
         let b = Matrix::from_vec(inner, cols, data[b_off..b_off + inner * cols].to_vec());
-        let serial = a.matmul_with(&b, &WorkerPool::new(1));
-        for threads in [2usize, 8] {
-            let parallel = a.matmul_with(&b, &WorkerPool::new(threads));
-            prop_assert_eq!(&serial, &parallel);
-        }
-        prop_assert_eq!(&serial, &a.matmul(&b));
+        prop_assert_eq!(&a.matmul(&b), &naive_matmul(&a, &b));
     }
 
     #[test]
-    fn parallel_matvec_is_bit_identical_across_pool_sizes(
+    fn matvec_is_bit_identical_to_naive(
         rows in 1usize..40,
         cols in 1usize..10,
         data in prop::collection::vec(-10.0..10.0f64, 40 * 10 + 10),
     ) {
         let m = Matrix::from_vec(rows, cols, data[..rows * cols].to_vec());
         let v = data[40 * 10..40 * 10 + cols].to_vec();
-        let serial = m.matvec_with(&v, &WorkerPool::new(1));
-        for threads in [2usize, 8] {
-            prop_assert_eq!(&serial, &m.matvec_with(&v, &WorkerPool::new(threads)));
-        }
-        prop_assert_eq!(&serial, &m.matvec(&v));
+        prop_assert_eq!(&m.matvec(&v), &naive_matvec(&m, &v));
     }
 
     #[test]
-    fn parallel_t_matvec_is_bit_identical_across_pool_sizes(
-        // Rows straddle the fixed 256-row chunk boundary so multi-chunk
-        // reduction (the only path where order could matter) is hit.
+    fn t_matvec_is_bit_identical_to_naive(
+        // Tall matrices: every row must add into the one accumulator per
+        // column in ascending order, however many rows there are.
         rows in 200usize..600,
         cols in 1usize..6,
         seed in 0u64..1000,
@@ -161,20 +150,16 @@ proptest! {
         let fill = |i: usize| ((i as f64 + seed as f64) * 0.37).sin() * 3.0;
         let m = Matrix::from_vec(rows, cols, (0..rows * cols).map(fill).collect());
         let v: Vec<f64> = (0..rows).map(|i| fill(i + 7)).collect();
-        let serial = m.t_matvec_with(&v, &WorkerPool::new(1));
-        for threads in [2usize, 8] {
-            prop_assert_eq!(&serial, &m.t_matvec_with(&v, &WorkerPool::new(threads)));
-        }
-        prop_assert_eq!(&serial, &m.t_matvec(&v));
+        prop_assert_eq!(&m.t_matvec(&v), &naive_t_matvec(&m, &v));
     }
 
     // Zero-allocation hot path contract: every `_into` variant and fused
     // transposed kernel must be BIT-identical (`==`) to its allocating
-    // two-step counterpart, for every pool size, even when the output
-    // buffer is dirty from a previous differently-shaped call.
+    // two-step counterpart, even when the output buffer is dirty from a
+    // previous differently-shaped call.
 
     #[test]
-    fn matmul_into_matches_matmul_with_dirty_buffer(
+    fn matmul_into_matches_matmul_on_a_dirty_buffer(
         rows in 1usize..20,
         inner in 1usize..10,
         cols in 1usize..10,
@@ -202,9 +187,6 @@ proptest! {
         let mut out = Matrix::filled(2, 5, f64::NAN);
         a.matmul_transa_into(&b, &mut out);
         prop_assert_eq!(&out, &two_step);
-        for threads in [1usize, 2, 8] {
-            prop_assert_eq!(&a.matmul_transa_with(&b, &WorkerPool::new(threads)), &two_step);
-        }
     }
 
     #[test]
@@ -222,9 +204,6 @@ proptest! {
         let mut out = Matrix::filled(3, 1, f64::NAN);
         a.matmul_transb_into(&b, &mut out);
         prop_assert_eq!(&out, &two_step);
-        for threads in [1usize, 2, 8] {
-            prop_assert_eq!(&a.matmul_transb_with(&b, &WorkerPool::new(threads)), &two_step);
-        }
     }
 
     #[test]
@@ -252,13 +231,12 @@ proptest! {
         prop_assert!((w[n - 1] - 1.0).abs() < 1e-12);
     }
 
-    // The blocked kernels band output rows to the micro-kernel height, so
-    // pool-size invariance must also hold for shapes larger than the
-    // register block — band boundaries move with thread count but every
-    // output element keeps its full ascending-k accumulation.
+    // Shapes larger than the register block: the blocked kernels split
+    // output rows into micro-kernel strips plus remainders, and every
+    // output element must still keep its full ascending-k accumulation.
 
     #[test]
-    fn tiled_pooled_kernels_bit_identical_across_pool_sizes(
+    fn tiled_kernels_bit_identical_to_naive(
         rows in 1usize..80,
         inner in 1usize..14,
         cols in 1usize..14,
@@ -269,13 +247,10 @@ proptest! {
         let b = Matrix::from_vec(inner, cols, (0..inner * cols).map(|i| fill(i + 3)).collect());
         let bt = b.transpose();
         let at = a.transpose();
-        let serial = a.matmul_with(&b, &WorkerPool::new(1));
-        for threads in [2usize, 3, 8] {
-            let pool = WorkerPool::new(threads);
-            prop_assert_eq!(&serial, &a.matmul_with(&b, &pool));
-            prop_assert_eq!(&at.matmul_transa_with(&b, &pool), &serial);
-            prop_assert_eq!(&a.matmul_transb_with(&bt, &pool), &serial);
-        }
+        let reference = naive_matmul(&a, &b);
+        prop_assert_eq!(&a.matmul(&b), &reference);
+        prop_assert_eq!(&at.matmul_transa(&b), &reference);
+        prop_assert_eq!(&a.matmul_transb(&bt), &reference);
     }
 }
 
@@ -296,11 +271,31 @@ fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
+/// Naive matvec reference: output `i` is one [`vector::dot`] of row `i`
+/// with `v`, the workspace's reference reduction order.
+fn naive_matvec(m: &Matrix, v: &[f64]) -> Vec<f64> {
+    (0..m.rows()).map(|i| vector::dot(m.row(i), v)).collect()
+}
+
+/// Naive transposed matvec reference: per output column, one accumulator
+/// started at `0.0` and advanced over the rows in ascending order.
+fn naive_t_matvec(m: &Matrix, v: &[f64]) -> Vec<f64> {
+    (0..m.cols())
+        .map(|c| {
+            let mut acc = 0.0;
+            for (r, &vr) in v.iter().enumerate() {
+                acc += vr * m[(r, c)];
+            }
+            acc
+        })
+        .collect()
+}
+
 /// Tile-size invariance, phrased against the fixed tile constants: shapes
 /// on, below, and across every micro/tile boundary (4-row micro, 8-col
 /// micro, 64-row L1 tile, 256-col tile, 64-deep transb panel) and at the
 /// layer shapes the paper's MLPs train must all reproduce the naive
-/// reference exactly, serial and pooled. If a tile edge ever changed an
+/// reference exactly. If a tile edge ever changed an
 /// element's accumulation order, one of these shapes would catch it.
 #[test]
 fn blocked_kernels_bit_identical_to_naive_across_tile_boundaries() {
@@ -342,11 +337,5 @@ fn blocked_kernels_bit_identical_to_naive_across_tile_boundaries() {
         assert_eq!(at.matmul_transa(&b), reference, "transa {m}x{k}x{n}");
         let bt = b.transpose();
         assert_eq!(a.matmul_transb(&bt), reference, "transb {m}x{k}x{n}");
-        for threads in [2usize, 5] {
-            let pool = WorkerPool::new(threads);
-            assert_eq!(a.matmul_with(&b, &pool), reference, "pooled matmul {m}x{k}x{n}");
-            assert_eq!(at.matmul_transa_with(&b, &pool), reference, "pooled transa {m}x{k}x{n}");
-            assert_eq!(a.matmul_transb_with(&bt, &pool), reference, "pooled transb {m}x{k}x{n}");
-        }
     }
 }

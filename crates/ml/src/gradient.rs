@@ -9,147 +9,7 @@
 //! so the result is identical (up to float associativity) to one gradient
 //! over the concatenated data.
 
-use crate::model::Model;
-use crate::workspace::Workspace;
-use freeway_linalg::{pool, vector, Matrix};
-
-/// Fixed shard size for [`sharded_gradient`]. Shard boundaries depend
-/// only on the batch size — never on the thread count — so the merged
-/// gradient is bit-identical for any pool size (including fully serial).
-pub const GRAD_SHARD_ROWS: usize = 256;
-
-/// Average gradient over a batch, computed data-parallel on `pool`.
-///
-/// The batch is split into fixed [`GRAD_SHARD_ROWS`]-row shards, each
-/// shard's average gradient is computed as an independent pool task
-/// (read-only model access), and the per-shard results are merged into
-/// one weighted average *in shard order on the calling thread* via
-/// [`PrecomputeAccumulator`]. Batches of at most one shard take the
-/// plain [`Model::gradient`] path unchanged, so small mini-batches keep
-/// their exact serial numerics.
-///
-/// # Panics
-/// Panics if `y` (or `weights`, when given) does not match `x.rows()`.
-pub fn sharded_gradient(
-    model: &dyn Model,
-    x: &Matrix,
-    y: &[usize],
-    weights: Option<&[f64]>,
-    pool: &pool::WorkerPool,
-) -> Vec<f64> {
-    let mut scratch = ShardScratch::new();
-    let mut out = Vec::new();
-    sharded_gradient_into(model, x, y, weights, pool, &mut scratch, &mut out);
-    out
-}
-
-/// [`sharded_gradient`] writing into `out`, drawing every per-shard
-/// intermediate (sub-batch copy, workspace, gradient buffer) from
-/// `scratch` so a warm steady-state call performs no heap allocation.
-/// Bit-identical to the allocating path: shard boundaries, per-shard
-/// numerics, and the shard-order weighted merge are all unchanged.
-///
-/// # Panics
-/// Panics if `y` (or `weights`, when given) does not match `x.rows()`.
-pub fn sharded_gradient_into(
-    model: &dyn Model,
-    x: &Matrix,
-    y: &[usize],
-    weights: Option<&[f64]>,
-    pool: &pool::WorkerPool,
-    scratch: &mut ShardScratch,
-    out: &mut Vec<f64>,
-) {
-    assert_eq!(x.rows(), y.len(), "sharded_gradient label mismatch");
-    if let Some(w) = weights {
-        assert_eq!(w.len(), y.len(), "sharded_gradient weights mismatch");
-    }
-    let rows = x.rows();
-    if rows <= GRAD_SHARD_ROWS {
-        scratch.ensure(1);
-        model.gradient_into(x, y, weights, &mut scratch.shards[0].ws, out);
-        return;
-    }
-    let shards = rows.div_ceil(GRAD_SHARD_ROWS);
-    scratch.ensure(shards);
-    let tasks: Vec<pool::Task<'_>> = scratch.shards[..shards]
-        .iter_mut()
-        .enumerate()
-        .map(|(shard, slot)| {
-            Box::new(move || {
-                let start = shard * GRAD_SHARD_ROWS;
-                let end = (start + GRAD_SHARD_ROWS).min(rows);
-                x.copy_row_range_into(start, end, &mut slot.sub_x);
-                let sub_w = weights.map(|w| &w[start..end]);
-                model.gradient_into(
-                    &slot.sub_x,
-                    &y[start..end],
-                    sub_w,
-                    &mut slot.ws,
-                    &mut slot.grad,
-                );
-                slot.weight = match sub_w {
-                    Some(w) => w.iter().sum(),
-                    None => (end - start) as f64,
-                };
-            }) as pool::Task<'_>
-        })
-        .collect();
-    pool.run(tasks);
-    // Weighted merge in shard order — same axpy-then-scale arithmetic as
-    // PrecomputeAccumulator, written into `out` without allocating.
-    out.clear();
-    out.resize(model.num_parameters(), 0.0);
-    let mut total_weight = 0.0;
-    for slot in &scratch.shards[..shards] {
-        // Zero-weight shards (all-zero ASW decay) contribute nothing.
-        if slot.weight > 0.0 {
-            vector::axpy(out, slot.weight, &slot.grad);
-            total_weight += slot.weight;
-        }
-    }
-    if total_weight > 0.0 {
-        let inv = 1.0 / total_weight;
-        for v in out.iter_mut() {
-            *v *= inv;
-        }
-    }
-}
-
-/// Reusable per-shard scratch for [`sharded_gradient_into`]: one slot per
-/// shard holding the contiguous sub-batch copy, a model workspace, and the
-/// shard's gradient buffer. Slots are created on first use and reused
-/// (never shrunk) across calls.
-#[derive(Debug, Default)]
-pub struct ShardScratch {
-    shards: Vec<ShardSlot>,
-}
-
-#[derive(Debug)]
-struct ShardSlot {
-    sub_x: Matrix,
-    ws: Workspace,
-    grad: Vec<f64>,
-    weight: f64,
-}
-
-impl ShardScratch {
-    /// Creates an empty scratch; slots materialise on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn ensure(&mut self, n: usize) {
-        if self.shards.len() < n {
-            self.shards.resize_with(n, || ShardSlot {
-                sub_x: Matrix::zeros(0, 0),
-                ws: Workspace::new(),
-                grad: Vec::new(),
-                weight: 0.0,
-            });
-        }
-    }
-}
+use freeway_linalg::vector;
 
 /// Accumulates per-subset average gradients into one weighted average.
 #[derive(Clone, Debug, Default)]
@@ -265,23 +125,6 @@ mod tests {
             assert!((a - b).abs() < 1e-12, "merge must equal full-batch gradient");
         }
         assert!(acc.is_empty(), "take_merged resets the window");
-    }
-
-    #[test]
-    fn sharded_gradient_matches_full_batch_and_is_pool_size_invariant() {
-        let rows: Vec<Vec<f64>> =
-            (0..600).map(|i| vec![(i as f64 * 0.13).sin(), (i as f64 * 0.07).cos()]).collect();
-        let x = Matrix::from_rows(&rows);
-        let y: Vec<usize> = (0..600).map(|i| i % 2).collect();
-        let model = SoftmaxRegression::with_seed(2, 2, 4);
-
-        let full = model.gradient(&x, &y, None);
-        let serial = sharded_gradient(&model, &x, &y, None, &pool::WorkerPool::new(1));
-        let parallel = sharded_gradient(&model, &x, &y, None, &pool::WorkerPool::new(4));
-        assert_eq!(serial, parallel, "sharding must not depend on pool size");
-        for (a, b) in full.iter().zip(&serial) {
-            assert!((a - b).abs() < 1e-12, "sharded merge must match full gradient");
-        }
     }
 
     #[test]

@@ -18,9 +18,8 @@
 //!   accounting, backing the historical-knowledge space study (Table IV).
 //! * [`spec::ModelSpec`] — a declarative model description used to build
 //!   identical fresh models across FreewayML and every baseline.
-//! * [`sharded::ShardedTrainer`] — data-parallel training with periodic
-//!   model averaging (the paper's distributed-scalability future work,
-//!   simulated on one machine).
+//!
+//! Training and inference run on the calling thread.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -32,21 +31,17 @@ pub mod loss;
 pub mod mlp;
 pub mod model;
 pub mod optim;
-pub mod sharded;
 pub mod snapshot;
 pub mod spec;
 pub mod trainer;
 pub mod workspace;
 
 pub use cnn::Cnn1d;
-pub use gradient::{
-    sharded_gradient, sharded_gradient_into, PrecomputeAccumulator, ShardScratch, GRAD_SHARD_ROWS,
-};
+pub use gradient::PrecomputeAccumulator;
 pub use logistic::SoftmaxRegression;
 pub use mlp::Mlp;
 pub use model::Model;
 pub use optim::{Adam, Ftrl, Momentum, Optimizer, Sgd};
-pub use sharded::ShardedTrainer;
 pub use snapshot::ModelSnapshot;
 pub use spec::ModelSpec;
 pub use trainer::Trainer;

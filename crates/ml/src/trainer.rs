@@ -1,6 +1,5 @@
 //! Model + optimizer pairing: one incremental training step per batch.
 
-use crate::gradient::ShardScratch;
 use crate::model::Model;
 use crate::optim::Optimizer;
 use crate::workspace::Workspace;
@@ -9,21 +8,17 @@ use freeway_linalg::Matrix;
 /// Couples a model with an optimizer and performs mini-batch updates —
 /// the incremental-update loop every SML framework in the paper shares.
 ///
-/// The trainer owns all per-step scratch (a model [`Workspace`], the
-/// probability/gradient/parameter/delta buffers, and per-shard scratch for
-/// the parallel path), so a warm steady-state `train_batch` performs no
-/// heap allocation while producing bit-identical results to the
-/// allocating path.
+/// The trainer owns all per-step scratch (a model [`Workspace`] and the
+/// gradient/parameter/delta buffers), so a warm steady-state
+/// `train_batch` performs no heap allocation while producing
+/// bit-identical results to the allocating path.
 pub struct Trainer {
     model: Box<dyn Model>,
     optimizer: Box<dyn Optimizer>,
-    parallel_gradient: bool,
     ws: Workspace,
-    probs: Matrix,
     grad: Vec<f64>,
     params: Vec<f64>,
     delta: Vec<f64>,
-    shard_scratch: ShardScratch,
 }
 
 impl Trainer {
@@ -32,28 +27,11 @@ impl Trainer {
         Self {
             model,
             optimizer,
-            parallel_gradient: false,
             ws: Workspace::new(),
-            probs: Matrix::zeros(0, 0),
             grad: Vec::new(),
             params: Vec::new(),
             delta: Vec::new(),
-            shard_scratch: ShardScratch::new(),
         }
-    }
-
-    /// Enables data-parallel gradient computation on the global worker
-    /// pool (see [`crate::gradient::sharded_gradient`]). Off by default;
-    /// sharding is fixed by batch size, so turning this on changes
-    /// results only for batches above one shard — and identically for
-    /// every thread count.
-    pub fn set_parallel_gradient(&mut self, enabled: bool) {
-        self.parallel_gradient = enabled;
-    }
-
-    /// Whether data-parallel gradients are enabled.
-    pub fn parallel_gradient(&self) -> bool {
-        self.parallel_gradient
     }
 
     /// One mini-batch SGD step; returns the pre-update loss.
@@ -63,25 +41,10 @@ impl Trainer {
 
     /// One weighted mini-batch step (weights come from ASW decay).
     pub fn train_weighted(&mut self, x: &Matrix, y: &[usize], weights: Option<&[f64]>) -> f64 {
-        let loss;
-        if self.parallel_gradient {
-            self.model.predict_proba_into(x, &mut self.ws, &mut self.probs);
-            loss = crate::loss::cross_entropy(&self.probs, y);
-            crate::gradient::sharded_gradient_into(
-                self.model.as_ref(),
-                x,
-                y,
-                weights,
-                &freeway_linalg::pool::global(),
-                &mut self.shard_scratch,
-                &mut self.grad,
-            );
-        } else {
-            // Single forward pass: the loss comes from the probabilities
-            // the gradient computes anyway (bit-identical to predicting
-            // first — same weights, same arithmetic).
-            loss = self.model.gradient_loss_into(x, y, weights, &mut self.ws, &mut self.grad);
-        }
+        // Single forward pass: the loss comes from the probabilities the
+        // gradient computes anyway (bit-identical to predicting first —
+        // same weights, same arithmetic).
+        let loss = self.model.gradient_loss_into(x, y, weights, &mut self.ws, &mut self.grad);
         self.model.parameters_into(&mut self.params);
         self.optimizer.step_into(&self.params, &self.grad, &mut self.delta);
         self.model.apply_update(&self.delta);
@@ -91,8 +54,7 @@ impl Trainer {
     /// One mini-batch SGD step that skips the pre-update loss. The
     /// parameter update is bit-identical to [`Self::train_batch`] — same
     /// gradient, same optimizer step — but the streaming hot path discards
-    /// the loss, and computing it costs a `ln` per (row, class) (plus a
-    /// whole extra forward pass on the data-parallel path).
+    /// the loss, and computing it costs a `ln` per (row, class).
     pub fn train_step(&mut self, x: &Matrix, y: &[usize]) {
         self.train_weighted_step(x, y, None);
     }
@@ -100,19 +62,7 @@ impl Trainer {
     /// [`Self::train_weighted`] without the pre-update loss; see
     /// [`Self::train_step`].
     pub fn train_weighted_step(&mut self, x: &Matrix, y: &[usize], weights: Option<&[f64]>) {
-        if self.parallel_gradient {
-            crate::gradient::sharded_gradient_into(
-                self.model.as_ref(),
-                x,
-                y,
-                weights,
-                &freeway_linalg::pool::global(),
-                &mut self.shard_scratch,
-                &mut self.grad,
-            );
-        } else {
-            self.model.gradient_into(x, y, weights, &mut self.ws, &mut self.grad);
-        }
+        self.model.gradient_into(x, y, weights, &mut self.ws, &mut self.grad);
         self.model.parameters_into(&mut self.params);
         self.optimizer.step_into(&self.params, &self.grad, &mut self.delta);
         self.model.apply_update(&self.delta);
@@ -129,13 +79,9 @@ impl Trainer {
     /// copied), so a warm call allocates nothing.
     ///
     /// Returns `false`, touching nothing, when the pass cannot be reused:
-    /// the data-parallel gradient recomputes by design, and a model may
-    /// not keep what its backward reads (see [`Model::backward_into`]).
-    /// The caller then runs `train_step`.
+    /// a model may not keep what its backward reads (see
+    /// [`Model::backward_into`]). The caller then runs `train_step`.
     pub fn train_step_from(&mut self, x: &Matrix, y: &[usize], forward: &mut Workspace) -> bool {
-        if self.parallel_gradient {
-            return false;
-        }
         self.ws.swap_forward(forward);
         let done = self.model.backward_into(x, y, None, &mut self.ws, &mut self.grad);
         self.ws.swap_forward(forward);
@@ -191,9 +137,7 @@ impl Clone for Trainer {
     fn clone(&self) -> Self {
         // Scratch buffers are per-trainer working memory, not state: the
         // clone starts with fresh (empty) ones and warms them on first use.
-        let mut t = Self::new(self.model.clone_model(), self.optimizer.clone_optimizer());
-        t.parallel_gradient = self.parallel_gradient;
-        t
+        Self::new(self.model.clone_model(), self.optimizer.clone_optimizer())
     }
 }
 
@@ -268,8 +212,6 @@ mod tests {
                 };
                 assert_eq!(bits(&cached), bits(&plain), "{spec:?}");
             }
-            cached.set_parallel_gradient(true);
-            assert!(!cached.train_step_from(&x, &y, &mut forward), "data-parallel recomputes");
         }
     }
 

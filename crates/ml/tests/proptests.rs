@@ -1,10 +1,7 @@
 //! Property-based tests for the ML substrate.
 
-use freeway_linalg::pool::WorkerPool;
 use freeway_linalg::Matrix;
-use freeway_ml::{
-    sharded_gradient, ModelSpec, Optimizer, PrecomputeAccumulator, Sgd, Workspace, GRAD_SHARD_ROWS,
-};
+use freeway_ml::{ModelSpec, Optimizer, PrecomputeAccumulator, Sgd, Workspace};
 use proptest::prelude::*;
 
 fn batch(rows: usize, cols: usize, classes: usize) -> impl Strategy<Value = (Matrix, Vec<usize>)> {
@@ -27,32 +24,6 @@ proptest! {
                 let s: f64 = row.iter().sum();
                 prop_assert!((s - 1.0).abs() < 1e-9, "{spec:?} row sums to {s}");
                 prop_assert!(row.iter().all(|&p| (0.0..=1.0).contains(&p)));
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_gradient_is_bit_identical_across_pool_sizes(
-        // Straddle the fixed shard boundary so the multi-shard merge
-        // path (the only place reduction order could leak in) is hit.
-        extra in 0usize..200,
-        seed in 0u64..64,
-        weighted in 0usize..2,
-    ) {
-        let weighted = weighted == 1;
-        let rows = GRAD_SHARD_ROWS / 2 + extra * 3;
-        let fill = |i: usize| ((i as f64 + seed as f64) * 0.29).sin() * 2.0;
-        let x = Matrix::from_vec(rows, 3, (0..rows * 3).map(fill).collect());
-        let y: Vec<usize> = (0..rows).map(|i| (i + seed as usize) % 2).collect();
-        let w: Option<Vec<f64>> =
-            weighted.then(|| (0..rows).map(|i| 0.1 + fill(i).abs()).collect());
-        for spec in [ModelSpec::lr(3, 2), ModelSpec::mlp(3, vec![5], 2)] {
-            let model = spec.build(seed);
-            let serial = sharded_gradient(model.as_ref(), &x, &y, w.as_deref(), &WorkerPool::new(1));
-            for threads in [2usize, 8] {
-                let parallel =
-                    sharded_gradient(model.as_ref(), &x, &y, w.as_deref(), &WorkerPool::new(threads));
-                prop_assert_eq!(&serial, &parallel, "{:?} pool={}", &spec, threads);
             }
         }
     }
