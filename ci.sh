@@ -16,6 +16,22 @@ echo "== kernel bit-identity suites, optimized =="
 # included) in the profile that produces the numbers.
 cargo test -q --release -p freeway-linalg -p freeway-cluster -p freeway-ml
 
+echo "== paper artifact gate (Table I and Figure 9 byte-identical) =="
+# A kernel change may make nothing faster at the cost of a different
+# number: regenerate Table I and Figure 9 at run_experiments.sh settings
+# and diff them against the committed JSONs. They run every learner path
+# (ensemble, CEC's k-means, knowledge reuse) on the paper's datasets.
+cp results/table1.json /tmp/table1_ci.json
+cp results/fig9.json /tmp/fig9_ci.json
+FREEWAY_BATCHES=300 FREEWAY_BATCH_SIZE=256 \
+    cargo run --release -q -p freeway-eval --bin table1 > /dev/null
+FREEWAY_BATCHES=200 FREEWAY_BATCH_SIZE=256 \
+    cargo run --release -q -p freeway-eval --bin fig9 > /dev/null
+diff /tmp/table1_ci.json results/table1.json
+diff /tmp/fig9_ci.json results/fig9.json
+rm -f /tmp/table1_ci.json /tmp/fig9_ci.json
+echo "paper artifact gate: table1 and fig9 match the committed JSONs"
+
 echo "== alloc regression gate (zero-allocation hot path) =="
 cargo test -q -p freeway-eval --features alloc-metrics --test alloc_regression
 

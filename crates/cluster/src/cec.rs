@@ -7,8 +7,8 @@
 //! recent labeled points, and maps each cluster to the majority label of
 //! its labeled members.
 
-use crate::kmeans::{nearest_centroid, KMeans};
-use freeway_linalg::Matrix;
+use crate::kmeans::KMeans;
+use freeway_linalg::{vector, Matrix};
 
 /// The `ExpBuffer` of the paper: the most recent labeled points, bounded
 /// in count and (optionally) in age.
@@ -262,14 +262,15 @@ impl CoherentExperience {
         let k = self.clusters.min(combined.rows());
         let result = KMeans::new(k, self.seed).fit(&combined);
 
-        // Vote labels within each cluster using the first m (labeled) rows.
+        // Vote labels within each cluster using the first m (labeled) rows:
+        // one `k x num_labels` table, a row per cluster.
         let num_labels = exp_y.iter().copied().max().unwrap_or(0) + 1;
-        let mut votes = vec![vec![0usize; num_labels]; k];
+        let mut votes = vec![0usize; k * num_labels];
         for (i, &label) in exp_y.iter().enumerate() {
-            votes[result.assignments[i]][label] += 1;
+            votes[result.assignments[i] * num_labels + label] += 1;
         }
         let mut cluster_label: Vec<Option<usize>> = votes
-            .iter()
+            .chunks_exact(num_labels)
             .map(|v| {
                 let best = v.iter().enumerate().max_by_key(|(_, &c)| c);
                 match best {
@@ -282,21 +283,28 @@ impl CoherentExperience {
         // Guidance purity: the fraction of labeled guidance points that
         // agree with their cluster's majority label — an unsupervised
         // proxy for how accurate the cluster→label mapping will be.
-        let agree: usize = votes.iter().map(|v| v.iter().max().copied().unwrap_or(0)).sum();
+        let agree: usize =
+            votes.chunks_exact(num_labels).map(|v| v.iter().max().copied().unwrap_or(0)).sum();
         let purity = agree as f64 / m as f64;
 
-        // Unlabeled clusters inherit from the nearest labeled centroid.
-        let labeled_centroids: Vec<usize> =
-            (0..k).filter(|&c| cluster_label[c].is_some()).collect();
+        // Unlabeled clusters inherit from the nearest labeled centroid: the
+        // first at the smallest distance, the scan `nearest_centroid`
+        // makes, over the labeled centroids in order.
+        let mut labeled_centroids = Vec::with_capacity(k);
+        labeled_centroids.extend((0..k).filter(|&c| cluster_label[c].is_some()));
         if labeled_centroids.is_empty() {
             return None;
         }
-        let mut labeled_sub: Option<Matrix> = None;
         for c in 0..k {
             if cluster_label[c].is_none() {
-                let sub = labeled_sub
-                    .get_or_insert_with(|| result.centroids.select_rows(&labeled_centroids));
-                let (nearest, _) = nearest_centroid(result.centroids.row(c), sub);
+                let centroid = result.centroids.row(c);
+                let (mut nearest, mut nearest_d) = (0, f64::INFINITY);
+                for (j, &other) in labeled_centroids.iter().enumerate() {
+                    let d = vector::euclidean_distance(centroid, result.centroids.row(other));
+                    if d < nearest_d {
+                        (nearest, nearest_d) = (j, d);
+                    }
+                }
                 cluster_label[c] = cluster_label[labeled_centroids[nearest]];
             }
         }

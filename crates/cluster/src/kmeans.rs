@@ -1,4 +1,30 @@
 //! Seeded k-means with k-means++ initialisation.
+//!
+//! [`KMeans::fit`] returns, bit for bit, what the textbook loop returns
+//! (kept as `reference_fit` in the tests): k-means++ seeds drawn with
+//! weights `euclidean_distance(x, seed)²`, then Lloyd iterations whose
+//! assignment step gives each point the first centroid at the smallest
+//! `euclidean_distance`, then one more assignment step against the final
+//! centroids. Every distance the fit takes keeps that arithmetic —
+//! squared differences summed in ascending dimension order from `0.0`,
+//! then `sqrt` — and the work around it is cut four ways, each exact
+//! (DESIGN.md §3g):
+//!
+//! 1. Seeding takes a new seed's distance to every point at once, points
+//!    as vector lanes over a transposed copy of the data (`seed_tile`),
+//!    and keeps the `n x k` squared sums: the first assignment step reads
+//!    them instead of recomputing them.
+//! 2. The winner scan finds the smallest squared distance, which is
+//!    exact, and takes a `sqrt` only of the squares that can round to
+//!    the same distance (`nearest`, `block_winners`).
+//! 3. For `k > 8`, Hamerly's bounds (SDM 2010) skip every point whose
+//!    nearest centroid provably has not changed; the rest are gathered
+//!    eight at a time, as lanes, and rescanned against every centroid
+//!    through register tiles (`block_distances`, `Lloyd::pruned_pass`).
+//!    For `k <= 8` a full pass runs one point at a time in registers.
+//! 4. When Lloyd stops because no assignment changed, the centroids are
+//!    the ones the last assignment step ran against, so the final step
+//!    is not repeated.
 
 use freeway_linalg::{vector, Matrix};
 use rand::rngs::StdRng;
@@ -38,7 +64,8 @@ impl KMeans {
         Self { k, max_iters: 50, tol: 1e-6, seed }
     }
 
-    /// Runs k-means++ then Lloyd iterations.
+    /// Runs k-means++ then Lloyd iterations. Allocates a fixed set of
+    /// buffers per call, none per iteration.
     ///
     /// # Panics
     /// Panics if `data` has fewer rows than `k`.
@@ -48,38 +75,42 @@ impl KMeans {
         let d = data.cols();
         let mut rng = StdRng::seed_from_u64(self.seed);
 
-        let mut centroids = self.init_plus_plus(data, &mut rng);
+        let mut lloyd = Lloyd::new(data, self.k, self.max_iters);
+        let mut centroids = self.seed_plus_plus(data, &mut rng, &mut lloyd.seed_sq);
         let mut assignments = vec![0usize; n];
+        lloyd.assign_from_seeds(&mut assignments);
         let mut iterations = 0;
 
-        // Lloyd scratch, reused across iterations: transposed centroids +
-        // one tile of squared distances for the assignment step,
-        // sums/counts for the update step, one centroid-sized buffer for
+        // Update-step scratch: sums/counts, one centroid-sized buffer for
         // the means.
-        let mut ct = vec![0.0; self.k * d];
-        let mut sq = vec![0.0; ASSIGN_ROWS * self.k];
-        let mut dists = vec![0.0; n];
         let mut sums = Matrix::zeros(self.k, d);
         let mut counts = vec![0usize; self.k];
         let mut mean = vec![0.0; d];
+        // Whether the centroids moved since the last assignment step.
+        let mut stale = false;
         // Whether the previous update step hit the empty-cluster repair;
         // starts true so the first iteration never takes the shortcut below.
         let mut repaired = true;
 
         for iter in 0..self.max_iters {
             iterations = iter + 1;
-            // Assignment step.
-            let changed =
-                assign_nearest(data, &centroids, &mut ct, &mut sq, &mut assignments, &mut dists);
-            if !changed && !repaired {
-                // Unchanged assignments after a repair-free update mean the
-                // update step would recompute bit-identical centroids (same
-                // sums, same counts, same arithmetic), so movement would be
-                // exactly 0.0 < tol: skip straight to the break the full
-                // pass would take. (A repair re-seeds from distances to the
-                // *current* centroids, so after one the recompute is not
-                // guaranteed identical and the shortcut stays off.)
-                break;
+            // Assignment step (the first one came from the seeding).
+            if stale {
+                stale = false;
+                let changed = lloyd.assign(&centroids, &mut assignments);
+                if !changed && !repaired {
+                    // Unchanged assignments after a repair-free update mean
+                    // the update step would recompute bit-identical
+                    // centroids (same sums, same counts, same arithmetic),
+                    // so movement would be exactly 0.0 < tol: skip straight
+                    // to the break the full pass would take. (A repair
+                    // re-seeds from distances to the *current* centroids,
+                    // so after one the recompute is not guaranteed
+                    // identical and the shortcut stays off.) The centroids
+                    // are then the ones this assignment step ran against,
+                    // so the final step below would repeat it: skip it too.
+                    break;
+                }
             }
             // Update step. Accumulating `+= v` matches the previous
             // `axpy(.., 1.0, row)` formulation bit-for-bit (multiplying by
@@ -104,24 +135,14 @@ impl KMeans {
             // centroid, the standard fix that keeps exactly k clusters.
             // That point does not depend on which empty cluster is being
             // repaired (assignments and centroids are fixed for the whole
-            // repair loop), and its distance-to-assigned-centroid is
-            // exactly the winning distance the assignment step recorded —
-            // so one flop-free scan replaces a full re-computation per
-            // empty cluster. Last-max tie-breaking matches the `max_by`
-            // the re-computation used.
+            // repair loop), so one scan of the assignment step's exact
+            // distances replaces a full re-computation per empty cluster.
             repaired = false;
             let mut far_idx = usize::MAX;
             for (c, count) in counts.iter_mut().enumerate() {
                 if *count == 0 {
                     if far_idx == usize::MAX {
-                        let mut best = f64::NEG_INFINITY;
-                        far_idx = 0;
-                        for (i, &dv) in dists.iter().enumerate() {
-                            if dv >= best {
-                                best = dv;
-                                far_idx = i;
-                            }
-                        }
+                        far_idx = lloyd.farthest(&centroids, &assignments);
                     }
                     sums.row_mut(c).copy_from_slice(data.row(far_idx));
                     *count = 1;
@@ -134,137 +155,434 @@ impl KMeans {
                 for (m, &s) in mean.iter_mut().zip(sums.row(c)) {
                     *m = s * inv;
                 }
-                movement += vector::euclidean_distance(&mean, centroids.row(c));
+                let moved = vector::euclidean_distance(&mean, centroids.row(c));
+                movement += moved;
+                lloyd.moves[c] = moved;
+                lloyd.still[c] = mean == centroids.row(c);
                 centroids.row_mut(c).copy_from_slice(&mean);
             }
+            stale = true;
             if movement < self.tol {
                 break;
             }
         }
 
-        // Final assignment against the converged centroids.
-        assign_nearest(data, &centroids, &mut ct, &mut sq, &mut assignments, &mut dists);
-        let mut inertia = 0.0;
-        for &dist in &dists {
-            inertia += dist * dist;
+        if stale {
+            // Final assignment against the converged centroids.
+            lloyd.assign(&centroids, &mut assignments);
         }
-
+        let inertia = lloyd.inertia(&centroids, &assignments);
         KMeansResult { centroids, assignments, inertia, iterations }
     }
 
     /// k-means++ seeding: first centroid uniform, then each next centroid
     /// sampled proportionally to squared distance from the nearest chosen
-    /// one.
-    fn init_plus_plus(&self, data: &Matrix, rng: &mut StdRng) -> Matrix {
-        let n = data.rows();
-        let d = data.cols();
-        let mut centroids = Matrix::zeros(self.k, d);
-        let first = rng.random_range(0..n);
-        centroids.row_mut(0).copy_from_slice(data.row(first));
-
-        let mut dist_sq: Vec<f64> = data
-            .row_iter()
-            .map(|row| {
-                let dd = vector::euclidean_distance(row, centroids.row(0));
-                dd * dd
-            })
-            .collect();
-
-        for c in 1..self.k {
-            let total: f64 = dist_sq.iter().sum();
-            let chosen = if total <= f64::EPSILON {
-                // All points coincide with chosen centroids; pick uniformly.
-                rng.random_range(0..n)
-            } else {
-                let mut target = rng.random_range(0.0..total);
-                let mut idx = n - 1;
-                for (i, &w) in dist_sq.iter().enumerate() {
-                    if target < w {
-                        idx = i;
-                        break;
+    /// one. The RNG draws, the sequential `total` and the sampling scan
+    /// are the textbook's; each seed's squared distance sums to every
+    /// point come from [`seed_tile`] over a points-as-lanes copy of the
+    /// data, and land in `seed_sq` (blocks of [`LANES`] points, each
+    /// `k x LANES`) for the first assignment step.
+    fn seed_plus_plus(&self, data: &Matrix, rng: &mut StdRng, seed_sq: &mut [f64]) -> Matrix {
+        let (n, d, k) = (data.rows(), data.cols(), self.k);
+        // Points as lanes, block by block: `blocks[(b * d + j) * LANES +
+        // l]` is point `b * LANES + l`'s coordinate `j`, in groups of
+        // [`SEED_BLOCKS`] blocks. Padding lanes and blocks are ignored.
+        let group = SEED_BLOCKS * LANES;
+        let mut blocks = vec![0.0; n.div_ceil(group) * group * d];
+        if d > 0 {
+            for (b, block) in blocks.chunks_exact_mut(d * LANES).enumerate().take(n.div_ceil(LANES))
+            {
+                let rows: [usize; LANES] = std::array::from_fn(|l| (b * LANES + l).min(n - 1));
+                gather_lanes(data, &rows, block);
+            }
+        }
+        let mut dist_sq = vec![0.0; n];
+        let mut centroids = Matrix::zeros(k, d);
+        let mut chosen = rng.random_range(0..n);
+        for c in 0..k {
+            if c > 0 {
+                let total: f64 = dist_sq.iter().sum();
+                chosen = if total <= f64::EPSILON {
+                    // All points coincide with chosen centroids; pick uniformly.
+                    rng.random_range(0..n)
+                } else {
+                    let mut target = rng.random_range(0.0..total);
+                    let mut idx = n - 1;
+                    for (i, &w) in dist_sq.iter().enumerate() {
+                        if target < w {
+                            idx = i;
+                            break;
+                        }
+                        target -= w;
                     }
-                    target -= w;
-                }
-                idx
-            };
+                    idx
+                };
+            }
             centroids.row_mut(c).copy_from_slice(data.row(chosen));
-            for (i, row) in data.row_iter().enumerate() {
-                let dd = vector::euclidean_distance(row, centroids.row(c));
-                dist_sq[i] = dist_sq[i].min(dd * dd);
+            let seed = centroids.row(c);
+            // (With `d == 0` there are no blocks, and every weight and
+            // sum stays 0.0, as every distance is.)
+            let groups = blocks.chunks_exact((SEED_BLOCKS * d * LANES).max(1));
+            let block_sqs = seed_sq.chunks_exact_mut(k * LANES);
+            let mut outs = block_sqs.zip(dist_sq.chunks_mut(LANES));
+            for points in groups {
+                let sums = seed_tile(points, seed);
+                for (sum, (block_sq, weights)) in sums.iter().zip(&mut outs) {
+                    block_sq[c * LANES..(c + 1) * LANES].copy_from_slice(sum);
+                    for (w, &s) in weights.iter_mut().zip(sum) {
+                        // `euclidean_distance`, then its square.
+                        let dd = s.sqrt();
+                        *w = if c == 0 { dd * dd } else { w.min(dd * dd) };
+                    }
+                }
             }
         }
         centroids
     }
 }
 
-/// Points per register tile of the assignment step.
-const ASSIGN_ROWS: usize = 4;
+/// Blocks of points [`seed_tile`] takes side by side.
+const SEED_BLOCKS: usize = 4;
 
-/// Centroids per register tile of the assignment step: eight `f64`
-/// lanes, one 512-bit vector or two 256-bit ones.
-const ASSIGN_LANES: usize = 8;
+/// Squared distance sums from the points of [`SEED_BLOCKS`] consecutive
+/// blocks (each `d x LANES`, points as lanes) to one seed, per block and
+/// lane: each pair's squared differences summed in ascending dimension
+/// order from `0.0`, as in [`lane_tile`], with the blocks' chains side
+/// by side.
+fn seed_tile(points: &[f64], seed: &[f64]) -> [[f64; LANES]; SEED_BLOCKS] {
+    let d = seed.len();
+    let mut acc = [[0.0f64; LANES]; SEED_BLOCKS];
+    for (j, &y) in seed.iter().enumerate() {
+        for (b, acc_b) in acc.iter_mut().enumerate() {
+            let p: &[f64; LANES] =
+                points[(b * d + j) * LANES..][..LANES].try_into().expect("LANES points");
+            for l in 0..LANES {
+                let diff = p[l] - y;
+                acc_b[l] += diff * diff;
+            }
+        }
+    }
+    acc
+}
 
-/// Assigns every data row to its nearest centroid, recording the winning
-/// distance per row and returning whether any assignment changed.
-/// Bit-identical to calling [`nearest_centroid`] per row: each (point,
-/// centroid) pair accumulates its squared differences in the same
-/// ascending-dimension order and takes the same `sqrt`, and the winner
-/// scan is the same ascending-centroid strict `<` comparison. The only
-/// difference is that independent pair chains run side by side in
-/// registers — via a transposed centroid copy so each dimension's
-/// centroid coordinates load contiguously — which fills the FP pipeline
-/// without touching any pair's arithmetic. `sq` holds the
-/// `ASSIGN_ROWS x k` squared distances of one tile of points.
-fn assign_nearest(
-    data: &Matrix,
-    centroids: &Matrix,
-    ct: &mut [f64],
-    sq: &mut [f64],
-    assignments: &mut [usize],
-    dists: &mut [f64],
-) -> bool {
-    let k = centroids.rows();
-    let d = centroids.cols();
-    debug_assert_eq!(ct.len(), k * d);
-    debug_assert_eq!(sq.len(), ASSIGN_ROWS * k);
-    debug_assert_eq!(dists.len(), assignments.len());
-    if d == 0 {
-        // Zero-dimensional rows are all at distance 0: the first centroid
-        // wins every strict-`<` scan, exactly as in `nearest_centroid`.
+/// Relative slack of Hamerly's skip test. The bounds are built from
+/// computed distances and updated in floating point, so they can stray
+/// from the true distances they bound. A computed distance is within a
+/// relative γ = (d + 4)·ε/4 of the true one, and each bound update rounds
+/// once; over `T` updates since a point's last exact distance its upper
+/// and lower bounds each drift by at most (2γ + T·ε/2)·`scale`, where
+/// `scale` is at least every lower bound and centroid gap the test reads
+/// (an upper bound that passes the test is below them). Skipping must
+/// also leave the computed winner strictly nearest, 2γ·`scale` more: in
+/// all under (1.5·d + T + 6)·ε·`scale`, about 2e-14·`scale` at d = 20
+/// and T = 50. A margin of 1e-9 (or 8·(d + max_iters + 8)·ε if larger)
+/// clears that by orders of magnitude and gives up no skip worth
+/// having.
+const BOUND_MARGIN: f64 = 1e-9;
+
+/// Absolute slack of the skip test: a distance whose squares underflow
+/// can be off by up to √d·2⁻⁵³⁷ (about 1e-161), which a relative margin
+/// does not cover near zero.
+const BOUND_FLOOR: f64 = 1e-153;
+
+/// One fit's assignment state and scratch, sized once per fit.
+struct Lloyd<'a> {
+    data: &'a Matrix,
+    k: usize,
+    /// Squared distance sums from each point to each seed, in blocks of
+    /// [`LANES`] points (`k x LANES` each).
+    seed_sq: Vec<f64>,
+    /// Transposed centroids (`d x k`) for the register kernels.
+    ct: Vec<f64>,
+    /// Each point's distance to its centroid: exactly the textbook's
+    /// winning distance where `exact`, else an upper bound on it.
+    upper: Vec<f64>,
+    exact: Vec<bool>,
+    /// Each centroid's movement in the last update step, and whether its
+    /// coordinates came out unchanged.
+    moves: Vec<f64>,
+    still: Vec<bool>,
+    // Hamerly's state, for `k > K_ARMS` only (empty otherwise):
+    /// A lower bound on each point's distance to every other centroid.
+    lower: Vec<f64>,
+    /// Half of each centroid's distance to its nearest other centroid.
+    half: Vec<f64>,
+    /// The points that failed the skip test in this pass.
+    picks: Vec<usize>,
+    /// Up to [`LANES`] rows as lanes (`d x LANES`), for the register tiles.
+    block: Vec<f64>,
+    /// One block's squared distances to every centroid (`k x LANES`).
+    sq: Vec<f64>,
+    /// At least every lower bound and centroid gap computed so far.
+    scale: f64,
+    /// The skip test's relative slack ([`BOUND_MARGIN`]).
+    margin: f64,
+}
+
+impl<'a> Lloyd<'a> {
+    fn new(data: &'a Matrix, k: usize, max_iters: usize) -> Self {
+        let (n, d) = data.shape();
+        let bounded = k > K_ARMS;
+        let sized = |len: usize| if bounded { vec![0.0; len] } else { Vec::new() };
+        #[cfg(test)]
+        tally(|w| w.fit_start = w.examined);
+        Self {
+            data,
+            k,
+            seed_sq: vec![0.0; n.div_ceil(LANES) * k * LANES],
+            ct: vec![0.0; k * d],
+            upper: vec![0.0; n],
+            exact: vec![true; n],
+            moves: vec![0.0; k],
+            still: vec![false; k],
+            lower: sized(n),
+            half: sized(k),
+            picks: if bounded { vec![0; n] } else { Vec::new() },
+            block: sized(d * LANES),
+            sq: sized(k * LANES),
+            scale: 0.0,
+            margin: BOUND_MARGIN.max(8.0 * (d + max_iters + 8) as f64 * f64::EPSILON),
+        }
+    }
+
+    /// The first assignment step, against the seeds, from the squared
+    /// sums the seeding recorded: the same sums a rescan would take.
+    fn assign_from_seeds(&mut self, assignments: &mut [usize]) {
+        let bounded = self.k > K_ARMS;
+        let blocks = self.seed_sq.chunks_exact(self.k * LANES);
+        for (b, (block_sq, slots)) in blocks.zip(assignments.chunks_mut(LANES)).enumerate() {
+            let won = block_winners(block_sq);
+            for (l, slot) in slots.iter_mut().enumerate() {
+                let i = b * LANES + l;
+                *slot = won.best[l];
+                self.upper[i] = won.dist[l];
+                if bounded {
+                    self.lower[i] = won.second[l];
+                }
+            }
+        }
+    }
+
+    /// Assigns every point to its nearest centroid as the textbook scan
+    /// would, returning whether any assignment changed.
+    fn assign(&mut self, centroids: &Matrix, assignments: &mut [usize]) -> bool {
+        let (k, d) = centroids.shape();
+        if d == 0 {
+            // Zero-dimensional rows are all at distance 0: the first
+            // centroid wins every strict-`<` scan, exactly as in
+            // `nearest_centroid`.
+            let mut changed = false;
+            for slot in assignments.iter_mut() {
+                changed |= *slot != 0;
+                *slot = 0;
+            }
+            self.upper.fill(0.0);
+            self.exact.fill(true);
+            return changed;
+        }
+        let cs = centroids.as_slice();
+        for c in 0..k {
+            for j in 0..d {
+                self.ct[j * k + c] = cs[c * d + j];
+            }
+        }
+        if k > K_ARMS {
+            return self.pruned_pass(centroids, assignments);
+        }
+        // Up to eight centroids, a point's `k` accumulators fit one
+        // vector and out-of-order execution already overlaps consecutive
+        // points, so a full pass of the per-point const-K kernel is
+        // fastest (measured 14–40% ahead of 4 x 8 register tiles at
+        // k = 2–8 on an AVX-512 Xeon).
+        let (data, ct, upper) = (self.data, &self.ct, &mut self.upper);
+        match k {
+            1 => assign_rows::<1>(data, d, ct, assignments, upper),
+            2 => assign_rows::<2>(data, d, ct, assignments, upper),
+            3 => assign_rows::<3>(data, d, ct, assignments, upper),
+            4 => assign_rows::<4>(data, d, ct, assignments, upper),
+            5 => assign_rows::<5>(data, d, ct, assignments, upper),
+            6 => assign_rows::<6>(data, d, ct, assignments, upper),
+            7 => assign_rows::<7>(data, d, ct, assignments, upper),
+            _ => assign_rows::<{ K_ARMS }>(data, d, ct, assignments, upper),
+        }
+    }
+
+    /// Hamerly's assignment step. After an update step a point's centroid
+    /// `a` moved by `moves[a]` and every other centroid by at most the
+    /// largest move among the others, so `upper += moves[a]` and
+    /// `lower -= that move` keep both bounds. While `upper` stays below
+    /// `max(lower, half[a])` by the skip test's slack, no other centroid
+    /// can be as near as `a` — nearer than `lower`, or (triangle
+    /// inequality) than `2·half[a] − upper` — so the textbook scan would
+    /// keep `a` and the point is skipped. A point that fails the test is
+    /// gathered, and each eight are rescanned against every centroid
+    /// through the register tiles, which resets both bounds. (Hamerly's
+    /// tightening, retrying the test with the exact distance to `a`,
+    /// saved too few rescans here to pay for its own gathers.)
+    fn pruned_pass(&mut self, centroids: &Matrix, assignments: &mut [usize]) -> bool {
+        self.centroid_gaps(centroids);
+        let (mut top, mut top_c, mut runner) = (0.0f64, usize::MAX, 0.0f64);
+        for (c, &m) in self.moves.iter().enumerate() {
+            // A NaN move bounds nothing.
+            let m = if m.is_nan() { f64::INFINITY } else { m };
+            if m > top {
+                (runner, top, top_c) = (top, m, c);
+            } else if m > runner {
+                runner = m;
+            }
+        }
+        // Every bound a test below reads started as a lower bound set by
+        // an earlier pass, and is still held before this pass's update.
+        self.scale = self.lower.iter().fold(self.scale, |m, &l| m.max(l));
+        let slack = self.margin * self.scale + BOUND_FLOOR;
+        // Bound update and test for every point, branch-free: the points
+        // that fail are listed in `picks[..failed]`.
+        let mut failed = 0;
+        for (i, &a) in assignments.iter().enumerate() {
+            let upper = self.upper[i] + self.moves[a];
+            let lower = self.lower[i] - if a == top_c { runner } else { top };
+            self.upper[i] = upper;
+            self.lower[i] = lower;
+            self.exact[i] &= self.still[a];
+            self.picks[failed] = i;
+            let skip = upper + slack < max(lower, self.half[a]);
+            failed += usize::from(!skip);
+        }
         let mut changed = false;
-        for slot in assignments.iter_mut() {
-            changed |= *slot != 0;
-            *slot = 0;
+        for start in (0..failed).step_by(LANES) {
+            changed |= self.rescan(start..failed.min(start + LANES), assignments);
         }
-        dists.fill(0.0);
-        return changed;
+        #[cfg(test)]
+        tally(|w| w.examined += assignments.len());
+        changed
     }
-    let cs = centroids.as_slice();
-    for c in 0..k {
-        for j in 0..d {
-            ct[j * k + c] = cs[c * d + j];
+
+    /// Rescans the points `picks[range]` (at most [`LANES`]) against every
+    /// centroid: their squared distances from the register tiles, their
+    /// winners by [`block_winners`], and fresh bounds.
+    fn rescan(&mut self, range: std::ops::Range<usize>, assignments: &mut [usize]) -> bool {
+        let picks = &self.picks[range];
+        gather_lanes(self.data, picks, &mut self.block);
+        block_distances(&self.block, &self.ct, self.k, &mut self.sq);
+        #[cfg(test)]
+        tally(|w| w.rescanned += picks.len());
+        let won = block_winners(&self.sq);
+        let mut changed = false;
+        for (l, &i) in picks.iter().enumerate() {
+            changed |= assignments[i] != won.best[l];
+            assignments[i] = won.best[l];
+            self.upper[i] = won.dist[l];
+            self.exact[i] = true;
+            self.lower[i] = won.second[l];
+        }
+        changed
+    }
+
+    /// Half of each centroid's distance to its nearest other centroid
+    /// (Hamerly's `s`), from the register tiles.
+    fn centroid_gaps(&mut self, centroids: &Matrix) {
+        for first in (0..self.k).step_by(LANES) {
+            let group: [usize; LANES] = std::array::from_fn(|l| first + l);
+            let count = LANES.min(self.k - first);
+            gather_lanes(centroids, &group[..count], &mut self.block);
+            block_distances(&self.block, &self.ct, self.k, &mut self.sq);
+            for l in 0..count {
+                self.sq[(first + l) * LANES + l] = f64::INFINITY;
+            }
+            let (nearest, _) = lane_least_two(&self.sq);
+            for (l, &gap_sq) in nearest.iter().enumerate().take(count) {
+                let gap = gap_sq.sqrt();
+                self.half[first + l] = 0.5 * gap;
+                self.scale = self.scale.max(gap);
+            }
         }
     }
-    // Up to one tile of lanes, a point's `k` accumulators fit one vector
-    // and out-of-order execution already overlaps consecutive points, so
-    // the per-point const-K kernel, whose winner scan unrolls over
-    // registers, is fastest (14–40% ahead of the tiles at k = 2–8 on an
-    // AVX-512 Xeon). Past that the register tiles take every `k`.
-    match k {
-        1 => assign_rows::<1>(data, d, ct, assignments, dists),
-        2 => assign_rows::<2>(data, d, ct, assignments, dists),
-        3 => assign_rows::<3>(data, d, ct, assignments, dists),
-        4 => assign_rows::<4>(data, d, ct, assignments, dists),
-        5 => assign_rows::<5>(data, d, ct, assignments, dists),
-        6 => assign_rows::<6>(data, d, ct, assignments, dists),
-        7 => assign_rows::<7>(data, d, ct, assignments, dists),
-        ASSIGN_LANES => assign_rows::<{ ASSIGN_LANES }>(data, d, ct, assignments, dists),
-        _ => assign_tiles(data, d, k, ct, sq, assignments, dists),
+
+    /// Replaces every loosened `upper` by the point's exact distance to
+    /// its centroid, in the arithmetic of the assignment step.
+    fn exact_distances(&mut self, centroids: &Matrix, assignments: &[usize]) {
+        let d = centroids.cols();
+        for (i, row) in self.data.as_slice().chunks_exact(d.max(1)).enumerate() {
+            if !self.exact[i] {
+                self.upper[i] = vector::euclidean_distance(row, centroids.row(assignments[i]));
+                self.exact[i] = true;
+            }
+        }
+    }
+
+    /// The point farthest from its centroid, last one on ties (the
+    /// empty-cluster repair's re-seed).
+    fn farthest(&mut self, centroids: &Matrix, assignments: &[usize]) -> usize {
+        #[cfg(test)]
+        tally(|w| {
+            w.repairs += 1;
+            w.late_repairs += usize::from(w.examined > w.fit_start);
+        });
+        self.exact_distances(centroids, assignments);
+        let mut best = f64::NEG_INFINITY;
+        let mut far_idx = 0;
+        for (i, &dist) in self.upper.iter().enumerate() {
+            if dist >= best {
+                best = dist;
+                far_idx = i;
+            }
+        }
+        far_idx
+    }
+
+    /// Sum of squared distances to the assigned centroids, in point order.
+    fn inertia(&mut self, centroids: &Matrix, assignments: &[usize]) -> f64 {
+        self.exact_distances(centroids, assignments);
+        let mut inertia = 0.0;
+        for &dist in &self.upper {
+            inertia += dist * dist;
+        }
+        inertia
     }
 }
 
-/// The const-K body of [`assign_nearest`] for `k <= ASSIGN_LANES`, one
-/// point at a time; `ct` is the `d x K` transposed centroid copy.
+/// Tallies of the assignment work, read by the pruning and repair tests.
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, Default)]
+struct Work {
+    /// Points the pruned passes examined.
+    examined: usize,
+    /// Points they rescanned against every centroid.
+    rescanned: usize,
+    /// `examined` when the current fit started.
+    fit_start: usize,
+    /// Empty-cluster repairs, and those after a pruned pass of the same fit.
+    repairs: usize,
+    late_repairs: usize,
+}
+
+#[cfg(test)]
+thread_local! {
+    static WORK: std::cell::Cell<Work> = std::cell::Cell::new(Work::default());
+}
+
+#[cfg(test)]
+fn tally(update: impl FnOnce(&mut Work)) {
+    WORK.with(|w| {
+        let mut work = w.get();
+        update(&mut work);
+        w.set(work);
+    });
+}
+
+/// Points per block of the register tiles: eight `f64` lanes, one
+/// 512-bit vector or two 256-bit ones.
+const LANES: usize = 8;
+
+/// Largest `k` the per-point const-K kernels take; past it Hamerly's
+/// bounds and the register tiles do.
+const K_ARMS: usize = 8;
+
+/// The const-K assignment step for `k <= K_ARMS`, one point at a time;
+/// `ct` is the `d x K` transposed centroid copy. Each pair's squared
+/// differences accumulate in ascending dimension order, `K` chains side
+/// by side in one register, and [`nearest`] picks the textbook winner
+/// and its distance.
 fn assign_rows<const K: usize>(
     data: &Matrix,
     d: usize,
@@ -283,7 +601,7 @@ fn assign_rows<const K: usize>(
                 *a += diff * diff;
             }
         }
-        let (best, best_d) = winner_scan(&mut acc);
+        let (best, best_d) = nearest(acc.into_iter());
         changed |= *slot != best;
         *slot = best;
         *dist_out = best_d;
@@ -291,116 +609,209 @@ fn assign_rows<const K: usize>(
     changed
 }
 
-/// The register-tiled body of [`assign_nearest`] for any `k`: tiles of
-/// [`ASSIGN_ROWS`] points by up to [`ASSIGN_LANES`] centroids write each
-/// tile of points' squared distances to `sq`, then each point takes its
-/// winner scan there.
-fn assign_tiles(
-    data: &Matrix,
-    d: usize,
-    k: usize,
-    ct: &[f64],
-    sq: &mut [f64],
-    assignments: &mut [usize],
-    dists: &mut [f64],
-) -> bool {
-    let mut changed = false;
-    let tiles = data.as_slice().chunks(ASSIGN_ROWS * d);
-    let outs = assignments.chunks_mut(ASSIGN_ROWS).zip(dists.chunks_mut(ASSIGN_ROWS));
-    for (points, (slots, tile_dists)) in tiles.zip(outs) {
-        match slots.len() {
-            ASSIGN_ROWS => squared_distances::<{ ASSIGN_ROWS }>(points, ct, k, sq),
-            3 => squared_distances::<3>(points, ct, k, sq),
-            2 => squared_distances::<2>(points, ct, k, sq),
-            _ => squared_distances::<1>(points, ct, k, sq),
-        }
-        let rows = slots.iter_mut().zip(tile_dists).zip(sq.chunks_exact_mut(k));
-        for ((slot, dist_out), row_sq) in rows {
-            let (best, best_d) = winner_scan(row_sq);
-            changed |= *slot != best;
-            *slot = best;
-            *dist_out = best_d;
-        }
+/// Copies rows `index` (one to [`LANES`] of them) of `source` into
+/// `block` as lanes (`d x LANES`); lanes past the last index repeat its
+/// row. Eight rows are read side by side and each dimension is stored
+/// as one contiguous lane vector.
+fn gather_lanes(source: &Matrix, index: &[usize], block: &mut [f64]) {
+    let rows: [&[f64]; LANES] = std::array::from_fn(|l| source.row(index[l.min(index.len() - 1)]));
+    for (j, lanes) in block.chunks_exact_mut(LANES).enumerate() {
+        lanes.copy_from_slice(&std::array::from_fn::<f64, LANES, _>(|l| rows[l][j]));
     }
-    changed
 }
 
-/// Squared distances from the `R` points in `points` (row-major, `d`
-/// wide) to all `k` centroids of the `d x k` transposed copy `ct`,
-/// written to `sq[r * k + c]`: [`ASSIGN_LANES`]-wide centroid tiles, then
-/// one 1–7-wide remainder tile.
-#[inline]
-fn squared_distances<const R: usize>(points: &[f64], ct: &[f64], k: usize, sq: &mut [f64]) {
+/// Squared distances from the [`LANES`] points of `points` (`d x LANES`,
+/// points as lanes) to all `k` centroids of the `d x k` transposed copy
+/// `ct`, into `sq[c * LANES + l]`: tiles of four centroids (32 chains in
+/// eight 256-bit registers), then one 1–3-wide remainder tile.
+fn block_distances(points: &[f64], ct: &[f64], k: usize, sq: &mut [f64]) {
     let mut c = 0;
-    while c + ASSIGN_LANES <= k {
-        distance_tile::<R, { ASSIGN_LANES }>(points, ct, k, c, sq);
-        c += ASSIGN_LANES;
+    while c + 4 <= k {
+        lane_tile::<4>(points, ct, k, c, sq);
+        c += 4;
     }
     match k - c {
         0 => {}
-        1 => distance_tile::<R, 1>(points, ct, k, c, sq),
-        2 => distance_tile::<R, 2>(points, ct, k, c, sq),
-        3 => distance_tile::<R, 3>(points, ct, k, c, sq),
-        4 => distance_tile::<R, 4>(points, ct, k, c, sq),
-        5 => distance_tile::<R, 5>(points, ct, k, c, sq),
-        6 => distance_tile::<R, 6>(points, ct, k, c, sq),
-        _ => distance_tile::<R, 7>(points, ct, k, c, sq),
+        1 => lane_tile::<1>(points, ct, k, c, sq),
+        2 => lane_tile::<2>(points, ct, k, c, sq),
+        _ => lane_tile::<3>(points, ct, k, c, sq),
     }
 }
 
-/// `R x W` register tile of squared distances: points `0..R` of `points`
-/// against centroids `c..c + W`, each pair's squared differences summed
-/// in ascending dimension order from `0.0`.
+/// `W x LANES` register tile: the [`LANES`] points of `points` (`d x
+/// LANES`) against centroids `c..c + W` of the `d x k` transposed copy
+/// `ct`, written to `sq[(c + w) * LANES + l]`. Each pair's squared
+/// differences are summed in ascending dimension order from `0.0`; the
+/// `W` centroids run side by side so independent chains fill the FP
+/// pipeline.
 #[inline]
-fn distance_tile<const R: usize, const W: usize>(
-    points: &[f64],
-    ct: &[f64],
-    k: usize,
-    c: usize,
-    sq: &mut [f64],
-) {
-    let d = points.len() / R;
-    assert!(points.len() == R * d && ct.len() == d * k && c + W <= k && sq.len() >= R * k);
-    let mut acc = [[0.0f64; W]; R];
-    for j in 0..d {
-        // SAFETY: `j < d` and `c + W <= k` keep `j * k + c + W <=
-        // ct.len()`, and `r < R` keeps `r * d + j < points.len()`, per the
-        // assert above; unchecked access hoists the per-dimension bounds
-        // checks out of the accumulation loop.
-        unsafe {
-            let col = ct.get_unchecked(j * k + c..j * k + c + W);
-            for (r, acc_r) in acc.iter_mut().enumerate() {
-                let p = *points.get_unchecked(r * d + j);
-                for l in 0..W {
-                    let diff = p - col[l];
-                    acc_r[l] += diff * diff;
-                }
+fn lane_tile<const W: usize>(points: &[f64], ct: &[f64], k: usize, c: usize, sq: &mut [f64]) {
+    let mut acc = [[0.0f64; LANES]; W];
+    for (j, p) in points.chunks_exact(LANES).enumerate() {
+        let p: &[f64; LANES] = p.try_into().expect("LANES points");
+        let col: &[f64; W] = ct[j * k + c..j * k + c + W].try_into().expect("W centroids");
+        for w in 0..W {
+            for l in 0..LANES {
+                let diff = p[l] - col[w];
+                acc[w][l] += diff * diff;
             }
         }
     }
-    for (r, acc_r) in acc.iter().enumerate() {
-        sq[r * k + c..r * k + c + W].copy_from_slice(acc_r);
+    for (w, acc_w) in acc.iter().enumerate() {
+        sq[(c + w) * LANES..(c + w + 1) * LANES].copy_from_slice(acc_w);
     }
 }
 
-/// Branchless nearest-centroid selection over squared distances: the same
-/// per-lane `sqrt` and ascending-centroid strict-`<` scan as
-/// [`nearest_centroid`], with conditional moves — the winner flips
-/// unpredictably while centroids move, and a mispredicted branch per
-/// (point, centroid) pair costs more than the distance accumulation.
+/// Upper end, relative to the least square, of the squares whose `sqrt`
+/// can equal the least one's (see [`nearest`]).
+const SQRT_TIE: f64 = 1.0 + 8.0 * f64::EPSILON;
+
+/// Four subnormal steps (4 · 2⁻¹⁰⁷⁴): below `f64::MIN_POSITIVE` the
+/// spacing of squares is absolute, and up to three steps can share a
+/// root with the least square.
+const SUBNORMAL_TIE: f64 = 4.0 * f64::MIN_POSITIVE * f64::EPSILON;
+
+/// The textbook winner from one point's squared distances `sq`: the
+/// first centroid at the smallest `sqrt(sq[c])` under a strict-`<` scan,
+/// and that distance — without taking every `sqrt`. `sqrt` is correctly
+/// rounded and so monotone, so the smallest distance is the `sqrt` of the
+/// smallest square (a minimum is exact in any order), and the winner is
+/// the first centroid whose own root equals it. Two roots that round
+/// alike differ by under one ulp (a relative ε), so their squares differ
+/// by a factor under `1 + 3ε`: only squares up to `least · (1 + 8ε)`,
+/// plus [`SUBNORMAL_TIE`], can win, and the first of them whose root
+/// equals the least one does. A least square of infinity (every distance
+/// overflowed or NaN) beats nothing under strict `<`: centroid 0 at
+/// infinity, as the textbook scan returns.
 #[inline]
-fn winner_scan(acc: &mut [f64]) -> (usize, f64) {
-    for a in acc.iter_mut() {
-        *a = a.sqrt();
+fn nearest<I>(sq: I) -> (usize, f64)
+where
+    I: DoubleEndedIterator<Item = f64> + ExactSizeIterator + Clone,
+{
+    let least = sq.clone().fold(f64::INFINITY, |m, s| min(s, m));
+    if least == f64::INFINITY {
+        return (0, f64::INFINITY);
     }
-    let mut best = 0usize;
-    let mut best_d = f64::INFINITY;
-    for (c, &dist) in acc.iter().enumerate() {
-        let better = dist < best_d;
-        best_d = if better { dist } else { best_d };
-        best = if better { c } else { best };
+    let dist = least.sqrt();
+    let tie = least * SQRT_TIE + SUBNORMAL_TIE;
+    // The first candidate, branch-free (a descending walk leaves the
+    // lowest), nearly always rounds to the least root.
+    let (mut best, mut held) = (0, f64::NAN);
+    for (c, s) in sq.clone().enumerate().rev() {
+        let hit = s <= tie;
+        best = if hit { c } else { best };
+        held = if hit { s } else { held };
     }
-    (best, best_d)
+    if held.sqrt() != dist {
+        // Rare: it rounds above; the smallest square is a later candidate.
+        let mut sq = sq;
+        best = sq.position(|s| s <= tie && s.sqrt() == dist).expect("the least square");
+    }
+    (best, dist)
+}
+
+/// `a` unless `b` is smaller (so a NaN `a` yields `b`).
+#[inline(always)]
+fn min(a: f64, b: f64) -> f64 {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
+
+/// `b` unless `a` is larger (so a NaN `b` yields `b`, which [`min`]
+/// then drops).
+#[inline(always)]
+fn max(a: f64, b: f64) -> f64 {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+/// Per lane, the two smallest of the rows of `sq` (`k x LANES`), NaN
+/// ignored: the least square and the least of the others (equal to the
+/// least when it occurs twice). Minima are exact in any order, so even
+/// and odd rows run as two independent chains.
+#[inline]
+fn lane_least_two(sq: &[f64]) -> ([f64; LANES], [f64; LANES]) {
+    let mut lo = [[f64::INFINITY; LANES]; 2];
+    let mut lo2 = [[f64::INFINITY; LANES]; 2];
+    let mut pairs = sq.chunks_exact(2 * LANES);
+    for pair in &mut pairs {
+        let (even, odd) = pair.split_at(LANES);
+        fold_two(&mut lo[0], &mut lo2[0], even);
+        fold_two(&mut lo[1], &mut lo2[1], odd);
+    }
+    fold_two(&mut lo[0], &mut lo2[0], pairs.remainder());
+    let (mut least, mut second) = ([0.0; LANES], [0.0; LANES]);
+    for l in 0..LANES {
+        least[l] = min(lo[0][l], lo[1][l]);
+        second[l] = min(max(lo[0][l], lo[1][l]), min(lo2[0][l], lo2[1][l]));
+    }
+    (least, second)
+}
+
+/// Folds one row (`LANES` wide, or empty) into per-lane two smallest.
+#[inline(always)]
+fn fold_two(lo: &mut [f64; LANES], lo2: &mut [f64; LANES], row: &[f64]) {
+    if let Ok(row) = <&[f64; LANES]>::try_from(row) {
+        for l in 0..LANES {
+            lo2[l] = min(max(lo[l], row[l]), lo2[l]);
+            lo[l] = min(row[l], lo[l]);
+        }
+    }
+}
+
+/// The textbook winners of one block of points: per lane, the winning
+/// centroid, its distance and the distance to the nearest other centroid.
+struct Winners {
+    best: [usize; LANES],
+    dist: [f64; LANES],
+    second: [f64; LANES],
+}
+
+/// [`nearest`] for each lane of `sq` (`k x LANES`, point `l`'s squared
+/// distance to centroid `c` at `c * LANES + l`), all lanes at once, plus
+/// each lane's second-nearest distance: the `sqrt` of the least square
+/// among the other centroids. (The second least of all squares serves:
+/// it differs only when the winner's square exceeds the least one, and
+/// then both round to the winner's root.)
+fn block_winners(sq: &[f64]) -> Winners {
+    let (least, second) = lane_least_two(sq);
+    let mut dist = [0.0; LANES];
+    let mut tie = [0.0; LANES];
+    for l in 0..LANES {
+        dist[l] = least[l].sqrt();
+        tie[l] = least[l] * SQRT_TIE + SUBNORMAL_TIE;
+    }
+    // The first candidate per lane (a descending walk leaves the lowest),
+    // and its square.
+    let mut best = [0usize; LANES];
+    let mut held = [f64::NAN; LANES];
+    for (c, row) in sq.chunks_exact(LANES).enumerate().rev() {
+        for l in 0..LANES {
+            let hit = row[l] <= tie[l];
+            best[l] = if hit { c } else { best[l] };
+            held[l] = if hit { row[l] } else { held[l] };
+        }
+    }
+    let mut odd = false;
+    for l in 0..LANES {
+        odd |= (least[l] == f64::INFINITY) | (held[l].sqrt() != dist[l]);
+    }
+    if odd {
+        // Rare: a lane with no finite distance, or whose first candidate's
+        // root rounds above the least one.
+        for l in 0..LANES {
+            if least[l] == f64::INFINITY || held[l].sqrt() != dist[l] {
+                (best[l], dist[l]) = nearest(sq.chunks_exact(LANES).map(|row| row[l]));
+            }
+        }
+    }
+    Winners { best, dist, second: second.map(f64::sqrt) }
 }
 
 /// Index of and distance to the nearest centroid row.
@@ -501,6 +912,53 @@ mod tests {
         KMeans::new(5, 0).fit(&Matrix::zeros(3, 2));
     }
 
+    impl KMeans {
+        /// The original per-pair k-means++ seeding, kept verbatim as the
+        /// oracle for `seed_plus_plus`: first centroid uniform, then each
+        /// next centroid sampled proportionally to squared distance from
+        /// the nearest chosen one.
+        fn init_plus_plus(&self, data: &Matrix, rng: &mut StdRng) -> Matrix {
+            let n = data.rows();
+            let d = data.cols();
+            let mut centroids = Matrix::zeros(self.k, d);
+            let first = rng.random_range(0..n);
+            centroids.row_mut(0).copy_from_slice(data.row(first));
+
+            let mut dist_sq: Vec<f64> = data
+                .row_iter()
+                .map(|row| {
+                    let dd = vector::euclidean_distance(row, centroids.row(0));
+                    dd * dd
+                })
+                .collect();
+
+            for c in 1..self.k {
+                let total: f64 = dist_sq.iter().sum();
+                let chosen = if total <= f64::EPSILON {
+                    // All points coincide with chosen centroids; pick uniformly.
+                    rng.random_range(0..n)
+                } else {
+                    let mut target = rng.random_range(0.0..total);
+                    let mut idx = n - 1;
+                    for (i, &w) in dist_sq.iter().enumerate() {
+                        if target < w {
+                            idx = i;
+                            break;
+                        }
+                        target -= w;
+                    }
+                    idx
+                };
+                centroids.row_mut(c).copy_from_slice(data.row(chosen));
+                for (i, row) in data.row_iter().enumerate() {
+                    let dd = vector::euclidean_distance(row, centroids.row(c));
+                    dist_sq[i] = dist_sq[i].min(dd * dd);
+                }
+            }
+            centroids
+        }
+    }
+
     /// The original (pre-scratch, per-pair `nearest_centroid`) Lloyd loop,
     /// kept verbatim as the bit-identity oracle for `fit`.
     fn reference_fit(km: &KMeans, data: &Matrix) -> KMeansResult {
@@ -556,10 +1014,49 @@ mod tests {
         KMeansResult { centroids, assignments, inertia, iterations }
     }
 
+    /// Asserts `fit` reproduces `reference_fit` bit for bit.
+    fn assert_matches_reference(km: &KMeans, data: &Matrix, case: &str) {
+        let fast = km.fit(data);
+        let refr = reference_fit(km, data);
+        let (n, d, k) = (data.rows(), data.cols(), km.k);
+        let at = format!("{case}: n={n} d={d} k={k} seed={}", km.seed);
+        assert_eq!(fast.assignments, refr.assignments, "{at}");
+        let (fc, rc) = (fast.centroids.as_slice(), refr.centroids.as_slice());
+        assert!(fc.iter().zip(rc).all(|(a, b)| a.to_bits() == b.to_bits()), "{at}");
+        assert_eq!(fast.inertia.to_bits(), refr.inertia.to_bits(), "{at}");
+        assert_eq!(fast.iterations, refr.iterations, "{at}");
+    }
+
+    fn random_rows(n: usize, d: usize, seed: u64) -> Matrix {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let rows: Vec<Vec<f64>> =
+            (0..n).map(|_| (0..d).map(|_| rng.random_range(-3.0..3.0)).collect()).collect();
+        Matrix::from_rows(&rows)
+    }
+
+    /// `k` Gaussian-ish blobs around random centers, `n` points in turn.
+    fn clustered(n: usize, d: usize, k: usize, seed: u64) -> Matrix {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let centers: Vec<Vec<f64>> =
+            (0..k).map(|_| (0..d).map(|_| rng.random_range(-3.0..3.0)).collect()).collect();
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                let noise =
+                    |rng: &mut StdRng| (0..3).map(|_| rng.random_range(-0.25..0.25)).sum::<f64>();
+                centers[i % k].iter().map(|&c| c + noise(&mut rng)).collect()
+            })
+            .collect();
+        Matrix::from_rows(&rows)
+    }
+
+    fn work() -> Work {
+        WORK.with(|w| w.get())
+    }
+
     #[test]
     fn fit_is_bit_identical_to_reference() {
-        // k <= 8 runs the per-point kernel, k > 8 the register tiles,
-        // whose 1–3-point remainders the 9-, 50- and 63-row shapes reach.
+        // k <= 8 runs the per-point kernel, k > 8 the pruned passes, whose
+        // 1–3-point rescan remainders the 9-, 50- and 63-row shapes reach.
         // The last two are CEC's shapes (256 guidance + 256 batch rows,
         // classes x 4 clusters) on NSL-KDD (20 features, 5 classes) and
         // Covertype (10 features, 7 classes).
@@ -574,24 +1071,168 @@ mod tests {
             (512, 20, 20, 11),
             (512, 10, 28, 13),
         ] {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed * 31 + 1);
-            let rows: Vec<Vec<f64>> =
-                (0..n).map(|_| (0..d).map(|_| rng.random_range(-3.0..3.0)).collect()).collect();
-            let data = Matrix::from_rows(&rows);
-            let km = KMeans::new(k, seed);
-            let fast = km.fit(&data);
-            let refr = reference_fit(&km, &data);
-            assert_eq!(fast.assignments, refr.assignments, "n={n} d={d} k={k}");
-            assert_eq!(fast.centroids, refr.centroids, "n={n} d={d} k={k}");
-            assert_eq!(fast.inertia.to_bits(), refr.inertia.to_bits(), "n={n} d={d} k={k}");
-            assert_eq!(fast.iterations, refr.iterations, "n={n} d={d} k={k}");
+            assert_matches_reference(
+                &KMeans::new(k, seed),
+                &random_rows(n, d, seed * 31 + 1),
+                "random",
+            );
+            assert_matches_reference(&KMeans::new(k, seed), &clustered(n, d, k, seed), "clustered");
         }
-        // Duplicate-heavy data exercises the empty-cluster repair path.
+
+        // Duplicate-heavy data: identical seeds leave clusters empty, so
+        // the repair runs, both below and above the pruning threshold.
+        let before = work();
         let dup = Matrix::from_rows(&vec![vec![1.0, 1.0]; 12]);
-        let km = KMeans::new(4, 3);
-        let fast = km.fit(&dup);
-        let refr = reference_fit(&km, &dup);
-        assert_eq!(fast.assignments, refr.assignments);
-        assert_eq!(fast.centroids, refr.centroids);
+        assert_matches_reference(&KMeans::new(4, 3), &dup, "all duplicates");
+        let few: Vec<Vec<f64>> =
+            (0..40).map(|i| vec![(i % 5) as f64, ((i % 5) * (i % 5)) as f64]).collect();
+        let few = Matrix::from_rows(&few);
+        for seed in 0..8 {
+            assert_matches_reference(&KMeans::new(12, seed), &few, "five distinct points");
+            assert_matches_reference(&KMeans::new(5, seed), &few, "five distinct points");
+        }
+        assert!(work().repairs > before.repairs, "duplicates never emptied a cluster");
+
+        // Points equidistant from two seeds or centroids, and integer grids
+        // where many squared distances coincide exactly: every winner is
+        // decided by the lowest-index tie rule.
+        let line = Matrix::from_rows(&[vec![-1.0, 0.0], vec![1.0, 0.0], vec![0.0, 0.0]]);
+        for seed in 0..16 {
+            assert_matches_reference(&KMeans::new(2, seed), &line, "equidistant");
+        }
+        for (side, d) in [(5usize, 2usize), (4, 3), (9, 2)] {
+            let rows: Vec<Vec<f64>> = (0..side.pow(d as u32))
+                .map(|i| (0..d).map(|j| ((i / side.pow(j as u32)) % side) as f64).collect())
+                .collect();
+            let grid = Matrix::from_rows(&rows);
+            for k in [3, 8, 9, 12, 20] {
+                for seed in 0..4 {
+                    assert_matches_reference(&KMeans::new(k, seed), &grid, "integer grid");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fit_matches_reference_on_random_shapes() {
+        // Seeded shapes across the kernel arms: n 9–600, d 1–24, k 1–40,
+        // with runs of duplicated rows in some of them.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2010);
+        let before = work();
+        for case in 0..240 {
+            let k = rng.random_range(1..=40usize);
+            let n = rng.random_range(9.max(k)..=600usize);
+            let d = rng.random_range(1..=24usize);
+            let clustered_rows = rng.random_range(0..2u32) == 0;
+            let mut data = if clustered_rows {
+                clustered(n, d, rng.random_range(1..=k), case)
+            } else {
+                random_rows(n, d, case)
+            };
+            if rng.random_range(0..3u32) == 0 {
+                // Copy a random row over a random stretch of others.
+                let src = rng.random_range(0..n);
+                let row = data.row(src).to_vec();
+                let start = rng.random_range(0..n);
+                for r in start..n.min(start + rng.random_range(1..=n / 2 + 1)) {
+                    data.row_mut(r).copy_from_slice(&row);
+                }
+            }
+            let mut km = KMeans::new(k, case);
+            if case % 7 == 0 {
+                km.max_iters = rng.random_range(0..4);
+            }
+            assert_matches_reference(&km, &data, "random shape");
+        }
+        let after = work();
+        assert!(after.rescanned < after.examined, "pruning never skipped a point");
+        assert!(after.late_repairs > before.late_repairs, "no repair followed a pruned pass");
+    }
+
+    #[test]
+    fn pruning_skips_most_points_at_cec_shape() {
+        // NSL-KDD's CEC shape: 512 points, 20 features, 20 clusters.
+        let data = clustered(512, 20, 20, 5);
+        let km = KMeans::new(20, 5);
+        let before = work();
+        let result = km.fit(&data);
+        let after = work();
+        let (examined, rescanned) =
+            (after.examined - before.examined, after.rescanned - before.rescanned);
+        assert!(result.iterations > 1 && examined > 0, "{result:?}");
+        assert!(
+            (rescanned as f64) < 0.6 * examined as f64,
+            "pruned passes rescanned {rescanned} of {examined} points"
+        );
+        assert_matches_reference(&km, &data, "pruning");
+    }
+
+    /// The textbook winner scan: every `sqrt`, then strict `<` in order.
+    fn sqrt_scan(sq: &[f64]) -> (usize, f64) {
+        let mut best = 0;
+        let mut best_d = f64::INFINITY;
+        for (c, &s) in sq.iter().enumerate() {
+            if s.sqrt() < best_d {
+                best_d = s.sqrt();
+                best = c;
+            }
+        }
+        (best, best_d)
+    }
+
+    #[test]
+    fn winner_scans_match_the_sqrt_scan_on_near_ties() {
+        let next = |x: f64| f64::from_bits(x.to_bits() + 1);
+        // A larger square that rounds to the same root comes first: the
+        // textbook scan keeps it, a plain arg-min of squares would not.
+        let mut merged = 0;
+        for base in [2.0, 3.0, 0.5, 1e-300, 7.25, 1e300, f64::MIN_POSITIVE / 3.0] {
+            let mut s = base;
+            for _ in 0..8 {
+                let up = next(s);
+                if up.sqrt() == s.sqrt() {
+                    merged += 1;
+                    assert_eq!(nearest([up, s].into_iter()), sqrt_scan(&[up, s]), "{s:e}");
+                    assert_eq!(nearest([4.0 * s, up, s, up].into_iter()), (1, s.sqrt()));
+                }
+                s = up;
+            }
+        }
+        assert!(merged > 4, "too few merged roots exercised ({merged})");
+        // Random runs drawn from a handful of adjacent squares, with exact
+        // zeros, infinities and NaNs mixed in.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let pool = [4.0, next(4.0), next(next(4.0)), 0.0, 9.0, f64::INFINITY, f64::NAN, 1e-310];
+        for _ in 0..2000 {
+            let len = rng.random_range(1..=40usize);
+            let sq: Vec<f64> = (0..len).map(|_| pool[rng.random_range(0..pool.len())]).collect();
+            let (fast, slow) = (nearest(sq.iter().copied()), sqrt_scan(&sq));
+            assert_eq!(fast.0, slow.0, "{sq:?}");
+            assert_eq!(fast.1.to_bits(), slow.1.to_bits(), "{sq:?}");
+        }
+        // The same draws, eight points at a time in `block_winners`'s
+        // lanes, which also reports the least root among the others. Some
+        // lanes meet a first candidate whose root rounds above the least
+        // one, which the scan must pass over.
+        let mut passed_over = 0;
+        for _ in 0..500 {
+            let k = rng.random_range(1..=40usize);
+            let block: Vec<f64> =
+                (0..k * LANES).map(|_| pool[rng.random_range(0..pool.len())]).collect();
+            let won = block_winners(&block);
+            for l in 0..LANES {
+                let column: Vec<f64> = block.chunks_exact(LANES).map(|row| row[l]).collect();
+                let (best, dist) = sqrt_scan(&column);
+                assert_eq!((won.best[l], won.dist[l].to_bits()), (best, dist.to_bits()));
+                let others = column.iter().enumerate().filter(|&(c, _)| c != best);
+                let second = others.fold(f64::INFINITY, |m, (_, &s)| min(s, m)).sqrt();
+                assert_eq!(won.second[l].to_bits(), second.to_bits(), "{column:?}");
+                let least = column.iter().fold(f64::INFINITY, |m, &s| min(s, m));
+                let tie = least * SQRT_TIE + SUBNORMAL_TIE;
+                let first = column.iter().position(|&s| s <= tie);
+                passed_over += usize::from(first.is_some_and(|c| c < best));
+            }
+        }
+        assert!(passed_over > 10, "too few higher-rounding candidates ({passed_over})");
     }
 }

@@ -14,7 +14,19 @@
 //! block past the cache tiles (`128x128x128`). Narrow heads sit beside
 //! wide layers on purpose: a kernel that falls off its register tiles at
 //! some width shows as a GFLOP/s cliff between neighbouring shapes.
+//!
+//! `kmeans_fit` times one whole k-means fit at CEC's shapes on fixed
+//! clustered inputs: NSL-KDD's 512 points (256 guidance + 256 batch
+//! rows) of 20 features at k = 20, and Covertype's 512 x 10 at k = 28.
+//! Its flop figure counts the textbook fit's distance arithmetic — a
+//! subtract, a multiply and an add per point, centroid and dimension, for
+//! the k seeds and for every assignment step including the final one,
+//! `3·n·k·d·(iterations + 2)` — not the work the pruned fit does, and not
+//! the update steps. So its GFLOP/s rises when pruning skips more, and a
+//! k-means regression shows here beside the GEMM points. It is reported,
+//! not gated; the k-means tests gate the pruning itself.
 
+use freeway_cluster::KMeans;
 use freeway_linalg::{vector, Matrix};
 use serde::Serialize;
 use std::time::Instant;
@@ -23,9 +35,10 @@ use std::time::Instant;
 #[derive(Clone, Debug, Serialize)]
 pub struct KernelBenchPoint {
     /// Kernel name (`dot`, `axpy`, `matmul`, `matmul_transa`,
-    /// `matmul_transb`, `softmax_rows`).
+    /// `matmul_transb`, `softmax_rows`, `kmeans_fit`).
     pub kernel: String,
-    /// Shape tag, `m x k x n` for matmuls, element count otherwise.
+    /// Shape tag, `m x k x n` for matmuls, `n x d kK` for `kmeans_fit`,
+    /// element count otherwise.
     pub shape: String,
     /// Floating-point operations per call (the conventional count, e.g.
     /// `2mkn` for matmul).
@@ -44,6 +57,17 @@ fn fill(buf: &mut [f64], salt: u64) {
         state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         *v = ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0;
     }
+}
+
+/// `n` points of `d` features around `k` overlapping blob centres, taken
+/// in turn; the overlap keeps Lloyd running about as many iterations as
+/// CEC's fits (9–11 at the two shapes here).
+fn clustered(n: usize, d: usize, k: usize, salt: u64) -> Matrix {
+    let (mut centres, mut noise) = (vec![0.0; k * d], vec![0.0; n * d]);
+    fill(&mut centres, salt);
+    fill(&mut noise, salt + 1);
+    let value = |i: usize| 3.0 * centres[(i / d) % k * d + i % d] + 2.0 * noise[i];
+    Matrix::from_vec(n, d, (0..n * d).map(value).collect())
 }
 
 fn time_calls(flops_per_call: u64, mut call: impl FnMut() -> f64) -> (f64, f64) {
@@ -186,6 +210,23 @@ pub fn run() -> Vec<KernelBenchPoint> {
         gflops: gf,
     });
 
+    // CEC's k-means at its NSL-KDD and Covertype shapes (see the module
+    // doc for what the flop figure counts).
+    for &(n, d, k) in &[(512usize, 20usize, 20usize), (512, 10, 28)] {
+        let data = clustered(n, d, k, 9);
+        let km = KMeans::new(k, 7);
+        let iterations = km.fit(&data).iterations;
+        let flops = 3 * (n * k * d * (iterations + 2)) as u64;
+        let (ns, gf) = time_calls(flops, || km.fit(&data).inertia);
+        points.push(KernelBenchPoint {
+            kernel: "kmeans_fit".into(),
+            shape: format!("{n}x{d} k{k}"),
+            flops_per_call: flops,
+            ns_per_call: ns,
+            gflops: gf,
+        });
+    }
+
     points
 }
 
@@ -203,7 +244,15 @@ mod tests {
             assert!(p.flops_per_call > 0, "{p:?}");
         }
         // Every kernel family shows up.
-        for kernel in ["dot", "axpy", "matmul", "matmul_transa", "matmul_transb", "softmax_rows"] {
+        for kernel in [
+            "dot",
+            "axpy",
+            "matmul",
+            "matmul_transa",
+            "matmul_transb",
+            "softmax_rows",
+            "kmeans_fit",
+        ] {
             assert!(points.iter().any(|p| p.kernel == kernel), "missing {kernel}");
         }
     }

@@ -3,7 +3,9 @@
 //! Builds the paper's StreamingMLP trainer, warms every scratch buffer,
 //! then *proves* via the counting global allocator that a steady-state
 //! infer + train loop over batch-1024 Hyperplane data performs zero heap
-//! allocations on the hot thread. Run with:
+//! allocations on the hot thread. The severe-shift path is held to a
+//! fixed budget instead: CEC's k-means fit and `predict_scored` allocate
+//! an exact count per call, whatever the iteration count. Run with:
 //!
 //! ```text
 //! cargo test -p freeway-eval --features alloc-metrics --test alloc_regression
@@ -12,6 +14,7 @@
 
 use std::sync::Arc;
 
+use freeway_cluster::{CoherentExperience, ExperienceBuffer, KMeans};
 use freeway_core::telemetry::{NoopSink, Stage, Telemetry, TelemetryEvent};
 use freeway_eval::alloc_metrics;
 use freeway_linalg::Matrix;
@@ -176,6 +179,84 @@ fn warm_tall_t_matvec_into_allocates_nothing() {
         delta.allocs, delta.bytes
     );
     assert_eq!(out, m.t_matvec(&v));
+}
+
+/// CEC's clustering inputs at NSL-KDD's shape: 256 guidance rows (the
+/// previous batch) above 256 batch rows, 20 features.
+fn cec_inputs(batches: usize) -> Vec<(Matrix, Matrix)> {
+    let mut generator = freeway_streams::datasets::nslkdd(7);
+    let xs: Vec<Matrix> = (0..=batches).map(|_| generator.next_batch(256).x).collect();
+    xs.windows(2).map(|pair| (pair[0].clone(), pair[1].clone())).collect()
+}
+
+/// Two of `inputs` whose k-means fits converge after different numbers
+/// of Lloyd iterations.
+fn unequal_convergence(inputs: &[(Matrix, Matrix)], km: &KMeans) -> [(Matrix, Matrix); 2] {
+    let iterations = |(guide, batch): &(Matrix, Matrix)| km.fit(&guide.vstack(batch)).iterations;
+    let first = &inputs[0];
+    let other = inputs
+        .iter()
+        .find(|input| iterations(input) != iterations(first))
+        .expect("inputs with different iteration counts");
+    [first.clone(), other.clone()]
+}
+
+/// Allocations made by one call of `work` (after one warm-up call).
+fn allocs_of(mut work: impl FnMut()) -> u64 {
+    work();
+    alloc_metrics::reset();
+    let before = alloc_metrics::snapshot().expect("alloc-metrics feature is on");
+    work();
+    alloc_metrics::since(&before).expect("alloc-metrics feature is on").allocs
+}
+
+/// Allocations of one k-means fit at CEC's NSL-KDD shape (512 x 20,
+/// k = 20): 18 buffers sized once per fit, and none per Lloyd iteration.
+/// The 18: the centroids, assignments, sums, counts and mean of the
+/// update step; the seeding's points-as-lanes copy and weights; and the
+/// assignment state (seeding sums, transposed centroids, distances and
+/// their exact flags, moves and unchanged flags, lower bounds, centroid
+/// gaps, the rescan list, one block of rows and its squared distances).
+const KMEANS_FIT_ALLOCS: u64 = 18;
+
+#[test]
+fn warm_kmeans_fit_allocates_a_fixed_count() {
+    let km = KMeans::new(20, 7 ^ 0xCEC);
+    let inputs = cec_inputs(12);
+    for (guide, batch) in unequal_convergence(&inputs, &km) {
+        let data = guide.vstack(&batch);
+        let allocs = allocs_of(|| {
+            std::hint::black_box(km.fit(&data));
+        });
+        let iterations = km.fit(&data).iterations;
+        assert_eq!(
+            allocs, KMEANS_FIT_ALLOCS,
+            "a k-means fit of {iterations} iterations allocated {allocs} times"
+        );
+    }
+}
+
+/// Allocations of one `predict_scored` at the learner-drift CEC setup
+/// (5 classes x 4 clusters, 256 guidance points, a 256-row batch): the
+/// k-means fit's 18, plus the combined matrix, the guidance labels, the
+/// vote table, the cluster labels, the labeled-cluster list and the
+/// predictions.
+const PREDICT_SCORED_ALLOCS: u64 = KMEANS_FIT_ALLOCS + 6;
+
+#[test]
+fn warm_cec_predict_scored_allocates_a_fixed_count() {
+    let cec = CoherentExperience::with_recent(20, 256, 0.7, 7 ^ 0xCEC);
+    let km = KMeans::new(20, 7 ^ 0xCEC);
+    let inputs = cec_inputs(12);
+    for (guide, batch) in unequal_convergence(&inputs, &km) {
+        let mut buffer = ExperienceBuffer::new(512, None);
+        let labels: Vec<usize> = (0..guide.rows()).map(|i| i % 5).collect();
+        buffer.push_batch(&guide, &labels);
+        let allocs = allocs_of(|| {
+            std::hint::black_box(cec.predict_scored(&batch, &buffer));
+        });
+        assert_eq!(allocs, PREDICT_SCORED_ALLOCS, "predict_scored allocated {allocs} times");
+    }
 }
 
 /// A disabled telemetry handle is the documented zero-cost path: the
