@@ -16,6 +16,15 @@ echo "== kernel bit-identity suites, optimized =="
 # included) in the profile that produces the numbers.
 cargo test -q --release -p freeway-linalg -p freeway-cluster -p freeway-ml
 
+echo "== kernel bit-identity suites, array lane backend =="
+# The register tiles hold their lanes in one AVX-512 register where the
+# build target has AVX-512F, and in an array elsewhere. Re-run the same
+# suites built for x86-64-v3 (AVX2, no AVX-512), so the backend a
+# native build does not pick stays bit-identical too; its own target
+# directory keeps the native build's artifacts.
+RUSTFLAGS="-C target-cpu=x86-64-v3" CARGO_TARGET_DIR=target/x86-64-v3 \
+    cargo test -q --release -p freeway-linalg -p freeway-cluster -p freeway-ml
+
 echo "== paper artifact gate (Table I and Figure 9 byte-identical) =="
 # A kernel change may make nothing faster at the cost of a different
 # number: regenerate Table I and Figure 9 at run_experiments.sh settings

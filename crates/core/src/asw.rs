@@ -231,7 +231,9 @@ impl AdaptiveStreamingWindow {
     /// Stacks all held data into one training set with per-sample weights
     /// (each sample inherits its batch weight) and clears the window,
     /// keeping the newest batch as the seed of the next window so the long
-    /// model never loses continuity.
+    /// model never loses continuity (see [`Self::reseed`]). The learner's
+    /// own window completion reads [`Self::batches`] in place and calls
+    /// `reseed` instead of copying the window out.
     ///
     /// Returns `None` when empty.
     pub fn drain_for_update(&mut self) -> Option<(Matrix, Vec<usize>, Vec<f64>)> {
@@ -252,12 +254,19 @@ impl AdaptiveStreamingWindow {
             labels.extend_from_slice(&b.labels);
             weights.extend(std::iter::repeat_n(b.weight, b.x.rows()));
         }
-        // Seed the next window with the most recent batch at full weight.
-        let newest = self.batches.pop()?;
-        self.batches.clear();
-        self.items = newest.x.rows();
-        self.batches.push(WindowBatch { weight: 1.0, ..newest });
+        self.reseed();
         Some((x, labels, weights))
+    }
+
+    /// Ends an update: clears the window except its newest batch, which
+    /// stays at full weight as the seed of the next window. Does nothing
+    /// to an empty window.
+    pub fn reseed(&mut self) {
+        if let Some(newest) = self.batches.pop() {
+            self.batches.clear();
+            self.items = newest.x.rows();
+            self.batches.push(WindowBatch { weight: 1.0, ..newest });
+        }
     }
 
     /// Read-only view of held batches (oldest first).

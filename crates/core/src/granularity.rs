@@ -11,7 +11,7 @@
 //! `D = ‖ȳ_n − ȳ_{n−1}‖` (distance to its last training batch) and long
 //! levels use `D = ‖ȳ_n − ȳ_ASW‖`.
 
-use crate::asw::{AdaptiveStreamingWindow, AswParams};
+use crate::asw::{AdaptiveStreamingWindow, AswParams, WindowBatch};
 use crate::config::FreewayConfig;
 use crate::error::CheckpointError;
 use freeway_linalg::{vector, Matrix};
@@ -107,6 +107,8 @@ pub struct MultiGranularity {
     /// forward passes on — the one tag every level's [`ForwardCache`]
     /// refers to.
     forward_tag: Mutex<Matrix>,
+    /// Scratch of the long levels' window completions.
+    completion: Completion,
 }
 
 impl MultiGranularity {
@@ -156,6 +158,7 @@ impl MultiGranularity {
             last_trained_projection: None,
             last_completed_disorder: None,
             forward_tag: Mutex::new(Matrix::zeros(0, 0)),
+            completion: Completion::default(),
         }
     }
 
@@ -227,13 +230,15 @@ impl MultiGranularity {
     /// projection, used for window decay and ensemble distances.
     pub fn train(&mut self, x: &Matrix, labels: &[usize], projected: &[f64]) {
         let tagged = same_bits(self.forward_tag.get_mut(), x);
-        // Captured once: long levels warm-start from the short model's
-        // parameters at their window completions.
-        let mut short_params: Option<Vec<f64>> = None;
+        let (subsets, epochs) = (self.precompute_subsets, self.update_epochs);
         // Long levels share one `Arc`'d copy of the incoming batch
         // instead of deep-cloning it once per window.
         let mut shared_batch: Option<(Arc<Matrix>, Arc<[usize]>)> = None;
-        for level in &mut self.levels {
+        for i in 0..self.levels.len() {
+            // `trained` holds the levels before this one: level 0, the
+            // short model, has already taken its step on this batch.
+            let (trained, rest) = self.levels.split_at_mut(i);
+            let level = &mut rest[0];
             // The level's forward cache holds this batch at its current
             // parameters: it voted on this same batch (the prequential
             // test-then-train contract) and has not changed since.
@@ -271,7 +276,6 @@ impl MultiGranularity {
                     level.train_step(x, labels, cached);
                     level.updates += 1;
                     level.trained_projection = Some(projected.to_vec());
-                    short_params = Some(level.trainer.model().parameters());
                 }
                 Some(window) => {
                     let (sx, sy) = shared_batch
@@ -280,32 +284,30 @@ impl MultiGranularity {
                     if window.is_full() {
                         let disorder = window.disorder();
                         let window_mean = window.projected_mean();
-                        if let Some((wx, wy, ww)) = window.drain_for_update() {
-                            // Warm-start from the short model, then smooth
-                            // with a few weighted passes over the window.
-                            // The short model supplies position (it has
-                            // seen every batch); the window passes supply
-                            // the low-variance average that makes this the
-                            // *stable* granularity — at a fraction of the
-                            // cost of training the long model from its own
-                            // stale parameters.
-                            if let Some(short_params) = short_params.as_ref() {
-                                level.trainer.model_mut().set_parameters(short_params);
-                            }
-                            train_weighted_precomputed(
-                                &mut level.trainer,
-                                &wx,
-                                &wy,
-                                &ww,
-                                self.precompute_subsets,
-                                self.update_epochs,
-                            );
-                            level.invalidate_forward();
-                            level.updates += 1;
-                            level.trained_projection = window_mean;
-                            level.trusted = true;
-                            self.last_completed_disorder = Some(disorder);
+                        // Warm-start from the short model, then smooth
+                        // with a few weighted passes over the window. The
+                        // short model supplies position (it has seen every
+                        // batch); the window passes supply the
+                        // low-variance average that makes this the
+                        // *stable* granularity — at a fraction of the cost
+                        // of training the long model from its own stale
+                        // parameters. The short model's parameters are
+                        // read here, at the completion, and only here.
+                        if let Some(short) = trained.first() {
+                            level.trainer.copy_parameters_from(short.trainer.model());
                         }
+                        self.completion.train(
+                            &mut level.trainer,
+                            window.batches(),
+                            subsets,
+                            epochs,
+                        );
+                        window.reseed();
+                        level.invalidate_forward();
+                        level.updates += 1;
+                        level.trained_projection = window_mean;
+                        level.trusted = true;
+                        self.last_completed_disorder = Some(disorder);
                     }
                 }
             }
@@ -515,54 +517,158 @@ pub fn gaussian_kernel(distance: f64, sigma: f64) -> f64 {
     (-(distance * distance) / (2.0 * sigma * sigma)).exp()
 }
 
-/// Runs `epochs` weighted passes, each splitting the window into
-/// `subsets` chunks and merging per-chunk gradients — the pre-computing
-/// window of §V-B. With `subsets == 1` each pass is a single weighted
-/// batch step. The epoch loop lives here (not at the call site) so the
-/// chunk matrix and gradient buffer warm once and are reused across
-/// every subset of every epoch: a warm window update allocates only the
-/// merged-gradient accumulator, while producing bit-identical parameters
-/// to the old slice-and-allocate loop (same chunk contents, same
-/// gradient arithmetic, same merge order).
-fn train_weighted_precomputed(
-    trainer: &mut Trainer,
-    x: &Matrix,
-    labels: &[usize],
-    weights: &[f64],
-    subsets: usize,
-    epochs: usize,
-) {
-    let n = x.rows();
-    if n == 0 {
-        return;
-    }
-    if subsets <= 1 || n < subsets * 2 {
-        for _ in 0..epochs {
-            trainer.train_weighted_step(x, labels, Some(weights));
+/// Buffers a window completion reuses from one completion to the next
+/// (the gradients themselves live in the long level's trainer).
+#[derive(Default)]
+struct Completion {
+    /// Per-row weights of the rows being trained on (each row carries its
+    /// batch's decay weight), refilled for every subset.
+    weights: Vec<f64>,
+    /// The subsets of the current completion that carry weight.
+    subsets: Vec<Subset>,
+    /// Rows and labels of the subsets that are not exactly one window
+    /// batch, gathered once per completion; slots are kept for reuse.
+    gathered: Vec<(Matrix, Vec<usize>)>,
+    acc: PrecomputeAccumulator,
+}
+
+/// Rows `start..end` of a window's batches stacked oldest first.
+struct Subset {
+    start: usize,
+    end: usize,
+    /// Sum of the rows' weights.
+    weight: f64,
+    rows: SubsetRows,
+}
+
+/// Where a [`Subset`]'s rows are read from.
+enum SubsetRows {
+    /// Exactly window batch `b`, read in place.
+    Batch(usize),
+    /// Slot `g` of [`Completion::gathered`].
+    Gathered(usize),
+}
+
+impl Completion {
+    /// Trains `trainer` on a completed window, read in place: `epochs`
+    /// weighted passes, each splitting the window — its batches stacked
+    /// oldest first, every row weighted by its batch's weight — into
+    /// `subsets` chunks of `n.div_ceil(subsets)` rows and applying the
+    /// weighted merge of the chunks' gradients (the pre-computing window
+    /// of §V-B). With `subsets == 1`, or fewer than two rows per subset,
+    /// each pass is one weighted step over the whole window. A chunk that
+    /// is exactly one window batch is passed as-is; any other chunk (and
+    /// a whole window of several batches) is gathered once per
+    /// completion, not once per epoch.
+    ///
+    /// Bit-identical to stacking the window into one matrix and slicing
+    /// each chunk out of it every epoch (the `reference_completion` the
+    /// tests keep): the same rows, labels and weights reach the same
+    /// gradient arithmetic in the same merge order.
+    fn train(
+        &mut self,
+        trainer: &mut Trainer,
+        batches: &[WindowBatch],
+        subsets: usize,
+        epochs: usize,
+    ) {
+        let n: usize = batches.iter().map(|b| b.x.rows()).sum();
+        if n == 0 {
+            return;
         }
-        return;
-    }
-    let mut sub_x = Matrix::zeros(0, 0);
-    let mut grad = Vec::new();
-    for _ in 0..epochs {
-        let mut acc = PrecomputeAccumulator::new();
+        if subsets <= 1 || n < subsets * 2 {
+            fill_weights(batches, 0, n, &mut self.weights);
+            let (x, labels) = match batches {
+                [only] => (&*only.x, &only.labels[..]),
+                _ => {
+                    self.gather(batches, 0, n, 0);
+                    (&self.gathered[0].0, &self.gathered[0].1[..])
+                }
+            };
+            for _ in 0..epochs {
+                trainer.train_weighted_step(x, labels, Some(&self.weights));
+            }
+            return;
+        }
         let chunk = n.div_ceil(subsets);
+        self.subsets.clear();
+        let mut slots = 0;
         let mut start = 0;
         while start < n {
             let end = (start + chunk).min(n);
-            let sub_y = &labels[start..end];
-            let sub_w = &weights[start..end];
-            let weight_sum: f64 = sub_w.iter().sum();
-            if weight_sum > 0.0 {
-                x.copy_row_range_into(start, end, &mut sub_x);
-                trainer.gradient_into(&sub_x, sub_y, Some(sub_w), &mut grad);
-                acc.add_subset(&grad, weight_sum);
+            fill_weights(batches, start, end, &mut self.weights);
+            let weight: f64 = self.weights.iter().sum();
+            if weight > 0.0 {
+                let mut pieces = pieces(batches, start, end);
+                let rows = match (pieces.next(), pieces.next()) {
+                    (Some((b, rows)), None) if rows.len() == batches[b].x.rows() => {
+                        SubsetRows::Batch(b)
+                    }
+                    _ => {
+                        self.gather(batches, start, end, slots);
+                        slots += 1;
+                        SubsetRows::Gathered(slots - 1)
+                    }
+                };
+                self.subsets.push(Subset { start, end, weight, rows });
             }
             start = end;
         }
-        if let Some(merged) = acc.take_merged() {
-            trainer.apply_gradient(&merged);
+        for _ in 0..epochs {
+            for subset in &self.subsets {
+                let (x, labels) = match subset.rows {
+                    SubsetRows::Batch(b) => (&*batches[b].x, &batches[b].labels[..]),
+                    SubsetRows::Gathered(g) => (&self.gathered[g].0, &self.gathered[g].1[..]),
+                };
+                fill_weights(batches, subset.start, subset.end, &mut self.weights);
+                trainer.accumulate_gradient(x, labels, &self.weights, subset.weight, &mut self.acc);
+            }
+            trainer.apply_merged(&mut self.acc);
         }
+    }
+
+    /// Copies rows `start..end` of the stacked window, with their labels,
+    /// into gathered slot `slot`.
+    fn gather(&mut self, batches: &[WindowBatch], start: usize, end: usize, slot: usize) {
+        if self.gathered.len() <= slot {
+            self.gathered.resize_with(slot + 1, || (Matrix::zeros(0, 0), Vec::new()));
+        }
+        let (x, labels) = &mut self.gathered[slot];
+        let cols = batches[0].x.cols();
+        x.resize(end - start, cols);
+        labels.clear();
+        for (b, rows) in pieces(batches, start, end) {
+            let at = labels.len() * cols;
+            let src = &batches[b].x.as_slice()[rows.start * cols..rows.end * cols];
+            x.as_mut_slice()[at..at + src.len()].copy_from_slice(src);
+            labels.extend_from_slice(&batches[b].labels[rows]);
+        }
+    }
+}
+
+/// The window batches that rows `start..end` of the stacked window touch,
+/// oldest first, each with the range of its own rows they cover.
+fn pieces(
+    batches: &[WindowBatch],
+    start: usize,
+    end: usize,
+) -> impl Iterator<Item = (usize, std::ops::Range<usize>)> + '_ {
+    let mut first = 0;
+    batches.iter().enumerate().filter_map(move |(b, batch)| {
+        let rows = batch.x.rows();
+        let (lo, hi) = (start.max(first), end.min(first + rows));
+        let piece = (lo < hi).then(|| (b, lo - first..hi - first));
+        first += rows;
+        piece
+    })
+}
+
+/// Writes the weights of rows `start..end` of the stacked window into
+/// `out`: each row carries its batch's decay weight.
+fn fill_weights(batches: &[WindowBatch], start: usize, end: usize, out: &mut Vec<f64>) {
+    out.clear();
+    for (b, rows) in pieces(batches, start, end) {
+        out.extend(std::iter::repeat_n(batches[b].weight, rows.len()));
     }
 }
 
@@ -903,5 +1009,205 @@ mod warmstart_tests {
         mg.train(&x, &y, &p);
         let diag = mg.level_diagnostics(&p);
         assert!(diag[1].0.is_some(), "long level votes again after a clean window");
+    }
+}
+
+#[cfg(test)]
+mod completion_tests {
+    use super::*;
+    use freeway_ml::Sgd;
+
+    /// The stack-and-slice completion the in-place one replaced, kept
+    /// verbatim as its oracle: the window stacked into one matrix by
+    /// `drain_for_update`, then each subset copied out of it every epoch.
+    fn reference_completion(
+        trainer: &mut Trainer,
+        window: &mut AdaptiveStreamingWindow,
+        subsets: usize,
+        epochs: usize,
+    ) {
+        if let Some((wx, wy, ww)) = window.drain_for_update() {
+            train_weighted_precomputed(trainer, &wx, &wy, &ww, subsets, epochs);
+        }
+    }
+
+    fn train_weighted_precomputed(
+        trainer: &mut Trainer,
+        x: &Matrix,
+        labels: &[usize],
+        weights: &[f64],
+        subsets: usize,
+        epochs: usize,
+    ) {
+        let n = x.rows();
+        if n == 0 {
+            return;
+        }
+        if subsets <= 1 || n < subsets * 2 {
+            for _ in 0..epochs {
+                trainer.train_weighted_step(x, labels, Some(weights));
+            }
+            return;
+        }
+        let mut sub_x = Matrix::zeros(0, 0);
+        let mut grad = Vec::new();
+        for _ in 0..epochs {
+            let mut acc = PrecomputeAccumulator::new();
+            let chunk = n.div_ceil(subsets);
+            let mut start = 0;
+            while start < n {
+                let end = (start + chunk).min(n);
+                let sub_y = &labels[start..end];
+                let sub_w = &weights[start..end];
+                let weight_sum: f64 = sub_w.iter().sum();
+                if weight_sum > 0.0 {
+                    x.copy_row_range_into(start, end, &mut sub_x);
+                    trainer.gradient_into(&sub_x, sub_y, Some(sub_w), &mut grad);
+                    acc.add_subset(&grad, weight_sum);
+                }
+                start = end;
+            }
+            if let Some(merged) = acc.take_merged() {
+                trainer.apply_gradient(&merged);
+            }
+        }
+    }
+
+    /// A `rows x features` batch of seeded values around `centre`, labels
+    /// cycling through `classes`, and its projection.
+    fn batch(
+        rows: usize,
+        features: usize,
+        classes: usize,
+        centre: f64,
+    ) -> (Arc<Matrix>, Arc<[usize]>, Vec<f64>) {
+        let value = |i: usize| centre + ((i as f64 + centre * 31.0) * 0.37).sin();
+        let x = Matrix::from_vec(rows, features, (0..rows * features).map(value).collect());
+        let labels: Arc<[usize]> = (0..rows).map(|i| (i * 7 + 3) % classes).collect();
+        (Arc::new(x), labels, vec![centre, -centre])
+    }
+
+    fn bits(trainer: &Trainer) -> Vec<u64> {
+        trainer.model().parameters().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Fills a window with batches of `rows[i]` rows centred at `0.3 * i`
+    /// until it is full, as the learner does, and checks, completion after
+    /// completion, that the in-place completion and the reference leave
+    /// bit-identical parameters and the same reseeded window. Returns the
+    /// completion for inspection.
+    fn assert_matches_reference(
+        spec: ModelSpec,
+        params: AswParams,
+        rows: &[usize],
+        subsets: usize,
+        epochs: usize,
+    ) -> Completion {
+        let (features, classes) = (spec.features(), spec.classes());
+        let mut window = AdaptiveStreamingWindow::new(params);
+        let mut in_place = Trainer::new(spec.build(3), Box::new(Sgd::new(0.2)));
+        let mut reference = Trainer::new(spec.build(3), Box::new(Sgd::new(0.2)));
+        let mut completion = Completion::default();
+        // Two completions on one `Completion`, so the second runs on
+        // warm (and stale) buffers.
+        for round in 0..2 {
+            for (i, &n) in rows.iter().enumerate() {
+                let (x, y, p) = batch(n, features, classes, 0.3 * i as f64 + round as f64);
+                window.insert(x, y, p);
+                if window.is_full() {
+                    break;
+                }
+            }
+            let mut copy = window.clone();
+            completion.train(&mut in_place, window.batches(), subsets, epochs);
+            window.reseed();
+            reference_completion(&mut reference, &mut copy, subsets, epochs);
+            assert_eq!(bits(&in_place), bits(&reference), "round {round}");
+            let summary = |w: &AdaptiveStreamingWindow| -> Vec<(usize, u64)> {
+                w.batches().iter().map(|b| (b.x.rows(), b.weight.to_bits())).collect()
+            };
+            assert_eq!(summary(&window), summary(&copy), "reseeded windows differ");
+            assert_eq!(window.items(), copy.items());
+        }
+        completion
+    }
+
+    fn params(max_batches: usize) -> AswParams {
+        AswParams { max_batches, ..Default::default() }
+    }
+
+    #[test]
+    fn subsets_equal_to_batches_read_the_window_in_place() {
+        // learner-drift: MLP-32 on 20 features and 5 classes, four 256-row
+        // batches into four subsets, two epochs.
+        let completion =
+            assert_matches_reference(ModelSpec::mlp(20, vec![32], 5), params(4), &[256; 4], 4, 2);
+        assert!(completion.gathered.is_empty(), "no subset needed a gather");
+    }
+
+    #[test]
+    fn subsets_spanning_batches_are_gathered() {
+        // Three batches into four subsets of 192 rows: every subset after
+        // the first straddles a batch boundary.
+        let completion =
+            assert_matches_reference(ModelSpec::mlp(20, vec![32], 5), params(3), &[256; 3], 4, 2);
+        assert_eq!(completion.gathered.len(), 4);
+    }
+
+    #[test]
+    fn unequal_batches_after_an_eviction() {
+        // Heavy decay evicts the oldest batches on the later inserts,
+        // leaving batches of unequal row counts and weights.
+        let evicting = AswParams {
+            max_batches: 10,
+            base_decay: 0.45,
+            rank_decay: 0.3,
+            disorder_boost: 0.0,
+            min_weight: 0.3,
+            ..Default::default()
+        };
+        let mut probe = AdaptiveStreamingWindow::new(evicting.clone());
+        for (i, &n) in [100, 256, 37, 64, 90].iter().enumerate() {
+            let (x, y, p) = batch(n, 6, 3, 0.3 * i as f64);
+            probe.insert(x, y, p);
+        }
+        assert!(probe.len() < 5, "the decay must evict");
+        assert_matches_reference(
+            ModelSpec::mlp(6, vec![8], 3),
+            evicting,
+            &[100, 256, 37, 64, 90],
+            4,
+            2,
+        );
+    }
+
+    #[test]
+    fn zero_weight_subsets_are_skipped() {
+        // Full decay without eviction: every batch but the newest holds
+        // weight 0, so the subsets over them carry none.
+        let zeroing = AswParams {
+            max_batches: 10,
+            base_decay: 1.0,
+            rank_decay: 0.0,
+            disorder_boost: 0.0,
+            min_weight: 0.0,
+            ..Default::default()
+        };
+        let completion =
+            assert_matches_reference(ModelSpec::lr(6, 3), zeroing, &[64, 64, 64], 6, 2);
+        assert!(completion.subsets.len() < 6, "zero-weight subsets are left out");
+    }
+
+    #[test]
+    fn small_windows_take_the_single_step() {
+        // n = 6 < 2 · 4 subsets: one weighted step over the whole window.
+        assert_matches_reference(ModelSpec::mlp(6, vec![8], 3), params(3), &[2, 2, 2], 4, 2);
+        // A one-batch window passes its batch as-is.
+        assert_matches_reference(ModelSpec::mlp(6, vec![8], 3), params(1), &[5], 4, 2);
+    }
+
+    #[test]
+    fn one_precompute_subset_steps_on_the_whole_window() {
+        assert_matches_reference(ModelSpec::mlp(20, vec![32], 5), params(4), &[256; 4], 1, 2);
     }
 }

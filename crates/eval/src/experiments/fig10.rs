@@ -80,6 +80,10 @@ impl BenchPoint {
 pub struct BenchThroughput {
     /// Cores available on the measuring host (context for the numbers).
     pub host_cores: usize,
+    /// The register form the matrix kernels were built for
+    /// ([`freeway_linalg::lanes::BACKEND`]): `avx512` where the build
+    /// target has AVX-512F, `array` otherwise.
+    pub lane_backend: String,
     /// All measured points.
     pub points: Vec<BenchPoint>,
     /// Per-kernel GFLOP/s at the shipped shapes, so a kernel regression
@@ -105,6 +109,7 @@ pub fn run_bench(
 ) -> BenchThroughput {
     BenchThroughput {
         host_cores: std::thread::available_parallelism().map_or(1, usize::from),
+        lane_backend: freeway_linalg::lanes::BACKEND.to_string(),
         points: sweep(scale, families, batch_sizes),
         kernel_microbench: Vec::new(),
         shard_scaling: Vec::new(),
@@ -207,7 +212,10 @@ impl BenchThroughput {
             out.push_str(&crate::metrics::render_table(&header, &rows));
         }
         if !self.kernel_microbench.is_empty() {
-            out.push_str("== Kernel microbench ==\n");
+            out.push_str(&format!(
+                "== Kernel microbench (lane backend: {}) ==\n",
+                self.lane_backend
+            ));
             let header =
                 vec!["Kernel".to_string(), "Shape".into(), "ns/call".into(), "GFLOP/s".into()];
             let rows: Vec<Vec<String>> = self

@@ -25,9 +25,22 @@
 //! the update steps. So its GFLOP/s rises when pruning skips more, and a
 //! k-means regression shows here beside the GEMM points. It is reported,
 //! not gated; the k-means tests gate the pruning itself.
+//!
+//! Two points time the learner-drift long model's work whole, on NSL-KDD
+//! batches: `mlp_gradient`, one weighted MLP gradient at `256x20>32>5`
+//! (forward with its fused bias and ReLU, softmax, backward), and
+//! `window_completion`, one window completion of that model (four
+//! 256-row subsets, two epochs, each a weighted merge of the subsets'
+//! gradients and one SGD step, as the bank runs it). Their flop figure
+//! counts only the GEMMs: `2·rows·(20·32 + 32·5)` forward and
+//! `2·rows·(20·32 + 2·32·5)` backward per gradient. bench_throughput
+//! prints them beside [`freeway_linalg::lanes::BACKEND`], the register
+//! form the kernels were built for.
 
 use freeway_cluster::KMeans;
 use freeway_linalg::{vector, Matrix};
+use freeway_ml::{ModelSpec, PrecomputeAccumulator, Sgd, Trainer};
+use freeway_streams::StreamGenerator;
 use serde::Serialize;
 use std::time::Instant;
 
@@ -35,10 +48,13 @@ use std::time::Instant;
 #[derive(Clone, Debug, Serialize)]
 pub struct KernelBenchPoint {
     /// Kernel name (`dot`, `axpy`, `matmul`, `matmul_transa`,
-    /// `matmul_transb`, `softmax_rows`, `kmeans_fit`).
+    /// `matmul_transb`, `softmax_rows`, `kmeans_fit`, `mlp_gradient`,
+    /// `window_completion`).
     pub kernel: String,
     /// Shape tag, `m x k x n` for matmuls, `n x d kK` for `kmeans_fit`,
-    /// element count otherwise.
+    /// `rows x features>hidden>classes` for the MLP points (prefixed by
+    /// the subset count, and suffixed by the epochs, for
+    /// `window_completion`), element count otherwise.
     pub shape: String,
     /// Floating-point operations per call (the conventional count, e.g.
     /// `2mkn` for matmul).
@@ -227,7 +243,58 @@ pub fn run() -> Vec<KernelBenchPoint> {
         });
     }
 
+    points.extend(learner_drift_long_model());
     points
+}
+
+/// The learner-drift long model's gradient and window completion (see the
+/// module doc).
+fn learner_drift_long_model() -> [KernelBenchPoint; 2] {
+    const ROWS: usize = 256;
+    const SUBSETS: usize = 4;
+    const EPOCHS: usize = 2;
+    let (features, hidden, classes) = (20, 32, 5);
+    let mut generator = freeway_streams::datasets::nslkdd(7);
+    let window: Vec<_> = (0..SUBSETS).map(|_| generator.next_batch(ROWS)).collect();
+    let weights: Vec<f64> = (0..ROWS).map(|i| 0.5 + (i % 7) as f64 / 14.0).collect();
+    let spec = ModelSpec::mlp(features, vec![hidden], classes);
+    let mut trainer = Trainer::new(spec.build(0), Box::new(Sgd::new(0.05)));
+    let gemm = 2 * ROWS * (features * hidden + hidden * classes)
+        + 2 * ROWS * (features * hidden + 2 * hidden * classes);
+    let flops = gemm as u64;
+    let (x, y) = (&window[0].x, window[0].labels());
+    let mut grad = Vec::new();
+    let (ns, gf) = time_calls(flops, || {
+        trainer.gradient_into(x, y, Some(&weights), &mut grad);
+        grad[0]
+    });
+    let gradient = KernelBenchPoint {
+        kernel: "mlp_gradient".into(),
+        shape: format!("{ROWS}x{features}>{hidden}>{classes}"),
+        flops_per_call: flops,
+        ns_per_call: ns,
+        gflops: gf,
+    };
+    let mut acc = PrecomputeAccumulator::new();
+    let weight: f64 = weights.iter().sum();
+    let flops = flops * (SUBSETS * EPOCHS) as u64;
+    let (ns, gf) = time_calls(flops, || {
+        for _ in 0..EPOCHS {
+            for batch in &window {
+                trainer.accumulate_gradient(&batch.x, batch.labels(), &weights, weight, &mut acc);
+            }
+            trainer.apply_merged(&mut acc);
+        }
+        acc.total_weight()
+    });
+    let completion = KernelBenchPoint {
+        kernel: "window_completion".into(),
+        shape: format!("{SUBSETS}x{ROWS}x{features}>{hidden}>{classes} {EPOCHS}ep"),
+        flops_per_call: flops,
+        ns_per_call: ns,
+        gflops: gf,
+    };
+    [gradient, completion]
 }
 
 #[cfg(test)]
@@ -252,6 +319,8 @@ mod tests {
             "matmul_transb",
             "softmax_rows",
             "kmeans_fit",
+            "mlp_gradient",
+            "window_completion",
         ] {
             assert!(points.iter().any(|p| p.kernel == kernel), "missing {kernel}");
         }

@@ -15,7 +15,9 @@
 use std::sync::Arc;
 
 use freeway_cluster::{CoherentExperience, ExperienceBuffer, KMeans};
+use freeway_core::granularity::MultiGranularity;
 use freeway_core::telemetry::{NoopSink, Stage, Telemetry, TelemetryEvent};
+use freeway_core::FreewayConfig;
 use freeway_eval::alloc_metrics;
 use freeway_linalg::Matrix;
 use freeway_ml::{ModelSpec, Sgd, Trainer, Workspace};
@@ -153,6 +155,54 @@ fn warm_learner_drift_mlp_steps_allocate_nothing() {
         delta.allocs, delta.bytes
     );
     assert_eq!(delta.bytes, 0);
+}
+
+/// The learner-drift model bank (MLP-32 on NSL-KDD's 20 features and 5
+/// classes at 256 rows; two levels, a 4-batch window completing as 4
+/// subsets x 2 epochs), driven the way `Learner` drives it: the ensemble
+/// vote, then `train`. Returns the allocations of each `train` call.
+fn bank_train_allocs(batches: usize) -> Vec<u64> {
+    let mut generator = freeway_streams::datasets::nslkdd(7);
+    let mut bank =
+        MultiGranularity::new(ModelSpec::mlp(20, vec![32], 5), &FreewayConfig::default());
+    let projected = [0.25, -0.5, 1.0];
+    (0..batches)
+        .map(|_| {
+            let batch = generator.next_batch(256);
+            std::hint::black_box(bank.predict_proba(&batch.x, &projected));
+            alloc_metrics::reset();
+            let before = alloc_metrics::snapshot().expect("alloc-metrics feature is on");
+            bank.train(&batch.x, batch.labels(), &projected);
+            alloc_metrics::since(&before).expect("alloc-metrics feature is on").allocs
+        })
+        .collect()
+}
+
+/// Allocations of a warm `MultiGranularity::train` whose window does not
+/// complete, made when the reseeded window holds one batch. Six come with
+/// every batch whatever the window holds: the short level's fingerprint
+/// and the bank's (`projected.to_vec()` twice), and the long level's
+/// shared copy of the batch (its rows, their `Arc`, the labels' `Arc`)
+/// with its window insert's projection copy. The insert adds its
+/// distance, order and rank vectors.
+const BANK_STEP_ALLOCS: u64 = 9;
+
+/// A warm completion, which inserts into a window of three batches: the
+/// six per-batch allocations, the insert's three vectors and five more
+/// for the merge sort that counts its ranking's inversions, and the
+/// window mean. Nothing else: the subsets are the window's own batches,
+/// read in place; the per-row weights are a buffer the bank reuses; and
+/// the warm start, the subset gradients and their merge run in the long
+/// level's trainer scratch.
+const BANK_COMPLETION_ALLOCS: u64 = 15;
+
+#[test]
+fn warm_bank_train_allocates_a_fixed_count() {
+    // Completions at batches 4, 7 and 10 (the reseeded window holds one
+    // batch); the first warms the completion's buffers.
+    let allocs = bank_train_allocs(10);
+    assert_eq!(allocs[7], BANK_STEP_ALLOCS, "plain step: {allocs:?}");
+    assert_eq!(allocs[9], BANK_COMPLETION_ALLOCS, "window completion: {allocs:?}");
 }
 
 /// `t_matvec_into` makes one ascending pass over the rows into the

@@ -12,6 +12,9 @@
 //! * [`stats`] — batch mean, covariance, and distance helpers used by the
 //!   shift graph (Equations 2–7 of the paper).
 //! * [`vector`] — free functions over `&[f64]` slices.
+//! * [`lanes`] — the eight-lane `f64` register the matmul register tiles
+//!   are written on (one AVX-512 vector, or an array without AVX-512F),
+//!   and the name of the backend a build picked.
 //!
 //! Every kernel runs on the calling thread. All random initialisation is
 //! seeded and no global RNG state is used, so results are a pure
@@ -21,9 +24,10 @@
 #![warn(clippy::all)]
 
 pub mod eigen;
+pub mod lanes;
 pub mod matrix;
 pub mod stats;
 pub mod vector;
 
 pub use eigen::{jacobi_eigen, EigenDecomposition};
-pub use matrix::Matrix;
+pub use matrix::{Epilogue, Matrix};

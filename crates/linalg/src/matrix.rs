@@ -1,5 +1,6 @@
 //! Row-major dense `f64` matrix.
 
+use crate::lanes::{Array, Lanes, Wide};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -24,15 +25,22 @@ pub struct Matrix {
     data: Vec<f64>,
 }
 
-/// Rows per register block in the tiled matmul micro-kernels.
-///
-/// Together with [`MICRO_COLS`] this sizes the accumulator footprint:
-/// `4 x 8` f64 accumulators fill four 512-bit registers (or eight
-/// 256-bit ones), leaving room for the operand broadcasts.
+/// Output rows per register tile in the matmul kernels: sixteen
+/// accumulators of one 512-bit register each where the build target has
+/// AVX-512F (half of its 32 vector registers, which leaves room for the
+/// operand loads). Row remainders run in strips of 8, 4, 2 and 1.
+#[cfg(target_feature = "avx512f")]
+pub const MICRO_ROWS: usize = 16;
+
+/// Output rows per register tile in the matmul kernels: four
+/// accumulators of eight lanes each without AVX-512F (eight of AVX2's
+/// sixteen 256-bit registers). Row remainders run in strips of 2 and 1.
+#[cfg(not(target_feature = "avx512f"))]
 pub const MICRO_ROWS: usize = 4;
 
-/// Columns per register block in the tiled matmul micro-kernels — one
-/// full [`crate::vector::WIDE_LANES`] vector of output columns.
+/// Output columns per register tile in the matmul kernels: one full
+/// eight-lane register. A narrower column remainder (the LR/MLP heads' 2–7
+/// classes) runs as one tile of its own const width.
 pub const MICRO_COLS: usize = 8;
 
 /// Row extent of an output tile in the cache-blocked matmul paths. A
@@ -61,6 +69,176 @@ struct TransbPanel<'a> {
     j: usize,
     width: usize,
     p0: usize,
+}
+
+/// What a product's register tiles do to each finished output element as
+/// they store it, in place of a pass over the product afterwards.
+///
+/// Each variant is the exact arithmetic of the loop it replaces — the
+/// same IEEE add, the same comparison — so a product with an epilogue is
+/// bit-identical to the plain product followed by that loop. The ReLU
+/// rules compare and blend: `v < 0.0` becomes `0.0`, so `-0.0` and NaN
+/// stay as they are, where `v.max(0.0)` would turn `-0.0` into `+0.0`.
+#[derive(Clone, Copy, Debug)]
+pub enum Epilogue<'a> {
+    /// The product as is.
+    None,
+    /// `v + bias[j]` at output column `j` (a dense layer's bias).
+    Bias(&'a [f64]),
+    /// `v + bias[j]`, then `0.0` where that sum is `< 0.0` (a dense
+    /// layer's bias and ReLU).
+    BiasRelu(&'a [f64]),
+    /// `0.0` where `gate[(i, j)] <= 0.0`, `v` elsewhere: ReLU's backward
+    /// mask, with `gate` the layer's post-activation output (shaped like
+    /// the product).
+    ZeroWhereNonPositive(&'a Matrix),
+}
+
+impl Epilogue<'_> {
+    /// Panics unless the epilogue's operand fits a `rows x cols` product.
+    fn check(&self, rows: usize, cols: usize) {
+        match self {
+            Epilogue::None => {}
+            Epilogue::Bias(bias) | Epilogue::BiasRelu(bias) => assert_eq!(
+                bias.len(),
+                cols,
+                "epilogue bias has {} entries for {cols} output columns",
+                bias.len()
+            ),
+            Epilogue::ZeroWhereNonPositive(gate) => assert_eq!(
+                gate.shape(),
+                (rows, cols),
+                "epilogue gate shape does not match the {rows}x{cols} product"
+            ),
+        }
+    }
+}
+
+/// Evaluates `$call` with the type `$L` bound to the [`Lanes`] form the
+/// register tiles use at output width `$width` (1–8): the array form at
+/// widths 1, 2 and 4, whose 128- and 256-bit registers run faster than a
+/// masked 512-bit one, and [`Wide`] elsewhere.
+macro_rules! with_lanes {
+    ($width:expr, $L:ident => $call:expr) => {
+        match $width {
+            1 => {
+                type $L = Array<1>;
+                $call
+            }
+            2 => {
+                type $L = Array<2>;
+                $call
+            }
+            3 => {
+                type $L = Wide<3>;
+                $call
+            }
+            4 => {
+                type $L = Array<4>;
+                $call
+            }
+            5 => {
+                type $L = Wide<5>;
+                $call
+            }
+            6 => {
+                type $L = Wide<6>;
+                $call
+            }
+            7 => {
+                type $L = Wide<7>;
+                $call
+            }
+            _ => {
+                type $L = Wide<8>;
+                $call
+            }
+        }
+    };
+}
+
+/// Evaluates `$call` with the const `$R` bound to `$rows`, a height from
+/// [`strip_height`].
+macro_rules! with_rows {
+    ($rows:expr, $R:ident => $call:expr) => {
+        match $rows {
+            #[cfg(target_feature = "avx512f")]
+            16 => {
+                const $R: usize = 16;
+                $call
+            }
+            #[cfg(target_feature = "avx512f")]
+            8 => {
+                const $R: usize = 8;
+                $call
+            }
+            4 => {
+                const $R: usize = 4;
+                $call
+            }
+            2 => {
+                const $R: usize = 2;
+                $call
+            }
+            _ => {
+                const $R: usize = 1;
+                $call
+            }
+        }
+    };
+}
+
+/// The height of the next row strip when `rows` (at least 1) remain: the
+/// largest power of two that fits, up to [`MICRO_ROWS`].
+#[inline]
+fn strip_height(rows: usize) -> usize {
+    (1 << rows.ilog2()).min(MICRO_ROWS)
+}
+
+/// Stores an `R x L::WIDTH` register tile at rows `i..i + R`, columns
+/// `j..` of `out` (row-major, `n` columns wide), through `epilogue`.
+#[inline(always)]
+fn store_tile<const R: usize, L: Lanes>(
+    acc: &[L; R],
+    out: &mut [f64],
+    n: usize,
+    i: usize,
+    j: usize,
+    epilogue: Epilogue<'_>,
+) {
+    assert!(j + L::WIDTH <= n && (i + R) * n <= out.len());
+    let dst = out.as_mut_ptr();
+    // SAFETY: every element written (and every gate element read) sits at
+    // `(i + r) * n + j + l` with `r < R` and `l < L::WIDTH`, which the assert
+    // above keeps below `out.len()`; the bias and gate asserts below bound
+    // their reads the same way.
+    unsafe {
+        match epilogue {
+            Epilogue::None => {
+                for (r, v) in acc.iter().enumerate() {
+                    v.store(dst.add((i + r) * n + j));
+                }
+            }
+            Epilogue::Bias(bias) | Epilogue::BiasRelu(bias) => {
+                assert!(j + L::WIDTH <= bias.len());
+                let b = L::load(bias.as_ptr().add(j));
+                let relu = matches!(epilogue, Epilogue::BiasRelu(_));
+                for (r, v) in acc.iter().enumerate() {
+                    let v = v.add(b);
+                    let v = if relu { v.relu() } else { v };
+                    v.store(dst.add((i + r) * n + j));
+                }
+            }
+            Epilogue::ZeroWhereNonPositive(gate) => {
+                assert!(gate.data.len() == out.len());
+                for (r, v) in acc.iter().enumerate() {
+                    let at = (i + r) * n + j;
+                    let g = L::load(gate.data.as_ptr().add(at));
+                    v.zero_where_nonpositive(g).store(dst.add(at));
+                }
+            }
+        }
+    }
 }
 
 impl Matrix {
@@ -213,9 +391,6 @@ impl Matrix {
 
     /// Matrix product `self * rhs`.
     ///
-    /// Uses the i-k-j loop order so the inner loop walks both operands
-    /// contiguously, which matters for the hot MLP forward/backward passes.
-    ///
     /// # Panics
     /// Panics if `self.cols() != rhs.rows()`.
     pub fn matmul(&self, rhs: &Matrix) -> Matrix {
@@ -231,179 +406,110 @@ impl Matrix {
     /// # Panics
     /// Panics if `self.cols() != rhs.rows()`.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
+        self.matmul_epilogue_into(rhs, Epilogue::None, out);
+    }
+
+    /// [`Self::matmul_into`] with `epilogue` applied to each output
+    /// element as its register tile stores it: bit-identical to the plain
+    /// product followed by the epilogue's loop, without the second pass.
+    ///
+    /// Tiling walks `TILE_COLS`-wide column panels and `TILE_ROWS`-tall
+    /// row blocks so the right-hand panel a tile re-reads stays cache
+    /// resident, with [`MICRO_ROWS`]-tall, [`MICRO_COLS`]-wide register
+    /// tiles inside (row remainders in power-of-two strips; a narrower
+    /// column remainder as one tile of its width). Each output element
+    /// accumulates its terms in plain ascending-`k` order from `0.0`
+    /// regardless of tile geometry — the blocking only changes *where*
+    /// partial sums live and *when* output elements are produced, never
+    /// the order or association of any element's additions — so the
+    /// result is bit-identical to the naive k-outer loop.
+    ///
+    /// # Panics
+    /// Panics if `self.cols() != rhs.rows()` or the epilogue's operand
+    /// does not fit the product.
+    pub fn matmul_epilogue_into(&self, rhs: &Matrix, epilogue: Epilogue<'_>, out: &mut Matrix) {
         assert_eq!(
             self.cols, rhs.rows,
             "matmul dimension mismatch: {}x{} * {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
+        epilogue.check(self.rows, rhs.cols);
+        // No zero-fill: every output element is produced in one register
+        // accumulation over the whole shared dimension and stored once.
         out.resize(self.rows, rhs.cols);
-        // No zero-fill: every output element is fully overwritten by the
-        // band kernel below (each is produced in one register
-        // accumulation over the whole shared dimension).
-        self.matmul_band_into(rhs, 0, self.rows, &mut out.data);
-    }
-
-    /// Cache-blocked `self * rhs` over the output row band `[i0, i1)`;
-    /// `out_band` is the corresponding slice of the output buffer (row
-    /// `i` lives at offset `(i - i0) * rhs.cols`). Prior contents are
-    /// ignored: every element is overwritten.
-    ///
-    /// Tiling walks `TILE_COLS`-wide column panels and `TILE_ROWS`-tall
-    /// row blocks so the right-hand panel a tile re-reads stays cache
-    /// resident, with a `MICRO_ROWS x MICRO_COLS` register micro-kernel
-    /// inside. Each output element accumulates its terms in plain
-    /// ascending-`k` order regardless of tile or band geometry — the
-    /// blocking only changes *where* partial sums live and *when* output
-    /// elements are produced, never the order or association of any
-    /// element's additions — so the result is bit-identical to the naive
-    /// k-outer loop, for any tile sizes.
-    fn matmul_band_into(&self, rhs: &Matrix, i0: usize, i1: usize, out_band: &mut [f64]) {
         let n = rhs.cols;
-        if n == 0 || i1 <= i0 {
-            return;
-        }
-        debug_assert_eq!(out_band.len(), (i1 - i0) * n);
         for jc in (0..n).step_by(TILE_COLS) {
             let jc_end = (jc + TILE_COLS).min(n);
-            for ic in (i0..i1).step_by(TILE_ROWS) {
-                let ic_end = (ic + TILE_ROWS).min(i1);
+            for ic in (0..self.rows).step_by(TILE_ROWS) {
+                let ic_end = (ic + TILE_ROWS).min(self.rows);
                 let mut i = ic;
-                while i + MICRO_ROWS <= ic_end {
-                    let mut j = jc;
-                    while j + MICRO_COLS <= jc_end {
-                        self.matmul_micro::<{ MICRO_COLS }>(rhs, i, j, i0, out_band);
-                        j += MICRO_COLS;
-                    }
-                    // Narrow column remainder: keep the 4-row register
-                    // blocking (one `b` row load serves four output rows)
-                    // instead of falling back to row-at-a-time — this is
-                    // the *entire* matmul for skinny outputs like the
-                    // LR/MLP head (2–8 classes).
-                    match jc_end - j {
-                        0 => {}
-                        1 => self.matmul_micro::<1>(rhs, i, j, i0, out_band),
-                        2 => self.matmul_micro::<2>(rhs, i, j, i0, out_band),
-                        3 => self.matmul_micro::<3>(rhs, i, j, i0, out_band),
-                        4 => self.matmul_micro::<4>(rhs, i, j, i0, out_band),
-                        5 => self.matmul_micro::<5>(rhs, i, j, i0, out_band),
-                        6 => self.matmul_micro::<6>(rhs, i, j, i0, out_band),
-                        _ => self.matmul_micro::<7>(rhs, i, j, i0, out_band),
-                    }
-                    i += MICRO_ROWS;
-                }
-                for r in i..ic_end {
-                    let base = (r - i0) * n;
-                    Self::matmul_row_range_into(
-                        self.row(r),
-                        rhs,
-                        jc,
-                        &mut out_band[base + jc..base + jc_end],
-                    );
+                while i < ic_end {
+                    let rows = strip_height(ic_end - i);
+                    let out = &mut out.data;
+                    with_rows!(rows, R => self.matmul_strip::<R>(rhs, i, jc, jc_end, epilogue, out));
+                    i += rows;
                 }
             }
         }
     }
 
-    /// `MICRO_ROWS x N` register micro-kernel: computes output rows
-    /// `i..i + MICRO_ROWS`, columns `j..j + N` of `self * rhs` into
-    /// `out_band` (band starting at output row `i0`). `N = MICRO_COLS`
-    /// is the full-width tile interior; `N < MICRO_COLS` serves the
-    /// column remainder and skinny outputs. All accumulators live in
-    /// registers; terms are added in ascending `k`, matching the naive
+    /// Output rows `i..i + R`, columns `jc..jc_end` of `self * rhs`:
+    /// full-width tiles, then the narrow column remainder — which for a
+    /// skinny right-hand side (the LR/MLP head's 2–7 classes) is the
+    /// *entire* product — in one const-width tile.
+    #[inline]
+    fn matmul_strip<const R: usize>(
+        &self,
+        rhs: &Matrix,
+        i: usize,
+        jc: usize,
+        jc_end: usize,
+        epilogue: Epilogue<'_>,
+        out: &mut [f64],
+    ) {
+        let mut j = jc;
+        while j + MICRO_COLS <= jc_end {
+            self.matmul_tile::<R, Wide<{ MICRO_COLS }>>(rhs, i, j, epilogue, out);
+            j += MICRO_COLS;
+        }
+        if j < jc_end {
+            with_lanes!(jc_end - j, L => self.matmul_tile::<R, L>(rhs, i, j, epilogue, out));
+        }
+    }
+
+    /// `R x L::WIDTH` register tile of `self * rhs`: output rows
+    /// `i..i + R`, columns `j..`. All accumulators live in registers, one
+    /// `L` per row; terms are added in ascending `k`, matching the naive
     /// loop element-for-element.
     #[inline]
-    fn matmul_micro<const N: usize>(
+    fn matmul_tile<const R: usize, L: Lanes>(
         &self,
         rhs: &Matrix,
         i: usize,
         j: usize,
-        i0: usize,
-        out_band: &mut [f64],
+        epilogue: Epilogue<'_>,
+        out: &mut [f64],
     ) {
         let k = self.cols;
         let n = rhs.cols;
-        assert!(i + MICRO_ROWS <= self.rows && j + N <= n && rhs.rows == k);
-        let a = &self.data;
-        let b = &rhs.data;
-        let mut acc = [[0.0f64; N]; MICRO_ROWS];
+        assert!(i + R <= self.rows && j + L::WIDTH <= n && rhs.rows == k);
+        let (a, b) = (self.data.as_ptr(), rhs.data.as_ptr());
+        let mut acc = [L::zero(); R];
         for p in 0..k {
-            // SAFETY: `p < k = rhs.rows` and `j + N <= n` put
-            // `p * n + j + N <= rhs.data.len()`; likewise
-            // `i + MICRO_ROWS <= self.rows` and `p < k` keep every `a`
-            // index below `self.data.len()`. Both are established by the
-            // assert above; unchecked access hoists the per-`k` bounds
-            // checks out of the FMA loop.
+            // SAFETY: `p < k = rhs.rows` and `j + L::WIDTH <= n` put
+            // `p * n + j + L::WIDTH <= rhs.data.len()`; likewise `i + R <=
+            // self.rows` and `p < k` keep every `a` index below
+            // `self.data.len()`. Both are established by the assert above;
+            // unchecked access hoists the per-`k` bounds checks out of the
+            // accumulation loop.
             unsafe {
-                let b_row = b.get_unchecked(p * n + j..p * n + j + N);
+                let b_row = L::load(b.add(p * n + j));
                 for (r, acc_r) in acc.iter_mut().enumerate() {
-                    let a_v = *a.get_unchecked((i + r) * k + p);
-                    for l in 0..N {
-                        acc_r[l] += a_v * b_row[l];
-                    }
+                    *acc_r = acc_r.mul_add(*a.add((i + r) * k + p), b_row);
                 }
             }
         }
-        for (r, acc_r) in acc.iter().enumerate() {
-            let base = (i + r - i0) * n + j;
-            out_band[base..base + N].copy_from_slice(acc_r);
-        }
-    }
-
-    /// Columns `j0..j0 + out_row.len()` of one output row of
-    /// `self * rhs` (whose prior contents are ignored; every element is
-    /// overwritten).
-    ///
-    /// Each output element accumulates its terms in plain ascending-`k`
-    /// order — the register blocking below only changes *where* the
-    /// partial sums live (a fixed-size accumulator array instead of the
-    /// output slice), never the order or association of the additions, so
-    /// the result is bit-identical to the naive k-outer loop.
-    #[inline]
-    fn matmul_row_range_into(a_row: &[f64], rhs: &Matrix, j0: usize, out_row: &mut [f64]) {
-        let mut j = j0;
-        let end = j0 + out_row.len();
-        while end - j >= MICRO_COLS {
-            Self::matmul_row_block::<{ MICRO_COLS }>(
-                a_row,
-                rhs,
-                j,
-                &mut out_row[j - j0..j - j0 + MICRO_COLS],
-            );
-            j += MICRO_COLS;
-        }
-        let rest = &mut out_row[j - j0..];
-        match rest.len() {
-            0 => {}
-            1 => Self::matmul_row_block::<1>(a_row, rhs, j, rest),
-            2 => Self::matmul_row_block::<2>(a_row, rhs, j, rest),
-            3 => Self::matmul_row_block::<3>(a_row, rhs, j, rest),
-            4 => Self::matmul_row_block::<4>(a_row, rhs, j, rest),
-            5 => Self::matmul_row_block::<5>(a_row, rhs, j, rest),
-            6 => Self::matmul_row_block::<6>(a_row, rhs, j, rest),
-            _ => Self::matmul_row_block::<7>(a_row, rhs, j, rest),
-        }
-    }
-
-    /// One `N`-wide column block of a matmul output row: `out[j] =
-    /// Σ_k a_row[k] · rhs[k][j0+j]`, terms added in ascending `k` with a
-    /// per-column register accumulator (constant `N` lets the chains
-    /// vectorize).
-    #[inline]
-    fn matmul_row_block<const N: usize>(a_row: &[f64], rhs: &Matrix, j0: usize, out: &mut [f64]) {
-        let cols = rhs.cols.max(1);
-        assert!(j0 + N <= cols && a_row.len() * cols <= rhs.data.len());
-        let mut acc = [0.0f64; N];
-        for (p, &a_ik) in a_row.iter().enumerate() {
-            // SAFETY: `p < a_row.len()` and `j0 + N <= cols` keep
-            // `p * cols + j0 + N <= rhs.data.len()` per the assert above;
-            // unchecked access hoists the per-`k` re-slice bounds check
-            // out of the accumulation loop.
-            let b = unsafe { rhs.data.get_unchecked(p * cols + j0..p * cols + j0 + N) };
-            for j in 0..N {
-                acc[j] += a_ik * b[j];
-            }
-        }
-        out.copy_from_slice(&acc);
+        store_tile(&acc, out, n, i, j, epilogue);
     }
 
     /// Fused transposed product `self^T * rhs` without materializing the
@@ -424,6 +530,14 @@ impl Matrix {
     /// [`Self::matmul_transa`] writing into `out`, which is re-shaped to
     /// `self.cols() x rhs.cols()` reusing its allocation.
     ///
+    /// Output rows (columns of `self`) go in strips of [`MICRO_ROWS`]
+    /// (remainders in power-of-two strips), each strip in
+    /// [`MICRO_COLS`]-wide register tiles plus one 1–7-wide remainder
+    /// tile. Every output element is produced in one register accumulation
+    /// over all shared rows in ascending order, exactly like the naive
+    /// loop, so results are bit-identical to
+    /// `self.transpose().matmul(rhs)` and no zero-fill is needed.
+    ///
     /// # Panics
     /// Panics if `self.rows() != rhs.rows()`.
     pub fn matmul_transa_into(&self, rhs: &Matrix, out: &mut Matrix) {
@@ -433,36 +547,11 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         out.resize(self.cols, rhs.cols);
-        // No zero-fill: the band kernel produces every output element in
-        // one register accumulation over all shared rows, for every width
-        // (backprop's `input^T · delta` with 2–7 classes included) and
-        // every row remainder (e.g. 10 features).
-        self.matmul_transa_band_into(rhs, 0, self.cols, &mut out.data);
-    }
-
-    /// Register-blocked `self^T * rhs` over output rows `[c0, c1)`
-    /// (columns of `self`); `out_band` is the corresponding slice of the
-    /// output buffer (prior contents ignored: every element is
-    /// overwritten). Output rows go in strips of [`MICRO_ROWS`] (the last
-    /// strip of a band 1–3 rows tall), each strip in [`MICRO_COLS`]-wide
-    /// register tiles plus one 1–7-wide remainder tile. Each output
-    /// element accumulates in ascending shared-row order exactly like the
-    /// naive loop, for any band geometry, so results are bit-identical to
-    /// `self.transpose().matmul(rhs)`.
-    fn matmul_transa_band_into(&self, rhs: &Matrix, c0: usize, c1: usize, out_band: &mut [f64]) {
-        if rhs.cols == 0 || c1 <= c0 {
-            return;
-        }
-        debug_assert_eq!(out_band.len(), (c1 - c0) * rhs.cols);
-        let mut c = c0;
-        while c < c1 {
-            let rows = (c1 - c).min(MICRO_ROWS);
-            match rows {
-                MICRO_ROWS => self.matmul_transa_strip::<{ MICRO_ROWS }>(rhs, c, c0, out_band),
-                3 => self.matmul_transa_strip::<3>(rhs, c, c0, out_band),
-                2 => self.matmul_transa_strip::<2>(rhs, c, c0, out_band),
-                _ => self.matmul_transa_strip::<1>(rhs, c, c0, out_band),
-            }
+        let mut c = 0;
+        while c < self.cols {
+            let rows = strip_height(self.cols - c);
+            let out = &mut out.data;
+            with_rows!(rows, R => self.matmul_transa_strip::<R>(rhs, c, out));
             c += rows;
         }
     }
@@ -472,68 +561,48 @@ impl Matrix {
     /// right-hand side (the LR/MLP head's 2–7 classes) is the *entire*
     /// product — in one const-width tile.
     #[inline]
-    fn matmul_transa_strip<const R: usize>(
-        &self,
-        rhs: &Matrix,
-        c: usize,
-        c0: usize,
-        out_band: &mut [f64],
-    ) {
+    fn matmul_transa_strip<const R: usize>(&self, rhs: &Matrix, c: usize, out: &mut [f64]) {
         let n = rhs.cols;
         let mut j = 0;
         while j + MICRO_COLS <= n {
-            self.matmul_transa_micro::<R, { MICRO_COLS }>(rhs, c, j, c0, out_band);
+            self.matmul_transa_tile::<R, Wide<{ MICRO_COLS }>>(rhs, c, j, out);
             j += MICRO_COLS;
         }
-        match n - j {
-            0 => {}
-            1 => self.matmul_transa_micro::<R, 1>(rhs, c, j, c0, out_band),
-            2 => self.matmul_transa_micro::<R, 2>(rhs, c, j, c0, out_band),
-            3 => self.matmul_transa_micro::<R, 3>(rhs, c, j, c0, out_band),
-            4 => self.matmul_transa_micro::<R, 4>(rhs, c, j, c0, out_band),
-            5 => self.matmul_transa_micro::<R, 5>(rhs, c, j, c0, out_band),
-            6 => self.matmul_transa_micro::<R, 6>(rhs, c, j, c0, out_band),
-            _ => self.matmul_transa_micro::<R, 7>(rhs, c, j, c0, out_band),
+        if j < n {
+            with_lanes!(n - j, L => self.matmul_transa_tile::<R, L>(rhs, c, j, out));
         }
     }
 
-    /// `R x N` register tile of `self^T * rhs`: output rows `c..c + R`,
-    /// columns `j..j + N`, accumulated over all shared rows in ascending
-    /// order with register-resident partial sums, then written once.
+    /// `R x L::WIDTH` register tile of `self^T * rhs`: output rows
+    /// `c..c + R`, columns `j..`, accumulated over all shared rows in
+    /// ascending order with register-resident partial sums, then written
+    /// once.
     #[inline]
-    fn matmul_transa_micro<const R: usize, const N: usize>(
+    fn matmul_transa_tile<const R: usize, L: Lanes>(
         &self,
         rhs: &Matrix,
         c: usize,
         j: usize,
-        c0: usize,
-        out_band: &mut [f64],
+        out: &mut [f64],
     ) {
         let n = rhs.cols;
         let k = self.cols;
-        assert!(c + R <= k && j + N <= n && rhs.rows == self.rows);
-        let a = &self.data;
-        let b = &rhs.data;
-        let mut acc = [[0.0f64; N]; R];
+        assert!(c + R <= k && j + L::WIDTH <= n && rhs.rows == self.rows);
+        let (a, b) = (self.data.as_ptr(), rhs.data.as_ptr());
+        let mut acc = [L::zero(); R];
         for r in 0..self.rows {
             // SAFETY: `r < self.rows = rhs.rows`, `c + R <= k`, and
-            // `j + N <= n` (asserted above) bound every index below the
+            // `j + L::WIDTH <= n` (asserted above) bound every index below the
             // respective buffer lengths; unchecked access hoists the
-            // per-row bounds checks out of the FMA loop.
+            // per-row bounds checks out of the accumulation loop.
             unsafe {
-                let a_row = a.get_unchecked(r * k + c..r * k + c + R);
-                let b_row = b.get_unchecked(r * n + j..r * n + j + N);
-                for (acc_c, &a_rc) in acc.iter_mut().zip(a_row) {
-                    for l in 0..N {
-                        acc_c[l] += a_rc * b_row[l];
-                    }
+                let b_row = L::load(b.add(r * n + j));
+                for (q, acc_q) in acc.iter_mut().enumerate() {
+                    *acc_q = acc_q.mul_add(*a.add(r * k + c + q), b_row);
                 }
             }
         }
-        for (row_idx, acc_c) in acc.iter().enumerate() {
-            let base = (c + row_idx - c0) * n + j;
-            out_band[base..base + N].copy_from_slice(acc_c);
-        }
+        store_tile(&acc, out, n, c, j, Epilogue::None);
     }
 
     /// Fused transposed product `self * rhs^T` without materializing the
@@ -557,62 +626,69 @@ impl Matrix {
     /// # Panics
     /// Panics if `self.cols() != rhs.cols()`.
     pub fn matmul_transb_into(&self, rhs: &Matrix, out: &mut Matrix) {
+        self.matmul_transb_epilogue_into(rhs, Epilogue::None, out);
+    }
+
+    /// [`Self::matmul_transb_into`] with `epilogue` applied to each output
+    /// element as its register tile stores it: bit-identical to the plain
+    /// product followed by the epilogue's loop, without the second pass.
+    ///
+    /// For each [`MICRO_COLS`]-wide group of output columns, the matching
+    /// `rhs` rows are transposed into a stack panel, so the sweep over
+    /// output rows runs `R x N` register tiles with one contiguous panel
+    /// load per shared index — the matmul tile's shape — instead of a
+    /// strided gather. A shared dimension longer than the panel depth
+    /// takes several panels, each resuming the partial sums the previous
+    /// one wrote (a store and reload is exact); the epilogue runs with the
+    /// last. Every element is one ascending-`k` dot, so the result is
+    /// bit-identical to `matmul` against a materialized transpose.
+    ///
+    /// # Panics
+    /// Panics if `self.cols() != rhs.cols()` or the epilogue's operand
+    /// does not fit the product.
+    pub fn matmul_transb_epilogue_into(
+        &self,
+        rhs: &Matrix,
+        epilogue: Epilogue<'_>,
+        out: &mut Matrix,
+    ) {
         assert_eq!(
             self.cols, rhs.cols,
             "matmul_transb dimension mismatch: {}x{} * ({}x{})^T",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
+        epilogue.check(self.rows, rhs.rows);
         out.resize(self.rows, rhs.rows);
-        self.matmul_transb_band_into(rhs, 0, self.rows, &mut out.data);
-    }
-
-    /// Register-blocked `self * rhs^T` over output rows `[i0, i1)`;
-    /// `out_band` is the corresponding slice of the output buffer (prior
-    /// contents ignored: every element is overwritten). For each
-    /// [`MICRO_COLS`]-wide group of output columns, the matching `rhs`
-    /// rows are transposed into a stack panel, so the sweep over output
-    /// rows runs `R x N` register tiles with one contiguous panel load per
-    /// shared index — the matmul micro-kernel's shape — instead of a
-    /// strided gather. A shared dimension longer than [`TRANSB_PANEL_K`]
-    /// takes several panels, each resuming the partial sums the previous
-    /// one wrote (a store and reload is exact). Every element is one
-    /// ascending-`k` dot, so the result is bit-identical to `matmul`
-    /// against a materialized transpose for any band geometry.
-    fn matmul_transb_band_into(&self, rhs: &Matrix, i0: usize, i1: usize, out_band: &mut [f64]) {
-        let n = rhs.rows;
-        let k = self.cols;
-        if n == 0 || i1 <= i0 {
-            return;
-        }
-        debug_assert_eq!(out_band.len(), (i1 - i0) * n);
-        if k == 0 {
-            out_band.fill(0.0);
-            return;
-        }
+        let (m, n, k) = (self.rows, rhs.rows, self.cols);
         let mut tile = [0.0f64; TRANSB_PANEL_K * MICRO_COLS];
         for j in (0..n).step_by(MICRO_COLS) {
             let width = (n - j).min(MICRO_COLS);
-            for p0 in (0..k).step_by(TRANSB_PANEL_K) {
+            // At least one panel, so an empty shared dimension still
+            // stores its zero sums through the epilogue.
+            let mut p0 = 0;
+            loop {
                 let depth = (k - p0).min(TRANSB_PANEL_K);
-                for (s, b_row) in rhs.data[j * k..(j + width) * k].chunks_exact(k).enumerate() {
+                for (s, b_row) in
+                    rhs.data[j * k..(j + width) * k].chunks_exact(k.max(1)).enumerate()
+                {
                     for (q, &v) in b_row[p0..p0 + depth].iter().enumerate() {
                         tile[q * MICRO_COLS + s] = v;
                     }
                 }
                 let panel = TransbPanel { data: &tile[..depth * MICRO_COLS], j, width, p0 };
-                let mut i = i0;
-                while i < i1 {
-                    let rows = (i1 - i).min(MICRO_ROWS);
-                    match rows {
-                        MICRO_ROWS => {
-                            self.matmul_transb_strip::<{ MICRO_ROWS }>(&panel, i, i0, n, out_band)
-                        }
-                        3 => self.matmul_transb_strip::<3>(&panel, i, i0, n, out_band),
-                        2 => self.matmul_transb_strip::<2>(&panel, i, i0, n, out_band),
-                        _ => self.matmul_transb_strip::<1>(&panel, i, i0, n, out_band),
-                    }
+                let last = p0 + depth == k;
+                let epilogue = if last { epilogue } else { Epilogue::None };
+                let mut i = 0;
+                while i < m {
+                    let rows = strip_height(m - i);
+                    let out = &mut out.data;
+                    with_rows!(rows, R => self.matmul_transb_strip::<R>(&panel, i, n, epilogue, out));
                     i += rows;
                 }
+                if last {
+                    break;
+                }
+                p0 += depth;
             }
         }
     }
@@ -624,68 +700,59 @@ impl Matrix {
         &self,
         panel: &TransbPanel<'_>,
         i: usize,
-        i0: usize,
         n: usize,
-        out_band: &mut [f64],
+        epilogue: Epilogue<'_>,
+        out: &mut [f64],
     ) {
-        match panel.width {
-            MICRO_COLS => self.matmul_transb_micro::<R, { MICRO_COLS }>(panel, i, i0, n, out_band),
-            1 => self.matmul_transb_micro::<R, 1>(panel, i, i0, n, out_band),
-            2 => self.matmul_transb_micro::<R, 2>(panel, i, i0, n, out_band),
-            3 => self.matmul_transb_micro::<R, 3>(panel, i, i0, n, out_band),
-            4 => self.matmul_transb_micro::<R, 4>(panel, i, i0, n, out_band),
-            5 => self.matmul_transb_micro::<R, 5>(panel, i, i0, n, out_band),
-            6 => self.matmul_transb_micro::<R, 6>(panel, i, i0, n, out_band),
-            _ => self.matmul_transb_micro::<R, 7>(panel, i, i0, n, out_band),
-        }
+        with_lanes!(panel.width, L => self.matmul_transb_tile::<R, L>(panel, i, n, epilogue, out));
     }
 
-    /// `R x N` register tile of `self * rhs^T`: output rows `i..i + R`,
-    /// columns `panel.j..panel.j + N` of an output `n` columns wide, over
+    /// `R x L::WIDTH` register tile of `self * rhs^T`: output rows
+    /// `i..i + R`, columns `panel.j..` of an output `n` columns wide, over
     /// the panel's shared indices. The accumulators start at zero on the
     /// first panel and resume the stored partial sums on later ones, so
     /// each element's terms are added in plain ascending-`k` order.
     #[inline]
-    fn matmul_transb_micro<const R: usize, const N: usize>(
+    fn matmul_transb_tile<const R: usize, L: Lanes>(
         &self,
         panel: &TransbPanel<'_>,
         i: usize,
-        i0: usize,
         n: usize,
-        out_band: &mut [f64],
+        epilogue: Epilogue<'_>,
+        out: &mut [f64],
     ) {
         let k = self.cols;
         let depth = panel.data.len() / MICRO_COLS;
-        assert!(i + R <= self.rows && panel.p0 + depth <= k && N <= MICRO_COLS && panel.j + N <= n);
-        let mut acc = [[0.0f64; N]; R];
+        assert!(
+            i + R <= self.rows
+                && panel.p0 + depth <= k
+                && panel.j + L::WIDTH <= n
+                && (i + R) * n <= out.len()
+        );
+        let mut acc = [L::zero(); R];
         if panel.p0 > 0 {
             for (r, acc_r) in acc.iter_mut().enumerate() {
-                let base = (i + r - i0) * n + panel.j;
-                acc_r.copy_from_slice(&out_band[base..base + N]);
+                // SAFETY: `(i + r) * n + panel.j + L::WIDTH <= (i + R) * n
+                // <= out.len()` by the assert above.
+                *acc_r = unsafe { L::load(out.as_ptr().add((i + r) * n + panel.j)) };
             }
         }
-        let a = &self.data;
+        let (a, b) = (self.data.as_ptr(), panel.data.as_ptr());
         for q in 0..depth {
-            // SAFETY: `q < depth` and `N <= MICRO_COLS` keep
-            // `q * MICRO_COLS + N <= panel.data.len()`; `i + R <= self.rows`
+            // SAFETY: `q < depth` and `L::WIDTH <= MICRO_COLS` keep
+            // `q * MICRO_COLS + L::WIDTH <= panel.data.len()`; `i + R <= self.rows`
             // and `panel.p0 + q < k` keep every `a` index below
             // `self.data.len()`. Both are established by the assert above;
             // unchecked access hoists the per-step bounds checks out of
             // the accumulation loop.
             unsafe {
-                let b_row = panel.data.get_unchecked(q * MICRO_COLS..q * MICRO_COLS + N);
+                let b_row = L::load(b.add(q * MICRO_COLS));
                 for (r, acc_r) in acc.iter_mut().enumerate() {
-                    let a_v = *a.get_unchecked((i + r) * k + panel.p0 + q);
-                    for l in 0..N {
-                        acc_r[l] += a_v * b_row[l];
-                    }
+                    *acc_r = acc_r.mul_add(*a.add((i + r) * k + panel.p0 + q), b_row);
                 }
             }
         }
-        for (r, acc_r) in acc.iter().enumerate() {
-            let base = (i + r - i0) * n + panel.j;
-            out_band[base..base + N].copy_from_slice(acc_r);
-        }
+        store_tile(&acc, out, n, i, panel.j, epilogue);
     }
 
     /// Matrix-vector product `self * v`.

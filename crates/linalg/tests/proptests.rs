@@ -1,6 +1,6 @@
 //! Property-based tests for the linear-algebra substrate.
 
-use freeway_linalg::{jacobi_eigen, Matrix};
+use freeway_linalg::{jacobi_eigen, Epilogue, Matrix};
 use freeway_linalg::{stats, vector};
 use proptest::prelude::*;
 
@@ -251,6 +251,162 @@ proptest! {
         prop_assert_eq!(&a.matmul(&b), &reference);
         prop_assert_eq!(&at.matmul_transa(&b), &reference);
         prop_assert_eq!(&a.matmul_transb(&bt), &reference);
+    }
+}
+
+/// Operands on which a lane that multiplied, added, compared or blended
+/// differently from the scalar loop would show: signed zeros, both
+/// infinities, NaN, subnormals (the smallest, and one near the normal
+/// boundary), and ordinary values of both signs.
+const SPECIAL: [f64; 10] =
+    [-0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 5e-324, -1e-310, 1.5, -0.75, 3.0];
+
+/// A `rows x cols` matrix of seeded values, about one in four drawn from
+/// [`SPECIAL`] and the rest ordinary values in `[-4, 4)`.
+fn special_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let data = (0..rows * cols)
+        .map(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let pick = (state >> 33) as usize;
+            if pick.is_multiple_of(4) {
+                SPECIAL[(pick / 4) % SPECIAL.len()]
+            } else {
+                ((state >> 11) as f64 / (1u64 << 53) as f64) * 8.0 - 4.0
+            }
+        })
+        .collect();
+    Matrix::from_vec(rows, cols, data)
+}
+
+/// Whether two matrices agree bit for bit, except that any NaN matches
+/// any NaN (IEEE leaves a NaN result's payload to the hardware).
+fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+    a.shape() == b.shape()
+        && a.as_slice()
+            .iter()
+            .zip(b.as_slice())
+            .all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+/// The loops the epilogues replaced, run over a finished product: the
+/// dense layers' bias add, ReLU's `if v < 0.0 { v = 0.0 }`, and the
+/// backward mask `if gate <= 0.0 { d = 0.0 }`.
+fn add_bias(m: &mut Matrix, bias: &[f64]) {
+    for r in 0..m.rows() {
+        for (v, &b) in m.row_mut(r).iter_mut().zip(bias) {
+            *v += b;
+        }
+    }
+}
+
+fn relu(m: &mut Matrix) {
+    for v in m.as_mut_slice() {
+        if *v < 0.0 {
+            *v = 0.0;
+        }
+    }
+}
+
+fn mask(m: &mut Matrix, gate: &Matrix) {
+    for (d, &g) in m.as_mut_slice().iter_mut().zip(gate.as_slice()) {
+        if g <= 0.0 {
+            *d = 0.0;
+        }
+    }
+}
+
+proptest! {
+    // Every register tile — power-of-two heights up to 16 over `rows` up
+    // to 33, widths 1–8 as the whole product or as the remainder beside
+    // one or two full tiles — against the naive loop, on operands with
+    // signed zeros, infinities, NaN and subnormals.
+    #[test]
+    fn tiles_of_every_width_and_height_match_the_naive_loop(
+        rows in 1usize..34,
+        width in 1usize..9,
+        full_tiles in 0usize..3,
+        inner in 0usize..10,
+        seed in 0u64..1_000_000,
+    ) {
+        let cols = width + 8 * full_tiles;
+        let a = special_matrix(rows, inner, seed);
+        let b = special_matrix(inner, cols, seed ^ 0xB);
+        let reference = naive_matmul(&a, &b);
+        prop_assert!(same_bits(&a.matmul(&b), &reference), "matmul {rows}x{inner}x{cols}");
+        prop_assert!(
+            same_bits(&a.transpose().matmul_transa(&b), &reference),
+            "transa {rows}x{inner}x{cols}"
+        );
+        prop_assert!(
+            same_bits(&a.matmul_transb(&b.transpose()), &reference),
+            "transb {rows}x{inner}x{cols}"
+        );
+    }
+
+    // Each epilogue, fused into matmul's and transb's tile stores, equals
+    // the product followed by the loop it replaced, bit for bit.
+    #[test]
+    fn fused_epilogues_match_the_product_then_the_loop(
+        rows in 1usize..34,
+        width in 1usize..9,
+        full_tiles in 0usize..3,
+        inner in 0usize..10,
+        seed in 0u64..1_000_000,
+    ) {
+        let cols = width + 8 * full_tiles;
+        let a = special_matrix(rows, inner, seed);
+        let b = special_matrix(inner, cols, seed ^ 0xB);
+        let bt = b.transpose();
+        let bias = special_matrix(1, cols, seed ^ 0xB1A5).as_slice().to_vec();
+        let gate = special_matrix(rows, cols, seed ^ 0x6A7E);
+        let product = naive_matmul(&a, &b);
+
+        let mut biased = product.clone();
+        add_bias(&mut biased, &bias);
+        let mut rectified = biased.clone();
+        relu(&mut rectified);
+        let mut masked = product;
+        mask(&mut masked, &gate);
+
+        let cases = [
+            (Epilogue::Bias(&bias), &biased, "bias"),
+            (Epilogue::BiasRelu(&bias), &rectified, "bias+relu"),
+            (Epilogue::ZeroWhereNonPositive(&gate), &masked, "mask"),
+        ];
+        let mut out = Matrix::filled(3, 2, f64::NAN);
+        for (epilogue, expected, name) in cases {
+            a.matmul_epilogue_into(&b, epilogue, &mut out);
+            prop_assert!(same_bits(&out, expected), "matmul {name} {rows}x{inner}x{cols}");
+            a.matmul_transb_epilogue_into(&bt, epilogue, &mut out);
+            prop_assert!(same_bits(&out, expected), "transb {name} {rows}x{inner}x{cols}");
+        }
+    }
+}
+
+/// A transb shared dimension past the 64-deep panel resumes its partial
+/// sums across panels; the epilogue must run once, on the last.
+#[test]
+fn transb_epilogue_runs_after_the_last_panel() {
+    for (m, k, n) in [(9usize, 129usize, 13usize), (17, 64, 5), (4, 65, 8)] {
+        let a = special_matrix(m, k, 3);
+        let b = special_matrix(k, n, 4);
+        let gate = special_matrix(m, n, 5);
+        let bias = special_matrix(1, n, 6).as_slice().to_vec();
+        let mut masked = naive_matmul(&a, &b);
+        mask(&mut masked, &gate);
+        let mut rectified = naive_matmul(&a, &b);
+        add_bias(&mut rectified, &bias);
+        relu(&mut rectified);
+        let mut out = Matrix::zeros(0, 0);
+        a.matmul_transb_epilogue_into(
+            &b.transpose(),
+            Epilogue::ZeroWhereNonPositive(&gate),
+            &mut out,
+        );
+        assert!(same_bits(&out, &masked), "mask {m}x{k}x{n}");
+        a.matmul_transb_epilogue_into(&b.transpose(), Epilogue::BiasRelu(&bias), &mut out);
+        assert!(same_bits(&out, &rectified), "bias+relu {m}x{k}x{n}");
     }
 }
 

@@ -10,7 +10,7 @@
 use crate::loss;
 use crate::model::Model;
 use crate::workspace::Workspace;
-use freeway_linalg::Matrix;
+use freeway_linalg::{Epilogue, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -145,12 +145,7 @@ impl Cnn1d {
         self.trace_batch_into(x, ws);
         let (head, tail) = ws.acts.split_at_mut(1);
         let (pooled, logits) = (&head[0], &mut tail[0]);
-        pooled.matmul_into(&self.dense, logits);
-        for r in 0..x.rows() {
-            for (v, &b) in logits.row_mut(r).iter_mut().zip(&self.dense_bias) {
-                *v += b;
-            }
-        }
+        pooled.matmul_epilogue_into(&self.dense, Epilogue::Bias(&self.dense_bias), logits);
         loss::softmax_rows(logits);
     }
 
@@ -182,12 +177,8 @@ impl Model for Cnn1d {
     fn predict_proba(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.features, "feature dimension mismatch");
         let pooled = self.pooled_batch(x);
-        let mut logits = pooled.matmul(&self.dense);
-        for r in 0..logits.rows() {
-            for (v, &b) in logits.row_mut(r).iter_mut().zip(&self.dense_bias) {
-                *v += b;
-            }
-        }
+        let mut logits = Matrix::zeros(0, 0);
+        pooled.matmul_epilogue_into(&self.dense, Epilogue::Bias(&self.dense_bias), &mut logits);
         loss::softmax_rows(&mut logits);
         logits
     }

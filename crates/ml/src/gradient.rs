@@ -1,13 +1,16 @@
 //! Gradient plumbing: the pre-computing window of §V-B.
 //!
-//! FreewayML reduces update latency by splitting a window's data into `n`
-//! subsets and computing each subset's gradient *while waiting for more
-//! data*; when the update finally fires, only the last subset's gradient
-//! must still be computed before aggregation. [`PrecomputeAccumulator`]
-//! implements exactly that accumulation: per-subset average gradients are
-//! merged into a single weighted-average gradient keyed by sample counts,
-//! so the result is identical (up to float associativity) to one gradient
-//! over the concatenated data.
+//! The paper splits a window's data into `n` subsets so that each
+//! subset's gradient can be computed while the window is still filling,
+//! leaving only the last one for the update itself. This crate's learner
+//! does not do that ahead of time: a long-granularity update first
+//! warm-starts the long model from the short model's parameters, which
+//! exist only at the window's completion, so every subset gradient is
+//! computed then, against those parameters, one subset after another.
+//! [`PrecomputeAccumulator`] merges the per-subset average gradients into
+//! one weighted-average gradient keyed by sample weights, which equals
+//! one gradient over the concatenated data up to float rounding (the
+//! merge reassociates the sums).
 
 use freeway_linalg::vector;
 
@@ -33,8 +36,10 @@ impl PrecomputeAccumulator {
     /// `weight` is not positive.
     pub fn add_subset(&mut self, avg_gradient: &[f64], weight: f64) {
         assert!(weight > 0.0, "subset weight must be positive");
-        if self.sum.is_empty() {
-            self.sum = vec![0.0; avg_gradient.len()];
+        if self.subsets == 0 {
+            // A fresh window: the sum buffer keeps its allocation.
+            self.sum.clear();
+            self.sum.resize(avg_gradient.len(), 0.0);
         }
         assert_eq!(self.sum.len(), avg_gradient.len(), "gradient length changed mid-window");
         vector::axpy(&mut self.sum, weight, avg_gradient);
@@ -69,11 +74,25 @@ impl PrecomputeAccumulator {
     /// Consumes the accumulated state, returning the merged gradient and
     /// resetting the accumulator for the next window.
     pub fn take_merged(&mut self) -> Option<Vec<f64>> {
-        let out = self.merged();
-        self.sum.clear();
+        let mut out = Vec::new();
+        self.take_merged_into(&mut out).then_some(out)
+    }
+
+    /// [`Self::take_merged`] writing the merged gradient into `out`
+    /// (cleared and refilled, reusing its allocation): returns `false`,
+    /// leaving `out` untouched, when nothing was accumulated. Neither this
+    /// nor the next window's [`Self::add_subset`] calls allocate once the
+    /// buffers have held one gradient.
+    pub fn take_merged_into(&mut self, out: &mut Vec<f64>) -> bool {
+        if self.is_empty() {
+            return false;
+        }
+        let inv = 1.0 / self.total_weight;
+        out.clear();
+        out.extend(self.sum.iter().map(|x| x * inv));
         self.total_weight = 0.0;
         self.subsets = 0;
-        out
+        true
     }
 }
 

@@ -3,7 +3,7 @@
 use crate::loss;
 use crate::model::Model;
 use crate::workspace::Workspace;
-use freeway_linalg::Matrix;
+use freeway_linalg::{Epilogue, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -43,14 +43,10 @@ impl SoftmaxRegression {
         loss::softmax_rows(&mut ws.acts[0]);
     }
 
+    /// `x W + b`, the bias added by the product's register tiles as they
+    /// store.
     fn logits_into(&self, x: &Matrix, out: &mut Matrix) {
-        x.matmul_into(&self.weights, out);
-        let cols = self.bias.len();
-        for row in out.as_mut_slice().chunks_exact_mut(cols) {
-            for (v, &b) in row.iter_mut().zip(&self.bias) {
-                *v += b;
-            }
-        }
+        x.matmul_epilogue_into(&self.weights, Epilogue::Bias(&self.bias), out);
     }
 }
 

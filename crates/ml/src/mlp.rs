@@ -3,7 +3,7 @@
 use crate::loss;
 use crate::model::Model;
 use crate::workspace::Workspace;
-use freeway_linalg::Matrix;
+use freeway_linalg::{Epilogue, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -15,13 +15,12 @@ struct Dense {
 }
 
 impl Dense {
-    fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
-        x.matmul_into(&self.weights, out);
-        for r in 0..out.rows() {
-            for (v, &b) in out.row_mut(r).iter_mut().zip(&self.bias) {
-                *v += b;
-            }
-        }
+    /// `out = x W + b`, then ReLU (`v < 0.0` becomes `0.0`) when `relu`,
+    /// both applied by the product's register tiles as they store.
+    fn forward_into(&self, x: &Matrix, relu: bool, out: &mut Matrix) {
+        let epilogue =
+            if relu { Epilogue::BiasRelu(&self.bias) } else { Epilogue::Bias(&self.bias) };
+        x.matmul_epilogue_into(&self.weights, epilogue, out);
     }
 
     fn param_count(&self) -> usize {
@@ -70,7 +69,9 @@ impl Mlp {
 
     /// Forward pass writing every layer's *post-activation* output into
     /// `acts[i]`. The input batch is borrowed, never copied — layer 0
-    /// reads `x` directly, layer `i > 0` reads `acts[i - 1]`.
+    /// reads `x` directly, layer `i > 0` reads `acts[i - 1]`. Hidden
+    /// layers take their bias and ReLU in the product's epilogue; the head
+    /// its bias, then the softmax.
     fn forward_layers_into(&self, x: &Matrix, acts: &mut Vec<Matrix>) {
         if acts.len() < self.layers.len() {
             acts.resize_with(self.layers.len(), || Matrix::zeros(0, 0));
@@ -79,15 +80,10 @@ impl Mlp {
             let (prev, rest) = acts.split_at_mut(i);
             let input: &Matrix = if i == 0 { x } else { &prev[i - 1] };
             let z = &mut rest[0];
-            layer.forward_into(input, z);
-            if i + 1 == self.layers.len() {
+            let head = i + 1 == self.layers.len();
+            layer.forward_into(input, !head, z);
+            if head {
                 loss::softmax_rows(z);
-            } else {
-                for v in z.as_mut_slice() {
-                    if *v < 0.0 {
-                        *v = 0.0;
-                    }
-                }
             }
         }
     }
@@ -164,14 +160,14 @@ impl Model for Mlp {
             out[off..off + nw].copy_from_slice(ws.grad_w.as_slice());
             ws.delta_a.column_sums_into(&mut out[off + nw..off + nw + nb]);
             if i > 0 {
-                ws.delta_a.matmul_transb_into(&layer.weights, &mut ws.delta_b);
-                // ReLU mask from the *post-activation* values of layer
-                // i-1 — which is exactly this layer's input.
-                for (d, &a) in ws.delta_b.as_mut_slice().iter_mut().zip(input.as_slice()) {
-                    if a <= 0.0 {
-                        *d = 0.0;
-                    }
-                }
+                // delta · W^T, masked by ReLU's derivative as the tiles
+                // store it: zero where the *post-activation* value of
+                // layer i-1 — exactly this layer's input — is `<= 0.0`.
+                ws.delta_a.matmul_transb_epilogue_into(
+                    &layer.weights,
+                    Epilogue::ZeroWhereNonPositive(input),
+                    &mut ws.delta_b,
+                );
                 std::mem::swap(&mut ws.delta_a, &mut ws.delta_b);
             }
         }

@@ -1,5 +1,6 @@
 //! Model + optimizer pairing: one incremental training step per batch.
 
+use crate::gradient::PrecomputeAccumulator;
 use crate::model::Model;
 use crate::optim::Optimizer;
 use crate::workspace::Workspace;
@@ -113,6 +114,44 @@ impl Trainer {
         self.model.parameters_into(&mut self.params);
         self.optimizer.step_into(&self.params, grad, &mut self.delta);
         self.model.apply_update(&self.delta);
+    }
+
+    /// Adds one subset's weighted average gradient to `acc` with the
+    /// subset's total sample weight `weight`: bit-identical to
+    /// [`Self::gradient_into`] followed by
+    /// [`PrecomputeAccumulator::add_subset`], computed in this trainer's
+    /// own gradient scratch, so a warm call allocates nothing.
+    pub fn accumulate_gradient(
+        &mut self,
+        x: &Matrix,
+        y: &[usize],
+        weights: &[f64],
+        weight: f64,
+        acc: &mut PrecomputeAccumulator,
+    ) {
+        self.model.gradient_into(x, y, Some(weights), &mut self.ws, &mut self.grad);
+        acc.add_subset(&self.grad, weight);
+    }
+
+    /// Applies the merged gradient of the subsets `acc` holds and empties
+    /// it; does nothing when `acc` is empty. Bit-identical to
+    /// [`PrecomputeAccumulator::take_merged`] followed by
+    /// [`Self::apply_gradient`], merging into this trainer's own gradient
+    /// scratch, so a warm call allocates nothing.
+    pub fn apply_merged(&mut self, acc: &mut PrecomputeAccumulator) {
+        let mut merged = std::mem::take(&mut self.grad);
+        if acc.take_merged_into(&mut merged) {
+            self.apply_gradient(&merged);
+        }
+        self.grad = merged;
+    }
+
+    /// Overwrites the model's parameters with `src`'s, which must share its
+    /// architecture, through this trainer's parameter scratch, so a warm
+    /// call allocates nothing.
+    pub fn copy_parameters_from(&mut self, src: &dyn Model) {
+        src.parameters_into(&mut self.params);
+        self.model.set_parameters(&self.params);
     }
 
     /// Class probabilities written into `out` using this trainer's
