@@ -306,7 +306,11 @@ echo "== sharded runtime gate (routing, crash isolation, shard scaling) =="
 # deterministic artifact and the diff asserts byte-stability; the quick
 # shard sweep drives 1024 interleaved keyed streams through 1 and 2
 # shards and gates the scaling ratio — only on hosts with >= 2 cores,
-# since shard workers cannot scale past the physical core budget.
+# since shard workers cannot scale past the physical core budget. The
+# 1-shard parity oracle (the admitted Block path against
+# SupervisedPipeline::feed, two callers of one offer path) and builder
+# parity run here optimized as well as in the debug pass above.
+cargo test -q --release -p freeway-core --test sharded --test builder_parity
 cargo test -q --release -p freeway-chaos --test keyed_shard
 cargo run --release --example sharded_drill > /dev/null
 cp results/SHARDED_drill.json /tmp/sharded_drill_ci.json

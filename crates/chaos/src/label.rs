@@ -26,7 +26,7 @@
 //! byte-for-byte — the regime machinery costs nothing when idle, which
 //! is the regression gate `tests/label_regime.rs` pins.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use freeway_core::supervisor::{SupervisedPipeline, SupervisorConfig};
 use freeway_core::telemetry::{TelemetryEvent, LABEL_LAG_BATCHES_BOUNDS};
@@ -409,35 +409,13 @@ pub fn run_label_prequential(
     }
     feed_late(&mut sup, scheduler.flush(), &mut next_seq)?;
 
-    let run = sup.finish()?;
-    outputs.extend(run.outputs);
-
-    let mut per_seq = BTreeMap::new();
-    let mut transcript = BTreeMap::new();
-    let (mut correct, mut scored) = (0usize, 0usize);
-    for out in &outputs {
-        let Some(report) = &out.report else { continue };
-        let orig = orig_of.get(&out.seq).copied().unwrap_or(out.seq);
-        transcript.insert(orig, report.predictions.clone());
-        let Some(labels) = labels_by_seq.get(&orig) else { continue };
-        let c = report.predictions.iter().zip(labels).filter(|(p, l)| p == l).count();
-        per_seq.insert(orig, (c, labels.len()));
-        correct += c;
-        scored += labels.len();
-    }
+    let mut run = sup.finish()?;
+    outputs.append(&mut run.outputs);
 
     Ok(LabelRegimeReport {
-        run: ChaosRunReport {
-            stats: run.stats,
-            quarantined: run.quarantine.total(),
-            per_seq,
-            correct,
-            scored,
-            events: run.learner.telemetry().events(),
-            transcript,
-            delivered: outputs.len(),
-            journal: run.journal,
-        },
+        run: ChaosRunReport::scored(&run, &outputs, &labels_by_seq, |seq| {
+            orig_of.get(&seq).copied().unwrap_or(seq)
+        }),
         deferred: scheduler.deferred(),
         arrived: scheduler.arrived(),
         dropped: scheduler.dropped(),

@@ -60,10 +60,13 @@ pub use stall::{
 };
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::time::Duration;
 
-use freeway_core::supervisor::{SupervisedPipeline, SupervisorConfig, SupervisorStats};
+use freeway_core::supervisor::{
+    FinishedRun, SupervisedPipeline, SupervisorConfig, SupervisorStats,
+};
 use freeway_core::telemetry::TelemetryEvent;
-use freeway_core::{FreewayError, JournalStats, Learner};
+use freeway_core::{FreewayError, JournalStats, Learner, PipelineOutput};
 use freeway_linalg::Matrix;
 use freeway_streams::{Batch, StreamGenerator};
 use rand::rngs::StdRng;
@@ -386,17 +389,142 @@ impl ChaosRunReport {
 /// the apples-to-apples comparison between a faulted and a fault-free run
 /// (lost and quarantined batches exist in only one of the two).
 pub fn paired_accuracy(a: &ChaosRunReport, b: &ChaosRunReport) -> (f64, f64) {
-    let (mut ca, mut ta, mut cb, mut tb) = (0usize, 0usize, 0usize, 0usize);
-    for (seq, (c, t)) in &a.per_seq {
-        if let Some((c2, t2)) = b.per_seq.get(seq) {
-            ca += c;
-            ta += t;
-            cb += c2;
-            tb += t2;
+    paired_per_seq(&a.per_seq, &b.per_seq)
+}
+
+/// A run's outputs scored against the stream's ground-truth labels.
+#[derive(Default)]
+struct Score {
+    per_seq: BTreeMap<u64, (usize, usize)>,
+    transcript: BTreeMap<u64, Vec<usize>>,
+    correct: usize,
+    scored: usize,
+}
+
+/// Scores every output that carries a report against the labels of the
+/// stream batch it answered. `stream_seq` maps a fed seq back to the
+/// stream's own (the identity unless the drill re-stamped seqs); the
+/// transcript and per-seq scores are keyed by the stream's seq.
+fn score(
+    outputs: &[PipelineOutput],
+    labels_by_seq: &HashMap<u64, Vec<usize>>,
+    stream_seq: impl Fn(u64) -> u64,
+) -> Score {
+    let mut score = Score::default();
+    for out in outputs {
+        let Some(report) = &out.report else { continue };
+        let seq = stream_seq(out.seq);
+        score.transcript.insert(seq, report.predictions.clone());
+        let Some(labels) = labels_by_seq.get(&seq) else { continue };
+        let c = report.predictions.iter().zip(labels).filter(|(p, l)| p == l).count();
+        score.per_seq.insert(seq, (c, labels.len()));
+        score.correct += c;
+        score.scored += labels.len();
+    }
+    score
+}
+
+impl ChaosRunReport {
+    /// The report of a finished supervised run that delivered `outputs`,
+    /// scored as [`score`] does.
+    fn scored(
+        run: &FinishedRun,
+        outputs: &[PipelineOutput],
+        labels_by_seq: &HashMap<u64, Vec<usize>>,
+        stream_seq: impl Fn(u64) -> u64,
+    ) -> Self {
+        let Score { per_seq, transcript, correct, scored } =
+            score(outputs, labels_by_seq, stream_seq);
+        Self {
+            stats: run.stats,
+            quarantined: run.quarantine.total(),
+            per_seq,
+            correct,
+            scored,
+            events: run.learner.telemetry().events(),
+            transcript,
+            delivered: outputs.len(),
+            journal: run.journal,
         }
     }
-    let acc = |c: usize, t: usize| if t == 0 { 0.0 } else { c as f64 / t as f64 };
-    (acc(ca, ta), acc(cb, tb))
+}
+
+/// A worker fault a drill injects just ahead of feeding a batch.
+#[derive(Clone, Copy)]
+enum Fault {
+    Panic,
+    Stall(StallSpec),
+}
+
+/// Drives a [`SupervisedPipeline`] over `batches` batches of the stream,
+/// injecting `fault_at(i)` immediately before feeding batch `i` and
+/// waiting for the supervisor to recover from it, then scores every
+/// output against the labels the stream produced. Labeled batches go
+/// through the prequential (test-then-train) path, unlabeled ones
+/// through the inference path.
+fn run_faulted(
+    stream: &mut dyn StreamGenerator,
+    learner: Learner,
+    config: SupervisorConfig,
+    batches: usize,
+    batch_size: usize,
+    fault_at: impl Fn(usize) -> Option<Fault>,
+) -> Result<ChaosRunReport, FreewayError> {
+    let mut sup = SupervisedPipeline::with_learner(learner, config)?;
+    let mut labels_by_seq: HashMap<u64, Vec<usize>> = HashMap::new();
+    let mut outputs = Vec::new();
+
+    for i in 0..batches {
+        let fault = fault_at(i);
+        let before = sup.stats();
+        match fault {
+            Some(Fault::Panic) => sup.inject_worker_panic()?,
+            Some(Fault::Stall(spec)) => sup.inject_worker_stall(spec.duration, spec.livelock)?,
+            None => {}
+        }
+        let batch = stream.next_batch(batch_size);
+        if batch.is_empty() {
+            break;
+        }
+        match &batch.labels {
+            Some(labels) => {
+                labels_by_seq.entry(batch.seq).or_insert_with(|| labels.clone());
+                sup.feed_prequential(batch)?;
+            }
+            None => {
+                sup.feed(batch)?;
+            }
+        }
+        // Wait until the supervisor has recovered from the fault, so the
+        // recovery really is exercised (not raced past by the next feed).
+        match fault {
+            Some(Fault::Panic) => {
+                while sup.stats().restarts == before.restarts {
+                    match sup.try_recv()? {
+                        Some(out) => outputs.push(out),
+                        None => std::thread::yield_now(),
+                    }
+                }
+            }
+            Some(Fault::Stall(_)) => {
+                while sup.stats().worker_stalls == before.worker_stalls {
+                    sup.check_liveness()?;
+                    while let Some(out) = sup.try_recv()? {
+                        outputs.push(out);
+                    }
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+            }
+            None => {}
+        }
+        while let Some(out) = sup.try_recv()? {
+            outputs.push(out);
+        }
+    }
+
+    let mut run = sup.finish()?;
+    outputs.append(&mut run.outputs);
+    Ok(ChaosRunReport::scored(&run, &outputs, &labels_by_seq, |seq| seq))
 }
 
 /// Drives a [`SupervisedPipeline`] over `batches` batches of the stream,
@@ -431,69 +559,8 @@ pub fn run_supervised_prequential(
     batch_size: usize,
     panic_at: &[usize],
 ) -> Result<ChaosRunReport, FreewayError> {
-    let mut sup = SupervisedPipeline::with_learner(learner, config)?;
-    let mut labels_by_seq: HashMap<u64, Vec<usize>> = HashMap::new();
-    let mut outputs = Vec::new();
-    let mut restart_target = 0usize;
-
-    for i in 0..batches {
-        let awaiting_restart = panic_at.contains(&i);
-        if awaiting_restart {
-            sup.inject_worker_panic()?;
-            restart_target += 1;
-        }
-        let batch = stream.next_batch(batch_size);
-        if batch.is_empty() {
-            break;
-        }
-        match &batch.labels {
-            Some(labels) => {
-                labels_by_seq.entry(batch.seq).or_insert_with(|| labels.clone());
-                sup.feed_prequential(batch)?;
-            }
-            None => {
-                sup.feed(batch)?;
-            }
-        }
-        if awaiting_restart {
-            while sup.stats().restarts < restart_target {
-                match sup.try_recv()? {
-                    Some(out) => outputs.push(out),
-                    None => std::thread::yield_now(),
-                }
-            }
-        }
-        while let Some(out) = sup.try_recv()? {
-            outputs.push(out);
-        }
-    }
-
-    let run = sup.finish()?;
-    outputs.extend(run.outputs);
-
-    let mut per_seq = BTreeMap::new();
-    let mut transcript = BTreeMap::new();
-    let (mut correct, mut scored) = (0usize, 0usize);
-    for out in &outputs {
-        let Some(report) = &out.report else { continue };
-        transcript.insert(out.seq, report.predictions.clone());
-        let Some(labels) = labels_by_seq.get(&out.seq) else { continue };
-        let c = report.predictions.iter().zip(labels).filter(|(p, l)| p == l).count();
-        per_seq.insert(out.seq, (c, labels.len()));
-        correct += c;
-        scored += labels.len();
-    }
-
-    Ok(ChaosRunReport {
-        stats: run.stats,
-        quarantined: run.quarantine.total(),
-        per_seq,
-        correct,
-        scored,
-        events: run.learner.telemetry().events(),
-        transcript,
-        delivered: outputs.len(),
-        journal: run.journal,
+    run_faulted(stream, learner, config, batches, batch_size, |i| {
+        panic_at.contains(&i).then_some(Fault::Panic)
     })
 }
 

@@ -16,18 +16,20 @@
 //!   given seed, which is what the committed `results/` artifacts and CI
 //!   gates need.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 use freeway_core::admission::{
     AdmissionConfig, AdmissionOutcome, AdmissionPolicy, AdmissionStats, AdmittedPipeline,
     ShedReason,
 };
-use freeway_core::degrade::{DegradationHandle, DegradationLadder, DegradationLevel, LadderConfig};
+use freeway_core::degrade::{DegradationHandle, DegradationLadder, DegradationLevel};
 use freeway_core::supervisor::{SupervisedPipeline, SupervisorConfig, SupervisorStats};
 use freeway_core::{FreewayError, Learner};
 use freeway_streams::{Batch, StreamGenerator};
 use serde::Serialize;
+
+use crate::{score, Score};
 
 /// A deterministic square-wave arrival schedule, in batches per tick.
 ///
@@ -98,8 +100,6 @@ pub struct OverloadReport {
     pub admission: AdmissionStats,
     /// Supervisor counters (accepted/panics/restarts/checkpoints/…).
     pub stats: SupervisorStats,
-    /// Sheds retained in the shed buffer at finish.
-    pub shed_retained: usize,
     /// Per-offer producer feed latency, sorted ascending.
     pub feed_latencies: Vec<Duration>,
     /// Per-sequence `(correct, total)` over every scored output.
@@ -175,7 +175,7 @@ pub fn run_overload_prequential(
     pipe.supervisor().set_chaos_train_delay(config.train_delay);
     pipe.supervisor().set_chaos_persist_delay(config.persist_delay);
 
-    let mut labels_by_seq: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+    let mut labels_by_seq: HashMap<u64, Vec<usize>> = HashMap::new();
     let mut outputs = Vec::new();
     let mut latencies = Vec::new();
 
@@ -209,25 +209,14 @@ pub fn run_overload_prequential(
     }
 
     let final_level = pipe.degradation_level();
-    let run = pipe.finish()?;
-    outputs.extend(run.run.outputs);
-
-    let mut per_seq = BTreeMap::new();
-    let (mut correct, mut scored) = (0usize, 0usize);
-    for out in &outputs {
-        let Some(report) = &out.report else { continue };
-        let Some(labels) = labels_by_seq.get(&out.seq) else { continue };
-        let c = report.predictions.iter().zip(labels).filter(|(p, l)| p == l).count();
-        per_seq.insert(out.seq, (c, labels.len()));
-        correct += c;
-        scored += labels.len();
-    }
+    let mut run = pipe.finish()?;
+    outputs.append(&mut run.run.outputs);
+    let Score { per_seq, correct, scored, .. } = score(&outputs, &labels_by_seq, |seq| seq);
 
     latencies.sort_unstable();
     Ok(OverloadReport {
         admission: run.admission,
         stats: run.run.stats,
-        shed_retained: run.shed.len(),
         feed_latencies: latencies,
         per_seq,
         correct,
@@ -256,8 +245,9 @@ pub struct SimOverloadConfig {
     /// Admission policy at the queue. `Block` is modeled as an infinite
     /// queue (nothing shed, occupancy unbounded).
     pub policy: AdmissionPolicy,
-    /// Ladder configuration; `None` runs without degradation.
-    pub ladder: Option<LadderConfig>,
+    /// Whether the degradation ladder runs; off, the policy alone
+    /// governs overload.
+    pub ladder: bool,
 }
 
 /// One ladder transition in virtual time.
@@ -376,7 +366,7 @@ pub fn simulate_overload(
     let handle = DegradationHandle::new();
     learner.attach_degradation(handle.clone());
     let telemetry = learner.telemetry().clone();
-    let mut ladder = config.ladder.map(|lc| DegradationLadder::new(lc, handle.clone(), telemetry));
+    let mut ladder = config.ladder.then(|| DegradationLadder::new(handle.clone(), telemetry));
 
     let mut queue: VecDeque<Batch> = VecDeque::new();
     let mut report = SimOverloadReport {

@@ -4,7 +4,8 @@
 //!
 //! Two harnesses, mirroring the [`crate::overload`] split:
 //!
-//! * [`run_stall_prequential`] drives a real [`SupervisedPipeline`]
+//! * [`run_stall_prequential`] drives a real
+//!   [`SupervisedPipeline`](freeway_core::SupervisedPipeline)
 //!   (worker thread and all) while injecting scheduled stalls — sleeps or
 //!   livelocks — through the chaos hook, and pumps the watchdog until
 //!   each stall is detected and force-recovered. Wall-clock only: it
@@ -17,16 +18,15 @@
 //!   the natural host for the false-positive property: a worker that
 //!   keeps progressing, however slowly polled, is never declared stalled.
 
-use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
 use freeway_core::liveness::WatchdogState;
-use freeway_core::supervisor::{SupervisedPipeline, SupervisorConfig};
+use freeway_core::supervisor::SupervisorConfig;
 use freeway_core::{FreewayError, Learner};
 use freeway_streams::StreamGenerator;
 use serde::Serialize;
 
-use crate::ChaosRunReport;
+use crate::{run_faulted, ChaosRunReport, Fault};
 
 /// One scheduled worker stall.
 #[derive(Clone, Copy, Debug)]
@@ -46,11 +46,12 @@ pub struct StallSpec {
     pub livelock: bool,
 }
 
-/// Drives a [`SupervisedPipeline`] over `batches` batches of the stream,
-/// injecting a worker stall immediately before feeding each index listed
-/// in `stalls`, pumping [`SupervisedPipeline::check_liveness`] until the
-/// watchdog detects and force-recovers each one, and scoring every output
-/// against the labels the stream produced.
+/// Drives a [`SupervisedPipeline`](freeway_core::SupervisedPipeline) over
+/// `batches` batches of the stream, injecting a worker stall immediately
+/// before feeding each index listed in `stalls`, pumping
+/// [`check_liveness`](freeway_core::SupervisedPipeline::check_liveness)
+/// until the watchdog detects and force-recovers each one, and scoring
+/// every output against the labels the stream produced.
 ///
 /// # Errors
 /// [`FreewayError::InvalidConfig`] when stalls are scheduled without a
@@ -71,73 +72,8 @@ pub fn run_stall_prequential(
             "stall drill requires a stall deadline on the supervisor".to_owned(),
         ));
     }
-    let mut sup = SupervisedPipeline::with_learner(learner, config)?;
-    let mut labels_by_seq: HashMap<u64, Vec<usize>> = HashMap::new();
-    let mut outputs = Vec::new();
-    let mut stall_target = 0u64;
-
-    for i in 0..batches {
-        let spec = stalls.iter().find(|s| s.at == i);
-        if let Some(spec) = spec {
-            sup.inject_worker_stall(spec.duration, spec.livelock)?;
-            stall_target += 1;
-        }
-        let batch = stream.next_batch(batch_size);
-        if batch.is_empty() {
-            break;
-        }
-        match &batch.labels {
-            Some(labels) => {
-                labels_by_seq.entry(batch.seq).or_insert_with(|| labels.clone());
-                sup.feed_prequential(batch)?;
-            }
-            None => {
-                sup.feed(batch)?;
-            }
-        }
-        if spec.is_some() {
-            // Pump the watchdog until this stall is detected and the
-            // worker force-recovered, so the recovery really is
-            // exercised (not raced past by the next feed).
-            while sup.stats().worker_stalls < stall_target {
-                sup.check_liveness()?;
-                while let Some(out) = sup.try_recv()? {
-                    outputs.push(out);
-                }
-                std::thread::sleep(Duration::from_micros(100));
-            }
-        }
-        while let Some(out) = sup.try_recv()? {
-            outputs.push(out);
-        }
-    }
-
-    let run = sup.finish()?;
-    outputs.extend(run.outputs);
-
-    let mut per_seq = BTreeMap::new();
-    let mut transcript = BTreeMap::new();
-    let (mut correct, mut scored) = (0usize, 0usize);
-    for out in &outputs {
-        let Some(report) = &out.report else { continue };
-        transcript.insert(out.seq, report.predictions.clone());
-        let Some(labels) = labels_by_seq.get(&out.seq) else { continue };
-        let c = report.predictions.iter().zip(labels).filter(|(p, l)| p == l).count();
-        per_seq.insert(out.seq, (c, labels.len()));
-        correct += c;
-        scored += labels.len();
-    }
-
-    Ok(ChaosRunReport {
-        stats: run.stats,
-        quarantined: run.quarantine.total(),
-        per_seq,
-        correct,
-        scored,
-        events: run.learner.telemetry().events(),
-        transcript,
-        delivered: outputs.len(),
-        journal: run.journal,
+    run_faulted(stream, learner, config, batches, batch_size, |i| {
+        stalls.iter().find(|s| s.at == i).copied().map(Fault::Stall)
     })
 }
 

@@ -34,7 +34,7 @@ fn build(journal_dir: &std::path::Path) -> ShardedPipeline {
         .journal(JournalConfig::new(journal_dir.join("ingest.wal")))
         .admission(AdmissionConfig {
             policy: AdmissionPolicy::Block,
-            ladder: None,
+            ladder: false,
             ..Default::default()
         })
         .shards(2)

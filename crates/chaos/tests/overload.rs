@@ -13,7 +13,6 @@ use freeway_chaos::{
     SimOverloadConfig,
 };
 use freeway_core::admission::{AdmissionConfig, AdmissionPolicy};
-use freeway_core::degrade::LadderConfig;
 use freeway_core::persistence::CheckpointStore;
 use freeway_core::supervisor::SupervisorConfig;
 use freeway_core::{FreewayConfig, Learner, PipelineBuilder};
@@ -40,8 +39,7 @@ fn drill_config(schedule: BurstSchedule, train_delay: Duration) -> OverloadConfi
         admission: AdmissionConfig {
             policy: AdmissionPolicy::SheddingNewest,
             backlog_capacity: 4,
-            shed_capacity: 32,
-            ladder: Some(LadderConfig::default()),
+            ladder: true,
         },
         supervisor: SupervisorConfig { queue_depth: 4, ..Default::default() },
         schedule,
@@ -69,7 +67,7 @@ fn overload_drill_bounds_latency_memory_and_accuracy() {
     let mut clean = electricity(STREAM_SEED);
     let mut reference_cfg = drill_config(schedule, Duration::ZERO);
     reference_cfg.admission.policy = AdmissionPolicy::Block;
-    reference_cfg.admission.ladder = None;
+    reference_cfg.admission.ladder = false;
     let clean_learner = learner(&clean);
     let reference =
         run_overload_prequential(&mut clean, clean_learner, &reference_cfg).expect("unloaded run");
@@ -91,10 +89,9 @@ fn overload_drill_bounds_latency_memory_and_accuracy() {
     // Overload really happened and was answered by shedding.
     assert!(report.admission.shed > 0, "4x burst against a slow worker must shed");
 
-    // Bounded memory: the backlog never outgrew its cap and the shed
-    // buffer held its bound.
+    // Bounded memory: the backlog never outgrew its cap (shed batches
+    // are counted, not kept).
     assert!(report.admission.backlog_peak <= 4, "{:?}", report.admission);
-    assert!(report.shed_retained <= 32);
 
     // Bounded producer latency: p99 well under the deadline a blocking
     // producer would have blown (the worker needs 8ms per batch; a
@@ -125,7 +122,6 @@ fn corrupted_newest_checkpoint_generation_falls_back_to_previous() {
         drill_config(BurstSchedule { base: 1, burst: 1, period: 0, duty: 0 }, Duration::ZERO);
     config.supervisor.checkpoint_path = Some(path.clone());
     config.supervisor.checkpoint_every_n_batches = 4;
-    config.supervisor.checkpoint_generations = 3;
     config.ticks = 40;
     let lrn = learner(&stream);
     let report = run_overload_prequential(&mut stream, lrn, &config).expect("checkpointing run");
@@ -155,7 +151,7 @@ fn simulated_overload_is_deterministic_and_degrades_gracefully() {
         service_per_tick: 1.25,
         degraded_speedup: 2.0,
         policy: AdmissionPolicy::SheddingNewest,
-        ladder: Some(LadderConfig::default()),
+        ladder: true,
     };
     let mut a_stream = electricity(STREAM_SEED);
     let a_learner = learner(&a_stream);

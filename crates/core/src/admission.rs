@@ -10,9 +10,10 @@
 //! * **policy** ([`AdmissionPolicy`]) decides what happens when the
 //!   worker queue is full — block, or backlog and then shed the newest
 //!   batch;
-//! * **shed batches** land in a counted, bounded [`ShedBuffer`]
-//!   (mirroring the poison quarantine), each announced as
-//!   [`TelemetryEvent::BatchShed`];
+//! * **shed batches** are counted, not kept: each one adds to
+//!   [`AdmissionStats::shed`] and is announced as a
+//!   [`TelemetryEvent::BatchShed`] naming its [`ShedReason`], so shedding
+//!   holds no memory;
 //! * a [`DegradationLadder`] watches queue pressure and steps the
 //!   learner's service level down before shedding becomes the only
 //!   option, then back up — with hysteresis — once the load clears.
@@ -21,11 +22,11 @@
 //! are byte-for-byte the code that ran before, so admission control is
 //! zero-cost when disabled.
 
-use crate::degrade::{DegradationHandle, DegradationLadder, DegradationLevel, LadderConfig};
+use crate::degrade::{DegradationHandle, DegradationLadder, DegradationLevel};
 use crate::error::FreewayError;
 use crate::learner::Learner;
 use crate::pipeline::PipelineOutput;
-use crate::supervisor::{FinishedRun, SupervisedPipeline, TryFeedOutcome};
+use crate::supervisor::{FeedOutcome, FinishedRun, SupervisedPipeline};
 use freeway_streams::Batch;
 use freeway_telemetry::{Telemetry, TelemetryEvent};
 use std::collections::VecDeque;
@@ -77,67 +78,6 @@ impl ShedReason {
     }
 }
 
-/// One shed batch, held for inspection.
-#[derive(Clone, Debug)]
-pub struct ShedBatch {
-    /// The dropped batch itself.
-    pub batch: Batch,
-    /// Why it was dropped.
-    pub reason: ShedReason,
-}
-
-/// Bounded, counted buffer of shed batches (the overload mirror of the
-/// poison [`crate::guard::Quarantine`]): every shed is counted, only the
-/// most recent `capacity` are kept, so shedding never grows memory
-/// without bound.
-#[derive(Clone, Debug)]
-pub struct ShedBuffer {
-    entries: VecDeque<ShedBatch>,
-    capacity: usize,
-    total: u64,
-    evicted: u64,
-}
-
-impl ShedBuffer {
-    fn new(capacity: usize) -> Self {
-        Self { entries: VecDeque::new(), capacity: capacity.max(1), total: 0, evicted: 0 }
-    }
-
-    fn push(&mut self, batch: Batch, reason: ShedReason) {
-        self.total += 1;
-        if self.entries.len() >= self.capacity {
-            self.entries.pop_front();
-            self.evicted += 1;
-        }
-        self.entries.push_back(ShedBatch { batch, reason });
-    }
-
-    /// Every shed ever recorded (kept or evicted).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Sheds evicted to respect the capacity bound.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// The retained shed batches, oldest first.
-    pub fn entries(&self) -> impl Iterator<Item = &ShedBatch> {
-        self.entries.iter()
-    }
-
-    /// Number of batches currently retained.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 /// Admission-control knobs.
 #[derive(Clone, Debug)]
 pub struct AdmissionConfig {
@@ -146,22 +86,15 @@ pub struct AdmissionConfig {
     /// Batches held caller-side while the worker queue is full (not used
     /// by [`AdmissionPolicy::Block`]).
     pub backlog_capacity: usize,
-    /// How many shed batches the [`ShedBuffer`] retains (all are counted
-    /// regardless).
-    pub shed_capacity: usize,
-    /// Degradation ladder; `None` disables graceful degradation (the
-    /// policy alone governs overload).
-    pub ladder: Option<LadderConfig>,
+    /// Whether the [`DegradationLadder`] steps the learner's service
+    /// level down under queue pressure and back up once it clears; off,
+    /// the policy alone governs overload.
+    pub ladder: bool,
 }
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
-        Self {
-            policy: AdmissionPolicy::SheddingNewest,
-            backlog_capacity: 32,
-            shed_capacity: 64,
-            ladder: Some(LadderConfig::default()),
-        }
+        Self { policy: AdmissionPolicy::SheddingNewest, backlog_capacity: 32, ladder: true }
     }
 }
 
@@ -177,12 +110,6 @@ impl AdmissionConfig {
                 "admission policy {} needs a positive backlog capacity",
                 self.policy.tag()
             ));
-        }
-        if self.shed_capacity == 0 {
-            return Err("admission shed capacity must be positive".to_owned());
-        }
-        if let Some(ladder) = &self.ladder {
-            ladder.check()?;
         }
         Ok(())
     }
@@ -210,7 +137,9 @@ pub struct AdmissionStats {
     pub offered: u64,
     /// Batches that reached the worker.
     pub admitted: u64,
-    /// Batches shed (all reasons; see the [`ShedBuffer`] for detail).
+    /// Batches shed, all reasons. A shed batch is dropped, not kept;
+    /// each one is also announced as a [`TelemetryEvent::BatchShed`]
+    /// naming its [`ShedReason`].
     pub shed: u64,
     /// Batches quarantined as poison (also counted in
     /// [`crate::supervisor::SupervisorStats::quarantined`]).
@@ -229,7 +158,6 @@ pub struct AdmittedPipeline {
     /// Batches accepted by the guard-side policy but not yet on the
     /// worker queue, oldest first, with their prequential flag.
     backlog: VecDeque<(Batch, bool)>,
-    shed: ShedBuffer,
     ladder: Option<DegradationLadder>,
     handle: DegradationHandle,
     stats: AdmissionStats,
@@ -264,13 +192,11 @@ impl AdmittedPipeline {
         inner.set_degradation_handle(handle.clone());
         let telemetry = inner.telemetry().clone();
         let ladder =
-            config.ladder.map(|lc| DegradationLadder::new(lc, handle.clone(), telemetry.clone()));
-        let shed = ShedBuffer::new(config.shed_capacity);
+            config.ladder.then(|| DegradationLadder::new(handle.clone(), telemetry.clone()));
         Ok(Self {
             inner,
             config,
             backlog: VecDeque::new(),
-            shed,
             ladder,
             handle,
             stats: AdmissionStats::default(),
@@ -314,7 +240,7 @@ impl AdmittedPipeline {
             // Defensive: the sharded router stops sending here once the
             // fence is up, but a direct caller still gets a counted,
             // typed verdict instead of a dead-worker error.
-            self.shed_batch(batch, ShedReason::Fenced);
+            self.count_shed(batch.seq, ShedReason::Fenced);
             return Ok(Ok(AdmissionOutcome::Shed(ShedReason::Fenced)));
         }
         let seq = batch.seq;
@@ -323,7 +249,7 @@ impl AdmittedPipeline {
             // The ladder's last resort: even inference is load we cannot
             // afford. Shedding here keeps the queue draining so the
             // recovery observations below can actually happen.
-            self.shed_batch(batch, ShedReason::Degraded);
+            self.count_shed(seq, ShedReason::Degraded);
             AdmissionOutcome::Shed(ShedReason::Degraded)
         } else {
             match self.offer_with_policy(batch, prequential, wait)? {
@@ -349,7 +275,7 @@ impl AdmittedPipeline {
         // seq regress when the backlog drains). Only shedding-newest
         // ever backlogs, so Block always takes the direct path.
         let full = if self.backlog.is_empty() {
-            match self.try_inner(batch, prequential)? {
+            match self.try_inner(batch, prequential, false)? {
                 Ok(outcome) => return Ok(Ok(outcome)),
                 Err(batch) => batch,
             }
@@ -366,61 +292,40 @@ impl AdmittedPipeline {
         };
         Ok(match self.config.policy {
             AdmissionPolicy::Block if !wait => Err(full),
-            AdmissionPolicy::Block => {
-                // Backpressure by waiting: hand the batch to the blocking
-                // path, which pumps worker output until space frees up.
-                let outcome = if prequential {
-                    self.inner.feed_prequential(full)?
-                } else {
-                    self.inner.feed(full)?
-                };
-                self.stats.admitted += 1;
-                match outcome {
-                    crate::supervisor::FeedOutcome::Accepted => Ok(AdmissionOutcome::Admitted),
-                    crate::supervisor::FeedOutcome::Quarantined(fault) => {
-                        // Unreachable in practice: try_inner validated
-                        // already. Kept total for safety.
-                        self.stats.admitted -= 1;
-                        self.stats.quarantined += 1;
-                        Ok(AdmissionOutcome::Quarantined(fault))
-                    }
-                }
-            }
+            // Backpressure by waiting: the waiting offer pumps worker
+            // output until space frees up.
+            AdmissionPolicy::Block => return self.try_inner(full, prequential, true),
             AdmissionPolicy::SheddingNewest => {
                 if self.backlog.len() < self.config.backlog_capacity {
                     self.push_backlog(full, prequential);
                     Ok(AdmissionOutcome::Backlogged)
                 } else {
-                    self.shed_batch(full, ShedReason::QueueFull);
+                    self.count_shed(full.seq, ShedReason::QueueFull);
                     Ok(AdmissionOutcome::Shed(ShedReason::QueueFull))
                 }
             }
         })
     }
 
-    /// One non-blocking offer to the inner pipeline. `Ok(Ok(..))` means
-    /// the batch was resolved (admitted or quarantined); `Ok(Err(b))`
-    /// hands the batch back on a full queue.
+    /// One offer to the inner pipeline, waiting out a full queue when
+    /// `wait` is set. `Ok(Ok(..))` means the batch was resolved (admitted
+    /// or quarantined); `Ok(Err(b))` hands the batch back on a full queue.
     fn try_inner(
         &mut self,
         batch: Batch,
         prequential: bool,
+        wait: bool,
     ) -> Result<Result<AdmissionOutcome, Batch>, FreewayError> {
-        let outcome = if prequential {
-            self.inner.try_feed_prequential(batch)?
-        } else {
-            self.inner.try_feed(batch)?
-        };
-        Ok(match outcome {
-            TryFeedOutcome::Accepted => {
+        Ok(match self.inner.offer(batch, prequential, wait)? {
+            Ok(FeedOutcome::Accepted) => {
                 self.stats.admitted += 1;
                 Ok(AdmissionOutcome::Admitted)
             }
-            TryFeedOutcome::Quarantined(fault) => {
+            Ok(FeedOutcome::Quarantined(fault)) => {
                 self.stats.quarantined += 1;
                 Ok(AdmissionOutcome::Quarantined(fault))
             }
-            TryFeedOutcome::Full(batch) => Err(batch),
+            Err(batch) => Err(batch),
         })
     }
 
@@ -432,7 +337,7 @@ impl AdmittedPipeline {
     /// Moves as many backlogged batches to the worker as fit right now.
     fn drain_backlog(&mut self) -> Result<(), FreewayError> {
         while let Some((batch, prequential)) = self.backlog.pop_front() {
-            match self.try_inner(batch, prequential)? {
+            match self.try_inner(batch, prequential, false)? {
                 Ok(_) => {}
                 Err(batch) => {
                     self.backlog.push_front((batch, prequential));
@@ -443,10 +348,12 @@ impl AdmittedPipeline {
         Ok(())
     }
 
-    fn shed_batch(&mut self, batch: Batch, reason: ShedReason) {
+    /// Counts and announces one shed batch. Also counts a batch consumed
+    /// by the feed that *triggered* a fence: it was handed to a worker
+    /// that died past its restart budget, so nothing answers it.
+    pub(crate) fn count_shed(&mut self, seq: u64, reason: ShedReason) {
         self.stats.shed += 1;
-        self.telemetry.emit(TelemetryEvent::BatchShed { seq: batch.seq, reason: reason.tag() });
-        self.shed.push(batch, reason);
+        self.telemetry.emit(TelemetryEvent::BatchShed { seq, reason: reason.tag() });
     }
 
     /// Feeds the ladder one pressure observation: normalized occupancy of
@@ -488,11 +395,6 @@ impl AdmittedPipeline {
         self.stats
     }
 
-    /// The shed-batch buffer (counted, bounded).
-    pub fn shed(&self) -> &ShedBuffer {
-        &self.shed
-    }
-
     /// Batches waiting caller-side for queue space.
     pub fn backlog_len(&self) -> usize {
         self.backlog.len()
@@ -515,26 +417,18 @@ impl AdmittedPipeline {
     }
 
     /// Fences the pipeline after its restart budget exhausted: the
-    /// backlog is drained into the shed buffer as [`ShedReason::Fenced`]
-    /// (those batches were waiting for a worker that will never return)
-    /// and every future offer is shed the same way. Outputs the dead
-    /// worker already produced stay consumable via [`Self::try_recv`].
+    /// backlog is shed as [`ShedReason::Fenced`] (those batches were
+    /// waiting for a worker that will never return) and every future
+    /// offer is shed the same way. Outputs the dead worker already
+    /// produced stay consumable via [`Self::try_recv`].
     pub(crate) fn fence(&mut self) {
         if self.fenced {
             return;
         }
         self.fenced = true;
         while let Some((batch, _prequential)) = self.backlog.pop_front() {
-            self.shed_batch(batch, ShedReason::Fenced);
+            self.count_shed(batch.seq, ShedReason::Fenced);
         }
-    }
-
-    /// Counts a batch that was consumed by the feed that *triggered* the
-    /// fence (it was handed to a worker that died before answering, past
-    /// the restart budget — there is nothing left to retain).
-    pub(crate) fn note_fenced_drop(&mut self, seq: u64) {
-        self.stats.shed += 1;
-        self.telemetry.emit(TelemetryEvent::BatchShed { seq, reason: ShedReason::Fenced.tag() });
     }
 
     /// Liveness passthrough: polls the wrapped supervisor's stall
@@ -564,23 +458,18 @@ impl AdmittedPipeline {
         &mut self.inner
     }
 
-    /// Flushes the backlog (blocking — these batches were accepted for
+    /// Flushes the backlog (waiting — these batches were accepted for
     /// service, not shed) and finishes the wrapped pipeline, returning
-    /// the run plus this controller's view of what was shed.
+    /// the run plus this controller's counters.
     ///
     /// # Errors
     /// As [`SupervisedPipeline::finish`].
     pub fn finish(mut self) -> Result<AdmittedRun, FreewayError> {
         while let Some((batch, prequential)) = self.backlog.pop_front() {
-            if prequential {
-                self.inner.feed_prequential(batch)?;
-            } else {
-                self.inner.feed(batch)?;
-            }
-            self.stats.admitted += 1;
+            waited(self.try_inner(batch, prequential, true)?)?;
         }
         let run = self.inner.finish()?;
-        Ok(AdmittedRun { run, admission: self.stats, shed: self.shed })
+        Ok(AdmittedRun { run, admission: self.stats })
     }
 }
 
@@ -590,8 +479,6 @@ pub struct AdmittedRun {
     pub run: FinishedRun,
     /// Admission counters.
     pub admission: AdmissionStats,
-    /// The shed-batch buffer.
-    pub shed: ShedBuffer,
 }
 
 /// Recovers a trained [`Learner`] plus all remaining outputs; sugar over
@@ -612,24 +499,25 @@ mod tests {
     use freeway_ml::ModelSpec;
     use freeway_streams::concept::{stream_rng, GmmConcept};
     use freeway_streams::DriftPhase;
+    use freeway_telemetry::{RecordingSink, TelemetrySink};
+    use std::sync::Arc;
     use std::time::Duration;
 
-    fn build(policy: AdmissionPolicy, queue_depth: usize, backlog: usize) -> AdmittedPipeline {
-        PipelineBuilder::new(ModelSpec::lr(4, 2))
+    fn build(
+        policy: AdmissionPolicy,
+        queue_depth: usize,
+        backlog: usize,
+    ) -> (AdmittedPipeline, Arc<RecordingSink>) {
+        let (builder, sink) = PipelineBuilder::new(ModelSpec::lr(4, 2))
             .with_config(FreewayConfig {
                 pca_warmup_rows: 32,
                 mini_batch: 64,
                 ..Default::default()
             })
             .with_supervisor_config(SupervisorConfig { queue_depth, ..Default::default() })
-            .admission(AdmissionConfig {
-                policy,
-                backlog_capacity: backlog,
-                shed_capacity: 8,
-                ladder: None,
-            })
-            .build_admitted()
-            .expect("valid admission build")
+            .admission(AdmissionConfig { policy, backlog_capacity: backlog, ladder: false })
+            .recording();
+        (builder.build_admitted().expect("valid admission build"), sink)
     }
 
     fn batches(n: u64, seed: u64) -> Vec<Batch> {
@@ -647,14 +535,12 @@ mod tests {
     fn config_validation_names_the_field() {
         let bad = AdmissionConfig { backlog_capacity: 0, ..Default::default() };
         assert!(bad.check().unwrap_err().contains("backlog"));
-        let bad = AdmissionConfig { shed_capacity: 0, ..Default::default() };
-        assert!(bad.check().unwrap_err().contains("shed"));
         assert!(AdmissionConfig::default().check().is_ok());
     }
 
     #[test]
     fn block_policy_never_sheds() {
-        let mut p = build(AdmissionPolicy::Block, 2, 0);
+        let (mut p, _) = build(AdmissionPolicy::Block, 2, 0);
         p.supervisor().set_chaos_train_delay(Duration::from_millis(2));
         for b in batches(20, 31) {
             let outcome = p.feed_prequential(b).expect("healthy");
@@ -668,7 +554,7 @@ mod tests {
 
     #[test]
     fn shedding_newest_bounds_memory_and_counts_sheds() {
-        let mut p = build(AdmissionPolicy::SheddingNewest, 1, 2);
+        let (mut p, sink) = build(AdmissionPolicy::SheddingNewest, 1, 2);
         p.supervisor().set_chaos_train_delay(Duration::from_millis(25));
         let mut shed = 0u64;
         let mut backlogged = 0u64;
@@ -686,8 +572,9 @@ mod tests {
         p.supervisor().set_chaos_train_delay(Duration::ZERO);
         let run = p.finish().expect("finish");
         assert_eq!(run.admission.shed, shed);
-        assert_eq!(run.shed.total(), shed);
-        assert!(run.shed.len() <= 8, "shed buffer is bounded");
+        let announced =
+            sink.events().iter().filter(|e| matches!(e, TelemetryEvent::BatchShed { .. })).count();
+        assert_eq!(run.admission.shed, announced as u64, "every shed batch is announced");
         assert_eq!(run.admission.offered, 30);
         assert_eq!(run.admission.admitted + run.admission.shed, 30);
     }
@@ -704,13 +591,7 @@ mod tests {
             .admission(AdmissionConfig {
                 policy: AdmissionPolicy::SheddingNewest,
                 backlog_capacity: 2,
-                shed_capacity: 64,
-                ladder: Some(LadderConfig {
-                    downgrade_above: 0.7,
-                    upgrade_below: 0.3,
-                    dwell_down: 2,
-                    dwell_up: 3,
-                }),
+                ladder: true,
             })
             .build_admitted()
             .expect("valid admission build");

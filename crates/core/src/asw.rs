@@ -91,6 +91,12 @@ pub struct AdaptiveStreamingWindow {
     telemetry: Telemetry,
     /// Granularity level this window belongs to, for event labeling.
     level: usize,
+    /// Scratch an insertion ranks the held batches in: their distances
+    /// to the incoming batch, the distance order and the ranks. Kept
+    /// here so a warm window inserts without allocating.
+    distances: Vec<f64>,
+    order: Vec<usize>,
+    ranks: Vec<usize>,
 }
 
 impl AdaptiveStreamingWindow {
@@ -106,6 +112,9 @@ impl AdaptiveStreamingWindow {
             decay_multiplier: 1.0,
             telemetry: Telemetry::disabled(),
             level: 0,
+            distances: Vec::new(),
+            order: Vec::new(),
+            ranks: Vec::new(),
         }
     }
 
@@ -161,17 +170,16 @@ impl AdaptiveStreamingWindow {
         if !self.batches.is_empty() {
             // Shift distances from the incoming batch to each held batch,
             // oldest first.
-            let distances: Vec<f64> = self
-                .batches
-                .iter()
-                .map(|b| vector::euclidean_distance(&b.projected, &projected))
-                .collect();
-            let ranks = distance_ranks(&distances);
-            let disorder = normalized_disorder(&ranks);
+            self.distances.clear();
+            self.distances.extend(
+                self.batches.iter().map(|b| vector::euclidean_distance(&b.projected, &projected)),
+            );
+            distance_ranks(&self.distances, &mut self.order, &mut self.ranks);
+            let disorder = normalized_disorder(&self.ranks);
             self.last_disorder = disorder;
 
             let n = self.batches.len() as f64;
-            for (batch, &rank) in self.batches.iter_mut().zip(&ranks) {
+            for (batch, &rank) in self.batches.iter_mut().zip(&self.ranks) {
                 // rank 0 = farthest ⇒ most decay; nearest decays least.
                 let rank_term = self.params.rank_decay * (n - rank as f64) / n.max(1.0);
                 let decay = (self.params.base_decay + rank_term)

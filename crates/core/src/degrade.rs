@@ -17,10 +17,10 @@
 //!    afford; the admission controller drops incoming batches.
 //!
 //! [`DegradationLadder::observe`] drives the level from a normalized
-//! pressure signal (queue fill plus per-stage timing overruns, computed
-//! by the admission controller) with *hysteresis*: a level change needs
-//! `dwell_down` consecutive observations above the downgrade threshold
-//! (or `dwell_up` below the upgrade threshold), and the two thresholds
+//! pressure signal (worker queue plus backlog occupancy, computed by the
+//! admission controller) with *hysteresis*: a level change needs
+//! two consecutive observations above the downgrade threshold of 0.85
+//! (or four below the upgrade threshold of 0.35), and the two thresholds
 //! are separated, so an oscillating load does not flap the ladder. Every
 //! transition is emitted as [`TelemetryEvent::DegradationChanged`].
 //!
@@ -129,60 +129,22 @@ impl DegradationHandle {
     }
 }
 
-/// Hysteresis constants for the ladder.
-#[derive(Clone, Copy, Debug)]
-pub struct LadderConfig {
-    /// Pressure above which the ladder counts toward a downgrade.
-    /// Pressure is normalized occupancy: 1.0 means the queue plus
-    /// backlog are completely full.
-    pub downgrade_above: f64,
-    /// Pressure below which the ladder counts toward an upgrade. Must be
-    /// strictly below `downgrade_above`; the gap is the hysteresis band.
-    pub upgrade_below: f64,
-    /// Consecutive over-threshold observations required to step down.
-    pub dwell_down: u32,
-    /// Consecutive under-threshold observations required to step up.
-    /// Deliberately larger than `dwell_down` by default: reacting to
-    /// overload must be fast, trusting a recovery should be slow.
-    pub dwell_up: u32,
-}
-
-impl Default for LadderConfig {
-    fn default() -> Self {
-        Self { downgrade_above: 0.85, upgrade_below: 0.35, dwell_down: 2, dwell_up: 4 }
-    }
-}
-
-impl LadderConfig {
-    /// Validates the thresholds and dwell counts.
-    ///
-    /// # Errors
-    /// A message naming the offending field, in the builder's
-    /// `InvalidConfig` style.
-    pub fn check(&self) -> Result<(), String> {
-        if !(self.downgrade_above.is_finite() && (0.0..=1.0).contains(&self.downgrade_above)) {
-            return Err("ladder downgrade_above must be in [0, 1]".to_owned());
-        }
-        if !(self.upgrade_below.is_finite() && self.upgrade_below >= 0.0) {
-            return Err("ladder upgrade_below must be finite and non-negative".to_owned());
-        }
-        if self.upgrade_below >= self.downgrade_above {
-            return Err(
-                "ladder upgrade_below must be strictly below downgrade_above (hysteresis band)"
-                    .to_owned(),
-            );
-        }
-        if self.dwell_down == 0 || self.dwell_up == 0 {
-            return Err("ladder dwell counts must be positive".to_owned());
-        }
-        Ok(())
-    }
-}
+/// Pressure above which the ladder counts toward a downgrade. Pressure
+/// is normalized occupancy: 1.0 means the queue plus backlog are full.
+const DOWNGRADE_ABOVE: f64 = 0.85;
+/// Pressure below which the ladder counts toward an upgrade; the gap up
+/// to [`DOWNGRADE_ABOVE`] is the hysteresis band.
+const UPGRADE_BELOW: f64 = 0.35;
+/// Consecutive over-threshold observations required to step down.
+const DWELL_DOWN: u32 = 2;
+/// Consecutive under-threshold observations required to step up. Larger
+/// than [`DWELL_DOWN`]: reacting to overload must be fast, trusting a
+/// recovery should be slow.
+const DWELL_UP: u32 = 4;
 
 /// The stateful ladder: pressure observations in, level transitions out.
 #[derive(Debug)]
 pub struct DegradationLadder {
-    config: LadderConfig,
     handle: DegradationHandle,
     telemetry: Telemetry,
     above_streak: u32,
@@ -193,8 +155,8 @@ pub struct DegradationLadder {
 impl DegradationLadder {
     /// Creates a ladder publishing into `handle` and announcing
     /// transitions on `telemetry`.
-    pub fn new(config: LadderConfig, handle: DegradationHandle, telemetry: Telemetry) -> Self {
-        Self { config, handle, telemetry, above_streak: 0, below_streak: 0, transitions: 0 }
+    pub fn new(handle: DegradationHandle, telemetry: Telemetry) -> Self {
+        Self { handle, telemetry, above_streak: 0, below_streak: 0, transitions: 0 }
     }
 
     /// The shared level cell (clone to hand to a learner).
@@ -215,22 +177,22 @@ impl DegradationLadder {
     /// Feeds one pressure observation (normalized occupancy, 1.0 = the
     /// queue and backlog are full) stamped with the batch sequence number
     /// it was measured at. Steps the ladder at most one level per call,
-    /// after the configured dwell, and emits
-    /// [`TelemetryEvent::DegradationChanged`] on every transition.
-    /// Returns the level in force after the observation.
+    /// after its dwell, and emits [`TelemetryEvent::DegradationChanged`]
+    /// on every transition. Returns the level in force after the
+    /// observation.
     pub fn observe(&mut self, seq: u64, pressure: f64) -> DegradationLevel {
         let level = self.handle.level();
-        if pressure > self.config.downgrade_above {
+        if pressure > DOWNGRADE_ABOVE {
             self.below_streak = 0;
             self.above_streak += 1;
-            if self.above_streak >= self.config.dwell_down && level != DegradationLevel::Shed {
+            if self.above_streak >= DWELL_DOWN && level != DegradationLevel::Shed {
                 self.above_streak = 0;
                 return self.transition(seq, level, level.worse());
             }
-        } else if pressure < self.config.upgrade_below {
+        } else if pressure < UPGRADE_BELOW {
             self.above_streak = 0;
             self.below_streak += 1;
-            if self.below_streak >= self.config.dwell_up && level != DegradationLevel::Full {
+            if self.below_streak >= DWELL_UP && level != DegradationLevel::Full {
                 self.below_streak = 0;
                 return self.transition(seq, level, level.better());
             }
@@ -267,11 +229,7 @@ mod tests {
     use freeway_telemetry::TelemetrySink;
 
     fn ladder() -> DegradationLadder {
-        DegradationLadder::new(
-            LadderConfig::default(),
-            DegradationHandle::new(),
-            Telemetry::disabled(),
-        )
+        DegradationLadder::new(DegradationHandle::new(), Telemetry::disabled())
     }
 
     #[test]
@@ -331,8 +289,7 @@ mod tests {
     #[test]
     fn transitions_are_emitted_with_level_tags() {
         let (telemetry, sink) = Telemetry::recording();
-        let mut l =
-            DegradationLadder::new(LadderConfig::default(), DegradationHandle::new(), telemetry);
+        let mut l = DegradationLadder::new(DegradationHandle::new(), telemetry);
         l.observe(0, 0.9);
         l.observe(1, 0.9);
         let events = sink.events();
@@ -350,8 +307,7 @@ mod tests {
     #[test]
     fn square_wave_pressure_yields_exactly_one_downgrade_and_one_upgrade() {
         let (telemetry, sink) = Telemetry::recording();
-        let mut l =
-            DegradationLadder::new(LadderConfig::default(), DegradationHandle::new(), telemetry);
+        let mut l = DegradationLadder::new(DegradationHandle::new(), telemetry);
         // One square wave — three observations of overload, seven of calm
         // — with a single-observation spike after recovery that the
         // hysteresis dwell must swallow. The timeline has four threshold
@@ -372,15 +328,6 @@ mod tests {
             events[1],
             TelemetryEvent::DegradationChanged { seq: 6, from: "short-only", to: "full" }
         ));
-    }
-
-    #[test]
-    fn config_validation_names_the_field() {
-        let bad = LadderConfig { upgrade_below: 0.9, ..Default::default() };
-        assert!(bad.check().unwrap_err().contains("upgrade_below"));
-        let bad = LadderConfig { dwell_down: 0, ..Default::default() };
-        assert!(bad.check().unwrap_err().contains("dwell"));
-        assert!(LadderConfig::default().check().is_ok());
     }
 
     #[test]

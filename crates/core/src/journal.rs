@@ -45,12 +45,13 @@
 //! whenever a sync fails or exceeds [`JournalConfig::slow_sync_budget`],
 //! and resets on a fast success — a persistently slow disk degrades
 //! durability granularity instead of stalling ingest, mirroring the
-//! checkpoint-cadence backoff in the supervisor. The write itself runs
-//! under the default [`RetryPolicy`].
+//! checkpoint-cadence backoff in the supervisor. The write itself is
+//! retried on the checkpoint saves' schedule: three attempts, backing off
+//! from 2 ms to at most 50 ms with seeded jitter.
 
 use crate::error::FreewayError;
 use crate::persistence::crc32;
-use crate::retry::RetryPolicy;
+use crate::retry::retry;
 use freeway_linalg::Matrix;
 use freeway_streams::{Batch, DriftPhase};
 use serde::{Deserialize, Serialize};
@@ -329,8 +330,8 @@ impl Journal {
         Ok(indices)
     }
 
-    /// Appends one pre-framed record (see [`frame_batch`]) under the
-    /// default [`RetryPolicy`], rotating segments and syncing on cadence.
+    /// Appends one pre-framed record (see [`frame_batch`]), retrying a
+    /// failed write, rotating segments and syncing on cadence.
     /// Returns whether this append flushed the segment to disk.
     ///
     /// # Errors
@@ -343,7 +344,7 @@ impl Journal {
         {
             self.rotate()?;
         }
-        RetryPolicy::default().run(|| self.active.write_all(frame))?;
+        retry(|| self.active.write_all(frame))?;
         self.active_bytes += frame.len() as u64;
         self.active_last_seq = Some(seq);
         self.stats.appended += 1;
@@ -472,7 +473,8 @@ impl Journal {
 
     /// Chaos hook: the shared handle that injects a per-fsync delay
     /// (milliseconds), for drilling the slow-disk degradation path.
-    pub fn chaos_sync_delay_handle(&self) -> Arc<AtomicU64> {
+    #[cfg(test)]
+    fn chaos_sync_delay_handle(&self) -> Arc<AtomicU64> {
         Arc::clone(&self.chaos_sync_delay_ms)
     }
 }

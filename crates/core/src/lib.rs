@@ -26,10 +26,10 @@
 //!
 //! The overload-resilience layer sits on top of it: [`admission`]
 //! (admission policies, counted load shedding, and the
-//! [`admission::AdmittedPipeline`] wrapper), [`degrade`] (the
-//! graceful-degradation ladder with hysteresis), and [`retry`]
-//! (bounded exponential backoff with deterministic jitter, used for
-//! checkpoint persistence).
+//! [`admission::AdmittedPipeline`] wrapper) and [`degrade`] (the
+//! graceful-degradation ladder with hysteresis). Checkpoint saves and
+//! journal appends retry a failed write with bounded exponential backoff
+//! and deterministic jitter.
 //!
 //! The scale-out layer is [`shard`]: the keyed, hash-routed
 //! [`shard::ShardedPipeline`] running one admitted pipeline per shard
@@ -74,7 +74,7 @@ pub mod liveness;
 pub mod persistence;
 pub mod pipeline;
 pub mod rate;
-pub mod retry;
+mod retry;
 pub mod selector;
 pub mod serve;
 pub mod shard;
@@ -84,11 +84,11 @@ pub use freeway_telemetry as telemetry;
 
 pub use admission::{
     AdmissionConfig, AdmissionOutcome, AdmissionPolicy, AdmissionStats, AdmittedPipeline,
-    AdmittedRun, ShedBatch, ShedBuffer, ShedReason,
+    AdmittedRun, ShedReason,
 };
 pub use builder::PipelineBuilder;
 pub use config::{FreewayConfig, OptimizerKind};
-pub use degrade::{DegradationHandle, DegradationLadder, DegradationLevel, LadderConfig};
+pub use degrade::{DegradationHandle, DegradationLadder, DegradationLevel};
 pub use error::{CheckpointError, FreewayError};
 pub use guard::{BatchFault, BatchGuard, GuardPolicy, Quarantine};
 pub use journal::{frame_batch, Journal, JournalConfig, JournalRecord, JournalStats};
@@ -97,7 +97,6 @@ pub use learner::{InferenceReport, Learner, Strategy, StrategyStats};
 pub use liveness::{HeartbeatLedger, WatchdogState, WorkerStage};
 pub use persistence::{crc32, Checkpoint, CheckpointStore, CHECKPOINT_VERSION};
 pub use pipeline::{Pipeline, PipelineOutput};
-pub use retry::RetryPolicy;
 pub use selector::StrategySelector;
 pub use serve::{
     busy_hint, AdmittedRecord, ClientSession, ServeError, Service, ServiceConfig, ServiceHandle,
@@ -105,38 +104,5 @@ pub use serve::{
 };
 pub use shard::{failover_shard, shard_for, ShardedPipeline, ShardedRun};
 pub use supervisor::{
-    FeedOutcome, FinishedRun, SupervisedPipeline, SupervisorConfig, SupervisorStats, TryFeedOutcome,
+    FeedOutcome, FinishedRun, SupervisedPipeline, SupervisorConfig, SupervisorStats,
 };
-
-/// Curated one-line import surface:
-/// `use freeway_core::prelude::*;` pulls in everything a typical
-/// deployment touches — the builder, configuration, the learner types,
-/// every runtime tier, the error taxonomy, and the telemetry handles.
-pub mod prelude {
-    pub use crate::admission::{
-        AdmissionConfig, AdmissionOutcome, AdmissionPolicy, AdmissionStats, AdmittedPipeline,
-        AdmittedRun, ShedReason,
-    };
-    pub use crate::builder::PipelineBuilder;
-    pub use crate::config::{FreewayConfig, OptimizerKind};
-    pub use crate::degrade::{DegradationLevel, LadderConfig};
-    pub use crate::error::{CheckpointError, FreewayError};
-    pub use crate::guard::{BatchFault, Quarantine};
-    pub use crate::journal::{Journal, JournalConfig, JournalStats};
-    pub use crate::knowledge::{SharedEntry, SharedKnowledge};
-    pub use crate::learner::{InferenceReport, Learner, Strategy, StrategyStats};
-    pub use crate::liveness::{HeartbeatLedger, WatchdogState, WorkerStage};
-    pub use crate::pipeline::{Pipeline, PipelineOutput};
-    pub use crate::serve::{
-        ClientSession, ServeError, Service, ServiceConfig, ServiceHandle, ServiceReport,
-        SessionOutput, SubmitOutcome,
-    };
-    pub use crate::shard::{failover_shard, shard_for, ShardedPipeline, ShardedRun};
-    pub use crate::supervisor::{
-        FeedOutcome, FinishedRun, SupervisedPipeline, SupervisorConfig, SupervisorStats,
-        TryFeedOutcome,
-    };
-    pub use freeway_telemetry::{
-        RecordingSink, Stage, Telemetry, TelemetryEvent, TelemetrySink, TelemetrySnapshot,
-    };
-}

@@ -172,7 +172,7 @@ impl ShardedPipeline {
             Ok(value) => Ok(Some(value)),
             Err(FreewayError::RestartsExhausted { .. }) => {
                 if let Some(seq) = dropped {
-                    self.shards[shard].note_fenced_drop(seq);
+                    self.shards[shard].count_shed(seq, ShedReason::Fenced);
                 }
                 self.fence_shard(shard);
                 Ok(None)

@@ -48,7 +48,7 @@ use crate::learner::{InferenceReport, Learner};
 use crate::liveness::{HeartbeatLedger, WatchdogState, WorkerStage};
 use crate::persistence::{Checkpoint, CheckpointStore};
 use crate::pipeline::PipelineOutput;
-use crate::retry::RetryPolicy;
+use crate::retry::retry;
 use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
 use freeway_streams::Batch;
 use freeway_telemetry::{Counter, Telemetry, TelemetryEvent, DURATION_SECONDS_BOUNDS};
@@ -59,6 +59,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
+
+/// On-disk checkpoint generations kept when
+/// [`SupervisorConfig::checkpoint_path`] is set (`checkpoint.0.json`
+/// newest). Restore falls back to the newest generation passing CRC and
+/// validation.
+const CHECKPOINT_GENERATIONS: usize = 3;
 
 /// Supervision policy knobs.
 #[derive(Clone, Debug)]
@@ -77,10 +83,6 @@ pub struct SupervisorConfig {
     /// Worker crashes tolerated before the supervisor gives up with
     /// [`FreewayError::RestartsExhausted`].
     pub max_restarts: usize,
-    /// How many on-disk checkpoint generations to retain when
-    /// `checkpoint_path` is set (`checkpoint.0.json` newest). Restore
-    /// falls back to the newest generation passing CRC and validation.
-    pub checkpoint_generations: usize,
     /// When set, every accepted batch is journaled and crash recovery
     /// replays instead of dropping in-flight work (see the module docs
     /// for the effectively-once contract). `None` (the default) keeps
@@ -104,7 +106,6 @@ impl Default for SupervisorConfig {
             checkpoint_path: None,
             quarantine_capacity: 64,
             max_restarts: 3,
-            checkpoint_generations: 3,
             journal: None,
             stall_deadline: None,
         }
@@ -127,9 +128,6 @@ impl SupervisorConfig {
         }
         if self.quarantine_capacity == 0 {
             return Err("quarantine capacity must be positive".to_owned());
-        }
-        if self.checkpoint_generations == 0 {
-            return Err("checkpoint generations must be positive".to_owned());
         }
         if self.stall_deadline.is_some_and(|deadline| deadline.is_zero()) {
             return Err("stall deadline must be positive when set".to_owned());
@@ -186,21 +184,6 @@ pub enum FeedOutcome {
     Accepted,
     /// The batch was rejected and sits in the quarantine.
     Quarantined(BatchFault),
-}
-
-/// What happened to a batch offered to the non-blocking
-/// [`SupervisedPipeline::try_feed`].
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum TryFeedOutcome {
-    /// The batch passed validation and reached the worker.
-    Accepted,
-    /// The batch was rejected and sits in the quarantine.
-    Quarantined(BatchFault),
-    /// The worker queue is full; the batch comes back to the caller
-    /// untouched (the guard watermark did not advance, so it can be
-    /// re-offered later without tripping duplicate-seq detection).
-    Full(Batch),
 }
 
 /// Everything a finished supervised run hands back.
@@ -508,7 +491,7 @@ pub struct SupervisedPipeline {
     checkpoints_in_flight: usize,
     accepted_since_checkpoint: usize,
     /// A checkpoint request that could not be enqueued without blocking
-    /// (non-blocking feed path); sent opportunistically later.
+    /// (an offer that must not wait); sent opportunistically later.
     checkpoint_due: bool,
     /// Cadence multiplier, doubled on persistence failure and reset on
     /// success: a sick disk is asked for checkpoints less often instead
@@ -658,7 +641,7 @@ impl SupervisedPipeline {
                         .to_owned(),
                 ));
             };
-            let store = CheckpointStore::new(path.clone(), self.config.checkpoint_generations);
+            let store = CheckpointStore::new(path.clone(), CHECKPOINT_GENERATIONS);
             let (loaded, _generation) = store.load_newest()?;
             *learner = loaded.restore()?;
             let floor = loaded.journal_seq;
@@ -733,15 +716,16 @@ impl SupervisedPipeline {
         (recovered, last_seq)
     }
 
-    /// Feeds a batch, routed by labeledness. Poison batches are
-    /// quarantined (an `Ok` outcome — the pipeline survived them).
+    /// Feeds a batch, routed by labeledness, waiting out a full worker
+    /// queue (backpressure). Poison batches are quarantined (an `Ok`
+    /// outcome — the pipeline survived them).
     ///
     /// # Errors
     /// [`FreewayError::RestartsExhausted`] when the worker kept crashing
     /// past the restart budget, [`FreewayError::Checkpoint`] if the
     /// restart checkpoint itself failed to restore.
     pub fn feed(&mut self, batch: Batch) -> Result<FeedOutcome, FreewayError> {
-        self.submit(batch, false)
+        self.offer(batch, false, true)?.map_err(|_| FreewayError::QueueFull)
     }
 
     /// Feeds a prequential batch (infer-then-train on the same data).
@@ -749,15 +733,34 @@ impl SupervisedPipeline {
     /// # Errors
     /// As [`Self::feed`].
     pub fn feed_prequential(&mut self, batch: Batch) -> Result<FeedOutcome, FreewayError> {
-        self.submit(batch, true)
+        self.offer(batch, true, true)?.map_err(|_| FreewayError::QueueFull)
     }
 
-    fn submit(&mut self, batch: Batch, prequential: bool) -> Result<FeedOutcome, FreewayError> {
-        if let Err(fault) = self.guard.admit(&batch) {
-            return Ok(FeedOutcome::Quarantined(self.quarantine_batch(batch, fault)));
-        }
-        // Absorb finished work first so checkpoint results (and their
-        // disk verdicts) are applied promptly, not only at finish.
+    /// Offers one batch, routed by labeledness: the one feed path behind
+    /// [`Self::feed`], admission and the serving facade. With `wait` set,
+    /// a full worker queue is waited out; with it unset, the batch comes
+    /// straight back as `Err`, untouched, so the caller can shed, backlog
+    /// or retry under its own policy. A dead worker is restarted either
+    /// way (its replacement's queue is empty, so the send then succeeds
+    /// or the restart budget errors out).
+    ///
+    /// # Errors
+    /// As [`Self::feed`].
+    pub(crate) fn offer(
+        &mut self,
+        batch: Batch,
+        prequential: bool,
+        wait: bool,
+    ) -> Result<Result<FeedOutcome, Batch>, FreewayError> {
+        // Inspect without advancing the watermark: a batch handed back
+        // must leave the guard willing to see its seq again.
+        let batch = match self.screen(batch) {
+            Ok(batch) => batch,
+            Err(fault) => return Ok(Ok(FeedOutcome::Quarantined(fault))),
+        };
+        // Absorb finished work first: freeing output slots is what lets a
+        // busy worker drain its input queue, and checkpoint results (and
+        // their disk verdicts) are applied promptly, not only at finish.
         self.absorb_available()?;
         let seq = batch.seq;
         // Frame before the batch moves into the command; the append
@@ -765,15 +768,32 @@ impl SupervisedPipeline {
         // mid-send re-sends the batch, so journaling it early would
         // replay it on top of the re-send).
         let frame = self.journal.as_ref().map(|_| frame_batch(&batch, prequential));
-        self.send_with_recovery(SupCommand::Batch { batch, prequential }, true)?;
+        match self.send_with_recovery(SupCommand::Batch { batch, prequential }, wait)? {
+            Ok(()) => {}
+            Err(SupCommand::Batch { batch, .. }) => return Ok(Err(batch)),
+            // Only the batch was sent, so only the batch comes back.
+            Err(_) => return Err(FreewayError::WorkerUnavailable),
+        }
+        self.guard.accept(seq);
         self.note_accepted();
         self.journal_append(seq, frame);
+        // A due checkpoint goes out at once when the caller waits; one
+        // that must not wait sends it only into free queue space, and the
+        // request stays due for a later offer.
         if self.checkpoint_due {
-            self.checkpoint_due = false;
-            self.send_with_recovery(SupCommand::Checkpoint, true)?;
-            self.checkpoints_in_flight += 1;
+            let sent = if wait {
+                self.send_with_recovery(SupCommand::Checkpoint, true)?.is_ok()
+            } else {
+                self.worker
+                    .as_ref()
+                    .is_some_and(|worker| worker.input.try_send(SupCommand::Checkpoint).is_ok())
+            };
+            if sent {
+                self.checkpoint_due = false;
+                self.checkpoints_in_flight += 1;
+            }
         }
-        Ok(FeedOutcome::Accepted)
+        Ok(Ok(FeedOutcome::Accepted))
     }
 
     /// Inspects `batch` without queueing it or advancing the seq
@@ -799,7 +819,7 @@ impl SupervisedPipeline {
     /// Shared bookkeeping after a batch actually reached the worker.
     /// The checkpoint cadence is the configured one times the current
     /// disk-backoff multiplier; the request itself is only *flagged*
-    /// here so the non-blocking path can defer it.
+    /// here, so an offer that must not wait can defer it.
     fn note_accepted(&mut self) {
         self.in_flight += 1;
         self.stats.accepted += 1;
@@ -808,82 +828,6 @@ impl SupervisedPipeline {
         if self.accepted_since_checkpoint >= cadence {
             self.accepted_since_checkpoint = 0;
             self.checkpoint_due = true;
-        }
-    }
-
-    /// Non-blocking feed, routed by labeledness: the admission
-    /// controller's primitive. Never waits on the worker — a full queue
-    /// hands the batch straight back as [`TryFeedOutcome::Full`] so the
-    /// caller can shed, backlog, or retry under its own policy. A dead
-    /// worker is restarted (the restarted queue is empty, so the retry
-    /// then succeeds or the restart budget errors out).
-    ///
-    /// # Errors
-    /// As [`Self::feed`].
-    pub fn try_feed(&mut self, batch: Batch) -> Result<TryFeedOutcome, FreewayError> {
-        self.try_submit(batch, false)
-    }
-
-    /// Non-blocking prequential feed; see [`Self::try_feed`].
-    ///
-    /// # Errors
-    /// As [`Self::feed`].
-    pub fn try_feed_prequential(&mut self, batch: Batch) -> Result<TryFeedOutcome, FreewayError> {
-        self.try_submit(batch, true)
-    }
-
-    fn try_submit(
-        &mut self,
-        batch: Batch,
-        prequential: bool,
-    ) -> Result<TryFeedOutcome, FreewayError> {
-        // Inspect without advancing the watermark: a Full outcome must
-        // leave the guard willing to see this seq again.
-        let batch = match self.screen(batch) {
-            Ok(batch) => batch,
-            Err(fault) => return Ok(TryFeedOutcome::Quarantined(fault)),
-        };
-        // Absorb whatever the worker already produced — freeing output
-        // slots is what lets a busy worker drain its input queue.
-        self.absorb_available()?;
-        let seq = batch.seq;
-        let frame = self.journal.as_ref().map(|_| frame_batch(&batch, prequential));
-        let mut cmd = SupCommand::Batch { batch, prequential };
-        loop {
-            let Some(worker) = self.worker.as_ref() else {
-                return Err(FreewayError::WorkerUnavailable);
-            };
-            match worker.input.try_send(cmd) {
-                Ok(()) => break,
-                Err(TrySendError::Full(SupCommand::Batch { batch, .. })) => {
-                    return Ok(TryFeedOutcome::Full(batch));
-                }
-                // Only batch commands enter this loop.
-                Err(TrySendError::Full(_)) => return Err(FreewayError::WorkerUnavailable),
-                Err(TrySendError::Disconnected(returned)) => {
-                    cmd = returned;
-                    self.restart_worker()?;
-                }
-            }
-        }
-        self.guard.accept(seq);
-        self.note_accepted();
-        self.journal_append(seq, frame);
-        self.flush_due_checkpoint();
-        Ok(TryFeedOutcome::Accepted)
-    }
-
-    /// Opportunistically sends a deferred checkpoint request; if the
-    /// queue is still full the flag stays set for the next call.
-    fn flush_due_checkpoint(&mut self) {
-        if !self.checkpoint_due {
-            return;
-        }
-        if let Some(worker) = self.worker.as_ref() {
-            if worker.input.try_send(SupCommand::Checkpoint).is_ok() {
-                self.checkpoint_due = false;
-                self.checkpoints_in_flight += 1;
-            }
         }
     }
 
@@ -1001,21 +945,25 @@ impl SupervisedPipeline {
                 SupCommand::InjectStall { nanos, livelock }
             }
         };
-        self.send_with_recovery(cmd, wait)
+        self.send_with_recovery(cmd, wait)?.map_err(|_| FreewayError::QueueFull)
     }
 
     /// Delivers a command, recovering along the way: a full queue blocks
     /// on draining one worker message (backpressure) when `wait` is set
-    /// and is [`FreewayError::QueueFull`] otherwise; a disconnected queue
-    /// means the worker died — restart it and retry.
-    fn send_with_recovery(&mut self, mut cmd: SupCommand, wait: bool) -> Result<(), FreewayError> {
+    /// and hands the command back as `Err` otherwise; a disconnected
+    /// queue means the worker died — restart it and retry.
+    fn send_with_recovery(
+        &mut self,
+        mut cmd: SupCommand,
+        wait: bool,
+    ) -> Result<Result<(), SupCommand>, FreewayError> {
         loop {
             let Some(worker) = self.worker.as_ref() else {
                 return Err(FreewayError::WorkerUnavailable);
             };
             match worker.input.try_send(cmd) {
-                Ok(()) => return Ok(()),
-                Err(TrySendError::Full(_)) if !wait => return Err(FreewayError::QueueFull),
+                Ok(()) => return Ok(Ok(())),
+                Err(TrySendError::Full(returned)) if !wait => return Ok(Err(returned)),
                 Err(TrySendError::Full(returned)) => {
                     cmd = returned;
                     self.pump_one_blocking()?;
@@ -1113,11 +1061,11 @@ impl SupervisedPipeline {
             if delay > 0 {
                 std::thread::sleep(std::time::Duration::from_nanos(delay));
             }
-            let store = CheckpointStore::new(path.clone(), self.config.checkpoint_generations);
+            let store = CheckpointStore::new(path.clone(), CHECKPOINT_GENERATIONS);
             // Transient disk stalls retry in place; a persistently
             // failing disk degrades the checkpoint cadence instead of
             // killing the worker.
-            match RetryPolicy::default().run(|| store.save(&checkpoint)) {
+            match retry(|| store.save(&checkpoint)) {
                 Ok(()) => {
                     self.stats.checkpoints_persisted += 1;
                     self.cadence_backoff = 1;
@@ -1682,11 +1630,11 @@ mod tests {
             sup.feed_prequential(Batch::labeled(x, y, 1, DriftPhase::Stable)),
             Err(FreewayError::WorkerUnavailable)
         ));
-        // A dead worker must not masquerade as backpressure: the
-        // non-blocking feed fails permanently instead of handing the
-        // batch back as `Full`.
+        // A dead worker must not masquerade as backpressure: an offer
+        // that must not wait fails permanently instead of handing the
+        // batch back.
         let (x, y) = concept.sample_batch(64, &mut rng);
-        let outcome = sup.try_feed(Batch::labeled(x, y, 2, DriftPhase::Stable));
+        let outcome = sup.offer(Batch::labeled(x, y, 2, DriftPhase::Stable), false, false);
         assert!(matches!(outcome, Err(FreewayError::WorkerUnavailable)), "got {outcome:?}");
         // The run still finishes by recovering state from the checkpoint.
         let run = sup.finish().expect("finish recovers from checkpoint");
@@ -1761,7 +1709,7 @@ mod tests {
         let run = sup.finish().expect("finish");
         assert!(run.stats.checkpoints_persisted >= 1, "{:?}", run.stats);
         assert_eq!(run.stats.checkpoint_persist_failures, 0);
-        let store = CheckpointStore::new(path, SupervisorConfig::default().checkpoint_generations);
+        let store = CheckpointStore::new(path, CHECKPOINT_GENERATIONS);
         assert!(store.generation_path(0).exists(), "newest generation on disk");
         let (loaded, generation) =
             store.load_newest().expect("persisted checkpoint loads and validates");
@@ -1771,54 +1719,95 @@ mod tests {
     }
 
     #[test]
-    fn try_feed_full_queue_returns_the_batch_and_keeps_the_guard_open() {
-        let mut rng = stream_rng(27);
-        let concept = GmmConcept::random(4, 2, 1, 3.0, 0.5, &mut rng);
-        let mut sup = SupervisedPipeline::with_learner(
-            learner(),
-            SupervisorConfig { queue_depth: 1, ..config() },
-        )
-        .expect("spawn");
-        // Slow the worker so the 1-deep queue reliably fills.
-        sup.set_chaos_train_delay(std::time::Duration::from_millis(30));
-        let mut full_batch = None;
-        let mut accepted = 0u64;
-        for i in 0..50 {
-            let (x, y) = concept.sample_batch(32, &mut rng);
-            match sup.try_feed_prequential(Batch::labeled(x, y, i, DriftPhase::Stable)) {
-                Ok(TryFeedOutcome::Accepted) => accepted += 1,
-                Ok(TryFeedOutcome::Full(batch)) => {
-                    full_batch = Some(batch);
-                    break;
-                }
-                other => panic!("unexpected outcome: {other:?}"),
-            }
-        }
-        let bounced = full_batch.expect("a 1-deep queue with a 30ms worker must fill");
-        // The bounced batch can be re-offered without a duplicate-seq
-        // quarantine once the queue drains.
-        sup.set_chaos_train_delay(std::time::Duration::ZERO);
-        loop {
-            match sup.try_feed_prequential(bounced.clone()).expect("healthy") {
-                TryFeedOutcome::Accepted => break,
-                TryFeedOutcome::Full(_) => std::thread::sleep(std::time::Duration::from_millis(1)),
-                TryFeedOutcome::Quarantined(fault) => {
-                    panic!("re-offer after Full must not quarantine: {fault:?}")
+    fn full_queue_offer_returns_the_batch_and_keeps_the_guard_open() {
+        for wait_on_reoffer in [false, true] {
+            let mut rng = stream_rng(27);
+            let concept = GmmConcept::random(4, 2, 1, 3.0, 0.5, &mut rng);
+            let mut sup = SupervisedPipeline::with_learner(
+                learner(),
+                SupervisorConfig { queue_depth: 1, ..config() },
+            )
+            .expect("spawn");
+            // Slow the worker so the 1-deep queue reliably fills.
+            sup.set_chaos_train_delay(Duration::from_millis(30));
+            let mut full_batch = None;
+            let mut accepted = 0u64;
+            for i in 0..50 {
+                let (x, y) = concept.sample_batch(32, &mut rng);
+                match sup.offer(Batch::labeled(x, y, i, DriftPhase::Stable), true, false) {
+                    Ok(Ok(FeedOutcome::Accepted)) => accepted += 1,
+                    Ok(Err(batch)) => {
+                        full_batch = Some(batch);
+                        break;
+                    }
+                    other => panic!("unexpected outcome: {other:?}"),
                 }
             }
+            let bounced = full_batch.expect("a 1-deep queue with a 30ms worker must fill");
+            // The bounced batch can be re-offered without a duplicate-seq
+            // quarantine: a waiting offer waits out the slow worker, one
+            // that must not wait retries once the queue drains.
+            if wait_on_reoffer {
+                let outcome = sup.offer(bounced, true, true).expect("healthy");
+                assert!(matches!(outcome, Ok(FeedOutcome::Accepted)), "got {outcome:?}");
+            } else {
+                sup.set_chaos_train_delay(Duration::ZERO);
+                loop {
+                    match sup.offer(bounced.clone(), true, false).expect("healthy") {
+                        Ok(FeedOutcome::Accepted) => break,
+                        Err(_) => std::thread::sleep(Duration::from_millis(1)),
+                        Ok(FeedOutcome::Quarantined(fault)) => {
+                            panic!("re-offer after a full queue must not quarantine: {fault:?}")
+                        }
+                    }
+                }
+            }
+            sup.set_chaos_train_delay(Duration::ZERO);
+            let run = sup.finish().expect("finish");
+            assert_eq!(run.stats.accepted, accepted + 1);
+            assert_eq!(run.stats.quarantined, 0);
         }
-        let run = sup.finish().expect("finish");
-        assert_eq!(run.stats.accepted, accepted + 1);
-        assert_eq!(run.stats.quarantined, 0);
     }
 
     #[test]
-    fn try_feed_still_quarantines_poison() {
+    fn a_due_checkpoint_waits_for_queue_space_only_when_the_offer_may_wait() {
+        for wait in [false, true] {
+            let mut rng = stream_rng(32);
+            let concept = GmmConcept::random(4, 2, 1, 3.0, 0.5, &mut rng);
+            let mut sup = SupervisedPipeline::with_learner(
+                learner(),
+                SupervisorConfig { queue_depth: 2, checkpoint_every_n_batches: 2, ..config() },
+            )
+            .expect("spawn");
+            // Park the worker in a stall, with the 2-deep queue empty.
+            sup.inject_worker_stall(Duration::from_millis(300), false).expect("inject");
+            while sup.heartbeat().map(HeartbeatLedger::stage) != Some(WorkerStage::ChaosStall) {
+                std::thread::yield_now();
+            }
+            // The first batch takes a slot; the second takes the last one
+            // and makes a checkpoint due with no slot left for the request.
+            for (seq, may_wait) in [(0, false), (1, wait)] {
+                let (x, y) = concept.sample_batch(32, &mut rng);
+                let outcome =
+                    sup.offer(Batch::labeled(x, y, seq, DriftPhase::Stable), true, may_wait);
+                assert!(matches!(outcome, Ok(Ok(FeedOutcome::Accepted))), "got {outcome:?}");
+            }
+            // A waiting offer waits out the stall and sends the request
+            // before it returns; one that must not wait leaves it due.
+            assert_eq!(sup.checkpoint_due, !wait);
+            assert_eq!(sup.checkpoints_in_flight, usize::from(wait));
+            let run = sup.finish().expect("finish");
+            assert_eq!(run.stats.accepted, 2);
+        }
+    }
+
+    #[test]
+    fn non_waiting_offer_still_quarantines_poison() {
         let mut sup = SupervisedPipeline::with_learner(learner(), config()).expect("spawn");
         let wide = Batch::unlabeled(Matrix::zeros(8, 7), 0, DriftPhase::Stable);
         assert!(matches!(
-            sup.try_feed(wide).expect("quarantine is not an error"),
-            TryFeedOutcome::Quarantined(BatchFault::WidthMismatch { found: 7, expected: 4 })
+            sup.offer(wide, false, false).expect("quarantine is not an error"),
+            Ok(FeedOutcome::Quarantined(BatchFault::WidthMismatch { found: 7, expected: 4 }))
         ));
         let run = sup.finish().expect("finish");
         assert_eq!(run.stats.quarantined, 1);

@@ -27,7 +27,7 @@ fn config() -> FreewayConfig {
 }
 
 fn lossless_admission() -> AdmissionConfig {
-    AdmissionConfig { policy: AdmissionPolicy::Block, ladder: None, ..Default::default() }
+    AdmissionConfig { policy: AdmissionPolicy::Block, ladder: false, ..Default::default() }
 }
 
 /// Labeled batches from one stationary concept, stamped with the caller's

@@ -9,39 +9,17 @@
 //! * **high disorder** — distance is uncorrelated with age, i.e. the
 //!   stream wobbles around a region (Pattern A2-like).
 
-/// Counts inversions in `ranks` by merge sort, `O(n log n)`.
+/// Counts inversions in `ranks` by comparing every pair, `O(n²)` with
+/// no allocation: `n` is a window's batch count, below the core crate's
+/// `asw_max_batches × level` (four per level by default).
 ///
 /// `ranks[i]` is the distance rank of the `i`-th oldest window batch.
 pub fn inversion_count(ranks: &[usize]) -> usize {
-    fn sort_count(v: &mut Vec<usize>) -> usize {
-        let n = v.len();
-        if n <= 1 {
-            return 0;
-        }
-        let mid = n / 2;
-        let mut right = v.split_off(mid);
-        let mut count = sort_count(v) + sort_count(&mut right);
-        // Merge, counting cross inversions.
-        let mut merged = Vec::with_capacity(n);
-        let (mut i, mut j) = (0, 0);
-        while i < v.len() && j < right.len() {
-            if v[i] <= right[j] {
-                merged.push(v[i]);
-                i += 1;
-            } else {
-                // v[i..] are all greater than right[j]: each is an inversion.
-                count += v.len() - i;
-                merged.push(right[j]);
-                j += 1;
-            }
-        }
-        merged.extend_from_slice(&v[i..]);
-        merged.extend_from_slice(&right[j..]);
-        *v = merged;
-        count
-    }
-    let mut work = ranks.to_vec();
-    sort_count(&mut work)
+    ranks
+        .iter()
+        .enumerate()
+        .map(|(i, &rank)| ranks[i + 1..].iter().filter(|&&later| rank > later).count())
+        .sum()
 }
 
 /// Disorder normalised to `[0, 1]` by the maximum possible inversion
@@ -58,28 +36,38 @@ pub fn normalized_disorder(ranks: &[usize]) -> f64 {
 /// Converts distances (indexed by window age, oldest first) into ranks:
 /// `ranks[i]` is the position of distance `i` in **descending** distance
 /// order (rank 0 = farthest batch). Ties break by age, keeping the ranking
-/// a permutation.
+/// a permutation. `order` is scratch; both buffers are overwritten, so a
+/// caller that keeps them ranks without allocating.
 ///
 /// Descending order makes the disorder semantics match the paper: in a
 /// directional stream the *oldest* batch is farthest from the incoming
 /// one, so ranks come out already sorted (`[0, 1, 2, …]` by age) and the
 /// inversion count — the disorder — is zero. A localized, wobbling stream
 /// decorrelates distance from age and lands mid-range.
-pub fn distance_ranks(distances: &[f64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..distances.len()).collect();
-    order.sort_by(|&a, &b| {
+pub fn distance_ranks(distances: &[f64], order: &mut Vec<usize>, ranks: &mut Vec<usize>) {
+    order.clear();
+    order.extend(0..distances.len());
+    // The age tie-break makes the order total, so an unstable sort (which
+    // never allocates) yields the same permutation as a stable one.
+    order.sort_unstable_by(|&a, &b| {
         distances[b].partial_cmp(&distances[a]).expect("finite distances").then(a.cmp(&b))
     });
-    let mut ranks = vec![0usize; distances.len()];
+    ranks.clear();
+    ranks.resize(distances.len(), 0);
     for (rank, &idx) in order.iter().enumerate() {
         ranks[idx] = rank;
     }
-    ranks
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ranks_of(distances: &[f64]) -> Vec<usize> {
+        let (mut order, mut ranks) = (Vec::new(), Vec::new());
+        distance_ranks(distances, &mut order, &mut ranks);
+        ranks
+    }
 
     fn naive(ranks: &[usize]) -> usize {
         let mut c = 0;
@@ -123,7 +111,7 @@ mod tests {
 
     #[test]
     fn distance_ranks_are_a_permutation() {
-        let ranks = distance_ranks(&[0.5, 0.1, 0.9, 0.1]);
+        let ranks = ranks_of(&[0.5, 0.1, 0.9, 0.1]);
         let mut sorted = ranks.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2, 3]);
@@ -137,12 +125,12 @@ mod tests {
         // Directional stream: the oldest batch is farthest from the
         // incoming batch, so distances (oldest first) descend with age and
         // the descending-rank sequence is already sorted → zero disorder.
-        let ranks = distance_ranks(&[3.0, 2.0, 1.0, 0.5]);
+        let ranks = ranks_of(&[3.0, 2.0, 1.0, 0.5]);
         assert_eq!(ranks, vec![0, 1, 2, 3]);
         assert_eq!(normalized_disorder(&ranks), 0.0);
         // A wobbling (localized) stream decorrelates distance from age
         // and sits strictly above zero.
-        let wobble = distance_ranks(&[1.0, 3.0, 0.5, 2.0]);
+        let wobble = ranks_of(&[1.0, 3.0, 0.5, 2.0]);
         let d = normalized_disorder(&wobble);
         assert!(d > 0.0, "wobble disorder {d} must exceed directional 0");
     }

@@ -104,20 +104,6 @@ impl PcaReducer {
         centered.extend(batch_mean.iter().zip(&self.mean).map(|(&a, &m)| a - m));
         self.components.t_matvec_into(centered, out);
     }
-
-    /// Projects every row of a batch (used by the shift-graph
-    /// visualisation in Figure 2). Scratch is reused across rows.
-    pub fn project_rows(&self, data: &Matrix) -> Matrix {
-        assert_eq!(data.cols(), self.mean.len(), "projection dimension mismatch");
-        let mut out = Matrix::zeros(data.rows(), self.k());
-        let mut centered = Vec::new();
-        let mut proj = Vec::new();
-        for (r, row) in data.row_iter().enumerate() {
-            self.project_mean_into(row, &mut centered, &mut proj);
-            out.row_mut(r).copy_from_slice(&proj);
-        }
-        out
-    }
 }
 
 /// Accumulates warm-up rows until enough are present to fit a reducer.
@@ -208,16 +194,6 @@ mod tests {
         let raw = vector::euclidean_distance(&a, &b);
         let projected = vector::euclidean_distance(&pa, &pb);
         assert!((raw - projected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn project_rows_matches_per_row_projection() {
-        let data = diagonal_data();
-        let pca = PcaReducer::fit(&data, 2);
-        let batch = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]);
-        let all = pca.project_rows(&batch);
-        assert_eq!(all.row(0), pca.project_mean(&[1.0, 0.0]).as_slice());
-        assert_eq!(all.row(1), pca.project_mean(&[0.0, 1.0]).as_slice());
     }
 
     #[test]

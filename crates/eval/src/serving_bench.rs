@@ -106,7 +106,7 @@ fn measure(clients: usize, sweep: &ServingSweep) -> ServingPoint {
         .with_queue_depth(64)
         .admission(AdmissionConfig {
             policy: AdmissionPolicy::Block,
-            ladder: None,
+            ladder: false,
             ..Default::default()
         })
         .shards(sweep.shards)

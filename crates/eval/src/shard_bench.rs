@@ -88,7 +88,7 @@ fn measure(shards: usize, sweep: &ShardSweep) -> ShardScalingPoint {
         .with_queue_depth(64)
         .admission(AdmissionConfig {
             policy: AdmissionPolicy::Block,
-            ladder: None,
+            ladder: false,
             ..Default::default()
         })
         .shards(shards)

@@ -179,30 +179,29 @@ fn bank_train_allocs(batches: usize) -> Vec<u64> {
 }
 
 /// Allocations of a warm `MultiGranularity::train` whose window does not
-/// complete, made when the reseeded window holds one batch. Six come with
-/// every batch whatever the window holds: the short level's fingerprint
-/// and the bank's (`projected.to_vec()` twice), and the long level's
-/// shared copy of the batch (its rows, their `Arc`, the labels' `Arc`)
-/// with its window insert's projection copy. The insert adds its
-/// distance, order and rank vectors.
-const BANK_STEP_ALLOCS: u64 = 9;
+/// complete, whatever the window holds. Six come with every batch: the
+/// short level's fingerprint and the bank's (`projected.to_vec()` twice),
+/// and the long level's shared copy of the batch (its rows, their `Arc`,
+/// the labels' `Arc`) with its window insert's projection copy. The
+/// insert ranks the held batches in buffers the window keeps.
+const BANK_STEP_ALLOCS: u64 = 6;
 
-/// A warm completion, which inserts into a window of three batches: the
-/// six per-batch allocations, the insert's three vectors and five more
-/// for the merge sort that counts its ranking's inversions, and the
-/// window mean. Nothing else: the subsets are the window's own batches,
-/// read in place; the per-row weights are a buffer the bank reuses; and
-/// the warm start, the subset gradients and their merge run in the long
-/// level's trainer scratch.
-const BANK_COMPLETION_ALLOCS: u64 = 15;
+/// A warm completion: the six per-batch allocations and the window mean.
+/// Nothing else: the subsets are the window's own batches, read in place;
+/// the per-row weights are a buffer the bank reuses; and the warm start,
+/// the subset gradients and their merge run in the long level's trainer
+/// scratch.
+const BANK_COMPLETION_ALLOCS: u64 = BANK_STEP_ALLOCS + 1;
 
 #[test]
 fn warm_bank_train_allocates_a_fixed_count() {
-    // Completions at batches 4, 7 and 10 (the reseeded window holds one
-    // batch); the first warms the completion's buffers.
+    // Completions at batches 4, 7 and 10: after one, the reseeded window
+    // holds one batch, so batches 8, 9 and 10 insert into windows of 1, 2
+    // and 3 batches. The first completion warms the buffers.
     let allocs = bank_train_allocs(10);
-    assert_eq!(allocs[7], BANK_STEP_ALLOCS, "plain step: {allocs:?}");
-    assert_eq!(allocs[9], BANK_COMPLETION_ALLOCS, "window completion: {allocs:?}");
+    assert_eq!(allocs[7], BANK_STEP_ALLOCS, "step into a 1-batch window: {allocs:?}");
+    assert_eq!(allocs[8], BANK_STEP_ALLOCS, "step into a 2-batch window: {allocs:?}");
+    assert_eq!(allocs[9], BANK_COMPLETION_ALLOCS, "completion of a 3-batch window: {allocs:?}");
 }
 
 /// `t_matvec_into` makes one ascending pass over the rows into the

@@ -43,15 +43,6 @@ impl ModelSnapshot {
         model
     }
 
-    /// Copies the snapshot's parameters into an existing model of the same
-    /// architecture.
-    ///
-    /// # Panics
-    /// Panics if parameter counts differ.
-    pub fn restore_into(&self, model: &mut dyn Model) {
-        model.set_parameters(&self.params);
-    }
-
     /// Compact binary encoding: magic, spec (JSON-in-length-prefixed
     /// bytes — specs are tiny), then raw little-endian `f64` parameters.
     pub fn to_bytes(&self) -> Bytes {
@@ -152,16 +143,5 @@ mod tests {
         assert!(s2 > 4 * s1, "MLP snapshot must dwarf LR snapshot");
         // Parameters dominate: ~8 bytes per parameter.
         assert!(s1 >= small.num_parameters() * 8);
-    }
-
-    #[test]
-    fn restore_into_overwrites_existing_model() {
-        let spec = ModelSpec::lr(3, 2);
-        let trained = spec.build(1);
-        let snap = ModelSnapshot::capture(spec.clone(), trained.as_ref());
-        let mut other = spec.build(2);
-        other.apply_update(&vec![0.5; other.num_parameters()]);
-        snap.restore_into(other.as_mut());
-        assert_eq!(other.parameters(), trained.parameters());
     }
 }

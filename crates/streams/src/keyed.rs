@@ -19,7 +19,6 @@
 
 use crate::batch::{Batch, DriftPhase};
 use crate::concept::GmmConcept;
-use crate::pool::BatchPool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -90,11 +89,6 @@ impl InterleavedKeyed {
         Self { streams, seq: 0, phase: DriftPhase::Stable }
     }
 
-    /// Number of interleaved keys.
-    pub fn num_keys(&self) -> usize {
-        self.streams.len()
-    }
-
     /// Feature dimension of every key's stream.
     pub fn num_features(&self) -> usize {
         self.streams[0].concept.dim()
@@ -127,18 +121,6 @@ impl InterleavedKeyed {
         let key = self.next_key();
         let stream = &mut self.streams[key as usize];
         let (x, labels) = stream.concept.sample_batch(size, &mut stream.rng);
-        let batch = Batch::labeled(x, labels, self.seq, self.phase);
-        self.seq += 1;
-        KeyedBatch { key, batch }
-    }
-
-    /// [`Self::next_keyed`] drawing buffers from `pool`; bit-identical to
-    /// the allocating path (same RNG consumption, every cell overwritten).
-    pub fn next_keyed_pooled(&mut self, size: usize, pool: &mut BatchPool) -> KeyedBatch {
-        let key = self.next_key();
-        let stream = &mut self.streams[key as usize];
-        let (mut x, mut labels) = pool.acquire(size, stream.concept.dim());
-        stream.concept.sample_batch_into(size, &mut x, &mut labels, &mut stream.rng);
         let batch = Batch::labeled(x, labels, self.seq, self.phase);
         self.seq += 1;
         KeyedBatch { key, batch }
@@ -187,23 +169,6 @@ mod tests {
             assert_eq!(a.batch.x, b.batch.x);
             assert_eq!(a.batch.labels, b.batch.labels);
         }
-    }
-
-    #[test]
-    fn pooled_keyed_batches_are_bit_identical() {
-        let mut pool = BatchPool::new();
-        let mut plain = InterleavedKeyed::uniform(5, 2, 4, 11);
-        let mut pooled = InterleavedKeyed::uniform(5, 2, 4, 11);
-        for _ in 0..8 {
-            let a = plain.next_keyed(32);
-            let b = pooled.next_keyed_pooled(32, &mut pool);
-            assert_eq!(a.key, b.key);
-            assert_eq!(a.batch.x, b.batch.x);
-            assert_eq!(a.batch.labels, b.batch.labels);
-            assert_eq!(a.batch.seq, b.batch.seq);
-            pool.recycle(b.batch);
-        }
-        assert_eq!(pool.reused(), 7, "warm loop reuses the single buffer pair");
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl SimulatedSource {
         self.rate
     }
 
-    /// Whole items currently pending.
-    pub fn pending_items(&self) -> usize {
-        self.pending as usize
-    }
-
     /// Queue pressure in `[0, 1]`.
     pub fn pressure(&self) -> f64 {
         (self.pending / self.capacity).clamp(0.0, 1.0)
@@ -120,7 +115,9 @@ mod tests {
         s.advance(1.0); // 20 items
         let b = s.try_take_batch(16).expect("20 >= 16");
         assert_eq!(b.len(), 16);
-        assert_eq!(s.pending_items(), 4);
+        // Four items remain: not five, but exactly four more.
+        assert!(s.try_take_batch(5).is_none());
+        assert!(s.try_take_batch(4).is_some());
     }
 
     #[test]

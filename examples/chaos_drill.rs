@@ -217,7 +217,7 @@ fn journal_drill() {
             .journal(JournalConfig::new(dir.join("ingest.wal")))
             .admission(AdmissionConfig {
                 policy: AdmissionPolicy::Block,
-                ladder: None,
+                ladder: false,
                 ..Default::default()
             })
             .shards(2)

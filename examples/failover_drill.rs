@@ -67,7 +67,7 @@ fn build(journal: Option<JournalConfig>) -> ShardedPipeline {
         .with_stall_deadline(Duration::from_millis(60))
         .admission(AdmissionConfig {
             policy: AdmissionPolicy::Block,
-            ladder: None,
+            ladder: false,
             ..Default::default()
         })
         .shards(SHARDS);

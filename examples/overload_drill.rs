@@ -17,7 +17,6 @@ use std::path::Path;
 
 use freewayml::chaos::{simulate_overload, BurstSchedule, SimOverloadConfig};
 use freewayml::core::admission::AdmissionPolicy;
-use freewayml::core::degrade::LadderConfig;
 use freewayml::prelude::*;
 use freewayml::streams::datasets::electricity;
 
@@ -31,7 +30,7 @@ fn main() {
         service_per_tick: 1.25,
         degraded_speedup: 2.0,
         policy: AdmissionPolicy::SheddingNewest,
-        ladder: Some(LadderConfig::default()),
+        ladder: true,
     };
 
     let mut stream = electricity(stream_seed);

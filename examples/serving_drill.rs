@@ -87,7 +87,7 @@ fn builder() -> PipelineBuilder {
         .with_queue_depth(32)
         .admission(AdmissionConfig {
             policy: AdmissionPolicy::Block,
-            ladder: None,
+            ladder: false,
             ..Default::default()
         })
         .shards(SHARDS)

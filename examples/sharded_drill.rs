@@ -50,7 +50,7 @@ fn build(shards: usize) -> ShardedPipeline {
         .with_checkpoint_every(4)
         .admission(AdmissionConfig {
             policy: freewayml::core::admission::AdmissionPolicy::Block,
-            ladder: None,
+            ladder: false,
             ..Default::default()
         })
         .shards(shards)
