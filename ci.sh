@@ -69,13 +69,15 @@ echo "== overload gate (admission control + degradation ladder) =="
 # burst; the checkpoint-corruption drill asserts restore falls back past
 # a trashed newest generation. Release build: the drill budgets real
 # wall-clock stage times, which debug-profile compute would blow. The
-# drill example then re-writes its deterministic artifact and the diff
-# asserts byte-stability.
+# drill example then re-writes its deterministic artifact twice: the
+# diff asserts byte-stability, and `git diff` that it still matches the
+# committed file (every drill gate below does the same).
 cargo test -q --release -p freeway-chaos --test overload
 cargo run --release --example overload_drill > /dev/null
 cp results/OVERLOAD_drill.json /tmp/overload_drill_ci.json
 cargo run --release --example overload_drill > /dev/null
 diff /tmp/overload_drill_ci.json results/OVERLOAD_drill.json
+git diff --exit-code -- results/OVERLOAD_drill.json
 rm -f /tmp/overload_drill_ci.json
 echo "overload gate: drill green, artifact byte-stable"
 
@@ -90,6 +92,7 @@ cargo run --release --example chaos_drill -- --journal > /dev/null
 cp results/JOURNAL_drill.json /tmp/journal_drill_ci.json
 cargo run --release --example chaos_drill -- --journal > /dev/null
 diff /tmp/journal_drill_ci.json results/JOURNAL_drill.json
+git diff --exit-code -- results/JOURNAL_drill.json
 rm -f /tmp/journal_drill_ci.json
 python3 - <<'PY'
 import json
@@ -124,6 +127,7 @@ cargo run --release --example serving_drill > /dev/null
 cp results/SERVING_drill.json /tmp/serving_drill_ci.json
 cargo run --release --example serving_drill > /dev/null
 diff /tmp/serving_drill_ci.json results/SERVING_drill.json
+git diff --exit-code -- results/SERVING_drill.json
 rm -f /tmp/serving_drill_ci.json
 python3 - <<'PY'
 import json
@@ -160,6 +164,7 @@ cargo run --release --example failover_drill > /dev/null
 cp results/FAILOVER_drill.json /tmp/failover_drill_ci.json
 cargo run --release --example failover_drill > /dev/null
 diff /tmp/failover_drill_ci.json results/FAILOVER_drill.json
+git diff --exit-code -- results/FAILOVER_drill.json
 rm -f /tmp/failover_drill_ci.json
 python3 - <<'PY'
 import json
@@ -316,6 +321,7 @@ cargo run --release --example sharded_drill > /dev/null
 cp results/SHARDED_drill.json /tmp/sharded_drill_ci.json
 cargo run --release --example sharded_drill > /dev/null
 diff /tmp/sharded_drill_ci.json results/SHARDED_drill.json
+git diff --exit-code -- results/SHARDED_drill.json
 rm -f /tmp/sharded_drill_ci.json
 ./target/release/bench_throughput --quick --shards 1,2 --keys 1024 \
     | tail -n 1 > /tmp/shard_quick_ci.json

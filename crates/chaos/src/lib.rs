@@ -66,7 +66,7 @@ use freeway_core::supervisor::{
     FinishedRun, SupervisedPipeline, SupervisorConfig, SupervisorStats,
 };
 use freeway_core::telemetry::TelemetryEvent;
-use freeway_core::{FreewayError, JournalStats, Learner, PipelineOutput};
+use freeway_core::{Fault, FreewayError, JournalStats, Learner, PipelineOutput};
 use freeway_linalg::Matrix;
 use freeway_streams::{Batch, StreamGenerator};
 use rand::rngs::StdRng;
@@ -337,8 +337,6 @@ impl<G: StreamGenerator> StreamGenerator for ChaosStream<G> {
 pub struct ChaosRunReport {
     /// Supervisor counters at finish (restarts, quarantined, panics, …).
     pub stats: SupervisorStats,
-    /// How many batches the quarantine buffer saw in total.
-    pub quarantined: u64,
     /// Per-sequence `(correct, total)` over every scored output.
     pub per_seq: BTreeMap<u64, (usize, usize)>,
     /// Correct predictions across all scored rows.
@@ -437,7 +435,6 @@ impl ChaosRunReport {
             score(outputs, labels_by_seq, stream_seq);
         Self {
             stats: run.stats,
-            quarantined: run.quarantine.total(),
             per_seq,
             correct,
             scored,
@@ -449,19 +446,12 @@ impl ChaosRunReport {
     }
 }
 
-/// A worker fault a drill injects just ahead of feeding a batch.
-#[derive(Clone, Copy)]
-enum Fault {
-    Panic,
-    Stall(StallSpec),
-}
-
 /// Drives a [`SupervisedPipeline`] over `batches` batches of the stream,
 /// injecting `fault_at(i)` immediately before feeding batch `i` and
-/// waiting for the supervisor to recover from it, then scores every
-/// output against the labels the stream produced. Labeled batches go
-/// through the prequential (test-then-train) path, unlabeled ones
-/// through the inference path.
+/// waiting for the supervisor to recover from a panic or stall, then
+/// scores every output against the labels the stream produced. Labeled
+/// batches go through the prequential (test-then-train) path, unlabeled
+/// ones through the inference path.
 fn run_faulted(
     stream: &mut dyn StreamGenerator,
     learner: Learner,
@@ -477,10 +467,8 @@ fn run_faulted(
     for i in 0..batches {
         let fault = fault_at(i);
         let before = sup.stats();
-        match fault {
-            Some(Fault::Panic) => sup.inject_worker_panic()?,
-            Some(Fault::Stall(spec)) => sup.inject_worker_stall(spec.duration, spec.livelock)?,
-            None => {}
+        if let Some(fault) = fault {
+            sup.inject(fault)?;
         }
         let batch = stream.next_batch(batch_size);
         if batch.is_empty() {
@@ -506,7 +494,7 @@ fn run_faulted(
                     }
                 }
             }
-            Some(Fault::Stall(_)) => {
+            Some(Fault::Stall { .. }) => {
                 while sup.stats().worker_stalls == before.worker_stalls {
                     sup.check_liveness()?;
                     while let Some(out) = sup.try_recv()? {
@@ -515,7 +503,7 @@ fn run_faulted(
                     std::thread::sleep(Duration::from_micros(100));
                 }
             }
-            None => {}
+            _ => {}
         }
         while let Some(out) = sup.try_recv()? {
             outputs.push(out);

@@ -5,8 +5,8 @@
 //!
 //! * [`run_overload_prequential`] drives a real [`AdmittedPipeline`]
 //!   (worker thread and all) under a [`BurstSchedule`], with the train
-//!   stage and the checkpoint disk artificially slowed through the chaos
-//!   hooks. It measures what only wall-clock can show: producer feed
+//!   stage and the checkpoint disk artificially slowed through
+//!   [`Fault::SlowTrain`] and [`Fault::SlowDisk`]. It measures what only wall-clock can show: producer feed
 //!   latency percentiles, stall-freedom, bounded memory. Thread timing
 //!   makes its *counters* run-to-run noisy, so its assertions should be
 //!   envelopes, not exact values.
@@ -25,7 +25,7 @@ use freeway_core::admission::{
 };
 use freeway_core::degrade::{DegradationHandle, DegradationLadder, DegradationLevel};
 use freeway_core::supervisor::{SupervisedPipeline, SupervisorConfig, SupervisorStats};
-use freeway_core::{FreewayError, Learner};
+use freeway_core::{Fault, FreewayError, Learner};
 use freeway_streams::{Batch, StreamGenerator};
 use serde::Serialize;
 
@@ -85,11 +85,11 @@ pub struct OverloadConfig {
     pub ticks: usize,
     /// Rows per batch.
     pub batch_size: usize,
-    /// Chaos: how long the worker sleeps per train/infer command
-    /// (a slowed train stage). Zero disables.
+    /// How long the worker sleeps per train/infer command
+    /// ([`Fault::SlowTrain`]). Zero disables.
     pub train_delay: Duration,
-    /// Chaos: how long checkpoint persistence sleeps (a slow disk).
-    /// Zero disables.
+    /// How long each checkpoint save and journal fsync sleeps
+    /// ([`Fault::SlowDisk`]). Zero disables.
     pub persist_delay: Duration,
 }
 
@@ -172,8 +172,8 @@ pub fn run_overload_prequential(
     learner.attach_degradation(handle.clone());
     let inner = SupervisedPipeline::with_learner(learner, config.supervisor.clone())?;
     let mut pipe = AdmittedPipeline::new(inner, config.admission.clone(), handle)?;
-    pipe.supervisor().set_chaos_train_delay(config.train_delay);
-    pipe.supervisor().set_chaos_persist_delay(config.persist_delay);
+    pipe.supervisor().inject(Fault::SlowTrain(config.train_delay))?;
+    pipe.supervisor().inject(Fault::SlowDisk(config.persist_delay))?;
 
     let mut labels_by_seq: HashMap<u64, Vec<usize>> = HashMap::new();
     let mut outputs = Vec::new();

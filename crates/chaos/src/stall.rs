@@ -7,7 +7,7 @@
 //! * [`run_stall_prequential`] drives a real
 //!   [`SupervisedPipeline`](freeway_core::SupervisedPipeline)
 //!   (worker thread and all) while injecting scheduled stalls — sleeps or
-//!   livelocks — through the chaos hook, and pumps the watchdog until
+//!   livelocks — as [`Fault::Stall`], and pumps the watchdog until
 //!   each stall is detected and force-recovered. Wall-clock only: it
 //!   proves the detect → abandon → checkpoint-restore → replay path on
 //!   real threads.
@@ -22,11 +22,11 @@ use std::time::Duration;
 
 use freeway_core::liveness::WatchdogState;
 use freeway_core::supervisor::SupervisorConfig;
-use freeway_core::{FreewayError, Learner};
+use freeway_core::{Fault, FreewayError, Learner};
 use freeway_streams::StreamGenerator;
 use serde::Serialize;
 
-use crate::{run_faulted, ChaosRunReport, Fault};
+use crate::{run_faulted, ChaosRunReport};
 
 /// One scheduled worker stall.
 #[derive(Clone, Copy, Debug)]
@@ -73,7 +73,8 @@ pub fn run_stall_prequential(
         ));
     }
     run_faulted(stream, learner, config, batches, batch_size, |i| {
-        stalls.iter().find(|s| s.at == i).copied().map(Fault::Stall)
+        let spec = stalls.iter().find(|s| s.at == i)?;
+        Some(Fault::Stall { duration: spec.duration, livelock: spec.livelock })
     })
 }
 

@@ -6,8 +6,8 @@
 //! shard's transcript is too (replay recovers its in-flight batch).
 
 use freeway_core::{
-    shard_for, AdmissionConfig, AdmissionPolicy, FreewayConfig, JournalConfig, PipelineBuilder,
-    ShardedPipeline,
+    shard_for, AdmissionConfig, AdmissionPolicy, Fault, FreewayConfig, JournalConfig,
+    PipelineBuilder, ShardedPipeline,
 };
 use freeway_ml::ModelSpec;
 use freeway_streams::keyed::{InterleavedKeyed, KeyedBatch};
@@ -68,7 +68,7 @@ fn drill(panic_shard: Option<usize>, label: &str) -> (Vec<Transcript>, ShardedPi
             let batch = gen.next_keyed(BATCH_SIZE).batch;
             let kb = KeyedBatch { key, batch };
             if panic_shard == Some(tenant) && round == PANIC_ROUND {
-                sharded.inject_worker_panic(tenant).expect("panic injection");
+                sharded.inject(tenant, Fault::Panic).expect("panic injection");
             }
             let (shard, _) = sharded.feed_prequential(kb).expect("router alive");
             assert_eq!(shard, tenant, "tenant keys pin their shards");

@@ -57,7 +57,7 @@ fn chaos_drill_quarantines_poison_and_stays_close_to_fault_free() {
     )
     .expect("fault-free run");
     assert_eq!(reference.stats.restarts, 0);
-    assert_eq!(reference.quarantined, 0);
+    assert_eq!(reference.stats.quarantined, 0);
 
     // Chaotic run: ~10% poison plus one worker panic at batch 32.
     let mut chaotic =
@@ -78,7 +78,7 @@ fn chaos_drill_quarantines_poison_and_stays_close_to_fault_free() {
     let expected = chaotic.expected_quarantines_within(BATCHES) as u64;
     assert!(expected > 0, "a 10% rate over 64 batches must inject poison");
     assert_eq!(report.stats.quarantined, expected, "log: {:?}", chaotic.log());
-    assert_eq!(report.quarantined, expected);
+    assert_eq!(report.stats.quarantined, expected);
     assert_eq!(
         report.stats.accepted + report.stats.quarantined,
         BATCHES as u64,
@@ -118,7 +118,7 @@ fn chaos_drill_quarantines_poison_and_stays_close_to_fault_free() {
     println!(
         "chaos drill: faulted {faulted:.4} vs fault-free {fault_free:.4} \
          ({} scored / {} quarantined / {} lost in flight)",
-        report.scored, report.quarantined, report.stats.lost_in_flight
+        report.scored, report.stats.quarantined, report.stats.lost_in_flight
     );
     assert!(fault_free > 0.5, "reference must beat chance, got {fault_free:.3}");
     assert!(

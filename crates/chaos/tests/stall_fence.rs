@@ -20,7 +20,7 @@ use freeway_core::admission::{AdmissionConfig, AdmissionPolicy};
 use freeway_core::supervisor::SupervisorConfig;
 use freeway_core::telemetry::{EventKind, TelemetryEvent};
 use freeway_core::{
-    shard_for, FreewayConfig, JournalConfig, Learner, PipelineBuilder, SubmitOutcome,
+    shard_for, Fault, FreewayConfig, JournalConfig, Learner, PipelineBuilder, SubmitOutcome,
 };
 use freeway_ml::ModelSpec;
 use freeway_streams::concept::{stream_rng, GmmConcept};
@@ -203,8 +203,10 @@ fn service_fences_dead_shard_and_fails_traffic_over() {
     // restart budget the crash exhausts it, the service fences the shard,
     // and the stranded probe comes back as a typed retryable
     // `Shed("fenced")` notice.
-    handle.inject_worker_stall(0, Duration::from_millis(200), false).expect("service running");
-    handle.inject_worker_panic(0).expect("service running");
+    handle
+        .inject(0, Fault::Stall { duration: Duration::from_millis(200), livelock: false })
+        .expect("service running");
+    handle.inject(0, Fault::Panic).expect("service running");
     let probe = service_batches(8, victim_key, 1).remove(0);
     victim.submit_batch(probe, true).expect("submission accepted while service lives");
     let out = victim.recv_output().expect("every submission gets a verdict");

@@ -124,7 +124,7 @@ pub enum AdmissionOutcome {
     /// The batch is waiting caller-side in the bounded backlog; it will
     /// reach the worker on a later feed/drain call.
     Backlogged,
-    /// The batch failed validation and sits in the poison quarantine.
+    /// The batch failed validation and was quarantined: counted and dropped.
     Quarantined(crate::guard::BatchFault),
     /// The batch was dropped under the configured policy.
     Shed(ShedReason),
@@ -450,10 +450,9 @@ impl AdmittedPipeline {
         Ok(recovered)
     }
 
-    /// The wrapped supervised pipeline: its counters, quarantine,
-    /// journal stats, and chaos hooks. Shed batches never reach it, so
-    /// they are never journaled — the log holds exactly the admitted
-    /// stream.
+    /// The wrapped supervised pipeline: its counters, journal stats, and
+    /// fault injection. Shed batches never reach it, so they are never
+    /// journaled — the log holds exactly the admitted stream.
     pub fn supervisor(&mut self) -> &mut SupervisedPipeline {
         &mut self.inner
     }
@@ -475,7 +474,7 @@ impl AdmittedPipeline {
 
 /// Everything a finished admitted run hands back.
 pub struct AdmittedRun {
-    /// The wrapped supervised run (learner, outputs, stats, quarantine).
+    /// The wrapped supervised run (learner, outputs, stats, journal).
     pub run: FinishedRun,
     /// Admission counters.
     pub admission: AdmissionStats,
@@ -495,7 +494,7 @@ mod tests {
     use super::*;
     use crate::builder::PipelineBuilder;
     use crate::config::FreewayConfig;
-    use crate::supervisor::SupervisorConfig;
+    use crate::supervisor::{Fault, SupervisorConfig};
     use freeway_ml::ModelSpec;
     use freeway_streams::concept::{stream_rng, GmmConcept};
     use freeway_streams::DriftPhase;
@@ -541,7 +540,7 @@ mod tests {
     #[test]
     fn block_policy_never_sheds() {
         let (mut p, _) = build(AdmissionPolicy::Block, 2, 0);
-        p.supervisor().set_chaos_train_delay(Duration::from_millis(2));
+        p.supervisor().inject(Fault::SlowTrain(Duration::from_millis(2))).expect("slow train");
         for b in batches(20, 31) {
             let outcome = p.feed_prequential(b).expect("healthy");
             assert_eq!(outcome, AdmissionOutcome::Admitted);
@@ -555,7 +554,7 @@ mod tests {
     #[test]
     fn shedding_newest_bounds_memory_and_counts_sheds() {
         let (mut p, sink) = build(AdmissionPolicy::SheddingNewest, 1, 2);
-        p.supervisor().set_chaos_train_delay(Duration::from_millis(25));
+        p.supervisor().inject(Fault::SlowTrain(Duration::from_millis(25))).expect("slow train");
         let mut shed = 0u64;
         let mut backlogged = 0u64;
         for b in batches(30, 32) {
@@ -569,7 +568,7 @@ mod tests {
         }
         assert!(shed > 0, "a 25ms worker behind a 1-deep queue must shed");
         assert!(backlogged > 0, "the backlog absorbs the first overflow");
-        p.supervisor().set_chaos_train_delay(Duration::ZERO);
+        p.supervisor().inject(Fault::SlowTrain(Duration::ZERO)).expect("slow train");
         let run = p.finish().expect("finish");
         assert_eq!(run.admission.shed, shed);
         let announced =
@@ -595,7 +594,7 @@ mod tests {
             })
             .build_admitted()
             .expect("valid admission build");
-        p.supervisor().set_chaos_train_delay(Duration::from_millis(25));
+        p.supervisor().inject(Fault::SlowTrain(Duration::from_millis(25))).expect("slow train");
         let mut degraded_seen = false;
         for b in batches(25, 35) {
             p.feed_prequential(b).expect("healthy");
@@ -608,7 +607,7 @@ mod tests {
         // occupancy actually falls: the ladder must come back up. The loop
         // is condition-driven (with a generous cap) because how fast the
         // queue drains depends on machine load.
-        p.supervisor().set_chaos_train_delay(Duration::ZERO);
+        p.supervisor().inject(Fault::SlowTrain(Duration::ZERO)).expect("slow train");
         let mut rng = stream_rng(99);
         let concept = GmmConcept::random(4, 2, 1, 3.0, 0.5, &mut rng);
         for seq in 25..425 {

@@ -81,7 +81,7 @@ impl PipelineBuilder {
     }
 
     /// Replaces the whole supervision policy (queue depth, checkpoint
-    /// cadence, quarantine size, restart budget).
+    /// cadence, restart budget, journal, stall deadline).
     #[must_use]
     pub fn with_supervisor_config(mut self, supervisor: SupervisorConfig) -> Self {
         self.supervisor = supervisor;

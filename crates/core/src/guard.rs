@@ -1,16 +1,15 @@
-//! Ingestion guard: batch validation and the poison-batch quarantine.
+//! Ingestion guard: batch validation at the pipeline boundary.
 //!
 //! A NaN-laced or wrong-width batch fed straight into the learner panics
 //! deep inside the math substrate (`partial_cmp(..).expect("finite")`,
 //! shape asserts) — after the stream has already poisoned parameters.
 //! The guard validates every batch **at the pipeline boundary**, before
-//! any learner state is touched, and the supervisor diverts rejected
-//! batches into a counted, bounded dead-letter buffer instead of
-//! panicking. Unlabeled batches are *not* faults: the pipeline degrades
-//! them to inference-only service.
+//! any learner state is touched. The supervisor quarantines a rejected
+//! batch instead of panicking: it counts it, announces it as a
+//! `BatchQuarantined` event, and drops it. Unlabeled batches are *not*
+//! faults: the pipeline degrades them to inference-only service.
 
 use freeway_streams::Batch;
-use std::collections::VecDeque;
 
 /// Why a batch was rejected at ingestion.
 #[derive(Clone, Debug, PartialEq)]
@@ -192,70 +191,6 @@ impl BatchGuard {
     }
 }
 
-/// One quarantined batch, held for inspection.
-#[derive(Clone, Debug)]
-pub struct QuarantinedBatch {
-    /// The rejected batch itself (dead-letter payload).
-    pub batch: Batch,
-    /// Why it was rejected.
-    pub fault: BatchFault,
-}
-
-/// Bounded dead-letter buffer for poison batches.
-///
-/// Every rejection is *counted*; only the most recent `capacity` batches
-/// are *kept* (oldest evicted first), so a poison flood cannot grow
-/// memory without bound.
-#[derive(Clone, Debug)]
-pub struct Quarantine {
-    entries: VecDeque<QuarantinedBatch>,
-    capacity: usize,
-    total: u64,
-    evicted: u64,
-}
-
-impl Quarantine {
-    /// Creates a quarantine keeping at most `capacity` batches.
-    pub fn new(capacity: usize) -> Self {
-        Self { entries: VecDeque::new(), capacity: capacity.max(1), total: 0, evicted: 0 }
-    }
-
-    /// Records a poison batch, evicting the oldest if full.
-    pub fn push(&mut self, batch: Batch, fault: BatchFault) {
-        self.total += 1;
-        if self.entries.len() >= self.capacity {
-            self.entries.pop_front();
-            self.evicted += 1;
-        }
-        self.entries.push_back(QuarantinedBatch { batch, fault });
-    }
-
-    /// Every rejection ever recorded (kept or evicted).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Batches evicted to respect the capacity bound.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// The retained dead-letter batches, oldest first.
-    pub fn entries(&self) -> impl Iterator<Item = &QuarantinedBatch> {
-        self.entries.iter()
-    }
-
-    /// Number of batches currently retained.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -337,18 +272,5 @@ mod tests {
         let mut g = guard();
         let b = Batch::unlabeled(Matrix::filled(2, 3, 0.5), 0, DriftPhase::Stable);
         assert_eq!(g.admit(&b), Ok(()));
-    }
-
-    #[test]
-    fn quarantine_is_counted_and_bounded() {
-        let mut q = Quarantine::new(2);
-        for seq in 0..5 {
-            q.push(clean(seq), BatchFault::DuplicateSeq { seq });
-        }
-        assert_eq!(q.total(), 5);
-        assert_eq!(q.len(), 2, "capacity bound holds");
-        assert_eq!(q.evicted(), 3);
-        let seqs: Vec<u64> = q.entries().map(|e| e.batch.seq).collect();
-        assert_eq!(seqs, vec![3, 4], "newest retained");
     }
 }

@@ -8,7 +8,7 @@
 //! framed and appended here **after** it is handed to the worker, so a
 //! restart can restore the last durable checkpoint and re-feed exactly
 //! the journaled batches above it, suppressing outputs that were already
-//! delivered (seq-based dedup in the supervisor).
+//! delivered (the supervisor's delivered-seq watermark).
 //!
 //! # On-disk format
 //!
@@ -40,14 +40,14 @@
 //! # Fsync policy
 //!
 //! Appends write immediately (so same-process readers always see every
-//! frame via the page cache) but fsync on a cadence:
-//! `fsync_every_n_appends × sync_backoff`. The backoff doubles (capped)
-//! whenever a sync fails or exceeds [`JournalConfig::slow_sync_budget`],
-//! and resets on a fast success — a persistently slow disk degrades
-//! durability granularity instead of stalling ingest, mirroring the
-//! checkpoint-cadence backoff in the supervisor. The write itself is
-//! retried on the checkpoint saves' schedule: three attempts, backing off
-//! from 2 ms to at most 50 ms with seeded jitter.
+//! frame via the page cache) but fsync on a cadence: every 8 appends
+//! times a backoff. The backoff doubles (capped) whenever a sync fails or
+//! takes over 50 ms, and resets on a fast success — a persistently slow
+//! disk degrades durability granularity instead of stalling ingest,
+//! mirroring the checkpoint-cadence backoff in the supervisor. A segment
+//! rolls over once the next frame would take it past 4 MiB. The write
+//! itself is retried on the checkpoint saves' schedule: three attempts,
+//! backing off from 2 ms to at most 50 ms with seeded jitter.
 
 use crate::error::FreewayError;
 use crate::persistence::crc32;
@@ -58,8 +58,6 @@ use serde::{Deserialize, Serialize};
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Upper bound on a single frame's payload; a length field above this is
@@ -73,30 +71,28 @@ const FRAME_HEADER_BYTES: usize = 8;
 /// supervisor's checkpoint-cadence backoff).
 const MAX_SYNC_BACKOFF: u64 = 64;
 
-/// Where and how the ingest journal persists.
+/// A segment rolls over once the next frame would take it past this size.
+const SEGMENT_MAX_BYTES: u64 = 4 << 20;
+
+/// Appends between fsyncs on a healthy disk; a process crash costs at
+/// most this many minus one frames.
+const FSYNC_EVERY_N_APPENDS: u64 = 8;
+
+/// A sync slower than this doubles the fsync-cadence backoff.
+const SLOW_SYNC_BUDGET: Duration = Duration::from_millis(50);
+
+/// Where the ingest journal persists.
 #[derive(Clone, Debug)]
 pub struct JournalConfig {
     /// Base path, e.g. `dir/journal.wal`; segments land next to it as
     /// `journal.0.wal`, `journal.1.wal`, …
     pub path: PathBuf,
-    /// Rotate to a new segment once the active one exceeds this size.
-    pub segment_max_bytes: u64,
-    /// Fsync after this many appends (1 = every append). Scaled by the
-    /// slow-disk backoff; see the module docs.
-    pub fsync_every_n_appends: u64,
-    /// A sync slower than this doubles the cadence backoff.
-    pub slow_sync_budget: Duration,
 }
 
 impl JournalConfig {
-    /// A config with production defaults rooted at `path`.
+    /// A journal rooted at `path`.
     pub fn new(path: impl Into<PathBuf>) -> Self {
-        Self {
-            path: path.into(),
-            segment_max_bytes: 4 << 20,
-            fsync_every_n_appends: 8,
-            slow_sync_budget: Duration::from_millis(50),
-        }
+        Self { path: path.into() }
     }
 }
 
@@ -189,8 +185,9 @@ pub struct Journal {
     /// success.
     sync_backoff: u64,
     stats: JournalStats,
-    /// Chaos hook: artificial delay (ms) injected before every fsync.
-    chaos_sync_delay_ms: Arc<AtomicU64>,
+    /// [`crate::Fault::SlowDisk`]: the delay before every fsync, counted
+    /// against the slow-sync budget like the sync itself.
+    pub(crate) slow_disk: Duration,
 }
 
 /// What a front-to-back scan of one segment found.
@@ -306,7 +303,7 @@ impl Journal {
             pending_appends: 0,
             sync_backoff: 1,
             stats,
-            chaos_sync_delay_ms: Arc::new(AtomicU64::new(0)),
+            slow_disk: Duration::ZERO,
         };
         Ok((journal, recovered))
     }
@@ -340,7 +337,7 @@ impl Journal {
     /// cadence instead (see the module docs).
     pub fn append_frame(&mut self, seq: u64, frame: &[u8]) -> Result<bool, FreewayError> {
         if self.active_bytes > 0
-            && self.active_bytes.saturating_add(frame.len() as u64) > self.config.segment_max_bytes
+            && self.active_bytes.saturating_add(frame.len() as u64) > SEGMENT_MAX_BYTES
         {
             self.rotate()?;
         }
@@ -349,7 +346,7 @@ impl Journal {
         self.active_last_seq = Some(seq);
         self.stats.appended += 1;
         self.pending_appends += 1;
-        let cadence = self.config.fsync_every_n_appends.max(1).saturating_mul(self.sync_backoff);
+        let cadence = FSYNC_EVERY_N_APPENDS.saturating_mul(self.sync_backoff);
         let mut synced = false;
         if self.pending_appends >= cadence {
             self.sync_with_budget();
@@ -381,14 +378,13 @@ impl Journal {
     /// fast success resets it.
     fn sync_with_budget(&mut self) {
         let started = Instant::now();
-        let delay = self.chaos_sync_delay_ms.load(Ordering::Relaxed);
-        if delay > 0 {
-            std::thread::sleep(Duration::from_millis(delay));
+        if !self.slow_disk.is_zero() {
+            std::thread::sleep(self.slow_disk);
         }
         let ok = self.active.sync_all().is_ok();
         self.stats.synced += 1;
         self.pending_appends = 0;
-        if !ok || started.elapsed() > self.config.slow_sync_budget {
+        if !ok || started.elapsed() > SLOW_SYNC_BUDGET {
             self.stats.slow_syncs += 1;
             self.sync_backoff = (self.sync_backoff * 2).min(MAX_SYNC_BACKOFF);
         } else {
@@ -470,13 +466,6 @@ impl Journal {
     pub fn sync_backoff(&self) -> u64 {
         self.sync_backoff
     }
-
-    /// Chaos hook: the shared handle that injects a per-fsync delay
-    /// (milliseconds), for drilling the slow-disk degradation path.
-    #[cfg(test)]
-    fn chaos_sync_delay_handle(&self) -> Arc<AtomicU64> {
-        Arc::clone(&self.chaos_sync_delay_ms)
-    }
 }
 
 fn stem_and_ext(path: &std::path::Path) -> (String, String) {
@@ -509,8 +498,20 @@ mod tests {
         Batch::labeled(x, vec![0, 1], seq, DriftPhase::Stable)
     }
 
+    /// A frame over half a segment long, so every append after the first
+    /// rolls the journal over to a new segment.
+    fn half_segment_frame(seq: u64) -> Vec<u8> {
+        let (rows, cols) = (64 * 1024, 2);
+        // Square roots render as 17-18 JSON characters each.
+        let data = (0..rows * cols).map(|i| seq as f64 + (i as f64).sqrt()).collect();
+        let batch = Batch::unlabeled(Matrix::from_vec(rows, cols, data), seq, DriftPhase::Stable);
+        let frame = frame_batch(&batch, false);
+        assert!(frame.len() as u64 > SEGMENT_MAX_BYTES / 2);
+        frame
+    }
+
     fn config(dir: &std::path::Path) -> JournalConfig {
-        JournalConfig { fsync_every_n_appends: 2, ..JournalConfig::new(dir.join("journal.wal")) }
+        JournalConfig::new(dir.join("journal.wal"))
     }
 
     #[test]
@@ -541,13 +542,11 @@ mod tests {
     #[test]
     fn records_above_filters_and_sees_unsynced_appends() {
         let dir = temp_journal_dir("filter");
-        let cfg =
-            JournalConfig { fsync_every_n_appends: 1000, ..JournalConfig::new(dir.join("j.wal")) };
-        let (mut journal, _) = Journal::open(cfg).expect("open");
+        let (mut journal, _) = Journal::open(config(&dir)).expect("open");
         for seq in 0..6u64 {
             let frame = frame_batch(&tiny_batch(seq), false);
             let synced = journal.append_frame(seq, &frame).expect("append");
-            assert!(!synced, "cadence of 1000 must not sync on append {seq}");
+            assert!(!synced, "a cadence of {FSYNC_EVERY_N_APPENDS} must not sync on append {seq}");
         }
         let all = journal.records_above(None).expect("read");
         assert_eq!(all.len(), 6, "unsynced frames are visible to the writing process");
@@ -587,14 +586,10 @@ mod tests {
     #[test]
     fn corrupt_mid_frame_drops_suffix_and_later_segments() {
         let dir = temp_journal_dir("midframe");
-        let cfg = JournalConfig {
-            segment_max_bytes: 1, // force a rotation per append
-            ..config(&dir)
-        };
+        let cfg = config(&dir);
         let (mut journal, _) = Journal::open(cfg.clone()).expect("open");
         for seq in 0..3u64 {
-            let frame = frame_batch(&tiny_batch(seq), false);
-            journal.append_frame(seq, &frame).expect("append");
+            journal.append_frame(seq, &half_segment_frame(seq)).expect("append");
         }
         assert_eq!(journal.num_segments(), 3);
         drop(journal);
@@ -617,11 +612,9 @@ mod tests {
     #[test]
     fn rotation_and_truncate_below_drop_only_sealed_covered_segments() {
         let dir = temp_journal_dir("truncate");
-        let cfg = JournalConfig { segment_max_bytes: 1, ..config(&dir) };
-        let (mut journal, _) = Journal::open(cfg).expect("open");
+        let (mut journal, _) = Journal::open(config(&dir)).expect("open");
         for seq in 0..4u64 {
-            let frame = frame_batch(&tiny_batch(seq), false);
-            journal.append_frame(seq, &frame).expect("append");
+            journal.append_frame(seq, &half_segment_frame(seq)).expect("append");
         }
         assert_eq!(journal.num_segments(), 4);
         assert_eq!(journal.lowest_segment_index(), 0);
@@ -646,26 +639,26 @@ mod tests {
     #[test]
     fn slow_sync_degrades_cadence_then_recovers() {
         let dir = temp_journal_dir("slowsync");
-        let cfg = JournalConfig {
-            fsync_every_n_appends: 1,
-            slow_sync_budget: Duration::from_millis(5),
-            ..JournalConfig::new(dir.join("j.wal"))
+        let (mut journal, _) = Journal::open(config(&dir)).expect("open");
+        // Appends seq, syncing exactly on the cadence's last one.
+        let mut seq = 0u64;
+        let mut appends = |journal: &mut Journal, n: u64| {
+            for i in 1..=n {
+                let frame = frame_batch(&tiny_batch(seq), false);
+                let synced = journal.append_frame(seq, &frame).expect("append");
+                assert_eq!(synced, i == n, "append {i} of a cadence of {n}");
+                seq += 1;
+            }
         };
-        let (mut journal, _) = Journal::open(cfg).expect("open");
-        let delay = journal.chaos_sync_delay_handle();
-        delay.store(10, Ordering::Relaxed);
-        let frame = frame_batch(&tiny_batch(0), false);
-        assert!(journal.append_frame(0, &frame).expect("append"), "cadence 1 syncs");
+        journal.slow_disk = SLOW_SYNC_BUDGET + Duration::from_millis(10);
+        appends(&mut journal, FSYNC_EVERY_N_APPENDS);
         assert_eq!(journal.sync_backoff(), 2, "slow sync doubles the backoff");
-        // Backoff 2 means the next append does NOT sync...
-        let frame = frame_batch(&tiny_batch(1), false);
-        assert!(!journal.append_frame(1, &frame).expect("append"));
-        // ...and a fast sync resets it.
-        delay.store(0, Ordering::Relaxed);
-        let frame = frame_batch(&tiny_batch(2), false);
-        assert!(journal.append_frame(2, &frame).expect("append"));
+        assert_eq!(journal.stats().slow_syncs, 1);
+        // Backoff 2 doubles the cadence, and a fast sync resets it.
+        journal.slow_disk = Duration::ZERO;
+        appends(&mut journal, 2 * FSYNC_EVERY_N_APPENDS);
         assert_eq!(journal.sync_backoff(), 1);
-        assert!(journal.stats().slow_syncs >= 1);
+        assert_eq!(journal.stats().slow_syncs, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -19,10 +19,11 @@
 //!
 //! The fault-tolerance layer lives in three further modules: [`error`]
 //! (the `FreewayError` taxonomy every fallible runtime operation
-//! returns), [`guard`] (ingestion validation and the poison-batch
-//! quarantine), and [`supervisor`] (the checkpointed, auto-restarting
-//! [`supervisor::SupervisedPipeline`], which is the pipeline's worker:
-//! [`Pipeline`] names the same type).
+//! returns), [`guard`] (ingestion validation: poison is quarantined —
+//! counted and announced, never fed), and [`supervisor`] (the
+//! checkpointed, auto-restarting [`supervisor::SupervisedPipeline`], which
+//! is the pipeline's worker: [`Pipeline`] names the same type, and every
+//! tier takes injected faults in as one [`Fault`] type).
 //!
 //! The overload-resilience layer sits on top of it: [`admission`]
 //! (admission policies, counted load shedding, and the
@@ -90,7 +91,7 @@ pub use builder::PipelineBuilder;
 pub use config::{FreewayConfig, OptimizerKind};
 pub use degrade::{DegradationHandle, DegradationLadder, DegradationLevel};
 pub use error::{CheckpointError, FreewayError};
-pub use guard::{BatchFault, BatchGuard, GuardPolicy, Quarantine};
+pub use guard::{BatchFault, BatchGuard, GuardPolicy};
 pub use journal::{frame_batch, Journal, JournalConfig, JournalRecord, JournalStats};
 pub use knowledge::{SharedEntry, SharedKnowledge, SharedReader};
 pub use learner::{InferenceReport, Learner, Strategy, StrategyStats};
@@ -104,5 +105,5 @@ pub use serve::{
 };
 pub use shard::{failover_shard, shard_for, ShardedPipeline, ShardedRun};
 pub use supervisor::{
-    FeedOutcome, FinishedRun, SupervisedPipeline, SupervisorConfig, SupervisorStats,
+    Fault, FeedOutcome, FinishedRun, SupervisedPipeline, SupervisorConfig, SupervisorStats,
 };

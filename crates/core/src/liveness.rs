@@ -43,7 +43,7 @@ pub enum WorkerStage {
     Train,
     /// Snapshotting learner state for a checkpoint.
     Checkpoint,
-    /// Executing an injected chaos stall (drills only).
+    /// Executing an injected [`crate::Fault::Stall`] (drills only).
     ChaosStall,
 }
 
@@ -108,7 +108,7 @@ impl HeartbeatLedger {
     /// Record one unit of progress: a command was fully processed.
     ///
     /// `seq` is the batch seq that completed, when the command carried one
-    /// (checkpoints and chaos commands do not).
+    /// (checkpoints and injected faults do not).
     pub fn beat(&self, seq: Option<u64>) {
         if let Some(seq) = seq {
             self.inner.last_seq.store(seq + 1, Ordering::Relaxed);

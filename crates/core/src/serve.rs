@@ -67,7 +67,7 @@ use crate::degrade::DegradationLevel;
 use crate::error::{panic_message, FreewayError};
 use crate::learner::InferenceReport;
 use crate::shard::{ShardedPipeline, ShardedRun};
-use crate::supervisor::{Doorbell, Injection};
+use crate::supervisor::{Doorbell, Fault};
 use freeway_streams::keyed::KeyedBatch;
 use freeway_streams::Batch;
 use freeway_telemetry::{Counter, Gauge};
@@ -128,7 +128,7 @@ impl ServiceConfig {
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum ServeError {
-    /// The session's shard cannot take the batch (or chaos injection)
+    /// The session's shard cannot take the batch (or injected fault)
     /// right now: blocking admission with a full worker queue. Transient
     /// backpressure: retry after roughly `retry_after_hint`; a batch is
     /// handed back.
@@ -412,39 +412,19 @@ impl ServiceHandle {
         })
     }
 
-    /// Chaos hook: makes one shard's worker panic on its next command,
-    /// exercising the crash-restart (and, past the budget, fencing) path
-    /// under live client traffic.
+    /// Injects `fault` into one shard's worker under live client traffic
+    /// ([`crate::ShardedPipeline::inject`]), on the caller's thread. Never
+    /// waits: a panic or stall that meets a full queue comes back as
+    /// [`ServeError::Busy`].
     ///
     /// # Errors
     /// [`ServeError::Busy`] when the shard's queue is full (retry after
     /// the hint); [`ServeError::Disconnected`] when the service has shut
-    /// down, or when delivering the injection hit a runtime failure,
-    /// which ends it.
-    pub fn inject_worker_panic(&self, shard: usize) -> Result<(), ServeError> {
-        self.inject(shard, Injection::Panic)
-    }
-
-    /// Chaos hook: schedules a stall (sleep or livelock) of `duration` on
-    /// one shard's worker, exercising the watchdog detect → force-restart
-    /// path under live client traffic.
-    ///
-    /// # Errors
-    /// As [`Self::inject_worker_panic`].
-    pub fn inject_worker_stall(
-        &self,
-        shard: usize,
-        duration: Duration,
-        livelock: bool,
-    ) -> Result<(), ServeError> {
-        self.inject(shard, Injection::Stall { duration, livelock })
-    }
-
-    /// Queues a chaos injection on the caller's thread without waiting
-    /// for queue space, then routes what it surfaced (a fence it raised).
-    fn inject(&self, shard: usize, injection: Injection) -> Result<(), ServeError> {
+    /// down, or when delivering the fault hit a runtime failure, which
+    /// ends it.
+    pub fn inject(&self, shard: usize, fault: Fault) -> Result<(), ServeError> {
         lock(&self.shared)?.serve(|serving, sessions| {
-            let queued = match serving.pipeline.inject(shard, injection, false) {
+            let queued = match serving.pipeline.inject(shard, fault) {
                 Err(FreewayError::QueueFull) => false,
                 injected => injected.map(|()| true)?,
             };
@@ -681,7 +661,9 @@ impl Service {
         if let Ok(mut state) = shared.lock() {
             if let Some(serving) = state.serving.as_mut() {
                 for shard in 0..serving.pipeline.num_shards() {
-                    serving.pipeline.doorbell(shard).install_exit(maintenance.thread().clone());
+                    let supervisor = serving.pipeline.shard(shard).supervisor();
+                    supervisor.doorbell().install_exit(maintenance.thread().clone());
+                    supervisor.inject_waits = false;
                 }
             }
         }
@@ -1016,18 +998,15 @@ impl Serving {
         sessions: &mut Sessions,
         budget: Option<Duration>,
     ) -> Result<(), FreewayError> {
-        let outputs = match budget {
-            Some(budget) => match self.pipeline.barrier_deadline(budget) {
-                Err(timeout @ FreewayError::DrainTimeout { .. }) => {
-                    // The timed-out drain stashed what the healthy shards
-                    // answered; their sessions get it before the error.
-                    self.drain_outputs(sessions)?;
-                    self.reconcile_fences(sessions)?;
-                    return Err(timeout);
-                }
-                outputs => outputs?,
-            },
-            None => self.pipeline.barrier()?,
+        let outputs = match self.pipeline.drain(budget) {
+            Err(timeout @ FreewayError::DrainTimeout { .. }) => {
+                // The timed-out drain stashed what the healthy shards
+                // answered; their sessions get it before the error.
+                self.drain_outputs(sessions)?;
+                self.reconcile_fences(sessions)?;
+                return Err(timeout);
+            }
+            outputs => outputs?,
         };
         for (shard, out) in outputs {
             self.deliver(sessions, shard, out);

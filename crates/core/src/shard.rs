@@ -27,7 +27,7 @@ use crate::admission::{
 use crate::error::FreewayError;
 use crate::knowledge::SharedKnowledge;
 use crate::pipeline::PipelineOutput;
-use crate::supervisor::{Doorbell, Injection};
+use crate::supervisor::{Doorbell, Fault};
 use freeway_streams::keyed::{mix64, KeyedBatch};
 use freeway_streams::Batch;
 use freeway_telemetry::{Counter, Telemetry, TelemetryEvent};
@@ -345,14 +345,7 @@ impl ShardedPipeline {
     /// As [`AdmittedPipeline::try_recv`] (restart exhaustion is absorbed
     /// into a fence).
     pub fn barrier(&mut self) -> Result<Vec<(usize, PipelineOutput)>, FreewayError> {
-        let mut outputs: Vec<(usize, PipelineOutput)> = self.stash.drain(..).collect();
-        for i in 0..self.shards.len() {
-            while !self.drain_shard_step(i, &mut outputs)? {
-                std::thread::yield_now();
-            }
-        }
-        outputs.sort_by_key(|(shard, out)| (out.seq, *shard));
-        Ok(outputs)
+        self.drain(None)
     }
 
     /// [`Self::barrier`] with a wall-clock budget: shards that have not
@@ -369,28 +362,31 @@ impl ShardedPipeline {
         &mut self,
         budget: Duration,
     ) -> Result<Vec<(usize, PipelineOutput)>, FreewayError> {
-        let deadline = Instant::now() + budget;
+        self.drain(Some(budget))
+    }
+
+    /// The one drain loop behind [`Self::barrier`] (no `budget`) and
+    /// [`Self::barrier_deadline`]: sweeps the shards that are not yet
+    /// quiescent until none is left or the budget runs out.
+    pub(crate) fn drain(
+        &mut self,
+        budget: Option<Duration>,
+    ) -> Result<Vec<(usize, PipelineOutput)>, FreewayError> {
+        let deadline = budget.map(|budget| Instant::now() + budget);
         let mut outputs: Vec<(usize, PipelineOutput)> = self.stash.drain(..).collect();
-        let n = self.shards.len();
-        let mut quiescent = vec![false; n];
+        let mut quiescent = vec![false; self.shards.len()];
         loop {
-            let mut all = true;
             for (i, done) in quiescent.iter_mut().enumerate() {
-                if *done {
-                    continue;
-                }
-                if self.drain_shard_step(i, &mut outputs)? {
-                    *done = true;
-                } else {
-                    all = false;
+                if !*done {
+                    *done = self.drain_shard_step(i, &mut outputs)?;
                 }
             }
-            if all {
+            if quiescent.iter().all(|&done| done) {
                 break;
             }
-            if Instant::now() >= deadline {
+            if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
                 self.stash.extend(outputs);
-                let shards = (0..n).filter(|&i| !quiescent[i]).collect();
+                let shards = (0..quiescent.len()).filter(|&i| !quiescent[i]).collect();
                 return Err(FreewayError::DrainTimeout { shards });
             }
             std::thread::yield_now();
@@ -424,45 +420,20 @@ impl ShardedPipeline {
         aggregate_stats(self.shards.iter().map(AdmittedPipeline::stats))
     }
 
-    /// Chaos hook: makes one shard's worker panic on its next command,
-    /// exercising that shard's crash-restart path while the other shards
-    /// and the shared registry keep serving.
+    /// Injects `fault` into one shard's worker
+    /// ([`crate::SupervisedPipeline::inject`]) while the other shards keep
+    /// serving. Restart exhaustion discovered while delivering it fences
+    /// the shard instead of erroring; a fenced shard has no worker left to
+    /// fault, so it ignores the injection.
     ///
     /// # Errors
-    /// As [`crate::SupervisedPipeline::inject_worker_panic`]; restart
-    /// exhaustion discovered while delivering the injection fences the
-    /// shard instead of erroring.
-    pub fn inject_worker_panic(&mut self, shard: usize) -> Result<(), FreewayError> {
-        self.inject(shard, Injection::Panic, true)
-    }
-
-    /// Chaos hook: schedules a stall (sleep or livelock) of `duration` on
-    /// one shard's worker, exercising the watchdog detect → force-restart
-    /// path while the other shards keep serving.
-    ///
-    /// # Errors
-    /// As [`crate::SupervisedPipeline::inject_worker_stall`]; restart
-    /// exhaustion discovered while delivering the injection fences the
-    /// shard instead of erroring.
-    pub fn inject_worker_stall(
-        &mut self,
-        shard: usize,
-        duration: Duration,
-        livelock: bool,
-    ) -> Result<(), FreewayError> {
-        self.inject(shard, Injection::Stall { duration, livelock }, true)
-    }
-
-    /// Delivers a chaos injection to one shard's worker; `wait` as
-    /// [`crate::SupervisedPipeline`]'s own (unset, a full queue is
-    /// [`FreewayError::QueueFull`]).
-    pub(crate) fn inject(
-        &mut self,
-        shard: usize,
-        injection: Injection,
-        wait: bool,
-    ) -> Result<(), FreewayError> {
-        let result = self.shards[shard].supervisor().inject(injection, wait);
+    /// As [`crate::SupervisedPipeline::inject`], restart exhaustion
+    /// excepted.
+    pub fn inject(&mut self, shard: usize, fault: Fault) -> Result<(), FreewayError> {
+        if self.fenced[shard] {
+            return Ok(());
+        }
+        let result = self.shards[shard].supervisor().inject(fault);
         self.fence_if_exhausted(shard, None, result)?;
         Ok(())
     }

@@ -9,8 +9,9 @@
 //! boundary:
 //!
 //! * every batch passes the [`BatchGuard`] **before** touching the
-//!   channel; poison batches land in a bounded, counted [`Quarantine`]
-//!   instead of panicking inside the math substrate;
+//!   channel; a poison batch is counted in
+//!   [`SupervisorStats::quarantined`], announced as a `BatchQuarantined`
+//!   event and dropped, instead of panicking inside the math substrate;
 //! * the worker captures a [`Checkpoint`] every
 //!   `checkpoint_every_n_batches` accepted batches (persisted atomically
 //!   to disk when a path is configured);
@@ -26,13 +27,16 @@
 //!   hand-off, and restart becomes restore-then-replay: the replay base
 //!   checkpoint is restored, journaled batches above it are re-fed
 //!   synchronously (shared-registry publishes muted, telemetry muted,
-//!   outputs deduplicated by seq against what was already delivered),
+//!   outputs at or below the highest seq already delivered suppressed),
 //!   and `lost_in_flight` stays zero — effectively-once semantics. The
 //!   base advances, and old journal segments are dropped, only when a
 //!   checkpoint is *durably persisted* to disk; a run without a
 //!   checkpoint path replays from genesis, which reconstructs the
 //!   worker's exact state (cadence checkpoints are deliberately lossy
-//!   about PCA/shift-tracker state, a genesis replay is not).
+//!   about PCA/shift-tracker state, a genesis replay is not);
+//! * [`SupervisedPipeline::inject`] takes a [`Fault`] in — a panic, a
+//!   stall, a slow train stage or a slow disk — so drills drive the real
+//!   recovery paths end to end.
 //!
 //! The supervisor is single-threaded on the caller side: `feed`,
 //! `try_recv`, and `finish` take `&mut self` so restart bookkeeping
@@ -42,7 +46,7 @@
 
 use crate::degrade::{DegradationHandle, DegradationLevel};
 use crate::error::{panic_message, FreewayError};
-use crate::guard::{BatchFault, BatchGuard, GuardPolicy, Quarantine};
+use crate::guard::{BatchFault, BatchGuard, GuardPolicy};
 use crate::journal::{frame_batch, Journal, JournalConfig, JournalRecord, JournalStats};
 use crate::learner::{InferenceReport, Learner};
 use crate::liveness::{HeartbeatLedger, WatchdogState, WorkerStage};
@@ -52,7 +56,7 @@ use crate::retry::retry;
 use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError, TrySendError};
 use freeway_streams::Batch;
 use freeway_telemetry::{Counter, Telemetry, TelemetryEvent, DURATION_SECONDS_BOUNDS};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -77,9 +81,6 @@ pub struct SupervisorConfig {
     /// (write temp, fsync, rename). Persistence failures are counted and
     /// logged, never fatal — the in-memory checkpoint still updates.
     pub checkpoint_path: Option<PathBuf>,
-    /// How many poison batches the dead-letter buffer retains (all are
-    /// counted regardless).
-    pub quarantine_capacity: usize,
     /// Worker crashes tolerated before the supervisor gives up with
     /// [`FreewayError::RestartsExhausted`].
     pub max_restarts: usize,
@@ -104,7 +105,6 @@ impl Default for SupervisorConfig {
             queue_depth: 32,
             checkpoint_every_n_batches: 8,
             checkpoint_path: None,
-            quarantine_capacity: 64,
             max_restarts: 3,
             journal: None,
             stall_deadline: None,
@@ -126,19 +126,8 @@ impl SupervisorConfig {
         if self.checkpoint_every_n_batches == 0 {
             return Err("checkpoint cadence must be positive".to_owned());
         }
-        if self.quarantine_capacity == 0 {
-            return Err("quarantine capacity must be positive".to_owned());
-        }
         if self.stall_deadline.is_some_and(|deadline| deadline.is_zero()) {
             return Err("stall deadline must be positive when set".to_owned());
-        }
-        if let Some(journal) = self.journal.as_ref() {
-            if journal.segment_max_bytes == 0 {
-                return Err("journal segment size must be positive".to_owned());
-            }
-            if journal.fsync_every_n_appends == 0 {
-                return Err("journal fsync cadence must be positive".to_owned());
-            }
         }
         Ok(())
     }
@@ -182,7 +171,8 @@ pub struct SupervisorStats {
 pub enum FeedOutcome {
     /// The batch passed validation and reached the worker.
     Accepted,
-    /// The batch was rejected and sits in the quarantine.
+    /// The batch was rejected: counted in
+    /// [`SupervisorStats::quarantined`], announced, and dropped.
     Quarantined(BatchFault),
 }
 
@@ -195,8 +185,6 @@ pub struct FinishedRun {
     pub outputs: Vec<PipelineOutput>,
     /// Run counters.
     pub stats: SupervisorStats,
-    /// The dead-letter buffer with every retained poison batch.
-    pub quarantine: Quarantine,
     /// Journal counters (appends, syncs, recovered records, truncated
     /// segments); `None` when journaling was not configured. The journal
     /// is fsynced before these are captured, so they describe a fully
@@ -209,21 +197,44 @@ enum SupCommand {
     Batch { batch: Batch, prequential: bool },
     /// Capture and send back a checkpoint of the current learner state.
     Checkpoint,
-    /// Chaos hook: panic deterministically inside the worker.
-    InjectPanic,
-    /// Chaos hook: stop making progress for this many nanoseconds
-    /// (`u64::MAX` = until fenced), either parked in short sleeps or
-    /// livelocked in a spin loop. No heartbeat lands while it runs, so
+    /// [`Fault::Panic`]: panic deterministically inside the worker.
+    Panic,
+    /// [`Fault::Stall`]: stop making progress for this many nanoseconds
+    /// (`u64::MAX` = until fenced). No heartbeat lands while it runs, so
     /// the watchdog sees exactly what a wedged worker looks like.
-    InjectStall { nanos: u64, livelock: bool },
+    Stall { nanos: u64, livelock: bool },
 }
 
-/// A chaos injection, as [`SupervisedPipeline::inject_worker_panic`] and
-/// [`SupervisedPipeline::inject_worker_stall`] deliver it.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Injection {
+/// A fault injected into a runtime's worker, through the one entry point
+/// each tier has: [`SupervisedPipeline::inject`],
+/// [`crate::ShardedPipeline::inject`] and [`crate::ServiceHandle::inject`].
+/// Drills and tests drive the real recovery paths with it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fault {
+    /// The worker panics on its next command: the crash-restart path.
     Panic,
-    Stall { duration: Duration, livelock: bool },
+    /// The worker stops making progress on its next command, parked in
+    /// short sleeps or, with `livelock`, spinning: the watchdog's
+    /// stall-recovery path (stage `chaos-stall`).
+    Stall {
+        /// How long the hang lasts if nothing recovers the worker first
+        /// (`Duration::MAX`: until forced recovery).
+        duration: Duration,
+        /// Spin, burning a core, instead of sleeping.
+        livelock: bool,
+    },
+    /// Every later train or infer command sleeps this long first, half as
+    /// long at [`DegradationLevel::ShortOnly`] and an eighth below it: an
+    /// overloaded train stage. Zero clears it.
+    SlowTrain(Duration),
+    /// Every later checkpoint save and journal fsync sleeps this long
+    /// first: a slow disk. Zero clears it.
+    SlowDisk(Duration),
+}
+
+/// `duration` in nanoseconds, saturating at `u64::MAX`.
+fn nanos(duration: Duration) -> u64 {
+    u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX)
 }
 
 enum WorkerMsg {
@@ -339,7 +350,7 @@ fn run_batch(learner: &mut Learner, batch: &Batch, prequential: bool) -> Option<
 fn spawn_worker(
     mut learner: Learner,
     queue_depth: usize,
-    chaos_delay: Arc<AtomicU64>,
+    slow_train: Arc<AtomicU64>,
     initial_last_seq: Option<u64>,
     doorbell: Doorbell,
 ) -> Worker {
@@ -373,14 +384,14 @@ fn spawn_worker(
                 if fenced.load(Ordering::Relaxed) {
                     break;
                 }
-                // Chaos hook: an artificially slowed worker turns any
-                // stream into an overload, exercising backpressure,
+                // Fault::SlowTrain: an artificially slowed worker turns
+                // any stream into an overload, exercising backpressure,
                 // shedding, and the degradation ladder for real. The
                 // delay models the train stage, so it shrinks with the
                 // service level: degraded levels skip (most of) training
                 // and genuinely run faster.
                 if matches!(cmd, SupCommand::Batch { .. }) {
-                    let nanos = chaos_delay.load(Ordering::Relaxed);
+                    let nanos = slow_train.load(Ordering::Relaxed);
                     if nanos > 0 {
                         let scaled = match learner.degradation_level() {
                             DegradationLevel::Full => nanos,
@@ -403,8 +414,8 @@ fn spawn_worker(
                         checkpoint.journal_seq = last_seq;
                         WorkerMsg::Checkpoint(Box::new(checkpoint))
                     }
-                    SupCommand::InjectPanic => panic!("injected worker panic (chaos)"),
-                    SupCommand::InjectStall { nanos, livelock } => {
+                    SupCommand::Panic => panic!("injected worker panic (chaos)"),
+                    SupCommand::Stall { nanos, livelock } => {
                         // A deliberately heartbeat-free window: the only
                         // exits are the budget elapsing or the fence
                         // going up after a forced recovery.
@@ -463,10 +474,12 @@ struct JournalState {
     /// durably persisted to disk (never on in-memory cadence captures),
     /// so a run without a checkpoint path replays from genesis.
     base: Checkpoint,
-    /// Seqs whose outputs have already been delivered toward the
-    /// caller; replay re-feeds these for state but suppresses their
-    /// outputs (seq-based dedup). Pruned below the truncation floor.
-    produced: BTreeSet<u64>,
+    /// Highest seq whose output has been delivered toward the caller;
+    /// replay re-feeds records at or below it for state but suppresses
+    /// their outputs. Accepted seqs ascend (the guard enforces it) and
+    /// the worker answers in queue order, so the delivered seqs are
+    /// always a prefix of the journaled ones and one number covers them.
+    delivered: Option<u64>,
     /// Wall-clock cost of each restore-then-replay recovery.
     recovery_seconds: freeway_telemetry::Histogram,
 }
@@ -476,7 +489,6 @@ pub struct SupervisedPipeline {
     config: SupervisorConfig,
     worker: Option<Worker>,
     guard: BatchGuard,
-    quarantine: Quarantine,
     /// Outputs drained from the worker but not yet handed to the caller.
     pending: VecDeque<PipelineOutput>,
     /// The restart point. Seeded with a checkpoint of the initial
@@ -497,12 +509,17 @@ pub struct SupervisedPipeline {
     /// success: a sick disk is asked for checkpoints less often instead
     /// of stalling or killing a healthy worker.
     cadence_backoff: usize,
-    /// Chaos hook shared with the worker thread: nanoseconds of
-    /// artificial delay before each train/infer command (0 = off).
-    chaos_train_delay: Arc<AtomicU64>,
-    /// Chaos hook: artificial delay injected before each checkpoint
-    /// persistence attempt, simulating a slow disk.
-    chaos_persist_delay: Arc<AtomicU64>,
+    /// [`Fault::SlowTrain`], shared with every worker this pipeline
+    /// spawns: nanoseconds of delay before each train/infer command
+    /// (0 = off).
+    slow_train: Arc<AtomicU64>,
+    /// [`Fault::SlowDisk`]: the delay before each checkpoint save (the
+    /// journal keeps its own copy for its fsyncs).
+    slow_disk: Duration,
+    /// Whether an injected panic or stall waits for queue space. A
+    /// [`crate::Service`] clears it: nothing may wait for a worker under
+    /// the service lock, so a full queue fails the injection at once.
+    pub(crate) inject_waits: bool,
     /// When set, a restored learner is re-attached to this shared
     /// degradation level so overload service levels survive restarts.
     degradation: Option<DegradationHandle>,
@@ -564,7 +581,6 @@ impl SupervisedPipeline {
         let mut pipeline = Self {
             worker: None,
             guard,
-            quarantine: Quarantine::new(config.quarantine_capacity),
             pending: VecDeque::new(),
             last_checkpoint: Checkpoint::capture(&learner),
             stats: SupervisorStats::default(),
@@ -573,8 +589,9 @@ impl SupervisedPipeline {
             accepted_since_checkpoint: 0,
             checkpoint_due: false,
             cadence_backoff: 1,
-            chaos_train_delay: Arc::new(AtomicU64::new(0)),
-            chaos_persist_delay: Arc::new(AtomicU64::new(0)),
+            slow_train: Arc::new(AtomicU64::new(0)),
+            slow_disk: Duration::ZERO,
+            inject_waits: true,
             degradation: None,
             shared: None,
             journal: None,
@@ -597,7 +614,7 @@ impl SupervisedPipeline {
             pipeline.journal = Some(JournalState {
                 journal,
                 base: pipeline.last_checkpoint.clone(),
-                produced: BTreeSet::new(),
+                delivered: None,
                 recovery_seconds: pipeline
                     .telemetry
                     .histogram("freeway_journal_recovery_seconds", DURATION_SECONDS_BOUNDS),
@@ -609,7 +626,7 @@ impl SupervisedPipeline {
         pipeline.worker = Some(spawn_worker(
             learner,
             pipeline.config.queue_depth,
-            pipeline.chaos_train_delay.clone(),
+            pipeline.slow_train.clone(),
             startup_seq,
             pipeline.doorbell.clone(),
         ));
@@ -660,19 +677,19 @@ impl SupervisedPipeline {
                 return Err(FreewayError::PoisonBatch { seq: record.seq, fault });
             }
         }
-        state.produced.extend(records.iter().map(|r| r.seq));
         // A genesis base has no floor; a loaded checkpoint's floor counts
         // when no record lies above it.
         self.recovered_seq = records.iter().map(|r| r.seq).max().max(state.base.journal_seq);
+        state.delivered = self.recovered_seq;
         Ok(self.replay(learner, &records, started).1)
     }
 
     /// Re-feeds journaled `records` into `learner` exactly as the worker
     /// ran them ([`run_batch`]), with telemetry and shared-registry
     /// publishes muted: replayed work already had those side effects the
-    /// first time. Outputs are deduplicated by seq — already-delivered
-    /// ones are suppressed, the rest land on `pending` in order. Adds to
-    /// the replay counters, records the recovery's wall time since
+    /// first time. Outputs at or below the delivered watermark are
+    /// suppressed, the rest land on `pending` in order and advance it.
+    /// Adds to the replay counters, records the recovery's wall time since
     /// `started`, and announces it. Returns how many outputs replay
     /// recovered and the last replayed seq.
     fn replay(
@@ -681,32 +698,26 @@ impl SupervisedPipeline {
         records: &[JournalRecord],
         started: Instant,
     ) -> (u64, Option<u64>) {
-        let mut produced = self
-            .journal
-            .as_mut()
-            .map(|state| std::mem::take(&mut state.produced))
-            .unwrap_or_default();
+        let Some(state) = self.journal.as_mut() else { return (0, None) };
         learner.attach_telemetry(Telemetry::disabled());
         learner.set_shared_publish_muted(true);
         let (mut recovered, mut suppressed) = (0, 0);
         for record in records {
             let report = run_batch(learner, &record.to_batch(), record.prequential);
-            if produced.insert(record.seq) {
+            if state.delivered.is_some_and(|delivered| record.seq <= delivered) {
+                suppressed += 1;
+            } else {
+                state.delivered = Some(record.seq);
                 self.pending.push_back(PipelineOutput { seq: record.seq, report });
                 recovered += 1;
-            } else {
-                suppressed += 1;
             }
         }
+        state.recovery_seconds.record(started.elapsed().as_secs_f64());
         learner.set_shared_publish_muted(false);
         learner.attach_telemetry(self.telemetry.clone());
         let replayed = records.len() as u64;
         self.stats.replayed += replayed;
         self.stats.replay_suppressed += suppressed;
-        if let Some(state) = self.journal.as_mut() {
-            state.produced = produced;
-            state.recovery_seconds.record(started.elapsed().as_secs_f64());
-        }
         let last_seq = records.last().map(|r| r.seq);
         self.telemetry.emit(TelemetryEvent::JournalReplayed {
             seq: last_seq.unwrap_or(0),
@@ -797,23 +808,14 @@ impl SupervisedPipeline {
     }
 
     /// Inspects `batch` without queueing it or advancing the seq
-    /// watermark: poison is quarantined and its fault returned, a clean
-    /// batch is handed back.
+    /// watermark: poison is counted, announced and dropped, and its fault
+    /// returned; a clean batch is handed back.
     pub(crate) fn screen(&mut self, batch: Batch) -> Result<Batch, BatchFault> {
-        match self.guard.inspect(&batch) {
-            Ok(()) => Ok(batch),
-            Err(fault) => Err(self.quarantine_batch(batch, fault)),
-        }
-    }
-
-    /// Counts, announces, and retains a batch the guard rejected; hands
-    /// the fault back for the caller's outcome.
-    fn quarantine_batch(&mut self, batch: Batch, fault: BatchFault) -> BatchFault {
+        let Err(fault) = self.guard.inspect(&batch) else { return Ok(batch) };
         self.stats.quarantined += 1;
         self.telemetry
             .emit(TelemetryEvent::BatchQuarantined { seq: batch.seq, fault: fault.tag() });
-        self.quarantine.push(batch, fault.clone());
-        fault
+        Err(fault)
     }
 
     /// Shared bookkeeping after a batch actually reached the worker.
@@ -873,21 +875,6 @@ impl SupervisedPipeline {
         &self.doorbell
     }
 
-    /// Chaos hook: every subsequent train/infer command sleeps this long
-    /// inside the worker before running, simulating an overloaded or
-    /// degraded compute stage. Survives worker restarts. Zero disables.
-    pub fn set_chaos_train_delay(&self, delay: std::time::Duration) {
-        self.chaos_train_delay
-            .store(delay.as_nanos().min(u128::from(u64::MAX)) as u64, Ordering::Relaxed);
-    }
-
-    /// Chaos hook: every subsequent checkpoint persistence sleeps this
-    /// long first, simulating a slow disk. Zero disables.
-    pub fn set_chaos_persist_delay(&self, delay: std::time::Duration) {
-        self.chaos_persist_delay
-            .store(delay.as_nanos().min(u128::from(u64::MAX)) as u64, Ordering::Relaxed);
-    }
-
     /// Journal counters so far (`None` without a journal).
     pub fn journal_stats(&self) -> Option<JournalStats> {
         self.journal.as_ref().map(|state| state.journal.stats())
@@ -925,27 +912,34 @@ impl SupervisedPipeline {
         &self.telemetry
     }
 
-    /// Chaos hook: makes the worker panic on its next command, exercising
-    /// the real crash-detection and restart path end to end.
+    /// Injects `fault` into the worker. The two slow-downs take effect at
+    /// once and survive restarts. A panic or stall is a command on the
+    /// worker's queue: it runs after every batch already fed, and waits
+    /// for queue space ([`Self::feed`]'s backpressure) unless a
+    /// [`crate::Service`] drives this pipeline.
     ///
     /// # Errors
-    /// As [`Self::feed`].
-    pub fn inject_worker_panic(&mut self) -> Result<(), FreewayError> {
-        self.inject(Injection::Panic, true)
-    }
-
-    /// Delivers a chaos injection. With `wait` unset, a full queue fails
-    /// it at once with [`FreewayError::QueueFull`] instead of waiting for
-    /// the worker to free a slot.
-    pub(crate) fn inject(&mut self, injection: Injection, wait: bool) -> Result<(), FreewayError> {
-        let cmd = match injection {
-            Injection::Panic => SupCommand::InjectPanic,
-            Injection::Stall { duration, livelock } => {
-                let nanos = duration.as_nanos().min(u128::from(u64::MAX)) as u64;
-                SupCommand::InjectStall { nanos, livelock }
+    /// As [`Self::feed`]; [`FreewayError::QueueFull`] for a panic or
+    /// stall that meets a full queue under a service.
+    pub fn inject(&mut self, fault: Fault) -> Result<(), FreewayError> {
+        let cmd = match fault {
+            Fault::Panic => SupCommand::Panic,
+            Fault::Stall { duration, livelock } => {
+                SupCommand::Stall { nanos: nanos(duration), livelock }
+            }
+            Fault::SlowTrain(delay) => {
+                self.slow_train.store(nanos(delay), Ordering::Relaxed);
+                return Ok(());
+            }
+            Fault::SlowDisk(delay) => {
+                self.slow_disk = delay;
+                if let Some(state) = self.journal.as_mut() {
+                    state.journal.slow_disk = delay;
+                }
+                return Ok(());
             }
         };
-        self.send_with_recovery(cmd, wait)?.map_err(|_| FreewayError::QueueFull)
+        self.send_with_recovery(cmd, self.inject_waits)?.map_err(|_| FreewayError::QueueFull)
     }
 
     /// Delivers a command, recovering along the way: a full queue blocks
@@ -1042,7 +1036,7 @@ impl SupervisedPipeline {
                 if let Some(state) = self.journal.as_mut() {
                     // Delivered toward the caller: a future replay of
                     // this seq must be state-only (output suppressed).
-                    state.produced.insert(out.seq);
+                    state.delivered = state.delivered.max(Some(out.seq));
                 }
                 self.pending.push_back(out);
             }
@@ -1057,9 +1051,8 @@ impl SupervisedPipeline {
         self.stats.checkpoints_taken += 1;
         let mut persisted = false;
         if let Some(path) = self.config.checkpoint_path.as_ref() {
-            let delay = self.chaos_persist_delay.load(Ordering::Relaxed);
-            if delay > 0 {
-                std::thread::sleep(std::time::Duration::from_nanos(delay));
+            if !self.slow_disk.is_zero() {
+                std::thread::sleep(self.slow_disk);
             }
             let store = CheckpointStore::new(path.clone(), CHECKPOINT_GENERATIONS);
             // Transient disk stalls retry in place; a persistently
@@ -1103,8 +1096,6 @@ impl SupervisedPipeline {
                             eprintln!("freeway-core: journal truncation failed (log kept): {e}")
                         }
                     }
-                    // Seqs at or below the floor can never replay again.
-                    state.produced = state.produced.split_off(&(floor + 1));
                 }
             }
         }
@@ -1232,7 +1223,7 @@ impl SupervisedPipeline {
         self.worker = Some(spawn_worker(
             learner,
             self.config.queue_depth,
-            self.chaos_train_delay.clone(),
+            self.slow_train.clone(),
             respawn_seq,
             self.doorbell.clone(),
         ));
@@ -1267,8 +1258,8 @@ impl SupervisedPipeline {
         };
         let epoch = worker.heartbeat.epoch();
         let pending = (self.in_flight + self.checkpoints_in_flight) as u64;
-        let now = self.watchdog_origin.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        let deadline_ticks = deadline.as_nanos().min(u128::from(u64::MAX)) as u64;
+        let now = nanos(self.watchdog_origin.elapsed());
+        let deadline_ticks = nanos(deadline);
         let watchdog = self.watchdog.get_or_insert_with(|| WatchdogState::new(deadline_ticks));
         if !watchdog.observe(now, epoch, pending) {
             return Ok(false);
@@ -1312,22 +1303,6 @@ impl SupervisedPipeline {
             restarts: self.stats.restarts as u64,
         });
         Ok(())
-    }
-
-    /// Chaos hook: makes the worker stop progressing on its next command
-    /// for `duration` (pass `Duration::MAX` for an unbounded hang that
-    /// only forced recovery clears), as a parked hang or a spinning
-    /// livelock. Exercises the real stall-detection and forced-recovery
-    /// path end to end.
-    ///
-    /// # Errors
-    /// As [`Self::feed`].
-    pub fn inject_worker_stall(
-        &mut self,
-        duration: Duration,
-        livelock: bool,
-    ) -> Result<(), FreewayError> {
-        self.inject(Injection::Stall { duration, livelock }, true)
     }
 
     /// The live worker's heartbeat ledger, when a worker is running.
@@ -1384,11 +1359,6 @@ impl SupervisedPipeline {
         self.stats
     }
 
-    /// The dead-letter buffer (counted, bounded).
-    pub fn quarantine(&self) -> &Quarantine {
-        &self.quarantine
-    }
-
     /// Stops the worker and returns the learner plus every unconsumed
     /// output. If the worker is dead at finish time (crashed on its final
     /// batches, or the restart budget ran out), the learner is recovered
@@ -1441,7 +1411,6 @@ impl SupervisedPipeline {
             learner,
             outputs: std::mem::take(&mut self.pending).into(),
             stats: self.stats,
-            quarantine: self.quarantine.clone(),
             journal,
         })
     }
@@ -1517,7 +1486,6 @@ mod tests {
         assert_eq!(run.stats.restarts, 0);
         assert_eq!(run.stats.quarantined, 0);
         assert!(run.stats.checkpoints_taken >= 3, "cadence 3 over 12 batches");
-        assert!(run.quarantine.is_empty());
     }
 
     #[test]
@@ -1544,7 +1512,6 @@ mod tests {
         let run = sup.finish().expect("finish");
         assert_eq!(run.stats.accepted, 1);
         assert_eq!(run.stats.quarantined, 2);
-        assert_eq!(run.quarantine.total(), 2);
         assert_eq!(run.stats.restarts, 0, "poison never reached the worker");
         assert_eq!(run.outputs.len(), 1);
     }
@@ -1577,7 +1544,7 @@ mod tests {
             sup.feed_prequential(Batch::labeled(x, y, i, DriftPhase::Stable)).expect("healthy");
             drain(&mut sup, &mut outputs);
         }
-        sup.inject_worker_panic().expect("inject");
+        sup.inject(Fault::Panic).expect("inject");
         wait_for_restarts(&mut sup, 1, &mut outputs);
         for i in 6..12 {
             let (x, y) = concept.sample_batch(64, &mut rng);
@@ -1608,11 +1575,11 @@ mod tests {
         let mut outputs = Vec::new();
         let (x, y) = concept.sample_batch(64, &mut rng);
         sup.feed_prequential(Batch::labeled(x, y, 0, DriftPhase::Stable)).expect("healthy");
-        sup.inject_worker_panic().expect("first crash scheduled");
+        sup.inject(Fault::Panic).expect("first crash scheduled");
         wait_for_restarts(&mut sup, 1, &mut outputs);
         // Second crash exceeds max_restarts = 1: the next recovery
         // attempt must surface RestartsExhausted instead of respawning.
-        sup.inject_worker_panic().expect("second crash scheduled");
+        sup.inject(Fault::Panic).expect("second crash scheduled");
         let err = loop {
             match sup.try_recv() {
                 Ok(Some(out)) => outputs.push(out),
@@ -1646,8 +1613,8 @@ mod tests {
     fn with_learner_rejects_what_the_builder_rejects() {
         let zero_deadline =
             SupervisorConfig { stall_deadline: Some(std::time::Duration::ZERO), ..config() };
-        let no_quarantine = SupervisorConfig { quarantine_capacity: 0, ..config() };
-        for (bad, field) in [(zero_deadline, "stall deadline"), (no_quarantine, "quarantine")] {
+        let no_queue = SupervisorConfig { queue_depth: 0, ..config() };
+        for (bad, field) in [(zero_deadline, "stall deadline"), (no_queue, "queue depth")] {
             match SupervisedPipeline::with_learner(learner(), bad) {
                 Err(FreewayError::InvalidConfig(msg)) => assert!(msg.contains(field), "{msg}"),
                 Err(other) => panic!("expected InvalidConfig naming {field}, got {other:?}"),
@@ -1665,7 +1632,7 @@ mod tests {
             SupervisorConfig { queue_depth: 1, max_restarts: 0, ..config() },
         )
         .expect("spawn");
-        sup.inject_worker_panic().expect("panic scheduled");
+        sup.inject(Fault::Panic).expect("panic scheduled");
         // Keep pushing into the 1-deep queue behind the crash until the
         // dead worker is noticed: with no restart budget the supervisor
         // gives up, and the drop below runs against a dead worker.
@@ -1729,7 +1696,7 @@ mod tests {
             )
             .expect("spawn");
             // Slow the worker so the 1-deep queue reliably fills.
-            sup.set_chaos_train_delay(Duration::from_millis(30));
+            sup.inject(Fault::SlowTrain(Duration::from_millis(30))).expect("slowed");
             let mut full_batch = None;
             let mut accepted = 0u64;
             for i in 0..50 {
@@ -1751,7 +1718,7 @@ mod tests {
                 let outcome = sup.offer(bounced, true, true).expect("healthy");
                 assert!(matches!(outcome, Ok(FeedOutcome::Accepted)), "got {outcome:?}");
             } else {
-                sup.set_chaos_train_delay(Duration::ZERO);
+                sup.inject(Fault::SlowTrain(Duration::ZERO)).expect("cleared");
                 loop {
                     match sup.offer(bounced.clone(), true, false).expect("healthy") {
                         Ok(FeedOutcome::Accepted) => break,
@@ -1762,7 +1729,7 @@ mod tests {
                     }
                 }
             }
-            sup.set_chaos_train_delay(Duration::ZERO);
+            sup.inject(Fault::SlowTrain(Duration::ZERO)).expect("cleared");
             let run = sup.finish().expect("finish");
             assert_eq!(run.stats.accepted, accepted + 1);
             assert_eq!(run.stats.quarantined, 0);
@@ -1780,7 +1747,8 @@ mod tests {
             )
             .expect("spawn");
             // Park the worker in a stall, with the 2-deep queue empty.
-            sup.inject_worker_stall(Duration::from_millis(300), false).expect("inject");
+            let stall = Fault::Stall { duration: Duration::from_millis(300), livelock: false };
+            sup.inject(stall).expect("inject");
             while sup.heartbeat().map(HeartbeatLedger::stage) != Some(WorkerStage::ChaosStall) {
                 std::thread::yield_now();
             }
@@ -1874,7 +1842,7 @@ mod tests {
         }
         // The panic command queues ahead of batch 4, so the crash
         // deterministically takes an admitted batch down with it.
-        sup.inject_worker_panic().expect("inject");
+        sup.inject(Fault::Panic).expect("inject");
         let (x, y) = concept.sample_batch(64, &mut rng);
         sup.feed_prequential(Batch::labeled(x, y, 4, DriftPhase::Stable)).expect("fed");
         wait_for_restarts(&mut sup, 1, &mut outputs);
@@ -1892,6 +1860,54 @@ mod tests {
         assert_eq!(seqs, (0..8).collect::<Vec<u64>>(), "every batch exactly once, in order");
         let journal = run.journal.expect("journal stats present");
         assert_eq!(journal.appended, 8);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn two_journaled_crashes_deliver_every_batch_exactly_once() {
+        let dir = std::env::temp_dir()
+            .join(format!("freeway-journal-two-crashes-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let mut rng = stream_rng(33);
+        let concept = GmmConcept::random(4, 2, 1, 3.0, 0.5, &mut rng);
+        let mut sup = SupervisedPipeline::with_learner(
+            learner(),
+            SupervisorConfig {
+                journal: Some(JournalConfig::new(dir.join("ingest.wal"))),
+                ..config()
+            },
+        )
+        .expect("spawn");
+        let mut outputs = Vec::new();
+        let mut seq = 0;
+        let mut next = || {
+            let (x, y) = concept.sample_batch(64, &mut rng);
+            seq += 1;
+            Batch::labeled(x, y, seq - 1, DriftPhase::Stable)
+        };
+        for crash in 1..=2 {
+            // Consumed before the crash: replay must suppress these.
+            for _ in 0..4 {
+                sup.feed_prequential(next()).expect("healthy");
+                outputs.push(sup.recv().expect("answered"));
+            }
+            // The panic queues ahead of the next batch and takes it down
+            // (or the feed finds the worker dead and hands it over anew).
+            sup.inject(Fault::Panic).expect("inject");
+            sup.feed_prequential(next()).expect("fed");
+            wait_for_restarts(&mut sup, crash, &mut outputs);
+        }
+        let run = sup.finish().expect("finish");
+        outputs.extend(run.outputs);
+        assert_eq!(run.stats.restarts, 2, "{:?}", run.stats);
+        assert_eq!(run.stats.lost_in_flight, 0, "{:?}", run.stats);
+        let seqs: Vec<u64> = outputs.iter().map(|o| o.seq).collect();
+        assert_eq!(seqs, (0..10).collect::<Vec<u64>>(), "every batch exactly once, in order");
+        // Genesis replays: the first crash re-feeds the four consumed
+        // batches, the second the nine delivered before it.
+        assert_eq!(run.stats.replay_suppressed, 4 + 9, "{:?}", run.stats);
+        assert_eq!(run.journal.expect("journal stats present").appended, 10);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -2,16 +2,20 @@
 //! workers (and only those — slow-but-progressing workers are never
 //! killed), forced recovery rides the checkpoint-restore path, exhausted
 //! shards fence instead of erroring the runtime, and failover routing is
-//! a deterministic, stable function of the failed set.
+//! a deterministic, stable function of the failed set. Every tier's one
+//! fault entry point drives each `Fault` to its effect.
 
-use std::time::Duration;
+use std::path::PathBuf;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use freeway_core::liveness::WatchdogState;
 use freeway_core::shard::failover_shard;
-use freeway_core::telemetry::{EventKind, TelemetryEvent, TelemetrySink};
+use freeway_core::telemetry::{EventKind, RecordingSink, TelemetryEvent, TelemetrySink};
 use freeway_core::{
-    shard_for, AdmissionConfig, AdmissionOutcome, AdmissionPolicy, FreewayConfig, FreewayError,
-    PipelineBuilder, ShedReason,
+    shard_for, AdmissionConfig, AdmissionOutcome, AdmissionPolicy, ClientSession, Fault,
+    FreewayConfig, FreewayError, JournalConfig, PipelineBuilder, ServiceHandle, ShardedPipeline,
+    ShedReason, SubmitOutcome, SupervisedPipeline,
 };
 use freeway_ml::ModelSpec;
 use freeway_streams::concept::{stream_rng, GmmConcept};
@@ -77,7 +81,8 @@ fn watchdog_detects_and_recovers_both_stall_flavors() {
         for _ in 0..3 {
             sup.feed_prequential(feed.batch()).expect("healthy");
         }
-        sup.inject_worker_stall(Duration::from_secs(30), livelock).expect("worker alive");
+        sup.inject(Fault::Stall { duration: Duration::from_secs(30), livelock })
+            .expect("worker alive");
         // Fed behind the stall: deterministically pending work, so the
         // watchdog has something to declare stalled about.
         sup.feed_prequential(feed.batch()).expect("healthy");
@@ -117,8 +122,8 @@ fn slow_but_progressing_worker_is_never_declared_stalled() {
         .with_stall_deadline(Duration::from_millis(120))
         .build_supervised()
         .expect("valid configuration");
-    sup.set_chaos_train_delay(Duration::from_millis(15));
-    sup.set_chaos_persist_delay(Duration::from_millis(25));
+    sup.inject(Fault::SlowTrain(Duration::from_millis(15))).expect("slow train");
+    sup.inject(Fault::SlowDisk(Duration::from_millis(25))).expect("slow disk");
     let mut feed = Feed::new(11);
     for _ in 0..12 {
         sup.feed_prequential(feed.batch()).expect("healthy");
@@ -155,7 +160,7 @@ fn exhausted_shard_fences_and_keys_fail_over() {
     // Zero restart budget: the first panic exhausts it. The error must
     // not surface — the shard fences and the triggering batch comes back
     // as a typed, retryable shed.
-    pipeline.inject_worker_panic(victim).expect("injection accepted");
+    pipeline.inject(victim, Fault::Panic).expect("injection accepted");
     let mut fenced_seen = false;
     for _ in 0..400 {
         let (shard, outcome) =
@@ -218,7 +223,9 @@ fn sharded_liveness_sweep_recovers_a_stalled_shard() {
     }
     pipeline.barrier().expect("healthy shards");
 
-    pipeline.inject_worker_stall(0, Duration::from_secs(30), false).expect("injection accepted");
+    pipeline
+        .inject(0, Fault::Stall { duration: Duration::from_secs(30), livelock: false })
+        .expect("injection accepted");
     pipeline.feed_prequential(feed.keyed(key0)).expect("healthy");
     let mut recovered = 0usize;
     while recovered == 0 {
@@ -277,7 +284,9 @@ fn barrier_deadline_names_the_wedged_shard_and_loses_nothing() {
     pipeline.feed_prequential(feed.keyed(key1)).expect("healthy");
     pipeline.barrier().expect("healthy shards");
 
-    pipeline.inject_worker_stall(0, Duration::from_millis(400), false).expect("accepted");
+    pipeline
+        .inject(0, Fault::Stall { duration: Duration::from_millis(400), livelock: false })
+        .expect("accepted");
     let stalled = feed.keyed(key0);
     let stalled_seq = stalled.batch.seq;
     pipeline.feed_prequential(stalled).expect("healthy");
@@ -299,6 +308,162 @@ fn barrier_deadline_names_the_wedged_shard_and_loses_nothing() {
         "the batch wedged behind the stall must still be answered: {outputs:?}"
     );
     pipeline.finish().expect("clean finish");
+}
+
+/// One runtime tier as [`drive_every_fault`] sees it: its one fault
+/// entry point, and a closed-loop step that feeds one batch and waits for
+/// its answer.
+trait Tier {
+    fn inject(&mut self, fault: Fault);
+    fn step(&mut self, batch: Batch);
+}
+
+impl Tier for SupervisedPipeline {
+    fn inject(&mut self, fault: Fault) {
+        SupervisedPipeline::inject(self, fault).expect("fault delivered");
+    }
+
+    fn step(&mut self, batch: Batch) {
+        let seq = batch.seq;
+        self.feed_prequential(batch).expect("healthy");
+        assert_eq!(self.recv().expect("answered").seq, seq);
+    }
+}
+
+impl Tier for ShardedPipeline {
+    fn inject(&mut self, fault: Fault) {
+        ShardedPipeline::inject(self, 0, fault).expect("fault delivered");
+    }
+
+    fn step(&mut self, batch: Batch) {
+        let seq = batch.seq;
+        self.feed_prequential(KeyedBatch { key: 0, batch }).expect("healthy");
+        let seqs: Vec<u64> =
+            self.barrier().expect("drained").iter().map(|(_, out)| out.seq).collect();
+        assert_eq!(seqs, [seq]);
+    }
+}
+
+/// One session of a 1-shard service.
+struct Served {
+    handle: ServiceHandle,
+    session: ClientSession,
+}
+
+impl Tier for Served {
+    fn inject(&mut self, fault: Fault) {
+        self.handle.inject(0, fault).expect("fault delivered");
+    }
+
+    fn step(&mut self, batch: Batch) {
+        self.session.submit_batch(batch, true).expect("admitted");
+        let out = self.session.recv_output().expect("answered");
+        assert!(matches!(out.outcome, SubmitOutcome::Answered(_)), "{out:?}");
+    }
+}
+
+/// How long each slow-down lasts: a third of the tiers' stall deadline,
+/// so a slowed step is never mistaken for a stall.
+const SLOW: Duration = Duration::from_millis(100);
+
+/// A journaling tier (so the slow disk has fsyncs to slow) with a stall
+/// deadline, recording its events.
+fn faulted_builder(tag: &str) -> (PipelineBuilder, Arc<RecordingSink>, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("freeway-faults-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (builder, sink) = PipelineBuilder::new(ModelSpec::lr(DIM, 2))
+        .with_config(config())
+        .with_stall_deadline(3 * SLOW)
+        .journal(JournalConfig::new(dir.join("ingest.wal")))
+        .admission(lossless_admission())
+        .recording();
+    (builder, sink, dir)
+}
+
+fn timed_step(tier: &mut impl Tier, feed: &mut Feed) -> Duration {
+    let started = Instant::now();
+    tier.step(feed.batch());
+    started.elapsed()
+}
+
+/// Drives every [`Fault`] through `tier`'s one entry point to its effect:
+/// a panic restarts the worker, the watchdog recovers a stall in stage
+/// `chaos-stall`, and each slow-down slows a step until a zero duration
+/// clears it.
+fn drive_every_fault(tier: &mut impl Tier, sink: &RecordingSink) {
+    let mut feed = Feed::new(61);
+    let count = |kind| sink.events().iter().filter(|e| e.kind() == kind).count();
+    let synced = || {
+        let events = sink.events();
+        events
+            .iter()
+            .filter(|e| matches!(e, TelemetryEvent::JournalAppended { synced: true, .. }))
+            .count()
+    };
+    tier.step(feed.batch());
+    tier.inject(Fault::Panic);
+    tier.step(feed.batch());
+    assert_eq!(count(EventKind::WorkerRestarted), 1, "the panic restarts the worker");
+
+    tier.inject(Fault::Stall { duration: Duration::from_secs(30), livelock: false });
+    tier.step(feed.batch());
+    let stalled: Vec<&str> = sink
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            TelemetryEvent::WorkerStalled { stage, .. } => Some(*stage),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(stalled, ["chaos-stall"], "the watchdog recovers the stall");
+
+    tier.inject(Fault::SlowTrain(SLOW));
+    assert!(timed_step(tier, &mut feed) >= SLOW, "a slow train stage slows the step");
+    tier.inject(Fault::SlowTrain(Duration::ZERO));
+    assert!(timed_step(tier, &mut feed) < SLOW, "a zero duration clears it");
+
+    // The journal fsyncs every eighth append, so one of eight steps waits
+    // on the slow disk. That slow sync doubles the cadence: the next
+    // sixteen steps sync again, on the cleared disk.
+    tier.inject(Fault::SlowDisk(SLOW));
+    let slowest = (0..8).map(|_| timed_step(tier, &mut feed)).max();
+    assert!(slowest >= Some(SLOW), "a slow disk slows the synced step: {slowest:?}");
+    tier.inject(Fault::SlowDisk(Duration::ZERO));
+    let before = synced();
+    let slowest = (0..16).map(|_| timed_step(tier, &mut feed)).max();
+    assert!(slowest < Some(SLOW), "a zero duration clears it: {slowest:?}");
+    assert!(synced() > before, "a sync ran on the cleared disk");
+}
+
+#[test]
+fn every_fault_reaches_the_supervised_worker() {
+    let (builder, sink, dir) = faulted_builder("supervised");
+    let mut sup = builder.build_supervised().expect("valid configuration");
+    drive_every_fault(&mut sup, &sink);
+    sup.finish().expect("clean finish");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_fault_reaches_a_shards_worker() {
+    let (builder, sink, dir) = faulted_builder("sharded");
+    let mut pipeline = builder.shards(1).build_sharded().expect("valid configuration");
+    drive_every_fault(&mut pipeline, &sink);
+    pipeline.finish().expect("clean finish");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_fault_reaches_a_served_shard() {
+    let (builder, sink, dir) = faulted_builder("served");
+    let service = builder.build_service().expect("valid configuration");
+    let handle = service.handle();
+    let session = handle.open_session(0).expect("service running");
+    let mut served = Served { handle, session };
+    drive_every_fault(&mut served, &sink);
+    drop(served);
+    service.shutdown().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {

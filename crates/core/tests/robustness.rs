@@ -1,9 +1,11 @@
 //! Property-based robustness: arbitrarily corrupted batches pushed
 //! through the guarded, supervised pipeline must never panic the process
-//! and must never drive the learner's parameters non-finite.
+//! and must never drive the learner's parameters non-finite; every poison
+//! batch is counted and announced, and every clean one answered.
 
 use freeway_core::supervisor::{SupervisedPipeline, SupervisorConfig};
-use freeway_core::{Checkpoint, FreewayConfig, Learner};
+use freeway_core::telemetry::{TelemetryEvent, TelemetrySink};
+use freeway_core::{Checkpoint, FeedOutcome, FreewayConfig, Learner, PipelineBuilder};
 use freeway_linalg::Matrix;
 use freeway_ml::ModelSpec;
 use freeway_streams::{Batch, DriftPhase};
@@ -130,30 +132,48 @@ proptest! {
         }
     }
 
+    /// Poison is counted, not kept: every poison batch adds one to
+    /// `stats.quarantined` and is announced exactly once as
+    /// `BatchQuarantined`, and every clean batch around it is answered.
     #[test]
-    fn quarantine_capacity_is_bounded_under_floods(
-        poison_count in 1usize..40,
-        capacity in 1usize..6
+    fn poison_is_counted_and_announced_and_clean_batches_answered(
+        steps in prop::collection::vec(step_strategy(), 1..40)
     ) {
-        let learner = Learner::new(
-            ModelSpec::lr(FEATURES, CLASSES),
-            FreewayConfig { mini_batch: 8, pca_warmup_rows: 16, ..Default::default() },
-        );
-        let mut sup = SupervisedPipeline::with_learner(
-            learner,
-            SupervisorConfig { quarantine_capacity: capacity, ..Default::default() },
-        ).expect("valid supervisor config");
-        for i in 0..poison_count {
-            let mut batch = clean_batch(i as u64, 8);
-            batch.x.row_mut(0)[0] = f64::NAN;
-            sup.feed_prequential(batch).expect("quarantine is not an error");
+        let (builder, sink) = PipelineBuilder::new(ModelSpec::lr(FEATURES, CLASSES))
+            .with_config(FreewayConfig { mini_batch: 8, pca_warmup_rows: 16, ..Default::default() })
+            .recording();
+        let mut sup = builder.build_supervised().expect("valid supervisor config");
+        let (mut poison, mut clean, mut answered) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, step) in steps.iter().enumerate() {
+            let batch = corrupt(step, i as u64);
+            let seq = batch.seq;
+            // A repeated seq 0 is clean only before any batch is accepted.
+            let valid = matches!(step, Step::Clean | Step::NoLabels)
+                || (matches!(step, Step::RepeatSeq) && clean.is_empty());
+            if valid { clean.push(seq) } else { poison.push(seq) }
+            let outcome = if batch.labels.is_some() {
+                sup.feed_prequential(batch)
+            } else {
+                sup.feed(batch)
+            };
+            let quarantined = matches!(outcome, Ok(FeedOutcome::Quarantined(_)));
+            prop_assert_eq!(quarantined, !valid, "step {} {:?}: {:?}", i, step, outcome);
+            while let Ok(Some(out)) = sup.try_recv() {
+                answered.push(out.seq);
+            }
         }
-        let run = sup.finish().expect("finish");
-        prop_assert_eq!(run.quarantine.total(), poison_count as u64);
-        prop_assert!(run.quarantine.len() <= capacity, "buffer must stay bounded");
-        prop_assert_eq!(
-            run.quarantine.evicted(),
-            poison_count.saturating_sub(capacity) as u64
-        );
+        let run = sup.finish().expect("supervised finish never fails on guarded input");
+        answered.extend(run.outputs.iter().map(|out| out.seq));
+        prop_assert_eq!(run.stats.quarantined, poison.len() as u64);
+        let announced: Vec<u64> = sink
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                TelemetryEvent::BatchQuarantined { seq, .. } => Some(*seq),
+                _ => None,
+            })
+            .collect();
+        prop_assert_eq!(announced, poison, "each poison batch announced once, in order");
+        prop_assert_eq!(answered, clean, "every clean batch answered, in order");
     }
 }

@@ -24,7 +24,7 @@
 //!   flight or shed from its backlog — reach their session in submission
 //!   order.
 //! * Shared shards: many closed-loop sessions on one shard's bell all get
-//!   their answers, and a chaos injection into a full queue comes back as
+//!   their answers, and a fault injected into a full queue comes back as
 //!   `Busy` instead of waiting under the service lock.
 
 use std::collections::HashMap;
@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 use freeway_core::admission::{AdmissionConfig, AdmissionPolicy};
 use freeway_core::telemetry::{MetricsSnapshot, Telemetry};
 use freeway_core::{
-    shard_for, ClientSession, FreewayConfig, FreewayError, JournalConfig, PipelineBuilder,
+    shard_for, ClientSession, Fault, FreewayConfig, FreewayError, JournalConfig, PipelineBuilder,
     ServeError, ServiceConfig, SubmitOutcome,
 };
 use freeway_ml::ModelSpec;
@@ -220,7 +220,7 @@ fn service_without_a_timer_wakes_on_every_path() {
 
         // The crash is noticed only through the ring the dying worker
         // sends the maintenance thread as its thread exits.
-        handle.inject_worker_panic(shard_for(key_a, 2)).expect("service running");
+        handle.inject(shard_for(key_a, 2), Fault::Panic).expect("service running");
         await_metrics(&telemetry, |m| m.counters.get("freeway_worker_restarts_total") == Some(&1));
         // The respawned worker rings too.
         answer(&mut a, batches_a[100].clone());
@@ -253,7 +253,9 @@ fn maintenance_pumps_the_watchdog_on_its_timed_wake() {
         let mut session = handle.open_session(3).expect("service running");
         let batches = session_batches(9, 3, 3);
         answer(&mut session, batches[0].clone());
-        handle.inject_worker_stall(0, Duration::from_secs(60), false).expect("service running");
+        handle
+            .inject(0, Fault::Stall { duration: Duration::from_secs(60), livelock: false })
+            .expect("service running");
         answer(&mut session, batches[1].clone());
         answer(&mut session, batches[2].clone());
         drop(session);
@@ -284,7 +286,9 @@ fn drain_timeout_still_delivers_what_healthy_shards_answered() {
             let handle = service.handle();
             let mut wedged = handle.open_session(wedged_key).expect("service running");
             let mut healthy = handle.open_session(healthy_key).expect("service running");
-            handle.inject_worker_stall(0, Duration::from_secs(2), false).expect("service running");
+            handle
+                .inject(0, Fault::Stall { duration: Duration::from_secs(2), livelock: false })
+                .expect("service running");
             let stranded = session_batches(round, wedged_key, 1).remove(0);
             wedged.submit_batch(stranded, true).expect("admitted");
             for batch in session_batches(round, healthy_key, 8) {
@@ -320,7 +324,9 @@ fn poison_behind_a_backlog_still_gets_its_verdict() {
             .expect("valid service");
         let handle = service.handle();
         let mut session = handle.open_session(4).expect("service running");
-        handle.inject_worker_stall(0, Duration::from_secs(1), false).expect("service running");
+        handle
+            .inject(0, Fault::Stall { duration: Duration::from_secs(1), livelock: false })
+            .expect("service running");
         for batch in session_batches(12, 4, 4) {
             session.submit_batch(batch, true).expect("admitted");
         }
@@ -363,7 +369,9 @@ fn blocking_admission_hands_back_busy_instead_of_blocking() {
         let handle = service.handle();
         let mut session = handle.open_session(6).expect("service running");
         let stall = Duration::from_secs(1);
-        handle.inject_worker_stall(0, stall, false).expect("service running");
+        handle
+            .inject(0, Fault::Stall { duration: stall, livelock: false })
+            .expect("service running");
         let stalled = Instant::now();
         let batches = session_batches(15, 6, 4);
         // The stall command holds the slot until the worker takes it.
@@ -434,10 +442,12 @@ fn fence_verdicts_reach_the_session_in_submission_order() {
             .expect("valid service");
         let handle = service.handle();
         let mut session = handle.open_session(8).expect("service running");
-        handle.inject_worker_stall(0, Duration::from_secs(1), false).expect("service running");
+        handle
+            .inject(0, Fault::Stall { duration: Duration::from_secs(1), livelock: false })
+            .expect("service running");
         // Let the worker take the stall off its queue first.
         std::thread::sleep(Duration::from_millis(50));
-        handle.inject_worker_panic(0).expect("service running");
+        handle.inject(0, Fault::Panic).expect("service running");
         for batch in session_batches(14, 8, 4) {
             session.submit_batch(batch, true).expect("admitted");
         }
@@ -448,6 +458,9 @@ fn fence_verdicts_reach_the_session_in_submission_order() {
             order.push(out.client_seq);
         }
         assert_eq!(order, [0, 1, 2, 3], "fence verdicts must arrive in submission order");
+        // The fenced shard has no worker left: a fault aimed at it is
+        // ignored instead of ending the service.
+        handle.inject(0, Fault::Panic).expect("the service outlives its fenced shard");
         drop(session);
         let _ = service.shutdown();
     });
@@ -503,7 +516,9 @@ fn injecting_into_a_full_queue_hands_back_busy() {
         let handle = service.handle();
         let mut session = handle.open_session(7).expect("service running");
         let stall = Duration::from_secs(1);
-        handle.inject_worker_stall(0, stall, false).expect("service running");
+        handle
+            .inject(0, Fault::Stall { duration: stall, livelock: false })
+            .expect("service running");
         let stalled = Instant::now();
         // The stall command holds the slot until the worker takes it.
         let mut pending = session_batches(17, 7, 1).remove(0);
@@ -512,7 +527,7 @@ fn injecting_into_a_full_queue_hands_back_busy() {
             pending = back;
             std::thread::yield_now();
         }
-        let injected = handle.inject_worker_panic(0);
+        let injected = handle.inject(0, Fault::Panic);
         assert!(matches!(injected, Err(ServeError::Busy { .. })), "{injected:?}");
         assert!(stalled.elapsed() < stall / 2, "the injection waited for the stall");
         assert!(matches!(
@@ -543,7 +558,7 @@ fn journaled_answers(
     let mut answers = Vec::with_capacity(batches.len());
     for (i, batch) in batches.iter().enumerate() {
         if panic_before == Some(i) {
-            handle.inject_worker_panic(0).expect("service running");
+            handle.inject(0, Fault::Panic).expect("service running");
         }
         answers.push(answer(&mut session, batch.clone()));
     }

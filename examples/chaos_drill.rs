@@ -231,7 +231,7 @@ fn journal_drill() {
             for (tenant, &key) in [key0, key1].iter().enumerate() {
                 let batch = gen.next_keyed(64).batch;
                 if panic_shard == Some(tenant) && round == panic_round {
-                    sharded.inject_worker_panic(tenant).expect("panic injection");
+                    sharded.inject(tenant, Fault::Panic).expect("panic injection");
                 }
                 let (shard, _) =
                     sharded.feed_prequential(KeyedBatch { key, batch }).expect("router alive");

@@ -203,7 +203,9 @@ fn main() {
     // feed one batch behind the stall; the barrier's liveness sweep
     // detects the frozen heartbeat and forces a recovery, and the
     // journal replays the in-flight batch.
-    pipeline.inject_worker_stall(0, Duration::from_secs(30), false).expect("stall injection");
+    pipeline
+        .inject(0, Fault::Stall { duration: Duration::from_secs(30), livelock: false })
+        .expect("stall injection");
     pipeline.feed_prequential(plan.feeds[idx].clone()).expect("router alive");
     faulted.score(&pipeline.barrier().expect("watchdog recovers the stall"), &plan);
     idx += 1;
@@ -223,7 +225,7 @@ fn main() {
     // budget is exhausted and the router fences it.
     let mut panics = 0usize;
     while !pipeline.is_fenced(0) {
-        pipeline.inject_worker_panic(0).expect("panic injection survivable");
+        pipeline.inject(0, Fault::Panic).expect("panic injection survivable");
         panics += 1;
         let mut spins = 0u32;
         while !pipeline.is_fenced(0) {

@@ -115,7 +115,7 @@ fn main() {
     // then spin until the supervisor has reaped the dead worker and
     // restarted it from the checkpoint — so the batches fed afterwards
     // always land on the restored learner, run after run.
-    pipeline.inject_worker_panic(0).expect("panic injection");
+    pipeline.inject(0, Fault::Panic).expect("panic injection");
     while pipeline.shard(0).supervisor().stats().restarts == 0 {
         pipeline.shard(0).try_recv().expect("restart within budget");
         std::thread::yield_now();

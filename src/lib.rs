@@ -99,10 +99,10 @@ pub mod prelude {
     pub use freeway_baselines::{FreewaySystem, StreamingLearner};
     pub use freeway_chaos::{LabelSchedule, LabelScheduler};
     pub use freeway_core::{
-        shard_for, ClientSession, FreewayConfig, FreewayError, InferenceReport, JournalConfig,
-        JournalStats, Learner, Pipeline, PipelineBuilder, ServeError, Service, ServiceConfig,
-        ServiceHandle, ServiceReport, SessionOutput, ShardedPipeline, ShardedRun, SharedKnowledge,
-        Strategy, SubmitOutcome, SupervisedPipeline, SupervisorConfig,
+        shard_for, ClientSession, Fault, FreewayConfig, FreewayError, InferenceReport,
+        JournalConfig, JournalStats, Learner, Pipeline, PipelineBuilder, ServeError, Service,
+        ServiceConfig, ServiceHandle, ServiceReport, SessionOutput, ShardedPipeline, ShardedRun,
+        SharedKnowledge, Strategy, SubmitOutcome, SupervisedPipeline, SupervisorConfig,
     };
     pub use freeway_drift::ShiftPattern;
     pub use freeway_linalg::Matrix;
