@@ -7,8 +7,9 @@
 //! recent labeled points, and maps each cluster to the majority label of
 //! its labeled members.
 
-use crate::kmeans::KMeans;
+use crate::kmeans::{KMeans, KMeansScratch};
 use freeway_linalg::{vector, Matrix};
+use std::sync::{Mutex, PoisonError};
 
 /// The `ExpBuffer` of the paper: the most recent labeled points, bounded
 /// in count and (optionally) in age.
@@ -133,21 +134,12 @@ impl ExperienceBuffer {
         self.len == 0
     }
 
-    /// Borrowed feature matrix + labels of all stored experiences.
+    /// Feature matrix + labels of all stored experiences, oldest first.
     pub fn snapshot(&self) -> (Matrix, Vec<usize>) {
-        self.snapshot_recent(self.len)
-    }
-
-    /// Feature matrix + labels of the `m` most recent experiences. The
-    /// continuity hypothesis says only the *freshest* labeled data carries
-    /// the post-shift distribution, so CEC guides with a recent slice
-    /// rather than the whole buffer.
-    pub fn snapshot_recent(&self, m: usize) -> (Matrix, Vec<usize>) {
-        let take = m.min(self.len);
         let dim = if self.len == 0 { 0 } else { self.dim };
-        let mut x = Matrix::zeros(take, dim);
-        let mut labels = Vec::with_capacity(take);
-        for (r, (row, label)) in self.recent_rows(m).enumerate() {
+        let mut x = Matrix::zeros(self.len, dim);
+        let mut labels = Vec::with_capacity(self.len);
+        for (r, (row, label)) in self.recent_rows(self.len).enumerate() {
             x.row_mut(r).copy_from_slice(row);
             labels.push(label);
         }
@@ -156,7 +148,10 @@ impl ExperienceBuffer {
 
     /// Iterator over the `m` most recent experiences as `(features,
     /// label)` pairs, oldest of the slice first — lets callers assemble
-    /// working matrices directly without intermediate row clones.
+    /// working matrices directly without intermediate row clones. The
+    /// continuity hypothesis says only the *freshest* labeled data carries
+    /// the post-shift distribution, so CEC guides with a recent slice
+    /// rather than the whole buffer.
     pub fn recent_rows(&self, m: usize) -> impl Iterator<Item = (&[f64], usize)> {
         let take = m.min(self.len);
         let start = self.len - take;
@@ -182,7 +177,7 @@ impl ExperienceBuffer {
 /// let preds = CoherentExperience::new(2, 7).predict(&batch, &buffer).unwrap();
 /// assert_eq!(preds, vec![0, 1]);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct CoherentExperience {
     /// Number of clusters. The paper frames this as the number of labels;
     /// real classes are multi-modal, so callers typically pass a small
@@ -201,14 +196,47 @@ pub struct CoherentExperience {
     pub min_purity: f64,
     /// k-means seed (kept fixed for reproducibility).
     pub seed: u64,
+    /// Buffers kept from one call to the next, so a warm call allocates
+    /// only the predictions it returns. Behind a lock because prediction
+    /// takes `&self`.
+    scratch: Mutex<Scratch>,
+}
+
+/// What one CEC call works in: the k-means fit's buffers (the guidance
+/// and batch points among them, as lanes), the guidance labels, and the
+/// vote tables.
+#[derive(Default)]
+struct Scratch {
+    kmeans: KMeansScratch,
+    /// Labels of the guidance points, oldest first.
+    guidance: Vec<usize>,
+    /// `k x num_labels` votes, a row per cluster.
+    votes: Vec<usize>,
+    /// Each cluster's label.
+    cluster_label: Vec<Option<usize>>,
+    /// The clusters holding a labeled point, in order.
+    labeled: Vec<usize>,
+}
+
+impl std::fmt::Debug for Scratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Scratch").field("kmeans", &self.kmeans).finish_non_exhaustive()
+    }
+}
+
+impl Clone for CoherentExperience {
+    /// Copies the configuration; the clone starts with an empty scratch.
+    fn clone(&self) -> Self {
+        let Self { clusters, max_experience, min_purity, seed, .. } = *self;
+        Self { clusters, max_experience, min_purity, seed, scratch: Mutex::default() }
+    }
 }
 
 impl CoherentExperience {
     /// Creates a CEC predictor with `clusters` clusters using the whole
     /// experience buffer as guidance.
     pub fn new(clusters: usize, seed: u64) -> Self {
-        assert!(clusters >= 1, "need at least one cluster");
-        Self { clusters, max_experience: usize::MAX, min_purity: 0.0, seed }
+        Self::with_recent(clusters, usize::MAX, 0.0, seed)
     }
 
     /// Creates a CEC predictor guided by at most `max_experience` recent
@@ -217,7 +245,7 @@ impl CoherentExperience {
         assert!(clusters >= 1, "need at least one cluster");
         assert!(max_experience >= 1, "need at least one guidance point");
         assert!((0.0..=1.0).contains(&min_purity), "purity must be in [0, 1]");
-        Self { clusters, max_experience, min_purity, seed }
+        Self { clusters, max_experience, min_purity, seed, scratch: Mutex::default() }
     }
 
     /// Predicts labels for `batch` by clustering it together with the
@@ -246,39 +274,37 @@ impl CoherentExperience {
         if buffer.is_empty() || batch.rows() == 0 {
             return None;
         }
-        // Assemble guidance + batch rows straight into the combined
-        // matrix: no per-row clones, no intermediate guidance matrix, no
-        // vstack copy.
+        // A panic mid-call leaves nothing a later call reads: every call
+        // overwrites what it uses.
+        let mut scratch = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
+        let Scratch { kmeans, guidance, votes, cluster_label, labeled } = &mut *scratch;
+        // Guidance + batch rows go straight into the k-means' points-as-
+        // lanes copy: no combined matrix, no per-row clones.
         let m = self.max_experience.min(buffer.len());
-        let mut combined = Matrix::zeros(m + batch.rows(), batch.cols());
-        let mut exp_y = Vec::with_capacity(m);
-        for (r, (row, label)) in buffer.recent_rows(self.max_experience).enumerate() {
-            combined.row_mut(r).copy_from_slice(row);
-            exp_y.push(label);
-        }
-        for (r, row) in batch.row_iter().enumerate() {
-            combined.row_mut(m + r).copy_from_slice(row);
-        }
-        let k = self.clusters.min(combined.rows());
-        let result = KMeans::new(k, self.seed).fit(&combined);
+        guidance.clear();
+        guidance.extend(buffer.recent_rows(self.max_experience).map(|(_, label)| label));
+        let rows = buffer.recent_rows(self.max_experience).map(|(row, _)| row);
+        let n = m + batch.rows();
+        kmeans.load(n, batch.cols(), rows.chain(batch.row_iter()));
+        let k = self.clusters.min(n);
+        let result = KMeans::new(k, self.seed).fit_in(kmeans);
 
         // Vote labels within each cluster using the first m (labeled) rows:
         // one `k x num_labels` table, a row per cluster.
-        let num_labels = exp_y.iter().copied().max().unwrap_or(0) + 1;
-        let mut votes = vec![0usize; k * num_labels];
-        for (i, &label) in exp_y.iter().enumerate() {
+        let num_labels = guidance.iter().copied().max().unwrap_or(0) + 1;
+        votes.clear();
+        votes.resize(k * num_labels, 0);
+        for (i, &label) in guidance.iter().enumerate() {
             votes[result.assignments[i] * num_labels + label] += 1;
         }
-        let mut cluster_label: Vec<Option<usize>> = votes
-            .chunks_exact(num_labels)
-            .map(|v| {
-                let best = v.iter().enumerate().max_by_key(|(_, &c)| c);
-                match best {
-                    Some((label, &count)) if count > 0 => Some(label),
-                    _ => None,
-                }
-            })
-            .collect();
+        cluster_label.clear();
+        cluster_label.extend(votes.chunks_exact(num_labels).map(|v| {
+            let best = v.iter().enumerate().max_by_key(|(_, &c)| c);
+            match best {
+                Some((label, &count)) if count > 0 => Some(label),
+                _ => None,
+            }
+        }));
 
         // Guidance purity: the fraction of labeled guidance points that
         // agree with their cluster's majority label — an unsupervised
@@ -290,26 +316,27 @@ impl CoherentExperience {
         // Unlabeled clusters inherit from the nearest labeled centroid: the
         // first at the smallest distance, the scan `nearest_centroid`
         // makes, over the labeled centroids in order.
-        let mut labeled_centroids = Vec::with_capacity(k);
-        labeled_centroids.extend((0..k).filter(|&c| cluster_label[c].is_some()));
-        if labeled_centroids.is_empty() {
+        labeled.clear();
+        labeled.extend((0..k).filter(|&c| cluster_label[c].is_some()));
+        if labeled.is_empty() {
             return None;
         }
         for c in 0..k {
             if cluster_label[c].is_none() {
                 let centroid = result.centroids.row(c);
                 let (mut nearest, mut nearest_d) = (0, f64::INFINITY);
-                for (j, &other) in labeled_centroids.iter().enumerate() {
+                for (j, &other) in labeled.iter().enumerate() {
                     let d = vector::euclidean_distance(centroid, result.centroids.row(other));
                     if d < nearest_d {
                         (nearest, nearest_d) = (j, d);
                     }
                 }
-                cluster_label[c] = cluster_label[labeled_centroids[nearest]];
+                cluster_label[c] = cluster_label[labeled[nearest]];
             }
         }
 
-        // Emit predictions for the batch rows (offset m in the combined set).
+        // Emit predictions for the batch rows (loaded after the m guidance
+        // rows).
         let preds = result.assignments[m..]
             .iter()
             .map(|&a| cluster_label[a].expect("all clusters labeled by inheritance"))

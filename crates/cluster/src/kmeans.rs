@@ -7,25 +7,29 @@
 //! `euclidean_distance`, then one more assignment step against the final
 //! centroids. Every distance the fit takes keeps that arithmetic —
 //! squared differences summed in ascending dimension order from `0.0`,
-//! then `sqrt` — and the work around it is cut four ways, each exact
+//! then `sqrt` — and the work around it is cut five ways, each exact
 //! (DESIGN.md §3g):
 //!
-//! 1. Seeding takes a new seed's distance to every point at once, points
-//!    as vector lanes over a transposed copy of the data (`seed_tile`),
-//!    and keeps the `n x k` squared sums: the first assignment step reads
-//!    them instead of recomputing them.
-//! 2. The winner scan finds the smallest squared distance, which is
+//! 1. A fit reads its points from one copy held as vector lanes, eight
+//!    points to a block, in a [`KMeansScratch`] that keeps it and every
+//!    other buffer of the fit from one fit to the next. Every distance
+//!    batch runs in [`sq_distance_tile`], one 512-bit register per eight
+//!    points where the build target has AVX-512F.
+//! 2. Seeding takes a new seed's distance to every point at once and
+//!    folds each point's nearest seed in as it goes, so the first
+//!    assignment step is done when the seeding is.
+//! 3. The winner scan finds the smallest squared distance, which is
 //!    exact, and takes a `sqrt` only of the squares that can round to
 //!    the same distance (`nearest`, `block_winners`).
-//! 3. For `k > 8`, Hamerly's bounds (SDM 2010) skip every point whose
-//!    nearest centroid provably has not changed; the rest are gathered
-//!    eight at a time, as lanes, and rescanned against every centroid
-//!    through register tiles (`block_distances`, `Lloyd::pruned_pass`).
-//!    For `k <= 8` a full pass runs one point at a time in registers.
-//! 4. When Lloyd stops because no assignment changed, the centroids are
+//! 4. For `k > 8`, Hamerly's bounds (SDM 2010) skip every point whose
+//!    nearest centroid provably has not changed; the rest are rescanned
+//!    eight at a time against every centroid (`pruned_pass`). For
+//!    `k <= 8` an assignment step scans every block.
+//! 5. When Lloyd stops because no assignment changed, the centroids are
 //!    the ones the last assignment step ran against, so the final step
 //!    is not repeated.
 
+use freeway_linalg::lanes::{sq_distance_tile, sum_by_cluster, LANES};
 use freeway_linalg::{vector, Matrix};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -56,6 +60,19 @@ pub struct KMeansResult {
     pub iterations: usize,
 }
 
+/// A k-means fit read in place from the [`KMeansScratch`] it ran in.
+#[derive(Clone, Copy, Debug)]
+pub struct KMeansFit<'s> {
+    /// Cluster centroids (`k x d`).
+    pub centroids: &'s Matrix,
+    /// Per-point cluster assignment, in load order.
+    pub assignments: &'s [usize],
+    /// Sum of squared distances to assigned centroids.
+    pub inertia: f64,
+    /// Lloyd iterations executed.
+    pub iterations: usize,
+}
+
 impl KMeans {
     /// Creates a k-means configuration with sensible defaults
     /// (`max_iters = 50`, `tol = 1e-6`).
@@ -64,40 +81,45 @@ impl KMeans {
         Self { k, max_iters: 50, tol: 1e-6, seed }
     }
 
-    /// Runs k-means++ then Lloyd iterations. Allocates a fixed set of
-    /// buffers per call, none per iteration.
+    /// Runs k-means++ then Lloyd iterations on `data`'s rows, in a fresh
+    /// [`KMeansScratch`].
     ///
     /// # Panics
     /// Panics if `data` has fewer rows than `k`.
     pub fn fit(&self, data: &Matrix) -> KMeansResult {
-        let n = data.rows();
-        assert!(n >= self.k, "need at least k rows ({} < {})", n, self.k);
-        let d = data.cols();
-        let mut rng = StdRng::seed_from_u64(self.seed);
+        let mut scratch = KMeansScratch::default();
+        scratch.load(data.rows(), data.cols(), data.row_iter());
+        let KMeansFit { inertia, iterations, .. } = self.fit_in(&mut scratch);
+        let mut assignments = std::mem::take(&mut scratch.assignments);
+        assignments.truncate(scratch.n);
+        let centroids = std::mem::replace(&mut scratch.centroids, Matrix::zeros(0, 0));
+        KMeansResult { centroids, assignments, inertia, iterations }
+    }
 
-        let mut lloyd = Lloyd::new(data, self.k, self.max_iters);
-        let mut centroids = self.seed_plus_plus(data, &mut rng, &mut lloyd.seed_sq);
-        let mut assignments = vec![0usize; n];
-        lloyd.assign_from_seeds(&mut assignments);
+    /// Runs k-means++ then Lloyd iterations on the points last loaded
+    /// into `scratch`, leaving the centroids and assignments there. On a
+    /// scratch that has held a fit of this shape it allocates nothing,
+    /// whatever the iteration count.
+    ///
+    /// # Panics
+    /// Panics if fewer than `k` points are loaded.
+    pub fn fit_in<'s>(&self, scratch: &'s mut KMeansScratch) -> KMeansFit<'s> {
+        let s = scratch;
+        assert!(s.n >= self.k, "need at least k rows ({} < {})", s.n, self.k);
+        s.start(self.k, self.max_iters);
+        s.seed_plus_plus(&mut StdRng::seed_from_u64(self.seed));
         let mut iterations = 0;
-
-        // Update-step scratch: sums/counts, one centroid-sized buffer for
-        // the means.
-        let mut sums = Matrix::zeros(self.k, d);
-        let mut counts = vec![0usize; self.k];
-        let mut mean = vec![0.0; d];
         // Whether the centroids moved since the last assignment step.
         let mut stale = false;
         // Whether the previous update step hit the empty-cluster repair;
         // starts true so the first iteration never takes the shortcut below.
         let mut repaired = true;
-
         for iter in 0..self.max_iters {
             iterations = iter + 1;
             // Assignment step (the first one came from the seeding).
             if stale {
                 stale = false;
-                let changed = lloyd.assign(&centroids, &mut assignments);
+                let changed = s.assign();
                 if !changed && !repaired {
                     // Unchanged assignments after a repair-free update mean
                     // the update step would recompute bit-identical
@@ -112,103 +134,194 @@ impl KMeans {
                     break;
                 }
             }
-            // Update step. Accumulating `+= v` matches the previous
-            // `axpy(.., 1.0, row)` formulation bit-for-bit (multiplying by
-            // 1.0 is exact); the flat walk just drops the per-row call and
-            // bounds-check overhead.
-            sums.as_mut_slice().fill(0.0);
-            counts.fill(0);
-            if d > 0 {
-                let ss = sums.as_mut_slice();
-                for (row, &a) in data.as_slice().chunks_exact(d).zip(&assignments) {
-                    for (s, &v) in ss[a * d..(a + 1) * d].iter_mut().zip(row) {
-                        *s += v;
-                    }
-                    counts[a] += 1;
-                }
-            } else {
-                for &a in &assignments {
-                    counts[a] += 1;
-                }
-            }
-            // Empty-cluster repair: re-seed on the point farthest from its
-            // centroid, the standard fix that keeps exactly k clusters.
-            // That point does not depend on which empty cluster is being
-            // repaired (assignments and centroids are fixed for the whole
-            // repair loop), so one scan of the assignment step's exact
-            // distances replaces a full re-computation per empty cluster.
-            repaired = false;
-            let mut far_idx = usize::MAX;
-            for (c, count) in counts.iter_mut().enumerate() {
-                if *count == 0 {
-                    if far_idx == usize::MAX {
-                        far_idx = lloyd.farthest(&centroids, &assignments);
-                    }
-                    sums.row_mut(c).copy_from_slice(data.row(far_idx));
-                    *count = 1;
-                    repaired = true;
-                }
-            }
-            let mut movement = 0.0;
-            for (c, &count) in counts.iter().enumerate() {
-                let inv = 1.0 / count as f64;
-                for (m, &s) in mean.iter_mut().zip(sums.row(c)) {
-                    *m = s * inv;
-                }
-                let moved = vector::euclidean_distance(&mean, centroids.row(c));
-                movement += moved;
-                lloyd.moves[c] = moved;
-                lloyd.still[c] = mean == centroids.row(c);
-                centroids.row_mut(c).copy_from_slice(&mean);
-            }
+            let movement;
+            (movement, repaired) = s.update();
             stale = true;
             if movement < self.tol {
                 break;
             }
         }
-
         if stale {
             // Final assignment against the converged centroids.
-            lloyd.assign(&centroids, &mut assignments);
+            s.assign();
         }
-        let inertia = lloyd.inertia(&centroids, &assignments);
-        KMeansResult { centroids, assignments, inertia, iterations }
+        let inertia = s.inertia();
+        KMeansFit {
+            centroids: &s.centroids,
+            assignments: &s.assignments[..s.n],
+            inertia,
+            iterations,
+        }
+    }
+}
+
+/// Blocks of points a seeding tile takes side by side; the points-as-lanes
+/// copy is padded to whole groups of them.
+const SEED_BLOCKS: usize = 4;
+
+/// The buffers a k-means fit works in, kept from one fit to the next.
+///
+/// [`Self::load`] copies the points in as lanes, and [`KMeans::fit_in`]
+/// fits them, leaving the centroids and assignments here. Every buffer
+/// is resized in place, so once a scratch has held a fit of some shape,
+/// fits of that shape or a smaller one allocate nothing. A fit writes
+/// everything it reads, so nothing of one fit reaches the next.
+#[derive(Clone, Default)]
+pub struct KMeansScratch {
+    /// Points loaded, and their dimension.
+    n: usize,
+    d: usize,
+    /// Clusters of the current fit.
+    k: usize,
+    /// The points as lanes, in blocks of [`LANES`]: `points[(b * d + j) *
+    /// LANES + l]` is point `b * LANES + l`'s coordinate `j`. Padded to
+    /// whole groups of [`SEED_BLOCKS`] blocks by repeating the last point.
+    points: Vec<f64>,
+    /// The fit's centroids (`k x d`).
+    centroids: Matrix,
+    // Per-point state, padded to whole blocks (the padding lanes are
+    // copies of the last point, and nothing reads them past `n`):
+    /// Each point's centroid.
+    assignments: Vec<usize>,
+    /// k-means++ weights: the squared distance to the nearest seed.
+    weights: Vec<f64>,
+    /// Each point's distance to its centroid: exactly the textbook's
+    /// winning distance where `exact`, else an upper bound on it.
+    upper: Vec<f64>,
+    exact: Vec<bool>,
+    /// A lower bound on each point's distance to every other centroid
+    /// (Hamerly's, read for `k > K_ARMS` only).
+    lower: Vec<f64>,
+    /// Update-step sums and counts, and one centroid-sized buffer for the
+    /// means.
+    sums: Matrix,
+    counts: Vec<usize>,
+    mean: Vec<f64>,
+    /// Each centroid's movement in the last update step, and whether its
+    /// coordinates came out unchanged.
+    moves: Vec<f64>,
+    still: Vec<bool>,
+    /// Transposed centroids (`d x k`) for the register tiles.
+    ct: Vec<f64>,
+    /// One block's squared distances to every centroid (`k x LANES`).
+    sq: Vec<f64>,
+    // Hamerly's state, for `k > K_ARMS` only (empty otherwise):
+    /// Half of each centroid's distance to its nearest other centroid.
+    half: Vec<f64>,
+    /// The points that failed the skip test in this pass.
+    picks: Vec<usize>,
+    /// Up to [`LANES`] points or centroids gathered as lanes (`d x LANES`).
+    block: Vec<f64>,
+    /// At least every lower bound and centroid gap computed so far.
+    scale: f64,
+    /// The skip test's relative slack ([`BOUND_MARGIN`]).
+    margin: f64,
+}
+
+impl std::fmt::Debug for KMeansScratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("KMeansScratch")
+            .field("n", &self.n)
+            .field("d", &self.d)
+            .field("k", &self.k)
+            .finish_non_exhaustive()
+    }
+}
+
+impl KMeansScratch {
+    /// An empty scratch; its buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// k-means++ seeding: first centroid uniform, then each next centroid
-    /// sampled proportionally to squared distance from the nearest chosen
-    /// one. The RNG draws, the sequential `total` and the sampling scan
-    /// are the textbook's; each seed's squared distance sums to every
-    /// point come from [`seed_tile`] over a points-as-lanes copy of the
-    /// data, and land in `seed_sq` (blocks of [`LANES`] points, each
-    /// `k x LANES`) for the first assignment step.
-    fn seed_plus_plus(&self, data: &Matrix, rng: &mut StdRng, seed_sq: &mut [f64]) -> Matrix {
-        let (n, d, k) = (data.rows(), data.cols(), self.k);
-        // Points as lanes, block by block: `blocks[(b * d + j) * LANES +
-        // l]` is point `b * LANES + l`'s coordinate `j`, in groups of
-        // [`SEED_BLOCKS`] blocks. Padding lanes and blocks are ignored.
+    /// Loads `n` points of dimension `d` for the next fit: `rows` yields
+    /// each point's coordinates in order (it is not read when `d == 0`).
+    ///
+    /// # Panics
+    /// Panics if `rows` yields a row of another length, or (for `d > 0`)
+    /// other than `n` rows.
+    pub fn load<'r>(&mut self, n: usize, d: usize, rows: impl IntoIterator<Item = &'r [f64]>) {
         let group = SEED_BLOCKS * LANES;
-        let mut blocks = vec![0.0; n.div_ceil(group) * group * d];
-        if d > 0 {
-            for (b, block) in blocks.chunks_exact_mut(d * LANES).enumerate().take(n.div_ceil(LANES))
-            {
-                let rows: [usize; LANES] = std::array::from_fn(|l| (b * LANES + l).min(n - 1));
-                gather_lanes(data, &rows, block);
+        self.n = n;
+        self.d = d;
+        // Every value is overwritten below: by a point, or by padding.
+        self.points.resize(n.div_ceil(group) * group * d, 0.0);
+        if d == 0 {
+            return;
+        }
+        let mut count = 0;
+        for row in rows {
+            assert_eq!(row.len(), d, "point {count} has {} coordinates, not {d}", row.len());
+            assert!(count < n, "more than {n} rows");
+            let at = point_at(count, d);
+            for (j, &v) in row.iter().enumerate() {
+                self.points[at + j * LANES] = v;
+            }
+            count += 1;
+        }
+        assert_eq!(count, n, "expected {n} rows");
+        for i in n..n.div_ceil(group) * group {
+            let (from, to) = (point_at(n - 1, d), point_at(i, d));
+            for j in 0..d {
+                self.points[to + j * LANES] = self.points[from + j * LANES];
             }
         }
-        let mut dist_sq = vec![0.0; n];
-        let mut centroids = Matrix::zeros(k, d);
+    }
+
+    /// Sizes and resets the per-fit state for `k` clusters.
+    fn start(&mut self, k: usize, max_iters: usize) {
+        let (n, d) = (self.n, self.d);
+        let padded = n.div_ceil(LANES) * LANES;
+        let bounded = k > K_ARMS;
+        let hamerly = |len: usize| if bounded { len } else { 0 };
+        #[cfg(test)]
+        tally(|w| w.fit_start = w.examined);
+        self.k = k;
+        self.centroids.resize(k, d);
+        self.sums.resize(k, d);
+        refill(&mut self.assignments, padded, 0);
+        refill(&mut self.weights, padded, 0.0);
+        // Zero-dimensional points are all at distance 0 from everything.
+        refill(&mut self.upper, padded, if d == 0 { 0.0 } else { f64::INFINITY });
+        refill(&mut self.exact, padded, true);
+        refill(&mut self.lower, padded, f64::INFINITY);
+        refill(&mut self.counts, k, 0);
+        refill(&mut self.mean, d, 0.0);
+        refill(&mut self.moves, k, 0.0);
+        refill(&mut self.still, k, false);
+        refill(&mut self.ct, k * d, 0.0);
+        refill(&mut self.sq, k * LANES, 0.0);
+        refill(&mut self.half, hamerly(k), 0.0);
+        refill(&mut self.picks, hamerly(n), 0);
+        refill(&mut self.block, hamerly(d * LANES), 0.0);
+        self.scale = 0.0;
+        self.margin = BOUND_MARGIN.max(8.0 * (d + max_iters + 8) as f64 * f64::EPSILON);
+    }
+
+    /// k-means++ seeding, and with it the first assignment step: first
+    /// centroid uniform, then each next centroid sampled proportionally
+    /// to squared distance from the nearest chosen one. The RNG draws,
+    /// the sequential `total` and the sampling scan are the textbook's;
+    /// each seed's squared distance sums to every point come from
+    /// [`sq_distance_tile`], [`SEED_BLOCKS`] blocks at a time. Their
+    /// roots are the textbook's distances, so each point's nearest seed
+    /// (the first at the smallest distance, a strict-`<` scan in seed
+    /// order) and the nearest other one are folded in as they come.
+    fn seed_plus_plus(&mut self, rng: &mut StdRng) {
+        let (n, d, k) = (self.n, self.d, self.k);
+        let group = SEED_BLOCKS * d * LANES;
         let mut chosen = rng.random_range(0..n);
         for c in 0..k {
             if c > 0 {
-                let total: f64 = dist_sq.iter().sum();
+                let weights = &self.weights[..n];
+                let total: f64 = weights.iter().sum();
                 chosen = if total <= f64::EPSILON {
                     // All points coincide with chosen centroids; pick uniformly.
                     rng.random_range(0..n)
                 } else {
                     let mut target = rng.random_range(0.0..total);
                     let mut idx = n - 1;
-                    for (i, &w) in dist_sq.iter().enumerate() {
+                    for (i, &w) in weights.iter().enumerate() {
                         if target < w {
                             idx = i;
                             break;
@@ -218,51 +331,315 @@ impl KMeans {
                     idx
                 };
             }
-            centroids.row_mut(c).copy_from_slice(data.row(chosen));
-            let seed = centroids.row(c);
-            // (With `d == 0` there are no blocks, and every weight and
-            // sum stays 0.0, as every distance is.)
-            let groups = blocks.chunks_exact((SEED_BLOCKS * d * LANES).max(1));
-            let block_sqs = seed_sq.chunks_exact_mut(k * LANES);
-            let mut outs = block_sqs.zip(dist_sq.chunks_mut(LANES));
-            for points in groups {
-                let sums = seed_tile(points, seed);
-                for (sum, (block_sq, weights)) in sums.iter().zip(&mut outs) {
-                    block_sq[c * LANES..(c + 1) * LANES].copy_from_slice(sum);
-                    for (w, &s) in weights.iter_mut().zip(sum) {
+            read_point(&self.points, d, chosen, self.centroids.row_mut(c));
+            if d == 0 {
+                // No blocks: every weight and distance stays 0.0, and the
+                // first seed is every point's nearest.
+                continue;
+            }
+            let seed = self.centroids.row(c);
+            let per_block = self
+                .weights
+                .chunks_exact_mut(LANES)
+                .zip(self.upper.chunks_exact_mut(LANES))
+                .zip(self.lower.chunks_exact_mut(LANES))
+                .zip(self.assignments.chunks_exact_mut(LANES));
+            let mut per_block = per_block.map(|(((w, up), lo), best)| (w, up, lo, best));
+            for points in self.points.chunks_exact(group) {
+                let blocks = std::array::from_fn(|r| &points[r * d * LANES..(r + 1) * d * LANES]);
+                let sums = sq_distance_tile::<SEED_BLOCKS, 1>(blocks, seed, 1);
+                for ([sum], (w, up, lo, best)) in sums.iter().zip(&mut per_block) {
+                    for l in 0..LANES {
                         // `euclidean_distance`, then its square.
-                        let dd = s.sqrt();
-                        *w = if c == 0 { dd * dd } else { w.min(dd * dd) };
+                        let dd = sum[l].sqrt();
+                        w[l] = if c == 0 { dd * dd } else { w[l].min(dd * dd) };
+                        let won = dd < up[l];
+                        lo[l] = if won { up[l] } else { min(dd, lo[l]) };
+                        up[l] = if won { dd } else { up[l] };
+                        best[l] = if won { c } else { best[l] };
                     }
                 }
             }
         }
-        centroids
     }
-}
 
-/// Blocks of points [`seed_tile`] takes side by side.
-const SEED_BLOCKS: usize = 4;
+    /// One update step: each centroid moves to the mean of its points,
+    /// summed in point order. Returns the total movement and whether an
+    /// empty cluster was repaired.
+    fn update(&mut self) -> (f64, bool) {
+        let (n, d, k) = (self.n, self.d, self.k);
+        self.sums.as_mut_slice().fill(0.0);
+        self.counts.fill(0);
+        // Every sum takes its points in order.
+        let sums = self.sums.as_mut_slice();
+        for (b, clusters) in self.assignments[..n].chunks(LANES).enumerate() {
+            sum_by_cluster(&self.points[b * d * LANES..(b + 1) * d * LANES], clusters, sums);
+            for &a in clusters {
+                self.counts[a] += 1;
+            }
+        }
+        // Empty-cluster repair: re-seed on the point farthest from its
+        // centroid, the standard fix that keeps exactly k clusters.
+        // That point does not depend on which empty cluster is being
+        // repaired (assignments and centroids are fixed for the whole
+        // repair loop), so one scan of the assignment step's exact
+        // distances replaces a full re-computation per empty cluster.
+        let mut repaired = false;
+        let mut far_idx = usize::MAX;
+        for c in 0..k {
+            if self.counts[c] == 0 {
+                if far_idx == usize::MAX {
+                    far_idx = self.farthest();
+                }
+                read_point(&self.points, d, far_idx, self.sums.row_mut(c));
+                self.counts[c] = 1;
+                repaired = true;
+            }
+        }
+        let mut movement = 0.0;
+        for c in 0..k {
+            let inv = 1.0 / self.counts[c] as f64;
+            for (m, &s) in self.mean.iter_mut().zip(self.sums.row(c)) {
+                *m = s * inv;
+            }
+            let moved = vector::euclidean_distance(&self.mean, self.centroids.row(c));
+            movement += moved;
+            self.moves[c] = moved;
+            self.still[c] = self.mean == self.centroids.row(c);
+            self.centroids.row_mut(c).copy_from_slice(&self.mean);
+        }
+        (movement, repaired)
+    }
 
-/// Squared distance sums from the points of [`SEED_BLOCKS`] consecutive
-/// blocks (each `d x LANES`, points as lanes) to one seed, per block and
-/// lane: each pair's squared differences summed in ascending dimension
-/// order from `0.0`, as in [`lane_tile`], with the blocks' chains side
-/// by side.
-fn seed_tile(points: &[f64], seed: &[f64]) -> [[f64; LANES]; SEED_BLOCKS] {
-    let d = seed.len();
-    let mut acc = [[0.0f64; LANES]; SEED_BLOCKS];
-    for (j, &y) in seed.iter().enumerate() {
-        for (b, acc_b) in acc.iter_mut().enumerate() {
-            let p: &[f64; LANES] =
-                points[(b * d + j) * LANES..][..LANES].try_into().expect("LANES points");
-            for l in 0..LANES {
-                let diff = p[l] - y;
-                acc_b[l] += diff * diff;
+    /// Assigns every point to its nearest centroid as the textbook scan
+    /// would, returning whether any assignment changed.
+    fn assign(&mut self) -> bool {
+        let (n, d, k) = (self.n, self.d, self.k);
+        if d == 0 {
+            // Zero-dimensional rows are all at distance 0: the first
+            // centroid wins every strict-`<` scan, exactly as in
+            // `nearest_centroid`.
+            let mut changed = false;
+            for slot in &mut self.assignments[..n] {
+                changed |= *slot != 0;
+                *slot = 0;
+            }
+            self.upper.fill(0.0);
+            self.exact.fill(true);
+            return changed;
+        }
+        let cs = self.centroids.as_slice();
+        for c in 0..k {
+            for j in 0..d {
+                self.ct[j * k + c] = cs[c * d + j];
+            }
+        }
+        if k > K_ARMS {
+            return self.pruned_pass();
+        }
+        // Up to eight centroids: every block against every centroid.
+        let mut changed = false;
+        let blocks = self.points.chunks_exact(d * LANES).take(n.div_ceil(LANES));
+        for (b, block) in blocks.enumerate() {
+            block_distances(block, &self.ct, k, &mut self.sq);
+            let won = block_winners(&self.sq);
+            let at = b * LANES;
+            for l in 0..LANES.min(n - at) {
+                changed |= self.assignments[at + l] != won.best[l];
+            }
+            self.assignments[at..at + LANES].copy_from_slice(&won.best);
+            self.upper[at..at + LANES].copy_from_slice(&won.dist);
+        }
+        changed
+    }
+
+    /// Hamerly's assignment step. After an update step a point's centroid
+    /// `a` moved by `moves[a]` and every other centroid by at most the
+    /// largest move among the others, so `upper += moves[a]` and
+    /// `lower -= that move` keep both bounds. While `upper` stays below
+    /// `max(lower, half[a])` by the skip test's slack, no other centroid
+    /// can be as near as `a` — nearer than `lower`, or (triangle
+    /// inequality) than `2·half[a] − upper` — so the textbook scan would
+    /// keep `a` and the point is skipped. The points that fail the test
+    /// are rescanned, eight at a time, against every centroid, which
+    /// resets both bounds. (Hamerly's tightening, retrying the test with
+    /// the exact distance to `a`, saved too few rescans here to pay for
+    /// its own gathers.)
+    fn pruned_pass(&mut self) -> bool {
+        let n = self.n;
+        self.centroid_gaps();
+        let (mut top, mut top_c, mut runner) = (0.0f64, usize::MAX, 0.0f64);
+        for (c, &m) in self.moves.iter().enumerate() {
+            // A NaN move bounds nothing.
+            let m = if m.is_nan() { f64::INFINITY } else { m };
+            if m > top {
+                (runner, top, top_c) = (top, m, c);
+            } else if m > runner {
+                runner = m;
+            }
+        }
+        // Every bound a test below reads started as a lower bound set by
+        // an earlier pass, and is still held before this pass's update.
+        self.scale = self.lower[..n].iter().fold(self.scale, |m, &l| m.max(l));
+        let slack = self.margin * self.scale + BOUND_FLOOR;
+        // Bound update and test for every point, branch-free: the points
+        // that fail are listed in `picks[..failed]`.
+        let mut failed = 0;
+        for (i, &a) in self.assignments[..n].iter().enumerate() {
+            let upper = self.upper[i] + self.moves[a];
+            let lower = self.lower[i] - if a == top_c { runner } else { top };
+            self.upper[i] = upper;
+            self.lower[i] = lower;
+            self.exact[i] &= self.still[a];
+            self.picks[failed] = i;
+            let skip = upper + slack < max(lower, self.half[a]);
+            failed += usize::from(!skip);
+        }
+        let mut changed = false;
+        for start in (0..failed).step_by(LANES) {
+            changed |= self.rescan(start..failed.min(start + LANES));
+        }
+        #[cfg(test)]
+        tally(|w| w.examined += n);
+        changed
+    }
+
+    /// Rescans the points `picks[range]` (at most [`LANES`]) against every
+    /// centroid: their squared distances from the register tiles, their
+    /// winners by [`block_winners`], and fresh bounds. Eight points that
+    /// make up one block are read in place, others gathered.
+    fn rescan(&mut self, range: std::ops::Range<usize>) -> bool {
+        let (d, k) = (self.d, self.k);
+        let picks = &self.picks[range];
+        let first = picks[0];
+        let whole = picks.len() == LANES
+            && first.is_multiple_of(LANES)
+            && picks[LANES - 1] == first + LANES - 1;
+        let block = if whole {
+            &self.points[first * d..(first + LANES) * d]
+        } else {
+            gather_points(&self.points, d, picks, &mut self.block);
+            &self.block[..]
+        };
+        block_distances(block, &self.ct, k, &mut self.sq);
+        #[cfg(test)]
+        tally(|w| w.rescanned += picks.len());
+        let won = block_winners(&self.sq);
+        let mut changed = false;
+        for (l, &i) in picks.iter().enumerate() {
+            changed |= self.assignments[i] != won.best[l];
+            self.assignments[i] = won.best[l];
+            self.upper[i] = won.dist[l];
+            self.exact[i] = true;
+            self.lower[i] = won.second[l];
+        }
+        changed
+    }
+
+    /// Half of each centroid's distance to its nearest other centroid
+    /// (Hamerly's `s`), from the register tiles.
+    fn centroid_gaps(&mut self) {
+        let k = self.k;
+        for first in (0..k).step_by(LANES) {
+            let group: [usize; LANES] = std::array::from_fn(|l| first + l);
+            let count = LANES.min(k - first);
+            gather_rows(&self.centroids, &group[..count], &mut self.block);
+            block_distances(&self.block, &self.ct, k, &mut self.sq);
+            for l in 0..count {
+                self.sq[(first + l) * LANES + l] = f64::INFINITY;
+            }
+            let (nearest, _) = lane_least_two(&self.sq);
+            for (l, &gap_sq) in nearest.iter().enumerate().take(count) {
+                let gap = gap_sq.sqrt();
+                self.half[first + l] = 0.5 * gap;
+                self.scale = self.scale.max(gap);
             }
         }
     }
-    acc
+
+    /// Replaces every loosened `upper` by the point's exact distance to
+    /// its centroid, in the arithmetic of the assignment step.
+    fn exact_distances(&mut self) {
+        let d = self.d;
+        for i in 0..self.n {
+            if !self.exact[i] {
+                let centroid = self.centroids.row(self.assignments[i]);
+                let at = point_at(i, d);
+                let mut acc = 0.0;
+                for (j, &y) in centroid.iter().enumerate() {
+                    let diff = self.points[at + j * LANES] - y;
+                    acc += diff * diff;
+                }
+                self.upper[i] = acc.sqrt();
+                self.exact[i] = true;
+            }
+        }
+    }
+
+    /// The point farthest from its centroid, last one on ties (the
+    /// empty-cluster repair's re-seed).
+    fn farthest(&mut self) -> usize {
+        #[cfg(test)]
+        tally(|w| {
+            w.repairs += 1;
+            w.late_repairs += usize::from(w.examined > w.fit_start);
+        });
+        self.exact_distances();
+        let mut best = f64::NEG_INFINITY;
+        let mut far_idx = 0;
+        for (i, &dist) in self.upper[..self.n].iter().enumerate() {
+            if dist >= best {
+                best = dist;
+                far_idx = i;
+            }
+        }
+        far_idx
+    }
+
+    /// Sum of squared distances to the assigned centroids, in point order.
+    fn inertia(&mut self) -> f64 {
+        self.exact_distances();
+        let mut inertia = 0.0;
+        for &dist in &self.upper[..self.n] {
+            inertia += dist * dist;
+        }
+        inertia
+    }
+}
+
+/// Makes `buf` `len` copies of `value`, keeping its allocation.
+fn refill<T: Copy>(buf: &mut Vec<T>, len: usize, value: T) {
+    buf.clear();
+    buf.resize(len, value);
+}
+
+/// Index of point `i`'s first coordinate in a points-as-lanes copy of
+/// dimension `d` (coordinate `j` is `LANES · j` further on).
+#[inline]
+fn point_at(i: usize, d: usize) -> usize {
+    i / LANES * d * LANES + i % LANES
+}
+
+/// Copies point `i` of a points-as-lanes copy into `out` (`d` long).
+fn read_point(points: &[f64], d: usize, i: usize, out: &mut [f64]) {
+    let at = point_at(i, d);
+    for (j, o) in out.iter_mut().enumerate() {
+        *o = points[at + j * LANES];
+    }
+}
+
+/// Copies points `index` (one to [`LANES`] of them) of a points-as-lanes
+/// copy of dimension `d > 0` into `block` as lanes (`d x LANES`); lanes
+/// past the last index repeat its point.
+fn gather_points(points: &[f64], d: usize, index: &[usize], block: &mut [f64]) {
+    // Each point's coordinates, `LANES` apart.
+    let coords: [&[f64]; LANES] = std::array::from_fn(|l| {
+        let at = point_at(index[l.min(index.len() - 1)], d);
+        &points[at..at + d * LANES - (LANES - 1)]
+    });
+    for (j, lanes) in block.chunks_exact_mut(LANES).enumerate() {
+        lanes.copy_from_slice(&std::array::from_fn::<f64, LANES, _>(|l| coords[l][j * LANES]));
+    }
 }
 
 /// Relative slack of Hamerly's skip test. The bounds are built from
@@ -284,262 +661,6 @@ const BOUND_MARGIN: f64 = 1e-9;
 /// can be off by up to √d·2⁻⁵³⁷ (about 1e-161), which a relative margin
 /// does not cover near zero.
 const BOUND_FLOOR: f64 = 1e-153;
-
-/// One fit's assignment state and scratch, sized once per fit.
-struct Lloyd<'a> {
-    data: &'a Matrix,
-    k: usize,
-    /// Squared distance sums from each point to each seed, in blocks of
-    /// [`LANES`] points (`k x LANES` each).
-    seed_sq: Vec<f64>,
-    /// Transposed centroids (`d x k`) for the register kernels.
-    ct: Vec<f64>,
-    /// Each point's distance to its centroid: exactly the textbook's
-    /// winning distance where `exact`, else an upper bound on it.
-    upper: Vec<f64>,
-    exact: Vec<bool>,
-    /// Each centroid's movement in the last update step, and whether its
-    /// coordinates came out unchanged.
-    moves: Vec<f64>,
-    still: Vec<bool>,
-    // Hamerly's state, for `k > K_ARMS` only (empty otherwise):
-    /// A lower bound on each point's distance to every other centroid.
-    lower: Vec<f64>,
-    /// Half of each centroid's distance to its nearest other centroid.
-    half: Vec<f64>,
-    /// The points that failed the skip test in this pass.
-    picks: Vec<usize>,
-    /// Up to [`LANES`] rows as lanes (`d x LANES`), for the register tiles.
-    block: Vec<f64>,
-    /// One block's squared distances to every centroid (`k x LANES`).
-    sq: Vec<f64>,
-    /// At least every lower bound and centroid gap computed so far.
-    scale: f64,
-    /// The skip test's relative slack ([`BOUND_MARGIN`]).
-    margin: f64,
-}
-
-impl<'a> Lloyd<'a> {
-    fn new(data: &'a Matrix, k: usize, max_iters: usize) -> Self {
-        let (n, d) = data.shape();
-        let bounded = k > K_ARMS;
-        let sized = |len: usize| if bounded { vec![0.0; len] } else { Vec::new() };
-        #[cfg(test)]
-        tally(|w| w.fit_start = w.examined);
-        Self {
-            data,
-            k,
-            seed_sq: vec![0.0; n.div_ceil(LANES) * k * LANES],
-            ct: vec![0.0; k * d],
-            upper: vec![0.0; n],
-            exact: vec![true; n],
-            moves: vec![0.0; k],
-            still: vec![false; k],
-            lower: sized(n),
-            half: sized(k),
-            picks: if bounded { vec![0; n] } else { Vec::new() },
-            block: sized(d * LANES),
-            sq: sized(k * LANES),
-            scale: 0.0,
-            margin: BOUND_MARGIN.max(8.0 * (d + max_iters + 8) as f64 * f64::EPSILON),
-        }
-    }
-
-    /// The first assignment step, against the seeds, from the squared
-    /// sums the seeding recorded: the same sums a rescan would take.
-    fn assign_from_seeds(&mut self, assignments: &mut [usize]) {
-        let bounded = self.k > K_ARMS;
-        let blocks = self.seed_sq.chunks_exact(self.k * LANES);
-        for (b, (block_sq, slots)) in blocks.zip(assignments.chunks_mut(LANES)).enumerate() {
-            let won = block_winners(block_sq);
-            for (l, slot) in slots.iter_mut().enumerate() {
-                let i = b * LANES + l;
-                *slot = won.best[l];
-                self.upper[i] = won.dist[l];
-                if bounded {
-                    self.lower[i] = won.second[l];
-                }
-            }
-        }
-    }
-
-    /// Assigns every point to its nearest centroid as the textbook scan
-    /// would, returning whether any assignment changed.
-    fn assign(&mut self, centroids: &Matrix, assignments: &mut [usize]) -> bool {
-        let (k, d) = centroids.shape();
-        if d == 0 {
-            // Zero-dimensional rows are all at distance 0: the first
-            // centroid wins every strict-`<` scan, exactly as in
-            // `nearest_centroid`.
-            let mut changed = false;
-            for slot in assignments.iter_mut() {
-                changed |= *slot != 0;
-                *slot = 0;
-            }
-            self.upper.fill(0.0);
-            self.exact.fill(true);
-            return changed;
-        }
-        let cs = centroids.as_slice();
-        for c in 0..k {
-            for j in 0..d {
-                self.ct[j * k + c] = cs[c * d + j];
-            }
-        }
-        if k > K_ARMS {
-            return self.pruned_pass(centroids, assignments);
-        }
-        // Up to eight centroids, a point's `k` accumulators fit one
-        // vector and out-of-order execution already overlaps consecutive
-        // points, so a full pass of the per-point const-K kernel is
-        // fastest (measured 14–40% ahead of 4 x 8 register tiles at
-        // k = 2–8 on an AVX-512 Xeon).
-        let (data, ct, upper) = (self.data, &self.ct, &mut self.upper);
-        match k {
-            1 => assign_rows::<1>(data, d, ct, assignments, upper),
-            2 => assign_rows::<2>(data, d, ct, assignments, upper),
-            3 => assign_rows::<3>(data, d, ct, assignments, upper),
-            4 => assign_rows::<4>(data, d, ct, assignments, upper),
-            5 => assign_rows::<5>(data, d, ct, assignments, upper),
-            6 => assign_rows::<6>(data, d, ct, assignments, upper),
-            7 => assign_rows::<7>(data, d, ct, assignments, upper),
-            _ => assign_rows::<{ K_ARMS }>(data, d, ct, assignments, upper),
-        }
-    }
-
-    /// Hamerly's assignment step. After an update step a point's centroid
-    /// `a` moved by `moves[a]` and every other centroid by at most the
-    /// largest move among the others, so `upper += moves[a]` and
-    /// `lower -= that move` keep both bounds. While `upper` stays below
-    /// `max(lower, half[a])` by the skip test's slack, no other centroid
-    /// can be as near as `a` — nearer than `lower`, or (triangle
-    /// inequality) than `2·half[a] − upper` — so the textbook scan would
-    /// keep `a` and the point is skipped. A point that fails the test is
-    /// gathered, and each eight are rescanned against every centroid
-    /// through the register tiles, which resets both bounds. (Hamerly's
-    /// tightening, retrying the test with the exact distance to `a`,
-    /// saved too few rescans here to pay for its own gathers.)
-    fn pruned_pass(&mut self, centroids: &Matrix, assignments: &mut [usize]) -> bool {
-        self.centroid_gaps(centroids);
-        let (mut top, mut top_c, mut runner) = (0.0f64, usize::MAX, 0.0f64);
-        for (c, &m) in self.moves.iter().enumerate() {
-            // A NaN move bounds nothing.
-            let m = if m.is_nan() { f64::INFINITY } else { m };
-            if m > top {
-                (runner, top, top_c) = (top, m, c);
-            } else if m > runner {
-                runner = m;
-            }
-        }
-        // Every bound a test below reads started as a lower bound set by
-        // an earlier pass, and is still held before this pass's update.
-        self.scale = self.lower.iter().fold(self.scale, |m, &l| m.max(l));
-        let slack = self.margin * self.scale + BOUND_FLOOR;
-        // Bound update and test for every point, branch-free: the points
-        // that fail are listed in `picks[..failed]`.
-        let mut failed = 0;
-        for (i, &a) in assignments.iter().enumerate() {
-            let upper = self.upper[i] + self.moves[a];
-            let lower = self.lower[i] - if a == top_c { runner } else { top };
-            self.upper[i] = upper;
-            self.lower[i] = lower;
-            self.exact[i] &= self.still[a];
-            self.picks[failed] = i;
-            let skip = upper + slack < max(lower, self.half[a]);
-            failed += usize::from(!skip);
-        }
-        let mut changed = false;
-        for start in (0..failed).step_by(LANES) {
-            changed |= self.rescan(start..failed.min(start + LANES), assignments);
-        }
-        #[cfg(test)]
-        tally(|w| w.examined += assignments.len());
-        changed
-    }
-
-    /// Rescans the points `picks[range]` (at most [`LANES`]) against every
-    /// centroid: their squared distances from the register tiles, their
-    /// winners by [`block_winners`], and fresh bounds.
-    fn rescan(&mut self, range: std::ops::Range<usize>, assignments: &mut [usize]) -> bool {
-        let picks = &self.picks[range];
-        gather_lanes(self.data, picks, &mut self.block);
-        block_distances(&self.block, &self.ct, self.k, &mut self.sq);
-        #[cfg(test)]
-        tally(|w| w.rescanned += picks.len());
-        let won = block_winners(&self.sq);
-        let mut changed = false;
-        for (l, &i) in picks.iter().enumerate() {
-            changed |= assignments[i] != won.best[l];
-            assignments[i] = won.best[l];
-            self.upper[i] = won.dist[l];
-            self.exact[i] = true;
-            self.lower[i] = won.second[l];
-        }
-        changed
-    }
-
-    /// Half of each centroid's distance to its nearest other centroid
-    /// (Hamerly's `s`), from the register tiles.
-    fn centroid_gaps(&mut self, centroids: &Matrix) {
-        for first in (0..self.k).step_by(LANES) {
-            let group: [usize; LANES] = std::array::from_fn(|l| first + l);
-            let count = LANES.min(self.k - first);
-            gather_lanes(centroids, &group[..count], &mut self.block);
-            block_distances(&self.block, &self.ct, self.k, &mut self.sq);
-            for l in 0..count {
-                self.sq[(first + l) * LANES + l] = f64::INFINITY;
-            }
-            let (nearest, _) = lane_least_two(&self.sq);
-            for (l, &gap_sq) in nearest.iter().enumerate().take(count) {
-                let gap = gap_sq.sqrt();
-                self.half[first + l] = 0.5 * gap;
-                self.scale = self.scale.max(gap);
-            }
-        }
-    }
-
-    /// Replaces every loosened `upper` by the point's exact distance to
-    /// its centroid, in the arithmetic of the assignment step.
-    fn exact_distances(&mut self, centroids: &Matrix, assignments: &[usize]) {
-        let d = centroids.cols();
-        for (i, row) in self.data.as_slice().chunks_exact(d.max(1)).enumerate() {
-            if !self.exact[i] {
-                self.upper[i] = vector::euclidean_distance(row, centroids.row(assignments[i]));
-                self.exact[i] = true;
-            }
-        }
-    }
-
-    /// The point farthest from its centroid, last one on ties (the
-    /// empty-cluster repair's re-seed).
-    fn farthest(&mut self, centroids: &Matrix, assignments: &[usize]) -> usize {
-        #[cfg(test)]
-        tally(|w| {
-            w.repairs += 1;
-            w.late_repairs += usize::from(w.examined > w.fit_start);
-        });
-        self.exact_distances(centroids, assignments);
-        let mut best = f64::NEG_INFINITY;
-        let mut far_idx = 0;
-        for (i, &dist) in self.upper.iter().enumerate() {
-            if dist >= best {
-                best = dist;
-                far_idx = i;
-            }
-        }
-        far_idx
-    }
-
-    /// Sum of squared distances to the assigned centroids, in point order.
-    fn inertia(&mut self, centroids: &Matrix, assignments: &[usize]) -> f64 {
-        self.exact_distances(centroids, assignments);
-        let mut inertia = 0.0;
-        for &dist in &self.upper {
-            inertia += dist * dist;
-        }
-        inertia
-    }
-}
 
 /// Tallies of the assignment work, read by the pruning and repair tests.
 #[cfg(test)]
@@ -570,50 +691,14 @@ fn tally(update: impl FnOnce(&mut Work)) {
     });
 }
 
-/// Points per block of the register tiles: eight `f64` lanes, one
-/// 512-bit vector or two 256-bit ones.
-const LANES: usize = 8;
-
-/// Largest `k` the per-point const-K kernels take; past it Hamerly's
-/// bounds and the register tiles do.
+/// Largest `k` whose assignment steps scan every block; past it
+/// Hamerly's bounds skip the points they can.
 const K_ARMS: usize = 8;
-
-/// The const-K assignment step for `k <= K_ARMS`, one point at a time;
-/// `ct` is the `d x K` transposed centroid copy. Each pair's squared
-/// differences accumulate in ascending dimension order, `K` chains side
-/// by side in one register, and [`nearest`] picks the textbook winner
-/// and its distance.
-fn assign_rows<const K: usize>(
-    data: &Matrix,
-    d: usize,
-    ct: &[f64],
-    assignments: &mut [usize],
-    dists: &mut [f64],
-) -> bool {
-    let mut changed = false;
-    for ((row, slot), dist_out) in
-        data.as_slice().chunks_exact(d).zip(assignments.iter_mut()).zip(dists.iter_mut())
-    {
-        let mut acc = [0.0f64; K];
-        for (&p, col) in row.iter().zip(ct.chunks_exact(K)) {
-            for (a, &cv) in acc.iter_mut().zip(col) {
-                let diff = p - cv;
-                *a += diff * diff;
-            }
-        }
-        let (best, best_d) = nearest(acc.into_iter());
-        changed |= *slot != best;
-        *slot = best;
-        *dist_out = best_d;
-    }
-    changed
-}
 
 /// Copies rows `index` (one to [`LANES`] of them) of `source` into
 /// `block` as lanes (`d x LANES`); lanes past the last index repeat its
-/// row. Eight rows are read side by side and each dimension is stored
-/// as one contiguous lane vector.
-fn gather_lanes(source: &Matrix, index: &[usize], block: &mut [f64]) {
+/// row.
+fn gather_rows(source: &Matrix, index: &[usize], block: &mut [f64]) {
     let rows: [&[f64]; LANES] = std::array::from_fn(|l| source.row(index[l.min(index.len() - 1)]));
     for (j, lanes) in block.chunks_exact_mut(LANES).enumerate() {
         lanes.copy_from_slice(&std::array::from_fn::<f64, LANES, _>(|l| rows[l][j]));
@@ -622,43 +707,28 @@ fn gather_lanes(source: &Matrix, index: &[usize], block: &mut [f64]) {
 
 /// Squared distances from the [`LANES`] points of `points` (`d x LANES`,
 /// points as lanes) to all `k` centroids of the `d x k` transposed copy
-/// `ct`, into `sq[c * LANES + l]`: tiles of four centroids (32 chains in
-/// eight 256-bit registers), then one 1–3-wide remainder tile.
+/// `ct`, into `sq[c * LANES + l]`: [`sq_distance_tile`]s of four
+/// centroids, then one 1–3-wide remainder tile.
 fn block_distances(points: &[f64], ct: &[f64], k: usize, sq: &mut [f64]) {
     let mut c = 0;
     while c + 4 <= k {
-        lane_tile::<4>(points, ct, k, c, sq);
+        store_tile(sq, c, sq_distance_tile::<1, 4>([points], &ct[c..], k));
         c += 4;
     }
     match k - c {
         0 => {}
-        1 => lane_tile::<1>(points, ct, k, c, sq),
-        2 => lane_tile::<2>(points, ct, k, c, sq),
-        _ => lane_tile::<3>(points, ct, k, c, sq),
+        1 => store_tile(sq, c, sq_distance_tile::<1, 1>([points], &ct[c..], k)),
+        2 => store_tile(sq, c, sq_distance_tile::<1, 2>([points], &ct[c..], k)),
+        _ => store_tile(sq, c, sq_distance_tile::<1, 3>([points], &ct[c..], k)),
     }
 }
 
-/// `W x LANES` register tile: the [`LANES`] points of `points` (`d x
-/// LANES`) against centroids `c..c + W` of the `d x k` transposed copy
-/// `ct`, written to `sq[(c + w) * LANES + l]`. Each pair's squared
-/// differences are summed in ascending dimension order from `0.0`; the
-/// `W` centroids run side by side so independent chains fill the FP
-/// pipeline.
+/// Writes a one-block tile of centroids `c..c + W` to `sq[(c + w) *
+/// LANES..]`.
 #[inline]
-fn lane_tile<const W: usize>(points: &[f64], ct: &[f64], k: usize, c: usize, sq: &mut [f64]) {
-    let mut acc = [[0.0f64; LANES]; W];
-    for (j, p) in points.chunks_exact(LANES).enumerate() {
-        let p: &[f64; LANES] = p.try_into().expect("LANES points");
-        let col: &[f64; W] = ct[j * k + c..j * k + c + W].try_into().expect("W centroids");
-        for w in 0..W {
-            for l in 0..LANES {
-                let diff = p[l] - col[w];
-                acc[w][l] += diff * diff;
-            }
-        }
-    }
-    for (w, acc_w) in acc.iter().enumerate() {
-        sq[(c + w) * LANES..(c + w + 1) * LANES].copy_from_slice(acc_w);
+fn store_tile<const W: usize>(sq: &mut [f64], c: usize, [tile]: [[[f64; LANES]; W]; 1]) {
+    for (w, lanes) in tile.iter().enumerate() {
+        sq[(c + w) * LANES..(c + w + 1) * LANES].copy_from_slice(lanes);
     }
 }
 
@@ -831,6 +901,7 @@ pub fn nearest_centroid(point: &[f64], centroids: &Matrix) -> (usize, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cec::{CoherentExperience, ExperienceBuffer};
 
     /// Three tight, well-separated blobs.
     fn blobs() -> (Matrix, Vec<usize>) {
@@ -1234,5 +1305,75 @@ mod tests {
             }
         }
         assert!(passed_over > 10, "too few higher-rounding candidates ({passed_over})");
+    }
+
+    /// A step of [`one_scratch_through_many_calls`]: what to fit and how.
+    fn step_data(n: usize, d: usize, seed: u64, kind: u32) -> Matrix {
+        if d == 0 {
+            return Matrix::zeros(n, 0);
+        }
+        let mut data = match kind % 3 {
+            0 => random_rows(n, d, seed),
+            1 => clustered(n, d, 1 + (seed as usize % 5), seed),
+            // Runs of one repeated row: clusters empty out and get repaired.
+            _ => Matrix::from_rows(&vec![vec![0.5; d]; n]),
+        };
+        if kind == 3 && n > 2 {
+            let row = data.row(0).to_vec();
+            data.row_mut(n / 2).copy_from_slice(&row);
+        }
+        data
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// One k-means scratch and one CEC predictor reused through a run
+        /// of fits and `predict_scored` calls whose sizes go up and down —
+        /// `n` off multiples of eight, `d` from 0, `k` on both sides of
+        /// eight, a guidance slice that grows and shrinks — must answer
+        /// every call as the textbook fit (or, at `d = 0`, where the
+        /// textbook fit cannot repair, a fresh scratch) and a fresh
+        /// predictor do: nothing of one call leaks into the next.
+        #[test]
+        fn one_scratch_through_many_calls(
+            steps in proptest::prop::collection::vec(
+                (0usize..70, 0usize..7, 1usize..14, 0u64..10_000, 0u32..6),
+                6..14,
+            )
+        ) {
+            let mut scratch = KMeansScratch::new();
+            let cec = CoherentExperience::with_recent(6, 40, 0.0, 17);
+            for (i, &(extra, d, k, seed, kind)) in steps.iter().enumerate() {
+                if kind < 4 {
+                    let data = step_data(k + extra, d, seed, kind);
+                    let km = KMeans { max_iters: 1 + (seed % 30) as usize, ..KMeans::new(k, seed) };
+                    scratch.load(data.rows(), data.cols(), data.row_iter());
+                    let fit = km.fit_in(&mut scratch);
+                    let want = if d > 0 { reference_fit(&km, &data) } else { km.fit(&data) };
+                    let at = format!("step {i}: n={} d={d} k={k} seed={seed}", data.rows());
+                    proptest::prop_assert_eq!(fit.assignments, &want.assignments[..], "{}", at);
+                    let (got, exp) = (fit.centroids.as_slice(), want.centroids.as_slice());
+                    proptest::prop_assert!(
+                        got.iter().zip(exp).all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{}", at
+                    );
+                    proptest::prop_assert_eq!(fit.inertia.to_bits(), want.inertia.to_bits(), "{}", at);
+                    proptest::prop_assert_eq!(fit.iterations, want.iterations, "{}", at);
+                } else {
+                    // Guidance of 1–70 rows (the predictor reads the last 40)
+                    // above a batch of 1–14.
+                    let guide = step_data(1 + extra, d, seed, kind);
+                    let batch = step_data(k, d, seed + 1, kind);
+                    let mut buffer = ExperienceBuffer::new(80, None);
+                    let labels: Vec<usize> = (0..guide.rows()).map(|r| (r * 7 + i) % 3).collect();
+                    buffer.push_batch(&guide, &labels);
+                    let reused = cec.predict_scored(&batch, &buffer);
+                    let fresh = cec.clone().predict_scored(&batch, &buffer);
+                    let bits = |r: Option<(Vec<usize>, f64)>| r.map(|(p, s)| (p, s.to_bits()));
+                    proptest::prop_assert_eq!(bits(reused), bits(fresh), "step {}", i);
+                }
+            }
+        }
     }
 }

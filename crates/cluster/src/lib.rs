@@ -14,4 +14,4 @@ pub mod cec;
 pub mod kmeans;
 
 pub use cec::{CoherentExperience, ExperienceBuffer};
-pub use kmeans::{KMeans, KMeansResult};
+pub use kmeans::{KMeans, KMeansFit, KMeansResult, KMeansScratch};

@@ -19,7 +19,10 @@ use freeway_ml::{Model, ModelSpec, PrecomputeAccumulator, Trainer, Workspace};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-/// Rows scored by the per-level prequential probe in [`MultiGranularity::train`].
+/// Rows scored by the per-level prequential probe in
+/// [`MultiGranularity::train`], and the rows a labeled-row scoring
+/// ([`MultiGranularity::ensemble_hits`], [`MultiGranularity::model_hits`])
+/// runs at a time.
 const PROBE_ROWS: usize = 64;
 
 /// A level's inference scratch, kept as its forward cache.
@@ -97,9 +100,6 @@ pub struct MultiGranularity {
     sigma: f64,
     precompute_subsets: usize,
     update_epochs: usize,
-    /// Projection of the short model's most recent training batch
-    /// (`ȳ_{n−1}` in Equation 12).
-    last_trained_projection: Option<Vec<f64>>,
     /// Disorder of the most recently completed window (knowledge
     /// preservation reads this).
     last_completed_disorder: Option<f64>,
@@ -109,6 +109,25 @@ pub struct MultiGranularity {
     forward_tag: Mutex<Matrix>,
     /// Scratch of the long levels' window completions.
     completion: Completion,
+    /// The ensemble vote's per-level scratch, behind a mutex because
+    /// prediction takes `&self`.
+    vote: Mutex<Vote>,
+    /// Up to [`PROBE_ROWS`] rows, with their labels, copied out of a batch
+    /// or a labeled stream for a probe or a scoring.
+    probe_rows: Matrix,
+    probe_labels: Vec<usize>,
+}
+
+/// One ensemble vote: each level's distance to the batch and kernel
+/// weight, and the voting levels with their share of the blend.
+#[derive(Default)]
+struct Vote {
+    distances: Vec<Option<f64>>,
+    weights: Vec<f64>,
+    /// `(level, weight / voting total)` for each voter, in level order.
+    voters: Vec<(usize, f64)>,
+    /// Up to [`PROBE_ROWS`] blended rows, for the hard predictions.
+    blended: Matrix,
 }
 
 impl MultiGranularity {
@@ -155,10 +174,12 @@ impl MultiGranularity {
             sigma: config.ensemble_sigma,
             precompute_subsets: config.precompute_subsets.max(1),
             update_epochs: config.asw_update_epochs.max(1),
-            last_trained_projection: None,
             last_completed_disorder: None,
             forward_tag: Mutex::new(Matrix::zeros(0, 0)),
             completion: Completion::default(),
+            vote: Mutex::new(Vote::default()),
+            probe_rows: Matrix::zeros(0, 0),
+            probe_labels: Vec::new(),
         }
     }
 
@@ -212,6 +233,10 @@ impl MultiGranularity {
             if let Some(window) = level.window.as_mut() {
                 window.clear();
                 level.trusted = false;
+                // It cannot vote before its next completion, which
+                // retrains it: its forward cache is spare until then
+                // (`model_hits`, `model_predict`).
+                level.invalidate_forward();
             }
         }
     }
@@ -251,31 +276,34 @@ impl MultiGranularity {
             // already holds these rows' probabilities; forward passes are
             // row-independent (every model here processes each sample
             // row identically regardless of its neighbours), so their
-            // argmax is bitwise what `accuracy` on the slice recomputes.
+            // argmax is bitwise what a forward pass over the slice alone
+            // recomputes. A miss runs that pass in the level's own forward
+            // workspace (the slice copied out of a longer batch into a row
+            // buffer the bank keeps) and leaves the cache invalid.
             if level.updates > 0 {
                 let n = PROBE_ROWS.min(x.rows());
                 let probe_labels = &labels[..n];
-                let acc = if n > 0 && cached {
-                    let probs = &level.forward.get_mut().probs;
-                    let hit = probs
-                        .row_iter()
-                        .zip(probe_labels)
-                        .filter(|&(row, &t)| vector::argmax(row).unwrap_or(0) == t)
-                        .count();
-                    hit as f64 / n as f64
-                } else if x.rows() > PROBE_ROWS {
-                    let sub = x.slice_rows(0, PROBE_ROWS);
-                    freeway_ml::model::accuracy(level.trainer.model(), &sub, probe_labels)
-                } else {
-                    freeway_ml::model::accuracy(level.trainer.model(), x, labels)
-                };
+                let forward = level.forward.get_mut();
+                if n > 0 && !cached {
+                    let rows = if x.rows() > PROBE_ROWS {
+                        x.copy_row_range_into(0, PROBE_ROWS, &mut self.probe_rows);
+                        &self.probe_rows
+                    } else {
+                        x
+                    };
+                    let model = level.trainer.model();
+                    model.predict_proba_into(rows, &mut forward.ws, &mut forward.probs);
+                    forward.valid = false;
+                }
+                let acc =
+                    if n > 0 { hits(&forward.probs, probe_labels) as f64 / n as f64 } else { 0.0 };
                 level.ewma_acc = 0.8 * level.ewma_acc + 0.2 * acc;
             }
             match level.window.as_mut() {
                 None => {
                     level.train_step(x, labels, cached);
                     level.updates += 1;
-                    level.trained_projection = Some(projected.to_vec());
+                    keep_projection(&mut level.trained_projection, projected);
                 }
                 Some(window) => {
                     let (sx, sy) = shared_batch
@@ -312,7 +340,6 @@ impl MultiGranularity {
                 }
             }
         }
-        self.last_trained_projection = Some(projected.to_vec());
     }
 
     /// Degraded-mode training (overload ladder level `short-only`): only
@@ -329,10 +356,9 @@ impl MultiGranularity {
                 let cached = tagged && level.forward.get_mut().valid;
                 level.train_step(x, labels, cached);
                 level.updates += 1;
-                level.trained_projection = Some(projected.to_vec());
+                keep_projection(&mut level.trained_projection, projected);
             }
         }
-        self.last_trained_projection = Some(projected.to_vec());
     }
 
     /// Ensemble class probabilities for a batch whose projection is
@@ -344,7 +370,19 @@ impl MultiGranularity {
     /// feature scale and robust right after severe shifts (when absolute
     /// distances are all inflated).
     pub fn predict_proba(&self, x: &Matrix, current_projection: &[f64]) -> Matrix {
-        let mut distances = Vec::with_capacity(self.levels.len());
+        let mut vote = self.vote.lock();
+        self.vote(x, current_projection, &mut vote);
+        let mut blended = Matrix::zeros(x.rows(), self.spec.classes());
+        self.blend(&vote.voters, 0, &mut blended);
+        blended
+    }
+
+    /// Weighs every level for a batch at `current_projection` and runs
+    /// each voter's forward pass on `x` into its [`ForwardCache`], leaving
+    /// the voters and their shares of the blend in `vote`.
+    fn vote(&self, x: &Matrix, current_projection: &[f64], vote: &mut Vote) {
+        let Vote { distances, weights, voters, .. } = vote;
+        distances.clear();
         for level in &self.levels {
             // A level that has never trained must not vote (random
             // initialisation), nor one whose training data a severe shift
@@ -360,48 +398,39 @@ impl MultiGranularity {
             distances.push(Some(d));
         }
         let min_d = distances.iter().flatten().cloned().fold(f64::INFINITY, f64::min);
-        let mut weights: Vec<f64> = if min_d.is_finite() && min_d > 1e-12 {
+        weights.clear();
+        if min_d.is_finite() && min_d > 1e-12 {
             let sigma = (self.sigma * min_d).max(1e-12);
-            distances
-                .iter()
-                .zip(&self.levels)
-                .map(|(d, level)| {
-                    // Distance kernel (Eq. 14) modulated by prequential
-                    // quality: at similar distances the historically more
-                    // accurate level dominates.
-                    d.map_or(0.0, |d| gaussian_kernel(d, sigma) * level.ewma_acc.powi(4))
-                })
-                .collect()
+            weights.extend(distances.iter().zip(&self.levels).map(|(d, level)| {
+                // Distance kernel (Eq. 14) modulated by prequential
+                // quality: at similar distances the historically more
+                // accurate level dominates.
+                d.map_or(0.0, |d| gaussian_kernel(d, sigma) * level.ewma_acc.powi(4))
+            }));
         } else if min_d.is_finite() {
             // The closest model sits exactly on the data: it wins outright.
-            distances
-                .iter()
-                .map(|d| match d {
-                    Some(d) if *d <= 1e-12 => 1.0,
-                    _ => 0.0,
-                })
-                .collect()
+            weights.extend(distances.iter().map(|d| match d {
+                Some(d) if *d <= 1e-12 => 1.0,
+                _ => 0.0,
+            }));
         } else {
             // Nothing has trained yet: uniform vote so predictions exist.
-            vec![1.0; self.levels.len()]
-        };
+            weights.resize(self.levels.len(), 1.0);
+        }
         let total: f64 = weights.iter().sum();
         if total <= f64::EPSILON {
             weights.iter_mut().for_each(|w| *w = 1.0);
         }
         let total: f64 = weights.iter().sum();
 
-        let mut blended = Matrix::zeros(x.rows(), self.spec.classes());
         // A level whose kernel weight is negligible cannot change the
         // argmax; skipping it saves a full forward pass, which is the
         // common case on directional streams where the long model's
         // fingerprint lags behind the data.
-        let voters: Vec<(usize, f64)> = weights
-            .iter()
-            .enumerate()
-            .filter(|(_, &w)| w > 0.02 * total)
-            .map(|(i, &w)| (i, w))
-            .collect();
+        voters.clear();
+        voters.extend(
+            weights.iter().enumerate().filter(|(_, &w)| w > 0.02 * total).map(|(i, &w)| (i, w)),
+        );
         let voting_total: f64 = voters.iter().map(|(_, w)| w).sum();
         // Every voter's forward pass now runs on `x`: tag it, and drop the
         // caches of levels that sit this batch out.
@@ -414,15 +443,46 @@ impl MultiGranularity {
         // The paper deploys the granularity models as separate processes
         // that infer concurrently; here the voters run one after the
         // other on the caller's thread, blended in level order.
-        for &(i, w) in &voters {
-            let level = &self.levels[i];
+        for (i, share) in voters.iter_mut() {
+            let level = &self.levels[*i];
             let mut guard = level.forward.lock();
             let cache = &mut *guard;
             level.trainer.model().predict_proba_into(x, &mut cache.ws, &mut cache.probs);
             cache.valid = true;
-            blended.axpy(w / voting_total, &cache.probs);
+            *share /= voting_total;
         }
-        blended
+    }
+
+    /// The voters' probabilities for rows `start..start + out.rows()` of
+    /// the batch they last ran on, blended in level order into `out`.
+    fn blend(&self, voters: &[(usize, f64)], start: usize, out: &mut Matrix) {
+        let span = start * out.cols()..(start + out.rows()) * out.cols();
+        let out = out.as_mut_slice();
+        out.fill(0.0);
+        for &(i, share) in voters {
+            vector::axpy(out, share, &self.levels[i].forward.lock().probs.as_slice()[span.clone()]);
+        }
+    }
+
+    /// Calls `each(row, class)` with the ensemble's hard prediction for
+    /// every row of `x`: the blend of [`Self::predict_proba`], taken
+    /// [`PROBE_ROWS`] rows at a time into a buffer the bank keeps.
+    fn each_prediction(
+        &self,
+        x: &Matrix,
+        current_projection: &[f64],
+        mut each: impl FnMut(usize, usize),
+    ) {
+        let mut guard = self.vote.lock();
+        self.vote(x, current_projection, &mut guard);
+        let Vote { voters, blended, .. } = &mut *guard;
+        for start in (0..x.rows()).step_by(PROBE_ROWS) {
+            blended.resize(PROBE_ROWS.min(x.rows() - start), self.spec.classes());
+            self.blend(voters, start, blended);
+            for (r, row) in blended.row_iter().enumerate() {
+                each(start + r, vector::argmax(row).unwrap_or(0));
+            }
+        }
     }
 
     /// Flat parameters of every level, short (level 0) first.
@@ -499,9 +559,103 @@ impl MultiGranularity {
 
     /// Hard predictions via the ensemble.
     pub fn predict(&self, x: &Matrix, current_projection: &[f64]) -> Vec<usize> {
-        let probs = self.predict_proba(x, current_projection);
-        probs.row_iter().map(|row| vector::argmax(row).unwrap_or(0)).collect()
+        let mut predictions = Vec::with_capacity(x.rows());
+        self.each_prediction(x, current_projection, |_, class| predictions.push(class));
+        predictions
     }
+
+    /// The ensemble's correct predictions on labeled `rows` at
+    /// `current_projection`, and how many rows there were. The rows are
+    /// copied 64 at a time into a buffer the bank keeps and
+    /// predicted as [`Self::predict`] would (a forward pass treats every
+    /// row alike, whatever rows share its batch), so nothing is allocated
+    /// once the buffer is warm. The bank is left tagged with the last
+    /// chunk.
+    pub(crate) fn ensemble_hits<'r>(
+        &mut self,
+        rows: impl IntoIterator<Item = (&'r [f64], usize)>,
+        current_projection: &[f64],
+    ) -> (usize, usize) {
+        let mut rows = rows.into_iter();
+        let (mut hit, mut count) = (0, 0);
+        while self.fill_probe(&mut rows) {
+            let (x, labels) = (&self.probe_rows, &self.probe_labels);
+            self.each_prediction(x, current_projection, |r, class| {
+                hit += usize::from(class == labels[r]);
+            });
+            count += labels.len();
+        }
+        (hit, count)
+    }
+
+    /// `model`'s correct predictions on labeled `rows`, and how many rows
+    /// there were: [`Self::ensemble_hits`] for a model outside the bank
+    /// (a knowledge snapshot under an evidence check). Its forward passes
+    /// run in the longest level's forward workspace, whose cache a severe
+    /// shift has already invalidated (the short level's, invalidated here,
+    /// when it is the only one).
+    pub(crate) fn model_hits<'r>(
+        &mut self,
+        model: &dyn Model,
+        rows: impl IntoIterator<Item = (&'r [f64], usize)>,
+    ) -> (usize, usize) {
+        let mut rows = rows.into_iter();
+        let (mut hit, mut count) = (0, 0);
+        while self.fill_probe(&mut rows) {
+            let forward = spare_forward(&mut self.levels);
+            model.predict_proba_into(&self.probe_rows, &mut forward.ws, &mut forward.probs);
+            hit += hits(&forward.probs, &self.probe_labels);
+            count += self.probe_labels.len();
+        }
+        (hit, count)
+    }
+
+    /// `model`'s hard predictions for `x`, its forward pass run where
+    /// [`Self::model_hits`] runs it.
+    pub(crate) fn model_predict(&mut self, model: &dyn Model, x: &Matrix) -> Vec<usize> {
+        let forward = spare_forward(&mut self.levels);
+        model.predict_proba_into(x, &mut forward.ws, &mut forward.probs);
+        forward.probs.row_iter().map(|row| vector::argmax(row).unwrap_or(0)).collect()
+    }
+
+    /// Copies the next [`PROBE_ROWS`] labeled rows into the probe buffers;
+    /// false when none were left.
+    fn fill_probe<'r>(&mut self, rows: &mut impl Iterator<Item = (&'r [f64], usize)>) -> bool {
+        self.probe_labels.clear();
+        for (r, (row, label)) in rows.take(PROBE_ROWS).enumerate() {
+            if r == 0 {
+                self.probe_rows.resize(PROBE_ROWS, row.len());
+            }
+            self.probe_rows.row_mut(r).copy_from_slice(row);
+            self.probe_labels.push(label);
+        }
+        let cols = self.probe_rows.cols();
+        self.probe_rows.resize(self.probe_labels.len(), cols);
+        !self.probe_labels.is_empty()
+    }
+}
+
+/// The forward cache models outside the bank run in: the longest level's,
+/// invalidated.
+fn spare_forward(levels: &mut [Level]) -> &mut ForwardCache {
+    // Audited: the constructor clamps `model_num` to at least 1, so
+    // `levels` is never empty.
+    #[allow(clippy::expect_used)]
+    let level = levels.last_mut().expect("at least one level");
+    level.invalidate_forward();
+    level.forward.get_mut()
+}
+
+/// How many rows of `probs` have their argmax at the matching label.
+fn hits(probs: &Matrix, labels: &[usize]) -> usize {
+    probs.row_iter().zip(labels).filter(|&(row, &t)| vector::argmax(row).unwrap_or(0) == t).count()
+}
+
+/// Sets `slot` to a copy of `projected`, reusing the vector it holds.
+fn keep_projection(slot: &mut Option<Vec<f64>>, projected: &[f64]) {
+    let kept = slot.get_or_insert_with(Vec::new);
+    kept.clear();
+    kept.extend_from_slice(projected);
 }
 
 /// Whether `a` and `b` have the same shape and bitwise-equal entries (a

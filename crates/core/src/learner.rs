@@ -15,8 +15,8 @@ use crate::knowledge::{KnowledgeStore, SharedKnowledge, SharedReader};
 use crate::selector::{Decision, StrategySelector};
 use freeway_cluster::{CoherentExperience, ExperienceBuffer};
 use freeway_drift::ShiftPattern;
-use freeway_linalg::{vector, Matrix};
-use freeway_ml::{ModelSnapshot, ModelSpec};
+use freeway_linalg::Matrix;
+use freeway_ml::{Model, ModelSnapshot, ModelSpec};
 use freeway_streams::Batch;
 use freeway_telemetry::{Stage, Telemetry, TelemetryEvent};
 
@@ -169,23 +169,54 @@ pub struct Learner {
     /// publishes survived the in-process crash, so re-publishing them
     /// would be a side effect the fault-free run never had.
     shared_publish_muted: bool,
+    /// The model knowledge snapshots are loaded into for evidence checks
+    /// and reuse, built on first use.
+    evidence: Option<Evidence>,
+    /// A training batch's column means, centred copy and projection.
+    projection: Projection,
 }
 
-/// One severe batch's guidance slice: the freshest labeled points, which
-/// already carry the post-shift distribution (continuity hypothesis), and
-/// the live ensemble's accuracy on them. Every evidence gate on the batch
-/// (local reuse, shared reuse, CEC arbitration) scores against this
-/// slice, and none of them changes the experience buffer or the ensemble,
-/// so the slice is copied, and the ensemble scored, at most once per batch.
-struct Guidance {
-    x: Matrix,
-    y: Vec<usize>,
-    ensemble_score: Option<f64>,
+/// A kept model of one architecture: a snapshot's parameters are loaded
+/// into it instead of into a freshly built model.
+struct Evidence {
+    spec: ModelSpec,
+    model: Box<dyn Model>,
 }
 
-/// Fraction of `predictions` equal to `labels` (non-empty).
-fn hit_rate(predictions: &[usize], labels: &[usize]) -> f64 {
-    predictions.iter().zip(labels).filter(|(p, t)| p == t).count() as f64 / labels.len() as f64
+impl Evidence {
+    /// `slot`'s model holding `snapshot`'s parameters, rebuilt only when
+    /// the snapshot is of another architecture.
+    fn load<'e>(slot: &'e mut Option<Evidence>, snapshot: &ModelSnapshot) -> &'e dyn Model {
+        match slot {
+            Some(kept) if kept.spec == snapshot.spec => {
+                kept.model.set_parameters(&snapshot.params);
+            }
+            _ => {
+                *slot = Some(Evidence { spec: snapshot.spec.clone(), model: snapshot.restore() });
+            }
+        }
+        Self::loaded(slot)
+    }
+
+    /// The model the last [`Self::load`] into `slot` filled.
+    fn loaded(slot: &Option<Evidence>) -> &dyn Model {
+        // Audited: every caller loads the slot first.
+        #[allow(clippy::expect_used)]
+        &*slot.as_ref().expect("a snapshot was loaded").model
+    }
+}
+
+/// Buffers of [`Learner::project`].
+#[derive(Default)]
+struct Projection {
+    mean: Vec<f64>,
+    centered: Vec<f64>,
+    projected: Vec<f64>,
+}
+
+/// Fraction of hits among `count` scored rows (non-empty).
+fn hit_rate((hits, count): (usize, usize)) -> f64 {
+    hits as f64 / count as f64
 }
 
 impl Learner {
@@ -244,6 +275,8 @@ impl Learner {
             shared_hits: 0,
             pseudo_trained: 0,
             shared_publish_muted: false,
+            evidence: None,
+            projection: Projection::default(),
         })
     }
 
@@ -361,15 +394,23 @@ impl Learner {
         self.shared_publish_muted = muted;
     }
 
-    /// Projects a batch mean into shift-graph coordinates (zeros during
-    /// warm-up, when no PCA exists yet).
-    fn project(&self, x: &Matrix) -> Vec<f64> {
+    /// Projects a batch mean into shift-graph coordinates, left in
+    /// `projection.projected` (zeros during warm-up, when no PCA exists
+    /// yet), through buffers the learner keeps.
+    fn project(&mut self, x: &Matrix) {
+        let p = &mut self.projection;
         match self.selector.tracker().pca() {
-            Some(pca) => pca.project_mean(&x.column_means()),
+            Some(pca) => {
+                x.column_means_into(&mut p.mean);
+                pca.project_mean_into(&p.mean, &mut p.centered, &mut p.projected);
+            }
             // The warm-up placeholder must match the dimension PCA will
             // actually fit, which is capped by the feature count (e.g.
             // SEA has 3 features but the default asks for 4 components).
-            None => vec![0.0; self.config.pca_components.min(self.spec.features())],
+            None => {
+                p.projected.clear();
+                p.projected.resize(self.config.pca_components.min(self.spec.features()), 0.0);
+            }
         }
     }
 
@@ -413,8 +454,8 @@ impl Learner {
                 // already projected the batch into `measurement.projected`,
                 // so projecting up front would duplicate the column-means
                 // and PCA work on every post-warmup batch.
-                let projected = self.project(x);
-                let predictions = self.granularity.predict(x, &projected);
+                self.project(x);
+                let predictions = self.granularity.predict(x, &self.projection.projected);
                 InferenceReport {
                     predictions,
                     strategy: Strategy::Ensemble,
@@ -480,7 +521,7 @@ impl Learner {
         &mut self,
         x: &Matrix,
         projected: &[f64],
-        guidance: &mut Option<Guidance>,
+        ensemble_score: &mut Option<f64>,
     ) -> Option<(Vec<usize>, Strategy)> {
         if self.shared.is_none() || !self.config.enable_knowledge {
             return None;
@@ -489,13 +530,13 @@ impl Learner {
         // incomparable), so the lookup key is the raw batch mean.
         let fingerprint = x.column_means();
         let (entry, distance) = self.shared.as_mut()?.nearest_foreign(&fingerprint)?;
-        let g = self.guidance(guidance);
-        if g.y.is_empty() {
+        if self.experience.is_empty() {
             return None;
         }
-        let restored = entry.snapshot.restore();
-        let restored_score = hit_rate(&restored.predict(&g.x), &g.y);
-        if restored_score < self.ensemble_guidance_score(g, projected) {
+        let restored = Evidence::load(&mut self.evidence, &entry.snapshot);
+        let guidance = self.experience.recent_rows(self.cec.max_experience);
+        let restored_score = hit_rate(self.granularity.model_hits(restored, guidance));
+        if restored_score < self.ensemble_guidance_score(ensemble_score, projected) {
             return None;
         }
         self.shared_hits += 1;
@@ -507,20 +548,19 @@ impl Learner {
                 distance,
             });
         }
-        let probs = restored.predict_proba(x);
-        let preds = probs.row_iter().map(|r| vector::argmax(r).unwrap_or(0)).collect();
+        let preds = self.granularity.model_predict(Evidence::loaded(&self.evidence), x);
         Some((preds, Strategy::KnowledgeReuse))
     }
 
-    /// Pattern B. `guidance` carries the slice (and the ensemble's score
-    /// on it) a failed reuse gate already built for this batch.
+    /// Pattern B. `ensemble_score` carries the ensemble's guidance score a
+    /// failed reuse gate already took for this batch.
     fn infer_sudden(
         &mut self,
         x: &Matrix,
         projected: &[f64],
-        guidance: &mut Option<Guidance>,
+        ensemble_score: &mut Option<f64>,
     ) -> (Vec<usize>, Strategy) {
-        if let Some(reused) = self.try_shared_reuse(x, projected, guidance) {
+        if let Some(reused) = self.try_shared_reuse(x, projected, ensemble_score) {
             return reused;
         }
         if !self.config.enable_cec {
@@ -533,11 +573,9 @@ impl Learner {
                 // hypothesis). CEC's purity *is* its accuracy on the
                 // guidance slice (guidance points inherit their cluster's
                 // majority label), so scoring the ensemble on the same
-                // slice makes the comparison apples-to-apples.
-                let g = self.guidance(guidance);
-                let ensemble_score =
-                    if g.y.is_empty() { 0.0 } else { self.ensemble_guidance_score(g, projected) };
-                if purity > ensemble_score {
+                // slice makes the comparison apples-to-apples. (CEC found
+                // guidance, so the slice is not empty.)
+                if purity > self.ensemble_guidance_score(ensemble_score, projected) {
                     (preds, Strategy::Clustering)
                 } else {
                     (self.granularity.predict(x, projected), Strategy::Ensemble)
@@ -554,61 +592,58 @@ impl Learner {
         projected: &[f64],
         distance: f64,
     ) -> (Vec<usize>, Strategy) {
-        let mut guidance = None;
+        let mut ensemble_score = None;
         if !self.config.enable_knowledge {
-            return self.infer_sudden(x, projected, &mut guidance);
+            return self.infer_sudden(x, projected, &mut ensemble_score);
         }
         // Knowledge must also beat the nearest *live* model's fingerprint:
         // if a current model is as close to this data as the snapshot is,
         // restoring the snapshot can only lose (it is older).
         let live_bound = self.granularity.nearest_live_distance(projected).unwrap_or(f64::INFINITY);
-        if let Some(entry) = self.knowledge.match_knowledge(projected, distance.min(live_bound)) {
-            // Read-only reuse: the matched snapshot answers this batch.
-            // Overwriting the live models would destroy their current
-            // adaptation whenever a match is a false positive, so reuse
-            // stays inference-side and incremental training continues
-            // uninterrupted (§IV-D only requires the knowledge to serve
-            // the reoccurring distribution).
-            let restored = entry.snapshot.restore();
-            // Evidence check: a genuine reoccurrence means the freshest
-            // labeled points (continuity hypothesis) come from the
-            // distribution the snapshot was trained on, so the snapshot
-            // must score well on them. A projection-collision false match
-            // fails here and falls through to the Pattern-B path.
-            let g = self.guidance(&mut guidance);
-            if !g.y.is_empty() {
-                let restored_score = hit_rate(&restored.predict(&g.x), &g.y);
-                if restored_score < self.ensemble_guidance_score(g, projected) {
-                    return self.infer_sudden(x, projected, &mut guidance);
-                }
-            }
-            let probs = restored.predict_proba(x);
-            let preds = probs.row_iter().map(|r| vector::argmax(r).unwrap_or(0)).collect();
-            (preds, Strategy::KnowledgeReuse)
-        } else {
+        let Some(entry) = self.knowledge.match_knowledge(projected, distance.min(live_bound))
+        else {
             // No matching knowledge: Pattern C degenerates to Pattern B.
-            self.infer_sudden(x, projected, &mut guidance)
+            return self.infer_sudden(x, projected, &mut ensemble_score);
+        };
+        // Read-only reuse: the matched snapshot answers this batch.
+        // Overwriting the live models would destroy their current
+        // adaptation whenever a match is a false positive, so reuse stays
+        // inference-side and incremental training continues uninterrupted
+        // (§IV-D only requires the knowledge to serve the reoccurring
+        // distribution).
+        let restored = Evidence::load(&mut self.evidence, &entry.snapshot);
+        // Evidence check: a genuine reoccurrence means the freshest labeled
+        // points (continuity hypothesis) come from the distribution the
+        // snapshot was trained on, so the snapshot must score well on them.
+        // A projection-collision false match fails here and falls through
+        // to the Pattern-B path.
+        if !self.experience.is_empty() {
+            let guidance = self.experience.recent_rows(self.cec.max_experience);
+            let restored_score = hit_rate(self.granularity.model_hits(restored, guidance));
+            if restored_score < self.ensemble_guidance_score(&mut ensemble_score, projected) {
+                return self.infer_sudden(x, projected, &mut ensemble_score);
+            }
         }
+        let restored = Evidence::loaded(&self.evidence);
+        (self.granularity.model_predict(restored, x), Strategy::KnowledgeReuse)
     }
 
-    /// The batch's guidance slice, copied out of the experience buffer on
-    /// first use.
-    fn guidance<'g>(&self, cache: &'g mut Option<Guidance>) -> &'g mut Guidance {
-        cache.get_or_insert_with(|| {
-            let (x, y) = self.experience.snapshot_recent(self.cec.max_experience);
-            Guidance { x, y, ensemble_score: None }
-        })
-    }
-
-    /// The live ensemble's accuracy on a non-empty guidance slice, scored
-    /// on first use.
-    fn ensemble_guidance_score(&self, g: &mut Guidance, projected: &[f64]) -> f64 {
-        if let Some(score) = g.ensemble_score {
+    /// The live ensemble's accuracy on the guidance slice — the freshest
+    /// labeled points, which already carry the post-shift distribution
+    /// (continuity hypothesis) — scored on first use. Every evidence gate
+    /// on a severe batch (local reuse, shared reuse, CEC arbitration)
+    /// scores against this slice, and none of them changes the experience
+    /// buffer or the ensemble, so the ensemble is scored at most once per
+    /// batch. The slice is read from the experience ring in place; it
+    /// must not be empty.
+    fn ensemble_guidance_score(&mut self, score: &mut Option<f64>, projected: &[f64]) -> f64 {
+        if let Some(score) = *score {
             return score;
         }
-        let score = hit_rate(&self.granularity.predict(&g.x, projected), &g.y);
-        g.ensemble_score = Some(score);
-        score
+        let guidance = self.experience.recent_rows(self.cec.max_experience);
+        let fresh = hit_rate(self.granularity.ensemble_hits(guidance, projected));
+        *score = Some(fresh);
+        fresh
     }
 
     /// Handles one **training** batch: always updates the
@@ -631,7 +666,8 @@ impl Learner {
         if !self.selector.is_ready() {
             let _ = self.selector.observe(x);
         }
-        let projected = self.project(x);
+        self.project(x);
+        let projected = &self.projection.projected;
         if degradation == DegradationLevel::ShortOnly {
             // Overload ladder step 1: skip the multi-granularity retrain;
             // only the cheap short model tracks the stream. Experience
@@ -639,12 +675,12 @@ impl Learner {
             // severe shifts do not wait for the load to clear), but
             // window completions cannot happen, so knowledge
             // preservation is naturally paused.
-            self.granularity.train_short_only(x, labels, &projected);
+            self.granularity.train_short_only(x, labels, projected);
             self.experience.tick();
             self.experience.push_batch(x, labels);
             return;
         }
-        self.granularity.train(x, labels, &projected);
+        self.granularity.train(x, labels, projected);
 
         // Maintain the coherent-experience buffer from the training stream.
         self.experience.tick();
@@ -669,7 +705,7 @@ impl Learner {
                 self.granularity.short_model()
             };
             self.knowledge.preserve_dedup(
-                projected,
+                self.projection.projected.clone(),
                 model,
                 self.spec.clone(),
                 disorder,
@@ -767,8 +803,8 @@ impl Learner {
             return;
         }
         let _span = self.telemetry.time(Stage::Train);
-        let projected = self.project(x);
-        self.granularity.train_short_only(x, &preds, &projected);
+        self.project(x);
+        self.granularity.train_short_only(x, &preds, &self.projection.projected);
         self.pseudo_trained += 1;
     }
 }

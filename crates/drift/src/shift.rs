@@ -84,14 +84,30 @@ pub struct ShiftMeasurement {
 /// let m = tracker.observe(&Matrix::filled(4, 2, 3.0)).unwrap();
 /// assert!(m.distance >= 0.0);
 /// ```
+///
+/// Once the history is full a measurement allocates only the projection
+/// it returns: the batch mean, its projection, the recency weights and
+/// the remembered distributions live in buffers the tracker keeps.
 #[derive(Clone, Debug)]
 pub struct ShiftTracker {
     config: ShiftTrackerConfig,
     warmup: Option<PcaWarmup>,
     pca: Option<PcaReducer>,
-    previous: Option<Vec<f64>>,
+    /// The previous batch's projected mean (empty until PCA is fitted).
+    previous: Vec<f64>,
     shift_history: VecDeque<f64>,
-    distributions: VecDeque<Vec<f64>>,
+    /// `stats::recency_weights` for the history's current length.
+    weights: Vec<f64>,
+    /// Remembered projected means, a ring of `distribution_memory` rows of
+    /// the projection's width: `distribution_count` of them from row
+    /// `distribution_head` on, oldest first.
+    distributions: Vec<f64>,
+    distribution_head: usize,
+    distribution_count: usize,
+    /// Per-batch scratch: the batch mean, its centred copy, its projection.
+    mean: Vec<f64>,
+    centered: Vec<f64>,
+    projected: Vec<f64>,
     telemetry: Telemetry,
 }
 
@@ -104,9 +120,15 @@ impl ShiftTracker {
             warmup: Some(PcaWarmup::new(config.warmup_rows, config.components)),
             config,
             pca: None,
-            previous: None,
+            previous: Vec::new(),
             shift_history: VecDeque::new(),
-            distributions: VecDeque::new(),
+            weights: Vec::new(),
+            distributions: Vec::new(),
+            distribution_head: 0,
+            distribution_count: 0,
+            mean: Vec::new(),
+            centered: Vec::new(),
+            projected: Vec::new(),
             telemetry: Telemetry::disabled(),
         }
     }
@@ -134,8 +156,12 @@ impl ShiftTracker {
 
     /// Remembered historical distributions (projected means), oldest
     /// first. Index positions match [`ShiftMeasurement::nearest_index`].
-    pub fn distributions(&self) -> &VecDeque<Vec<f64>> {
-        &self.distributions
+    pub fn distributions(&self) -> impl ExactSizeIterator<Item = &[f64]> {
+        let (width, memory) = (self.previous.len(), self.config.distribution_memory);
+        (0..self.distribution_count).map(move |i| {
+            let row = (self.distribution_head + i) % memory;
+            &self.distributions[row * width..(row + 1) * width]
+        })
     }
 
     /// Current weighted mean and standard deviation of the shift-distance
@@ -146,47 +172,42 @@ impl ShiftTracker {
         if self.shift_history.len() < 2 {
             return (0.0, 0.0);
         }
-        let hist: Vec<f64> = self.shift_history.iter().copied().collect();
-        let weights = stats::recency_weights(hist.len(), self.config.recency_decay);
-        let mu = stats::weighted_mean(&hist, &weights);
-        (mu, stats::std_dev_around(&hist, mu))
+        // `observe` keeps the history contiguous, so this is all of it.
+        let (history, _) = self.shift_history.as_slices();
+        let mu = stats::weighted_mean(history, &self.weights);
+        (mu, stats::std_dev_around(history, mu))
     }
 
     /// Observes a batch; returns `None` during PCA warm-up.
     pub fn observe(&mut self, batch: &Matrix) -> Option<ShiftMeasurement> {
-        if self.pca.is_none() {
+        let Some(pca) = self.pca.as_ref() else {
             let warmup = self.warmup.as_mut().expect("warmup present until PCA fitted");
             if let Some(fitted) = warmup.feed(batch) {
+                // The warm-up tail also serves as the first reference point.
+                batch.column_means_into(&mut self.mean);
+                fitted.project_mean_into(&self.mean, &mut self.centered, &mut self.previous);
+                self.distributions = vec![0.0; self.config.distribution_memory * fitted.k()];
                 self.pca = Some(fitted);
                 self.warmup = None;
-                // The warm-up tail also serves as the first reference point.
-                let mean = batch.column_means();
-                let projected = self.pca.as_ref().expect("just fitted").project_mean(&mean);
-                self.previous = Some(projected);
             }
             return None;
-        }
-
-        let pca = self.pca.as_ref().expect("ready");
-        let projected = {
-            let _span = self.telemetry.time(Stage::PcaProject);
-            let mean = batch.column_means();
-            pca.project_mean(&mean)
         };
 
+        {
+            let _span = self.telemetry.time(Stage::PcaProject);
+            batch.column_means_into(&mut self.mean);
+            pca.project_mean_into(&self.mean, &mut self.centered, &mut self.projected);
+        }
+
         let _shift_span = self.telemetry.time(Stage::Shift);
-        let previous = self.previous.as_ref().expect("set when PCA fitted");
-        let distance = vector::euclidean_distance(&projected, previous);
+        let distance = vector::euclidean_distance(&self.projected, &self.previous);
 
         // Severity against weighted history (Equations 8–10).
         let mut recorded_distance = distance;
         let mut history_mean = distance;
         let mut history_std = 0.0;
         let severity = if self.shift_history.len() >= 2 {
-            let hist: Vec<f64> = self.shift_history.iter().copied().collect();
-            let weights = stats::recency_weights(hist.len(), self.config.recency_decay);
-            let mu = stats::weighted_mean(&hist, &weights);
-            let sigma = stats::std_dev_around(&hist, mu);
+            let (mu, sigma) = self.history_stats();
             history_mean = mu;
             history_std = sigma;
             if sigma > 1e-12 {
@@ -209,10 +230,9 @@ impl ShiftTracker {
 
         // Nearest historical distribution (for Pattern C detection).
         let (nearest_historical, nearest_index) = self
-            .distributions
-            .iter()
+            .distributions()
             .enumerate()
-            .map(|(i, d)| (vector::euclidean_distance(&projected, d), i))
+            .map(|(i, d)| (vector::euclidean_distance(&self.projected, d), i))
             .min_by(|a, b| a.0.partial_cmp(&b.0).expect("finite distances"))
             .map_or((None, None), |(d, i)| (Some(d), Some(i)));
 
@@ -221,15 +241,18 @@ impl ShiftTracker {
         while self.shift_history.len() > self.config.history {
             self.shift_history.pop_front();
         }
-        self.distributions.push_back(previous.clone());
-        while self.distributions.len() > self.config.distribution_memory {
-            self.distributions.pop_front();
+        self.shift_history.make_contiguous();
+        if self.weights.len() != self.shift_history.len() {
+            // Constant once the history is full.
+            self.weights =
+                stats::recency_weights(self.shift_history.len(), self.config.recency_decay);
         }
-        self.previous = Some(projected.clone());
+        self.remember(self.previous.len());
+        self.previous.copy_from_slice(&self.projected);
 
         self.telemetry.record_shift(if severity.is_finite() { severity } else { 1e9 }, distance);
         Some(ShiftMeasurement {
-            projected,
+            projected: self.projected.clone(),
             distance,
             severity,
             nearest_historical,
@@ -237,6 +260,22 @@ impl ShiftTracker {
             history_mean,
             history_std,
         })
+    }
+
+    /// Appends the previous batch's projection to the remembered
+    /// distributions, dropping the oldest when the ring is full.
+    fn remember(&mut self, width: usize) {
+        let memory = self.config.distribution_memory;
+        if memory == 0 {
+            return;
+        }
+        let row = (self.distribution_head + self.distribution_count) % memory;
+        self.distributions[row * width..(row + 1) * width].copy_from_slice(&self.previous);
+        if self.distribution_count == memory {
+            self.distribution_head = (self.distribution_head + 1) % memory;
+        } else {
+            self.distribution_count += 1;
+        }
     }
 }
 

@@ -26,6 +26,13 @@
 //! k-means regression shows here beside the GEMM points. It is reported,
 //! not gated; the k-means tests gate the pruning itself.
 //!
+//! `cec_predict_scored` times one warm CEC call at learner-drift's shape
+//! (256 guidance + 256 batch rows, 20 features, k = 20) with the same flop
+//! figure, and also reports the process's minor page faults per call,
+//! read from `/proc/self/stat` (`-1` where that file is absent): a call
+//! that frees large buffers the allocator hands back to the kernel takes
+//! page faults to fault them in again on the next one.
+//!
 //! Two points time the learner-drift long model's work whole, on NSL-KDD
 //! batches: `mlp_gradient`, one weighted MLP gradient at `256x20>32>5`
 //! (forward with its fused bias and ReLU, softmax, backward), and
@@ -37,7 +44,7 @@
 //! prints them beside [`freeway_linalg::lanes::BACKEND`], the register
 //! form the kernels were built for.
 
-use freeway_cluster::KMeans;
+use freeway_cluster::{CoherentExperience, ExperienceBuffer, KMeans};
 use freeway_linalg::{vector, Matrix};
 use freeway_ml::{ModelSpec, PrecomputeAccumulator, Sgd, Trainer};
 use freeway_streams::StreamGenerator;
@@ -48,10 +55,11 @@ use std::time::Instant;
 #[derive(Clone, Debug, Serialize)]
 pub struct KernelBenchPoint {
     /// Kernel name (`dot`, `axpy`, `matmul`, `matmul_transa`,
-    /// `matmul_transb`, `softmax_rows`, `kmeans_fit`, `mlp_gradient`,
-    /// `window_completion`).
+    /// `matmul_transb`, `softmax_rows`, `kmeans_fit`, `cec_predict_scored`,
+    /// `mlp_gradient`, `window_completion`).
     pub kernel: String,
-    /// Shape tag, `m x k x n` for matmuls, `n x d kK` for `kmeans_fit`,
+    /// Shape tag, `m x k x n` for matmuls, `n x d kK` for `kmeans_fit` and
+    /// `cec_predict_scored`,
     /// `rows x features>hidden>classes` for the MLP points (prefixed by
     /// the subset count, and suffixed by the epochs, for
     /// `window_completion`), element count otherwise.
@@ -63,6 +71,18 @@ pub struct KernelBenchPoint {
     pub ns_per_call: f64,
     /// Achieved throughput in GFLOP/s.
     pub gflops: f64,
+    /// Minor page faults per call, measured for `cec_predict_scored` only
+    /// (`-1` where `/proc/self/stat` is absent), `None` elsewhere.
+    pub minor_faults_per_call: Option<f64>,
+}
+
+/// The process's minor page faults so far (field 10 of `/proc/self/stat`),
+/// or `None` where that file is absent.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // The fields after the parenthesised command name start at field 3.
+    let fields = &stat[stat.rfind(')')? + 1..];
+    fields.split_whitespace().nth(7)?.parse().ok()
 }
 
 /// Deterministic pseudo-random fill (no RNG dependency; value range keeps
@@ -127,6 +147,7 @@ pub fn run() -> Vec<KernelBenchPoint> {
             flops_per_call: flops,
             ns_per_call: ns,
             gflops: gf,
+            minor_faults_per_call: None,
         });
         let (ns, gf) = time_calls(flops, || {
             vector::axpy(&mut a, 1.000000001, &b);
@@ -138,6 +159,7 @@ pub fn run() -> Vec<KernelBenchPoint> {
             flops_per_call: flops,
             ns_per_call: ns,
             gflops: gf,
+            minor_faults_per_call: None,
         });
         fill(&mut a, 1);
     }
@@ -171,6 +193,7 @@ pub fn run() -> Vec<KernelBenchPoint> {
             flops_per_call: flops,
             ns_per_call: ns,
             gflops: gf,
+            minor_faults_per_call: None,
         });
 
         // A^T B with A sized so the output matches the gradient shapes
@@ -190,6 +213,7 @@ pub fn run() -> Vec<KernelBenchPoint> {
             flops_per_call: flops,
             ns_per_call: ns,
             gflops: gf,
+            minor_faults_per_call: None,
         });
 
         let mut bb = Matrix::zeros(n, k);
@@ -204,6 +228,7 @@ pub fn run() -> Vec<KernelBenchPoint> {
             flops_per_call: flops,
             ns_per_call: ns,
             gflops: gf,
+            minor_faults_per_call: None,
         });
     }
 
@@ -224,6 +249,7 @@ pub fn run() -> Vec<KernelBenchPoint> {
         flops_per_call: flops,
         ns_per_call: ns,
         gflops: gf,
+        minor_faults_per_call: None,
     });
 
     // CEC's k-means at its NSL-KDD and Covertype shapes (see the module
@@ -240,11 +266,46 @@ pub fn run() -> Vec<KernelBenchPoint> {
             flops_per_call: flops,
             ns_per_call: ns,
             gflops: gf,
+            minor_faults_per_call: None,
         });
     }
 
+    points.push(cec_predict_scored());
     points.extend(learner_drift_long_model());
     points
+}
+
+/// One warm CEC call at learner-drift's shape (see the module doc).
+fn cec_predict_scored() -> KernelBenchPoint {
+    const CALLS: u64 = 50;
+    let (rows, d, k) = (256, 20, 20);
+    let guidance = clustered(rows, d, k, 11);
+    let batch = clustered(rows, d, k, 12);
+    let labels: Vec<usize> = (0..rows).map(|i| i % 5).collect();
+    let mut buffer = ExperienceBuffer::new(2 * rows, None);
+    buffer.push_batch(&guidance, &labels);
+    let cec = CoherentExperience::with_recent(k, rows, 0.0, 7 ^ 0xCEC);
+    let iterations = KMeans::new(k, cec.seed).fit(&guidance.vstack(&batch)).iterations;
+    let flops = 3 * (2 * rows * k * d * (iterations + 2)) as u64;
+    let call = || cec.predict_scored(&batch, &buffer).map_or(0.0, |(_, purity)| purity);
+    let (ns, gf) = time_calls(flops, call);
+    let faults = match minor_faults() {
+        Some(before) => {
+            for _ in 0..CALLS {
+                std::hint::black_box(call());
+            }
+            minor_faults().map_or(-1.0, |after| (after - before) as f64 / CALLS as f64)
+        }
+        None => -1.0,
+    };
+    KernelBenchPoint {
+        kernel: "cec_predict_scored".into(),
+        shape: format!("{}x{d} k{k}", 2 * rows),
+        flops_per_call: flops,
+        ns_per_call: ns,
+        gflops: gf,
+        minor_faults_per_call: Some(faults),
+    }
 }
 
 /// The learner-drift long model's gradient and window completion (see the
@@ -274,6 +335,7 @@ fn learner_drift_long_model() -> [KernelBenchPoint; 2] {
         flops_per_call: flops,
         ns_per_call: ns,
         gflops: gf,
+        minor_faults_per_call: None,
     };
     let mut acc = PrecomputeAccumulator::new();
     let weight: f64 = weights.iter().sum();
@@ -293,6 +355,7 @@ fn learner_drift_long_model() -> [KernelBenchPoint; 2] {
         flops_per_call: flops,
         ns_per_call: ns,
         gflops: gf,
+        minor_faults_per_call: None,
     };
     [gradient, completion]
 }
@@ -319,6 +382,7 @@ mod tests {
             "matmul_transb",
             "softmax_rows",
             "kmeans_fit",
+            "cec_predict_scored",
             "mlp_gradient",
             "window_completion",
         ] {

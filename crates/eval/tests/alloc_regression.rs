@@ -3,9 +3,11 @@
 //! Builds the paper's StreamingMLP trainer, warms every scratch buffer,
 //! then *proves* via the counting global allocator that a steady-state
 //! infer + train loop over batch-1024 Hyperplane data performs zero heap
-//! allocations on the hot thread. The severe-shift path is held to a
-//! fixed budget instead: CEC's k-means fit and `predict_scored` allocate
-//! an exact count per call, whatever the iteration count. Run with:
+//! allocations on the hot thread. The learner itself is held to exact
+//! budgets: a warm k-means fit allocates nothing and a warm CEC call only
+//! its predictions, whatever the iteration count; a warm severe-shift
+//! `Learner::infer` and a warm steady-state `Learner::process` allocate
+//! a fixed count. Run with:
 //!
 //! ```text
 //! cargo test -p freeway-eval --features alloc-metrics --test alloc_regression
@@ -14,14 +16,15 @@
 
 use std::sync::Arc;
 
-use freeway_cluster::{CoherentExperience, ExperienceBuffer, KMeans};
+use freeway_cluster::{CoherentExperience, ExperienceBuffer, KMeans, KMeansScratch};
 use freeway_core::granularity::MultiGranularity;
 use freeway_core::telemetry::{NoopSink, Stage, Telemetry, TelemetryEvent};
-use freeway_core::FreewayConfig;
+use freeway_core::{FreewayConfig, Learner, PipelineBuilder, Strategy};
+use freeway_drift::ShiftPattern;
 use freeway_eval::alloc_metrics;
 use freeway_linalg::Matrix;
 use freeway_ml::{ModelSpec, Sgd, Trainer, Workspace};
-use freeway_streams::{BatchPool, Hyperplane, StreamGenerator};
+use freeway_streams::{Batch, BatchPool, Hyperplane, StreamGenerator};
 
 const BATCH: usize = 1024;
 const WARM_ITERS: usize = 3;
@@ -179,14 +182,16 @@ fn bank_train_allocs(batches: usize) -> Vec<u64> {
 }
 
 /// Allocations of a warm `MultiGranularity::train` whose window does not
-/// complete, whatever the window holds. Six come with every batch: the
-/// short level's fingerprint and the bank's (`projected.to_vec()` twice),
-/// and the long level's shared copy of the batch (its rows, their `Arc`,
-/// the labels' `Arc`) with its window insert's projection copy. The
-/// insert ranks the held batches in buffers the window keeps.
-const BANK_STEP_ALLOCS: u64 = 6;
+/// complete, whatever the window holds: the long level's shared copy of
+/// the batch (its rows, their `Arc`, the labels' `Arc`) with its window
+/// insert's projection copy. The short level's fingerprint is copied into
+/// the vector it already holds, the probes of levels whose forward cache
+/// missed run through their own workspaces on a row buffer the bank
+/// keeps, and the insert ranks the held batches in buffers the window
+/// keeps.
+const BANK_STEP_ALLOCS: u64 = 4;
 
-/// A warm completion: the six per-batch allocations and the window mean.
+/// A warm completion: the per-batch allocations and the window mean.
 /// Nothing else: the subsets are the window's own batches, read in place;
 /// the per-row weights are a buffer the bank reuses; and the warm start,
 /// the subset gradients and their merge run in the long level's trainer
@@ -260,22 +265,21 @@ fn allocs_of(mut work: impl FnMut()) -> u64 {
 }
 
 /// Allocations of one k-means fit at CEC's NSL-KDD shape (512 x 20,
-/// k = 20): 18 buffers sized once per fit, and none per Lloyd iteration.
-/// The 18: the centroids, assignments, sums, counts and mean of the
-/// update step; the seeding's points-as-lanes copy and weights; and the
-/// assignment state (seeding sums, transposed centroids, distances and
-/// their exact flags, moves and unchanged flags, lower bounds, centroid
-/// gaps, the rescan list, one block of rows and its squared distances).
-const KMEANS_FIT_ALLOCS: u64 = 18;
+/// k = 20) on a scratch that has held a fit of that shape: none, whatever
+/// the iteration count. Loading the points copies them into the lanes the
+/// scratch keeps, and every buffer of the fit is resized in place.
+const KMEANS_FIT_ALLOCS: u64 = 0;
 
 #[test]
 fn warm_kmeans_fit_allocates_a_fixed_count() {
     let km = KMeans::new(20, 7 ^ 0xCEC);
     let inputs = cec_inputs(12);
+    let mut scratch = KMeansScratch::new();
     for (guide, batch) in unequal_convergence(&inputs, &km) {
         let data = guide.vstack(&batch);
         let allocs = allocs_of(|| {
-            std::hint::black_box(km.fit(&data));
+            scratch.load(data.rows(), data.cols(), data.row_iter());
+            std::hint::black_box(km.fit_in(&mut scratch).inertia);
         });
         let iterations = km.fit(&data).iterations;
         assert_eq!(
@@ -285,12 +289,11 @@ fn warm_kmeans_fit_allocates_a_fixed_count() {
     }
 }
 
-/// Allocations of one `predict_scored` at the learner-drift CEC setup
+/// Allocations of one warm `predict_scored` at the learner-drift CEC setup
 /// (5 classes x 4 clusters, 256 guidance points, a 256-row batch): the
-/// k-means fit's 18, plus the combined matrix, the guidance labels, the
-/// vote table, the cluster labels, the labeled-cluster list and the
-/// predictions.
-const PREDICT_SCORED_ALLOCS: u64 = KMEANS_FIT_ALLOCS + 6;
+/// predictions it returns. The k-means fit, the guidance labels and the
+/// vote tables live in the scratch the predictor keeps.
+const PREDICT_SCORED_ALLOCS: u64 = 1;
 
 #[test]
 fn warm_cec_predict_scored_allocates_a_fixed_count() {
@@ -306,6 +309,137 @@ fn warm_cec_predict_scored_allocates_a_fixed_count() {
         });
         assert_eq!(allocs, PREDICT_SCORED_ALLOCS, "predict_scored allocated {allocs} times");
     }
+}
+
+/// One processed batch of [`drive`]: what answered it, whether a window
+/// completed in its training step, and the allocations of its inference
+/// and of the whole `process` call.
+#[derive(Debug)]
+struct Step {
+    pattern: Option<ShiftPattern>,
+    strategy: Strategy,
+    completed: bool,
+    infer_allocs: u64,
+    process_allocs: u64,
+}
+
+/// Runs `learner` prequentially over `batches` (infer, then train, as
+/// `Learner::process` does), counting each step's allocations.
+fn drive(learner: &mut Learner, batches: &[Batch]) -> Vec<Step> {
+    let long_updates = |learner: &Learner| {
+        let dim = learner.config().pca_components.min(learner.spec().features());
+        let levels = learner.granularity().level_diagnostics(&vec![0.0; dim]);
+        levels.iter().skip(1).map(|&(_, updates)| updates).sum::<usize>()
+    };
+    batches
+        .iter()
+        .map(|batch| {
+            let updates = long_updates(learner);
+            alloc_metrics::reset();
+            let before = alloc_metrics::snapshot().expect("alloc-metrics feature is on");
+            let report = learner.infer(&batch.x);
+            let inferred = alloc_metrics::since(&before).expect("alloc-metrics feature is on");
+            learner.train(&batch.x, batch.labels());
+            let processed = alloc_metrics::since(&before).expect("alloc-metrics feature is on");
+            Step {
+                pattern: report.pattern(),
+                strategy: report.strategy(),
+                completed: long_updates(learner) != updates,
+                infer_allocs: inferred.allocs,
+                process_allocs: processed.allocs,
+            }
+        })
+        .collect()
+}
+
+/// `count` batches of `rows` rows from `stream`.
+fn batches(mut stream: impl StreamGenerator, count: usize, rows: usize) -> Vec<Batch> {
+    (0..count).map(|_| stream.next_batch(rows)).collect()
+}
+
+/// A learner-drift learner (MLP-32 on NSL-KDD's 20 features and 5
+/// classes, 256-row batches) trained until its selector is ready.
+fn learner_drift() -> (Learner, Vec<Batch>) {
+    let mut learner = PipelineBuilder::new(ModelSpec::mlp(20, vec![32], 5))
+        .with_mini_batch(256)
+        .build_learner()
+        .expect("valid learner-drift config");
+    let stream = batches(freeway_streams::datasets::nslkdd(1), 240, 256);
+    let mut rest = stream.as_slice();
+    while !learner.selector().is_ready() {
+        learner.train(&rest[0].x, rest[0].labels());
+        rest = &rest[1..];
+    }
+    let rest = rest.to_vec();
+    (learner, rest)
+}
+
+/// Allocations of a warm severe-shift `Learner::infer` at learner-drift's
+/// shape answered by CEC or by knowledge reuse: the shift measurement's
+/// projection and the predictions. A Reoccurring batch whose evidence
+/// check fails into CEC loads the matched snapshot into the learner's kept
+/// evidence model, scores it and the ensemble on the guidance slice 64
+/// rows at a time in the bank's workspaces, and clusters in CEC's kept
+/// scratch. When the ensemble wins the arbitration instead, CEC's
+/// predictions are dropped for its own: one more.
+const SEVERE_INFER_ALLOCS: u64 = 2;
+
+#[test]
+fn warm_severe_learner_infer_allocates_a_fixed_count() {
+    let (mut learner, stream) = learner_drift();
+    let steps = drive(&mut learner, &stream);
+    let severe =
+        |s: &&Step| matches!(s.pattern, Some(ShiftPattern::Sudden | ShiftPattern::Reoccurring));
+    // The first severe batches warm the kept buffers.
+    let warm: Vec<&Step> = steps.iter().filter(severe).skip(6).collect();
+    assert!(
+        warm.iter()
+            .any(|s| s.pattern == Some(ShiftPattern::Reoccurring)
+                && s.strategy == Strategy::Clustering),
+        "no warm Reoccurring batch fell through to CEC: {warm:?}"
+    );
+    for step in &warm {
+        let budget = SEVERE_INFER_ALLOCS + u64::from(step.strategy == Strategy::Ensemble);
+        assert_eq!(step.infer_allocs, budget, "{step:?}");
+    }
+}
+
+/// Allocations of a warm steady-state `Learner::process` whose batch is a
+/// slight shift and completes no window, telemetry disabled: the shift
+/// measurement's projection, the ensemble's predictions, and the long
+/// window's copy of the batch ([`BANK_STEP_ALLOCS`]). The projection of
+/// the training batch lands in buffers the learner keeps.
+const PROCESS_ALLOCS: u64 = 2 + BANK_STEP_ALLOCS;
+
+/// Checks [`PROCESS_ALLOCS`] on every slight batch of `steps` that
+/// completed no window, once the shift history is full.
+fn assert_steady_process(steps: &[Step], what: &str) {
+    let steady: Vec<&Step> = steps
+        .iter()
+        .skip(60)
+        .filter(|s| s.pattern == Some(ShiftPattern::Slight) && !s.completed)
+        .collect();
+    assert!(steady.len() > 20, "{what}: too few steady batches ({})", steady.len());
+    for step in steady {
+        assert_eq!(step.process_allocs, PROCESS_ALLOCS, "{what}: {step:?}");
+    }
+}
+
+#[test]
+fn warm_lr_learner_process_allocates_a_fixed_count() {
+    // The serve-roundtrip learner: LR on Electricity's 8 features, 64 rows.
+    let mut learner = PipelineBuilder::new(ModelSpec::lr(8, 2))
+        .with_mini_batch(64)
+        .build_learner()
+        .expect("valid LR config");
+    let stream = batches(freeway_streams::datasets::electricity(1), 200, 64);
+    assert_steady_process(&drive(&mut learner, &stream), "LR@64");
+}
+
+#[test]
+fn warm_mlp_learner_process_allocates_a_fixed_count() {
+    let (mut learner, stream) = learner_drift();
+    assert_steady_process(&drive(&mut learner, &stream), "MLP-32@256");
 }
 
 /// A disabled telemetry handle is the documented zero-cost path: the

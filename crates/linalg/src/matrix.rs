@@ -18,7 +18,7 @@ use std::ops::{Index, IndexMut};
 /// perform no heap allocation once the buffer's capacity has reached its
 /// high-water mark, which is what makes the warm training loop
 /// allocation-free.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -863,14 +863,22 @@ impl Matrix {
 
     /// Means of each column; empty matrix yields all zeros.
     pub fn column_means(&self) -> Vec<f64> {
-        let mut sums = self.column_sums();
+        let mut means = Vec::new();
+        self.column_means_into(&mut means);
+        means
+    }
+
+    /// [`Self::column_means`] writing into `out` (re-sized in place).
+    /// Bit-identical to the allocating path.
+    pub fn column_means_into(&self, out: &mut Vec<f64>) {
+        out.resize(self.cols, 0.0);
+        self.column_sums_into(out);
         if self.rows > 0 {
             let inv = 1.0 / self.rows as f64;
-            for s in &mut sums {
+            for s in out.iter_mut() {
                 *s *= inv;
             }
         }
-        sums
     }
 
     /// Returns a new matrix containing the given rows (in order).
