@@ -2,6 +2,9 @@
 # Tier-1 gate: everything a PR must keep green, in fail-fast order.
 set -euo pipefail
 cd "$(dirname "$0")"
+# The gates below rewrite tracked artifacts; the last step checks that
+# every one of them is back as it was.
+status_at_start=$(git status --porcelain)
 
 echo "== cargo build --release =="
 cargo build --release --workspace
@@ -51,7 +54,11 @@ echo "== telemetry gate (drift-event observability) =="
 # The observe_drift example self-checks (exit code) that the detected
 # drift timeline covers the generator's ground truth and writes both
 # export formats; the JSON re-parse below asserts the exported snapshot
-# independently records at least one DriftDetected event.
+# independently records at least one DriftDetected event. The example
+# rewrites the tracked exports, whose stage-timing histograms differ run
+# to run, so the committed copies are kept aside and put back after.
+cp results/TELEMETRY_observe_drift.json /tmp/telemetry_ci.json
+cp results/TELEMETRY_observe_drift.prom /tmp/telemetry_ci.prom
 cargo run --release --example observe_drift > /dev/null
 python3 - <<'PY'
 import json
@@ -62,6 +69,8 @@ assert drifts, "exported snapshot carries no DriftDetected events"
 assert snapshot["metrics"]["counters"]["freeway_events_drift_detected_total"] >= len(drifts) > 0
 print(f"telemetry gate: {len(drifts)} DriftDetected event(s) in exported snapshot")
 PY
+mv /tmp/telemetry_ci.json results/TELEMETRY_observe_drift.json
+mv /tmp/telemetry_ci.prom results/TELEMETRY_observe_drift.prom
 
 echo "== overload gate (admission control + degradation ladder) =="
 # The overload integration drill asserts bounded producer latency and
@@ -349,5 +358,14 @@ else:
 PY
 rm -f /tmp/shard_quick_ci.json
 echo "sharded gate: crash isolation green, drill artifact byte-stable"
+
+echo "== tree unchanged (ci.sh leaves the checkout as it found it) =="
+status_at_end=$(git status --porcelain)
+if [ "$status_at_end" != "$status_at_start" ]; then
+    diff <(echo "$status_at_start") <(echo "$status_at_end") || true
+    echo "ci.sh changed the tree (git status --porcelain differs from the start)"
+    exit 1
+fi
+echo "tree gate: git status --porcelain matches the start"
 
 echo "ci.sh: all green"

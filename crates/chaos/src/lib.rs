@@ -496,7 +496,6 @@ fn run_faulted(
             }
             Some(Fault::Stall { .. }) => {
                 while sup.stats().worker_stalls == before.worker_stalls {
-                    sup.check_liveness()?;
                     while let Some(out) = sup.try_recv()? {
                         outputs.push(out);
                     }

@@ -165,13 +165,11 @@ pub fn paired_per_seq(
 /// not errors, so a healthy drill returns `Ok` even at heavy overload.
 pub fn run_overload_prequential(
     stream: &mut dyn StreamGenerator,
-    mut learner: Learner,
+    learner: Learner,
     config: &OverloadConfig,
 ) -> Result<OverloadReport, FreewayError> {
-    let handle = DegradationHandle::new();
-    learner.attach_degradation(handle.clone());
     let inner = SupervisedPipeline::with_learner(learner, config.supervisor.clone())?;
-    let mut pipe = AdmittedPipeline::new(inner, config.admission.clone(), handle)?;
+    let mut pipe = AdmittedPipeline::new(inner, config.admission.clone())?;
     pipe.supervisor().inject(Fault::SlowTrain(config.train_delay))?;
     pipe.supervisor().inject(Fault::SlowDisk(config.persist_delay))?;
 

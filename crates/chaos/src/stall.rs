@@ -48,9 +48,9 @@ pub struct StallSpec {
 
 /// Drives a [`SupervisedPipeline`](freeway_core::SupervisedPipeline) over
 /// `batches` batches of the stream, injecting a worker stall immediately
-/// before feeding each index listed in `stalls`, pumping
-/// [`check_liveness`](freeway_core::SupervisedPipeline::check_liveness)
-/// until the watchdog detects and force-recovers each one, and scoring
+/// before feeding each index listed in `stalls`, receiving through
+/// [`try_recv`](freeway_core::SupervisedPipeline::try_recv), which polls
+/// the watchdog, until it detects and force-recovers each one, and scoring
 /// every output against the labels the stream produced.
 ///
 /// # Errors

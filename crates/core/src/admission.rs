@@ -176,20 +176,15 @@ pub(crate) fn waited(
 }
 
 impl AdmittedPipeline {
-    /// Wraps a supervised pipeline in admission control. The learner
-    /// driving `inner` must already share `handle` (the builder attaches
-    /// it before spawning the worker).
+    /// Wraps a supervised pipeline in admission control. The ladder
+    /// steps the degradation level of the learner `inner` was built with.
     ///
     /// # Errors
     /// [`FreewayError::InvalidConfig`] when `config` fails
     /// [`AdmissionConfig::check`].
-    pub fn new(
-        mut inner: SupervisedPipeline,
-        config: AdmissionConfig,
-        handle: DegradationHandle,
-    ) -> Result<Self, FreewayError> {
+    pub fn new(inner: SupervisedPipeline, config: AdmissionConfig) -> Result<Self, FreewayError> {
         config.check().map_err(FreewayError::InvalidConfig)?;
-        inner.set_degradation_handle(handle.clone());
+        let handle = inner.degradation().clone();
         let telemetry = inner.telemetry().clone();
         let ladder =
             config.ladder.then(|| DegradationLadder::new(handle.clone(), telemetry.clone()));
@@ -431,25 +426,6 @@ impl AdmittedPipeline {
         }
     }
 
-    /// Liveness passthrough: polls the wrapped supervisor's stall
-    /// watchdog (see [`SupervisedPipeline::check_liveness`]); after a
-    /// forced recovery the backlog is drained into the fresh worker's
-    /// empty queue. A fenced pipeline reports `Ok(false)` without
-    /// touching the dead worker.
-    ///
-    /// # Errors
-    /// As [`SupervisedPipeline::check_liveness`].
-    pub fn check_liveness(&mut self) -> Result<bool, FreewayError> {
-        if self.fenced {
-            return Ok(false);
-        }
-        let recovered = self.inner.check_liveness()?;
-        if recovered {
-            self.drain_backlog()?;
-        }
-        Ok(recovered)
-    }
-
     /// The wrapped supervised pipeline: its counters, journal stats, and
     /// fault injection. Shed batches never reach it, so they are never
     /// journaled — the log holds exactly the admitted stream.
@@ -494,7 +470,7 @@ mod tests {
     use super::*;
     use crate::builder::PipelineBuilder;
     use crate::config::FreewayConfig;
-    use crate::supervisor::{Fault, SupervisorConfig};
+    use crate::supervisor::Fault;
     use freeway_ml::ModelSpec;
     use freeway_streams::concept::{stream_rng, GmmConcept};
     use freeway_streams::DriftPhase;
@@ -513,7 +489,7 @@ mod tests {
                 mini_batch: 64,
                 ..Default::default()
             })
-            .with_supervisor_config(SupervisorConfig { queue_depth, ..Default::default() })
+            .with_queue_depth(queue_depth)
             .admission(AdmissionConfig { policy, backlog_capacity: backlog, ladder: false })
             .recording();
         (builder.build_admitted().expect("valid admission build"), sink)
@@ -586,7 +562,7 @@ mod tests {
                 mini_batch: 64,
                 ..Default::default()
             })
-            .with_supervisor_config(SupervisorConfig { queue_depth: 2, ..Default::default() })
+            .with_queue_depth(2)
             .admission(AdmissionConfig {
                 policy: AdmissionPolicy::SheddingNewest,
                 backlog_capacity: 2,

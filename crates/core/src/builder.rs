@@ -24,7 +24,6 @@
 
 use crate::admission::{AdmissionConfig, AdmittedPipeline};
 use crate::config::FreewayConfig;
-use crate::degrade::DegradationHandle;
 use crate::error::FreewayError;
 use crate::knowledge::SharedKnowledge;
 use crate::learner::Learner;
@@ -77,14 +76,6 @@ impl PipelineBuilder {
     #[must_use]
     pub fn with_config(mut self, config: FreewayConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Replaces the whole supervision policy (queue depth, checkpoint
-    /// cadence, restart budget, journal, stall deadline).
-    #[must_use]
-    pub fn with_supervisor_config(mut self, supervisor: SupervisorConfig) -> Self {
-        self.supervisor = supervisor;
         self
     }
 
@@ -248,21 +239,16 @@ impl PipelineBuilder {
     /// Builds the supervised pipeline behind admission control (the
     /// config set via [`Self::admission`], or [`AdmissionConfig::default`]
     /// when none was set). The learner, the supervisor, and the ladder
-    /// all share one [`DegradationHandle`], so a level change made by the
-    /// ladder is visible to the worker thread on its very next batch —
-    /// and survives crash-restore, because the supervisor re-attaches the
-    /// handle to the recovered learner.
+    /// all share the learner's degradation handle, so a level change made
+    /// by the ladder is visible to the worker thread on its very next
+    /// batch — and survives crash-restore, because the supervisor
+    /// re-attaches the handle to the recovered learner.
     ///
     /// # Errors
     /// As [`Self::build_supervised`], plus invalid admission knobs.
     pub fn build_admitted(self) -> Result<AdmittedPipeline, FreewayError> {
         let admission = self.admission.clone().unwrap_or_default();
-        let supervisor = self.supervisor.clone();
-        let handle = DegradationHandle::new();
-        let mut learner = self.build_learner()?;
-        learner.attach_degradation(handle.clone());
-        let inner = SupervisedPipeline::with_learner(learner, supervisor)?;
-        AdmittedPipeline::new(inner, admission, handle)
+        AdmittedPipeline::new(self.build_supervised()?, admission)
     }
 
     /// Builds the sharded multi-tenant runtime: [`Self::shards`] admitted
@@ -297,10 +283,8 @@ impl PipelineBuilder {
                 // shard i's admitted batches.
                 journal.path = PathBuf::from(format!("{}.shard{shard}", journal.path.display()));
             }
-            let handle = DegradationHandle::new();
             let mut learner =
                 Learner::try_new(self.spec.clone(), self.config.clone(), self.telemetry.clone())?;
-            learner.attach_degradation(handle.clone());
             if self.shards > 1 {
                 // A single shard gets no registry handle: lookups could
                 // only ever see its own entries (which are excluded), so
@@ -309,11 +293,8 @@ impl PipelineBuilder {
                 // pipeline (the parity oracle).
                 learner.attach_shared_knowledge(&shared, shard);
             }
-            let mut inner = SupervisedPipeline::with_learner(learner, supervisor)?;
-            if self.shards > 1 {
-                inner.set_shared_knowledge(shared.clone(), shard);
-            }
-            shards.push(AdmittedPipeline::new(inner, admission.clone(), handle)?);
+            let inner = SupervisedPipeline::with_learner(learner, supervisor)?;
+            shards.push(AdmittedPipeline::new(inner, admission.clone())?);
         }
         Ok(ShardedPipeline::new(shards, shared, self.telemetry))
     }

@@ -365,6 +365,18 @@ impl Learner {
         self.degradation.level()
     }
 
+    /// The degradation handle this learner reads: its own unless one was
+    /// attached.
+    pub(crate) fn degradation_handle(&self) -> &DegradationHandle {
+        &self.degradation
+    }
+
+    /// The cross-shard registry this learner belongs to, and as which
+    /// shard (`None` outside a sharded runtime).
+    pub(crate) fn shared_membership(&self) -> Option<(&SharedKnowledge, usize)> {
+        self.shared.as_ref().map(|reader| (reader.shared(), reader.shard()))
+    }
+
     /// Joins this learner to a cross-shard knowledge registry as `shard`:
     /// window-completion preservations are additionally published to the
     /// registry, and severe-shift inference first probes other shards'

@@ -38,8 +38,7 @@
 //! ([`knowledge::SharedKnowledge`]).
 //!
 //! The liveness layer is [`liveness`]: per-worker heartbeat ledgers and
-//! the stall watchdog behind
-//! [`supervisor::SupervisedPipeline::check_liveness`], plus shard
+//! the stall watchdog every supervised receive polls, plus shard
 //! *fencing* — a shard whose restart budget exhausts is isolated and its
 //! keys deterministically rerouted ([`shard::failover_shard`]) instead of
 //! erroring the whole runtime.

@@ -13,7 +13,8 @@
 //!   the last batch seq the worker finished, and the stage it is currently
 //!   executing.
 //! * [`WatchdogState`] — a pure, tick-driven state machine the supervisor
-//!   polls from [`check_liveness`]. It declares a stall **only** when work
+//!   polls from its one receive step, so every feed, receive and barrier
+//!   runs it. It declares a stall **only** when work
 //!   is pending *and* the progress epoch has not advanced for a full
 //!   configured deadline. A slow-but-progressing worker (e.g. one behind a
 //!   slow-disk checkpoint cadence backoff) keeps advancing its epoch and
@@ -23,8 +24,6 @@
 //! pending)` observations and returns a verdict — so the false-positive
 //! property is proptestable without threads and the chaos crate can drive
 //! it under virtual time.
-//!
-//! [`check_liveness`]: crate::supervisor::SupervisedPipeline::check_liveness
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;

@@ -40,9 +40,12 @@
 //!
 //! Every call waits for the service lock and for nothing else the shards
 //! do, except that whoever holds the lock runs what the runtime needs
-//! next: a crash recovery (checkpoint restore plus journal replay) when
-//! it finds a worker dead, or the drain of [`Service::shutdown`]. A
-//! panic under the lock ends the service like any runtime failure.
+//! next: a restart when it finds a worker dead or, with a stall deadline,
+//! wedged (every receive polls the watchdog), or the drain of
+//! [`Service::shutdown`]. A restart holds the lock only to restore the
+//! checkpoint and read the journal; the replacement worker replays the
+//! journal itself. A panic under the lock ends the service like any
+//! runtime failure.
 //!
 //! Nothing sleep-polls. Each output a shard worker sends wakes one thread
 //! waiting in `recv_output` on that shard: the one waiting for that
@@ -54,10 +57,10 @@
 //! One maintenance thread
 //! (`freeway-serve`) stays off that path. It parks until a shard worker
 //! exits (a crash, panics included) or, when a stall deadline is set,
-//! until a watchdog tick falls due (a sixteenth of the smallest shard
-//! deadline); it then restarts, polls the watchdog, reconciles fences and
-//! publishes pressure under the same lock. With no stall deadline and no
-//! crash it never wakes.
+//! for a watchdog tick (a sixteenth of the smallest shard deadline); it
+//! then drains the shards, whose receives restart a crashed worker and
+//! poll the watchdog, reconciles fences and publishes pressure under the
+//! same lock. With no stall deadline and no crash it never wakes.
 //!
 //! Construct via [`crate::PipelineBuilder::service`] +
 //! [`crate::PipelineBuilder::build_service`].
@@ -75,7 +78,7 @@ use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{JoinHandle, Thread};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// *Base* pacing hint handed back inside [`ServeError::Busy`]: the wait
 /// suggested when the runtime is unloaded. The actual hint scales with
@@ -319,9 +322,10 @@ impl State {
     /// as a crashed server would: the pipeline is dropped (its workers
     /// see their queues close), the first failure is kept for
     /// [`Service::shutdown`], and every parked session wakes to find the
-    /// service gone. A panic in `op` (a journal replay that crashes the
-    /// recovering learner again, say) is such a failure: it never unwinds
-    /// through the caller or poisons the lock.
+    /// service gone. A panic in `op` is such a failure: it never unwinds
+    /// through the caller or poisons the lock. (A journal replay that
+    /// crashes again does not panic here: it runs on the replacement
+    /// worker, so it is an ordinary worker crash.)
     fn serve<T>(
         &mut self,
         op: impl FnOnce(&mut Serving, &mut Sessions) -> Result<T, FreewayError>,
@@ -726,32 +730,19 @@ impl Drop for Service {
 const LIVENESS_TICKS_PER_DEADLINE: u32 = 16;
 
 /// The maintenance thread, off the serving path. It parks until a shard
-/// worker exits (its exit ring) or the next watchdog tick falls due, then,
-/// under the lock, polls the watchdog if the tick is due and settles —
-/// the drain restarts a crashed worker. With no stall deadline it has no
-/// timer at all. Returns once the service is gone.
+/// worker exits (its exit ring) or, with a stall deadline, for one
+/// watchdog tick, then settles under the lock: every shard receive of the
+/// drain restarts a crashed worker and polls the watchdog, which a wedged
+/// worker, ringing nothing, needs the timed wake for. With no stall
+/// deadline it has no timer at all. Returns once the service is gone.
 fn maintain(shared: &Mutex<State>, liveness_tick: Option<Duration>) {
-    let mut next_liveness = Instant::now();
     loop {
         match liveness_tick {
             None => std::thread::park(),
-            Some(_) => {
-                std::thread::park_timeout(next_liveness.saturating_duration_since(Instant::now()))
-            }
+            Some(tick) => std::thread::park_timeout(tick),
         }
         let Ok(mut state) = lock(shared) else { return };
-        // A wedged worker rings nothing: the timed wake pumps the watchdog.
-        let due = liveness_tick.filter(|_| Instant::now() >= next_liveness);
-        let maintained = state.serve(|serving, sessions| {
-            if due.is_some() {
-                serving.pipeline.check_liveness()?;
-            }
-            serving.settle(sessions)
-        });
-        if let Some(tick) = due {
-            next_liveness = Instant::now() + tick;
-        }
-        if maintained.is_err() {
+        if state.serve(Serving::settle).is_err() {
             return;
         }
     }

@@ -271,47 +271,16 @@ impl ShardedPipeline {
         Ok(None)
     }
 
-    /// Polls every unfenced shard's stall watchdog
-    /// ([`AdmittedPipeline::check_liveness`]); a shard whose forced
-    /// recovery exhausts its restart budget is fenced. Returns the number
-    /// of stalled workers recovered this call. A no-op (always `Ok(0)`)
-    /// unless a stall deadline is configured.
-    ///
-    /// # Errors
-    /// Non-exhaustion recovery failures, as
-    /// [`AdmittedPipeline::check_liveness`].
-    pub fn check_liveness(&mut self) -> Result<usize, FreewayError> {
-        let mut recovered = 0;
-        for shard in 0..self.shards.len() {
-            if self.fenced[shard] {
-                continue;
-            }
-            let result = self.shards[shard].check_liveness();
-            if self.fence_if_exhausted(shard, None, result)? == Some(true) {
-                recovered += 1;
-            }
-        }
-        Ok(recovered)
-    }
-
-    /// One non-blocking drain pass over shard `i`: polls the stall
-    /// watchdog, pulls every ready output, fences on exhaustion. Returns
-    /// whether the shard is quiescent (a fenced shard is quiescent once
-    /// its surviving outputs are drained).
-    ///
-    /// The watchdog goes first because its sweep absorbs worker output
-    /// into the supervisor's pending queue and stops counting it in
-    /// flight; draining after it hands that output over in this pass
-    /// instead of leaving it behind a shard that already looks quiescent.
+    /// One non-blocking drain pass over shard `i`: pulls every ready
+    /// output (each receive polls the shard's stall watchdog), fences on
+    /// exhaustion. Returns whether the shard is quiescent: nothing
+    /// backlogged and nothing in flight, replayed answers included (a
+    /// fenced shard is quiescent once its surviving outputs are drained).
     fn drain_shard_step(
         &mut self,
         i: usize,
         outputs: &mut Vec<(usize, PipelineOutput)>,
     ) -> Result<bool, FreewayError> {
-        if !self.fenced[i] {
-            let result = self.shards[i].check_liveness();
-            self.fence_if_exhausted(i, None, result)?;
-        }
         loop {
             let result = self.shards[i].try_recv();
             match self.fence_if_exhausted(i, None, result)? {
@@ -335,10 +304,10 @@ impl ShardedPipeline {
     /// drills and paper tables stay byte-reproducible on a live
     /// multi-threaded runtime.
     ///
-    /// With a stall deadline configured the drain doubles as the watchdog
-    /// pump: a shard wedged mid-drain is forcibly recovered (or fenced on
-    /// budget exhaustion) instead of spinning this loop forever. Without
-    /// one, a truly wedged shard hangs this call — use
+    /// With a stall deadline configured every receive of the drain polls
+    /// the watchdog: a shard wedged mid-drain is forcibly recovered (or
+    /// fenced on budget exhaustion) instead of spinning this loop
+    /// forever. Without one, a truly wedged shard hangs this call — use
     /// [`Self::barrier_deadline`] when shutdown must be bounded.
     ///
     /// # Errors

@@ -15,9 +15,14 @@
 //! * the worker captures a [`Checkpoint`] every
 //!   `checkpoint_every_n_batches` accepted batches (persisted atomically
 //!   to disk when a path is configured);
+//! * one receive step is the only reader of the worker's output: every
+//!   feed, receive, barrier and finish runs it, so every one of them
+//!   detects a crash and, with [`SupervisorConfig::stall_deadline`] set,
+//!   polls the stall watchdog;
 //! * a worker panic is detected at the channel boundary, the crashed
 //!   thread is joined for its panic message, and a fresh worker is
-//!   spawned from the last checkpoint — up to `max_restarts` times;
+//!   spawned from the last checkpoint — up to `max_restarts` times; a
+//!   stalled worker is fenced and abandoned, then replaced the same way;
 //! * without a journal, batches in flight at the moment of a crash are
 //!   *lost, not replayed* (streaming semantics: the stream has moved
 //!   on), and the loss is counted in
@@ -25,22 +30,26 @@
 //! * with [`SupervisorConfig::journal`] set, every accepted batch is
 //!   appended to a durable [`crate::journal::Journal`] after the worker
 //!   hand-off, and restart becomes restore-then-replay: the replay base
-//!   checkpoint is restored, journaled batches above it are re-fed
-//!   synchronously (shared-registry publishes muted, telemetry muted,
-//!   outputs at or below the highest seq already delivered suppressed),
-//!   and `lost_in_flight` stays zero — effectively-once semantics. The
-//!   base advances, and old journal segments are dropped, only when a
-//!   checkpoint is *durably persisted* to disk; a run without a
-//!   checkpoint path replays from genesis, which reconstructs the
-//!   worker's exact state (cadence checkpoints are deliberately lossy
-//!   about PCA/shift-tracker state, a genesis replay is not);
+//!   checkpoint is restored, and the replacement worker re-feeds the
+//!   journaled batches above it before it reads its queue
+//!   (shared-registry publishes muted, telemetry muted, outputs at or
+//!   below the highest seq already delivered suppressed). Its answers
+//!   count in flight like any other, and `lost_in_flight` stays zero —
+//!   effectively-once semantics. The base advances, and old journal
+//!   segments are dropped, only when a checkpoint is *durably persisted*
+//!   to disk; a run without a checkpoint path replays from genesis,
+//!   which reconstructs the worker's exact state (cadence checkpoints
+//!   are deliberately lossy about PCA/shift-tracker state, a genesis
+//!   replay is not);
 //! * [`SupervisedPipeline::inject`] takes a [`Fault`] in — a panic, a
 //!   stall, a slow train stage or a slow disk — so drills drive the real
 //!   recovery paths end to end.
 //!
 //! The supervisor is single-threaded on the caller side: `feed`,
 //! `try_recv`, and `finish` take `&mut self` so restart bookkeeping
-//! needs no locking. Dropping it closes the worker's queue without
+//! needs no locking. A restart is one spawn: the caller restores the
+//! checkpoint and reads the journal, and the replay runs on the new
+//! worker. Dropping the supervisor closes the worker's queue without
 //! blocking or joining, so a dead worker behind a full queue can never
 //! hang the caller.
 
@@ -89,13 +98,12 @@ pub struct SupervisorConfig {
     /// for the effectively-once contract). `None` (the default) keeps
     /// the journal-free path byte-identical to previous builds.
     pub journal: Option<JournalConfig>,
-    /// When set, [`SupervisedPipeline::check_liveness`] arms a stall
-    /// watchdog: a worker with work pending whose heartbeat makes no
-    /// progress for this long is forcibly recovered through the same
-    /// checkpoint-restore + journal-replay path as a crash, counted
-    /// against the restart budget. A slow-but-progressing worker is
-    /// never killed — only a fully wedged one. `None` (the default)
-    /// disables the watchdog.
+    /// When set, every feed and receive polls a stall watchdog: a worker
+    /// with work pending whose heartbeat makes no progress for this long
+    /// is forcibly recovered through the same checkpoint-restore +
+    /// journal-replay path as a crash, counted against the restart
+    /// budget. A slow-but-progressing worker is never killed — only a
+    /// fully wedged one. `None` (the default) disables the watchdog.
     pub stall_deadline: Option<Duration>,
 }
 
@@ -178,8 +186,9 @@ pub enum FeedOutcome {
 
 /// Everything a finished supervised run hands back.
 pub struct FinishedRun {
-    /// The learner, recovered from the last checkpoint if the worker was
-    /// dead at finish time.
+    /// The learner. A worker dead at finish time is replaced by one that
+    /// replays the journal; past the restart budget the learner comes
+    /// from the last checkpoint.
     pub learner: Learner,
     /// All outputs not yet consumed via `recv`/`try_recv`, in order.
     pub outputs: Vec<PipelineOutput>,
@@ -249,9 +258,9 @@ struct Worker {
     /// Progress ledger the worker thread beats after every completed
     /// command; the watchdog reads it from the supervisor side.
     heartbeat: HeartbeatLedger,
-    /// Raised by forced stall recovery after the handle is abandoned: a
-    /// zombie worker that eventually wakes up sees it and exits instead
-    /// of ghost-writing into channels nobody reads.
+    /// Raised when a stalled worker is abandoned: a zombie worker that
+    /// eventually wakes up sees it and exits instead of ghost-writing into
+    /// channels nobody reads.
     fence: Arc<AtomicBool>,
 }
 
@@ -332,7 +341,7 @@ impl Doorbell {
 /// Runs one batch through `learner` the way the paper splits its input
 /// stream: a prequential batch is answered, then trained on; otherwise a
 /// labeled batch trains (no report) and an unlabeled one is answered. The
-/// worker loop and journal replay both dispatch through here.
+/// worker loop and its journal replay both dispatch through here.
 fn run_batch(learner: &mut Learner, batch: &Batch, prequential: bool) -> Option<InferenceReport> {
     if prequential {
         return Some(learner.process(batch));
@@ -347,18 +356,50 @@ fn run_batch(learner: &mut Learner, batch: &Batch, prequential: bool) -> Option<
     }
 }
 
+/// The journal records a replacement worker re-feeds before it reads its
+/// queue. The supervisor fixes every count in advance; the worker runs
+/// it ([`spawn_worker`]).
+struct Replay {
+    records: Vec<JournalRecord>,
+    /// Highest seq whose answer the caller already has: records at or
+    /// below it are replayed for state, their answers suppressed.
+    delivered: Option<u64>,
+    /// `freeway_journal_recovery_seconds`, and when the recovery began.
+    seconds: freeway_telemetry::Histogram,
+    started: Instant,
+}
+
+impl Replay {
+    /// The answers the replay sends: one per record above the watermark.
+    fn answers(&self) -> usize {
+        self.records.iter().filter(|record| !self.suppresses(record.seq)).count()
+    }
+
+    fn suppresses(&self, seq: u64) -> bool {
+        self.delivered.is_some_and(|delivered| seq <= delivered)
+    }
+}
+
+/// Spawns the worker thread for `learner`. It runs `replay` first, then
+/// serves its queue; `last_seq` is the journal floor it stamps onto
+/// checkpoints until it has run a batch of its own.
 fn spawn_worker(
     mut learner: Learner,
+    replay: Option<Replay>,
+    mut last_seq: Option<u64>,
     queue_depth: usize,
     slow_train: Arc<AtomicU64>,
-    initial_last_seq: Option<u64>,
     doorbell: Doorbell,
 ) -> Worker {
     let telemetry = learner.telemetry().clone();
     let (in_tx, in_rx) = bounded::<SupCommand>(queue_depth);
     // One extra slot per possible in-flight checkpoint reply so a
-    // checkpoint command never wedges behind a full output queue.
-    let (out_tx, out_rx) = bounded::<WorkerMsg>(queue_depth + 1);
+    // checkpoint command never wedges behind a full output queue. A crash
+    // owes at most a full queue plus the batch in hand, which that
+    // capacity holds; only a crash during a replay can owe more, and the
+    // channel grows to hold that replay's answers too.
+    let answers = replay.as_ref().map_or(0, Replay::answers);
+    let (out_tx, out_rx) = bounded::<WorkerMsg>((queue_depth + 1).max(answers));
     let heartbeat = HeartbeatLedger::new();
     let fence = Arc::new(AtomicBool::new(false));
     let ledger = heartbeat.clone();
@@ -366,10 +407,35 @@ fn spawn_worker(
     let handle = std::thread::spawn(move || {
         let bell = doorbell.clone();
         let result = catch_unwind(AssertUnwindSafe(move || {
-            // Highest batch seq processed; stamped onto checkpoints as
-            // the journal replay floor. Seeded with the replay
-            // high-water mark on post-recovery respawns.
-            let mut last_seq = initial_last_seq;
+            if let Some(replay) = replay {
+                // Re-feed the journaled batches exactly as the dead worker
+                // ran them, with telemetry and shared-registry publishes
+                // muted: replayed work already had those side effects.
+                // The channel holds every unsuppressed answer, so this
+                // never waits for a reader, and a beat per record keeps a
+                // long replay from being taken for a stall.
+                learner.attach_telemetry(Telemetry::disabled());
+                learner.set_shared_publish_muted(true);
+                ledger.set_stage(WorkerStage::Train);
+                for record in &replay.records {
+                    last_seq = Some(record.seq);
+                    let report = run_batch(&mut learner, &record.to_batch(), record.prequential);
+                    if !replay.suppresses(record.seq) {
+                        let answer = PipelineOutput { seq: record.seq, report };
+                        match out_tx.try_send(WorkerMsg::Output(answer)) {
+                            Ok(()) => bell.ring(last_seq),
+                            Err(TrySendError::Disconnected(_)) => break,
+                            Err(TrySendError::Full(_)) => {
+                                unreachable!("the output channel holds every replayed answer")
+                            }
+                        }
+                    }
+                    ledger.beat(last_seq);
+                }
+                learner.set_shared_publish_muted(false);
+                learner.attach_telemetry(telemetry.clone());
+                replay.seconds.record(replay.started.elapsed().as_secs_f64());
+            }
             loop {
                 // The ingest span covers queue wait: how long the worker
                 // starved before the next command arrived.
@@ -465,6 +531,10 @@ fn spawn_worker(
     Worker { input: in_tx, output: out_rx, handle, heartbeat, fence }
 }
 
+/// How long one receive waits for the worker before it polls the
+/// watchdog again and hands control back, so a waiting send can retry.
+const RECEIVE_POLL: Duration = Duration::from_millis(1);
+
 /// Everything the supervisor keeps per enabled journal.
 struct JournalState {
     journal: Journal,
@@ -480,7 +550,8 @@ struct JournalState {
     /// the worker answers in queue order, so the delivered seqs are
     /// always a prefix of the journaled ones and one number covers them.
     delivered: Option<u64>,
-    /// Wall-clock cost of each restore-then-replay recovery.
+    /// Wall-clock cost of each restore-then-replay recovery, recorded by
+    /// the worker that replays.
     recovery_seconds: freeway_telemetry::Histogram,
 }
 
@@ -495,7 +566,8 @@ pub struct SupervisedPipeline {
     /// learner, so recovery is possible before the first cadence point.
     last_checkpoint: Checkpoint,
     stats: SupervisorStats,
-    /// Accepted batches whose outputs have not been observed yet.
+    /// Accepted batches whose outputs have not been observed yet,
+    /// including the answers a replacement worker's replay owes.
     in_flight: usize,
     /// Checkpoint requests sent but not yet answered. Counted separately
     /// from `in_flight` (which is batch accounting) so the watchdog sees
@@ -520,12 +592,13 @@ pub struct SupervisedPipeline {
     /// [`crate::Service`] clears it: nothing may wait for a worker under
     /// the service lock, so a full queue fails the injection at once.
     pub(crate) inject_waits: bool,
-    /// When set, a restored learner is re-attached to this shared
-    /// degradation level so overload service levels survive restarts.
-    degradation: Option<DegradationHandle>,
-    /// When set, a restored learner is re-joined to the cross-shard
-    /// knowledge registry as this shard, so one shard's crash never
-    /// disconnects it from the fleet's preserved concepts.
+    /// The overload degradation level the learner was built with; a
+    /// restored learner is re-attached to it so service levels survive
+    /// restarts.
+    degradation: DegradationHandle,
+    /// The cross-shard knowledge registry the learner was built into, and
+    /// as which shard; a restored learner re-joins it, so one shard's
+    /// crash never disconnects it from the fleet's preserved concepts.
     shared: Option<(crate::knowledge::SharedKnowledge, usize)>,
     /// Shared with the learner: quarantine/checkpoint/restart events are
     /// emitted here so fault handling is observable from the outside.
@@ -540,12 +613,12 @@ pub struct SupervisedPipeline {
     lost_counter: Counter,
     /// Exported stall counter (`freeway_worker_stalls_total`).
     stalls_counter: Counter,
-    /// Wall-clock cost of each forced stall recovery
-    /// (`freeway_stall_recovery_seconds`).
+    /// Wall-clock cost of each forced stall recovery, up to the
+    /// replacement's spawn (`freeway_stall_recovery_seconds`).
     stall_recovery_seconds: freeway_telemetry::Histogram,
-    /// Stall detector, armed lazily on the first [`Self::check_liveness`]
-    /// call when `stall_deadline` is configured; reset on every respawn
-    /// so a fresh worker gets a full deadline.
+    /// Stall detector, armed lazily on the first receive when
+    /// `stall_deadline` is configured; reset on every respawn so a fresh
+    /// worker gets a full deadline.
     watchdog: Option<WatchdogState>,
     /// Monotonic origin for watchdog ticks (nanoseconds since here).
     watchdog_origin: Instant,
@@ -561,9 +634,10 @@ pub struct SupervisedPipeline {
 impl SupervisedPipeline {
     /// Spawns the supervised worker. The guard's policy (feature width,
     /// class count) is derived from the learner's model spec, and the
-    /// learner's [`Telemetry`] handle is shared by the supervisor so
-    /// quarantine, checkpoint, and restart events land on the same stream
-    /// as the learner's own.
+    /// learner's [`Telemetry`] handle, degradation level and shared
+    /// knowledge registry are the ones every restored learner is wired
+    /// to, so quarantine, checkpoint, and restart events land on the same
+    /// stream as the learner's own.
     ///
     /// # Errors
     /// [`FreewayError::InvalidConfig`] when `config` fails
@@ -592,8 +666,8 @@ impl SupervisedPipeline {
             slow_train: Arc::new(AtomicU64::new(0)),
             slow_disk: Duration::ZERO,
             inject_waits: true,
-            degradation: None,
-            shared: None,
+            degradation: learner.degradation_handle().clone(),
+            shared: learner.shared_membership().map(|(shared, shard)| (shared.clone(), shard)),
             journal: None,
             restarts_counter: telemetry.counter("freeway_worker_restarts_total"),
             lost_counter: telemetry.counter("freeway_lost_in_flight_total"),
@@ -608,7 +682,7 @@ impl SupervisedPipeline {
             config,
         };
         let mut learner = learner;
-        let mut startup_seq = None;
+        let mut replay = None;
         if let Some(journal_config) = pipeline.config.journal.clone() {
             let (journal, recovered) = Journal::open(journal_config)?;
             pipeline.journal = Some(JournalState {
@@ -620,37 +694,30 @@ impl SupervisedPipeline {
                     .histogram("freeway_journal_recovery_seconds", DURATION_SECONDS_BOUNDS),
             });
             if !recovered.is_empty() {
-                startup_seq = pipeline.recover_startup(&mut learner, recovered)?;
+                replay = pipeline.recover_startup(&mut learner, recovered)?;
             }
         }
-        pipeline.worker = Some(spawn_worker(
-            learner,
-            pipeline.config.queue_depth,
-            pipeline.slow_train.clone(),
-            startup_seq,
-            pipeline.doorbell.clone(),
-        ));
+        let floor = pipeline.journal.as_ref().and_then(|state| state.base.journal_seq);
+        pipeline.spawn(learner, replay, floor);
         Ok(pipeline)
     }
 
     /// Startup recovery over a non-empty journal: the previous process
-    /// died with work admitted but not durably checkpointed, so its exact
-    /// state is rebuilt in `learner` before the first worker spawns. A
-    /// genesis journal (lowest segment index 0) replays onto the fresh
-    /// learner; a truncated one needs the disk checkpoint that justified
-    /// the truncation. The previous incarnation delivered every replayed
-    /// output, so all of them are suppressed. Returns the seq the first
-    /// worker stamps its checkpoints from.
+    /// died with work admitted but not durably checkpointed, so the first
+    /// worker replays it before it takes new input. A genesis journal
+    /// (lowest segment index 0) replays onto the fresh learner; a
+    /// truncated one needs the disk checkpoint that justified the
+    /// truncation, restored into `learner`. The previous incarnation
+    /// delivered every replayed output, so all of them are suppressed.
     fn recover_startup(
         &mut self,
         learner: &mut Learner,
         recovered: Vec<JournalRecord>,
-    ) -> Result<Option<u64>, FreewayError> {
+    ) -> Result<Option<Replay>, FreewayError> {
         let started = Instant::now();
         let Some(state) = self.journal.as_mut() else { return Ok(None) };
-        let records: Vec<JournalRecord> = if state.journal.lowest_segment_index() == 0 {
-            recovered
-        } else {
+        let truncated = state.journal.lowest_segment_index() != 0;
+        if truncated {
             let Some(path) = self.config.checkpoint_path.as_ref() else {
                 return Err(FreewayError::InvalidConfig(
                     "journal history is truncated below a checkpoint; \
@@ -661,12 +728,11 @@ impl SupervisedPipeline {
             let store = CheckpointStore::new(path.clone(), CHECKPOINT_GENERATIONS);
             let (loaded, _generation) = store.load_newest()?;
             *learner = loaded.restore()?;
-            let floor = loaded.journal_seq;
             state.base = loaded;
-            match floor {
-                Some(floor) => recovered.into_iter().filter(|r| r.seq > floor).collect(),
-                None => recovered,
-            }
+        }
+        let records: Vec<JournalRecord> = match state.base.journal_seq {
+            Some(floor) => recovered.into_iter().filter(|r| r.seq > floor).collect(),
+            None => recovered,
         };
         // Another process may have written the journal for a different
         // model: refuse records this pipeline's guard rejects instead of
@@ -681,50 +747,34 @@ impl SupervisedPipeline {
         // when no record lies above it.
         self.recovered_seq = records.iter().map(|r| r.seq).max().max(state.base.journal_seq);
         state.delivered = self.recovered_seq;
-        Ok(self.replay(learner, &records, started).1)
+        if truncated {
+            self.wire(learner);
+        }
+        Ok(self.plan_replay(records, started))
     }
 
-    /// Re-feeds journaled `records` into `learner` exactly as the worker
-    /// ran them ([`run_batch`]), with telemetry and shared-registry
-    /// publishes muted: replayed work already had those side effects the
-    /// first time. Outputs at or below the delivered watermark are
-    /// suppressed, the rest land on `pending` in order and advance it.
-    /// Adds to the replay counters, records the recovery's wall time since
-    /// `started`, and announces it. Returns how many outputs replay
-    /// recovered and the last replayed seq.
-    fn replay(
-        &mut self,
-        learner: &mut Learner,
-        records: &[JournalRecord],
-        started: Instant,
-    ) -> (u64, Option<u64>) {
-        let Some(state) = self.journal.as_mut() else { return (0, None) };
-        learner.attach_telemetry(Telemetry::disabled());
-        learner.set_shared_publish_muted(true);
-        let (mut recovered, mut suppressed) = (0, 0);
-        for record in records {
-            let report = run_batch(learner, &record.to_batch(), record.prequential);
-            if state.delivered.is_some_and(|delivered| record.seq <= delivered) {
-                suppressed += 1;
-            } else {
-                state.delivered = Some(record.seq);
-                self.pending.push_back(PipelineOutput { seq: record.seq, report });
-                recovered += 1;
-            }
-        }
-        state.recovery_seconds.record(started.elapsed().as_secs_f64());
-        learner.set_shared_publish_muted(false);
-        learner.attach_telemetry(self.telemetry.clone());
-        let replayed = records.len() as u64;
+    /// Plans the replay of `records` on a new worker: counts them in
+    /// `replayed`, those at or below the delivered watermark in
+    /// `replay_suppressed`, and announces it, all before the worker runs
+    /// it. `started` is when the recovery began.
+    fn plan_replay(&mut self, records: Vec<JournalRecord>, started: Instant) -> Option<Replay> {
+        let state = self.journal.as_ref()?;
+        let replay = Replay {
+            records,
+            delivered: state.delivered,
+            seconds: state.recovery_seconds.clone(),
+            started,
+        };
+        let replayed = replay.records.len() as u64;
+        let suppressed = replayed - replay.answers() as u64;
         self.stats.replayed += replayed;
         self.stats.replay_suppressed += suppressed;
-        let last_seq = records.last().map(|r| r.seq);
         self.telemetry.emit(TelemetryEvent::JournalReplayed {
-            seq: last_seq.unwrap_or(0),
+            seq: replay.records.last().map_or(0, |r| r.seq),
             replayed,
             suppressed,
         });
-        (recovered, last_seq)
+        Some(replay)
     }
 
     /// Feeds a batch, routed by labeledness, waiting out a full worker
@@ -769,10 +819,11 @@ impl SupervisedPipeline {
             Ok(batch) => batch,
             Err(fault) => return Ok(Ok(FeedOutcome::Quarantined(fault))),
         };
-        // Absorb finished work first: freeing output slots is what lets a
-        // busy worker drain its input queue, and checkpoint results (and
-        // their disk verdicts) are applied promptly, not only at finish.
-        self.absorb_available()?;
+        // Take in finished work first: freeing output slots is what lets
+        // a busy worker drain its input queue, and checkpoint results
+        // (and their disk verdicts) are applied promptly, not only at
+        // finish.
+        self.receive(false)?;
         let seq = batch.seq;
         // Frame before the batch moves into the command; the append
         // itself happens only after the hand-off succeeds (a restart
@@ -833,20 +884,74 @@ impl SupervisedPipeline {
         }
     }
 
-    /// Drains every worker message currently available, without
-    /// blocking. A detected disconnect restarts the worker.
-    fn absorb_available(&mut self) -> Result<(), FreewayError> {
+    /// The one step that reads the worker's output channel, behind every
+    /// feed, receive, barrier and finish. It takes in every message that
+    /// is ready, restarts a worker found dead, and, with a stall deadline
+    /// set, feeds the watchdog and restarts a wedged worker. With `wait`
+    /// set and nothing new on `pending`, it first waits for the worker's
+    /// next message, at most [`RECEIVE_POLL`]. Returns whether `pending`
+    /// grew or a worker was replaced: either is progress for a waiting
+    /// caller, which re-checks what it waits for after every step.
+    fn receive(&mut self, wait: bool) -> Result<bool, FreewayError> {
+        let before = self.pending.len();
+        let mut waited = !wait;
         loop {
-            let Some(worker) = self.worker.as_ref() else { return Ok(()) };
-            match worker.output.try_recv() {
-                Ok(msg) => self.handle_msg(msg),
-                Err(TryRecvError::Empty) => return Ok(()),
-                Err(TryRecvError::Disconnected) => {
-                    self.restart_worker()?;
-                    return Ok(());
-                }
+            if self.take_in() {
+                // Every message is in; the thread has ended: join it.
+                let panic = match self.worker.take().map(|worker| worker.handle.join()) {
+                    Some(Ok(Ok(learner))) => {
+                        // A clean exit while we hold the sender should be
+                        // impossible; salvage the freshest state anyway.
+                        self.last_checkpoint = Checkpoint::capture(&learner);
+                        "worker exited unexpectedly".to_owned()
+                    }
+                    Some(Ok(Err(panic))) => panic,
+                    Some(Err(payload)) => panic_message(payload),
+                    None => return Err(FreewayError::WorkerUnavailable),
+                };
+                self.stats.worker_panics += 1;
+                self.restart(panic, true)?;
+                return Ok(true);
+            }
+            if let Some(now) = self.stalled() {
+                self.recover_stalled(now)?;
+                return Ok(true);
+            }
+            let grew = self.pending.len() > before;
+            if grew || waited {
+                return Ok(grew);
+            }
+            waited = true;
+            let Some(worker) = self.worker.as_ref() else { return Ok(false) };
+            if let Ok(msg) = worker.output.recv_timeout(RECEIVE_POLL) {
+                self.handle_msg(msg);
             }
         }
+    }
+
+    /// Takes in every message the worker has ready, without waiting.
+    /// Returns `true` when the worker has exited: its channel is drained
+    /// and closed.
+    fn take_in(&mut self) -> bool {
+        while let Some(worker) = self.worker.as_ref() {
+            match worker.output.try_recv() {
+                Ok(msg) => self.handle_msg(msg),
+                Err(closed) => return closed == TryRecvError::Disconnected,
+            }
+        }
+        false
+    }
+
+    /// Feeds the heartbeat to the watchdog when a stall deadline is set:
+    /// `Some(now)` when a worker that owes work has made no progress for
+    /// a full deadline.
+    fn stalled(&mut self) -> Option<u64> {
+        let deadline = self.config.stall_deadline?;
+        let epoch = self.worker.as_ref()?.heartbeat.epoch();
+        let owed = (self.in_flight + self.checkpoints_in_flight) as u64;
+        let now = nanos(self.watchdog_origin.elapsed());
+        let watchdog = self.watchdog.get_or_insert_with(|| WatchdogState::new(nanos(deadline)));
+        watchdog.observe(now, epoch, owed).then_some(now)
     }
 
     /// Batches accepted but not yet answered by the worker.
@@ -875,30 +980,15 @@ impl SupervisedPipeline {
         &self.doorbell
     }
 
+    /// The overload degradation level the learner reads, shared by every
+    /// learner this pipeline restores.
+    pub(crate) fn degradation(&self) -> &DegradationHandle {
+        &self.degradation
+    }
+
     /// Journal counters so far (`None` without a journal).
     pub fn journal_stats(&self) -> Option<JournalStats> {
         self.journal.as_ref().map(|state| state.journal.stats())
-    }
-
-    /// Shares the overload degradation level with this supervisor so a
-    /// learner restored after a crash re-attaches to it (the live
-    /// learner must have been attached before the pipeline was built —
-    /// [`crate::PipelineBuilder`] wires both ends).
-    pub fn set_degradation_handle(&mut self, handle: DegradationHandle) {
-        self.degradation = Some(handle);
-    }
-
-    /// Registers the cross-shard knowledge registry this pipeline's
-    /// learner belongs to (as `shard`), so a learner restored after a
-    /// crash is re-joined to it — like the degradation handle, the live
-    /// learner must have been attached before the worker was spawned;
-    /// [`crate::PipelineBuilder::build_sharded`] wires both ends.
-    pub fn set_shared_knowledge(
-        &mut self,
-        shared: crate::knowledge::SharedKnowledge,
-        shard: usize,
-    ) {
-        self.shared = Some((shared, shard));
     }
 
     /// Current checkpoint-cadence multiplier (1 = healthy disk; doubles
@@ -942,10 +1032,11 @@ impl SupervisedPipeline {
         self.send_with_recovery(cmd, self.inject_waits)?.map_err(|_| FreewayError::QueueFull)
     }
 
-    /// Delivers a command, recovering along the way: a full queue blocks
-    /// on draining one worker message (backpressure) when `wait` is set
-    /// and hands the command back as `Err` otherwise; a disconnected
-    /// queue means the worker died — restart it and retry.
+    /// Delivers a command. A full queue hands the command back as `Err`
+    /// when `wait` is unset; otherwise it, like a closed queue (the
+    /// worker died), runs the receive step until the send goes through:
+    /// the worker's answers free queue space, and the step restarts a
+    /// dead or wedged worker, whose replacement's queue is empty.
     fn send_with_recovery(
         &mut self,
         mut cmd: SupCommand,
@@ -958,54 +1049,9 @@ impl SupervisedPipeline {
             match worker.input.try_send(cmd) {
                 Ok(()) => return Ok(Ok(())),
                 Err(TrySendError::Full(returned)) if !wait => return Ok(Err(returned)),
-                Err(TrySendError::Full(returned)) => {
+                Err(TrySendError::Full(returned) | TrySendError::Disconnected(returned)) => {
                     cmd = returned;
-                    self.pump_one_blocking()?;
-                }
-                Err(TrySendError::Disconnected(returned)) => {
-                    cmd = returned;
-                    self.restart_worker()?;
-                }
-            }
-        }
-    }
-
-    /// Waits for one worker message and absorbs it; a disconnect is a
-    /// crash — restart. With a stall deadline configured the wait is a
-    /// polling loop that keeps the watchdog running, so backpressure
-    /// against a wedged worker ends in forced recovery instead of a
-    /// deadlock (the respawned worker's queue is empty, which unblocks
-    /// the caller's retry).
-    fn pump_one_blocking(&mut self) -> Result<(), FreewayError> {
-        if self.config.stall_deadline.is_none() {
-            let Some(worker) = self.worker.as_ref() else {
-                return Err(FreewayError::WorkerUnavailable);
-            };
-            return match worker.output.recv() {
-                Ok(msg) => {
-                    self.handle_msg(msg);
-                    Ok(())
-                }
-                Err(_) => self.restart_worker(),
-            };
-        }
-        loop {
-            let Some(worker) = self.worker.as_ref() else {
-                return Err(FreewayError::WorkerUnavailable);
-            };
-            match worker.output.try_recv() {
-                Ok(msg) => {
-                    self.handle_msg(msg);
-                    return Ok(());
-                }
-                Err(TryRecvError::Disconnected) => return self.restart_worker(),
-                Err(TryRecvError::Empty) => {
-                    if self.check_liveness()? {
-                        // Forced recovery emptied the queue; the caller's
-                        // pending send now has room.
-                        return Ok(());
-                    }
-                    std::thread::sleep(Duration::from_micros(50));
+                    self.receive(true)?;
                 }
             }
         }
@@ -1102,206 +1148,136 @@ impl SupervisedPipeline {
         self.last_checkpoint = checkpoint;
     }
 
-    /// Restores the given checkpoint and re-wires the restored learner to
-    /// this supervisor's telemetry stream and shared degradation level,
-    /// announcing the restore.
-    fn restore_checkpoint_from(&self, checkpoint: &Checkpoint) -> Result<Learner, FreewayError> {
-        let mut learner = checkpoint.restore()?;
+    /// Wires a restored learner like the one this pipeline was built
+    /// with: its telemetry stream, degradation level and shared registry.
+    fn wire(&self, learner: &mut Learner) {
         learner.attach_telemetry(self.telemetry.clone());
-        if let Some(handle) = self.degradation.as_ref() {
-            learner.attach_degradation(handle.clone());
-        }
+        learner.attach_degradation(self.degradation.clone());
         if let Some((shared, shard)) = self.shared.as_ref() {
             learner.attach_shared_knowledge(shared, *shard);
         }
+    }
+
+    /// Restores `checkpoint`, wired ([`Self::wire`]), and announces the
+    /// restore.
+    fn restore_checkpoint(&self, checkpoint: &Checkpoint) -> Result<Learner, FreewayError> {
+        let mut learner = checkpoint.restore()?;
+        self.wire(&mut learner);
         self.telemetry.emit(TelemetryEvent::CheckpointRestored { seq: self.telemetry.seq() });
         Ok(learner)
     }
 
-    /// Restores the last checkpoint; see [`Self::restore_checkpoint_from`].
-    fn restore_checkpoint(&self) -> Result<Learner, FreewayError> {
-        self.restore_checkpoint_from(&self.last_checkpoint)
-    }
-
-    /// Produces the learner a dead worker owned, which had `lost`
-    /// batches in flight. With a journal, this is
-    /// restore-the-base-then-replay ([`Self::replay`]): outputs the dead
-    /// worker never delivered land on `pending`, and only what replay
-    /// could not recover counts as lost. Without one the last checkpoint
-    /// is restored and the in-flight work is genuinely lost.
-    ///
-    /// Returns `(learner, net_lost, respawn_seq)` where `respawn_seq`
-    /// seeds the new worker's checkpoint stamping.
-    fn recover_learner(&mut self, lost: u64) -> Result<(Learner, u64, Option<u64>), FreewayError> {
+    /// The state a replacement worker starts from. With a journal: the
+    /// replay base restored, and the records above it planned
+    /// ([`Self::plan_replay`]) for the worker to replay; an unreadable
+    /// journal degrades to the journal-free contract. Without one: the
+    /// last checkpoint. Also returns the checkpoint's journal floor.
+    fn recover(&mut self) -> Result<(Learner, Option<Replay>, Option<u64>), FreewayError> {
         let started = Instant::now();
-        let journaled = self.journal.as_ref().map(|state| {
-            let base = state.base.clone();
-            let records = state.journal.records_above(base.journal_seq);
-            (base, records)
-        });
-        let (learner, recovered, respawn_seq) = match journaled {
-            Some((base, Ok(records))) => {
-                let mut learner = self.restore_checkpoint_from(&base)?;
-                let (recovered, last_seq) = self.replay(&mut learner, &records, started);
-                (learner, recovered, last_seq.or(base.journal_seq))
+        if let Some(state) = self.journal.as_ref() {
+            match state.journal.records_above(state.base.journal_seq) {
+                Ok(records) => {
+                    let learner = self.restore_checkpoint(&state.base)?;
+                    let floor = state.base.journal_seq;
+                    return Ok((learner, self.plan_replay(records, started), floor));
+                }
+                Err(e) => {
+                    eprintln!(
+                        "freeway-core: journal replay failed ({e}); restoring checkpoint only"
+                    )
+                }
             }
-            Some((_, Err(e))) => {
-                // An unreadable journal degrades to the journal-free
-                // contract: restore the newest checkpoint, count the loss
-                // honestly.
-                eprintln!("freeway-core: journal replay failed ({e}); restoring checkpoint only");
-                (self.restore_checkpoint()?, 0, self.last_checkpoint.journal_seq)
-            }
-            None => (self.restore_checkpoint()?, 0, self.last_checkpoint.journal_seq),
-        };
-        let net_lost = lost.saturating_sub(recovered);
-        self.stats.lost_in_flight += net_lost;
-        self.lost_counter.add(net_lost);
-        Ok((learner, net_lost, respawn_seq))
-    }
-
-    /// Closes a worker's queue, keeps everything it emitted, and joins
-    /// it: its learner after a clean exit, its panic message otherwise.
-    fn reap(&mut self, worker: Worker) -> Result<Learner, String> {
-        let Worker { input, output, handle, .. } = worker;
-        drop(input);
-        while let Ok(msg) = output.recv() {
-            self.handle_msg(msg);
         }
-        handle.join().unwrap_or_else(|payload| Err(panic_message(payload)))
+        let learner = self.restore_checkpoint(&self.last_checkpoint)?;
+        Ok((learner, None, self.last_checkpoint.journal_seq))
     }
 
-    /// Reaps a dead worker and spawns a replacement from the last
-    /// checkpoint. Outputs the dead worker already produced are kept;
-    /// batches still in its queue are counted as lost.
-    fn restart_worker(&mut self) -> Result<(), FreewayError> {
-        let Some(worker) = self.worker.take() else {
+    /// Spawns the worker for `learner`, which runs `replay` first.
+    fn spawn(&mut self, learner: Learner, replay: Option<Replay>, floor: Option<u64>) {
+        self.worker = Some(spawn_worker(
+            learner,
+            replay,
+            floor,
+            self.config.queue_depth,
+            self.slow_train.clone(),
+            self.doorbell.clone(),
+        ));
+    }
+
+    /// Forced recovery of the wedged worker the watchdog found at tick
+    /// `now`. A hung thread can be neither joined nor drained blocking:
+    /// raise its fence, so it exits if it ever wakes, take in what it
+    /// answered before the fence, abandon it, and restart.
+    fn recover_stalled(&mut self, now: u64) -> Result<(), FreewayError> {
+        let Some(worker) = self.worker.as_ref() else {
             return Err(FreewayError::WorkerUnavailable);
         };
-        let panic = match self.reap(worker) {
-            Err(panic) => panic,
-            Ok(learner) => {
-                // A clean exit while we hold the sender should be
-                // impossible; salvage the freshest state anyway.
-                self.last_checkpoint = Checkpoint::capture(&learner);
-                "worker exited unexpectedly".to_string()
-            }
-        };
-        self.stats.worker_panics += 1;
-        self.complete_restart(panic)
+        worker.fence.store(true, Ordering::Release);
+        let seq = worker.heartbeat.last_seq().unwrap_or(0);
+        let stage = worker.heartbeat.stage().tag();
+        self.take_in();
+        drop(self.worker.take());
+        let stalled_for = self.watchdog.as_ref().map_or(0, |w| w.stalled_for(now));
+        self.stats.worker_stalls += 1;
+        self.stalls_counter.inc();
+        self.telemetry.emit(TelemetryEvent::WorkerStalled { seq, stage });
+        let started = Instant::now();
+        self.restart(
+            format!(
+                "worker stalled in stage `{stage}` (no progress for {}ms, deadline {}ms)",
+                stalled_for / 1_000_000,
+                self.config.stall_deadline.map_or(0, |d| d.as_millis()),
+            ),
+            true,
+        )?;
+        self.stall_recovery_seconds.record(started.elapsed().as_secs_f64());
+        self.telemetry
+            .emit(TelemetryEvent::WorkerRecovered { seq, restarts: self.stats.restarts as u64 });
+        Ok(())
     }
 
-    /// Shared tail of every restart (crash or forced stall): write off
-    /// what the old worker still owed, charge the restart budget, recover
-    /// the learner (journal replay when enabled), and respawn. The caller
-    /// has already reaped or abandoned the old worker.
-    fn complete_restart(&mut self, panic: String) -> Result<(), FreewayError> {
-        // Outputs recovery leaves on `pending` (the dead worker's last
-        // messages, journal replay) were never announced by a worker ring:
-        // whoever this wakes drains them.
+    /// The one restart path, once the caller has let the old worker go
+    /// (joined after a crash, abandoned after a stall): writes off what
+    /// it owed, charges the restart budget unless `charged` is unset (a
+    /// worker found dead at finish), and spawns a replacement from the
+    /// recovered state ([`Self::recover`]). With a journal the
+    /// replacement replays the old worker's admitted work before its
+    /// queue, and its answers count in `in_flight` like any other; only
+    /// what the replay cannot answer counts as lost. `panic` is the old
+    /// worker's end, reported when the budget has run out.
+    fn restart(&mut self, panic: String, charged: bool) -> Result<(), FreewayError> {
+        // Whoever this wakes drains what the old worker left on
+        // `pending` and what its replacement replays.
         self.doorbell.ring(None);
         self.watchdog = None;
         let lost = std::mem::take(&mut self.in_flight) as u64;
         self.checkpoints_in_flight = 0;
         self.accepted_since_checkpoint = 0;
-        if self.stats.restarts >= self.config.max_restarts {
-            // Past the budget nothing replays: the loss is real.
-            self.stats.lost_in_flight += lost;
-            self.lost_counter.add(lost);
-            return Err(FreewayError::RestartsExhausted {
-                attempts: self.stats.restarts,
-                last_panic: panic,
+        if charged {
+            if self.stats.restarts >= self.config.max_restarts {
+                // Past the budget nothing replays: the loss is real.
+                self.stats.lost_in_flight += lost;
+                self.lost_counter.add(lost);
+                return Err(FreewayError::RestartsExhausted {
+                    attempts: self.stats.restarts,
+                    last_panic: panic,
+                });
+            }
+            self.stats.restarts += 1;
+            self.restarts_counter.inc();
+        }
+        let (learner, replay, floor) = self.recover()?;
+        self.in_flight = replay.as_ref().map_or(0, Replay::answers);
+        let lost = lost.saturating_sub(self.in_flight as u64);
+        self.stats.lost_in_flight += lost;
+        self.lost_counter.add(lost);
+        if charged {
+            self.telemetry.emit(TelemetryEvent::WorkerRestarted {
+                restarts: self.stats.restarts as u64,
+                lost_in_flight: lost,
             });
         }
-        self.stats.restarts += 1;
-        self.restarts_counter.inc();
-        let (learner, net_lost, respawn_seq) = self.recover_learner(lost)?;
-        self.telemetry.emit(TelemetryEvent::WorkerRestarted {
-            restarts: self.stats.restarts as u64,
-            lost_in_flight: net_lost,
-        });
-        self.worker = Some(spawn_worker(
-            learner,
-            self.config.queue_depth,
-            self.slow_train.clone(),
-            respawn_seq,
-            self.doorbell.clone(),
-        ));
-        Ok(())
-    }
-
-    /// Polls the liveness watchdog, forcing recovery of a stalled worker.
-    ///
-    /// A no-op (always `Ok(false)`) unless
-    /// [`SupervisorConfig::stall_deadline`] is set. Otherwise this first
-    /// absorbs available worker output (the cheapest progress signal),
-    /// then feeds the heartbeat ledger into the watchdog: a worker with
-    /// work pending whose progress epoch has not advanced for a full
-    /// deadline is declared stalled and forcibly recovered — emitting
-    /// [`TelemetryEvent::WorkerStalled`] / `WorkerRecovered`, charging
-    /// the restart budget, and replaying the journal when enabled.
-    /// Returns `Ok(true)` when a stall was recovered this call.
-    ///
-    /// Callers with a deadline configured should poll this from their
-    /// drain loops (the admitted, sharded, and serving layers all do).
-    ///
-    /// # Errors
-    /// [`FreewayError::RestartsExhausted`] when the forced recovery blows
-    /// the budget; restore errors as [`Self::feed`].
-    pub fn check_liveness(&mut self) -> Result<bool, FreewayError> {
-        let Some(deadline) = self.config.stall_deadline else {
-            return Ok(false);
-        };
-        self.absorb_available()?;
-        let Some(worker) = self.worker.as_ref() else {
-            return Ok(false);
-        };
-        let epoch = worker.heartbeat.epoch();
-        let pending = (self.in_flight + self.checkpoints_in_flight) as u64;
-        let now = nanos(self.watchdog_origin.elapsed());
-        let deadline_ticks = nanos(deadline);
-        let watchdog = self.watchdog.get_or_insert_with(|| WatchdogState::new(deadline_ticks));
-        if !watchdog.observe(now, epoch, pending) {
-            return Ok(false);
-        }
-        self.force_restart_stalled(now)?;
-        Ok(true)
-    }
-
-    /// Forced recovery of a stalled worker. Unlike a crash, the thread is
-    /// still running and can be neither joined nor drained blocking: raise
-    /// the fence (so the zombie exits if it ever wakes), drop our channel
-    /// ends, keep whatever output it already produced, abandon the
-    /// handle, and restart from the last checkpoint exactly as the crash
-    /// path does.
-    fn force_restart_stalled(&mut self, now: u64) -> Result<(), FreewayError> {
-        let Some(Worker { input, output, handle, heartbeat, fence }) = self.worker.take() else {
-            return Err(FreewayError::WorkerUnavailable);
-        };
-        fence.store(true, Ordering::Release);
-        drop(input);
-        while let Ok(msg) = output.try_recv() {
-            self.handle_msg(msg);
-        }
-        drop(output);
-        drop(handle);
-        let stalled_seq = heartbeat.last_seq().unwrap_or(0);
-        let stage = heartbeat.stage().tag();
-        let stalled_for = self.watchdog.as_ref().map(|w| w.stalled_for(now)).unwrap_or(0);
-        self.stats.worker_stalls += 1;
-        self.stalls_counter.inc();
-        self.telemetry.emit(TelemetryEvent::WorkerStalled { seq: stalled_seq, stage });
-        let started = Instant::now();
-        self.complete_restart(format!(
-            "worker stalled in stage `{stage}` (no progress for {}ms, deadline {}ms)",
-            stalled_for / 1_000_000,
-            self.config.stall_deadline.map(|d| d.as_millis()).unwrap_or(0),
-        ))?;
-        self.stall_recovery_seconds.record(started.elapsed().as_secs_f64());
-        self.telemetry.emit(TelemetryEvent::WorkerRecovered {
-            seq: stalled_seq,
-            restarts: self.stats.restarts as u64,
-        });
+        self.spawn(learner, replay, floor);
         Ok(())
     }
 
@@ -1312,8 +1288,11 @@ impl SupervisedPipeline {
         self.worker.as_ref().map(|w| &w.heartbeat)
     }
 
-    /// Receives the next output without blocking; absorbs checkpoint
-    /// messages and restarts a crashed worker along the way.
+    /// Receives the next output without blocking. Takes in checkpoint
+    /// messages, restarts a crashed or (with a stall deadline) wedged
+    /// worker, and polls the watchdog along the way. `None` means nothing
+    /// is ready yet: answers a replacement worker replays still count in
+    /// [`Self::in_flight`] until they arrive.
     ///
     /// # Errors
     /// As [`Self::feed`] when a crash is detected and recovery fails.
@@ -1322,16 +1301,8 @@ impl SupervisedPipeline {
             if let Some(out) = self.pending.pop_front() {
                 return Ok(Some(out));
             }
-            let Some(worker) = self.worker.as_ref() else {
+            if !self.receive(false)? {
                 return Ok(None);
-            };
-            match worker.output.try_recv() {
-                Ok(msg) => self.handle_msg(msg),
-                Err(TryRecvError::Empty) => return Ok(None),
-                Err(TryRecvError::Disconnected) => {
-                    self.restart_worker()?;
-                    return Ok(None);
-                }
             }
         }
     }
@@ -1350,7 +1321,7 @@ impl SupervisedPipeline {
             if self.in_flight == 0 {
                 return Err(FreewayError::WorkerUnavailable);
             }
-            self.pump_one_blocking()?;
+            self.receive(true)?;
         }
     }
 
@@ -1360,46 +1331,49 @@ impl SupervisedPipeline {
     }
 
     /// Stops the worker and returns the learner plus every unconsumed
-    /// output. If the worker is dead at finish time (crashed on its final
-    /// batches, or the restart budget ran out), the learner is recovered
-    /// from the last checkpoint instead of failing the whole run.
+    /// output. It first takes in everything owed through the receive
+    /// step, then closes the worker's queue and joins it. A worker found
+    /// dead at that point is replaced once, free of the restart budget,
+    /// by one that replays its journal and exits; when the budget ran
+    /// out, the learner is recovered from the last checkpoint instead of
+    /// failing the whole run.
     ///
     /// # Errors
     /// [`FreewayError::Checkpoint`] only when that final checkpoint
     /// recovery itself fails.
     pub fn finish(mut self) -> Result<FinishedRun, FreewayError> {
-        // With a watchdog armed, the blocking drain below could hang on a
-        // wedged worker: run the liveness loop until nothing is owed (a
-        // stall forces recovery; an exhausted budget leaves the worker
-        // `None` and the checkpoint path below takes over), then raise
-        // the fence so an injected idle-stall exits instead of outliving
-        // the join.
-        if self.config.stall_deadline.is_some() {
-            while let Ok(progressed) = self.check_liveness() {
-                if self.worker.is_none() || self.in_flight + self.checkpoints_in_flight == 0 {
+        let mut charged = false;
+        let learner = loop {
+            // A crash or an exhausted budget on the way ends this wait;
+            // a stall is recovered.
+            while self.worker.is_some() && self.in_flight + self.checkpoints_in_flight > 0 {
+                if self.receive(true).is_err() {
                     break;
                 }
-                if !progressed {
-                    std::thread::sleep(Duration::from_micros(50));
-                }
             }
-            if let Some(worker) = self.worker.as_ref() {
-                worker.fence.store(true, Ordering::Release);
+            let Some(Worker { input, handle, fence, .. }) = self.worker.take() else {
+                break self.restore_checkpoint(&self.last_checkpoint)?;
+            };
+            // Nothing is owed, so nothing more arrives. With a watchdog
+            // armed, the fence lets a queued stall go instead of
+            // outliving the join.
+            if self.config.stall_deadline.is_some() {
+                fence.store(true, Ordering::Release);
             }
-        }
-        let learner = match self.worker.take() {
-            Some(worker) => match self.reap(worker) {
-                Ok(learner) => learner,
-                // Dead at finish: recover its state without charging the
-                // restart budget; outputs journal replay recovers still
-                // land in the finished run.
+            drop(input);
+            match handle.join().unwrap_or_else(|payload| Err(panic_message(payload))) {
+                Ok(learner) => break learner,
                 Err(panic) => {
                     self.stats.worker_panics += 1;
                     eprintln!("freeway-core: worker dead at finish ({panic}); recovering");
-                    self.recover_learner(self.in_flight as u64)?.0
+                    // A replacement whose replay dies again spends the
+                    // budget, so this loop ends.
+                    match self.restart(panic, charged) {
+                        Ok(()) | Err(FreewayError::RestartsExhausted { .. }) => charged = true,
+                        Err(e) => return Err(e),
+                    }
                 }
-            },
-            None => self.restore_checkpoint()?,
+            }
         };
         let journal = self.journal.as_mut().map(|state| {
             // Make everything admitted this run durable before handing

@@ -61,20 +61,18 @@ fn builder_learner_matches_legacy_learner_exactly() {
 #[test]
 fn builder_supervised_matches_direct_constructor_exactly() {
     let feed = batches();
-    let sup_config = || SupervisorConfig {
-        queue_depth: 16,
-        checkpoint_every_n_batches: 4,
-        ..Default::default()
-    };
+    let sup_config =
+        SupervisorConfig { queue_depth: 16, checkpoint_every_n_batches: 4, ..Default::default() };
 
     let mut legacy =
-        SupervisedPipeline::with_learner(Learner::new(ModelSpec::lr(6, 2), config()), sup_config())
+        SupervisedPipeline::with_learner(Learner::new(ModelSpec::lr(6, 2), config()), sup_config)
             .expect("valid supervision config");
     let legacy_out = drive_supervised(&mut legacy, &feed);
 
     let mut built = PipelineBuilder::new(ModelSpec::lr(6, 2))
         .with_config(config())
-        .with_supervisor_config(sup_config())
+        .with_queue_depth(16)
+        .with_checkpoint_every(4)
         .build_supervised()
         .expect("valid configuration");
     let built_out = drive_supervised(&mut built, &feed);

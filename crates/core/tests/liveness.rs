@@ -86,8 +86,9 @@ fn watchdog_detects_and_recovers_both_stall_flavors() {
         // Fed behind the stall: deterministically pending work, so the
         // watchdog has something to declare stalled about.
         sup.feed_prequential(feed.batch()).expect("healthy");
+        // Every receive polls the watchdog.
         while sup.stats().worker_stalls < 1 {
-            sup.check_liveness().expect("recovery within budget");
+            sup.try_recv().expect("recovery within budget");
             std::thread::sleep(Duration::from_micros(200));
         }
         for _ in 0..3 {
@@ -125,15 +126,19 @@ fn slow_but_progressing_worker_is_never_declared_stalled() {
     sup.inject(Fault::SlowTrain(Duration::from_millis(15))).expect("slow train");
     sup.inject(Fault::SlowDisk(Duration::from_millis(25))).expect("slow disk");
     let mut feed = Feed::new(11);
+    let mut answered = 0;
     for _ in 0..12 {
         sup.feed_prequential(feed.batch()).expect("healthy");
-        sup.check_liveness().expect("no recovery needed");
+        // Every receive polls the watchdog.
+        while sup.try_recv().expect("no recovery needed").is_some() {
+            answered += 1;
+        }
         std::thread::sleep(Duration::from_millis(2));
     }
     let run = sup.finish().expect("clean finish");
     assert_eq!(run.stats.worker_stalls, 0, "progressing worker was declared stalled");
     assert_eq!(run.stats.restarts, 0);
-    assert_eq!(run.outputs.len(), 12, "every batch answered");
+    assert_eq!(answered + run.outputs.len(), 12, "every batch answered");
 }
 
 #[test]
@@ -227,12 +232,11 @@ fn sharded_liveness_sweep_recovers_a_stalled_shard() {
         .inject(0, Fault::Stall { duration: Duration::from_secs(30), livelock: false })
         .expect("injection accepted");
     pipeline.feed_prequential(feed.keyed(key0)).expect("healthy");
-    let mut recovered = 0usize;
-    while recovered == 0 {
-        recovered = pipeline.check_liveness().expect("recovery within budget");
+    // Every shard receive polls that shard's watchdog.
+    while pipeline.shard(0).supervisor().stats().worker_stalls == 0 {
+        pipeline.try_recv().expect("recovery within budget");
         std::thread::sleep(Duration::from_micros(200));
     }
-    assert_eq!(recovered, 1);
     assert!(pipeline.fenced_shards().is_empty(), "recovery within budget must not fence");
 
     pipeline.barrier().expect("both shards quiescent");
@@ -243,9 +247,9 @@ fn sharded_liveness_sweep_recovers_a_stalled_shard() {
 
 #[test]
 fn barrier_with_a_stall_deadline_returns_exactly_the_fed_batch() {
-    // The barrier's watchdog sweep absorbs worker output into the
-    // supervisor's pending queue; that output must surface in the same
-    // barrier, not one barrier late behind a shard that looks quiescent.
+    // The barrier's receives poll the watchdog as they take worker output
+    // in; that output must surface in the same barrier, not one barrier
+    // late behind a shard that looks quiescent.
     let mut pipeline = PipelineBuilder::new(ModelSpec::lr(DIM, 2))
         .with_config(config())
         .with_stall_deadline(Duration::from_secs(10))
@@ -310,17 +314,46 @@ fn barrier_deadline_names_the_wedged_shard_and_loses_nothing() {
     pipeline.finish().expect("clean finish");
 }
 
-/// One runtime tier as [`drive_every_fault`] sees it: its one fault
-/// entry point, and a closed-loop step that feeds one batch and waits for
-/// its answer.
+/// One runtime tier as [`drive_every_fault`] and [`drive_stranded_answers`]
+/// see it: its one fault entry point, a feed that does not wait for the
+/// answer, the tier's own drain, and a closed-loop step that feeds one
+/// batch and waits for its answer.
 trait Tier {
     fn inject(&mut self, fault: Fault);
+    fn feed(&mut self, batch: Batch);
+    /// Everything the tier answers until it calls itself idle: the seqs
+    /// (session-local ones for a service) in delivery order.
+    fn drain(&mut self) -> Vec<u64>;
     fn step(&mut self, batch: Batch);
 }
+
+/// How long a drain may take before the test calls the answer lost.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(30);
 
 impl Tier for SupervisedPipeline {
     fn inject(&mut self, fault: Fault) {
         SupervisedPipeline::inject(self, fault).expect("fault delivered");
+    }
+
+    fn feed(&mut self, batch: Batch) {
+        self.feed_prequential(batch).expect("healthy");
+    }
+
+    /// Drains the way a barrier does: until nothing is ready and nothing
+    /// is in flight.
+    fn drain(&mut self) -> Vec<u64> {
+        let deadline = Instant::now() + DRAIN_DEADLINE;
+        let mut seqs = Vec::new();
+        loop {
+            match self.try_recv().expect("recovery within budget") {
+                Some(out) => seqs.push(out.seq),
+                None if self.in_flight() == 0 => return seqs,
+                None => {
+                    assert!(Instant::now() < deadline, "in flight forever, drained {seqs:?}");
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+            }
+        }
     }
 
     fn step(&mut self, batch: Batch) {
@@ -335,12 +368,18 @@ impl Tier for ShardedPipeline {
         ShardedPipeline::inject(self, 0, fault).expect("fault delivered");
     }
 
+    fn feed(&mut self, batch: Batch) {
+        self.feed_prequential(KeyedBatch { key: 0, batch }).expect("healthy");
+    }
+
+    fn drain(&mut self) -> Vec<u64> {
+        self.barrier().expect("drained").iter().map(|(_, out)| out.seq).collect()
+    }
+
     fn step(&mut self, batch: Batch) {
         let seq = batch.seq;
-        self.feed_prequential(KeyedBatch { key: 0, batch }).expect("healthy");
-        let seqs: Vec<u64> =
-            self.barrier().expect("drained").iter().map(|(_, out)| out.seq).collect();
-        assert_eq!(seqs, [seq]);
+        Tier::feed(self, batch);
+        assert_eq!(self.drain(), [seq]);
     }
 }
 
@@ -355,6 +394,27 @@ impl Tier for Served {
         self.handle.inject(0, fault).expect("fault delivered");
     }
 
+    fn feed(&mut self, batch: Batch) {
+        self.session.submit_batch(batch, true).expect("admitted");
+    }
+
+    /// Polls `try_output` against a deadline, so an answer that never
+    /// comes fails the test instead of hanging it.
+    fn drain(&mut self) -> Vec<u64> {
+        let deadline = Instant::now() + DRAIN_DEADLINE;
+        let mut seqs = Vec::new();
+        while self.session.in_flight() > 0 {
+            match self.session.try_output() {
+                Some(out) => seqs.push(out.client_seq),
+                None => {
+                    assert!(Instant::now() < deadline, "in flight forever, drained {seqs:?}");
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+            }
+        }
+        seqs
+    }
+
     fn step(&mut self, batch: Batch) {
         self.session.submit_batch(batch, true).expect("admitted");
         let out = self.session.recv_output().expect("answered");
@@ -366,17 +426,22 @@ impl Tier for Served {
 /// so a slowed step is never mistaken for a stall.
 const SLOW: Duration = Duration::from_millis(100);
 
-/// A journaling tier (so the slow disk has fsyncs to slow) with a stall
-/// deadline, recording its events.
-fn faulted_builder(tag: &str) -> (PipelineBuilder, Arc<RecordingSink>, PathBuf) {
+/// A journaling tier (so the slow disk has fsyncs to slow), with the
+/// given stall deadline, recording its events.
+fn faulted_builder(
+    tag: &str,
+    stall_deadline: Option<Duration>,
+) -> (PipelineBuilder, Arc<RecordingSink>, PathBuf) {
     let dir = std::env::temp_dir().join(format!("freeway-faults-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let (builder, sink) = PipelineBuilder::new(ModelSpec::lr(DIM, 2))
+    let mut builder = PipelineBuilder::new(ModelSpec::lr(DIM, 2))
         .with_config(config())
-        .with_stall_deadline(3 * SLOW)
         .journal(JournalConfig::new(dir.join("ingest.wal")))
-        .admission(lossless_admission())
-        .recording();
+        .admission(lossless_admission());
+    if let Some(deadline) = stall_deadline {
+        builder = builder.with_stall_deadline(deadline);
+    }
+    let (builder, sink) = builder.recording();
     (builder, sink, dir)
 }
 
@@ -437,7 +502,7 @@ fn drive_every_fault(tier: &mut impl Tier, sink: &RecordingSink) {
 
 #[test]
 fn every_fault_reaches_the_supervised_worker() {
-    let (builder, sink, dir) = faulted_builder("supervised");
+    let (builder, sink, dir) = faulted_builder("supervised", Some(3 * SLOW));
     let mut sup = builder.build_supervised().expect("valid configuration");
     drive_every_fault(&mut sup, &sink);
     sup.finish().expect("clean finish");
@@ -446,7 +511,7 @@ fn every_fault_reaches_the_supervised_worker() {
 
 #[test]
 fn every_fault_reaches_a_shards_worker() {
-    let (builder, sink, dir) = faulted_builder("sharded");
+    let (builder, sink, dir) = faulted_builder("sharded", Some(3 * SLOW));
     let mut pipeline = builder.shards(1).build_sharded().expect("valid configuration");
     drive_every_fault(&mut pipeline, &sink);
     pipeline.finish().expect("clean finish");
@@ -455,7 +520,7 @@ fn every_fault_reaches_a_shards_worker() {
 
 #[test]
 fn every_fault_reaches_a_served_shard() {
-    let (builder, sink, dir) = faulted_builder("served");
+    let (builder, sink, dir) = faulted_builder("served", Some(3 * SLOW));
     let service = builder.build_service().expect("valid configuration");
     let handle = service.handle();
     let session = handle.open_session(0).expect("service running");
@@ -464,6 +529,117 @@ fn every_fault_reaches_a_served_shard() {
     drop(served);
     service.shutdown().expect("clean shutdown");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The two ways a journaled crash leaves one answer for the tier's drain.
+/// Each is fed behind a 50 ms stall, so the order is deterministic:
+/// - a batch queued behind the panic dies with the worker, and the
+///   replacement replays it: its answer is owed by a worker that has
+///   only just been spawned when the crash is found;
+/// - a batch answered just before the panic: the same receive takes its
+///   answer in and finds the worker dead, and nothing is in flight after
+///   the restart.
+///
+/// Either way the drain must return exactly that batch.
+fn drive_stranded_answers(tier: &mut impl Tier) {
+    let mut feed = Feed::new(67);
+    let stall = Fault::Stall { duration: Duration::from_millis(50), livelock: false };
+    tier.inject(stall);
+    tier.inject(Fault::Panic);
+    let replayed = feed.batch();
+    let seq = replayed.seq;
+    tier.feed(replayed);
+    assert_eq!(tier.drain(), [seq], "the replayed answer reaches the drain");
+
+    tier.inject(stall);
+    let answered = feed.batch();
+    let seq = answered.seq;
+    tier.feed(answered);
+    tier.inject(Fault::Panic);
+    // Past the stall, the answer and the crash are both waiting for the
+    // first receive of the drain.
+    std::thread::sleep(Duration::from_millis(250));
+    assert_eq!(tier.drain(), [seq], "the answer taken in with the crash reaches the drain");
+}
+
+#[test]
+fn a_journaled_crash_leaves_no_answer_behind_the_supervised_drain() {
+    let (builder, sink, dir) = faulted_builder("stranded-supervised", None);
+    let mut sup = builder.build_supervised().expect("valid configuration");
+    drive_stranded_answers(&mut sup);
+    let run = sup.finish().expect("clean finish");
+    assert_eq!(run.stats.restarts, 2, "{:?}", run.stats);
+    assert_eq!(run.stats.lost_in_flight, 0, "{:?}", run.stats);
+    assert_eq!(sink.events().iter().filter(|e| e.kind() == EventKind::WorkerRestarted).count(), 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_journaled_crash_leaves_no_answer_behind_the_sharded_barrier() {
+    let (builder, _sink, dir) = faulted_builder("stranded-sharded", None);
+    let mut pipeline = builder.shards(1).build_sharded().expect("valid configuration");
+    drive_stranded_answers(&mut pipeline);
+    let run = pipeline.finish().expect("clean finish");
+    assert_eq!(run.shards[0].run.stats.restarts, 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_journaled_crash_leaves_no_answer_behind_a_served_session() {
+    let (builder, _sink, dir) = faulted_builder("stranded-served", None);
+    let service = builder.build_service().expect("valid configuration");
+    let handle = service.handle();
+    let session = handle.open_session(0).expect("service running");
+    let mut served = Served { handle, session };
+    drive_stranded_answers(&mut served);
+    drop(served);
+    let report = service.shutdown().expect("clean shutdown");
+    assert_eq!(report.run.shards[0].run.stats.restarts, 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn closed_loop_round_trips_under_a_stall_deadline_all_return() {
+    // The answer a `recv` waits for may land at any point of the receive
+    // step, and a step that takes it in must report it: a wait that
+    // missed it would wait for a message that never comes, and with
+    // nothing owed the watchdog never fires. Two rounds in three pause
+    // 0-49 us between feed and recv, which moves the answer's arrival
+    // across the receive; every third round sleeps 1 ms, so the answer
+    // is already there when the receive begins. The rounds run on a
+    // helper thread, so a hang fails the test instead of hanging it.
+    const ROUNDS: u64 = 2_000;
+    let rounds = std::thread::spawn(|| {
+        let mut sup = PipelineBuilder::new(ModelSpec::lr(DIM, 2))
+            .with_config(config())
+            .with_stall_deadline(Duration::from_secs(10))
+            .build_supervised()
+            .expect("valid configuration");
+        let mut feed = Feed::new(83);
+        for round in 0..ROUNDS {
+            let batch = feed.batch();
+            let seq = batch.seq;
+            sup.feed_prequential(batch).expect("healthy");
+            if round % 3 == 2 {
+                std::thread::sleep(Duration::from_millis(1));
+            } else {
+                let pause = Instant::now() + Duration::from_micros(round % 50);
+                while Instant::now() < pause {
+                    std::hint::spin_loop();
+                }
+            }
+            assert_eq!(sup.recv().expect("answered").seq, seq, "round {round}");
+        }
+        sup.finish().expect("clean finish").stats
+    });
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while !rounds.is_finished() {
+        assert!(Instant::now() < deadline, "a closed-loop round trip never returned");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let stats = rounds.join().expect("every round answered");
+    assert_eq!(stats.accepted, ROUNDS);
+    assert_eq!(stats.worker_stalls, 0);
 }
 
 proptest! {
