@@ -73,14 +73,16 @@ mv /tmp/telemetry_ci.json results/TELEMETRY_observe_drift.json
 mv /tmp/telemetry_ci.prom results/TELEMETRY_observe_drift.prom
 
 echo "== overload gate (admission control + degradation ladder) =="
-# The overload integration drill asserts bounded producer latency and
-# memory, zero stalls, and the prequential-accuracy envelope under a 4x
-# burst; the checkpoint-corruption drill asserts restore falls back past
-# a trashed newest generation. Release build: the drill budgets real
-# wall-clock stage times, which debug-profile compute would blow. The
-# drill example then re-writes its deterministic artifact twice: the
-# diff asserts byte-stability, and `git diff` that it still matches the
-# committed file (every drill gate below does the same).
+# The overload integration drill asserts bounded producer latency,
+# shedding at the worker queue (the only admission buffer, so memory is
+# bounded by its depth), zero stalls, and the prequential-accuracy
+# envelope under a 4x burst; the checkpoint-corruption drill asserts
+# restore falls back past a trashed newest generation. Release build:
+# the drill budgets real wall-clock stage times, which debug-profile
+# compute would blow. The drill example then re-writes its
+# deterministic artifact twice: the diff asserts byte-stability, and
+# `git diff` that it still matches the committed file (every drill gate
+# below does the same).
 cargo test -q --release -p freeway-chaos --test overload
 cargo run --release --example overload_drill > /dev/null
 cp results/OVERLOAD_drill.json /tmp/overload_drill_ci.json
@@ -257,10 +259,14 @@ echo "== unwrap/expect audit (runtime crates must not panic) =="
 # because only the lib target is checked, and --no-deps keeps the audit
 # scoped to the listed crates). freeway-chaos rides along: the fault
 # injector and overload harness run inside the same process as the
-# runtime they are drilling.
+# runtime they are drilling. So does freeway-telemetry: its handles run
+# on every shard worker and under the service lock, where a panic
+# restarts a worker or ends the service.
 cargo clippy -q -p freeway-core --lib --no-deps -- \
     -W clippy::unwrap_used -W clippy::expect_used -D warnings
 cargo clippy -q -p freeway-chaos --lib --no-deps -- \
+    -W clippy::unwrap_used -W clippy::expect_used -D warnings
+cargo clippy -q -p freeway-telemetry --lib --no-deps -- \
     -W clippy::unwrap_used -W clippy::expect_used -D warnings
 
 echo "== cargo clippy =="

@@ -96,7 +96,9 @@ pub struct OverloadConfig {
 /// Outcome of one threaded overload drill.
 #[derive(Clone, Debug)]
 pub struct OverloadReport {
-    /// Admission counters (offered/admitted/shed/backlog peak/…).
+    /// Admission counters (offered/admitted/shed/quarantined/ladder
+    /// transitions); the worker queue is the only buffer, so shedding
+    /// bounds memory at its depth.
     pub admission: AdmissionStats,
     /// Supervisor counters (accepted/panics/restarts/checkpoints/…).
     pub stats: SupervisorStats,
@@ -169,7 +171,7 @@ pub fn run_overload_prequential(
     config: &OverloadConfig,
 ) -> Result<OverloadReport, FreewayError> {
     let inner = SupervisedPipeline::with_learner(learner, config.supervisor.clone())?;
-    let mut pipe = AdmittedPipeline::new(inner, config.admission.clone())?;
+    let mut pipe = AdmittedPipeline::new(inner, config.admission.clone());
     pipe.supervisor().inject(Fault::SlowTrain(config.train_delay))?;
     pipe.supervisor().inject(Fault::SlowDisk(config.persist_delay))?;
 
@@ -192,9 +194,7 @@ pub fn run_overload_prequential(
                 None => pipe.feed(batch)?,
             };
             latencies.push(start.elapsed());
-            if let (Some(labels), AdmissionOutcome::Admitted | AdmissionOutcome::Backlogged) =
-                (labels, &outcome)
-            {
+            if let (Some(labels), AdmissionOutcome::Admitted) = (labels, &outcome) {
                 labels_by_seq.insert(seq, labels);
             }
         }

@@ -32,11 +32,7 @@ fn build(journal_dir: &std::path::Path) -> ShardedPipeline {
         // Per-shard journals (`ingest.wal.shard{0,1}`): a crash on one
         // shard replays only that shard's admitted batches.
         .journal(JournalConfig::new(journal_dir.join("ingest.wal")))
-        .admission(AdmissionConfig {
-            policy: AdmissionPolicy::Block,
-            ladder: false,
-            ..Default::default()
-        })
+        .admission(AdmissionConfig { policy: AdmissionPolicy::Block, ladder: false })
         .shards(2)
         .build_sharded()
         .expect("valid configuration")

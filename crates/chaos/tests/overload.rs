@@ -36,12 +36,8 @@ fn learner(stream: &dyn StreamGenerator) -> Learner {
 
 fn drill_config(schedule: BurstSchedule, train_delay: Duration) -> OverloadConfig {
     OverloadConfig {
-        admission: AdmissionConfig {
-            policy: AdmissionPolicy::SheddingNewest,
-            backlog_capacity: 4,
-            ladder: true,
-        },
-        supervisor: SupervisorConfig { queue_depth: 4, ..Default::default() },
+        admission: AdmissionConfig { policy: AdmissionPolicy::SheddingNewest, ladder: true },
+        supervisor: SupervisorConfig { queue_depth: 8, ..Default::default() },
         schedule,
         tick: Duration::from_millis(10),
         ticks: 80,
@@ -61,7 +57,7 @@ fn overload_drill_bounds_latency_memory_and_accuracy() {
     // Unloaded reference: same stream seed, same arrival count, healthy
     // worker, blocking admission — nothing shed, nothing degraded.
     // 4× burst peaks over a baseline the slowed worker can sustain: the
-    // bursts overflow queue + backlog (shedding + degradation), the gaps
+    // bursts overflow the worker queue (shedding + degradation), the gaps
     // between them let the ladder walk back up.
     let schedule = BurstSchedule { base: 1, burst: 4, period: 20, duty: 3 };
     let mut clean = electricity(STREAM_SEED);
@@ -88,10 +84,6 @@ fn overload_drill_bounds_latency_memory_and_accuracy() {
 
     // Overload really happened and was answered by shedding.
     assert!(report.admission.shed > 0, "4x burst against a slow worker must shed");
-
-    // Bounded memory: the backlog never outgrew its cap (shed batches
-    // are counted, not kept).
-    assert!(report.admission.backlog_peak <= 4, "{:?}", report.admission);
 
     // Bounded producer latency: p99 well under the deadline a blocking
     // producer would have blown (the worker needs 8ms per batch; a

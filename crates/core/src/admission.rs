@@ -1,20 +1,20 @@
-//! Admission control in front of the supervised pipeline: bounded
-//! backlog, counted load shedding, and the degradation ladder.
+//! Admission control in front of the supervised pipeline: counted load
+//! shedding at the worker queue, and the degradation ladder.
 //!
 //! The supervised runtime survives *faults*; this module makes it
 //! survive *overload*. Without it, a producer faster than the worker has
 //! two bad options: block (unbounded producer latency — the stream backs
 //! up upstream) or grow a queue (unbounded memory). [`AdmittedPipeline`]
-//! gives it governed options instead:
+//! gives it governed options instead, over one buffer, the worker's
+//! bounded queue:
 //!
-//! * **policy** ([`AdmissionPolicy`]) decides what happens when the
-//!   worker queue is full — block, or backlog and then shed the newest
-//!   batch;
+//! * **policy** ([`AdmissionPolicy`]) decides what happens when that
+//!   queue is full — block, or shed the newest batch;
 //! * **shed batches** are counted, not kept: each one adds to
 //!   [`AdmissionStats::shed`] and is announced as a
 //!   [`TelemetryEvent::BatchShed`] naming its [`ShedReason`], so shedding
 //!   holds no memory;
-//! * a [`DegradationLadder`] watches queue pressure and steps the
+//! * a [`DegradationLadder`] watches the queue's occupancy and steps the
 //!   learner's service level down before shedding becomes the only
 //!   option, then back up — with hysteresis — once the load clears.
 //!
@@ -22,14 +22,13 @@
 //! are byte-for-byte the code that ran before, so admission control is
 //! zero-cost when disabled.
 
-use crate::degrade::{DegradationHandle, DegradationLadder, DegradationLevel};
+use crate::degrade::{DegradationLadder, DegradationLevel};
 use crate::error::FreewayError;
 use crate::learner::Learner;
 use crate::pipeline::PipelineOutput;
 use crate::supervisor::{FeedOutcome, FinishedRun, SupervisedPipeline};
 use freeway_streams::Batch;
-use freeway_telemetry::{Telemetry, TelemetryEvent};
-use std::collections::VecDeque;
+use freeway_telemetry::TelemetryEvent;
 
 /// What to do with a batch when the worker queue is full.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,8 +37,8 @@ pub enum AdmissionPolicy {
     /// Wait for queue space (the pre-admission behaviour). Producer
     /// latency is unbounded; nothing is ever dropped.
     Block,
-    /// Keep a bounded backlog; once it is full, drop the *incoming*
-    /// batch. Preserves the oldest waiting work (FIFO fairness).
+    /// Drop the *incoming* batch when the worker queue is full.
+    /// Preserves the oldest waiting work (FIFO fairness).
     SheddingNewest,
 }
 
@@ -57,12 +56,12 @@ impl AdmissionPolicy {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ShedReason {
-    /// Worker queue and backlog were both full.
+    /// The worker queue was full.
     QueueFull,
     /// The degradation ladder reached [`DegradationLevel::Shed`].
     Degraded,
     /// The shard owning this pipeline exhausted its restart budget and
-    /// was fenced; the batch (and any backlog) is dropped here while
+    /// was fenced: the batch whose feed found that out is dropped, and
     /// subsequent traffic for its keys is rerouted to surviving shards.
     Fenced,
 }
@@ -78,14 +77,12 @@ impl ShedReason {
     }
 }
 
-/// Admission-control knobs.
+/// Admission-control knobs. The one buffer is the worker queue, sized by
+/// [`crate::PipelineBuilder::with_queue_depth`].
 #[derive(Clone, Debug)]
 pub struct AdmissionConfig {
     /// What to do when the worker queue is full.
     pub policy: AdmissionPolicy,
-    /// Batches held caller-side while the worker queue is full (not used
-    /// by [`AdmissionPolicy::Block`]).
-    pub backlog_capacity: usize,
     /// Whether the [`DegradationLadder`] steps the learner's service
     /// level down under queue pressure and back up once it clears; off,
     /// the policy alone governs overload.
@@ -94,24 +91,7 @@ pub struct AdmissionConfig {
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
-        Self { policy: AdmissionPolicy::SheddingNewest, backlog_capacity: 32, ladder: true }
-    }
-}
-
-impl AdmissionConfig {
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    /// A message naming the offending field, in the builder's
-    /// `InvalidConfig` style.
-    pub fn check(&self) -> Result<(), String> {
-        if self.policy == AdmissionPolicy::SheddingNewest && self.backlog_capacity == 0 {
-            return Err(format!(
-                "admission policy {} needs a positive backlog capacity",
-                self.policy.tag()
-            ));
-        }
-        Ok(())
+        Self { policy: AdmissionPolicy::SheddingNewest, ladder: true }
     }
 }
 
@@ -119,11 +99,8 @@ impl AdmissionConfig {
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum AdmissionOutcome {
-    /// The batch reached the worker (possibly after a wait).
+    /// The batch reached the worker queue (possibly after a wait).
     Admitted,
-    /// The batch is waiting caller-side in the bounded backlog; it will
-    /// reach the worker on a later feed/drain call.
-    Backlogged,
     /// The batch failed validation and was quarantined: counted and dropped.
     Quarantined(crate::guard::BatchFault),
     /// The batch was dropped under the configured policy.
@@ -144,8 +121,6 @@ pub struct AdmissionStats {
     /// Batches quarantined as poison (also counted in
     /// [`crate::supervisor::SupervisorStats::quarantined`]).
     pub quarantined: u64,
-    /// High-water mark of the caller-side backlog.
-    pub backlog_peak: usize,
     /// Degradation-ladder transitions (both directions).
     pub degradation_transitions: u64,
 }
@@ -154,18 +129,10 @@ pub struct AdmissionStats {
 /// [`crate::PipelineBuilder::admission`] + `build_admitted`.
 pub struct AdmittedPipeline {
     inner: SupervisedPipeline,
-    config: AdmissionConfig,
-    /// Batches accepted by the guard-side policy but not yet on the
-    /// worker queue, oldest first, with their prequential flag.
-    backlog: VecDeque<(Batch, bool)>,
+    policy: AdmissionPolicy,
     ladder: Option<DegradationLadder>,
-    handle: DegradationHandle,
+    /// Every counter but the ladder's transitions, which it counts itself.
     stats: AdmissionStats,
-    telemetry: Telemetry,
-    /// Raised by [`Self::fence`] after the shard's restart budget
-    /// exhausted: every subsequent offer is shed with
-    /// [`ShedReason::Fenced`] instead of touching the dead worker.
-    fenced: bool,
 }
 
 /// The outcome of an offer that waited: no policy hands such a batch back.
@@ -178,26 +145,11 @@ pub(crate) fn waited(
 impl AdmittedPipeline {
     /// Wraps a supervised pipeline in admission control. The ladder
     /// steps the degradation level of the learner `inner` was built with.
-    ///
-    /// # Errors
-    /// [`FreewayError::InvalidConfig`] when `config` fails
-    /// [`AdmissionConfig::check`].
-    pub fn new(inner: SupervisedPipeline, config: AdmissionConfig) -> Result<Self, FreewayError> {
-        config.check().map_err(FreewayError::InvalidConfig)?;
-        let handle = inner.degradation().clone();
-        let telemetry = inner.telemetry().clone();
-        let ladder =
-            config.ladder.then(|| DegradationLadder::new(handle.clone(), telemetry.clone()));
-        Ok(Self {
-            inner,
-            config,
-            backlog: VecDeque::new(),
-            ladder,
-            handle,
-            stats: AdmissionStats::default(),
-            telemetry,
-            fenced: false,
-        })
+    pub fn new(inner: SupervisedPipeline, config: AdmissionConfig) -> Self {
+        let ladder = config.ladder.then(|| {
+            DegradationLadder::new(inner.degradation().clone(), inner.telemetry().clone())
+        });
+        Self { inner, policy: config.policy, ladder, stats: AdmissionStats::default() }
     }
 
     /// Offers a training/inference batch (routed by labeledness).
@@ -217,10 +169,12 @@ impl AdmittedPipeline {
         waited(self.offer(batch, true, true)?)
     }
 
-    /// Offers one batch. With `wait` unset, a batch that
-    /// [`AdmissionPolicy::Block`] would wait on comes straight back as
-    /// `Err`, untouched and not counted as offered, so its retry counts
-    /// once; every other outcome is the same as a waiting offer's.
+    /// Offers one batch. The ladder at [`DegradationLevel::Shed`] sheds
+    /// it; otherwise it goes to the worker queue, the only buffer. A
+    /// full queue sheds it under [`AdmissionPolicy::SheddingNewest`];
+    /// under [`AdmissionPolicy::Block`] a waiting offer waits for space,
+    /// and one with `wait` unset hands the batch straight back as `Err`,
+    /// untouched and not counted as offered, so its retry counts once.
     ///
     /// # Errors
     /// As [`Self::feed`].
@@ -231,116 +185,39 @@ impl AdmittedPipeline {
         wait: bool,
     ) -> Result<Result<AdmissionOutcome, Batch>, FreewayError> {
         self.stats.offered += 1;
-        if self.fenced {
-            // Defensive: the sharded router stops sending here once the
-            // fence is up, but a direct caller still gets a counted,
-            // typed verdict instead of a dead-worker error.
-            self.count_shed(batch.seq, ShedReason::Fenced);
-            return Ok(Ok(AdmissionOutcome::Shed(ShedReason::Fenced)));
-        }
         let seq = batch.seq;
-        self.drain_backlog()?;
-        let outcome = if self.handle.level() == DegradationLevel::Shed {
+        let outcome = if self.degradation_level() == DegradationLevel::Shed {
             // The ladder's last resort: even inference is load we cannot
             // afford. Shedding here keeps the queue draining so the
             // recovery observations below can actually happen.
             self.count_shed(seq, ShedReason::Degraded);
             AdmissionOutcome::Shed(ShedReason::Degraded)
         } else {
-            match self.offer_with_policy(batch, prequential, wait)? {
-                Ok(outcome) => outcome,
-                Err(batch) => {
+            let block = self.policy == AdmissionPolicy::Block;
+            match self.inner.offer(batch, prequential, wait && block)? {
+                Ok(FeedOutcome::Accepted) => {
+                    self.stats.admitted += 1;
+                    AdmissionOutcome::Admitted
+                }
+                Ok(FeedOutcome::Quarantined(fault)) => {
+                    self.stats.quarantined += 1;
+                    AdmissionOutcome::Quarantined(fault)
+                }
+                Err(batch) if block => {
                     self.stats.offered -= 1;
                     return Ok(Err(batch));
                 }
-            }
-        };
-        self.observe_pressure(seq);
-        Ok(Ok(outcome))
-    }
-
-    fn offer_with_policy(
-        &mut self,
-        batch: Batch,
-        prequential: bool,
-        wait: bool,
-    ) -> Result<Result<AdmissionOutcome, Batch>, FreewayError> {
-        // A non-empty backlog means older batches are still waiting; the
-        // incoming one must not jump the queue (the guard would see its
-        // seq regress when the backlog drains). Only shedding-newest
-        // ever backlogs, so Block always takes the direct path.
-        let full = if self.backlog.is_empty() {
-            match self.try_inner(batch, prequential, false)? {
-                Ok(outcome) => return Ok(Ok(outcome)),
-                Err(batch) => batch,
-            }
-        } else {
-            // Judge poison now: once backlogged, the batch meets the
-            // guard in drain_backlog, where no caller hears the verdict.
-            match self.inner.screen(batch) {
-                Ok(batch) => batch,
-                Err(fault) => {
-                    self.stats.quarantined += 1;
-                    return Ok(Ok(AdmissionOutcome::Quarantined(fault)));
+                Err(_) => {
+                    self.count_shed(seq, ShedReason::QueueFull);
+                    AdmissionOutcome::Shed(ShedReason::QueueFull)
                 }
             }
         };
-        Ok(match self.config.policy {
-            AdmissionPolicy::Block if !wait => Err(full),
-            // Backpressure by waiting: the waiting offer pumps worker
-            // output until space frees up.
-            AdmissionPolicy::Block => return self.try_inner(full, prequential, true),
-            AdmissionPolicy::SheddingNewest => {
-                if self.backlog.len() < self.config.backlog_capacity {
-                    self.push_backlog(full, prequential);
-                    Ok(AdmissionOutcome::Backlogged)
-                } else {
-                    self.count_shed(full.seq, ShedReason::QueueFull);
-                    Ok(AdmissionOutcome::Shed(ShedReason::QueueFull))
-                }
-            }
-        })
-    }
-
-    /// One offer to the inner pipeline, waiting out a full queue when
-    /// `wait` is set. `Ok(Ok(..))` means the batch was resolved (admitted
-    /// or quarantined); `Ok(Err(b))` hands the batch back on a full queue.
-    fn try_inner(
-        &mut self,
-        batch: Batch,
-        prequential: bool,
-        wait: bool,
-    ) -> Result<Result<AdmissionOutcome, Batch>, FreewayError> {
-        Ok(match self.inner.offer(batch, prequential, wait)? {
-            Ok(FeedOutcome::Accepted) => {
-                self.stats.admitted += 1;
-                Ok(AdmissionOutcome::Admitted)
-            }
-            Ok(FeedOutcome::Quarantined(fault)) => {
-                self.stats.quarantined += 1;
-                Ok(AdmissionOutcome::Quarantined(fault))
-            }
-            Err(batch) => Err(batch),
-        })
-    }
-
-    fn push_backlog(&mut self, batch: Batch, prequential: bool) {
-        self.backlog.push_back((batch, prequential));
-        self.stats.backlog_peak = self.stats.backlog_peak.max(self.backlog.len());
-    }
-
-    /// Moves as many backlogged batches to the worker as fit right now.
-    fn drain_backlog(&mut self) -> Result<(), FreewayError> {
-        while let Some((batch, prequential)) = self.backlog.pop_front() {
-            match self.try_inner(batch, prequential, false)? {
-                Ok(_) => {}
-                Err(batch) => {
-                    self.backlog.push_front((batch, prequential));
-                    break;
-                }
-            }
+        let pressure = self.occupancy();
+        if let Some(ladder) = self.ladder.as_mut() {
+            ladder.observe(seq, pressure);
         }
-        Ok(())
+        Ok(Ok(outcome))
     }
 
     /// Counts and announces one shed batch. Also counts a batch consumed
@@ -348,82 +225,35 @@ impl AdmittedPipeline {
     /// that died past its restart budget, so nothing answers it.
     pub(crate) fn count_shed(&mut self, seq: u64, reason: ShedReason) {
         self.stats.shed += 1;
-        self.telemetry.emit(TelemetryEvent::BatchShed { seq, reason: reason.tag() });
-    }
-
-    /// Feeds the ladder one pressure observation: normalized occupancy of
-    /// queue + backlog.
-    fn observe_pressure(&mut self, seq: u64) {
-        let Some(ladder) = self.ladder.as_mut() else { return };
-        let capacity = self.inner.queue_depth() + self.config.backlog_capacity;
-        let pressure = if capacity == 0 {
-            0.0
-        } else {
-            (self.inner.in_flight() + self.backlog.len()) as f64 / capacity as f64
-        };
-        let before = ladder.level();
-        let after = ladder.observe(seq, pressure);
-        if before != after {
-            self.stats.degradation_transitions += 1;
-        }
+        self.inner.telemetry().emit(TelemetryEvent::BatchShed { seq, reason: reason.tag() });
     }
 
     /// Receives the next output without blocking; see
-    /// [`SupervisedPipeline::try_recv`]. Also opportunistically drains
-    /// the backlog — consuming outputs is what frees queue space.
+    /// [`SupervisedPipeline::try_recv`].
     ///
     /// # Errors
     /// As [`SupervisedPipeline::try_recv`].
     pub fn try_recv(&mut self) -> Result<Option<PipelineOutput>, FreewayError> {
-        let out = self.inner.try_recv()?;
-        self.drain_backlog()?;
-        Ok(out)
+        self.inner.try_recv()
     }
 
     /// Current degradation service level.
     pub fn degradation_level(&self) -> DegradationLevel {
-        self.handle.level()
+        self.inner.degradation().level()
     }
 
     /// Admission counters so far.
     pub fn stats(&self) -> AdmissionStats {
-        self.stats
+        let transitions = self.ladder.as_ref().map_or(0, DegradationLadder::transitions);
+        AdmissionStats { degradation_transitions: transitions, ..self.stats }
     }
 
-    /// Batches waiting caller-side for queue space.
-    pub fn backlog_len(&self) -> usize {
-        self.backlog.len()
-    }
-
-    /// Normalized occupancy of worker queue + backlog in `[0, 1]`; the
-    /// measured queue-pressure signal behind dynamic `Busy` retry hints.
+    /// Normalized occupancy of the worker queue in `[0, 1]`: batches in
+    /// flight over the queue depth. It is the ladder's pressure signal
+    /// and the measured queue pressure behind dynamic `Busy` retry hints.
     pub fn occupancy(&self) -> f64 {
-        let capacity = self.inner.queue_depth() + self.config.backlog_capacity;
-        if capacity == 0 {
-            return 0.0;
-        }
-        let filled = (self.inner.in_flight() + self.backlog.len()).min(capacity);
-        filled as f64 / capacity as f64
-    }
-
-    /// Whether this pipeline has been fenced (restart budget exhausted).
-    pub fn is_fenced(&self) -> bool {
-        self.fenced
-    }
-
-    /// Fences the pipeline after its restart budget exhausted: the
-    /// backlog is shed as [`ShedReason::Fenced`] (those batches were
-    /// waiting for a worker that will never return) and every future
-    /// offer is shed the same way. Outputs the dead worker already
-    /// produced stay consumable via [`Self::try_recv`].
-    pub(crate) fn fence(&mut self) {
-        if self.fenced {
-            return;
-        }
-        self.fenced = true;
-        while let Some((batch, _prequential)) = self.backlog.pop_front() {
-            self.count_shed(batch.seq, ShedReason::Fenced);
-        }
+        let depth = self.inner.queue_depth();
+        self.inner.in_flight().min(depth) as f64 / depth as f64
     }
 
     /// The wrapped supervised pipeline: its counters, journal stats, and
@@ -433,18 +263,14 @@ impl AdmittedPipeline {
         &mut self.inner
     }
 
-    /// Flushes the backlog (waiting — these batches were accepted for
-    /// service, not shed) and finishes the wrapped pipeline, returning
-    /// the run plus this controller's counters.
+    /// Finishes the wrapped pipeline, returning the run plus this
+    /// controller's counters.
     ///
     /// # Errors
     /// As [`SupervisedPipeline::finish`].
-    pub fn finish(mut self) -> Result<AdmittedRun, FreewayError> {
-        while let Some((batch, prequential)) = self.backlog.pop_front() {
-            waited(self.try_inner(batch, prequential, true)?)?;
-        }
-        let run = self.inner.finish()?;
-        Ok(AdmittedRun { run, admission: self.stats })
+    pub fn finish(self) -> Result<AdmittedRun, FreewayError> {
+        let admission = self.stats();
+        Ok(AdmittedRun { run: self.inner.finish()?, admission })
     }
 }
 
@@ -470,6 +296,7 @@ mod tests {
     use super::*;
     use crate::builder::PipelineBuilder;
     use crate::config::FreewayConfig;
+    use crate::liveness::{HeartbeatLedger, WorkerStage};
     use crate::supervisor::Fault;
     use freeway_ml::ModelSpec;
     use freeway_streams::concept::{stream_rng, GmmConcept};
@@ -478,21 +305,33 @@ mod tests {
     use std::sync::Arc;
     use std::time::Duration;
 
-    fn build(
-        policy: AdmissionPolicy,
-        queue_depth: usize,
-        backlog: usize,
-    ) -> (AdmittedPipeline, Arc<RecordingSink>) {
-        let (builder, sink) = PipelineBuilder::new(ModelSpec::lr(4, 2))
+    fn builder(queue_depth: usize) -> PipelineBuilder {
+        PipelineBuilder::new(ModelSpec::lr(4, 2))
             .with_config(FreewayConfig {
                 pca_warmup_rows: 32,
                 mini_batch: 64,
                 ..Default::default()
             })
             .with_queue_depth(queue_depth)
-            .admission(AdmissionConfig { policy, backlog_capacity: backlog, ladder: false })
-            .recording();
+    }
+
+    fn build(
+        policy: AdmissionPolicy,
+        queue_depth: usize,
+    ) -> (AdmittedPipeline, Arc<RecordingSink>) {
+        let (builder, sink) =
+            builder(queue_depth).admission(AdmissionConfig { policy, ladder: false }).recording();
         (builder.build_admitted().expect("valid admission build"), sink)
+    }
+
+    /// Parks the worker in a stall of `duration` with its queue empty.
+    fn stall(p: &mut AdmittedPipeline, duration: Duration) {
+        p.supervisor().inject(Fault::Stall { duration, livelock: false }).expect("stall");
+        while p.supervisor().heartbeat().map(HeartbeatLedger::stage)
+            != Some(WorkerStage::ChaosStall)
+        {
+            std::thread::yield_now();
+        }
     }
 
     fn batches(n: u64, seed: u64) -> Vec<Batch> {
@@ -507,15 +346,8 @@ mod tests {
     }
 
     #[test]
-    fn config_validation_names_the_field() {
-        let bad = AdmissionConfig { backlog_capacity: 0, ..Default::default() };
-        assert!(bad.check().unwrap_err().contains("backlog"));
-        assert!(AdmissionConfig::default().check().is_ok());
-    }
-
-    #[test]
     fn block_policy_never_sheds() {
-        let (mut p, _) = build(AdmissionPolicy::Block, 2, 0);
+        let (mut p, _) = build(AdmissionPolicy::Block, 2);
         p.supervisor().inject(Fault::SlowTrain(Duration::from_millis(2))).expect("slow train");
         for b in batches(20, 31) {
             let outcome = p.feed_prequential(b).expect("healthy");
@@ -529,21 +361,17 @@ mod tests {
 
     #[test]
     fn shedding_newest_bounds_memory_and_counts_sheds() {
-        let (mut p, sink) = build(AdmissionPolicy::SheddingNewest, 1, 2);
+        let (mut p, sink) = build(AdmissionPolicy::SheddingNewest, 3);
         p.supervisor().inject(Fault::SlowTrain(Duration::from_millis(25))).expect("slow train");
         let mut shed = 0u64;
-        let mut backlogged = 0u64;
         for b in batches(30, 32) {
             match p.feed_prequential(b).expect("healthy") {
                 AdmissionOutcome::Shed(ShedReason::QueueFull) => shed += 1,
-                AdmissionOutcome::Backlogged => backlogged += 1,
                 AdmissionOutcome::Admitted => {}
                 other => panic!("unexpected outcome: {other:?}"),
             }
-            assert!(p.backlog_len() <= 2, "backlog bound holds");
         }
-        assert!(shed > 0, "a 25ms worker behind a 1-deep queue must shed");
-        assert!(backlogged > 0, "the backlog absorbs the first overflow");
+        assert!(shed > 0, "a 25ms worker behind a 3-deep queue must shed");
         p.supervisor().inject(Fault::SlowTrain(Duration::ZERO)).expect("slow train");
         let run = p.finish().expect("finish");
         assert_eq!(run.admission.shed, shed);
@@ -555,6 +383,60 @@ mod tests {
     }
 
     #[test]
+    fn shedding_newest_sheds_the_offer_that_finds_the_queue_full() {
+        // The shed point `simulate_overload` models: a queue of four
+        // takes four batches, and the fifth is shed on the spot.
+        let (mut p, sink) = build(AdmissionPolicy::SheddingNewest, 4);
+        stall(&mut p, Duration::from_millis(300));
+        let mut outcomes = Vec::new();
+        for b in batches(5, 36) {
+            outcomes.push(p.feed_prequential(b).expect("healthy"));
+            assert!(p.supervisor().in_flight() <= 4, "the queue is the only buffer");
+        }
+        assert_eq!(outcomes[..4], vec![AdmissionOutcome::Admitted; 4]);
+        assert_eq!(outcomes[4], AdmissionOutcome::Shed(ShedReason::QueueFull));
+        let shed: Vec<_> = sink
+            .events()
+            .into_iter()
+            .filter(|e| matches!(e, TelemetryEvent::BatchShed { .. }))
+            .collect();
+        assert_eq!(shed, [TelemetryEvent::BatchShed { seq: 4, reason: "queue-full" }]);
+        let run = p.finish().expect("finish");
+        assert_eq!(run.run.outputs.len(), 4, "every admitted batch is answered");
+        let stats = run.admission;
+        assert_eq!((stats.admitted, stats.shed), (4, 1), "{stats:?}");
+        assert_eq!(stats.offered, stats.admitted + stats.shed, "{stats:?}");
+    }
+
+    #[test]
+    fn block_pressure_is_the_queue_occupancy() {
+        // No checkpoint request may take a queue slot during the stall.
+        let (builder, sink) = builder(8)
+            .with_checkpoint_every(64)
+            .admission(AdmissionConfig { policy: AdmissionPolicy::Block, ladder: true })
+            .recording();
+        let mut p = builder.build_admitted().expect("valid admission build");
+        stall(&mut p, Duration::from_millis(300));
+        for b in batches(8, 37) {
+            assert_eq!(p.feed_prequential(b).expect("healthy"), AdmissionOutcome::Admitted);
+        }
+        // Readings 7/8 and 8/8 are the two over 0.85 that step the ladder.
+        assert_eq!(p.degradation_level(), DegradationLevel::ShortOnly);
+        let steps: Vec<_> = sink
+            .events()
+            .into_iter()
+            .filter(|e| matches!(e, TelemetryEvent::DegradationChanged { .. }))
+            .collect();
+        assert_eq!(
+            steps,
+            [TelemetryEvent::DegradationChanged { seq: 7, from: "full", to: "short-only" }]
+        );
+        let run = p.finish().expect("finish");
+        assert_eq!(run.admission.admitted, 8);
+        assert_eq!(run.admission.degradation_transitions, 1);
+    }
+
+    #[test]
     fn ladder_degrades_under_load_and_recovers() {
         let mut p = PipelineBuilder::new(ModelSpec::lr(4, 2))
             .with_config(FreewayConfig {
@@ -562,12 +444,8 @@ mod tests {
                 mini_batch: 64,
                 ..Default::default()
             })
-            .with_queue_depth(2)
-            .admission(AdmissionConfig {
-                policy: AdmissionPolicy::SheddingNewest,
-                backlog_capacity: 2,
-                ladder: true,
-            })
+            .with_queue_depth(4)
+            .admission(AdmissionConfig { policy: AdmissionPolicy::SheddingNewest, ladder: true })
             .build_admitted()
             .expect("valid admission build");
         p.supervisor().inject(Fault::SlowTrain(Duration::from_millis(25))).expect("slow train");

@@ -95,7 +95,9 @@ impl PipelineBuilder {
     }
 
     /// Sets the worker's channel bound
-    /// ([`SupervisorConfig::queue_depth`]).
+    /// ([`SupervisorConfig::queue_depth`]). Under admission control the
+    /// worker queue is the only buffer: shedding admission drops the
+    /// batch that finds it full.
     #[must_use]
     pub fn with_queue_depth(mut self, queue_depth: usize) -> Self {
         self.supervisor.queue_depth = queue_depth;
@@ -166,7 +168,7 @@ impl PipelineBuilder {
     }
 
     /// Puts admission control in front of the supervised pipeline:
-    /// overload policy, bounded shed buffer, and (via
+    /// the overload policy at the worker queue and (via
     /// [`AdmissionConfig::ladder`]) the graceful-degradation ladder.
     /// [`Self::build_admitted`], [`Self::build_sharded`] (per shard), and
     /// [`Self::build_service`] consume this, falling back to
@@ -245,10 +247,10 @@ impl PipelineBuilder {
     /// re-attaches the handle to the recovered learner.
     ///
     /// # Errors
-    /// As [`Self::build_supervised`], plus invalid admission knobs.
+    /// As [`Self::build_supervised`].
     pub fn build_admitted(self) -> Result<AdmittedPipeline, FreewayError> {
         let admission = self.admission.clone().unwrap_or_default();
-        AdmittedPipeline::new(self.build_supervised()?, admission)
+        Ok(AdmittedPipeline::new(self.build_supervised()?, admission))
     }
 
     /// Builds the sharded multi-tenant runtime: [`Self::shards`] admitted
@@ -294,7 +296,7 @@ impl PipelineBuilder {
                 learner.attach_shared_knowledge(&shared, shard);
             }
             let inner = SupervisedPipeline::with_learner(learner, supervisor)?;
-            shards.push(AdmittedPipeline::new(inner, admission.clone())?);
+            shards.push(AdmittedPipeline::new(inner, admission.clone()));
         }
         Ok(ShardedPipeline::new(shards, shared, self.telemetry))
     }

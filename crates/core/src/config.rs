@@ -132,8 +132,10 @@ pub struct FreewayConfig {
     /// labeling only inside Pattern-B handling; this extends it to every
     /// unlabeled batch so delayed/partial-label streams keep adapting
     /// between label deliveries. Off by default — it changes inference
-    /// output on unlabeled streams. (`serde` default keeps older
-    /// serialized configurations readable.)
+    /// output on unlabeled streams. With the published `serde`, the
+    /// attribute below decodes a configuration written without this
+    /// field as `false`; the vendored stand-in ignores `#[serde(...)]`
+    /// attributes, so such a configuration fails to decode there.
     #[serde(default)]
     pub enable_pseudo_labels: bool,
     /// Minimum CEC labeled-guidance purity for a pseudo-label training

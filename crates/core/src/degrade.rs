@@ -17,7 +17,7 @@
 //!    afford; the admission controller drops incoming batches.
 //!
 //! [`DegradationLadder::observe`] drives the level from a normalized
-//! pressure signal (worker queue plus backlog occupancy, computed by the
+//! pressure signal (the worker queue's occupancy, computed by the
 //! admission controller) with *hysteresis*: a level change needs
 //! two consecutive observations above the downgrade threshold of 0.85
 //! (or four below the upgrade threshold of 0.35), and the two thresholds
@@ -130,7 +130,7 @@ impl DegradationHandle {
 }
 
 /// Pressure above which the ladder counts toward a downgrade. Pressure
-/// is normalized occupancy: 1.0 means the queue plus backlog are full.
+/// is normalized occupancy: 1.0 means the worker queue is full.
 const DOWNGRADE_ABOVE: f64 = 0.85;
 /// Pressure below which the ladder counts toward an upgrade; the gap up
 /// to [`DOWNGRADE_ABOVE`] is the hysteresis band.
@@ -175,7 +175,7 @@ impl DegradationLadder {
     }
 
     /// Feeds one pressure observation (normalized occupancy, 1.0 = the
-    /// queue and backlog are full) stamped with the batch sequence number
+    /// worker queue is full) stamped with the batch sequence number
     /// it was measured at. Steps the ladder at most one level per call,
     /// after its dwell, and emits [`TelemetryEvent::DegradationChanged`]
     /// on every transition. Returns the level in force after the

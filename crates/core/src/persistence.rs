@@ -82,8 +82,12 @@ fn current_version() -> u32 {
 /// A serialisable learner checkpoint.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Checkpoint {
-    /// Format version (see [`CHECKPOINT_VERSION`]). Checkpoints written
-    /// before versioning decode as 0 and are rejected.
+    /// Format version (see [`CHECKPOINT_VERSION`]). A file written
+    /// before versioning has none, and both `serde` builds reject it:
+    /// the published crate decodes the missing field as 0, which fails
+    /// [`Self::validate`] as [`CheckpointError::UnsupportedVersion`];
+    /// the vendored stand-in ignores `#[serde(...)]` attributes and
+    /// reports the missing field as [`CheckpointError::Malformed`].
     #[serde(default)]
     pub version: u32,
     /// Configuration the learner ran with.
@@ -98,7 +102,10 @@ pub struct Checkpoint {
     /// checkpoint was captured — the replay floor for the ingest journal
     /// (`None` on checkpoints captured before any batch, and on files
     /// written by pre-journal builds; both mean "replay everything").
-    /// Skipped when absent so pre-journal checkpoint bytes are unchanged.
+    /// Both `serde` builds decode a missing value as `None`. They write
+    /// `None` differently: the published crate skips the field, so
+    /// pre-journal checkpoint bytes are unchanged; the vendored stand-in
+    /// ignores the attribute and writes `"journal_seq":null`.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub journal_seq: Option<u64>,
 }
@@ -477,6 +484,18 @@ mod tests {
             Checkpoint::from_json(&checkpoint.to_json()),
             Err(FreewayError::Checkpoint(CheckpointError::UnsupportedVersion { found: 0, .. }))
         ));
+    }
+
+    #[test]
+    fn checkpoint_without_a_version_is_rejected() {
+        let (learner, _, _) = trained_learner();
+        let json = Checkpoint::capture(&learner).to_json();
+        let unversioned = json.replacen(&format!("\"version\":{CHECKPOINT_VERSION},"), "", 1);
+        assert_ne!(json, unversioned, "fixture must drop the version key");
+        // UnsupportedVersion with the published serde, Malformed with the
+        // vendored stand-in: a checkpoint error either way.
+        let decoded = Checkpoint::from_json(&unversioned);
+        assert!(matches!(decoded, Err(FreewayError::Checkpoint(_))), "{decoded:?}");
     }
 
     #[test]

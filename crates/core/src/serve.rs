@@ -34,9 +34,8 @@
 //! Backpressure is the admission controller configured on the builder
 //! (see [`crate::AdmissionPolicy`]). With the blocking policy nothing is
 //! ever dropped: a full shard queue hands the batch back as `Busy`, the
-//! only overload signal. With shedding-newest a full queue backlogs and
-//! then drops, and dropped batches come back to their session as
-//! [`SubmitOutcome::Shed`].
+//! only overload signal. With shedding-newest a full queue drops the
+//! batch, and it comes back to its session as [`SubmitOutcome::Shed`].
 //!
 //! Every call waits for the service lock and for nothing else the shards
 //! do, except that whoever holds the lock runs what the runtime needs
@@ -82,7 +81,7 @@ use std::time::Duration;
 
 /// *Base* pacing hint handed back inside [`ServeError::Busy`]: the wait
 /// suggested when the runtime is unloaded. The actual hint scales with
-/// measured pressure — queue/backlog occupancy and the degradation
+/// measured pressure — worker queue occupancy and the degradation
 /// ladder — up to 4× this base (see [`busy_hint`]). Advisory, not
 /// enforced.
 const RETRY_AFTER_HINT: Duration = Duration::from_micros(200);
@@ -391,16 +390,8 @@ impl ServiceHandle {
         let mut state = lock(&self.shared)?;
         let session = state.next_session;
         state.serve(|serving, sessions| {
-            let in_flight_gauge = serving
-                .pipeline
-                .telemetry()
-                .gauge(&format!("freeway_serve_session_{session}_in_flight"));
-            let fresh = SessionState {
-                outputs: VecDeque::new(),
-                parked: None,
-                in_flight_gauge,
-                awaiting: VecDeque::new(),
-            };
+            let fresh =
+                SessionState { outputs: VecDeque::new(), parked: None, awaiting: VecDeque::new() };
             sessions.0.insert(session, fresh);
             serving.stats.sessions_opened += 1;
             serving.sessions_gauge.set(sessions.0.len() as f64);
@@ -423,13 +414,19 @@ impl ServiceHandle {
     ///
     /// # Errors
     /// [`ServeError::Busy`] when the shard's queue is full (retry after
-    /// the hint); [`ServeError::Disconnected`] when the service has shut
-    /// down, or when delivering the fault hit a runtime failure, which
-    /// ends it.
+    /// the hint); [`ServeError::Runtime`] with
+    /// [`FreewayError::InvalidConfig`] when `shard` is out of range, which
+    /// leaves the service running; [`ServeError::Disconnected`] when the
+    /// service has shut down, or when delivering the fault hit a runtime
+    /// failure, which ends it.
     pub fn inject(&self, shard: usize, fault: Fault) -> Result<(), ServeError> {
         lock(&self.shared)?.serve(|serving, sessions| {
             let queued = match serving.pipeline.inject(shard, fault) {
                 Err(FreewayError::QueueFull) => false,
+                // The caller's mistake, not a runtime failure.
+                Err(invalid @ FreewayError::InvalidConfig(_)) => {
+                    return Ok(Err(ServeError::Runtime(invalid)))
+                }
                 injected => injected.map(|()| true)?,
             };
             serving.settle(sessions)?;
@@ -758,7 +755,6 @@ struct SessionState {
     /// The session's thread while it is parked in
     /// [`ClientSession::recv_output`]; a delivery unparks it.
     parked: Option<Thread>,
-    in_flight_gauge: Gauge,
     /// Global seqs of the submissions a shard holds, oldest first: the
     /// outputs the session is waiting for.
     awaiting: VecDeque<u64>,
@@ -771,7 +767,6 @@ impl Sessions {
     fn deliver(&mut self, session: u64, output: SessionOutput) {
         let Some(state) = self.0.get_mut(&session) else { return };
         state.awaiting.retain(|&seq| seq != output.global_seq);
-        state.in_flight_gauge.set(state.awaiting.len() as f64);
         state.outputs.push_back(output);
         if let Some(thread) = state.parked.take() {
             thread.unpark();
@@ -867,7 +862,7 @@ impl Serving {
     }
 
     /// Publishes the pressure estimate behind the `Busy` hints: the worst
-    /// unfenced shard's queue/backlog occupancy, folded with its
+    /// unfenced shard's worker queue occupancy, folded with its
     /// degradation-ladder level (each rung pinning a floor of
     /// 25/50/75%), clamped to `[0, 100]`.
     fn publish_pressure(&mut self) {
@@ -923,11 +918,10 @@ impl Serving {
         self.stats.submitted += 1;
         self.submitted_counter.inc();
         let verdict = match outcome {
-            AdmissionOutcome::Admitted | AdmissionOutcome::Backlogged => {
+            AdmissionOutcome::Admitted => {
                 self.ledger.insert(global_seq, PendingEntry { session, client_seq, shard });
                 if let Some(state) = sessions.0.get_mut(&session) {
                     state.awaiting.push_back(global_seq);
-                    state.in_flight_gauge.set(state.awaiting.len() as f64);
                 }
                 if let Some(order) = self.admitted_order.as_mut() {
                     order.push(AdmittedRecord {
@@ -1035,13 +1029,12 @@ impl Serving {
     }
 
     /// Sweeps the ledger after a fence: batches on a shard that exhausted
-    /// its restart budget were either lost in flight (handed to the
-    /// worker that died) or shed from its backlog by the fence, and no
-    /// output will ever surface for them. Their sessions receive a typed,
-    /// retryable [`SubmitOutcome::Shed`]`("fenced")` verdict instead of
-    /// waiting forever, in ascending sequence order. Answers the worker
-    /// produced *before* dying are delivered first, so nothing answerable
-    /// is misreported as lost.
+    /// its restart budget were lost in flight (handed to the worker that
+    /// died), and no output will ever surface for them. Their sessions
+    /// receive a typed, retryable [`SubmitOutcome::Shed`]`("fenced")`
+    /// verdict instead of waiting forever, in ascending sequence order.
+    /// Answers the worker produced *before* dying are delivered first, so
+    /// nothing answerable is misreported as lost.
     fn reconcile_fences(&mut self, sessions: &mut Sessions) -> Result<(), FreewayError> {
         if self.pipeline.fenced_shards().len() == self.fenced_seen {
             return Ok(());

@@ -142,17 +142,15 @@ impl ShardedPipeline {
         self.fenced[shard]
     }
 
-    /// Raises the fence on one shard: its backlog is shed as
-    /// [`ShedReason::Fenced`], its keys reroute to survivors from the
-    /// next feed on, and its [`SharedKnowledge`] sub-list stays readable
-    /// so adopting shards warm-start Pattern-C reuse from the concepts it
-    /// preserved.
+    /// Raises the fence on one shard: its keys reroute to survivors from
+    /// the next feed on, and its [`SharedKnowledge`] sub-list stays
+    /// readable so adopting shards warm-start Pattern-C reuse from the
+    /// concepts it preserved.
     fn fence_shard(&mut self, shard: usize) {
         if self.fenced[shard] {
             return;
         }
         self.fenced[shard] = true;
-        self.shards[shard].fence();
         self.fenced_counter.inc();
         self.telemetry
             .emit(TelemetryEvent::ShardFenced { seq: self.telemetry.seq(), shard: shard as u64 });
@@ -191,7 +189,9 @@ impl ShardedPipeline {
         &self.telemetry
     }
 
-    /// Direct access to one shard (tests, drills, per-shard stats).
+    /// Direct access to one shard (tests, drills, per-shard stats). A
+    /// fenced shard has no worker: feeding it directly fails with
+    /// [`FreewayError::WorkerUnavailable`].
     pub fn shard(&mut self, shard: usize) -> &mut AdmittedPipeline {
         &mut self.shards[shard]
     }
@@ -273,9 +273,9 @@ impl ShardedPipeline {
 
     /// One non-blocking drain pass over shard `i`: pulls every ready
     /// output (each receive polls the shard's stall watchdog), fences on
-    /// exhaustion. Returns whether the shard is quiescent: nothing
-    /// backlogged and nothing in flight, replayed answers included (a
-    /// fenced shard is quiescent once its surviving outputs are drained).
+    /// exhaustion. Returns whether the shard is quiescent: nothing in
+    /// flight, replayed answers included (a fenced shard is quiescent
+    /// once its surviving outputs are drained).
     fn drain_shard_step(
         &mut self,
         i: usize,
@@ -291,12 +291,11 @@ impl ShardedPipeline {
                 None => {}
             }
         }
-        Ok(self.fenced[i]
-            || (self.shards[i].backlog_len() == 0 && self.shards[i].supervisor().in_flight() == 0))
+        Ok(self.fenced[i] || self.shards[i].supervisor().in_flight() == 0)
     }
 
-    /// Drains every shard to quiescence — backlogs empty, zero batches in
-    /// flight — and returns all outputs sorted by `(seq, shard)`.
+    /// Drains every shard to quiescence — zero batches in flight — and
+    /// returns all outputs sorted by `(seq, shard)`.
     ///
     /// This is the deterministic phase boundary: after a barrier the
     /// shared registry holds every preservation the fed batches could
@@ -383,8 +382,7 @@ impl ShardedPipeline {
         self.shards[shard].supervisor().doorbell()
     }
 
-    /// Aggregated admission counters across all shards (sums; the
-    /// backlog peak is the max over shards — peaks do not add).
+    /// Aggregated admission counters across all shards (sums).
     pub fn stats(&self) -> AdmissionStats {
         aggregate_stats(self.shards.iter().map(AdmittedPipeline::stats))
     }
@@ -396,10 +394,17 @@ impl ShardedPipeline {
     /// fault, so it ignores the injection.
     ///
     /// # Errors
-    /// As [`crate::SupervisedPipeline::inject`], restart exhaustion
-    /// excepted.
+    /// [`FreewayError::InvalidConfig`] naming the shard and the shard
+    /// count when `shard` is out of range; otherwise as
+    /// [`crate::SupervisedPipeline::inject`], restart exhaustion excepted.
     pub fn inject(&mut self, shard: usize, fault: Fault) -> Result<(), FreewayError> {
-        if self.fenced[shard] {
+        let Some(&fenced) = self.fenced.get(shard) else {
+            return Err(FreewayError::InvalidConfig(format!(
+                "fault aimed at shard {shard} of a {}-shard runtime",
+                self.shards.len()
+            )));
+        };
+        if fenced {
             return Ok(());
         }
         let result = self.shards[shard].supervisor().inject(fault);
@@ -448,7 +453,6 @@ fn aggregate_stats(stats: impl Iterator<Item = AdmissionStats>) -> AdmissionStat
         acc.admitted += s.admitted;
         acc.shed += s.shed;
         acc.quarantined += s.quarantined;
-        acc.backlog_peak = acc.backlog_peak.max(s.backlog_peak);
         acc.degradation_transitions += s.degradation_transitions;
         acc
     })
@@ -471,13 +475,12 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_sums_counters_and_maxes_peak() {
+    fn aggregate_sums_counters() {
         let a = AdmissionStats {
             offered: 3,
             admitted: 2,
             shed: 1,
             quarantined: 0,
-            backlog_peak: 5,
             degradation_transitions: 1,
         };
         let b = AdmissionStats {
@@ -485,7 +488,6 @@ mod tests {
             admitted: 4,
             shed: 0,
             quarantined: 1,
-            backlog_peak: 2,
             degradation_transitions: 0,
         };
         let total = aggregate_stats([a, b].into_iter());
@@ -493,7 +495,6 @@ mod tests {
         assert_eq!(total.admitted, 6);
         assert_eq!(total.shed, 1);
         assert_eq!(total.quarantined, 1);
-        assert_eq!(total.backlog_peak, 5);
         assert_eq!(total.degradation_transitions, 1);
     }
 }

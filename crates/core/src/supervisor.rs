@@ -798,12 +798,13 @@ impl SupervisedPipeline {
     }
 
     /// Offers one batch, routed by labeledness: the one feed path behind
-    /// [`Self::feed`], admission and the serving facade. With `wait` set,
-    /// a full worker queue is waited out; with it unset, the batch comes
-    /// straight back as `Err`, untouched, so the caller can shed, backlog
-    /// or retry under its own policy. A dead worker is restarted either
-    /// way (its replacement's queue is empty, so the send then succeeds
-    /// or the restart budget errors out).
+    /// [`Self::feed`], admission and the serving facade. Poison is
+    /// quarantined first: counted, announced and dropped, with its fault
+    /// returned. With `wait` set, a full worker queue is waited out; with
+    /// it unset, the batch comes straight back as `Err`, untouched, so the
+    /// caller can shed or retry under its own policy. A dead worker is
+    /// restarted either way (its replacement's queue is empty, so the
+    /// send then succeeds or the restart budget errors out).
     ///
     /// # Errors
     /// As [`Self::feed`].
@@ -815,10 +816,12 @@ impl SupervisedPipeline {
     ) -> Result<Result<FeedOutcome, Batch>, FreewayError> {
         // Inspect without advancing the watermark: a batch handed back
         // must leave the guard willing to see its seq again.
-        let batch = match self.screen(batch) {
-            Ok(batch) => batch,
-            Err(fault) => return Ok(Ok(FeedOutcome::Quarantined(fault))),
-        };
+        if let Err(fault) = self.guard.inspect(&batch) {
+            self.stats.quarantined += 1;
+            self.telemetry
+                .emit(TelemetryEvent::BatchQuarantined { seq: batch.seq, fault: fault.tag() });
+            return Ok(Ok(FeedOutcome::Quarantined(fault)));
+        }
         // Take in finished work first: freeing output slots is what lets
         // a busy worker drain its input queue, and checkpoint results
         // (and their disk verdicts) are applied promptly, not only at
@@ -856,17 +859,6 @@ impl SupervisedPipeline {
             }
         }
         Ok(Ok(FeedOutcome::Accepted))
-    }
-
-    /// Inspects `batch` without queueing it or advancing the seq
-    /// watermark: poison is counted, announced and dropped, and its fault
-    /// returned; a clean batch is handed back.
-    pub(crate) fn screen(&mut self, batch: Batch) -> Result<Batch, BatchFault> {
-        let Err(fault) = self.guard.inspect(&batch) else { return Ok(batch) };
-        self.stats.quarantined += 1;
-        self.telemetry
-            .emit(TelemetryEvent::BatchQuarantined { seq: batch.seq, fault: fault.tag() });
-        Err(fault)
     }
 
     /// Shared bookkeeping after a batch actually reached the worker.

@@ -18,14 +18,16 @@
 //!   submissions above everything it recovered.
 //! * Bounded shutdown: a drain budget that runs out on a wedged shard
 //!   still delivers every answer the healthy shards computed.
-//! * Poison behind a backlog: a submission the guard rejects gets its
-//!   `Quarantined` verdict even when it arrives behind backlogged work.
-//! * Fences: when a shard is fenced, the submissions it strands — lost in
-//!   flight or shed from its backlog — reach their session in submission
-//!   order.
+//! * Poison at a full queue: a submission the guard rejects gets its
+//!   `Quarantined` verdict even when its shard's queue is full.
+//! * Fences: when a shard is fenced, the submissions it strands in flight
+//!   reach their session in submission order.
 //! * Shared shards: many closed-loop sessions on one shard's bell all get
 //!   their answers, and a fault injected into a full queue comes back as
 //!   `Busy` instead of waiting under the service lock.
+//! * Caller mistakes stay the caller's: a fault aimed at a shard that does
+//!   not exist is a typed error that leaves the service running, and
+//!   sessions that come and go leave no metric behind.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -311,15 +313,18 @@ fn drain_timeout_still_delivers_what_healthy_shards_answered() {
 }
 
 #[test]
-fn poison_behind_a_backlog_still_gets_its_verdict() {
+fn poison_offered_at_a_full_queue_still_gets_its_verdict() {
     within_budget(Duration::from_secs(30), || {
-        // Default admission (shedding-newest with a backlog) over a
-        // one-slot queue: while the worker stalls, the clean submissions
-        // fill the queue and the backlog, so the poison arrives behind
-        // backlogged work. The stall only has to outlast five submits.
+        // Shedding-newest admission over a four-slot queue: while the
+        // worker stalls, the clean submissions fill the queue (the last
+        // one is shed if the stall command still holds a slot), so the
+        // poison is offered at a full queue. The stall only has to
+        // outlast five submits; the ladder is off, so the full queue
+        // cannot step it.
         let service = PipelineBuilder::new(ModelSpec::lr(DIM, CLASSES))
             .with_config(config())
-            .with_queue_depth(1)
+            .with_queue_depth(4)
+            .admission(AdmissionConfig { ladder: false, ..Default::default() })
             .build_service()
             .expect("valid service");
         let handle = service.handle();
@@ -350,7 +355,6 @@ fn poison_behind_a_backlog_still_gets_its_verdict() {
         assert_eq!(report.stats.quarantined, 1, "{:?}", report.stats);
         let admission = report.run.admission();
         assert_eq!(admission.quarantined, 1, "{admission:?}");
-        assert!(admission.backlog_peak >= 1, "nothing was backlogged: {admission:?}");
     });
 }
 
@@ -428,15 +432,15 @@ fn blocking_admission_hands_back_busy_instead_of_blocking() {
 #[test]
 fn fence_verdicts_reach_the_session_in_submission_order() {
     within_budget(Duration::from_secs(30), || {
-        // Default admission over a three-slot queue with no restart
+        // Default admission over a six-slot queue with no restart
         // budget. The stall holds the worker while the panic command and
-        // two submissions fill its queue and two more wait in the
-        // backlog; the panic then fences the shard, stranding two
-        // batches in flight and shedding the two backlogged ones. The
-        // stall only has to outlast four submits.
+        // the four submissions queue behind it (a sixth slot keeps room
+        // for the stall command, should the worker not have taken it
+        // yet); the panic then fences the shard, stranding all four
+        // batches in flight. The stall only has to outlast four submits.
         let service = PipelineBuilder::new(ModelSpec::lr(DIM, CLASSES))
             .with_config(config())
-            .with_queue_depth(3)
+            .with_queue_depth(6)
             .with_max_restarts(0)
             .build_service()
             .expect("valid service");
@@ -538,6 +542,45 @@ fn injecting_into_a_full_queue_hands_back_busy() {
         let report = service.shutdown().expect("clean shutdown");
         assert_eq!(report.run.shards[0].run.stats.restarts, 0, "the busy injection never ran");
     });
+}
+
+#[test]
+fn injecting_into_a_shard_that_does_not_exist_leaves_the_service_running() {
+    within_budget(Duration::from_secs(30), || {
+        let service = builder(2).build_service().expect("valid service");
+        let handle = service.handle();
+        let mut session = handle.open_session(1).expect("service running");
+        match handle.inject(2, Fault::Panic) {
+            Err(ServeError::Runtime(FreewayError::InvalidConfig(message))) => {
+                assert!(message.contains("shard 2 of a 2-shard"), "{message}");
+            }
+            other => panic!("expected a typed InvalidConfig, got {other:?}"),
+        }
+        for batch in session_batches(18, 1, 3) {
+            answer(&mut session, batch);
+        }
+        drop(session);
+        let report = service.shutdown().expect("a bad shard index does not end the service");
+        assert_eq!(report.stats.answered, 3);
+    });
+}
+
+#[test]
+fn sessions_that_come_and_go_leave_no_metric_behind() {
+    let (telemetry, _sink) = Telemetry::recording();
+    let service =
+        builder(1).with_telemetry(telemetry.clone()).build_service().expect("valid service");
+    let handle = service.handle();
+    let names = |metrics: MetricsSnapshot| -> Vec<String> {
+        let MetricsSnapshot { counters, gauges, histograms } = metrics;
+        counters.into_keys().chain(gauges.into_keys()).chain(histograms.into_keys()).collect()
+    };
+    let before = names(telemetry.metrics());
+    for key in 0..100 {
+        drop(handle.open_session(key).expect("service running"));
+    }
+    assert_eq!(names(telemetry.metrics()), before);
+    service.shutdown().expect("clean shutdown");
 }
 
 /// Serves `batches` closed-loop through one session of a 1-shard service

@@ -20,7 +20,7 @@ fn config() -> FreewayConfig {
 /// Admission that can neither shed nor degrade: parity runs must train on
 /// exactly the batches the supervised pipeline trains on.
 fn lossless_admission() -> AdmissionConfig {
-    AdmissionConfig { policy: AdmissionPolicy::Block, ladder: false, ..Default::default() }
+    AdmissionConfig { policy: AdmissionPolicy::Block, ladder: false }
 }
 
 /// First key at/after `start` routing to `target` under `n` shards.

@@ -104,11 +104,7 @@ fn measure(clients: usize, sweep: &ServingSweep) -> ServingPoint {
             ..Default::default()
         })
         .with_queue_depth(64)
-        .admission(AdmissionConfig {
-            policy: AdmissionPolicy::Block,
-            ladder: false,
-            ..Default::default()
-        })
+        .admission(AdmissionConfig { policy: AdmissionPolicy::Block, ladder: false })
         .shards(sweep.shards)
         .build_service()
         .expect("valid sweep configuration");

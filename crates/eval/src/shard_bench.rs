@@ -86,11 +86,7 @@ fn measure(shards: usize, sweep: &ShardSweep) -> ShardScalingPoint {
             ..Default::default()
         })
         .with_queue_depth(64)
-        .admission(AdmissionConfig {
-            policy: AdmissionPolicy::Block,
-            ladder: false,
-            ..Default::default()
-        })
+        .admission(AdmissionConfig { policy: AdmissionPolicy::Block, ladder: false })
         .shards(shards)
         .build_sharded()
         .expect("valid sweep configuration");

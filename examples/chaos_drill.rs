@@ -215,11 +215,7 @@ fn journal_drill() {
             .with_queue_depth(32)
             .with_checkpoint_every(4)
             .journal(JournalConfig::new(dir.join("ingest.wal")))
-            .admission(AdmissionConfig {
-                policy: AdmissionPolicy::Block,
-                ladder: false,
-                ..Default::default()
-            })
+            .admission(AdmissionConfig { policy: AdmissionPolicy::Block, ladder: false })
             .shards(2)
             .build_sharded()
             .expect("valid configuration");

@@ -65,11 +65,7 @@ fn build(journal: Option<JournalConfig>) -> ShardedPipeline {
         .with_checkpoint_every(4)
         .with_max_restarts(MAX_RESTARTS)
         .with_stall_deadline(Duration::from_millis(60))
-        .admission(AdmissionConfig {
-            policy: AdmissionPolicy::Block,
-            ladder: false,
-            ..Default::default()
-        })
+        .admission(AdmissionConfig { policy: AdmissionPolicy::Block, ladder: false })
         .shards(SHARDS);
     if let Some(config) = journal {
         builder = builder.journal(config);

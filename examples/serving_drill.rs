@@ -85,11 +85,7 @@ fn builder() -> PipelineBuilder {
             ..Default::default()
         })
         .with_queue_depth(32)
-        .admission(AdmissionConfig {
-            policy: AdmissionPolicy::Block,
-            ladder: false,
-            ..Default::default()
-        })
+        .admission(AdmissionConfig { policy: AdmissionPolicy::Block, ladder: false })
         .shards(SHARDS)
 }
 

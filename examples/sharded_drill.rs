@@ -51,7 +51,6 @@ fn build(shards: usize) -> ShardedPipeline {
         .admission(AdmissionConfig {
             policy: freewayml::core::admission::AdmissionPolicy::Block,
             ladder: false,
-            ..Default::default()
         })
         .shards(shards)
         .build_sharded()
