@@ -316,6 +316,19 @@ assert head >= hidden / 3, (
     f"< 1/3 of {hidden:.2f} at 256x20x32"
 )
 print(f"kernel cliff gate: transa 256x32x5 at {head / hidden:.2f}x of 256x20x32")
+# Softmax cliff gate, the same kind of ratio: the learner-drift head's
+# softmax (256x5) must take at most half the time of its hidden layer's
+# forward GEMM (matmul 256x20x32). The lane kernel reads about 0.3; a
+# softmax calling libm's exp per element reads about 1.
+times = {
+    (p["kernel"], p["shape"]): p["ns_per_call"] for p in bench["kernel_microbench"]
+}
+softmax, gemm = times[("softmax_rows", "256x5")], times[("matmul", "256x20x32")]
+assert softmax <= gemm / 2, (
+    f"softmax_rows fell off its lane kernel: {softmax:.0f} ns at 256x5 "
+    f"> 1/2 of matmul 256x20x32's {gemm:.0f} ns"
+)
+print(f"softmax cliff gate: softmax_rows 256x5 at {softmax / gemm:.2f}x of matmul 256x20x32")
 PY
 rm -f /tmp/bench_quick_ci.json
 

@@ -62,7 +62,8 @@ pub struct KernelBenchPoint {
     /// `cec_predict_scored`,
     /// `rows x features>hidden>classes` for the MLP points (prefixed by
     /// the subset count, and suffixed by the epochs, for
-    /// `window_completion`), element count otherwise.
+    /// `window_completion`), `rows x cols` for `softmax_rows`, element
+    /// count otherwise.
     pub shape: String,
     /// Floating-point operations per call (the conventional count, e.g.
     /// `2mkn` for matmul).
@@ -232,25 +233,28 @@ pub fn run() -> Vec<KernelBenchPoint> {
         });
     }
 
-    // Softmax at the LR head shape (exp-bound; counted as 5 flops per
-    // element to make regressions visible, the constant is nominal).
-    let mut logits = Matrix::zeros(256, 2);
-    fill(logits.as_mut_slice(), 8);
-    let base = logits.clone();
-    let flops = 5 * 256 * 2;
-    let (ns, gf) = time_calls(flops, || {
-        logits.as_mut_slice().copy_from_slice(base.as_slice());
-        freeway_ml::loss::softmax_rows(&mut logits);
-        logits.as_slice()[0]
-    });
-    points.push(KernelBenchPoint {
-        kernel: "softmax_rows".into(),
-        shape: "256x2".into(),
-        flops_per_call: flops,
-        ns_per_call: ns,
-        gflops: gf,
-        minor_faults_per_call: None,
-    });
+    // Softmax at the LR head's shape and the learner-drift MLP head's
+    // (exp-bound; counted as 5 flops per element to make regressions
+    // visible, the constant is nominal).
+    for &(rows, cols) in &[(256usize, 2usize), (256, 5)] {
+        let mut logits = Matrix::zeros(rows, cols);
+        fill(logits.as_mut_slice(), 8);
+        let base = logits.clone();
+        let flops = (5 * rows * cols) as u64;
+        let (ns, gf) = time_calls(flops, || {
+            logits.as_mut_slice().copy_from_slice(base.as_slice());
+            freeway_ml::loss::softmax_rows(&mut logits);
+            logits.as_slice()[0]
+        });
+        points.push(KernelBenchPoint {
+            kernel: "softmax_rows".into(),
+            shape: format!("{rows}x{cols}"),
+            flops_per_call: flops,
+            ns_per_call: ns,
+            gflops: gf,
+            minor_faults_per_call: None,
+        });
+    }
 
     // CEC's k-means at its NSL-KDD and Covertype shapes (see the module
     // doc for what the flop figure counts).
@@ -387,6 +391,19 @@ mod tests {
             "window_completion",
         ] {
             assert!(points.iter().any(|p| p.kernel == kernel), "missing {kernel}");
+        }
+        // ci.sh's cliff gates read these shapes.
+        for (kernel, shape) in [
+            ("matmul", "256x20x32"),
+            ("matmul_transa", "256x20x32"),
+            ("matmul_transa", "256x32x5"),
+            ("softmax_rows", "256x2"),
+            ("softmax_rows", "256x5"),
+        ] {
+            assert!(
+                points.iter().any(|p| p.kernel == kernel && p.shape == shape),
+                "missing {kernel} {shape}"
+            );
         }
     }
 }

@@ -358,10 +358,12 @@ fn batches(mut stream: impl StreamGenerator, count: usize, rows: usize) -> Vec<B
 }
 
 /// A learner-drift learner (MLP-32 on NSL-KDD's 20 features and 5
-/// classes, 256-row batches) trained until its selector is ready.
-fn learner_drift() -> (Learner, Vec<Batch>) {
+/// classes, 256-row batches) reporting to `telemetry`, trained until its
+/// selector is ready.
+fn learner_drift(telemetry: Telemetry) -> (Learner, Vec<Batch>) {
     let mut learner = PipelineBuilder::new(ModelSpec::mlp(20, vec![32], 5))
         .with_mini_batch(256)
+        .with_telemetry(telemetry)
         .build_learner()
         .expect("valid learner-drift config");
     let stream = batches(freeway_streams::datasets::nslkdd(1), 240, 256);
@@ -386,7 +388,7 @@ const SEVERE_INFER_ALLOCS: u64 = 2;
 
 #[test]
 fn warm_severe_learner_infer_allocates_a_fixed_count() {
-    let (mut learner, stream) = learner_drift();
+    let (mut learner, stream) = learner_drift(Telemetry::disabled());
     let steps = drive(&mut learner, &stream);
     let severe =
         |s: &&Step| matches!(s.pattern, Some(ShiftPattern::Sudden | ShiftPattern::Reoccurring));
@@ -405,41 +407,55 @@ fn warm_severe_learner_infer_allocates_a_fixed_count() {
 }
 
 /// Allocations of a warm steady-state `Learner::process` whose batch is a
-/// slight shift and completes no window, telemetry disabled: the shift
-/// measurement's projection, the ensemble's predictions, and the long
-/// window's copy of the batch ([`BANK_STEP_ALLOCS`]). The projection of
-/// the training batch lands in buffers the learner keeps.
+/// slight shift and completes no window: the shift measurement's
+/// projection, the ensemble's predictions, and the long window's copy of
+/// the batch ([`BANK_STEP_ALLOCS`]). The projection of the training batch
+/// lands in buffers the learner keeps. A live telemetry handle on a no-op
+/// sink adds none.
 const PROCESS_ALLOCS: u64 = 2 + BANK_STEP_ALLOCS;
 
-/// Checks [`PROCESS_ALLOCS`] on every slight batch of `steps` that
-/// completed no window, once the shift history is full.
-fn assert_steady_process(steps: &[Step], what: &str) {
-    let steady: Vec<&Step> = steps
-        .iter()
-        .skip(60)
-        .filter(|s| s.pattern == Some(ShiftPattern::Slight) && !s.completed)
-        .collect();
-    assert!(steady.len() > 20, "{what}: too few steady batches ({})", steady.len());
-    for step in steady {
-        assert_eq!(step.process_allocs, PROCESS_ALLOCS, "{what}: {step:?}");
+/// Checks [`PROCESS_ALLOCS`] on every slight batch that completed no
+/// window, once the shift history is full, of a learner and stream from
+/// `build`: once with telemetry disabled, once with a live handle on a
+/// no-op sink.
+fn assert_steady_process(build: impl Fn(Telemetry) -> (Learner, Vec<Batch>), what: &str) {
+    for (telemetry, how) in [
+        (Telemetry::disabled(), "telemetry disabled"),
+        (Telemetry::attached(Arc::new(NoopSink)), "no-op sink"),
+    ] {
+        let live = telemetry.enabled();
+        let (mut learner, stream) = build(telemetry);
+        assert_eq!(learner.telemetry().enabled(), live, "{what}, {how}: handle not attached");
+        let steps = drive(&mut learner, &stream);
+        let steady: Vec<&Step> = steps
+            .iter()
+            .skip(60)
+            .filter(|s| s.pattern == Some(ShiftPattern::Slight) && !s.completed)
+            .collect();
+        assert!(steady.len() > 20, "{what}, {how}: too few steady batches ({})", steady.len());
+        for step in steady {
+            assert_eq!(step.process_allocs, PROCESS_ALLOCS, "{what}, {how}: {step:?}");
+        }
     }
 }
 
 #[test]
 fn warm_lr_learner_process_allocates_a_fixed_count() {
     // The serve-roundtrip learner: LR on Electricity's 8 features, 64 rows.
-    let mut learner = PipelineBuilder::new(ModelSpec::lr(8, 2))
-        .with_mini_batch(64)
-        .build_learner()
-        .expect("valid LR config");
-    let stream = batches(freeway_streams::datasets::electricity(1), 200, 64);
-    assert_steady_process(&drive(&mut learner, &stream), "LR@64");
+    let lr = |telemetry| {
+        let learner = PipelineBuilder::new(ModelSpec::lr(8, 2))
+            .with_mini_batch(64)
+            .with_telemetry(telemetry)
+            .build_learner()
+            .expect("valid LR config");
+        (learner, batches(freeway_streams::datasets::electricity(1), 200, 64))
+    };
+    assert_steady_process(lr, "LR@64");
 }
 
 #[test]
 fn warm_mlp_learner_process_allocates_a_fixed_count() {
-    let (mut learner, stream) = learner_drift();
-    assert_steady_process(&drive(&mut learner, &stream), "MLP-32@256");
+    assert_steady_process(learner_drift, "MLP-32@256");
 }
 
 /// A disabled telemetry handle is the documented zero-cost path: the

@@ -26,6 +26,13 @@
 //! of [`LANES`] points, one lane per point): [`sq_distance_tile`], the
 //! squared distances from such blocks to a few centres, and
 //! [`sum_by_cluster`], a block's points added into their clusters' sums.
+//!
+//! A third, [`softmax_rows`], runs eight rows at a time on the full-width
+//! form, one per lane (a row at a time without AVX-512F), and takes its
+//! `exp` in lanes: glibc's `exp` re-evaluated operation for operation.
+//! Its multiply-adds are fused, unlike the tiles', because the reference
+//! it must equal fuses them: glibc runs its FMA build of `exp` on an FMA
+//! host.
 
 #[cfg(target_feature = "avx512f")]
 pub(crate) use imp::F64x8;
@@ -153,6 +160,370 @@ pub fn sum_by_cluster(block: &[f64], clusters: &[usize], sums: &mut [f64]) {
     }
 }
 
+/// Row-wise softmax of `data`, rows of `cols`, in place. Per row: the max
+/// by `f64::max` (a NaN entry is never it), `x - max` and its `exp` for
+/// each entry, their sum in column order from `0.0`, then each entry
+/// times `1.0 / sum`. Those are the scalar loop's operations in the
+/// scalar loop's order, and the `exp`, glibc's re-evaluated in lanes,
+/// returns the bits `f64::exp` does, so every row comes out bit for bit
+/// as that loop leaves it. (A row whose max is a zero may subtract either
+/// sign of it; `x - max` and `exp` map both to the same values.)
+///
+/// Where the build target has AVX-512F, eight rows run at once, one per
+/// lane, gathered and scattered a column at a time, and a last block of
+/// fewer rows runs with the other lanes masked off; elsewhere a row runs
+/// at a time with the lane `exp`.
+///
+/// # Panics
+/// If `data`'s length is not a multiple of `cols`.
+pub fn softmax_rows(data: &mut [f64], cols: usize) {
+    if cols == 0 || data.is_empty() {
+        return;
+    }
+    assert!(data.len().is_multiple_of(cols), "softmax_rows: data is not rows of {cols}");
+    #[cfg(target_feature = "avx512f")]
+    for block in data.chunks_mut(LANES * cols) {
+        // SAFETY: `block` holds `block.len() / cols` rows of `cols`, at
+        // least one and at most `LANES`.
+        unsafe { imp::softmax_block(block.as_mut_ptr(), cols, block.len() / cols) };
+    }
+    #[cfg(not(target_feature = "avx512f"))]
+    for row in data.chunks_exact_mut(cols) {
+        softmax_row(row);
+    }
+}
+
+/// One row of [`softmax_rows`] in the lane form.
+#[cfg(any(test, not(target_feature = "avx512f")))]
+fn softmax_row(row: &mut [f64]) {
+    let max = row.iter().fold(f64::NEG_INFINITY, |m, &x| m.max(x));
+    let mut sum = 0.0;
+    for x in row.iter_mut() {
+        *x = exp(*x - max);
+        sum += *x;
+    }
+    let inv = 1.0 / sum;
+    for x in row.iter_mut() {
+        *x *= inv;
+    }
+}
+
+// glibc's `exp` (since 2.28; musl's is the same code): ARM
+// optimized-routines' `math/exp.c`. `exp(x) = 2^(k/N) · exp(r)` with `N =
+// 128`, `k` the integer nearest `x · N / ln 2` and `r = x - k · ln 2 / N`;
+// `2^(k/N)` comes from a table of `N` entries, `exp(r) - 1` from a
+// degree-5 polynomial.
+
+/// `N / ln 2`.
+const INV_LN2_N: f64 = f64::from_bits(0x4067_1547_652b_82fe);
+/// `-ln 2 / N`, its high bits: `k` times it is exact.
+const NEG_LN2_HI_N: f64 = f64::from_bits(0xbf76_2e42_fefa_0000);
+/// `-ln 2 / N`, the rest.
+const NEG_LN2_LO_N: f64 = f64::from_bits(0xbd0c_f79a_bc9e_3b3a);
+/// `1.5 · 2^52`: added, it rounds to an integer held in the low bits.
+const SHIFT: f64 = f64::from_bits(0x4338_0000_0000_0000);
+/// The polynomial's coefficients of `r^2` to `r^5`.
+const C2: f64 = f64::from_bits(0x3fdf_ffff_ffff_fdbd);
+const C3: f64 = f64::from_bits(0x3fc5_5555_5555_543c);
+const C4: f64 = f64::from_bits(0x3fa5_5555_cf17_2b91);
+const C5: f64 = f64::from_bits(0x3f81_1111_67a4_d017);
+/// Biased exponent of `2^-54`: below it `exp(x)` is `1.0 + x`.
+const TINY_TOP: u64 = 0x3c9;
+/// Biased exponent of `512.0`: from it on (and for infinities and NaN)
+/// glibc leaves its fast path, and `exp` calls libm.
+const BIG_TOP: u64 = 0x408;
+
+/// `2^(k/N)` for `k` in `0..N`, two words each: the bits of a small
+/// correction `tail`, then the bits of the scale less `k << 45`.
+/// Copied from glibc 2.36's `__exp_data.tab`, which is optimized-routines'
+/// `math/exp_data.c` (MIT OR Apache-2.0 WITH LLVM-exception).
+static EXP_TABLE: [u64; 256] = [
+    0x0000000000000000,
+    0x3ff0000000000000,
+    0x3c9b3b4f1a88bf6e,
+    0x3feff63da9fb3335,
+    0xbc7160139cd8dc5d,
+    0x3fefec9a3e778061,
+    0xbc905e7a108766d1,
+    0x3fefe315e86e7f85,
+    0x3c8cd2523567f613,
+    0x3fefd9b0d3158574,
+    0xbc8bce8023f98efa,
+    0x3fefd06b29ddf6de,
+    0x3c60f74e61e6c861,
+    0x3fefc74518759bc8,
+    0x3c90a3e45b33d399,
+    0x3fefbe3ecac6f383,
+    0x3c979aa65d837b6d,
+    0x3fefb5586cf9890f,
+    0x3c8eb51a92fdeffc,
+    0x3fefac922b7247f7,
+    0x3c3ebe3d702f9cd1,
+    0x3fefa3ec32d3d1a2,
+    0xbc6a033489906e0b,
+    0x3fef9b66affed31b,
+    0xbc9556522a2fbd0e,
+    0x3fef9301d0125b51,
+    0xbc5080ef8c4eea55,
+    0x3fef8abdc06c31cc,
+    0xbc91c923b9d5f416,
+    0x3fef829aaea92de0,
+    0x3c80d3e3e95c55af,
+    0x3fef7a98c8a58e51,
+    0xbc801b15eaa59348,
+    0x3fef72b83c7d517b,
+    0xbc8f1ff055de323d,
+    0x3fef6af9388c8dea,
+    0x3c8b898c3f1353bf,
+    0x3fef635beb6fcb75,
+    0xbc96d99c7611eb26,
+    0x3fef5be084045cd4,
+    0x3c9aecf73e3a2f60,
+    0x3fef54873168b9aa,
+    0xbc8fe782cb86389d,
+    0x3fef4d5022fcd91d,
+    0x3c8a6f4144a6c38d,
+    0x3fef463b88628cd6,
+    0x3c807a05b0e4047d,
+    0x3fef3f49917ddc96,
+    0x3c968efde3a8a894,
+    0x3fef387a6e756238,
+    0x3c875e18f274487d,
+    0x3fef31ce4fb2a63f,
+    0x3c80472b981fe7f2,
+    0x3fef2b4565e27cdd,
+    0xbc96b87b3f71085e,
+    0x3fef24dfe1f56381,
+    0x3c82f7e16d09ab31,
+    0x3fef1e9df51fdee1,
+    0xbc3d219b1a6fbffa,
+    0x3fef187fd0dad990,
+    0x3c8b3782720c0ab4,
+    0x3fef1285a6e4030b,
+    0x3c6e149289cecb8f,
+    0x3fef0cafa93e2f56,
+    0x3c834d754db0abb6,
+    0x3fef06fe0a31b715,
+    0x3c864201e2ac744c,
+    0x3fef0170fc4cd831,
+    0x3c8fdd395dd3f84a,
+    0x3feefc08b26416ff,
+    0xbc86a3803b8e5b04,
+    0x3feef6c55f929ff1,
+    0xbc924aedcc4b5068,
+    0x3feef1a7373aa9cb,
+    0xbc9907f81b512d8e,
+    0x3feeecae6d05d866,
+    0xbc71d1e83e9436d2,
+    0x3feee7db34e59ff7,
+    0xbc991919b3ce1b15,
+    0x3feee32dc313a8e5,
+    0x3c859f48a72a4c6d,
+    0x3feedea64c123422,
+    0xbc9312607a28698a,
+    0x3feeda4504ac801c,
+    0xbc58a78f4817895b,
+    0x3feed60a21f72e2a,
+    0xbc7c2c9b67499a1b,
+    0x3feed1f5d950a897,
+    0x3c4363ed60c2ac11,
+    0x3feece086061892d,
+    0x3c9666093b0664ef,
+    0x3feeca41ed1d0057,
+    0x3c6ecce1daa10379,
+    0x3feec6a2b5c13cd0,
+    0x3c93ff8e3f0f1230,
+    0x3feec32af0d7d3de,
+    0x3c7690cebb7aafb0,
+    0x3feebfdad5362a27,
+    0x3c931dbdeb54e077,
+    0x3feebcb299fddd0d,
+    0xbc8f94340071a38e,
+    0x3feeb9b2769d2ca7,
+    0xbc87deccdc93a349,
+    0x3feeb6daa2cf6642,
+    0xbc78dec6bd0f385f,
+    0x3feeb42b569d4f82,
+    0xbc861246ec7b5cf6,
+    0x3feeb1a4ca5d920f,
+    0x3c93350518fdd78e,
+    0x3feeaf4736b527da,
+    0x3c7b98b72f8a9b05,
+    0x3feead12d497c7fd,
+    0x3c9063e1e21c5409,
+    0x3feeab07dd485429,
+    0x3c34c7855019c6ea,
+    0x3feea9268a5946b7,
+    0x3c9432e62b64c035,
+    0x3feea76f15ad2148,
+    0xbc8ce44a6199769f,
+    0x3feea5e1b976dc09,
+    0xbc8c33c53bef4da8,
+    0x3feea47eb03a5585,
+    0xbc845378892be9ae,
+    0x3feea34634ccc320,
+    0xbc93cedd78565858,
+    0x3feea23882552225,
+    0x3c5710aa807e1964,
+    0x3feea155d44ca973,
+    0xbc93b3efbf5e2228,
+    0x3feea09e667f3bcd,
+    0xbc6a12ad8734b982,
+    0x3feea012750bdabf,
+    0xbc6367efb86da9ee,
+    0x3fee9fb23c651a2f,
+    0xbc80dc3d54e08851,
+    0x3fee9f7df9519484,
+    0xbc781f647e5a3ecf,
+    0x3fee9f75e8ec5f74,
+    0xbc86ee4ac08b7db0,
+    0x3fee9f9a48a58174,
+    0xbc8619321e55e68a,
+    0x3fee9feb564267c9,
+    0x3c909ccb5e09d4d3,
+    0x3feea0694fde5d3f,
+    0xbc7b32dcb94da51d,
+    0x3feea11473eb0187,
+    0x3c94ecfd5467c06b,
+    0x3feea1ed0130c132,
+    0x3c65ebe1abd66c55,
+    0x3feea2f336cf4e62,
+    0xbc88a1c52fb3cf42,
+    0x3feea427543e1a12,
+    0xbc9369b6f13b3734,
+    0x3feea589994cce13,
+    0xbc805e843a19ff1e,
+    0x3feea71a4623c7ad,
+    0xbc94d450d872576e,
+    0x3feea8d99b4492ed,
+    0x3c90ad675b0e8a00,
+    0x3feeaac7d98a6699,
+    0x3c8db72fc1f0eab4,
+    0x3feeace5422aa0db,
+    0xbc65b6609cc5e7ff,
+    0x3feeaf3216b5448c,
+    0x3c7bf68359f35f44,
+    0x3feeb1ae99157736,
+    0xbc93091fa71e3d83,
+    0x3feeb45b0b91ffc6,
+    0xbc5da9b88b6c1e29,
+    0x3feeb737b0cdc5e5,
+    0xbc6c23f97c90b959,
+    0x3feeba44cbc8520f,
+    0xbc92434322f4f9aa,
+    0x3feebd829fde4e50,
+    0xbc85ca6cd7668e4b,
+    0x3feec0f170ca07ba,
+    0x3c71affc2b91ce27,
+    0x3feec49182a3f090,
+    0x3c6dd235e10a73bb,
+    0x3feec86319e32323,
+    0xbc87c50422622263,
+    0x3feecc667b5de565,
+    0x3c8b1c86e3e231d5,
+    0x3feed09bec4a2d33,
+    0xbc91bbd1d3bcbb15,
+    0x3feed503b23e255d,
+    0x3c90cc319cee31d2,
+    0x3feed99e1330b358,
+    0x3c8469846e735ab3,
+    0x3feede6b5579fdbf,
+    0xbc82dfcd978e9db4,
+    0x3feee36bbfd3f37a,
+    0x3c8c1a7792cb3387,
+    0x3feee89f995ad3ad,
+    0xbc907b8f4ad1d9fa,
+    0x3feeee07298db666,
+    0xbc55c3d956dcaeba,
+    0x3feef3a2b84f15fb,
+    0xbc90a40e3da6f640,
+    0x3feef9728de5593a,
+    0xbc68d6f438ad9334,
+    0x3feeff76f2fb5e47,
+    0xbc91eee26b588a35,
+    0x3fef05b030a1064a,
+    0x3c74ffd70a5fddcd,
+    0x3fef0c1e904bc1d2,
+    0xbc91bdfbfa9298ac,
+    0x3fef12c25bd71e09,
+    0x3c736eae30af0cb3,
+    0x3fef199bdd85529c,
+    0x3c8ee3325c9ffd94,
+    0x3fef20ab5fffd07a,
+    0x3c84e08fd10959ac,
+    0x3fef27f12e57d14b,
+    0x3c63cdaf384e1a67,
+    0x3fef2f6d9406e7b5,
+    0x3c676b2c6c921968,
+    0x3fef3720dcef9069,
+    0xbc808a1883ccb5d2,
+    0x3fef3f0b555dc3fa,
+    0xbc8fad5d3ffffa6f,
+    0x3fef472d4a07897c,
+    0xbc900dae3875a949,
+    0x3fef4f87080d89f2,
+    0x3c74a385a63d07a7,
+    0x3fef5818dcfba487,
+    0xbc82919e2040220f,
+    0x3fef60e316c98398,
+    0x3c8e5a50d5c192ac,
+    0x3fef69e603db3285,
+    0x3c843a59ac016b4b,
+    0x3fef7321f301b460,
+    0xbc82d52107b43e1f,
+    0x3fef7c97337b9b5f,
+    0xbc892ab93b470dc9,
+    0x3fef864614f5a129,
+    0x3c74b604603a88d3,
+    0x3fef902ee78b3ff6,
+    0x3c83c5ec519d7271,
+    0x3fef9a51fbc74c83,
+    0xbc8ff7128fd391f0,
+    0x3fefa4afa2a490da,
+    0xbc8dae98e223747d,
+    0x3fefaf482d8e67f1,
+    0x3c8ec3bc41aa2008,
+    0x3fefba1bee615a27,
+    0x3c842b94c3a9eb32,
+    0x3fefc52b376bba97,
+    0x3c8a64a931d185ee,
+    0x3fefd0765b6e4540,
+    0xbc8e37bae43be3ed,
+    0x3fefdbfdad9cbe14,
+    0x3c77893b4d91cd9d,
+    0x3fefe7c1819e90d8,
+    0x3c5305c14160cc89,
+    0x3feff3c22b8f71f1,
+];
+
+/// `exp(x)` bit for bit as glibc 2.28 and later compute it on an FMA host
+/// (the build of `exp` glibc dispatches to there), one lane: the same
+/// operations in the same order, fused where that build fuses. Below
+/// `2^-54` in magnitude it is `1.0 + x`, as in glibc; from `512.0` on, and
+/// for infinities and NaN, it is libm's `f64::exp` itself. Without
+/// hardware FMA `f64::mul_add` is itself a libm call, slow but exact.
+#[cfg(any(test, not(target_feature = "avx512f")))]
+#[inline(always)]
+fn exp(x: f64) -> f64 {
+    let top = x.to_bits() >> 52 & 0x7ff;
+    if top < TINY_TOP {
+        return 1.0 + x;
+    }
+    if top >= BIG_TOP {
+        return x.exp();
+    }
+    let kd = x.mul_add(INV_LN2_N, SHIFT);
+    let ki = kd.to_bits();
+    let kd = kd - SHIFT;
+    let r = kd.mul_add(NEG_LN2_LO_N, kd.mul_add(NEG_LN2_HI_N, x));
+    let idx = 2 * (ki % 128) as usize;
+    let tail = f64::from_bits(EXP_TABLE[idx]);
+    let scale = f64::from_bits(EXP_TABLE[idx + 1].wrapping_add(ki << 45));
+    let r2 = r * r;
+    let tmp = (r2 * r2).mul_add(r.mul_add(C5, C4), r2.mul_add(r.mul_add(C3, C2), tail + r));
+    scale.mul_add(tmp, scale)
+}
+
 /// A register of [`Lanes::WIDTH`] `f64` lanes: the value a register tile
 /// accumulates one output row (or column) in.
 pub(crate) trait Lanes: Copy {
@@ -204,8 +575,99 @@ pub(crate) trait Lanes: Copy {
 // value-only ones discharge exactly that obligation.
 #[cfg(target_feature = "avx512f")]
 mod imp {
-    use super::Lanes;
+    use super::*;
     use std::arch::x86_64::*;
+
+    /// [`super::softmax_rows`] on `live` rows of `cols` from `rows`, row
+    /// `l` in lane `l`: per column a gather, and a scatter where the
+    /// column is written.
+    ///
+    /// # Safety
+    /// `live` must be in `1..=8` and `rows` valid for reading and writing
+    /// `live * cols` `f64`s.
+    #[inline]
+    pub(super) unsafe fn softmax_block(rows: *mut f64, cols: usize, live: usize) {
+        let mask = ((1u16 << live) - 1) as __mmask8;
+        let c = cols as i64;
+        let offsets = _mm512_set_epi64(7 * c, 6 * c, 5 * c, 4 * c, 3 * c, 2 * c, c, 0);
+        let column =
+            |j| _mm512_mask_i64gather_pd::<8>(_mm512_setzero_pd(), mask, offsets, rows.add(j));
+        let set_column = |j, v| _mm512_mask_i64scatter_pd::<8>(rows.add(j), mask, offsets, v);
+        // `max` keeps its lane where the entry is NaN, as `f64::max` does.
+        let mut max = _mm512_set1_pd(f64::NEG_INFINITY);
+        for j in 0..cols {
+            max = _mm512_max_pd(column(j), max);
+        }
+        let mut sum = _mm512_setzero_pd();
+        for j in 0..cols {
+            let e = exp(_mm512_sub_pd(column(j), max));
+            sum = _mm512_add_pd(sum, e);
+            set_column(j, e);
+        }
+        let inv = _mm512_div_pd(_mm512_set1_pd(1.0), sum);
+        for j in 0..cols {
+            set_column(j, _mm512_mul_pd(column(j), inv));
+        }
+    }
+
+    /// [`super::exp`] on eight lanes. The fast path runs in every lane;
+    /// lanes below `2^-54` then take `1.0 + x`, and lanes from `512.0` on
+    /// (and infinities and NaN) libm's `exp`.
+    #[inline(always)]
+    pub(super) fn exp(x: __m512d) -> __m512d {
+        // SAFETY: AVX-512F is enabled (see the module's `cfg`), and the
+        // gathers read `EXP_TABLE` at `idx` and `idx + 1`, where `idx = 2 *
+        // (ki & 127)` is at most 254.
+        unsafe {
+            let (f, u) = (_mm512_set1_pd, |a: u64| _mm512_set1_epi64(a as i64));
+            let top = _mm512_and_si512(_mm512_srli_epi64::<52>(_mm512_castpd_si512(x)), u(0x7ff));
+            let kd = _mm512_fmadd_pd(x, f(INV_LN2_N), f(SHIFT));
+            let ki = _mm512_castpd_si512(kd);
+            let kd = _mm512_sub_pd(kd, f(SHIFT));
+            let r = _mm512_fmadd_pd(kd, f(NEG_LN2_LO_N), _mm512_fmadd_pd(kd, f(NEG_LN2_HI_N), x));
+            let idx = _mm512_slli_epi64::<1>(_mm512_and_si512(ki, u(127)));
+            let table = EXP_TABLE.as_ptr().cast::<i64>();
+            let tail = _mm512_castsi512_pd(_mm512_i64gather_epi64::<8>(idx, table));
+            let sbits = _mm512_add_epi64(
+                _mm512_i64gather_epi64::<8>(idx, table.add(1)),
+                _mm512_slli_epi64::<45>(ki),
+            );
+            let scale = _mm512_castsi512_pd(sbits);
+            let r2 = _mm512_mul_pd(r, r);
+            let low = _mm512_fmadd_pd(r2, _mm512_fmadd_pd(r, f(C3), f(C2)), _mm512_add_pd(tail, r));
+            let high = _mm512_fmadd_pd(r, f(C5), f(C4));
+            let tmp = _mm512_fmadd_pd(_mm512_mul_pd(r2, r2), high, low);
+            let e = _mm512_fmadd_pd(scale, tmp, scale);
+            let tiny = _mm512_cmplt_epu64_mask(top, u(TINY_TOP));
+            let e = _mm512_mask_add_pd(e, tiny, f(1.0), x);
+            let big = _mm512_cmpge_epu64_mask(top, u(BIG_TOP));
+            if big == 0 {
+                e
+            } else {
+                libm_lanes(x, e, big)
+            }
+        }
+    }
+
+    /// `e` with the lanes in `big` replaced by `f64::exp` of `x`'s.
+    #[cold]
+    #[inline(never)]
+    fn libm_lanes(x: __m512d, e: __m512d, big: __mmask8) -> __m512d {
+        let (mut xs, mut es) = ([0.0; 8], [0.0; 8]);
+        // SAFETY: AVX-512F is enabled (see the module's `cfg`), and both
+        // arrays hold eight f64s.
+        unsafe {
+            _mm512_storeu_pd(xs.as_mut_ptr(), x);
+            _mm512_storeu_pd(es.as_mut_ptr(), e);
+        }
+        for (l, (e, x)) in es.iter_mut().zip(xs).enumerate() {
+            if big >> l & 1 == 1 {
+                *e = x.exp();
+            }
+        }
+        // SAFETY: as above.
+        unsafe { _mm512_loadu_pd(es.as_ptr()) }
+    }
 
     /// Coordinates `j..j + width` (`width` in `1..=8`) of the points of
     /// one block (`width` lane vectors from `src`), transposed in
@@ -598,5 +1060,166 @@ mod tests {
         narrow_copy::<Array<6>>();
         narrow_copy::<Array<7>>();
         narrow_copy::<Array<8>>();
+    }
+
+    /// Both lane `exp`s of `xs` against libm's `f64::exp`, bit for bit.
+    ///
+    /// The oracle is the libm the tests link against. The lane `exp`
+    /// re-evaluates glibc's (2.28 or later, musl's too) as its FMA build
+    /// runs on an FMA host, so these tests assume that libm; under another
+    /// one the paper tables would move as well.
+    fn assert_exp_matches_libm(xs: &[f64]) {
+        for chunk in xs.chunks(LANES) {
+            let mut lanes = [0.0; LANES];
+            lanes[..chunk.len()].copy_from_slice(chunk);
+            #[cfg(target_feature = "avx512f")]
+            let wide = {
+                let mut out = [0.0; LANES];
+                // SAFETY: AVX-512F is enabled, and both arrays hold eight f64s.
+                unsafe {
+                    use std::arch::x86_64::*;
+                    let x = _mm512_loadu_pd(lanes.as_ptr());
+                    _mm512_storeu_pd(out.as_mut_ptr(), imp::exp(x));
+                }
+                out
+            };
+            // Without AVX-512F the lane form is the only one.
+            #[cfg(not(target_feature = "avx512f"))]
+            let wide = lanes.map(exp);
+            for (l, (&x, w)) in lanes.iter().zip(wide).enumerate() {
+                let want = x.exp().to_bits();
+                for (form, got) in [("lane", exp(x)), ("F64x8", w)] {
+                    let got = got.to_bits();
+                    assert_eq!(
+                        got,
+                        want,
+                        "{form} exp({x:e}) [{:#018x}] lane {l}: {got:#018x} vs libm {want:#018x}",
+                        x.to_bits()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exp_matches_libm_on_a_seeded_sample() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xE4B);
+        let xs: Vec<f64> = (0..1 << 20).map(|_| rng.random_range(-760.0..710.0)).collect();
+        assert_exp_matches_libm(&xs);
+    }
+
+    /// Inputs in every one of the table's 128 slots, at several integer
+    /// exponents of the result and both signs, each at five points of its
+    /// slot.
+    #[test]
+    fn exp_matches_libm_in_every_table_slot() {
+        let step = std::f64::consts::LN_2 / 128.0;
+        let mut xs = Vec::new();
+        for m in [0.0, 1.0, 7.0, 40.0, 300.0, 700.0, 1022.0, 1070.0] {
+            for k in 0..128 {
+                for d in [-0.49, -0.25, 0.0, 0.25, 0.49] {
+                    let x = (128.0 * m + k as f64 + d) * step;
+                    xs.extend([x, -x]);
+                }
+            }
+        }
+        assert_exp_matches_libm(&xs);
+    }
+
+    #[test]
+    fn exp_matches_libm_at_its_edges() {
+        let tiny = f64::from_bits(TINY_TOP << 52);
+        let mut xs = vec![
+            0.0,
+            2f64.powi(-60),
+            tiny,
+            tiny.next_down(),
+            tiny.next_up(),
+            f64::MIN_POSITIVE,
+            5e-324,
+            1.0,
+            512.0,
+            512f64.next_down(),
+            709.78,
+            710.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+            // Inputs whose `x · N / ln 2` lies within a few ulps of a
+            // half-integer: an unfused multiply and add of the shift
+            // rounds `k` the other way there, and the result's last bit
+            // with it. glibc fuses them.
+            f64::from_bits(0xc03d_d467_0977_f43a),
+            f64::from_bits(0x400e_2c6e_a35b_e550),
+            f64::from_bits(0x403a_2e0a_4343_0772),
+            f64::from_bits(0xc07c_e393_c110_8e6a),
+            f64::from_bits(0xc079_a744_2b2e_be07),
+            f64::from_bits(0xc072_04f0_1434_d6be),
+            f64::from_bits(0xc068_b4b5_458b_6caa),
+            f64::from_bits(0xc04f_969a_0147_330a),
+            f64::from_bits(0x405f_4554_7fcc_f232),
+            f64::from_bits(0x4076_fbff_1764_3de2),
+            f64::from_bits(0x407a_f107_f339_8a30),
+            f64::from_bits(0x407e_3f30_c304_87ee),
+        ];
+        // Results in the subnormal range and the underflow to zero.
+        xs.extend((0..=3700).map(|i| -708.0 - i as f64 / 100.0));
+        let negated: Vec<f64> = xs.iter().map(|x| -x).collect();
+        xs.extend(negated);
+        assert_exp_matches_libm(&xs);
+    }
+
+    /// The per-row loop [`softmax_rows`] stands for, with libm's `exp`.
+    fn reference_softmax(data: &mut [f64], cols: usize) {
+        for row in data.chunks_exact_mut(cols) {
+            let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            let mut sum = 0.0;
+            for x in row.iter_mut() {
+                *x = (*x - max).exp();
+                sum += *x;
+            }
+            let inv = 1.0 / sum;
+            for x in row.iter_mut() {
+                *x *= inv;
+            }
+        }
+    }
+
+    /// The kernel, and the row form on its own, against the reference on
+    /// every row count up to three blocks and a partial one (full and
+    /// masked-off lanes), with ordinary logits, ties, signed zeros, wide
+    /// spans that send lanes to libm, and [`SPECIAL`] ones.
+    #[test]
+    fn softmax_rows_matches_the_scalar_loop() {
+        for cols in 1..=9 {
+            for rows in 0..=19 {
+                let data: Vec<f64> = (0..rows * cols)
+                    .map(|i| match (i * 7 + cols) % 23 {
+                        0 => SPECIAL[(i / 23) % 8],
+                        1 | 2 => 1.5,
+                        3 => -0.0,
+                        4 => -600.0 - i as f64,
+                        5 => 0.3 * i as f64 - 9.0,
+                        k => ((i * 31 + k) as f64 * 0.37).sin() * 8.0,
+                    })
+                    .collect();
+                let mut want = data.clone();
+                reference_softmax(&mut want, cols);
+                let mut got = data.clone();
+                softmax_rows(&mut got, cols);
+                let mut by_row = data.clone();
+                by_row.chunks_exact_mut(cols).for_each(softmax_row);
+                for (i, ((&g, &r), &w)) in got.iter().zip(&by_row).zip(&want).enumerate() {
+                    let at = (i / cols, i % cols);
+                    assert!(g.to_bits() == w.to_bits(), "{rows}x{cols} at {at:?}: {g:e} vs {w:e}");
+                    assert!(
+                        r.to_bits() == w.to_bits(),
+                        "row form {rows}x{cols} at {at:?}: {r:e} vs {w:e}"
+                    );
+                }
+            }
+        }
+        softmax_rows(&mut [], 0);
     }
 }

@@ -14,8 +14,8 @@
 //! * [`vector`] — free functions over `&[f64]` slices.
 //! * [`lanes`] — the eight-lane `f64` register the matmul register tiles
 //!   are written on (one AVX-512 vector, or an array without AVX-512F),
-//!   the name of the backend a build picked, and k-means' squared
-//!   distance tile on it.
+//!   the name of the backend a build picked, k-means' squared distance
+//!   tile on it, and a row-wise softmax eight rows to a register.
 //!
 //! Every kernel runs on the calling thread. All random initialisation is
 //! seeded and no global RNG state is used, so results are a pure

@@ -4,28 +4,13 @@ use freeway_linalg::Matrix;
 
 /// In-place row-wise softmax with the log-sum-exp shift for stability.
 ///
-/// Walks the storage as flat `cols`-wide chunks instead of re-slicing a
-/// row per iteration — same arithmetic in the same order as the obvious
-/// per-row loop, so results are bit-identical; the chunked walk just
-/// removes per-row bounds checks from what is (after the exp calls) the
-/// hottest few instructions in every forward pass.
+/// Runs [`freeway_linalg::lanes::softmax_rows`]: eight rows at a time on
+/// AVX-512, with an `exp` that returns `f64::exp`'s bits, so every row is
+/// bit-identical to the per-row loop (max, `(x - max).exp()` summed in
+/// column order, times `1.0 / sum`) that the tests keep as the reference.
 pub fn softmax_rows(logits: &mut Matrix) {
     let cols = logits.cols();
-    if cols == 0 {
-        return;
-    }
-    for row in logits.as_mut_slice().chunks_exact_mut(cols) {
-        let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let mut sum = 0.0;
-        for x in row.iter_mut() {
-            *x = (*x - max).exp();
-            sum += *x;
-        }
-        let inv = 1.0 / sum;
-        for x in row.iter_mut() {
-            *x *= inv;
-        }
-    }
+    freeway_linalg::lanes::softmax_rows(logits.as_mut_slice(), cols);
 }
 
 /// Mean cross-entropy of predicted class probabilities against integer
@@ -92,8 +77,8 @@ pub fn softmax_grad_into(
         }
         None => n as f64,
     };
-    // Flat chunked walk (see `softmax_rows`): identical arithmetic per
-    // row, minus the per-row re-slicing.
+    // Flat `cols`-wide chunks instead of a re-sliced row per iteration:
+    // the per-row loop's arithmetic, minus its bounds checks.
     let cols = out.cols();
     match weights {
         None => {

@@ -4,6 +4,39 @@ use freeway_linalg::Matrix;
 use freeway_ml::{ModelSpec, Optimizer, PrecomputeAccumulator, Sgd, Workspace};
 use proptest::prelude::*;
 
+/// The per-row loop `loss::softmax_rows` stands for: each entry less the
+/// row's max (by `f64::max`) through libm's `exp`, summed in column order
+/// from `0.0`, then each times `1.0 / sum`.
+fn reference_softmax(logits: &mut Matrix) {
+    let cols = logits.cols();
+    for row in logits.as_mut_slice().chunks_exact_mut(cols) {
+        let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let mut sum = 0.0;
+        for x in row.iter_mut() {
+            *x = (*x - max).exp();
+            sum += *x;
+        }
+        let inv = 1.0 / sum;
+        for x in row.iter_mut() {
+            *x *= inv;
+        }
+    }
+}
+
+/// A logit of a kind the softmax kernel treats apart: signed zeros, ties
+/// at a shared value, entries more than 512 below the row's max (their
+/// lanes take libm's `exp`), wide and ordinary values.
+fn logit((kind, v): (u32, f64)) -> f64 {
+    match kind {
+        0 => -0.0,
+        1 => 0.0,
+        2 => 4.0,
+        3 => v - 700.0,
+        4 => v * 40.0,
+        _ => v,
+    }
+}
+
 fn batch(rows: usize, cols: usize, classes: usize) -> impl Strategy<Value = (Matrix, Vec<usize>)> {
     (prop::collection::vec(-3.0..3.0f64, rows * cols), prop::collection::vec(0..classes, rows))
         .prop_map(move |(data, labels)| (Matrix::from_vec(rows, cols, data), labels))
@@ -143,5 +176,31 @@ proptest! {
         let snap = freeway_ml::ModelSnapshot::capture(spec, model.as_ref());
         let decoded = freeway_ml::ModelSnapshot::from_bytes(snap.to_bytes()).unwrap();
         prop_assert_eq!(decoded, snap);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn softmax_rows_is_bit_identical_to_the_scalar_loop(
+        rows in 1usize..41,
+        cols in 1usize..21,
+        values in prop::collection::vec((0u32..12, -30.0..30.0f64), 800),
+        (at, special) in (0usize..800, 0usize..4),
+    ) {
+        let mut data: Vec<f64> = values.into_iter().take(rows * cols).map(logit).collect();
+        // Most cases also put a NaN or an infinity in one row.
+        if let Some(&x) = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY].get(special) {
+            data[at % (rows * cols)] = x;
+        }
+        let mut got = Matrix::from_vec(rows, cols, data);
+        let mut want = got.clone();
+        freeway_ml::loss::softmax_rows(&mut got);
+        reference_softmax(&mut want);
+        for (i, (g, w)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            let (r, c) = (i / cols, i % cols);
+            prop_assert!(g.to_bits() == w.to_bits(), "{rows}x{cols} at ({r}, {c}): {g:e} vs {w:e}");
+        }
     }
 }
