@@ -2,9 +2,27 @@
 # Tier-1 gate: everything a PR must keep green, in fail-fast order.
 set -euo pipefail
 cd "$(dirname "$0")"
-# The gates below rewrite tracked artifacts; the last step checks that
-# every one of them is back as it was.
+# The gates below rewrite tracked artifacts; the tree gate checks that
+# every one of them is back as it was. It runs on exit, so it reports
+# even after an earlier gate failed, and keeps that gate's exit code.
 status_at_start=$(git status --porcelain)
+tree_gate() {
+    local code=$?
+    echo "== tree unchanged (ci.sh leaves the checkout as it found it) =="
+    local status_at_end
+    status_at_end=$(git status --porcelain)
+    if [ "$status_at_end" != "$status_at_start" ]; then
+        diff <(echo "$status_at_start") <(echo "$status_at_end") || true
+        echo "ci.sh changed the tree (git status --porcelain differs from the start)"
+        exit 1
+    fi
+    echo "tree gate: git status --porcelain matches the start"
+    if [ "$code" -eq 0 ]; then
+        echo "ci.sh: all green"
+    fi
+    exit "$code"
+}
+trap tree_gate EXIT
 
 echo "== cargo build --release =="
 cargo build --release --workspace
@@ -377,14 +395,3 @@ else:
 PY
 rm -f /tmp/shard_quick_ci.json
 echo "sharded gate: crash isolation green, drill artifact byte-stable"
-
-echo "== tree unchanged (ci.sh leaves the checkout as it found it) =="
-status_at_end=$(git status --porcelain)
-if [ "$status_at_end" != "$status_at_start" ]; then
-    diff <(echo "$status_at_start") <(echo "$status_at_end") || true
-    echo "ci.sh changed the tree (git status --porcelain differs from the start)"
-    exit 1
-fi
-echo "tree gate: git status --porcelain matches the start"
-
-echo "ci.sh: all green"

@@ -385,34 +385,42 @@ mod tests {
     #[test]
     fn shedding_newest_sheds_the_offer_that_finds_the_queue_full() {
         // The shed point `simulate_overload` models: a queue of four
-        // takes four batches, and the fifth is shed on the spot.
-        let (mut p, sink) = build(AdmissionPolicy::SheddingNewest, 4);
-        stall(&mut p, Duration::from_millis(300));
-        let mut outcomes = Vec::new();
-        for b in batches(5, 36) {
-            outcomes.push(p.feed_prequential(b).expect("healthy"));
-            assert!(p.supervisor().in_flight() <= 4, "the queue is the only buffer");
+        // takes four batches, and the fifth is shed on the spot, whatever
+        // the checkpoint cadence (checkpoints never take a queue slot).
+        for cadence in [1, 2, 3, 8] {
+            let (builder, sink) = builder(4)
+                .with_checkpoint_every(cadence)
+                .admission(AdmissionConfig {
+                    policy: AdmissionPolicy::SheddingNewest,
+                    ladder: false,
+                })
+                .recording();
+            let mut p = builder.build_admitted().expect("valid admission build");
+            stall(&mut p, Duration::from_millis(300));
+            let mut outcomes = Vec::new();
+            for b in batches(5, 36) {
+                outcomes.push(p.feed_prequential(b).expect("healthy"));
+                assert!(p.supervisor().in_flight() <= 4, "the queue is the only buffer");
+            }
+            assert_eq!(outcomes[..4], vec![AdmissionOutcome::Admitted; 4], "cadence {cadence}");
+            assert_eq!(outcomes[4], AdmissionOutcome::Shed(ShedReason::QueueFull));
+            let shed: Vec<_> = sink
+                .events()
+                .into_iter()
+                .filter(|e| matches!(e, TelemetryEvent::BatchShed { .. }))
+                .collect();
+            assert_eq!(shed, [TelemetryEvent::BatchShed { seq: 4, reason: "queue-full" }]);
+            let run = p.finish().expect("finish");
+            assert_eq!(run.run.outputs.len(), 4, "every admitted batch is answered");
+            let stats = run.admission;
+            assert_eq!((stats.admitted, stats.shed), (4, 1), "{stats:?}");
+            assert_eq!(stats.offered, stats.admitted + stats.shed, "{stats:?}");
         }
-        assert_eq!(outcomes[..4], vec![AdmissionOutcome::Admitted; 4]);
-        assert_eq!(outcomes[4], AdmissionOutcome::Shed(ShedReason::QueueFull));
-        let shed: Vec<_> = sink
-            .events()
-            .into_iter()
-            .filter(|e| matches!(e, TelemetryEvent::BatchShed { .. }))
-            .collect();
-        assert_eq!(shed, [TelemetryEvent::BatchShed { seq: 4, reason: "queue-full" }]);
-        let run = p.finish().expect("finish");
-        assert_eq!(run.run.outputs.len(), 4, "every admitted batch is answered");
-        let stats = run.admission;
-        assert_eq!((stats.admitted, stats.shed), (4, 1), "{stats:?}");
-        assert_eq!(stats.offered, stats.admitted + stats.shed, "{stats:?}");
     }
 
     #[test]
     fn block_pressure_is_the_queue_occupancy() {
-        // No checkpoint request may take a queue slot during the stall.
         let (builder, sink) = builder(8)
-            .with_checkpoint_every(64)
             .admission(AdmissionConfig { policy: AdmissionPolicy::Block, ladder: true })
             .recording();
         let mut p = builder.build_admitted().expect("valid admission build");

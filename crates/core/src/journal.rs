@@ -421,7 +421,9 @@ impl Journal {
 
     /// Checkpoint-coordinated truncation: unlinks every *sealed* segment
     /// whose records all have `seq <= below` (the active segment is never
-    /// dropped). Returns the number of segments removed.
+    /// dropped). Returns the number of segments removed. The supervisor
+    /// passes the floor of the oldest checkpoint generation it persisted,
+    /// so every generation a restore can fall back to keeps its records.
     ///
     /// # Errors
     /// [`FreewayError::Io`] when an unlink fails.

@@ -23,8 +23,9 @@
 //! small envelope, and a [`CheckpointStore`] keeps the last *N*
 //! generations (`checkpoint.0.json` newest) so that a corrupted newest
 //! file falls back to the previous good one instead of losing all
-//! accumulated state. Files written by older builds (bare checkpoint,
-//! no envelope) still load.
+//! accumulated state. The envelope is the only format read: a file
+//! without one is rejected like any other corrupt file, so every
+//! checkpoint that loads has passed its CRC.
 
 use crate::config::FreewayConfig;
 use crate::error::{CheckpointError, FreewayError};
@@ -208,6 +209,14 @@ impl Checkpoint {
     /// # Errors
     /// [`FreewayError::Io`] on any filesystem failure.
     pub fn save_atomic(&self, path: &Path) -> Result<(), FreewayError> {
+        let tmp = self.write_temp(path)?;
+        std::fs::rename(&tmp, path)?;
+        Ok(())
+    }
+
+    /// Writes the enveloped checkpoint to `<path>.tmp` and fsyncs it,
+    /// returning the temp path for the caller to rename into place.
+    fn write_temp(&self, path: &Path) -> Result<PathBuf, FreewayError> {
         use std::io::Write as _;
         let payload = self.to_json();
         let envelope = Envelope { crc32: crc32(payload.as_bytes()), payload };
@@ -216,45 +225,40 @@ impl Checkpoint {
         #[allow(clippy::expect_used)]
         let body = serde_json::to_string(&envelope).expect("envelope serialises");
         let tmp = path.with_extension("tmp");
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(body.as_bytes())?;
-            file.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(body.as_bytes())?;
+        file.sync_all()?;
+        Ok(tmp)
     }
 
     /// Loads and validates a checkpoint previously written with
-    /// [`Self::save_atomic`]. Accepts both the enveloped format (CRC32
-    /// verified before the payload is trusted) and the legacy bare
-    /// format written by older builds.
+    /// [`Self::save_atomic`]: the CRC32 envelope is verified before the
+    /// payload is trusted.
     ///
     /// # Errors
     /// [`FreewayError::Io`] when the file cannot be read,
-    /// [`FreewayError::Checkpoint`] when the checksum disagrees
-    /// ([`CheckpointError::CrcMismatch`]) or the payload cannot be
+    /// [`FreewayError::Checkpoint`] when the envelope does not parse
+    /// ([`CheckpointError::Malformed`]), the checksum disagrees
+    /// ([`CheckpointError::CrcMismatch`]), or the payload cannot be
     /// decoded or fails validation.
     pub fn load(path: &Path) -> Result<Self, FreewayError> {
         let json = std::fs::read_to_string(path)?;
-        if let Ok(envelope) = serde_json::from_str::<Envelope>(&json) {
-            let computed = crc32(envelope.payload.as_bytes());
-            if computed != envelope.crc32 {
-                return Err(
-                    CheckpointError::CrcMismatch { stored: envelope.crc32, computed }.into()
-                );
-            }
-            return Self::from_json(&envelope.payload);
+        let envelope = serde_json::from_str::<Envelope>(&json)
+            .map_err(|e| CheckpointError::Malformed(e.to_string()))?;
+        let computed = crc32(envelope.payload.as_bytes());
+        if computed != envelope.crc32 {
+            return Err(CheckpointError::CrcMismatch { stored: envelope.crc32, computed }.into());
         }
-        Self::from_json(&json)
+        Self::from_json(&envelope.payload)
     }
 }
 
 /// Generational checkpoint storage: the newest checkpoint lives at
 /// `<stem>.0.<ext>`, the previous at `<stem>.1.<ext>`, and so on up to a
-/// configured depth. Saving rotates generations by rename (cheap, and
-/// each individual file was written atomically), so a save interrupted
-/// at any point leaves at least the previous generation loadable.
+/// configured depth. Saving writes and fsyncs the new file first, then
+/// rotates generations by rename (cheap, and each individual file was
+/// written atomically), so a save that fails or is interrupted at any
+/// point leaves at least the previous generation loadable.
 /// Restoring walks generations newest-first and returns the first file
 /// that passes CRC, version, and structural validation — one corrupted
 /// or truncated file costs one checkpoint interval, not the run.
@@ -285,27 +289,29 @@ impl CheckpointStore {
 
     /// Persists `checkpoint` as the new generation 0, rotating existing
     /// generations down and dropping the oldest beyond the configured
-    /// depth.
+    /// depth. Nothing rotates until the new file is written and synced,
+    /// so a failed save leaves every generation where it was.
     ///
     /// # Errors
     /// [`FreewayError::Io`] when the new generation cannot be written;
     /// rotation failures of *older* generations are not fatal (the new
     /// checkpoint still lands).
     pub fn save(&self, checkpoint: &Checkpoint) -> Result<(), FreewayError> {
+        let newest = self.generation_path(0);
+        let tmp = checkpoint.write_temp(&newest)?;
         for generation in (0..self.generations.saturating_sub(1)).rev() {
             let from = self.generation_path(generation);
             if from.exists() {
                 let _ = std::fs::rename(&from, self.generation_path(generation + 1));
             }
         }
-        checkpoint.save_atomic(&self.generation_path(0))
+        std::fs::rename(&tmp, &newest)?;
+        Ok(())
     }
 
     /// Loads the newest generation that passes CRC, version, and
     /// structural validation, returning it together with the generation
-    /// index it came from (0 = the newest file was good). Falls back to
-    /// the bare `base` path last, for files written before generational
-    /// storage existed.
+    /// index it came from (0 = the newest file was good).
     ///
     /// # Errors
     /// The error from the *newest* file when every candidate fails —
@@ -320,16 +326,6 @@ impl CheckpointStore {
             }
             match Checkpoint::load(&path) {
                 Ok(checkpoint) => return Ok((checkpoint, generation)),
-                Err(err) => {
-                    if newest_error.is_none() {
-                        newest_error = Some(err);
-                    }
-                }
-            }
-        }
-        if self.base.exists() {
-            match Checkpoint::load(&self.base) {
-                Ok(checkpoint) => return Ok((checkpoint, self.generations)),
                 Err(err) => {
                     if newest_error.is_none() {
                         newest_error = Some(err);
@@ -584,19 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_bare_checkpoint_still_loads() {
-        let (learner, _, _) = trained_learner();
-        let checkpoint = Checkpoint::capture(&learner);
-        let dir = std::env::temp_dir().join("freeway-legacy-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("ckpt.json");
-        std::fs::write(&path, checkpoint.to_json()).expect("writable");
-        let loaded = Checkpoint::load(&path).expect("legacy format loads");
-        assert_eq!(loaded.level_parameters, checkpoint.level_parameters);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn store_rotates_generations_and_falls_back_past_corruption() {
         let (mut learner, concept, mut rng) = trained_learner();
         let first = Checkpoint::capture(&learner);
@@ -618,14 +601,55 @@ mod tests {
         assert_eq!(generation, 0);
         assert_eq!(loaded.level_parameters, second.level_parameters);
 
-        // Truncate the newest file: restore must fall back to the
-        // previous generation instead of failing.
+        // Truncate the newest file, or replace it with one without the
+        // CRC envelope: restore must fall back to the previous generation
+        // instead of failing.
         let newest = store.generation_path(0);
         let body = std::fs::read_to_string(&newest).expect("readable");
-        std::fs::write(&newest, &body[..body.len() / 2]).expect("truncatable");
-        let (recovered, generation) = store.load_newest().expect("fallback loads");
-        assert_eq!(generation, 1);
-        assert_eq!(recovered.level_parameters, first.level_parameters);
+        for damaged in [&body[..body.len() / 2], &second.to_json()] {
+            std::fs::write(&newest, damaged).expect("writable");
+            let (recovered, generation) = store.load_newest().expect("fallback loads");
+            assert_eq!(generation, 1);
+            assert_eq!(recovered.level_parameters, first.level_parameters);
+        }
+        assert!(matches!(
+            Checkpoint::load(&newest),
+            Err(FreewayError::Checkpoint(CheckpointError::Malformed(_)))
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_save_rotates_nothing() {
+        let learner = Learner::new(ModelSpec::lr(4, 2), FreewayConfig::default());
+        let stamped = |seq| Checkpoint { journal_seq: Some(seq), ..Checkpoint::capture(&learner) };
+        let dir = std::env::temp_dir().join("freeway-store-failed-save-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let store = CheckpointStore::new(dir.join("ckpt.json"), 3);
+        let generations = || -> Vec<Option<u64>> {
+            (0..3)
+                .map(|g| {
+                    Checkpoint::load(&store.generation_path(g)).ok().and_then(|c| c.journal_seq)
+                })
+                .collect()
+        };
+        for seq in [2, 1, 0] {
+            store.save(&stamped(seq)).expect("save");
+        }
+        assert_eq!(generations(), [Some(0), Some(1), Some(2)]);
+        // A directory where the temp file goes fails every write, as a
+        // full or failing disk would, three times like the supervisor's
+        // retry: the generations on disk must not move.
+        let blocker = store.generation_path(0).with_extension("tmp");
+        std::fs::create_dir(&blocker).expect("blocker");
+        for _ in 0..3 {
+            assert!(matches!(store.save(&stamped(3)), Err(FreewayError::Io(_))));
+        }
+        assert_eq!(generations(), [Some(0), Some(1), Some(2)], "a failed save rotated");
+        std::fs::remove_dir(&blocker).expect("unblock");
+        store.save(&stamped(3)).expect("save");
+        assert_eq!(generations(), [Some(3), Some(0), Some(1)]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

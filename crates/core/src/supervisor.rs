@@ -12,9 +12,11 @@
 //!   channel; a poison batch is counted in
 //!   [`SupervisorStats::quarantined`], announced as a `BatchQuarantined`
 //!   event and dropped, instead of panicking inside the math substrate;
-//! * the worker captures a [`Checkpoint`] every
-//!   `checkpoint_every_n_batches` accepted batches (persisted atomically
-//!   to disk when a path is configured);
+//! * the worker checkpoints itself: after every
+//!   `checkpoint_every_n_batches`-th batch it takes from its queue it
+//!   sends that batch's answer, then a [`Checkpoint`] of its learner,
+//!   which the supervisor installs (and persists atomically when a path
+//!   is configured);
 //! * one receive step is the only reader of the worker's output: every
 //!   feed, receive, barrier and finish runs it, so every one of them
 //!   detects a crash and, with [`SupervisorConfig::stall_deadline`] set,
@@ -35,9 +37,11 @@
 //!   (shared-registry publishes muted, telemetry muted, outputs at or
 //!   below the highest seq already delivered suppressed). Its answers
 //!   count in flight like any other, and `lost_in_flight` stays zero —
-//!   effectively-once semantics. The base advances, and old journal
-//!   segments are dropped, only when a checkpoint is *durably persisted*
-//!   to disk; a run without a checkpoint path replays from genesis,
+//!   effectively-once semantics. The base advances only when a
+//!   checkpoint is *durably persisted* to disk, and journal segments are
+//!   dropped only below the oldest checkpoint generation this process
+//!   persisted, so every generation restore can fall back to still has
+//!   its journal; a run without a checkpoint path replays from genesis,
 //!   which reconstructs the worker's exact state (cadence checkpoints
 //!   are deliberately lossy about PCA/shift-tracker state, a genesis
 //!   replay is not);
@@ -84,7 +88,9 @@ const CHECKPOINT_GENERATIONS: usize = 3;
 pub struct SupervisorConfig {
     /// Bound on both worker channels (backpressure).
     pub queue_depth: usize,
-    /// A checkpoint is captured after every this-many accepted batches.
+    /// The worker checkpoints itself after every this-many batches it
+    /// takes from its queue (journal replays do not count), times
+    /// [`SupervisedPipeline::cadence_backoff`].
     pub checkpoint_every_n_batches: usize,
     /// When set, every checkpoint is also persisted here atomically
     /// (write temp, fsync, rename). Persistence failures are counted and
@@ -204,8 +210,6 @@ pub struct FinishedRun {
 enum SupCommand {
     /// A batch to run through [`run_batch`].
     Batch { batch: Batch, prequential: bool },
-    /// Capture and send back a checkpoint of the current learner state.
-    Checkpoint,
     /// [`Fault::Panic`]: panic deterministically inside the worker.
     Panic,
     /// [`Fault::Stall`]: stop making progress for this many nanoseconds
@@ -381,23 +385,21 @@ impl Replay {
 }
 
 /// Spawns the worker thread for `learner`. It runs `replay` first, then
-/// serves its queue; `last_seq` is the journal floor it stamps onto
-/// checkpoints until it has run a batch of its own.
+/// serves its queue, and after every `cadence`-th batch it takes from the
+/// queue it sends a checkpoint right behind that batch's answer.
 fn spawn_worker(
     mut learner: Learner,
     replay: Option<Replay>,
-    mut last_seq: Option<u64>,
     queue_depth: usize,
     slow_train: Arc<AtomicU64>,
+    cadence: Arc<AtomicUsize>,
     doorbell: Doorbell,
 ) -> Worker {
     let telemetry = learner.telemetry().clone();
     let (in_tx, in_rx) = bounded::<SupCommand>(queue_depth);
-    // One extra slot per possible in-flight checkpoint reply so a
-    // checkpoint command never wedges behind a full output queue. A crash
-    // owes at most a full queue plus the batch in hand, which that
-    // capacity holds; only a crash during a replay can owe more, and the
-    // channel grows to hold that replay's answers too.
+    // A crash owes at most a full queue plus the batch in hand, which
+    // this capacity holds; only a crash during a replay can owe more, and
+    // the channel grows to hold that replay's answers too.
     let answers = replay.as_ref().map_or(0, Replay::answers);
     let (out_tx, out_rx) = bounded::<WorkerMsg>((queue_depth + 1).max(answers));
     let heartbeat = HeartbeatLedger::new();
@@ -418,24 +420,25 @@ fn spawn_worker(
                 learner.set_shared_publish_muted(true);
                 ledger.set_stage(WorkerStage::Train);
                 for record in &replay.records {
-                    last_seq = Some(record.seq);
                     let report = run_batch(&mut learner, &record.to_batch(), record.prequential);
                     if !replay.suppresses(record.seq) {
                         let answer = PipelineOutput { seq: record.seq, report };
                         match out_tx.try_send(WorkerMsg::Output(answer)) {
-                            Ok(()) => bell.ring(last_seq),
+                            Ok(()) => bell.ring(Some(record.seq)),
                             Err(TrySendError::Disconnected(_)) => break,
                             Err(TrySendError::Full(_)) => {
                                 unreachable!("the output channel holds every replayed answer")
                             }
                         }
                     }
-                    ledger.beat(last_seq);
+                    ledger.beat(Some(record.seq));
                 }
                 learner.set_shared_publish_muted(false);
                 learner.attach_telemetry(telemetry.clone());
                 replay.seconds.record(replay.started.elapsed().as_secs_f64());
             }
+            // Batches taken from the queue since the last checkpoint.
+            let mut taken = 0usize;
             loop {
                 // The ingest span covers queue wait: how long the worker
                 // starved before the next command arrived.
@@ -450,36 +453,8 @@ fn spawn_worker(
                 if fenced.load(Ordering::Relaxed) {
                     break;
                 }
-                // Fault::SlowTrain: an artificially slowed worker turns
-                // any stream into an overload, exercising backpressure,
-                // shedding, and the degradation ladder for real. The
-                // delay models the train stage, so it shrinks with the
-                // service level: degraded levels skip (most of) training
-                // and genuinely run faster.
-                if matches!(cmd, SupCommand::Batch { .. }) {
-                    let nanos = slow_train.load(Ordering::Relaxed);
-                    if nanos > 0 {
-                        let scaled = match learner.degradation_level() {
-                            DegradationLevel::Full => nanos,
-                            DegradationLevel::ShortOnly => nanos / 2,
-                            DegradationLevel::InferenceOnly | DegradationLevel::Shed => nanos / 8,
-                        };
-                        std::thread::sleep(std::time::Duration::from_nanos(scaled));
-                    }
-                }
-                let msg = match cmd {
-                    SupCommand::Batch { batch, prequential } => {
-                        ledger.set_stage(WorkerStage::Train);
-                        last_seq = Some(batch.seq);
-                        let report = run_batch(&mut learner, &batch, prequential);
-                        WorkerMsg::Output(PipelineOutput { seq: batch.seq, report })
-                    }
-                    SupCommand::Checkpoint => {
-                        ledger.set_stage(WorkerStage::Checkpoint);
-                        let mut checkpoint = Checkpoint::capture(&learner);
-                        checkpoint.journal_seq = last_seq;
-                        WorkerMsg::Checkpoint(Box::new(checkpoint))
-                    }
+                let (batch, prequential) = match cmd {
+                    SupCommand::Batch { batch, prequential } => (batch, prequential),
                     SupCommand::Panic => panic!("injected worker panic (chaos)"),
                     SupCommand::Stall { nanos, livelock } => {
                         // A deliberately heartbeat-free window: the only
@@ -503,18 +478,41 @@ fn spawn_worker(
                         continue;
                     }
                 };
-                let output = match &msg {
-                    WorkerMsg::Output(out) => Some(out.seq),
-                    WorkerMsg::Checkpoint(_) => None,
-                };
-                if out_tx.send(msg).is_err() {
+                // Fault::SlowTrain: an artificially slowed worker turns
+                // any stream into an overload, exercising backpressure,
+                // shedding, and the degradation ladder for real. The
+                // delay models the train stage, so it shrinks with the
+                // service level: degraded levels skip (most of) training
+                // and genuinely run faster.
+                let nanos = slow_train.load(Ordering::Relaxed);
+                if nanos > 0 {
+                    let scaled = match learner.degradation_level() {
+                        DegradationLevel::Full => nanos,
+                        DegradationLevel::ShortOnly => nanos / 2,
+                        DegradationLevel::InferenceOnly | DegradationLevel::Shed => nanos / 8,
+                    };
+                    std::thread::sleep(std::time::Duration::from_nanos(scaled));
+                }
+                ledger.set_stage(WorkerStage::Train);
+                let seq = batch.seq;
+                let report = run_batch(&mut learner, &batch, prequential);
+                if out_tx.send(WorkerMsg::Output(PipelineOutput { seq, report })).is_err() {
                     break;
                 }
-                ledger.beat(last_seq);
-                // Only outputs are waited for; a checkpoint reply is
-                // absorbed by the next call that touches the pipeline.
-                if output.is_some() {
-                    bell.ring(output);
+                ledger.beat(Some(seq));
+                bell.ring(Some(seq));
+                taken += 1;
+                if taken >= cadence.load(Ordering::Relaxed) {
+                    // Nobody waits for a checkpoint: the next call that
+                    // touches the pipeline takes it in, so no ring.
+                    taken = 0;
+                    ledger.set_stage(WorkerStage::Checkpoint);
+                    let checkpoint =
+                        Checkpoint { journal_seq: Some(seq), ..Checkpoint::capture(&learner) };
+                    if out_tx.send(WorkerMsg::Checkpoint(Box::new(checkpoint))).is_err() {
+                        break;
+                    }
+                    ledger.beat(None);
                 }
             }
             learner
@@ -550,6 +548,10 @@ struct JournalState {
     /// the worker answers in queue order, so the delivered seqs are
     /// always a prefix of the journaled ones and one number covers them.
     delivered: Option<u64>,
+    /// Journal floors of the last [`CHECKPOINT_GENERATIONS`] checkpoints
+    /// this process persisted, oldest first: the generations a restore
+    /// can fall back to, so the journal is cut only below the first.
+    persisted_floors: VecDeque<u64>,
     /// Wall-clock cost of each restore-then-replay recovery, recorded by
     /// the worker that replays.
     recovery_seconds: freeway_telemetry::Histogram,
@@ -569,18 +571,14 @@ pub struct SupervisedPipeline {
     /// Accepted batches whose outputs have not been observed yet,
     /// including the answers a replacement worker's replay owes.
     in_flight: usize,
-    /// Checkpoint requests sent but not yet answered. Counted separately
-    /// from `in_flight` (which is batch accounting) so the watchdog sees
-    /// a worker wedged mid-checkpoint as owing work too.
-    checkpoints_in_flight: usize,
-    accepted_since_checkpoint: usize,
-    /// A checkpoint request that could not be enqueued without blocking
-    /// (an offer that must not wait); sent opportunistically later.
-    checkpoint_due: bool,
     /// Cadence multiplier, doubled on persistence failure and reset on
     /// success: a sick disk is asked for checkpoints less often instead
     /// of stalling or killing a healthy worker.
     cadence_backoff: usize,
+    /// The worker's checkpoint cadence, shared with every worker this
+    /// pipeline spawns: `checkpoint_every_n_batches * cadence_backoff`,
+    /// rewritten whenever the backoff changes.
+    cadence: Arc<AtomicUsize>,
     /// [`Fault::SlowTrain`], shared with every worker this pipeline
     /// spawns: nanoseconds of delay before each train/infer command
     /// (0 = off).
@@ -659,10 +657,8 @@ impl SupervisedPipeline {
             last_checkpoint: Checkpoint::capture(&learner),
             stats: SupervisorStats::default(),
             in_flight: 0,
-            checkpoints_in_flight: 0,
-            accepted_since_checkpoint: 0,
-            checkpoint_due: false,
             cadence_backoff: 1,
+            cadence: Arc::new(AtomicUsize::new(config.checkpoint_every_n_batches)),
             slow_train: Arc::new(AtomicU64::new(0)),
             slow_disk: Duration::ZERO,
             inject_waits: true,
@@ -689,6 +685,7 @@ impl SupervisedPipeline {
                 journal,
                 base: pipeline.last_checkpoint.clone(),
                 delivered: None,
+                persisted_floors: VecDeque::new(),
                 recovery_seconds: pipeline
                     .telemetry
                     .histogram("freeway_journal_recovery_seconds", DURATION_SECONDS_BOUNDS),
@@ -697,8 +694,7 @@ impl SupervisedPipeline {
                 replay = pipeline.recover_startup(&mut learner, recovered)?;
             }
         }
-        let floor = pipeline.journal.as_ref().and_then(|state| state.base.journal_seq);
-        pipeline.spawn(learner, replay, floor);
+        pipeline.spawn(learner, replay);
         Ok(pipeline)
     }
 
@@ -823,9 +819,8 @@ impl SupervisedPipeline {
             return Ok(Ok(FeedOutcome::Quarantined(fault)));
         }
         // Take in finished work first: freeing output slots is what lets
-        // a busy worker drain its input queue, and checkpoint results
-        // (and their disk verdicts) are applied promptly, not only at
-        // finish.
+        // a busy worker drain its input queue, and its checkpoints (and
+        // their disk verdicts) are applied promptly, not only at finish.
         self.receive(false)?;
         let seq = batch.seq;
         // Frame before the batch moves into the command; the append
@@ -840,40 +835,10 @@ impl SupervisedPipeline {
             Err(_) => return Err(FreewayError::WorkerUnavailable),
         }
         self.guard.accept(seq);
-        self.note_accepted();
-        self.journal_append(seq, frame);
-        // A due checkpoint goes out at once when the caller waits; one
-        // that must not wait sends it only into free queue space, and the
-        // request stays due for a later offer.
-        if self.checkpoint_due {
-            let sent = if wait {
-                self.send_with_recovery(SupCommand::Checkpoint, true)?.is_ok()
-            } else {
-                self.worker
-                    .as_ref()
-                    .is_some_and(|worker| worker.input.try_send(SupCommand::Checkpoint).is_ok())
-            };
-            if sent {
-                self.checkpoint_due = false;
-                self.checkpoints_in_flight += 1;
-            }
-        }
-        Ok(Ok(FeedOutcome::Accepted))
-    }
-
-    /// Shared bookkeeping after a batch actually reached the worker.
-    /// The checkpoint cadence is the configured one times the current
-    /// disk-backoff multiplier; the request itself is only *flagged*
-    /// here, so an offer that must not wait can defer it.
-    fn note_accepted(&mut self) {
         self.in_flight += 1;
         self.stats.accepted += 1;
-        self.accepted_since_checkpoint += 1;
-        let cadence = self.config.checkpoint_every_n_batches.saturating_mul(self.cadence_backoff);
-        if self.accepted_since_checkpoint >= cadence {
-            self.accepted_since_checkpoint = 0;
-            self.checkpoint_due = true;
-        }
+        self.journal_append(seq, frame);
+        Ok(Ok(FeedOutcome::Accepted))
     }
 
     /// The one step that reads the worker's output channel, behind every
@@ -940,7 +905,7 @@ impl SupervisedPipeline {
     fn stalled(&mut self) -> Option<u64> {
         let deadline = self.config.stall_deadline?;
         let epoch = self.worker.as_ref()?.heartbeat.epoch();
-        let owed = (self.in_flight + self.checkpoints_in_flight) as u64;
+        let owed = self.in_flight as u64;
         let now = nanos(self.watchdog_origin.elapsed());
         let watchdog = self.watchdog.get_or_insert_with(|| WatchdogState::new(nanos(deadline)));
         watchdog.observe(now, epoch, owed).then_some(now)
@@ -1078,10 +1043,7 @@ impl SupervisedPipeline {
                 }
                 self.pending.push_back(out);
             }
-            WorkerMsg::Checkpoint(cp) => {
-                self.checkpoints_in_flight = self.checkpoints_in_flight.saturating_sub(1);
-                self.install_checkpoint(*cp);
-            }
+            WorkerMsg::Checkpoint(cp) => self.install_checkpoint(*cp),
         }
     }
 
@@ -1111,17 +1073,29 @@ impl SupervisedPipeline {
                     eprintln!("freeway-core: checkpoint persistence failed (state kept): {e}");
                 }
             }
+            self.cadence.store(
+                self.config.checkpoint_every_n_batches.saturating_mul(self.cadence_backoff),
+                Ordering::Relaxed,
+            );
         }
         self.telemetry
             .emit(TelemetryEvent::CheckpointWritten { seq: self.telemetry.seq(), persisted });
         // Only a *durably persisted* checkpoint may advance the replay
-        // base and truncate journal history below it: an in-memory
-        // cadence capture dies with the process, so truncating on it
-        // would leave an unrecoverable hole after a crash.
+        // base: an in-memory cadence capture dies with the process. The
+        // journal is cut below the oldest generation this process
+        // persisted, and not before it has persisted every generation the
+        // store keeps (older files may come from a previous process), so
+        // whichever generation a restore falls back to replays without a
+        // hole.
         if persisted {
             if let Some(state) = self.journal.as_mut() {
                 state.base = checkpoint.clone();
-                if let Some(floor) = checkpoint.journal_seq {
+                state.persisted_floors.extend(checkpoint.journal_seq);
+                if state.persisted_floors.len() > CHECKPOINT_GENERATIONS {
+                    state.persisted_floors.pop_front();
+                }
+                if state.persisted_floors.len() == CHECKPOINT_GENERATIONS {
+                    let floor = state.persisted_floors[0];
                     match state.journal.truncate_below(floor) {
                         Ok(removed) if removed > 0 => {
                             self.telemetry.emit(TelemetryEvent::JournalTruncated {
@@ -1163,15 +1137,14 @@ impl SupervisedPipeline {
     /// replay base restored, and the records above it planned
     /// ([`Self::plan_replay`]) for the worker to replay; an unreadable
     /// journal degrades to the journal-free contract. Without one: the
-    /// last checkpoint. Also returns the checkpoint's journal floor.
-    fn recover(&mut self) -> Result<(Learner, Option<Replay>, Option<u64>), FreewayError> {
+    /// last checkpoint.
+    fn recover(&mut self) -> Result<(Learner, Option<Replay>), FreewayError> {
         let started = Instant::now();
         if let Some(state) = self.journal.as_ref() {
             match state.journal.records_above(state.base.journal_seq) {
                 Ok(records) => {
                     let learner = self.restore_checkpoint(&state.base)?;
-                    let floor = state.base.journal_seq;
-                    return Ok((learner, self.plan_replay(records, started), floor));
+                    return Ok((learner, self.plan_replay(records, started)));
                 }
                 Err(e) => {
                     eprintln!(
@@ -1180,18 +1153,17 @@ impl SupervisedPipeline {
                 }
             }
         }
-        let learner = self.restore_checkpoint(&self.last_checkpoint)?;
-        Ok((learner, None, self.last_checkpoint.journal_seq))
+        Ok((self.restore_checkpoint(&self.last_checkpoint)?, None))
     }
 
     /// Spawns the worker for `learner`, which runs `replay` first.
-    fn spawn(&mut self, learner: Learner, replay: Option<Replay>, floor: Option<u64>) {
+    fn spawn(&mut self, learner: Learner, replay: Option<Replay>) {
         self.worker = Some(spawn_worker(
             learner,
             replay,
-            floor,
             self.config.queue_depth,
             self.slow_train.clone(),
+            self.cadence.clone(),
             self.doorbell.clone(),
         ));
     }
@@ -1243,8 +1215,6 @@ impl SupervisedPipeline {
         self.doorbell.ring(None);
         self.watchdog = None;
         let lost = std::mem::take(&mut self.in_flight) as u64;
-        self.checkpoints_in_flight = 0;
-        self.accepted_since_checkpoint = 0;
         if charged {
             if self.stats.restarts >= self.config.max_restarts {
                 // Past the budget nothing replays: the loss is real.
@@ -1258,7 +1228,7 @@ impl SupervisedPipeline {
             self.stats.restarts += 1;
             self.restarts_counter.inc();
         }
-        let (learner, replay, floor) = self.recover()?;
+        let (learner, replay) = self.recover()?;
         self.in_flight = replay.as_ref().map_or(0, Replay::answers);
         let lost = lost.saturating_sub(self.in_flight as u64);
         self.stats.lost_in_flight += lost;
@@ -1269,7 +1239,7 @@ impl SupervisedPipeline {
                 lost_in_flight: lost,
             });
         }
-        self.spawn(learner, replay, floor);
+        self.spawn(learner, replay);
         Ok(())
     }
 
@@ -1338,22 +1308,26 @@ impl SupervisedPipeline {
         let learner = loop {
             // A crash or an exhausted budget on the way ends this wait;
             // a stall is recovered.
-            while self.worker.is_some() && self.in_flight + self.checkpoints_in_flight > 0 {
+            while self.worker.is_some() && self.in_flight > 0 {
                 if self.receive(true).is_err() {
                     break;
                 }
             }
-            let Some(Worker { input, handle, fence, .. }) = self.worker.take() else {
+            let Some(Worker { input, output, handle, fence, .. }) = self.worker.take() else {
                 break self.restore_checkpoint(&self.last_checkpoint)?;
             };
-            // Nothing is owed, so nothing more arrives. With a watchdog
-            // armed, the fence lets a queued stall go instead of
-            // outliving the join.
+            // Every answer is in, so at most a checkpoint sent after the
+            // last one arrives. With a watchdog armed, the fence lets a
+            // queued stall go instead of outliving the join.
             if self.config.stall_deadline.is_some() {
                 fence.store(true, Ordering::Release);
             }
             drop(input);
-            match handle.join().unwrap_or_else(|payload| Err(panic_message(payload))) {
+            let joined = handle.join().unwrap_or_else(|payload| Err(panic_message(payload)));
+            while let Ok(msg) = output.try_recv() {
+                self.handle_msg(msg);
+            }
+            match joined {
                 Ok(learner) => break learner,
                 Err(panic) => {
                     self.stats.worker_panics += 1;
@@ -1699,39 +1673,6 @@ mod tests {
             let run = sup.finish().expect("finish");
             assert_eq!(run.stats.accepted, accepted + 1);
             assert_eq!(run.stats.quarantined, 0);
-        }
-    }
-
-    #[test]
-    fn a_due_checkpoint_waits_for_queue_space_only_when_the_offer_may_wait() {
-        for wait in [false, true] {
-            let mut rng = stream_rng(32);
-            let concept = GmmConcept::random(4, 2, 1, 3.0, 0.5, &mut rng);
-            let mut sup = SupervisedPipeline::with_learner(
-                learner(),
-                SupervisorConfig { queue_depth: 2, checkpoint_every_n_batches: 2, ..config() },
-            )
-            .expect("spawn");
-            // Park the worker in a stall, with the 2-deep queue empty.
-            let stall = Fault::Stall { duration: Duration::from_millis(300), livelock: false };
-            sup.inject(stall).expect("inject");
-            while sup.heartbeat().map(HeartbeatLedger::stage) != Some(WorkerStage::ChaosStall) {
-                std::thread::yield_now();
-            }
-            // The first batch takes a slot; the second takes the last one
-            // and makes a checkpoint due with no slot left for the request.
-            for (seq, may_wait) in [(0, false), (1, wait)] {
-                let (x, y) = concept.sample_batch(32, &mut rng);
-                let outcome =
-                    sup.offer(Batch::labeled(x, y, seq, DriftPhase::Stable), true, may_wait);
-                assert!(matches!(outcome, Ok(Ok(FeedOutcome::Accepted))), "got {outcome:?}");
-            }
-            // A waiting offer waits out the stall and sends the request
-            // before it returns; one that must not wait leaves it due.
-            assert_eq!(sup.checkpoint_due, !wait);
-            assert_eq!(sup.checkpoints_in_flight, usize::from(wait));
-            let run = sup.finish().expect("finish");
-            assert_eq!(run.stats.accepted, 2);
         }
     }
 

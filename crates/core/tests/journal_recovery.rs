@@ -4,14 +4,18 @@
 //! framed record, drop the torn tail cleanly, and leave the log
 //! appendable — no prefix may produce an error, a partial record, or a
 //! corrupted reopen. A journal written for a different model must be
-//! refused at startup with a typed error, never replayed into a panic.
+//! refused at startup with a typed error, never replayed into a panic,
+//! and whichever checkpoint generation startup falls back to must find
+//! every journaled record above its floor.
 
 use freeway_core::journal::segment_path;
 use freeway_core::{
-    frame_batch, BatchFault, FreewayError, Journal, JournalConfig, JournalRecord, PipelineBuilder,
+    frame_batch, BatchFault, Checkpoint, CheckpointStore, FreewayConfig, FreewayError, Journal,
+    JournalConfig, JournalRecord, Learner, PipelineBuilder, SupervisedPipeline, SupervisorConfig,
 };
 use freeway_linalg::Matrix;
 use freeway_ml::ModelSpec;
+use freeway_streams::concept::{stream_rng, GmmConcept};
 use freeway_streams::{Batch, DriftPhase};
 use proptest::prelude::*;
 
@@ -149,6 +153,69 @@ fn startup_recovery_refuses_a_journal_written_for_another_model() {
         other => panic!("fewer classes: expected a label-range poison error, got {other:?}"),
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_fallback_generation_replays_every_record_above_its_floor() {
+    // 256-row batches of eight features fill a 4 MiB journal segment
+    // every ~103 records: this stream's first segment ends at seq 102
+    // and its second at 205. With a checkpoint every 8 batches, the
+    // three generations on disk after 209 batches have floors 207,
+    // 199 and 191, so cutting the journal below the newest floor
+    // would drop records the two older generations need.
+    const BATCHES: u64 = 209;
+    let mut rng = stream_rng(40);
+    let concept = GmmConcept::random(8, 2, 2, 3.0, 0.5, &mut rng);
+    let batches: Vec<Batch> = (0..BATCHES)
+        .map(|seq| {
+            let (x, y) = concept.sample_batch(256, &mut rng);
+            Batch::labeled(x, y, seq, DriftPhase::Stable)
+        })
+        .collect();
+    let learner = || {
+        let config = FreewayConfig { pca_warmup_rows: 256, mini_batch: 256, ..Default::default() };
+        Learner::new(ModelSpec::lr(8, 2), config)
+    };
+    for damaged in [1, 2] {
+        let dir = temp_dir(&format!("fallback-{damaged}"));
+        let config = SupervisorConfig {
+            checkpoint_every_n_batches: 8,
+            checkpoint_path: Some(dir.join("ckpt.json")),
+            journal: Some(JournalConfig::new(dir.join("ingest.wal"))),
+            ..Default::default()
+        };
+        {
+            let mut sup =
+                SupervisedPipeline::with_learner(learner(), config.clone()).expect("spawn");
+            for batch in &batches {
+                sup.feed_prequential(batch.clone()).expect("healthy");
+                sup.recv().expect("answered");
+            }
+            assert!(sup.journal_stats().expect("journal").truncated_segments > 0);
+            // Dropped without finish(): a process crash.
+        }
+        // Of the three generations the supervisor keeps, cut the newest
+        // `damaged` in half: startup must restore the next one and replay
+        // everything above its floor.
+        let store = CheckpointStore::new(dir.join("ckpt.json"), 3);
+        for generation in 0..damaged {
+            let path = store.generation_path(generation);
+            let body = std::fs::read(&path).expect("generation on disk");
+            std::fs::write(&path, &body[..body.len() / 2]).expect("truncatable");
+        }
+        let floor = Checkpoint::load(&store.generation_path(damaged))
+            .expect("intact generation")
+            .journal_seq
+            .expect("a worker checkpoint has a floor");
+        let sup = SupervisedPipeline::with_learner(learner(), config).expect("recovering spawn");
+        assert_eq!(
+            sup.stats().replayed,
+            BATCHES - 1 - floor,
+            "generation {damaged} (floor {floor}) must replay every journaled record above it"
+        );
+        let _ = sup.finish().expect("finish");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 proptest! {
