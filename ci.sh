@@ -302,11 +302,15 @@ echo "== throughput regression gate (single-core kernel floor) =="
 # is set well under the measured steady state so host noise passes but
 # losing the kernel optimisations does not.
 cargo build --release -q -p freeway-eval --features alloc-metrics
-./target/release/bench_throughput --quick | tail -n 1 > /tmp/bench_quick_ci.json
+# The kernel cliff gates below read three runs.
+for run in 1 2 3; do
+    ./target/release/bench_throughput --quick | tail -n 1 > /tmp/bench_quick_ci_$run.json
+done
 python3 - <<'PY'
-import json
+import json, statistics
 floor = json.load(open("results/BENCH_floor.json"))
-bench = json.load(open("/tmp/bench_quick_ci.json"))
+runs = [json.load(open(f"/tmp/bench_quick_ci_{run}.json")) for run in (1, 2, 3)]
+bench = runs[0]
 match = [
     p for p in bench["points"]
     if p["system"] == "FreewayML"
@@ -319,21 +323,33 @@ need = floor["min_items_per_sec"]
 assert got >= need, f"FreewayML throughput regressed: {got:,.0f} items/s < floor {need:,.0f}"
 assert bench["kernel_microbench"], "quick bench carries no kernel microbench section"
 print(f"throughput gate: FreewayML {got:,.0f} items/s >= floor {need:,.0f}")
-# Kernel cliff gate, a ratio within one run so host speed cancels: the
-# learner-drift head's weight gradient (transa at 256x32x5, a 5-wide
-# column remainder) must run at >= 1/3 the GFLOP/s of its hidden
-# layer's (transa at 256x20x32, full register tiles).
-rates = {
-    p["shape"]: p["gflops"]
-    for p in bench["kernel_microbench"]
-    if p["kernel"] == "matmul_transa"
-}
-head, hidden = rates["256x32x5"], rates["256x20x32"]
-assert head >= hidden / 3, (
-    f"matmul_transa fell off its register tiles: {head:.2f} GFLOP/s at 256x32x5 "
-    f"< 1/3 of {hidden:.2f} at 256x20x32"
-)
-print(f"kernel cliff gate: transa 256x32x5 at {head / hidden:.2f}x of 256x20x32")
+# Kernel cliff gates, ratios within one run so host speed cancels, the
+# median of three runs so one preempted point cannot decide: the
+# learner-drift head's two gradient products must run at a set share of
+# the GFLOP/s of the same product at its hidden layer's shape (full
+# register tiles): its weight gradient (transa at 256x32x5, a 5-wide
+# right-hand side) and its back-propagated delta (transb at 256x5x32, a
+# 5-deep shared dimension). Where the build target has AVX-512F they
+# take the narrow-operand sweeps. Over 30 runs of each build, medians of
+# three read 0.87-1.11 (transa) and 0.85-1.53 (transb) for the sweeps
+# and 0.51-0.66 and 0.46-0.72 for the register tiles they replaced, so
+# the floors sit between. Without AVX-512F the tiles stay, and the
+# older floor of 1/3 applies to both.
+avx512 = bench["lane_backend"] == "avx512"
+for kernel, head_shape, floor in [
+    ("matmul_transa", "256x32x5", 0.75 if avx512 else 1 / 3),
+    ("matmul_transb", "256x5x32", 0.78 if avx512 else 1 / 3),
+]:
+    ratios = []
+    for run in runs:
+        rates = {(p["kernel"], p["shape"]): p["gflops"] for p in run["kernel_microbench"]}
+        ratios.append(rates[(kernel, head_shape)] / rates[(kernel, "256x20x32")])
+    ratio = statistics.median(ratios)
+    assert ratio >= floor, (
+        f"{kernel} fell off its narrow-operand path: {head_shape} at {ratio:.2f}x "
+        f"of 256x20x32's GFLOP/s (median of {[round(r, 2) for r in ratios]}) < {floor:.2f}"
+    )
+    print(f"kernel cliff gate: {kernel} {head_shape} at {ratio:.2f}x of 256x20x32 (median of 3)")
 # Softmax cliff gate, the same kind of ratio: the learner-drift head's
 # softmax (256x5) must take at most half the time of its hidden layer's
 # forward GEMM (matmul 256x20x32). The lane kernel reads about 0.3; a
@@ -348,7 +364,7 @@ assert softmax <= gemm / 2, (
 )
 print(f"softmax cliff gate: softmax_rows 256x5 at {softmax / gemm:.2f}x of matmul 256x20x32")
 PY
-rm -f /tmp/bench_quick_ci.json
+rm -f /tmp/bench_quick_ci_1.json /tmp/bench_quick_ci_2.json /tmp/bench_quick_ci_3.json
 
 echo "== sharded runtime gate (routing, crash isolation, shard scaling) =="
 # The keyed shard drill asserts a worker panic on one shard restarts

@@ -14,7 +14,7 @@
 use crate::asw::{AdaptiveStreamingWindow, AswParams, WindowBatch};
 use crate::config::FreewayConfig;
 use crate::error::CheckpointError;
-use freeway_linalg::{vector, Matrix};
+use freeway_linalg::{lanes, vector, Matrix};
 use freeway_ml::{Model, ModelSpec, PrecomputeAccumulator, Trainer, Workspace};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -476,11 +476,14 @@ impl MultiGranularity {
         let mut guard = self.vote.lock();
         self.vote(x, current_projection, &mut guard);
         let Vote { voters, blended, .. } = &mut *guard;
+        let mut classes = [0; PROBE_ROWS];
         for start in (0..x.rows()).step_by(PROBE_ROWS) {
-            blended.resize(PROBE_ROWS.min(x.rows() - start), self.spec.classes());
+            let classes = &mut classes[..PROBE_ROWS.min(x.rows() - start)];
+            blended.resize(classes.len(), self.spec.classes());
             self.blend(voters, start, blended);
-            for (r, row) in blended.row_iter().enumerate() {
-                each(start + r, vector::argmax(row).unwrap_or(0));
+            lanes::argmax_rows(blended.as_slice(), blended.cols(), classes);
+            for (r, &class) in classes.iter().enumerate() {
+                each(start + r, class);
             }
         }
     }
@@ -615,7 +618,9 @@ impl MultiGranularity {
     pub(crate) fn model_predict(&mut self, model: &dyn Model, x: &Matrix) -> Vec<usize> {
         let forward = spare_forward(&mut self.levels);
         model.predict_proba_into(x, &mut forward.ws, &mut forward.probs);
-        forward.probs.row_iter().map(|row| vector::argmax(row).unwrap_or(0)).collect()
+        let mut classes = vec![0; forward.probs.rows()];
+        lanes::argmax_rows(forward.probs.as_slice(), forward.probs.cols(), &mut classes);
+        classes
     }
 
     /// Copies the next [`PROBE_ROWS`] labeled rows into the probe buffers;
@@ -646,9 +651,20 @@ fn spare_forward(levels: &mut [Level]) -> &mut ForwardCache {
     level.forward.get_mut()
 }
 
-/// How many rows of `probs` have their argmax at the matching label.
+/// How many rows of `probs` have their argmax at the matching label,
+/// taken [`PROBE_ROWS`] rows at a time.
 fn hits(probs: &Matrix, labels: &[usize]) -> usize {
-    probs.row_iter().zip(labels).filter(|&(row, &t)| vector::argmax(row).unwrap_or(0) == t).count()
+    let cols = probs.cols();
+    let labels = &labels[..labels.len().min(probs.rows())];
+    let mut classes = [0; PROBE_ROWS];
+    let mut hit = 0;
+    for (start, labels) in (0..).step_by(PROBE_ROWS).zip(labels.chunks(PROBE_ROWS)) {
+        let classes = &mut classes[..labels.len()];
+        let rows = &probs.as_slice()[start * cols..(start + labels.len()) * cols];
+        lanes::argmax_rows(rows, cols, classes);
+        hit += classes.iter().zip(labels).filter(|(class, label)| class == label).count();
+    }
+    hit
 }
 
 /// Sets `slot` to a copy of `projected`, reusing the vector it holds.

@@ -229,11 +229,7 @@ impl ShiftTracker {
         };
 
         // Nearest historical distribution (for Pattern C detection).
-        let (nearest_historical, nearest_index) = self
-            .distributions()
-            .enumerate()
-            .map(|(i, d)| (vector::euclidean_distance(&self.projected, d), i))
-            .min_by(|a, b| a.0.partial_cmp(&b.0).expect("finite distances"))
+        let (nearest_historical, nearest_index) = nearest(&self.projected, self.distributions())
             .map_or((None, None), |(d, i)| (Some(d), Some(i)));
 
         // Update state.
@@ -279,6 +275,36 @@ impl ShiftTracker {
     }
 }
 
+/// The first of `distributions` nearest to `projected`, and its distance:
+/// what a `min_by` over their `euclidean_distance`s returns (the first
+/// strict minimum), panicking as that `partial_cmp(..).expect` does when
+/// there are two or more and a distance is NaN. Each square is summed as
+/// `euclidean_distance` sums it, but only a square below the nearest one's
+/// so far takes a `sqrt`: `sqrt` is correctly rounded and so monotone, so
+/// a square at or above it cannot have the smaller root, and one below it
+/// wins only when its root is strictly smaller too (two squares one ulp
+/// apart can share a root, and then the first stays).
+fn nearest<'d>(
+    projected: &[f64],
+    distributions: impl Iterator<Item = &'d [f64]>,
+) -> Option<(f64, usize)> {
+    // The nearest's distance and index, and a square with that root.
+    let mut best: Option<(f64, usize, f64)> = None;
+    for (i, d) in distributions.enumerate() {
+        let sq = vector::squared_distance(projected, d);
+        match best {
+            None => best = Some((sq.sqrt(), i, sq)),
+            Some((dist, _, held)) => {
+                assert!(!sq.is_nan() && !dist.is_nan(), "finite distances");
+                if sq < held && sq.sqrt() < dist {
+                    best = Some((sq.sqrt(), i, sq));
+                }
+            }
+        }
+    }
+    best.map(|(dist, i, _)| (dist, i))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,6 +320,70 @@ mod tests {
             distribution_memory: 50,
             winsorize_z: 3.0,
         }
+    }
+
+    /// The `min_by` over `euclidean_distance`s that [`nearest`] stands for.
+    fn min_by_distance(projected: &[f64], ds: &[Vec<f64>]) -> Option<(f64, usize)> {
+        ds.iter()
+            .enumerate()
+            .map(|(i, d)| (vector::euclidean_distance(projected, d), i))
+            .min_by(|a, b| a.0.partial_cmp(&b.0).expect("finite distances"))
+    }
+
+    fn nearest_of(projected: &[f64], ds: &[Vec<f64>]) -> Option<(f64, usize)> {
+        nearest(projected, ds.iter().map(Vec::as_slice))
+    }
+
+    /// Two squares one ulp apart whose roots round alike, the larger one
+    /// first: the first must win, as under `min_by`, though its square is
+    /// not the least.
+    #[test]
+    fn nearest_keeps_the_first_of_squares_that_share_a_root() {
+        let projected = [0.0, 0.0];
+        let point = |j: usize| vec![1.5, j as f64 * 2f64.powi(-27)];
+        let sq = |j: usize| vector::squared_distance(&projected, &point(j));
+        let j = (1..64)
+            .find(|&j| sq(j + 1) == sq(j).next_up() && sq(j + 1).sqrt() == sq(j).sqrt())
+            .expect("adjacent squares sharing a root");
+        let ds = vec![point(j + 1), point(j), point(j + 1)];
+        assert_eq!(nearest_of(&projected, &ds), Some((sq(j).sqrt(), 0)));
+        assert_eq!(nearest_of(&projected, &ds), min_by_distance(&projected, &ds));
+        // A strictly smaller root later in the scan still wins.
+        let ds = vec![point(j + 1), point(j), point(0)];
+        assert_eq!(nearest_of(&projected, &ds), Some((1.5, 2)));
+    }
+
+    /// The scan against `min_by` on seeded near-ties, duplicates and
+    /// infinities, at memory sizes from 0.
+    #[test]
+    fn nearest_matches_min_by_on_seeded_sets() {
+        use rand::RngExt;
+        let mut rng = stream_rng(0x5CA7);
+        for case in 0..400 {
+            let width = 1 + case % 3;
+            let projected: Vec<f64> = (0..width).map(|_| rng.random_range(-2.0..2.0)).collect();
+            let base: Vec<f64> = (0..width).map(|_| rng.random_range(-2.0..2.0)).collect();
+            let ds: Vec<Vec<f64>> = (0..case % 40)
+                .map(|_| match rng.random_range(0..6) {
+                    0 => base.clone(),
+                    1 => base.iter().map(|&x| x + rng.random_range(-4..4) as f64 * 1e-15).collect(),
+                    2 => vec![f64::INFINITY; width],
+                    _ => (0..width).map(|_| rng.random_range(-2.0..2.0)).collect(),
+                })
+                .collect();
+            let got = nearest_of(&projected, &ds);
+            let want = min_by_distance(&projected, &ds);
+            assert_eq!(got.map(|(d, i)| (d.to_bits(), i)), want.map(|(d, i)| (d.to_bits(), i)));
+        }
+        assert_eq!(nearest_of(&[0.0], &[]), None);
+        let lone_nan = nearest_of(&[0.0], &[vec![f64::NAN]]).expect("one entry");
+        assert!(lone_nan.0.is_nan() && lone_nan.1 == 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite distances")]
+    fn nearest_panics_on_a_nan_distance_as_min_by_does() {
+        nearest_of(&[0.0], &[vec![1.0], vec![f64::NAN], vec![2.0]]);
     }
 
     fn steady_concept(seed: u64) -> (GmmConcept, rand::rngs::StdRng) {

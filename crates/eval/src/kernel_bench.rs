@@ -15,6 +15,12 @@
 //! wide layers on purpose: a kernel that falls off its register tiles at
 //! some width shows as a GFLOP/s cliff between neighbouring shapes.
 //!
+//! Two reductions that sit between the learner-drift head's GEMMs get
+//! points of their own: `argmax_rows` at `256x5` (a batch's hard
+//! predictions from the head's probabilities) and `column_sums` at
+//! `256x32` (a bias gradient over a 32-wide layer's delta), each counted
+//! as one flop per element.
+//!
 //! `kmeans_fit` times one whole k-means fit at CEC's shapes on fixed
 //! clustered inputs: NSL-KDD's 512 points (256 guidance + 256 batch
 //! rows) of 20 features at k = 20, and Covertype's 512 x 10 at k = 28.
@@ -55,20 +61,22 @@ use std::time::Instant;
 #[derive(Clone, Debug, Serialize)]
 pub struct KernelBenchPoint {
     /// Kernel name (`dot`, `axpy`, `matmul`, `matmul_transa`,
-    /// `matmul_transb`, `softmax_rows`, `kmeans_fit`, `cec_predict_scored`,
-    /// `mlp_gradient`, `window_completion`).
+    /// `matmul_transb`, `softmax_rows`, `argmax_rows`, `column_sums`,
+    /// `kmeans_fit`, `cec_predict_scored`, `mlp_gradient`,
+    /// `window_completion`).
     pub kernel: String,
     /// Shape tag, `m x k x n` for matmuls, `n x d kK` for `kmeans_fit` and
     /// `cec_predict_scored`,
     /// `rows x features>hidden>classes` for the MLP points (prefixed by
     /// the subset count, and suffixed by the epochs, for
-    /// `window_completion`), `rows x cols` for `softmax_rows`, element
-    /// count otherwise.
+    /// `window_completion`), `rows x cols` for `softmax_rows`,
+    /// `argmax_rows` and `column_sums`, element count otherwise.
     pub shape: String,
     /// Floating-point operations per call (the conventional count, e.g.
     /// `2mkn` for matmul).
     pub flops_per_call: u64,
-    /// Mean wall time per call in nanoseconds.
+    /// Wall time per call in nanoseconds: the mean over the fastest of
+    /// five rounds of repeated calls (about 4 ms each).
     pub ns_per_call: f64,
     /// Achieved throughput in GFLOP/s.
     pub gflops: f64,
@@ -108,8 +116,10 @@ fn clustered(n: usize, d: usize, k: usize, salt: u64) -> Matrix {
 }
 
 fn time_calls(flops_per_call: u64, mut call: impl FnMut() -> f64) -> (f64, f64) {
-    // Warm up, then scale the repeat count so each measurement runs long
-    // enough to dominate timer noise.
+    // Warm up, then scale the repeat count so each round runs long
+    // enough to dominate timer noise, and keep the fastest of the rounds:
+    // a round the host preempts reads slow, never fast.
+    const ROUNDS: usize = 5;
     let mut sink = 0.0;
     for _ in 0..3 {
         sink += call();
@@ -117,15 +127,18 @@ fn time_calls(flops_per_call: u64, mut call: impl FnMut() -> f64) -> (f64, f64) 
     let probe = Instant::now();
     sink += call();
     let once = probe.elapsed().as_secs_f64().max(1e-9);
-    let reps = ((0.02 / once) as usize).clamp(5, 10_000);
-    let start = Instant::now();
-    for _ in 0..reps {
-        sink += call();
+    let reps = ((0.004 / once) as usize).clamp(1, 2_000);
+    let mut best = f64::INFINITY;
+    for _ in 0..ROUNDS {
+        let start = Instant::now();
+        for _ in 0..reps {
+            sink += call();
+        }
+        best = best.min(start.elapsed().as_secs_f64());
     }
-    let total = start.elapsed().as_secs_f64();
     std::hint::black_box(sink);
-    let ns_per_call = total * 1e9 / reps as f64;
-    let gflops = flops_per_call as f64 * reps as f64 / total / 1e9;
+    let ns_per_call = best * 1e9 / reps as f64;
+    let gflops = flops_per_call as f64 * reps as f64 / best / 1e9;
     (ns_per_call, gflops)
 }
 
@@ -256,6 +269,42 @@ pub fn run() -> Vec<KernelBenchPoint> {
         });
     }
 
+    // The head's hard predictions and a bias gradient (one flop per
+    // element, nominal like the softmax's).
+    let mut probs = Matrix::zeros(256, 5);
+    fill(probs.as_mut_slice(), 9);
+    freeway_ml::loss::softmax_rows(&mut probs);
+    let mut classes = vec![0; probs.rows()];
+    let flops = probs.as_slice().len() as u64;
+    let (ns, gf) = time_calls(flops, || {
+        freeway_linalg::lanes::argmax_rows(probs.as_slice(), probs.cols(), &mut classes);
+        classes[0] as f64
+    });
+    points.push(KernelBenchPoint {
+        kernel: "argmax_rows".into(),
+        shape: format!("{}x{}", probs.rows(), probs.cols()),
+        flops_per_call: flops,
+        ns_per_call: ns,
+        gflops: gf,
+        minor_faults_per_call: None,
+    });
+    let mut delta = Matrix::zeros(256, 32);
+    fill(delta.as_mut_slice(), 10);
+    let mut sums = vec![0.0; delta.cols()];
+    let flops = delta.as_slice().len() as u64;
+    let (ns, gf) = time_calls(flops, || {
+        delta.column_sums_into(&mut sums);
+        sums[0]
+    });
+    points.push(KernelBenchPoint {
+        kernel: "column_sums".into(),
+        shape: format!("{}x{}", delta.rows(), delta.cols()),
+        flops_per_call: flops,
+        ns_per_call: ns,
+        gflops: gf,
+        minor_faults_per_call: None,
+    });
+
     // CEC's k-means at its NSL-KDD and Covertype shapes (see the module
     // doc for what the flop figure counts).
     for &(n, d, k) in &[(512usize, 20usize, 20usize), (512, 10, 28)] {
@@ -385,6 +434,8 @@ mod tests {
             "matmul_transa",
             "matmul_transb",
             "softmax_rows",
+            "argmax_rows",
+            "column_sums",
             "kmeans_fit",
             "cec_predict_scored",
             "mlp_gradient",
@@ -397,6 +448,8 @@ mod tests {
             ("matmul", "256x20x32"),
             ("matmul_transa", "256x20x32"),
             ("matmul_transa", "256x32x5"),
+            ("matmul_transb", "256x20x32"),
+            ("matmul_transb", "256x5x32"),
             ("softmax_rows", "256x2"),
             ("softmax_rows", "256x5"),
         ] {

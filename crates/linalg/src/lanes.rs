@@ -33,6 +33,13 @@
 //! Its multiply-adds are fused, unlike the tiles', because the reference
 //! it must equal fuses them: glibc runs its FMA build of `exp` on an FMA
 //! host.
+//!
+//! Two more run the reductions around a softmax head's GEMMs on the
+//! lanes: [`argmax_rows`], each row's first maximum, eight rows to a
+//! register on the full-width form (a row at a time without AVX-512F),
+//! and [`softmax_grad_rows`], the softmax + cross-entropy output gradient,
+//! one row to a register. Both are written once over `Lanes`, so both
+//! forms return the scalar loop's bits.
 
 #[cfg(target_feature = "avx512f")]
 pub(crate) use imp::F64x8;
@@ -60,6 +67,50 @@ pub const BACKEND: &str = "array";
 /// Points per block of [`sq_distance_tile`]: the lanes of one full-width
 /// register.
 pub const LANES: usize = 8;
+
+/// Evaluates `$call` with the type `$L` bound to the [`Lanes`] form the
+/// register tiles use at width `$width` (1–8): the array form at widths 1,
+/// 2 and 4, whose 128- and 256-bit registers run faster than a masked
+/// 512-bit one, and [`Wide`] elsewhere.
+macro_rules! with_lanes {
+    ($width:expr, $L:ident => $call:expr) => {
+        match $width {
+            1 => {
+                type $L = $crate::lanes::Array<1>;
+                $call
+            }
+            2 => {
+                type $L = $crate::lanes::Array<2>;
+                $call
+            }
+            3 => {
+                type $L = $crate::lanes::Wide<3>;
+                $call
+            }
+            4 => {
+                type $L = $crate::lanes::Array<4>;
+                $call
+            }
+            5 => {
+                type $L = $crate::lanes::Wide<5>;
+                $call
+            }
+            6 => {
+                type $L = $crate::lanes::Wide<6>;
+                $call
+            }
+            7 => {
+                type $L = $crate::lanes::Wide<7>;
+                $call
+            }
+            _ => {
+                type $L = $crate::lanes::Wide<8>;
+                $call
+            }
+        }
+    };
+}
+pub(crate) use with_lanes;
 
 /// Squared Euclidean distances from the points of `R` blocks to `W`
 /// centres, as one `R x W` register tile on the full-width form (`F64x8`
@@ -206,6 +257,162 @@ fn softmax_row(row: &mut [f64]) {
     for x in row.iter_mut() {
         *x *= inv;
     }
+}
+
+/// Writes into `out[r]` the index of row `r`'s first maximum, for the rows
+/// of `data`, rows of `cols`: what `vector::argmax(row).unwrap_or(0)`
+/// returns. A NaN entry never wins; a later entry wins only when strictly
+/// greater, so the first of tied entries (`-0.0` and `0.0` tie) does; a
+/// row of `-inf` gives its first non-NaN entry and an all-NaN row (or an
+/// empty one) gives 0.
+///
+/// Where the build target has AVX-512F, eight rows run at once, one per
+/// lane, gathered a column at a time, and a last block of fewer rows runs
+/// on a narrower form; elsewhere a row runs at a time (the lane form on
+/// arrays ran 10–20% slower than that at two columns there).
+///
+/// # Panics
+/// If `cols > 0` and `data` is not `out.len()` rows of `cols`.
+pub fn argmax_rows(data: &[f64], cols: usize, out: &mut [usize]) {
+    if cols == 0 {
+        out.fill(0);
+        return;
+    }
+    assert_eq!(
+        data.len(),
+        out.len() * cols,
+        "argmax_rows: data is not {} rows of {cols}",
+        out.len()
+    );
+    #[cfg(target_feature = "avx512f")]
+    {
+        let mut blocks = data.chunks_exact(LANES * cols);
+        let mut outs = out.chunks_exact_mut(LANES);
+        for (rows, out) in blocks.by_ref().zip(outs.by_ref()) {
+            argmax_block::<Wide<LANES>>(rows, cols, out);
+        }
+        let (rows, out) = (blocks.remainder(), outs.into_remainder());
+        if !out.is_empty() {
+            with_lanes!(out.len(), L => argmax_block::<L>(rows, cols, out));
+        }
+    }
+    #[cfg(not(target_feature = "avx512f"))]
+    for (row, out) in data.chunks_exact(cols).zip(out) {
+        *out = crate::vector::argmax(row).unwrap_or(0);
+    }
+}
+
+/// [`argmax_rows`] on `L::WIDTH` rows of `cols` (at least one), row `l` in
+/// lane `l`.
+#[cfg(any(test, target_feature = "avx512f"))]
+#[inline(always)]
+fn argmax_block<L: Lanes>(rows: &[f64], cols: usize, out: &mut [usize]) {
+    assert!(cols > 0 && rows.len() == L::WIDTH * cols && out.len() == L::WIDTH);
+    // Nothing taken yet: a NaN best, which every non-NaN entry replaces.
+    let (mut best, mut at) = (L::splat(f64::NAN), L::zero());
+    for j in 0..cols {
+        // SAFETY: lane `l` reads `rows[l * cols + j]`, below `L::WIDTH *
+        // cols = rows.len()` as `j < cols` (asserted above).
+        let x = unsafe { L::gather(rows.as_ptr().add(j), cols) };
+        x.take_greater(j as f64, &mut best, &mut at);
+    }
+    let mut index = [0.0; LANES];
+    // SAFETY: `index` holds `LANES >= L::WIDTH` f64s.
+    unsafe { at.store(index.as_mut_ptr()) };
+    for (o, &i) in out.iter_mut().zip(&index) {
+        *o = i as usize;
+    }
+}
+
+/// `1.0` at index 7, `0.0` elsewhere: the `WIDTH` entries from `7 - y` are
+/// the one-hot row of class `y < 8`.
+static ONE_HOT: [f64; 15] =
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0];
+
+/// The softmax + cross-entropy output gradient: row `r` of `out` is row
+/// `r` of `probs` (rows of `cols`), less `1.0` at column `labels[r]`, times
+/// `w_r = weights[r] / total` (`1.0 / total` with no weights). Per row the
+/// scalar loop's operations: `p - 1.0` at the label, then `v * w_r` on
+/// every entry, with `w_r` one rounded division.
+///
+/// Where `cols` fits a register (at most [`LANES`]), each row is one
+/// register less the one-hot register of its label — `p - 0.0` is `p`
+/// bit for bit, `-0.0` and NaN included — and the weights are divided
+/// eight at a time; wider rows run the scalar loop.
+///
+/// # Panics
+/// If `probs` and `out` are not `labels.len()` rows of `cols`, `weights`
+/// is not one per row, or a label is not below `cols`.
+pub fn softmax_grad_rows(
+    probs: &[f64],
+    cols: usize,
+    labels: &[usize],
+    weights: Option<&[f64]>,
+    total: f64,
+    out: &mut [f64],
+) {
+    let n = labels.len();
+    assert!(
+        probs.len() == n * cols && out.len() == n * cols,
+        "softmax_grad_rows: probs or out is not {n} rows of {cols}"
+    );
+    assert!(weights.is_none_or(|w| w.len() == n), "weights length mismatch");
+    if let Some(&y) = labels.iter().find(|&&y| y >= cols) {
+        panic!("label {y} out of range");
+    }
+    if cols == 0 {
+        return;
+    }
+    if cols > LANES {
+        for (r, ((src, dst), &y)) in
+            probs.chunks_exact(cols).zip(out.chunks_exact_mut(cols)).zip(labels).enumerate()
+        {
+            dst.copy_from_slice(src);
+            dst[y] -= 1.0;
+            let w = weights.map_or(1.0 / total, |ws| ws[r] / total);
+            for v in dst {
+                *v *= w;
+            }
+        }
+        return;
+    }
+    with_lanes!(cols, L => {
+        let rows = |r0: usize, w: &[f64], out: &mut [f64]| {
+            for (l, &w) in w.iter().enumerate() {
+                let (r, y) = (r0 + l, labels[r0 + l]);
+                // SAFETY: `r < n = labels.len()` (the index above is
+                // checked), so `(r + 1) * cols <= n * cols`, the length of
+                // `probs` and `out` (asserted above), and `L::WIDTH = cols`;
+                // `y < cols <= 8` (checked above), so the one-hot read
+                // `7 - y..7 - y + cols` lies within `ONE_HOT`'s 15 entries.
+                unsafe {
+                    let p = L::load(probs.as_ptr().add(r * cols));
+                    let one_hot = L::load(ONE_HOT.as_ptr().add(7 - y));
+                    p.sub(one_hot).mul(L::splat(w)).store(out.as_mut_ptr().add(r * cols));
+                }
+            }
+        };
+        let mut blocks = (0..n).step_by(LANES);
+        for r0 in blocks.by_ref().take(n / LANES) {
+            let w: [f64; LANES] = match weights {
+                Some(ws) => {
+                    let ws: &[f64; LANES] = ws[r0..r0 + LANES].try_into().expect("eight weights");
+                    ws.map(|wr| wr / total)
+                }
+                None => [1.0 / total; LANES],
+            };
+            rows(r0, &w, out);
+        }
+        if let Some(r0) = blocks.next() {
+            let mut w = [1.0 / total; LANES];
+            if let Some(ws) = weights {
+                for (w, &wr) in w.iter_mut().zip(&ws[r0..]) {
+                    *w = wr / total;
+                }
+            }
+            rows(r0, &w[..n - r0], out);
+        }
+    });
 }
 
 // glibc's `exp` (since 2.28; musl's is the same code): ARM
@@ -568,6 +775,20 @@ pub(crate) trait Lanes: Copy {
     /// `0.0` in the lanes where `gate <= 0.0`, `self` elsewhere (a NaN
     /// gate keeps its lane).
     fn zero_where_nonpositive(self, gate: Self) -> Self;
+
+    /// The lanes from `src[l * stride]`, `l` in `0..WIDTH`. (Only the row
+    /// argmax reads these two, and it runs on lanes only with AVX-512F.)
+    ///
+    /// # Safety
+    /// `src` must be valid for reading at each of those offsets.
+    #[cfg(any(test, target_feature = "avx512f"))]
+    unsafe fn gather(src: *const f64, stride: usize) -> Self;
+
+    /// One column of a running row argmax: in the lanes where `self` is
+    /// not NaN and either `best` is NaN (nothing taken yet) or `self >
+    /// best`, `best` takes `self` and `at` takes `column`.
+    #[cfg(any(test, target_feature = "avx512f"))]
+    fn take_greater(self, column: f64, best: &mut Self, at: &mut Self);
 }
 
 // Compiled only when the build target enables AVX-512F, which makes
@@ -821,6 +1042,25 @@ mod imp {
                 Self(_mm512_maskz_mov_pd(keep, self.0))
             }
         }
+
+        #[inline(always)]
+        unsafe fn gather(src: *const f64, stride: usize) -> Self {
+            let s = stride as i64;
+            let offsets = _mm512_set_epi64(7 * s, 6 * s, 5 * s, 4 * s, 3 * s, 2 * s, s, 0);
+            Self(_mm512_mask_i64gather_pd::<8>(_mm512_setzero_pd(), Self::MASK, offsets, src))
+        }
+
+        #[inline(always)]
+        fn take_greater(self, column: f64, best: &mut Self, at: &mut Self) {
+            // SAFETY: AVX-512F is enabled (see the module's `cfg`).
+            unsafe {
+                // Not NaN, and not `<= best`: greater, or `best` is NaN.
+                let number = _mm512_cmp_pd_mask::<_CMP_ORD_Q>(self.0, self.0);
+                let take = _mm512_mask_cmp_pd_mask::<_CMP_NLE_UQ>(number, self.0, best.0);
+                best.0 = _mm512_mask_mov_pd(best.0, take, self.0);
+                at.0 = _mm512_mask_mov_pd(at.0, take, _mm512_set1_pd(column));
+            }
+        }
     }
 }
 
@@ -907,6 +1147,23 @@ impl<const N: usize> Lanes for Array<N> {
             }
         }
         Self(v)
+    }
+
+    #[cfg(any(test, target_feature = "avx512f"))]
+    #[inline(always)]
+    unsafe fn gather(src: *const f64, stride: usize) -> Self {
+        Self(std::array::from_fn(|l| *src.add(l * stride)))
+    }
+
+    #[cfg(any(test, target_feature = "avx512f"))]
+    #[inline(always)]
+    fn take_greater(self, column: f64, best: &mut Self, at: &mut Self) {
+        for ((&x, b), a) in self.0.iter().zip(&mut best.0).zip(&mut at.0) {
+            if !x.is_nan() && (b.is_nan() || x > *b) {
+                *b = x;
+                *a = column;
+            }
+        }
     }
 }
 
@@ -1168,6 +1425,118 @@ mod tests {
         let negated: Vec<f64> = xs.iter().map(|x| -x).collect();
         xs.extend(negated);
         assert_exp_matches_libm(&xs);
+    }
+
+    /// Rows that make a row argmax disagree with a careless rewrite: NaN
+    /// first, last and everywhere, infinities of both signs, `-0.0`/`0.0`
+    /// ties in either order, repeated maxima, and ordinary values.
+    fn argmax_case(i: usize, cols: usize) -> Vec<f64> {
+        let ordinary = |j: usize| ((i * 31 + j * 17) % 13) as f64 * 0.5 - 3.0;
+        (0..cols)
+            .map(|j| match i % 11 {
+                0 => f64::NAN,
+                1 => f64::NEG_INFINITY,
+                2 if j % 2 == 0 => f64::NAN,
+                2 => f64::NEG_INFINITY,
+                3 => [-0.0, 0.0][j % 2],
+                4 => [0.0, -0.0][j % 2],
+                5 if j == cols - 1 => f64::INFINITY,
+                6 if j == 0 => f64::NAN,
+                7 => 2.5,
+                8 => SPECIAL[(i + j) % 8],
+                _ => ordinary(j),
+            })
+            .collect()
+    }
+
+    /// Both forms against `vector::argmax(row).unwrap_or(0)` on every row
+    /// count up to three blocks and a partial one, at widths 1-9.
+    #[test]
+    fn argmax_rows_matches_the_scalar_argmax() {
+        for cols in 1..=9 {
+            for rows in 0..=27 {
+                let data: Vec<f64> = (0..rows).flat_map(|i| argmax_case(i, cols)).collect();
+                let want: Vec<usize> = data
+                    .chunks_exact(cols)
+                    .map(|row| crate::vector::argmax(row).unwrap_or(0))
+                    .collect();
+                let mut got = vec![usize::MAX; rows];
+                argmax_rows(&data, cols, &mut got);
+                assert_eq!(got, want, "{rows}x{cols}");
+                let mut by_array = vec![usize::MAX; rows];
+                for (block, out) in data.chunks(LANES * cols).zip(by_array.chunks_mut(LANES)) {
+                    if out.len() == LANES {
+                        argmax_block::<Array<LANES>>(block, cols, out);
+                    } else {
+                        with_lanes!(out.len(), L => argmax_block::<L>(block, cols, out));
+                    }
+                }
+                assert_eq!(by_array, want, "array form {rows}x{cols}");
+            }
+        }
+        let mut out = [7; 3];
+        argmax_rows(&[], 0, &mut out);
+        assert_eq!(out, [0; 3]);
+    }
+
+    /// The per-row loop [`softmax_grad_rows`] stands for.
+    fn reference_softmax_grad(
+        probs: &[f64],
+        cols: usize,
+        labels: &[usize],
+        weights: Option<&[f64]>,
+        total: f64,
+    ) -> Vec<f64> {
+        let mut out = probs.to_vec();
+        for (r, (row, &y)) in out.chunks_exact_mut(cols).zip(labels).enumerate() {
+            row[y] -= 1.0;
+            let w = match weights {
+                None => 1.0 / total,
+                Some(ws) => ws[r] / total,
+            };
+            for v in row {
+                *v *= w;
+            }
+        }
+        out
+    }
+
+    /// The kernel against the reference at widths 1-10 (one register and
+    /// past it), row counts up to two blocks and a partial one, with and
+    /// without weights, on probabilities and on [`SPECIAL`] entries.
+    #[test]
+    fn softmax_grad_rows_matches_the_scalar_loop() {
+        for cols in 1..=10 {
+            for rows in 0..=19 {
+                let probs: Vec<f64> = (0..rows * cols)
+                    .map(|i| match (i * 7 + cols) % 17 {
+                        0 => SPECIAL[(i / 17) % 8],
+                        k => (k as f64 * 0.37 + i as f64 * 0.011).sin().abs(),
+                    })
+                    .collect();
+                let labels: Vec<usize> = (0..rows).map(|r| (r * 5 + cols) % cols).collect();
+                let weights: Vec<f64> = (0..rows).map(|r| 0.25 + (r % 7) as f64 * 0.3).collect();
+                let total: f64 = weights.iter().sum::<f64>() + 0.1;
+                for (weights, total) in [(None, rows.max(1) as f64), (Some(&weights[..]), total)] {
+                    let want = reference_softmax_grad(&probs, cols, &labels, weights, total);
+                    let mut got = vec![f64::NAN; rows * cols];
+                    softmax_grad_rows(&probs, cols, &labels, weights, total, &mut got);
+                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert!(
+                            same(*g, *w),
+                            "{rows}x{cols} weighted={} at {i}: {g:e} vs {w:e}",
+                            weights.is_some()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "label 3 out of range")]
+    fn softmax_grad_rows_rejects_a_label_past_the_columns() {
+        softmax_grad_rows(&[0.5; 6], 3, &[0, 3], None, 2.0, &mut [0.0; 6]);
     }
 
     /// The per-row loop [`softmax_rows`] stands for, with libm's `exp`.

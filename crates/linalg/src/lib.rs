@@ -15,7 +15,9 @@
 //! * [`lanes`] — the eight-lane `f64` register the matmul register tiles
 //!   are written on (one AVX-512 vector, or an array without AVX-512F),
 //!   the name of the backend a build picked, k-means' squared distance
-//!   tile on it, and a row-wise softmax eight rows to a register.
+//!   tile on it, a row-wise softmax and a row argmax eight rows to a
+//!   register, and the softmax + cross-entropy gradient a row to a
+//!   register.
 //!
 //! Every kernel runs on the calling thread. All random initialisation is
 //! seeded and no global RNG state is used, so results are a pure

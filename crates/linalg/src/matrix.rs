@@ -1,6 +1,6 @@
 //! Row-major dense `f64` matrix.
 
-use crate::lanes::{Array, Lanes, Wide};
+use crate::lanes::{with_lanes, Lanes, Wide, LANES};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -114,49 +114,6 @@ impl Epilogue<'_> {
     }
 }
 
-/// Evaluates `$call` with the type `$L` bound to the [`Lanes`] form the
-/// register tiles use at output width `$width` (1–8): the array form at
-/// widths 1, 2 and 4, whose 128- and 256-bit registers run faster than a
-/// masked 512-bit one, and [`Wide`] elsewhere.
-macro_rules! with_lanes {
-    ($width:expr, $L:ident => $call:expr) => {
-        match $width {
-            1 => {
-                type $L = Array<1>;
-                $call
-            }
-            2 => {
-                type $L = Array<2>;
-                $call
-            }
-            3 => {
-                type $L = Wide<3>;
-                $call
-            }
-            4 => {
-                type $L = Array<4>;
-                $call
-            }
-            5 => {
-                type $L = Wide<5>;
-                $call
-            }
-            6 => {
-                type $L = Wide<6>;
-                $call
-            }
-            7 => {
-                type $L = Wide<7>;
-                $call
-            }
-            _ => {
-                type $L = Wide<8>;
-                $call
-            }
-        }
-    };
-}
-
 /// Evaluates `$call` with the const `$R` bound to `$rows`, a height from
 /// [`strip_height`].
 macro_rules! with_rows {
@@ -186,6 +143,79 @@ macro_rules! with_rows {
             }
         }
     };
+}
+
+/// Evaluates `$call` with the const `$C` bound to `$value`, one of the
+/// listed literals.
+macro_rules! with_const {
+    ($value:expr, $C:ident in $($v:literal)|+ => $call:expr) => {
+        match $value {
+            $($v => {
+                const $C: usize = $v;
+                $call
+            })+
+            v => unreachable!("no arm for {v}"),
+        }
+    };
+}
+
+/// The lane form of a full block in the narrow-operand kernels and the
+/// column sums: one 512-bit register where the build target has AVX-512F,
+/// one 256-bit register otherwise (an array of eight lanes per
+/// accumulator leaves AVX2's registers for the stack there).
+#[cfg(target_feature = "avx512f")]
+type Block = Wide<8>;
+
+/// The lane form of a full block in the narrow-operand kernels and the
+/// column sums: one 512-bit register where the build target has AVX-512F,
+/// one 256-bit register otherwise (an array of eight lanes per
+/// accumulator leaves AVX2's registers for the stack there).
+#[cfg(not(target_feature = "avx512f"))]
+type Block = crate::lanes::Array<4>;
+
+/// Lanes of a [`Block`].
+const BLOCK: usize = <Block as Lanes>::WIDTH;
+
+/// Whether [`Matrix::matmul_transa_into`] and
+/// [`Matrix::matmul_transb_epilogue_into`] take their narrow-operand
+/// sweeps at the shapes that have them: where the build target has
+/// AVX-512F. Built for AVX2, the sweeps' `Array` accumulators compile to
+/// 128-bit and scalar operations and run at two to six times the register
+/// tiles' time, so that backend keeps the tiles.
+const NARROW_TILES: bool = cfg!(target_feature = "avx512f");
+
+/// [`Block`] registers the narrow-operand kernels keep live per sweep
+/// (accumulators, or a held transposed operand): 24 of AVX-512's 32.
+const NARROW_REGISTERS: usize = 24;
+
+/// Most blocks one sweep of a narrow-operand kernel or of
+/// [`Matrix::column_sums_into`] covers.
+const MAX_BLOCKS: usize = 4;
+
+/// Starts of the `B` blocks from block `first` among those that cover
+/// `0..len` (`len >= BLOCK`): block `b` at `b * BLOCK`, and the last one
+/// moved back to end at `len` when `len` is not a multiple of [`BLOCK`].
+/// That block overlaps its neighbour, whose elements it computes again
+/// from the same operands in the same order, so both store the same bits.
+#[inline]
+fn block_starts<const B: usize>(first: usize, len: usize) -> [usize; B] {
+    std::array::from_fn(|i| ((first + i) * BLOCK).min(len - BLOCK))
+}
+
+/// Calls `sweep` once per group of at most `per_sweep` (in
+/// `1..=MAX_BLOCKS`) blocks covering `0..len` (`len >= BLOCK`), with the
+/// group's block starts (see [`block_starts`]).
+macro_rules! for_block_groups {
+    ($len:expr, $per_sweep:expr, $B:ident, $starts:ident => $sweep:expr) => {{
+        let (len, per_sweep) = ($len, $per_sweep);
+        let blocks = len.div_ceil(BLOCK);
+        for first in (0..blocks).step_by(per_sweep) {
+            with_const!((blocks - first).min(per_sweep), $B in 1 | 2 | 3 | 4 => {
+                let $starts = block_starts::<$B>(first, len);
+                $sweep
+            });
+        }
+    }};
 }
 
 /// The height of the next row strip when `rows` (at least 1) remain: the
@@ -533,10 +563,13 @@ impl Matrix {
     /// Output rows (columns of `self`) go in strips of [`MICRO_ROWS`]
     /// (remainders in power-of-two strips), each strip in
     /// [`MICRO_COLS`]-wide register tiles plus one 1–7-wide remainder
-    /// tile. Every output element is produced in one register accumulation
-    /// over all shared rows in ascending order, exactly like the naive
-    /// loop, so results are bit-identical to
-    /// `self.transpose().matmul(rhs)` and no zero-fill is needed.
+    /// tile. A right-hand side narrower than a register (a softmax head's
+    /// delta: 2–7 classes) turns the lanes around instead, onto the output
+    /// rows, where the build target has AVX-512F. Every output element is
+    /// produced in one register accumulation over all shared rows in
+    /// ascending order, exactly like the naive loop, so results are
+    /// bit-identical to `self.transpose().matmul(rhs)` and no zero-fill is
+    /// needed.
     ///
     /// # Panics
     /// Panics if `self.rows() != rhs.rows()`.
@@ -547,6 +580,10 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         out.resize(self.cols, rhs.cols);
+        if NARROW_TILES && (1..MICRO_COLS).contains(&rhs.cols) && self.cols >= BLOCK {
+            self.matmul_transa_narrow_into(rhs, &mut out.data);
+            return;
+        }
         let mut c = 0;
         while c < self.cols {
             let rows = strip_height(self.cols - c);
@@ -554,6 +591,17 @@ impl Matrix {
             with_rows!(rows, R => self.matmul_transa_strip::<R>(rhs, c, out));
             c += rows;
         }
+    }
+
+    /// [`Self::matmul_transa_into`] for `rhs` 1–7 columns wide and `self`
+    /// at least [`BLOCK`] wide, in [`Self::matmul_transa_narrow`] sweeps of
+    /// as many blocks as keep [`NARROW_REGISTERS`] accumulators.
+    fn matmul_transa_narrow_into(&self, rhs: &Matrix, out: &mut [f64]) {
+        with_const!(rhs.cols, N in 1 | 2 | 3 | 4 | 5 | 6 | 7 => {
+            let per_sweep = (NARROW_REGISTERS / N).clamp(1, MAX_BLOCKS);
+            for_block_groups!(self.cols, per_sweep, B, starts =>
+                self.matmul_transa_narrow::<B, N>(rhs, starts, out));
+        });
     }
 
     /// Output rows `c..c + R` of `self^T * rhs`, all columns: full-width
@@ -605,6 +653,58 @@ impl Matrix {
         store_tile(&acc, out, n, c, j, Epilogue::None);
     }
 
+    /// Output rows `starts[b]..starts[b] + BLOCK` of `self^T * rhs`, for
+    /// each of `B` blocks, with `rhs` `N` columns wide: one lane per output
+    /// row (a column of `self`), one register per (block, `rhs` column),
+    /// `B · N` accumulators in all. Each shared row loads `B` registers of
+    /// `self`'s row and broadcasts `N` entries of `rhs`'s, and adds their
+    /// products in ascending row order from `0.0`, a rounded multiply then
+    /// a rounded add, as [`Self::matmul_transa_tile`] does (the product's
+    /// operands trade places, which IEEE multiplication allows). The
+    /// registers are transposed once, at the store.
+    #[inline]
+    fn matmul_transa_narrow<const B: usize, const N: usize>(
+        &self,
+        rhs: &Matrix,
+        starts: [usize; B],
+        out: &mut [f64],
+    ) {
+        let (m, k) = (self.rows, self.cols);
+        assert!(
+            rhs.rows == m
+                && rhs.cols == N
+                && out.len() == k * N
+                && starts.iter().all(|&c| c + BLOCK <= k)
+        );
+        let (a, b) = (self.data.as_ptr(), rhs.data.as_ptr());
+        let mut acc = [[Block::zero(); N]; B];
+        for r in 0..m {
+            // SAFETY: `r < m`, every `c + BLOCK <= k` and `j < N =
+            // rhs.cols` (asserted above) keep each read below `m * k =
+            // self.data.len()` or `m * N = rhs.data.len()`.
+            unsafe {
+                let a_r: [Block; B] =
+                    std::array::from_fn(|i| Block::load(a.add(r * k + starts[i])));
+                for j in 0..N {
+                    let b_rj = *b.add(r * N + j);
+                    for (acc_i, a_ri) in acc.iter_mut().zip(&a_r) {
+                        acc_i[j] = acc_i[j].mul_add(b_rj, *a_ri);
+                    }
+                }
+            }
+        }
+        let mut lanes = [0.0; LANES];
+        for (acc_i, &c) in acc.iter().zip(&starts) {
+            for (j, v) in acc_i.iter().enumerate() {
+                // SAFETY: `lanes` holds `LANES >= BLOCK` f64s.
+                unsafe { v.store(lanes.as_mut_ptr()) };
+                for (l, &x) in lanes[..BLOCK].iter().enumerate() {
+                    out[(c + l) * N + j] = x;
+                }
+            }
+        }
+    }
+
     /// Fused transposed product `self * rhs^T` without materializing the
     /// transpose.
     ///
@@ -640,8 +740,11 @@ impl Matrix {
     /// strided gather. A shared dimension longer than the panel depth
     /// takes several panels, each resuming the partial sums the previous
     /// one wrote (a store and reload is exact); the epilogue runs with the
-    /// last. Every element is one ascending-`k` dot, so the result is
-    /// bit-identical to `matmul` against a materialized transpose.
+    /// last. A shared dimension of at most [`LANES`] (a softmax head's
+    /// back-propagated delta) holds `rhs^T` in registers instead and sweeps
+    /// `self`'s rows once, where the build target has AVX-512F. Every
+    /// element is one ascending-`k` dot, so the result is bit-identical to
+    /// `matmul` against a materialized transpose.
     ///
     /// # Panics
     /// Panics if `self.cols() != rhs.cols()` or the epilogue's operand
@@ -660,6 +763,10 @@ impl Matrix {
         epilogue.check(self.rows, rhs.rows);
         out.resize(self.rows, rhs.rows);
         let (m, n, k) = (self.rows, rhs.rows, self.cols);
+        if NARROW_TILES && (1..=LANES).contains(&k) && n >= BLOCK {
+            self.matmul_transb_narrow_into(rhs, epilogue, &mut out.data);
+            return;
+        }
         let mut tile = [0.0f64; TRANSB_PANEL_K * MICRO_COLS];
         for j in (0..n).step_by(MICRO_COLS) {
             let width = (n - j).min(MICRO_COLS);
@@ -691,6 +798,18 @@ impl Matrix {
                 p0 += depth;
             }
         }
+    }
+
+    /// [`Self::matmul_transb_epilogue_into`] over a shared dimension of
+    /// 1–8 with `rhs` at least [`BLOCK`] rows, in
+    /// [`Self::matmul_transb_narrow`] sweeps of as many blocks as keep
+    /// [`NARROW_REGISTERS`] registers of `rhs^T`.
+    fn matmul_transb_narrow_into(&self, rhs: &Matrix, epilogue: Epilogue<'_>, out: &mut [f64]) {
+        with_const!(self.cols, K in 1 | 2 | 3 | 4 | 5 | 6 | 7 | 8 => {
+            let per_sweep = (NARROW_REGISTERS / K).clamp(1, MAX_BLOCKS);
+            for_block_groups!(rhs.rows, per_sweep, B, starts =>
+                self.matmul_transb_narrow::<K, B>(rhs, starts, epilogue, out));
+        });
     }
 
     /// Output rows `i..i + R` of `self * rhs^T` against one packed panel,
@@ -753,6 +872,49 @@ impl Matrix {
             }
         }
         store_tile(&acc, out, n, i, panel.j, epilogue);
+    }
+
+    /// Output columns `starts[b]..starts[b] + BLOCK` of `self * rhs^T`,
+    /// for each of `B` blocks, all rows, over a shared dimension of `K`:
+    /// those columns of `rhs^T` sit in `K · B` registers for the whole
+    /// sweep, and each row of `self` broadcasts its `K` entries into `B`
+    /// dots, each a rounded multiply and add per shared index in ascending
+    /// order from `0.0` (the operations of [`Self::matmul_transb_tile`]),
+    /// stored through `epilogue`.
+    #[inline]
+    fn matmul_transb_narrow<const K: usize, const B: usize>(
+        &self,
+        rhs: &Matrix,
+        starts: [usize; B],
+        epilogue: Epilogue<'_>,
+        out: &mut [f64],
+    ) {
+        let n = rhs.rows;
+        assert!(
+            self.cols == K
+                && rhs.cols == K
+                && out.len() == self.rows * n
+                && starts.iter().all(|&j| j + BLOCK <= n)
+        );
+        let bt: [[Block; B]; K] = std::array::from_fn(|p| {
+            std::array::from_fn(|i| {
+                let mut column = [0.0; LANES];
+                for (l, v) in column[..BLOCK].iter_mut().enumerate() {
+                    *v = rhs.data[(starts[i] + l) * K + p];
+                }
+                // SAFETY: `column` holds `LANES >= BLOCK` f64s.
+                unsafe { Block::load(column.as_ptr()) }
+            })
+        });
+        for (i, a_i) in self.data.as_chunks::<K>().0.iter().enumerate() {
+            for (b, &j) in starts.iter().enumerate() {
+                let mut acc = Block::zero();
+                for (&a_ip, bt_p) in a_i.iter().zip(&bt) {
+                    acc = acc.mul_add(a_ip, bt_p[b]);
+                }
+                store_tile::<1, Block>(&[acc], out, n, i, j, epilogue);
+            }
+        }
     }
 
     /// Matrix-vector product `self * v`.
@@ -849,15 +1011,42 @@ impl Matrix {
     /// [`Self::column_sums`] writing into `out` (every element is
     /// overwritten). Bit-identical to the allocating path.
     ///
+    /// Each column sums its rows in order from `0.0`, one rounded add
+    /// each, as the scalar loop does; the partial sums of up to
+    /// four register-wide blocks of columns stay in registers for a sweep
+    /// over the rows.
+    ///
     /// # Panics
     /// Panics if `out.len() != self.cols()`.
     pub fn column_sums_into(&self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.cols, "column_sums_into length mismatch");
-        out.fill(0.0);
-        for row in self.row_iter() {
-            for (o, &x) in out.iter_mut().zip(row) {
-                *o += x;
+        let cols = self.cols;
+        assert_eq!(out.len(), cols, "column_sums_into length mismatch");
+        if cols < BLOCK {
+            if cols > 0 {
+                with_lanes!(cols, L => self.column_sums_sweep::<1, L>([0], out));
             }
+            return;
+        }
+        for_block_groups!(cols, MAX_BLOCKS, B, starts =>
+            self.column_sums_sweep::<B, Block>(starts, out));
+    }
+
+    /// Columns `starts[b]..starts[b] + L::WIDTH` of
+    /// [`Self::column_sums_into`], for each of `B` blocks.
+    #[inline]
+    fn column_sums_sweep<const B: usize, L: Lanes>(&self, starts: [usize; B], out: &mut [f64]) {
+        let cols = self.cols;
+        assert!(cols > 0 && out.len() == cols && starts.iter().all(|&c| c + L::WIDTH <= cols));
+        let mut acc = [L::zero(); B];
+        for row in self.data.chunks_exact(cols) {
+            for (acc_i, &c) in acc.iter_mut().zip(&starts) {
+                // SAFETY: `c + L::WIDTH <= cols = row.len()` (asserted above).
+                *acc_i = acc_i.add(unsafe { L::load(row.as_ptr().add(c)) });
+            }
+        }
+        for (acc_i, &c) in acc.iter().zip(&starts) {
+            // SAFETY: as above, with `out.len() == cols`.
+            unsafe { acc_i.store(out.as_mut_ptr().add(c)) };
         }
     }
 
@@ -1138,6 +1327,164 @@ mod tests {
         let idx: Vec<usize> = (1..4).collect();
         assert_eq!(m.slice_rows(1, 4), m.select_rows(&idx));
         assert_eq!(m.slice_rows(0, 0).rows(), 0);
+    }
+
+    /// Whether two outputs hold the same bits, any NaN matching any NaN.
+    fn same_bits(got: &[f64], want: &[f64]) -> bool {
+        got.len() == want.len()
+            && got
+                .iter()
+                .zip(want)
+                .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
+    }
+
+    /// A `rows x cols` matrix of ordinary values with signed zeros,
+    /// infinities, NaN and a subnormal among them (one entry in 29 when
+    /// `specials`).
+    fn mixed(rows: usize, cols: usize, salt: usize, specials: bool) -> Matrix {
+        const SPECIAL: [f64; 6] = [-0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 5e-324];
+        let data = (0..rows * cols)
+            .map(|i| {
+                let h = i.wrapping_mul(2_654_435_761).wrapping_add(salt * 7919);
+                match h % 29 {
+                    0 if specials => SPECIAL[(h / 29) % 6],
+                    1 => -0.0,
+                    k => ((h % 1013) as f64 * 0.173 - 87.0) * (k as f64 * 0.31).sin(),
+                }
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    /// `matmul_transa` at B widths 1-7 against the naive loop, over A widths
+    /// on and off multiples of 8 and row counts from 0, and the
+    /// narrow-operand sweeps on their own (which the public product takes
+    /// only with AVX-512F) wherever they apply.
+    #[test]
+    fn narrow_transa_matches_the_naive_loop() {
+        for n in 1..=7 {
+            for k in (1..=20).chain([24, 31, 32, 33, 40, 41, 64, 65]) {
+                for m in (0..=9).chain([15, 16, 17, 256]) {
+                    let a = mixed(m, k, n * 100 + k, m % 3 == 1);
+                    let b = mixed(m, n, k * 100 + n, m % 4 == 1);
+                    let mut want = vec![0.0; k * n];
+                    for c in 0..k {
+                        for j in 0..n {
+                            let mut acc = 0.0;
+                            for r in 0..m {
+                                acc += a[(r, c)] * b[(r, j)];
+                            }
+                            want[c * n + j] = acc;
+                        }
+                    }
+                    let got = a.matmul_transa(&b);
+                    assert_eq!(got.shape(), (k, n));
+                    assert!(same_bits(got.as_slice(), &want), "m={m} k={k} n={n}");
+                    if k >= BLOCK {
+                        let mut swept = vec![f64::NAN; k * n];
+                        a.matmul_transa_narrow_into(&b, &mut swept);
+                        assert!(same_bits(&swept, &want), "sweeps m={m} k={k} n={n}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// An epilogue's loop on element `i` of a product, value `v`.
+    type Apply<'f> = &'f dyn Fn(usize, f64) -> f64;
+
+    /// `matmul_transb` at shared depths 1-8 against the naive dot followed
+    /// by each epilogue's loop, and the narrow-operand sweeps on their own
+    /// (which the public product takes only with AVX-512F) wherever they
+    /// apply.
+    #[test]
+    fn narrow_transb_matches_the_naive_loop_under_every_epilogue() {
+        for k in 1..=8 {
+            for n in (1..=20).chain([31, 32, 33, 40]) {
+                for m in (0..=9).chain([16, 17, 256]) {
+                    let a = mixed(m, k, k * 100 + n, m % 3 == 1);
+                    let b = mixed(n, k, n * 100 + k, m % 4 == 2);
+                    let bias = mixed(1, n, m + k, true);
+                    let gate = mixed(m, n, m * 7 + n, true);
+                    let mut dots = vec![0.0; m * n];
+                    for i in 0..m {
+                        for j in 0..n {
+                            let mut acc = 0.0;
+                            for p in 0..k {
+                                acc += a[(i, p)] * b[(j, p)];
+                            }
+                            dots[i * n + j] = acc;
+                        }
+                    }
+                    let at = |i: usize| (i / n.max(1), i % n.max(1));
+                    let epilogues: [(Epilogue<'_>, Apply<'_>); 4] = [
+                        (Epilogue::None, &|_, v| v),
+                        (Epilogue::Bias(bias.as_slice()), &|i, v| v + bias.as_slice()[at(i).1]),
+                        (Epilogue::BiasRelu(bias.as_slice()), &|i, v| {
+                            let v = v + bias.as_slice()[at(i).1];
+                            if v < 0.0 {
+                                0.0
+                            } else {
+                                v
+                            }
+                        }),
+                        (Epilogue::ZeroWhereNonPositive(&gate), &|i, v| {
+                            if gate.as_slice()[i] <= 0.0 {
+                                0.0
+                            } else {
+                                v
+                            }
+                        }),
+                    ];
+                    for (e, (epilogue, apply)) in epilogues.into_iter().enumerate() {
+                        let want: Vec<f64> =
+                            dots.iter().enumerate().map(|(i, &v)| apply(i, v)).collect();
+                        let mut got = Matrix::zeros(0, 0);
+                        a.matmul_transb_epilogue_into(&b, epilogue, &mut got);
+                        assert_eq!(got.shape(), (m, n));
+                        assert!(same_bits(got.as_slice(), &want), "m={m} k={k} n={n} epilogue {e}");
+                        if n >= BLOCK {
+                            let mut swept = vec![f64::NAN; m * n];
+                            a.matmul_transb_narrow_into(&b, epilogue, &mut swept);
+                            assert!(
+                                same_bits(&swept, &want),
+                                "sweeps m={m} k={k} n={n} epilogue {e}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Column sums against the row-order scalar loop at widths 1-40, with
+    /// columns of `-0.0` (which `0.0 + -0.0` turns to `0.0`) and row counts
+    /// from 0.
+    #[test]
+    fn column_sums_match_the_row_order_loop() {
+        for cols in 1..=40 {
+            for rows in (0..=9).chain([17, 256]) {
+                let mut m = mixed(rows, cols, cols * 31 + rows, rows % 3 == 2);
+                for r in 0..rows {
+                    m[(r, cols / 2)] = -0.0;
+                }
+                let mut want = vec![0.0; cols];
+                for row in m.row_iter() {
+                    for (w, &x) in want.iter_mut().zip(row) {
+                        *w += x;
+                    }
+                }
+                let mut got = vec![f64::NAN; cols];
+                m.column_sums_into(&mut got);
+                assert!(same_bits(&got, &want), "{rows}x{cols}");
+                assert_eq!(got[cols / 2].to_bits(), 0.0f64.to_bits(), "{rows}x{cols}");
+                let means = m.column_means();
+                let inv = 1.0 / rows.max(1) as f64;
+                let want_means: Vec<f64> =
+                    want.iter().map(|&s| if rows > 0 { s * inv } else { s }).collect();
+                assert!(same_bits(&means, &want_means), "means {rows}x{cols}");
+            }
+        }
     }
 
     #[test]

@@ -97,8 +97,18 @@ pub fn norm(a: &[f64]) -> f64 {
 /// Panics if lengths differ.
 #[inline]
 pub fn euclidean_distance(a: &[f64], b: &[f64]) -> f64 {
+    squared_distance(a, b).sqrt()
+}
+
+/// The square [`euclidean_distance`] takes the root of: the squared
+/// differences summed in index order.
+///
+/// # Panics
+/// Panics if lengths differ.
+#[inline]
+pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "distance length mismatch");
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt()
+    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>()
 }
 
 /// Element-wise difference `a - b` as a new vector.

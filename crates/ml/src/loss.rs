@@ -1,4 +1,8 @@
-//! Numerically stable softmax and cross-entropy.
+//! Numerically stable softmax and cross-entropy, and their shared output
+//! gradient. The softmax and the gradient run on lane kernels from
+//! [`freeway_linalg::lanes`] (eight rows to a register for the softmax, a
+//! row to a register for the gradient) that return the per-row loops'
+//! bits.
 
 use freeway_linalg::Matrix;
 
@@ -50,6 +54,12 @@ pub fn softmax_grad(probs: &Matrix, labels: &[usize], weights: Option<&[f64]>) -
 /// [`softmax_grad`] writing into `out` (re-shaped in place, reusing its
 /// allocation). Bit-identical to the allocating path.
 ///
+/// Runs [`freeway_linalg::lanes::softmax_grad_rows`]: a row of up to eight
+/// classes is one register less its label's one-hot register, times the
+/// row's weight, with the weights divided eight at a time — per row the
+/// per-row loop's operations (`p - 1.0` at the label, then each entry
+/// times `w_i / Σw`), so the bits are that loop's.
+///
 /// # Panics
 /// Panics on any length mismatch or out-of-range label.
 pub fn softmax_grad_into(
@@ -60,8 +70,8 @@ pub fn softmax_grad_into(
 ) {
     assert_eq!(probs.rows(), labels.len(), "softmax_grad length mismatch");
     let n = labels.len();
-    out.copy_from(probs);
     if n == 0 {
+        out.copy_from(probs);
         return;
     }
     let total_weight = match weights {
@@ -70,6 +80,7 @@ pub fn softmax_grad_into(
             let s: f64 = w.iter().sum();
             if s.abs() < f64::EPSILON {
                 // All-zero weights contribute no gradient.
+                out.copy_from(probs);
                 out.scale(0.0);
                 return;
             }
@@ -77,31 +88,16 @@ pub fn softmax_grad_into(
         }
         None => n as f64,
     };
-    // Flat `cols`-wide chunks instead of a re-sliced row per iteration:
-    // the per-row loop's arithmetic, minus its bounds checks.
-    let cols = out.cols();
-    match weights {
-        None => {
-            let w = 1.0 / total_weight;
-            for (row, &y) in out.as_mut_slice().chunks_exact_mut(cols).zip(labels) {
-                assert!(y < cols, "label {y} out of range");
-                row[y] -= 1.0;
-                for v in row {
-                    *v *= w;
-                }
-            }
-        }
-        Some(ws) => {
-            for ((row, &y), &wr) in out.as_mut_slice().chunks_exact_mut(cols).zip(labels).zip(ws) {
-                assert!(y < cols, "label {y} out of range");
-                row[y] -= 1.0;
-                let w = wr / total_weight;
-                for v in row {
-                    *v *= w;
-                }
-            }
-        }
-    }
+    let cols = probs.cols();
+    out.resize(n, cols);
+    freeway_linalg::lanes::softmax_grad_rows(
+        probs.as_slice(),
+        cols,
+        labels,
+        weights,
+        total_weight,
+        out.as_mut_slice(),
+    );
 }
 
 #[cfg(test)]

@@ -32,10 +32,14 @@ pub trait Model: Send + Sync {
         *out = self.predict_proba(x);
     }
 
-    /// Hard class predictions via argmax over probabilities.
+    /// Hard class predictions via argmax over probabilities: each row's
+    /// first maximum, as `vector::argmax(row).unwrap_or(0)` picks it, eight
+    /// rows at a time ([`freeway_linalg::lanes::argmax_rows`]).
     fn predict(&self, x: &Matrix) -> Vec<usize> {
         let probs = self.predict_proba(x);
-        probs.row_iter().map(|row| freeway_linalg::vector::argmax(row).unwrap_or(0)).collect()
+        let mut classes = vec![0; probs.rows()];
+        freeway_linalg::lanes::argmax_rows(probs.as_slice(), probs.cols(), &mut classes);
+        classes
     }
 
     /// Mean cross-entropy of this model on a labeled batch.
